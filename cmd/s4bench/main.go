@@ -12,22 +12,6 @@
 //	s4bench -scale 0.2               shrink workloads (quick look)
 //	s4bench -torture -seed 7         crash-consistency torture sweep
 //	s4bench -netfault -seed 7        exactly-once soak under network faults
-//	s4bench -writepath -json BENCH_writepath.json
-//	                                 wall-clock write/sync throughput at
-//	                                 1/4/8/16 clients (commit pipeline)
-//	s4bench -readpath -json BENCH_readpath.json
-//	                                 wall-clock hot/cold/back-in-time read
-//	                                 throughput (landmark + recon cache)
-//	s4bench -shards -json BENCH_shard.json
-//	                                 consistent-hash router scaling at
-//	                                 1/4/8 shards on rate-limited devices
-//	s4bench -scrub -json BENCH_scrub.json
-//	                                 foreground ops/s with the integrity
-//	                                 scrubber off/default/aggressive
-//	s4bench -churn -json BENCH_churn.json
-//	                                 overwrite-heavy history churn with
-//	                                 reverse-delta conversion off vs on
-//	                                 (history bytes/op + deep-read cost)
 package main
 
 import (
@@ -53,63 +37,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "with -torture/-netfault: schedule seed")
 	ops := flag.Int("ops", 0, "with -torture/-netfault: operations (0 = default)")
 	points := flag.Int("points", 0, "with -torture: cap verified crash points (0 = all)")
-	writepath := flag.Bool("writepath", false, "run the wall-clock write-path throughput bench instead of a figure")
-	wpOps := flag.Int("wp-ops", 0, "with -writepath: operations per client (0 = default 1500)")
-	readpath := flag.Bool("readpath", false, "run the wall-clock read-path throughput bench instead of a figure")
-	rpOps := flag.Int("rp-ops", 0, "with -readpath: base operations per client (0 = default 400)")
-	shardpath := flag.Bool("shards", false, "run the sharded-router scaling bench (1/4/8 shards) instead of a figure")
-	spOps := flag.Int("sp-ops", 0, "with -shards: operations per client (0 = default 150)")
-	restart := flag.Bool("restart", false, "run the restart bench (open time vs history depth, index on/off, both backends)")
-	churn := flag.Bool("churn", false, "run the history-churn bench (delta conversion off vs on) instead of a figure")
-	chOps := flag.Int("ch-ops", 0, "with -churn: overwrite rounds per object (0 = default 1000)")
-	scrub := flag.Bool("scrub", false, "run the scrub bench (foreground ops/s with the scrubber off/default/aggressive)")
-	jsonOut := flag.String("json", "", "with -writepath/-readpath: write machine-readable results to this file")
-	baseline := flag.String("baseline", "", "with -writepath/-readpath: fail if throughput regresses >30% vs this baseline JSON")
 	flag.Parse()
 
-	if *churn {
-		if err := runChurn(*chOps, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "churn: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *restart {
-		if err := runRestart(*jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "restart: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scrub {
-		if err := runScrub(*jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "scrub: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *writepath {
-		if err := runWritepath(*wpOps, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "writepath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *readpath {
-		if err := runReadpath(*rpOps, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "readpath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardpath {
-		if err := runShardpath(*spOps, *jsonOut, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "shardpath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *tort {
 		if err := runTorture(*seed, *ops, *points); err != nil {
 			fmt.Fprintf(os.Stderr, "torture: %v\n", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -68,6 +69,72 @@ func TestDeltaHistoryRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, spanPattern(v, span)) {
 			t.Fatalf("version %d did not round-trip through delta history", v)
 		}
+	}
+}
+
+// churn overwrites 4 objects' 8-block spans for `rounds` rounds of
+// small diffs, then reads 200 versions from the oldest tenth back
+// through a 64KB block cache, checking every byte. It returns the
+// history pool's size in blocks and the device reads each block of a
+// deep read cost.
+func churn(t *testing.T, rounds int, delta bool) (histBlocks int64, deepReadsPerBlock float64) {
+	t.Helper()
+	e := newTestDrive(t, smallBlockCache)
+	if delta {
+		deltaOn(e)
+	}
+	const objects, span, deepReads = 4, 8, 200
+	ids := make([]types.ObjectID, objects)
+	for o := range ids {
+		ids[o] = e.create(alice)
+	}
+	times := make([]types.Timestamp, rounds)
+	for v := 0; v < rounds; v++ {
+		for _, id := range ids {
+			if err := e.d.Write(alice, id, 0, spanPattern(v, span)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		times[v] = e.d.Now()
+		e.tick()
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	histBlocks = e.d.GetStats().HistoryBlocks
+	rng := rand.New(rand.NewSource(1))
+	s0 := e.d.GetStats()
+	for i := 0; i < deepReads; i++ {
+		v := rng.Intn(rounds / 10)
+		got := e.read(alice, ids[i%objects], 0, span*types.BlockSize, times[v])
+		if !bytes.Equal(got, spanPattern(v, span)) {
+			t.Fatalf("delta=%v: version %d did not read back", delta, v)
+		}
+	}
+	devReads := e.d.GetStats().DeviceReads - s0.DeviceReads
+	return histBlocks, float64(devReads) / (deepReads * span)
+}
+
+// TestDeltaChurnPoolAndDeepReads holds the two counts delta history is
+// for and must not cost (DESIGN.md §16): on small-diff churn the
+// history pool is at most half of what full old blocks take (4.2x
+// smaller when measured), and materializing old versions through delta
+// chains costs at most 1.3x the device reads per block of the plain
+// landmark walk of TestDeepHistoryReadCost.
+func TestDeltaChurnPoolAndDeepReads(t *testing.T) {
+	const rounds = 300
+	off, _ := churn(t, rounds, false)
+	on, perBlock := churn(t, rounds, true)
+	t.Logf("history pool: %d blocks full, %d blocks delta (%.2fx)", off, on, float64(off)/float64(on))
+	if 2*on > off {
+		t.Errorf("delta history pool is %d blocks against %d full: less than a 2x reduction", on, off)
+	}
+	plain, _ := deepReadCost(newTestDrive(t, smallBlockCache), 1000, 40)
+	plain /= 2 // deepReadCost reads 2-block objects
+	t.Logf("deep read: %.2f device reads per block through delta chains, %.2f plain", perBlock, plain)
+	if perBlock > 1.3*plain {
+		t.Errorf("a deep read through delta chains costs %.2f device reads per block, plain path %.2f: over 1.3x",
+			perBlock, plain)
 	}
 }
 

@@ -95,9 +95,6 @@ type Options struct {
 	// served client-side by backoff rather than by a captive worker;
 	// direct in-process callers keep the transparent sleep.
 	SurfaceThrottle bool
-	// PendingFlushEntries bounds unflushed journal entries per object
-	// before a forced sector flush.
-	PendingFlushEntries int
 	// CheckpointEvery writes a landmark checkpoint entry into a hot
 	// object's journal chain after every N real entries, bounding the
 	// back-in-time reconstruction walk to ~N undos (DESIGN.md §12.1).
@@ -130,6 +127,10 @@ type Options struct {
 	DisableSegIndex bool
 }
 
+// pendingFlushEntries bounds unflushed journal entries per object before
+// a forced sector flush.
+const pendingFlushEntries = 64
+
 func (o *Options) fill(dev disk.Device) {
 	if o.Clock == nil {
 		o.Clock = vclock.Wall{}
@@ -148,9 +149,6 @@ func (o *Options) fill(dev disk.Device) {
 	}
 	if o.ObjectCacheCount == 0 {
 		o.ObjectCacheCount = 4096
-	}
-	if o.PendingFlushEntries == 0 {
-		o.PendingFlushEntries = 64
 	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 32
@@ -828,7 +826,7 @@ func (d *Drive) appendEntry(o *object, e *journal.Entry) {
 		_ = d.checkpointObjectLocked(o)
 	}
 	d.maybeEmitLandmarkLocked(o, e)
-	if len(o.pending) >= d.opts.PendingFlushEntries {
+	if len(o.pending) >= pendingFlushEntries {
 		_ = d.flushJournalLocked(o)
 	}
 }

@@ -287,7 +287,7 @@ func TestScrubDetectsAllRot(t *testing.T) {
 					continue
 				}
 				sum, ok, err := d.log.ReadSummary(seg)
-				if err != nil || !ok || !sum.Sums {
+				if err != nil || !ok {
 					continue
 				}
 				for i, e := range sum.Entries {

@@ -24,8 +24,8 @@ import (
 
 // DefaultScrubRate is the background scrubber's pace in blocks verified
 // per second. At 4KB blocks this is ~2MB/s of read bandwidth — cheap
-// enough that foreground ops lose well under 10% throughput (the
-// s4bench -scrub gate), yet a full pass over a 100GB drive still
+// enough that foreground ops lost well under 10% throughput when it was
+// measured in-process (PR 8), yet a full pass over a 100GB drive still
 // completes in under a day.
 const DefaultScrubRate = 512
 

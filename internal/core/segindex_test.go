@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -206,6 +207,83 @@ func TestIndexedOpenMatchesFullScan(t *testing.T) {
 	if si.RecoveryReplayEntries >= sf.RecoveryReplayEntries {
 		t.Errorf("indexed open replayed %d entries, full scan %d: index not shortening recovery",
 			si.RecoveryReplayEntries, sf.RecoveryReplayEntries)
+	}
+}
+
+// TestIndexedReplayTenfold is the instant-restart claim as a count
+// (DESIGN.md §14): on a crash image with thousands of checkpointed
+// versions and a 16-write synced tail, the persisted segment index must
+// cut the journal entries recovery replays at least tenfold against a
+// full scan, on the memory and the real-file backend alike. Indexed
+// replay is O(tail) — ~300 entries whatever the depth — and a full
+// scan re-walks every chain, so the ratio is 17.6x at depth 5,000.
+func TestIndexedReplayTenfold(t *testing.T) {
+	const depth, objects, devBytes = 5000, 8, 64 << 20
+	for _, backend := range []string{"mem", "file"} {
+		t.Run(backend, func(t *testing.T) {
+			var dev disk.Device = disk.New(disk.SmallDisk(devBytes), nil)
+			if backend == "file" {
+				fd, err := disk.OpenFile(t.TempDir()+"/restart.img", devBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fd.Close()
+				dev = fd
+			}
+			clk := vclock.NewVirtual()
+			opts := Options{Clock: clk, Window: time.Hour}
+			d, err := Format(dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &testEnv{t: t, d: d, clk: clk}
+			ids := make([]types.ObjectID, objects)
+			for i := range ids {
+				ids[i] = e.create(alice)
+				e.write(alice, ids[i], 0, make([]byte, 2*types.BlockSize))
+			}
+			patch := func(v int) {
+				e.write(alice, ids[v%objects], uint64(v*37%(2*types.BlockSize-512)), bytes.Repeat([]byte{byte(v)}, 512))
+			}
+			for v := 0; v < depth; v++ {
+				patch(v)
+				if (v+1)%256 == 0 {
+					if err := d.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			for v := depth; v < depth+16; v++ {
+				patch(v)
+			}
+			if err := d.Sync(alice); err != nil {
+				t.Fatal(err)
+			}
+			// Abandoned, not closed: dev now holds what a crash leaves,
+			// and each Open below is abandoned again to keep it so.
+			replayed := func(disableIndex bool) Stats {
+				o := opts
+				o.Clock = vclock.NewVirtualAt(d.Now().Time())
+				o.DisableSegIndex = disableIndex
+				r, err := Open(dev, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.DriveStats()
+			}
+			si, sf := replayed(false), replayed(true)
+			if si.IndexLoads != 1 || si.IndexFallbacks != 0 {
+				t.Errorf("indexed open: IndexLoads=%d IndexFallbacks=%d, want 1/0", si.IndexLoads, si.IndexFallbacks)
+			}
+			t.Logf("replayed %d entries indexed, %d full scan", si.RecoveryReplayEntries, sf.RecoveryReplayEntries)
+			if 10*si.RecoveryReplayEntries > sf.RecoveryReplayEntries {
+				t.Errorf("indexed open replayed %d entries, full scan %d: less than a 10x reduction",
+					si.RecoveryReplayEntries, sf.RecoveryReplayEntries)
+			}
+		})
 	}
 }
 

@@ -402,19 +402,17 @@ func Decode(data []byte) (Entry, []byte, error) {
 // different objects) into each 4KB log block and addresses an
 // individual sector as blockAddr*SectorsPerBlock + slot.
 //
-// Sector layout (v2): magic(4) obj(8) prev(8) count(2) crc(4) then
+// Sector layout: magic(4) obj(8) prev(8) count(2) crc(4) then
 // packed entries. The CRC32 (IEEE) covers the encoded sector — header
 // with the crc field zeroed, plus the entry bytes — and is what stands
 // between bit rot and the replay path: journal blocks in the open
 // segment are rewritten in place on every sync, so partial segment
 // summaries cannot pin a block-level checksum for them (see
 // seglog.encodeSummaryLocked) and the sector must police its own
-// integrity until the seal. v1 sectors (the old magic, no crc field)
-// still decode so pre-upgrade images open; every new encode writes v2.
+// integrity until the seal. Any other magic is an empty slot: no
+// decode arm admits bytes without a checksum.
 const (
-	sectorMagic      = 0x53344A4C // "S4JL" v1: no checksum
-	sectorMagic2     = 0x53344A32 // "S4J2" v2: self-checksummed
-	sectorHeaderV1   = 4 + 8 + 8 + 2
+	sectorMagic2     = 0x53344A32 // "S4J2": self-checksummed
 	SectorHeaderSize = 4 + 8 + 8 + 2 + 4
 	// SectorSize is the on-disk size of one journal sector.
 	SectorSize = 512
@@ -473,25 +471,16 @@ func EncodeSector(obj types.ObjectID, prev SectorAddr, entries []*Entry) ([]byte
 // the previous-sector pointer, and the entries oldest first. ok is
 // false (with no error) for an empty slot.
 func DecodeSector(data []byte) (obj types.ObjectID, prev SectorAddr, entries []Entry, ok bool, err error) {
-	if len(data) < sectorHeaderV1 {
+	if len(data) < SectorHeaderSize {
 		return 0, 0, nil, false, fmt.Errorf("journal: short sector: %w", types.ErrCorrupt)
 	}
-	hdr := SectorHeaderSize
-	magic := binary.LittleEndian.Uint32(data[0:])
-	switch magic {
-	case sectorMagic2:
-		if len(data) < SectorHeaderSize {
-			return 0, 0, nil, false, fmt.Errorf("journal: short sector: %w", types.ErrCorrupt)
-		}
-	case sectorMagic:
-		hdr = sectorHeaderV1 // pre-checksum image
-	default:
+	if binary.LittleEndian.Uint32(data[0:]) != sectorMagic2 {
 		return 0, 0, nil, false, nil
 	}
 	obj = types.ObjectID(binary.LittleEndian.Uint64(data[4:]))
 	prev = SectorAddr(binary.LittleEndian.Uint64(data[12:]))
 	count := int(binary.LittleEndian.Uint16(data[20:]))
-	rest := data[hdr:]
+	rest := data[SectorHeaderSize:]
 	entries = make([]Entry, 0, count)
 	for i := 0; i < count; i++ {
 		var e Entry
@@ -501,18 +490,16 @@ func DecodeSector(data []byte) (obj types.ObjectID, prev SectorAddr, entries []E
 		}
 		entries = append(entries, e)
 	}
-	if magic == sectorMagic2 {
-		// The checksum covers exactly the bytes the decode consumed;
-		// anything beyond is stale residue from a longer prior encoding
-		// of this in-place-rewritten sector and is deliberately excluded.
-		consumed := len(data) - len(rest)
-		var zero [4]byte
-		c := crc32.Update(0, crc32.IEEETable, data[:22])
-		c = crc32.Update(c, crc32.IEEETable, zero[:])
-		c = crc32.Update(c, crc32.IEEETable, data[26:consumed])
-		if c != binary.LittleEndian.Uint32(data[22:]) {
-			return 0, 0, nil, false, fmt.Errorf("journal: sector checksum mismatch: %w", types.ErrCorrupt)
-		}
+	// The checksum covers exactly the bytes the decode consumed;
+	// anything beyond is stale residue from a longer prior encoding
+	// of this in-place-rewritten sector and is deliberately excluded.
+	consumed := len(data) - len(rest)
+	var zero [4]byte
+	c := crc32.Update(0, crc32.IEEETable, data[:22])
+	c = crc32.Update(c, crc32.IEEETable, zero[:])
+	c = crc32.Update(c, crc32.IEEETable, data[26:consumed])
+	if c != binary.LittleEndian.Uint32(data[22:]) {
+		return 0, 0, nil, false, fmt.Errorf("journal: sector checksum mismatch: %w", types.ErrCorrupt)
 	}
 	return obj, prev, entries, true, nil
 }

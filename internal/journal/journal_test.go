@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -198,23 +199,23 @@ func TestSectorChecksumCatchesRot(t *testing.T) {
 	}
 }
 
-// TestDecodeSectorV1Compat hand-builds a pre-checksum (v1) sector and
-// checks it still decodes, so images written before the format bump
-// keep opening.
-func TestDecodeSectorV1Compat(t *testing.T) {
+// TestDecodeSectorV1Rejected hand-builds a pre-checksum ("S4JL", no crc
+// field) sector: it must read as an empty slot, never as entries, so no
+// journal bytes reach replay without a checksum.
+func TestDecodeSectorV1Rejected(t *testing.T) {
 	e := &Entry{Type: EntCreate, Version: 1, Time: 42, User: 7}
-	buf := make([]byte, sectorHeaderV1)
-	binary.LittleEndian.PutUint32(buf[0:], sectorMagic)
+	buf := make([]byte, 4+8+8+2)
+	binary.LittleEndian.PutUint32(buf[0:], 0x53344A4C)
 	binary.LittleEndian.PutUint64(buf[4:], 9)
 	binary.LittleEndian.PutUint64(buf[12:], 333)
 	binary.LittleEndian.PutUint16(buf[20:], 1)
 	buf = e.Encode(buf)
-	obj, prev, got, ok, err := DecodeSector(buf)
-	if err != nil || !ok {
-		t.Fatal(ok, err)
+	if _, _, got, ok, err := DecodeSector(buf); err != nil || ok || got != nil {
+		t.Fatalf("v1 sector decoded: ok=%v err=%v entries=%d", ok, err, len(got))
 	}
-	if obj != 9 || prev != 333 || len(got) != 1 || !entriesEqual(&got[0], e) {
-		t.Fatalf("v1 decode mismatch: obj=%v prev=%v n=%d", obj, prev, len(got))
+	sa := MakeSectorAddr(5, 0)
+	if _, _, _, err := ReadSector(memReader{5: blockWith(buf)}, sa); !errors.Is(err, types.ErrCorrupt) {
+		t.Fatalf("reading a v1 sector: %v, want ErrCorrupt", err)
 	}
 }
 

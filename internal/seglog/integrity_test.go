@@ -156,27 +156,26 @@ func TestVerifiedReadRepairsFromFlushBuffer(t *testing.T) {
 	}
 }
 
-// TestV1ImageStillOpens formats a v1-layout image (no checksum table)
-// and checks a v2 log opens and reads it unverified — the versioned
-// format contract.
-func TestV1ImageStillOpens(t *testing.T) {
+// TestV1SummaryRejected rewrites a sealed segment's summary in the
+// pre-checksum layout ("S4GS", no Sum column) with a valid CRC: it must
+// read as "not a summary", like any other junk, so no entry list that
+// lacks block checksums is ever believed.
+func TestV1SummaryRejected(t *testing.T) {
 	l, dev := newFaultLog(t, 8)
-	a, err := l.Append(KindData, 7, 1, 1, bytes.Repeat([]byte{0xAB}, BlockSize))
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < l.PayloadBlocks(); i++ {
+		if _, err := l.Append(KindData, 7, uint64(i), 1, bytes.Repeat([]byte{0xAB}, BlockSize)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the sealed summary in the v1 layout (no Sum column), as a
-	// pre-checksum image would hold.
-	seg := l.SegOf(a)
-	sum, ok, err := l.ReadSummary(seg)
+	sum, ok, err := l.ReadSummary(0)
 	if err != nil || !ok {
 		t.Fatalf("summary: %v ok=%v", err, ok)
 	}
 	sb := make([]byte, BlockSize)
-	binary.LittleEndian.PutUint32(sb[0:], summaryMagic)
+	binary.LittleEndian.PutUint32(sb[0:], 0x53344753)
 	binary.LittleEndian.PutUint64(sb[4:], sum.Seq)
 	binary.LittleEndian.PutUint32(sb[12:], uint32(len(sum.Entries)))
 	off := summaryHeaderSize
@@ -186,36 +185,87 @@ func TestV1ImageStillOpens(t *testing.T) {
 		binary.LittleEndian.PutUint64(sb[off+9:], e.Key)
 		binary.LittleEndian.PutUint64(sb[off+17:], uint64(e.Time))
 		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
-		off += summaryEntrySizeV1
+		off += 1 + 8 + 8 + 8 + 4
 	}
 	binary.LittleEndian.PutUint32(sb[16:], crc32.ChecksumIEEE(sb[summaryHeaderSize:]))
-	if err := writeBlocks(dev, l.segBase(seg), sb); err != nil {
+	if _, ok, err := decodeSummary(sb); ok || err != nil {
+		t.Fatalf("v1 summary decoded: ok=%v err=%v", ok, err)
+	}
+	if err := writeBlocks(dev, l.segBase(0), sb); err != nil {
 		t.Fatal(err)
 	}
-
 	l2, err := Open(dev)
 	if err != nil {
-		t.Fatalf("open with v1 summary: %v", err)
+		t.Fatal(err)
 	}
-	sum2, ok, err := l2.ReadSummary(seg)
-	if err != nil || !ok || sum2.Sums {
-		t.Fatalf("v1 summary decode: err=%v ok=%v sums=%v", err, ok, sum2.Sums)
+	if _, ok, err := l2.ReadSummary(0); ok || err != nil {
+		t.Fatalf("segment with only a v1 summary: ok=%v err=%v, want no summary", ok, err)
 	}
-	// Reads pass unverified — and rot therefore goes undetected, which
-	// is exactly the pre-checksum behavior the version gate preserves.
-	rotBlock(dev, a)
-	buf := make([]byte, BlockSize)
-	if err := l2.Read(a, buf); err != nil {
-		t.Fatalf("unverified v1 read: %v", err)
+}
+
+// TestOpenRejectsForgedSuperblock forges each superblock field in turn
+// and recomputes the CRC, as anyone who can write the image file can.
+// Open must answer ErrCorrupt; before the geometry was validated a zero
+// SegBlocks divided by zero in SegOf and a huge segment count exhausted
+// memory in make.
+func TestOpenRejectsForgedSuperblock(t *testing.T) {
+	_, dev := newFaultLog(t, 8)
+	good := make([]byte, BlockSize)
+	if err := readBlocks(dev, 0, good); err != nil {
+		t.Fatal(err)
+	}
+	nSeg := binary.LittleEndian.Uint64(good[16:])
+	put32 := func(off int, v uint32) func([]byte) {
+		return func(sb []byte) { binary.LittleEndian.PutUint32(sb[off:], v) }
+	}
+	putSegs := func(v uint64) func([]byte) {
+		return func(sb []byte) { binary.LittleEndian.PutUint64(sb[16:], v) }
+	}
+	for _, tc := range []struct {
+		name  string
+		forge func([]byte)
+	}{
+		{"formatVer 1", put32(4, 1)},
+		{"formatVer 3", put32(4, 3)},
+		{"SegBlocks 0", put32(8, 0)},
+		{"SegBlocks 7", put32(8, 7)},
+		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1))},
+		{"SegBlocks huge", put32(8, 1<<31)},
+		{"CheckpointBlocks 0", put32(12, 0)},
+		{"CheckpointBlocks past the device", put32(12, 1<<30)},
+		{"nSeg 0", putSegs(0)},
+		{"nSeg 3", putSegs(3)},
+		{"nSeg one past the device", putSegs(nSeg + 1)},
+		{"nSeg huge", putSegs(1 << 40)},
+		{"nSeg overflows int64", putSegs(1 << 63)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sb := append([]byte(nil), good...)
+			tc.forge(sb)
+			binary.LittleEndian.PutUint32(sb[28:], crc32.ChecksumIEEE(sb[:28]))
+			if err := writeBlocks(dev, 0, sb); err != nil {
+				t.Fatal(err)
+			}
+			l, err := Open(dev)
+			if !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("Open = %v, %v; want ErrCorrupt", l, err)
+			}
+		})
+	}
+	if err := writeBlocks(dev, 0, good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dev); err != nil {
+		t.Fatalf("the unforged superblock no longer opens: %v", err)
 	}
 }
 
 // FuzzSegSummaryChecksums feeds hostile bytes to the summary codec:
 // it must never panic, anything it accepts must satisfy the format's
-// own bounds, and a valid v2 encoding mutated anywhere but its CRC
-// slack must be rejected or decode to self-consistent entries.
+// own bounds, and a valid encoding mutated anywhere but its CRC slack
+// must be rejected or decode to self-consistent entries.
 func FuzzSegSummaryChecksums(f *testing.F) {
-	// Seeds: a genuine sealed v2 summary, a hand-built v1 one, and junk.
+	// Seeds: a genuine sealed summary, a truncated one, and junk.
 	l, _ := newFaultLog(f, 8)
 	for i := 0; i < l.PayloadBlocks(); i++ {
 		if _, err := l.Append(KindData, 9, uint64(i), types.Timestamp(i+1),
@@ -233,7 +283,6 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 	f.Add(sb)
 	f.Add(make([]byte, BlockSize))
 	f.Add([]byte{})
-	f.Add([]byte{0x53, 0x47, 0x34, 0x53})
 	short := append([]byte(nil), sb[:40]...)
 	f.Add(short)
 
@@ -246,14 +295,10 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 			return
 		}
 		// Accepted: the self-described shape must fit the input.
-		esz := summaryEntrySizeV1
-		if s.Sums {
-			esz = summaryEntrySize
-		}
-		if summaryHeaderSize+len(s.Entries)*esz > len(data) {
+		if summaryHeaderSize+len(s.Entries)*summaryEntrySize > len(data) {
 			t.Fatalf("accepted summary of %d entries overruns %d input bytes", len(s.Entries), len(data))
 		}
-		if len(s.Entries) > (BlockSize-summaryHeaderSize)/summaryEntrySizeV1 {
+		if len(s.Entries) > maxSegBlocks() {
 			t.Fatalf("accepted summary with impossible entry count %d", len(s.Entries))
 		}
 	})

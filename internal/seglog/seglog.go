@@ -15,10 +15,10 @@
 //	blocks 1+2*cp ..        segments: [summary block][payload blocks...]
 //
 // Each segment's summary block identifies every payload block (kind,
-// owning object, key, timestamp, length, and — format v2 — a CRC32 of
-// the block's full on-disk contents) and carries a monotonically
-// increasing write sequence number; crash recovery replays summaries
-// with sequence numbers newer than the last checkpoint.
+// owning object, key, timestamp, length, and a CRC32 of the block's
+// full on-disk contents) and carries a monotonically increasing write
+// sequence number; crash recovery replays summaries with sequence
+// numbers newer than the last checkpoint.
 //
 // # Verified reads (DESIGN.md §15)
 //
@@ -28,9 +28,8 @@
 // last sealed segment's complete image); an unrepairable block fails
 // the read with a *types.CorruptError and quarantines its segment so
 // the allocator never reuses it. Blocks still staged in memory are
-// served from the staging buffers and need no verification. Images
-// formatted before v2 carry no checksums and open (and read) exactly
-// as before — verification simply has nothing to check.
+// served from the staging buffers and need no verification. There is
+// one on-disk format; Open rejects an image stamped with any other.
 package seglog
 
 import (
@@ -106,28 +105,21 @@ type SummaryEntry struct {
 	// Len is the number of meaningful bytes in the block (≤ BlockSize).
 	Len uint32
 	// Sum is the CRC32 (IEEE) of the block's full BlockSize on-disk
-	// contents, computed at flush time (format v2 summaries only). Zero
-	// means "no checksum": pad slots (whose on-disk bytes are a retired
-	// summary snapshot, not the staged zeros), journal blocks in partial
-	// snapshots (rewritten in place until the seal; their own per-sector
-	// CRCs cover them — see encodeSummaryLocked), entries decoded from
-	// v1 summaries, and the 1-in-2^32 block whose real CRC is zero all
-	// skip verification.
+	// contents, computed at flush time. Zero means "no checksum": pad
+	// slots (whose on-disk bytes are a retired summary snapshot, not the
+	// staged zeros), journal blocks in partial snapshots (rewritten in
+	// place until the seal; their own per-sector CRCs cover them — see
+	// encodeSummaryLocked) and the 1-in-2^32 block whose real CRC is
+	// zero all skip verification.
 	Sum uint32
 }
 
-const (
-	summaryEntrySizeV1 = 1 + 8 + 8 + 8 + 4     // kind, obj, key, time, len
-	summaryEntrySize   = 1 + 8 + 8 + 8 + 4 + 4 // v2: + per-block CRC32
-)
+const summaryEntrySize = 1 + 8 + 8 + 8 + 4 + 4 // kind, obj, key, time, len, block CRC32
 
 // Summary is a decoded segment summary.
 type Summary struct {
 	Seq     uint64
 	Entries []SummaryEntry
-	// Sums reports whether the entries carry block checksums (format v2
-	// summary). Without it every Sum is zero and reads go unverified.
-	Sums bool
 }
 
 // Config holds format-time parameters.
@@ -146,14 +138,10 @@ func DefaultConfig() Config {
 
 const (
 	superMagic    = 0x53344C47 // "S4LG"
-	summaryMagic  = 0x53344753 // "S4GS" — v1 summary, no block checksums
-	summaryMagic2 = 0x53344732 // "S4G2" — v2 summary with per-block CRCs
+	summaryMagic2 = 0x53344732 // "S4G2" — summary with per-block CRCs
 	cpMagic       = 0x53344350 // "S4CP"
-	// formatVer is what Format stamps on new images. Open also accepts
-	// version 1 (pre-checksum) images: the two summary layouts are
-	// self-describing by magic, so a v1 image reopened by current code
-	// keeps its old summaries and gains checksummed ones as segments are
-	// rewritten.
+	// formatVer is the only on-disk format: Format stamps it and Open
+	// rejects anything else, so no read path admits unchecksummed media.
 	formatVer = 2
 )
 
@@ -202,7 +190,7 @@ type Log struct {
 
 	// Integrity state (DESIGN.md §15). sums lazily caches each settled
 	// segment's checksum table (payload index -> expected CRC); a present
-	// nil entry means "known: no checksums" so v1 segments don't rescan.
+	// nil entry means "known: no readable summary", so it is not rescanned.
 	// sumGen invalidates in-flight loads that raced a segment reuse.
 	// quar marks segments with an unrepairable block: the allocator never
 	// hands them out again, even after the cleaner frees them.
@@ -217,11 +205,6 @@ type Log struct {
 	// Integrity counters, same discipline.
 	corruptDetected int64 // checksum failures surfaced as CorruptError
 	corruptRepaired int64 // checksum failures healed from a redundant copy
-
-	// legacyV1 is set when a v1 image's SegBlocks exceeds what the wider
-	// v2 entries fit in one summary block; such logs keep writing v1
-	// (checksum-free) summaries so the layout stays self-consistent.
-	legacyV1 bool
 }
 
 // Format initializes dev with an empty log. Existing contents are
@@ -282,28 +265,33 @@ func Open(dev disk.Device) (*Log, error) {
 	if binary.LittleEndian.Uint32(sb[28:]) != crc32.ChecksumIEEE(sb[:28]) {
 		return nil, fmt.Errorf("seglog: superblock checksum mismatch: %w", types.ErrCorrupt)
 	}
-	if v := binary.LittleEndian.Uint32(sb[4:]); v != 1 && v != formatVer {
+	if v := binary.LittleEndian.Uint32(sb[4:]); v != formatVer {
 		return nil, fmt.Errorf("seglog: format version %d unsupported: %w", v, types.ErrCorrupt)
 	}
-	cfg := Config{
-		SegBlocks:        int(binary.LittleEndian.Uint32(sb[8:])),
-		CheckpointBlocks: int(binary.LittleEndian.Uint32(sb[12:])),
+	// A CRC is not a MAC: hold the geometry to the ranges Format enforces
+	// before anything divides by it or allocates from it.
+	segBlocks := binary.LittleEndian.Uint32(sb[8:])
+	cpBlocks := binary.LittleEndian.Uint32(sb[12:])
+	nSegU := binary.LittleEndian.Uint64(sb[16:])
+	totalBlocks := uint64(dev.Capacity() / BlockSize)
+	if segBlocks < 8 || segBlocks > uint32(maxSegBlocks()) || cpBlocks < 1 ||
+		nSegU < 4 || nSegU > totalBlocks || // the second bound keeps the product below from wrapping
+		1+2*uint64(cpBlocks)+nSegU*uint64(segBlocks) > totalBlocks {
+		return nil, fmt.Errorf("seglog: superblock geometry (%d blocks/segment, %d checkpoint blocks, %d segments) does not fit the %d-block device: %w",
+			segBlocks, cpBlocks, nSegU, totalBlocks, types.ErrCorrupt)
 	}
-	nSeg := int64(binary.LittleEndian.Uint64(sb[16:]))
+	cfg := Config{SegBlocks: int(segBlocks), CheckpointBlocks: int(cpBlocks)}
+	nSeg := int64(nSegU)
 	l := &Log{
-		dev:       dev,
-		cfg:       cfg,
-		segStart:  int64(1 + 2*cfg.CheckpointBlocks),
-		nSegments: nSeg,
-		free:      make([]bool, nSeg),
-		curSeg:    -1,
-		buf:       make([]byte, cfg.SegBlocks*BlockSize),
-		flushBuf:  make([]byte, cfg.SegBlocks*BlockSize),
-		flushSeg:  -1,
-		// A v1 image may have been formatted with more blocks per
-		// segment than the wider v2 summary entries can describe; keep
-		// writing the layout its segments already use.
-		legacyV1:    cfg.SegBlocks > maxSegBlocks(),
+		dev:         dev,
+		cfg:         cfg,
+		segStart:    int64(1 + 2*cfg.CheckpointBlocks),
+		nSegments:   nSeg,
+		free:        make([]bool, nSeg),
+		curSeg:      -1,
+		buf:         make([]byte, cfg.SegBlocks*BlockSize),
+		flushBuf:    make([]byte, cfg.SegBlocks*BlockSize),
+		flushSeg:    -1,
 		flushBufSeg: -1,
 		sums:        make(map[int64][]uint32),
 		quar:        make(map[int64]bool),
@@ -500,51 +488,14 @@ func (l *Log) InOpenSegment(addr BlockAddr) bool {
 	return idx >= 1 && idx <= l.used
 }
 
-// Rewrite replaces the contents of a payload block that is still in the
-// open segment. The drive uses it to extend an object's journal sector
-// across several partial-segment syncs, so packed entries accumulate in
-// one sector per segment (§4.2.2) instead of one per sync. Rewriting a
-// sealed block is an error: the log never overwrites durable history.
-func (l *Log) Rewrite(addr BlockAddr, data []byte) error {
-	if len(data) == 0 || len(data) > BlockSize {
-		return fmt.Errorf("seglog: rewrite of %d bytes: %w", len(data), types.ErrInval)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.ioErr != nil {
-		return l.ioErr
-	}
-	seg := l.SegOf(addr)
-	if seg < 0 || seg != l.curSeg {
-		return fmt.Errorf("seglog: rewrite outside open segment: %w", types.ErrInval)
-	}
-	idx := int(int64(addr) - l.segBase(seg))
-	if idx < 1 || idx > l.used {
-		return fmt.Errorf("seglog: rewrite of unallocated block: %w", types.ErrInval)
-	}
-	off := idx * BlockSize
-	copy(l.buf[off:off+BlockSize], data)
-	for i := off + len(data); i < off+BlockSize; i++ {
-		l.buf[i] = 0
-	}
-	l.entries[idx-1].Len = uint32(len(data))
-	// The block must reach disk again at the next flush.
-	if !l.dirty[idx-1] {
-		l.dirty[idx-1] = true
-		l.nDirty++
-	}
-	return nil
-}
-
 // RewriteRange replaces bytes [off, off+len(data)) of a payload block
 // if — and only if — the block is still in the open segment, reporting
 // ok=false with no error when it is not (sealed, or never staged). The
 // drive's journal layer uses it to pack another 512-byte sector into a
-// shared journal block (§4.2.2): unlike a bare InOpenSegment check
-// followed by Rewrite, the openness test and the write happen under one
-// mutex hold, so a concurrent appender sealing the segment between the
-// two can never turn the merge into an overwrite of durable history —
-// the caller just places a fresh sector instead.
+// shared journal block (§4.2.2): the openness test and the write happen
+// under one mutex hold, so a concurrent appender sealing the segment
+// between the two can never turn the merge into an overwrite of durable
+// history — the caller just places a fresh sector instead.
 func (l *Log) RewriteRange(addr BlockAddr, off int, data []byte) (bool, error) {
 	if off < 0 || len(data) == 0 || off+len(data) > BlockSize {
 		return false, fmt.Errorf("seglog: rewrite-range of %d bytes at %d: %w", len(data), off, types.ErrInval)
@@ -608,7 +559,7 @@ func (l *Log) PatchSettled(addr BlockAddr, off int, data []byte) error {
 	if seg == cur {
 		return fmt.Errorf("seglog: patch of open segment %d: %w", seg, types.ErrInval)
 	}
-	if sum, found, err := l.findSummary(seg); err == nil && found && sum.Sums &&
+	if sum, found, err := l.findSummary(seg); err == nil && found &&
 		idx-1 < len(sum.Entries) && sum.Entries[idx-1].Sum != 0 {
 		return fmt.Errorf("seglog: patch of checksummed block %v: %w", addr, types.ErrInval)
 	}
@@ -859,7 +810,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 // encodeSummaryLocked serializes the staged entries into the summary
 // slot of buf. Block checksums are computed here — at flush time, over
 // each block's full staged contents — rather than at append time, so
-// Rewrite/RewriteRange mutations of open-segment blocks are covered by
+// RewriteRange mutations of open-segment blocks are covered by
 // whatever summary next reaches the device alongside them. Pad slots
 // get Sum zero: their on-disk bytes are a retired snapshot, not the
 // staged zeros.
@@ -880,11 +831,7 @@ func (l *Log) encodeSummaryLocked(seq uint64, sealed bool) {
 	for i := range sb {
 		sb[i] = 0
 	}
-	magic, esz := uint32(summaryMagic2), summaryEntrySize
-	if l.legacyV1 {
-		magic, esz = summaryMagic, summaryEntrySizeV1
-	}
-	binary.LittleEndian.PutUint32(sb[0:], magic)
+	binary.LittleEndian.PutUint32(sb[0:], summaryMagic2)
 	binary.LittleEndian.PutUint64(sb[4:], seq)
 	binary.LittleEndian.PutUint32(sb[12:], uint32(len(l.entries)))
 	off := summaryHeaderSize
@@ -894,15 +841,13 @@ func (l *Log) encodeSummaryLocked(seq uint64, sealed bool) {
 		binary.LittleEndian.PutUint64(sb[off+9:], e.Key)
 		binary.LittleEndian.PutUint64(sb[off+17:], uint64(e.Time))
 		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
-		if !l.legacyV1 {
-			var sum uint32
-			if e.Kind != KindPad && (sealed || e.Kind != KindJournal) {
-				bo := (1 + i) * BlockSize
-				sum = crc32.ChecksumIEEE(l.buf[bo : bo+BlockSize])
-			}
-			binary.LittleEndian.PutUint32(sb[off+29:], sum)
+		var sum uint32
+		if e.Kind != KindPad && (sealed || e.Kind != KindJournal) {
+			bo := (1 + i) * BlockSize
+			sum = crc32.ChecksumIEEE(l.buf[bo : bo+BlockSize])
 		}
-		off += esz
+		binary.LittleEndian.PutUint32(sb[off+29:], sum)
+		off += summaryEntrySize
 	}
 	binary.LittleEndian.PutUint32(sb[16:], crc32.ChecksumIEEE(sb[summaryHeaderSize:]))
 }
@@ -1014,9 +959,8 @@ func (l *Log) ReadRun(addr BlockAddr, n int, buf []byte) error {
 // checksum table. A mismatched block is first retried against the
 // retained flush buffer (repairBlock); an unrepairable one quarantines
 // the segment and fails the read with a typed CorruptError. Segments
-// without a table — v1 summaries, the open segment, unreadable or
-// missing summaries — pass unverified, exactly the pre-checksum
-// behavior.
+// without a table — the open segment, unreadable or missing summaries —
+// pass unverified.
 func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) error {
 	sums := l.sumsFor(seg)
 	if sums == nil {
@@ -1055,9 +999,9 @@ func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) err
 
 // sumsFor returns seg's checksum table (payload index -> expected CRC),
 // lazily loading it from the segment's durable summary. nil means no
-// verification is possible: the open segment, a v1 summary, or no
-// readable summary at all. Negative results are cached too, so v1
-// segments don't pay a summary scan per read.
+// verification is possible: the open segment, or no readable summary at
+// all. Negative results are cached too, so such a segment does not pay
+// a summary scan per read.
 func (l *Log) sumsFor(seg int64) []uint32 {
 	l.mu.Lock()
 	if seg == l.curSeg {
@@ -1075,7 +1019,7 @@ func (l *Log) sumsFor(seg int64) []uint32 {
 		return nil // device trouble reading the summary: skip, don't cache
 	}
 	var table []uint32
-	if ok && sum.Sums {
+	if ok {
 		table = make([]uint32, len(sum.Entries))
 		for i := range sum.Entries {
 			table[i] = sum.Entries[i].Sum
@@ -1254,33 +1198,22 @@ func (l *Log) findSummary(seg int64) (Summary, bool, error) {
 	return best, found, nil
 }
 
-// decodeSummary parses a candidate summary block. The two on-disk
-// layouts are self-describing by magic: v1 entries carry no checksum,
-// v2 entries end with a per-block CRC32. Invalid candidates (wrong
-// magic, hostile count, CRC mismatch) report ok=false, never an error:
-// recovery probes arbitrary blocks looking for summaries.
+// decodeSummary parses a candidate summary block. Invalid candidates
+// (wrong magic, hostile count, CRC mismatch) report ok=false, never an
+// error: recovery probes arbitrary blocks looking for summaries.
 func decodeSummary(sb []byte) (Summary, bool, error) {
-	if len(sb) < summaryHeaderSize {
-		return Summary{}, false, nil
-	}
-	esz, sums := 0, false
-	switch binary.LittleEndian.Uint32(sb[0:]) {
-	case summaryMagic:
-		esz = summaryEntrySizeV1
-	case summaryMagic2:
-		esz, sums = summaryEntrySize, true
-	default:
+	if len(sb) < summaryHeaderSize || binary.LittleEndian.Uint32(sb[0:]) != summaryMagic2 {
 		return Summary{}, false, nil
 	}
 	count := int(binary.LittleEndian.Uint32(sb[12:]))
-	if count < 0 || summaryHeaderSize+count*esz > BlockSize ||
-		summaryHeaderSize+count*esz > len(sb) {
+	if count < 0 || summaryHeaderSize+count*summaryEntrySize > BlockSize ||
+		summaryHeaderSize+count*summaryEntrySize > len(sb) {
 		return Summary{}, false, nil
 	}
 	if binary.LittleEndian.Uint32(sb[16:]) != crc32.ChecksumIEEE(sb[summaryHeaderSize:]) {
 		return Summary{}, false, nil
 	}
-	s := Summary{Seq: binary.LittleEndian.Uint64(sb[4:]), Sums: sums}
+	s := Summary{Seq: binary.LittleEndian.Uint64(sb[4:])}
 	off := summaryHeaderSize
 	for i := 0; i < count; i++ {
 		e := SummaryEntry{
@@ -1289,12 +1222,10 @@ func decodeSummary(sb []byte) (Summary, bool, error) {
 			Key:  binary.LittleEndian.Uint64(sb[off+9:]),
 			Time: types.Timestamp(binary.LittleEndian.Uint64(sb[off+17:])),
 			Len:  binary.LittleEndian.Uint32(sb[off+25:]),
-		}
-		if sums {
-			e.Sum = binary.LittleEndian.Uint32(sb[off+29:])
+			Sum:  binary.LittleEndian.Uint32(sb[off+29:]),
 		}
 		s.Entries = append(s.Entries, e)
-		off += esz
+		off += summaryEntrySize
 	}
 	return s, true, nil
 }

@@ -152,9 +152,6 @@ func TestSummaryRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d = %+v, want %+v", i, e, want)
 		}
 	}
-	if !sum.Sums {
-		t.Fatal("sealed v2 summary must report checksums present")
-	}
 }
 
 func TestPartialSyncThenMoreAppends(t *testing.T) {

@@ -22,12 +22,8 @@ func runNetfault(seed int64, ops int) error {
 	res, err := s4rpc.RunFaultSoak(s4rpc.SoakConfig{
 		Seed: seed, Ops: ops, Workers: 4, IOTimeout: time.Second,
 		Fault: netfault.Config{
-			// CutMax must exceed the first-exchange size (handshake plus
-			// the gob type descriptors riding on a connection's first
-			// request/response, ~2.6kB with the policy ops) or no connection can ever complete
-			// an op — see the identical budget in resilience_test.go.
 			DelayEvery: 40, MaxDelay: 2 * time.Millisecond,
-			CutMin: 200, CutMax: 3300,
+			CutMin: s4rpc.SoakCutMin, CutMax: s4rpc.SoakCutMax,
 			DropProb: 0.05,
 		},
 		Logf: func(format string, args ...any) {

@@ -15,8 +15,9 @@ import (
 // reserved audit object, which only the drive front end may write
 // (§4.2.3). Audit blocks are not versioned.
 
-// errno maps drive errors to stable audit/RPC codes.
-func errno(err error) uint8 {
+// Errno maps drive errors to stable audit/RPC codes; 255 stands for any
+// error without a code of its own.
+func Errno(err error) uint8 {
 	switch {
 	case err == nil:
 		return 0
@@ -60,6 +61,10 @@ func errno(err error) uint8 {
 	return 255
 }
 
+// errRemote is what every code without an error of its own decodes to:
+// one value, so errors.Is on it is stable.
+var errRemote = errors.New("s4: remote error")
+
 // ErrnoToError is the inverse of the audit/RPC error mapping.
 func ErrnoToError(code uint8) error {
 	switch code {
@@ -102,7 +107,7 @@ func ErrnoToError(code uint8) error {
 	case 18:
 		return types.ErrBusy
 	}
-	return errors.New("s4: remote error")
+	return errRemote
 }
 
 // captureBytes sizes the per-record request image. The paper's audit
@@ -152,7 +157,7 @@ func (d *Drive) auditOp(cred types.Cred, op types.Op, obj types.ObjectID, off, l
 		Client: cred.Client, User: cred.User,
 		Op: op, Obj: obj, Offset: off, Length: length, Arg: arg,
 		Raw: requestCapture(cred, op, obj, off, length, arg),
-		OK:  err == nil, Errno: errno(err),
+		OK:  err == nil, Errno: Errno(err),
 	}
 	d.auditBuf = append(d.auditBuf, rec)
 	d.auditBufBytes += rec.EncodedSize()

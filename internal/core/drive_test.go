@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -617,4 +618,80 @@ func TestStatusAndStats(t *testing.T) {
 	if ds.Ops[types.OpWrite] != 2 || ds.VersionsMade == 0 {
 		t.Fatalf("stats = %+v", ds)
 	}
+}
+
+// TestErrnoTable pins the one errno mapping both ways: every code with
+// an error of its own maps back to itself, every other code decodes to
+// one stable sentinel that encodes as 255, and wrapping does not change
+// an error's code.
+func TestErrnoTable(t *testing.T) {
+	defined := 0
+	for c := 0; c <= 255; c++ {
+		err := ErrnoToError(uint8(c))
+		if err == errRemote {
+			if got := Errno(err); got != 255 {
+				t.Fatalf("code %d has no error, yet its sentinel encodes as %d", c, got)
+			}
+			continue
+		}
+		defined++
+		if got := Errno(err); got != uint8(c) {
+			t.Fatalf("Errno(ErrnoToError(%d)) = %d", c, got)
+		}
+		if c != 0 {
+			if got := Errno(fmt.Errorf("wrapped: %w", err)); got != uint8(c) {
+				t.Fatalf("wrapped code %d encodes as %d", c, got)
+			}
+		}
+	}
+	if defined != 19 {
+		t.Fatalf("%d codes defined, want 19 (0 and ErrNoObject..ErrBusy): a new code needs both switches", defined)
+	}
+	if !errors.Is(ErrnoToError(200), ErrnoToError(201)) {
+		t.Fatal("unknown codes decode to different errors")
+	}
+}
+
+// TestWriteAppendDoNotRetainData pins the contract s4rpc's server leans
+// on when it hands the drive a slice of a pooled network buffer: Write
+// and Append copy what they keep, so the caller may reuse data the
+// moment they return.
+func TestWriteAppendDoNotRetainData(t *testing.T) {
+	e := newTestDrive(t)
+	id := e.create(alice)
+	const n = 2*types.BlockSize + 100 // whole blocks and a partial tail
+	want := bytes.Repeat([]byte("retain?"), n/7+1)[:n]
+	data := append([]byte(nil), want...)
+	if err := e.d.Write(alice, id, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xEE
+	}
+	tail := []byte("appended tail")
+	app := append([]byte(nil), tail...)
+	if _, err := e.d.Append(alice, id, app); err != nil {
+		t.Fatal(err)
+	}
+	for i := range app {
+		app[i] = 0xEE
+	}
+	check := func(when string) {
+		t.Helper()
+		got := e.read(alice, id, 0, n+uint64(len(tail)), types.TimeNowest)
+		if !bytes.Equal(got[:n], want) || !bytes.Equal(got[n:], tail) {
+			t.Fatalf("%s: the drive kept a reference to the caller's buffer", when)
+		}
+	}
+	check("from the cache")
+	if err := e.d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(e.dev, e.d.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	e.d = reopened
+	check("from the device")
 }

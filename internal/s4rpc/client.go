@@ -1,6 +1,7 @@
 package s4rpc
 
 import (
+	"bufio"
 	"context"
 	"crypto/hmac"
 	"crypto/rand"
@@ -17,6 +18,7 @@ import (
 	"s4/internal/audit"
 	"s4/internal/core"
 	"s4/internal/types"
+	"s4/internal/xdr"
 )
 
 // Config tunes a resilient client connection. The zero value of every
@@ -97,8 +99,9 @@ type Client struct {
 	nextID uint64     // guarded by callMu
 	rng    *mrand.Rand
 
-	mu       sync.Mutex // guards conn and closed; never held across I/O
+	mu       sync.Mutex // guards conn, br and closed; never held across I/O
 	conn     net.Conn
+	br       *bufio.Reader // conn's read side; replaced with it
 	closed   bool
 	closedCh chan struct{}
 
@@ -121,7 +124,8 @@ func Dial(addr string, client types.ClientID, user types.UserID, key []byte, adm
 func DialConfig(cfg Config) (*Client, error) {
 	cfg.fill()
 	var sb [8]byte
-	if _, err := rand.Read(sb[:]); err != nil {
+	_, err := rand.Read(sb[:])
+	if err != nil {
 		return nil, err
 	}
 	session := binary.LittleEndian.Uint64(sb[:]) | 1 // nonzero
@@ -130,29 +134,43 @@ func DialConfig(cfg Config) (*Client, error) {
 		rng:      mrand.New(mrand.NewSource(int64(session))),
 		closedCh: make(chan struct{}),
 	}
-	conn, err := c.handshake()
-	if err != nil {
+	if c.conn, c.br, err = c.handshake(); err != nil {
 		return nil, err
 	}
-	c.conn = conn
 	return c, nil
 }
 
 // handshake dials and authenticates one connection, presenting the
 // client's persistent session ID so the server resumes its
 // duplicate-reply cache.
-func (c *Client) handshake() (net.Conn, error) {
+func (c *Client) handshake() (net.Conn, *bufio.Reader, error) {
 	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if c.cfg.DialTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
 	}
-	nonce, err := readFrame(conn)
-	if err != nil {
+	br := bufio.NewReaderSize(conn, readBufSize)
+	if err := c.authenticate(conn, br); err != nil {
 		conn.Close()
-		return nil, err
+		return nil, nil, err
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return conn, br, nil
+}
+
+// authenticate answers the server's challenge. The two frames it reads
+// have constant sizes; anything else is refused unread.
+func (c *Client) authenticate(conn net.Conn, br *bufio.Reader) error {
+	in := getFrame()
+	defer putFrame(in)
+	nonce, err := readFrame(br, in, nonceLen)
+	if err != nil {
+		return err
+	}
+	if len(nonce) != nonceLen {
+		return fmt.Errorf("s4rpc: challenge of %d bytes: %w", len(nonce), ErrProtocol)
 	}
 	mac := hmac.New(sha256.New, c.cfg.Key)
 	mac.Write(nonce)
@@ -160,25 +178,22 @@ func (c *Client) handshake() (net.Conn, error) {
 		Client: c.cfg.Client, User: c.cfg.User, MAC: mac.Sum(nil),
 		Admin: c.cfg.Admin, Session: c.session,
 	}
-	if err := writeGobFrame(conn, hello); err != nil {
-		conn.Close()
-		return nil, err
+	err = writeFrame(conn, maxHelloFrame, putHello(hello))
+	if err != nil {
+		return err
 	}
-	var rep HelloReply
-	if err := readGobFrame(conn, &rep); err != nil {
-		conn.Close()
-		return nil, err
+	body, err := readFrame(br, in, helloReplyLen)
+	if err != nil {
+		return err
 	}
-	if !rep.OK {
-		conn.Close()
-		reason := core.ErrnoToError(rep.Errno)
-		if reason == nil {
-			reason = types.ErrAuthFailed
-		}
-		return nil, fmt.Errorf("s4rpc: handshake rejected: %w", reason)
+	errno, err := decodeHelloReply(body)
+	if err != nil {
+		return fmt.Errorf("s4rpc: handshake rejected: %w", err)
 	}
-	_ = conn.SetDeadline(time.Time{})
-	return conn, nil
+	if errno != 0 {
+		return fmt.Errorf("s4rpc: handshake rejected: %w", core.ErrnoToError(errno))
+	}
+	return nil
 }
 
 // Close drops the session. A call blocked on the wire is promptly
@@ -192,7 +207,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	close(c.closedCh)
 	conn := c.conn
-	c.conn = nil
+	c.conn, c.br = nil, nil
 	c.mu.Unlock()
 	if conn != nil {
 		return conn.Close()
@@ -235,9 +250,9 @@ func (c *Client) CallContext(ctx context.Context, req *Request) (*Response, erro
 			}
 			var wait time.Duration
 			switch resp.Errno {
-			case wireErrno(types.ErrBusy):
+			case errnoBusy:
 				c.busyWaits.Add(1)
-			case wireErrno(types.ErrThrottled):
+			case errnoThrottled:
 				c.throttleWaits.Add(1)
 			default:
 				return resp, nil
@@ -258,6 +273,9 @@ func (c *Client) CallContext(ctx context.Context, req *Request) (*Response, erro
 		// lost, the server answers the retransmission from its
 		// duplicate-reply cache instead of executing twice.
 		lastErr = err
+		if errors.Is(err, errUnsendable) {
+			return nil, err
+		}
 		if c.isClosed() {
 			return nil, types.ErrClosed
 		}
@@ -289,7 +307,7 @@ func (c *Client) attempt(ctx context.Context, r *Request) (*Response, error) {
 		c.mu.Unlock()
 		return nil, types.ErrClosed
 	}
-	conn := c.conn
+	conn, br := c.conn, c.br
 	c.mu.Unlock()
 	if conn == nil {
 		return nil, errNoConn
@@ -306,21 +324,30 @@ func (c *Client) attempt(ctx context.Context, r *Request) (*Response, error) {
 		c.dropConn(conn)
 		return nil, err
 	}
-	if err := writeGobFrame(conn, r); err != nil {
+	err := writeFrame(conn, msgHdrLen+len(r.Data), func(e *xdr.Encoder) error { return requestLayout.put(e, r, true) })
+	if errors.Is(err, errUnsendable) {
+		return nil, err // nothing was sent: the connection is still in step
+	} else if err != nil {
 		return fail(err)
 	}
-	var resp Response
-	if err := readGobFrame(conn, &resp); err != nil {
+	in := getFrame()
+	defer putFrame(in)
+	body, err := readFrame(br, in, MaxFrame)
+	if err != nil {
 		return fail(err)
 	}
-	if resp.ID != 0 && resp.ID != r.ID {
+	resp := new(Response)
+	if err := responseLayout.decode(body, resp, false); err != nil {
+		return fail(err)
+	}
+	if resp.Op != r.Op || (resp.ID != 0 && resp.ID != r.ID) {
 		// Desynchronized reply stream — e.g. a stale reply surfacing
 		// after a partial failure. The connection cannot be trusted.
-		return fail(fmt.Errorf("s4rpc: reply for request %d on request %d: %w",
-			resp.ID, r.ID, types.ErrBadHandle))
+		return fail(fmt.Errorf("s4rpc: reply to %v %d on %v %d: %w",
+			resp.Op, resp.ID, r.Op, r.ID, types.ErrBadHandle))
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return &resp, nil
+	return resp, nil
 }
 
 // dropConn closes conn and clears it from the client if still current.
@@ -328,7 +355,7 @@ func (c *Client) dropConn(conn net.Conn) {
 	_ = conn.Close()
 	c.mu.Lock()
 	if c.conn == conn {
-		c.conn = nil
+		c.conn, c.br = nil, nil
 	}
 	c.mu.Unlock()
 }
@@ -339,7 +366,7 @@ func (c *Client) redial(ctx context.Context, attempt int) error {
 	if err := c.sleep(ctx, c.backoff(attempt, 0)); err != nil {
 		return err
 	}
-	conn, err := c.handshake()
+	conn, br, err := c.handshake()
 	if err != nil {
 		return err
 	}
@@ -352,7 +379,7 @@ func (c *Client) redial(ctx context.Context, attempt int) error {
 	if c.conn != nil {
 		c.conn.Close()
 	}
-	c.conn = conn
+	c.conn, c.br = conn, br
 	c.mu.Unlock()
 	c.reconnects.Add(1)
 	return nil

@@ -10,9 +10,16 @@
 // Per §4.1.2, the protocol also supports batching several commands in
 // one round trip.
 //
-// Framing: 4-byte big-endian length + gob-encoded message. Gob is the
-// stdlib's self-describing binary encoding; the handshake and every
-// request/response are fixed Go structs below.
+// Framing: 4-byte big-endian length + one message in a fixed XDR layout
+// (codec.go; DESIGN.md §10 has the table): op, field-presence mask, ID,
+// then the present fields in one canonical order, for requests and
+// replies alike, so a frame carries only what its op uses. Request and
+// Response below are the in-memory API; nothing self-describing crosses
+// the perimeter — no reflection decoder, no peer-supplied types (no
+// gob). Every length and count is bounded by the bytes that follow it,
+// a frame by MaxFrame, and the frames of an unauthenticated peer by the
+// handshake's constant sizes. Each frame is written with one Write from
+// a pooled buffer and normally read with one read (frame.go).
 //
 // Wire failure model (DESIGN.md §10): the transport is assumed lossy
 // and hostile. Sessions carry a client-chosen 64-bit session ID that
@@ -56,12 +63,6 @@ type Hello struct {
 	Session uint64
 }
 
-// HelloReply completes the handshake.
-type HelloReply struct {
-	OK    bool
-	Errno uint8
-}
-
 // Request is one S4 command. Exactly the fields relevant to Op are set.
 type Request struct {
 	Op  types.Op
@@ -98,8 +99,9 @@ type Request struct {
 
 // Response carries one command's result.
 type Response struct {
-	// ID echoes the request's ID so a client can detect a desynchronized
-	// reply stream (zero for unnumbered requests).
+	// Op and ID echo the request's, so a client can detect a
+	// desynchronized reply stream (ID is zero for unnumbered requests).
+	Op types.Op
 	ID uint64
 	// RetryAfter is the server's suggested wait before retrying, set
 	// only with a retryable Errno (ErrBusy: queue shed; ErrThrottled:

@@ -1,6 +1,7 @@
 package s4rpc
 
 import (
+	"bufio"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"s4/internal/netfault"
 	"s4/internal/types"
 	"s4/internal/vclock"
+	"s4/internal/xdr"
 )
 
 // TestFaultSoakExactlyOnce is the headline proof: a client surviving
@@ -35,17 +37,11 @@ func TestFaultSoakExactlyOnce(t *testing.T) {
 	if os.Getenv("S4_NETFAULT_LONG") != "" {
 		ops = 3000
 	}
-	// The cut budget tracks the first-exchange size (handshake plus the
-	// gob type descriptors riding on a connection's first request and
-	// response, ~2.6kB with the policy ops): most budgets must land below it so cuts keep
-	// forcing reconnects, while enough headroom above keeps progress
-	// possible. Growing the wire structs means re-measuring and raising
-	// CutMax.
 	res, err := RunFaultSoak(SoakConfig{
 		Seed: 1, Ops: ops, Workers: 4, IOTimeout: time.Second,
 		Fault: netfault.Config{
 			DelayEvery: 40, MaxDelay: 2 * time.Millisecond,
-			CutMin: 200, CutMax: 3300,
+			CutMin: SoakCutMin, CutMax: SoakCutMax,
 			DropProb: 0.05,
 		},
 		Logf: t.Logf,
@@ -81,7 +77,7 @@ func TestFaultSoakSeeds(t *testing.T) {
 				Seed: seed, Ops: 150, Workers: 2, IOTimeout: time.Second,
 				Fault: netfault.Config{
 					DelayEvery: 50, MaxDelay: time.Millisecond,
-					CutMin: 150, CutMax: 3300, DropProb: 0.08,
+					CutMin: SoakCutMin, CutMax: SoakCutMax, DropProb: 0.08,
 				},
 			})
 			if err != nil {
@@ -191,7 +187,7 @@ func TestSlowlorisEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hs.Close()
-	if _, err := readFrame(hs); err != nil {
+	if _, err := newRawConn(hs).readFrame(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -313,7 +309,7 @@ func TestConnLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFrame(raw); err == nil {
+	if _, err := newRawConn(raw).readFrame(); err == nil {
 		t.Fatal("over-limit connection got a handshake")
 	}
 	raw.Close()
@@ -328,7 +324,7 @@ func TestConnLimit(t *testing.T) {
 // retryable wire error with the penalty as its hint, and the client's
 // backoff honors it instead of burning the server's workers.
 func TestThrottleRetryAfter(t *testing.T) {
-	resp := &Response{Errno: wireErrno(types.ErrThrottled), RetryAfter: 40 * time.Millisecond}
+	resp := &Response{Errno: errnoThrottled, RetryAfter: 40 * time.Millisecond}
 	err := resp.Err()
 	if !errors.Is(err, types.ErrThrottled) || !types.Retryable(err) {
 		t.Fatalf("wire round-trip lost the class: %v", err)
@@ -351,34 +347,17 @@ func TestThrottleRetryAfter(t *testing.T) {
 func TestCloseUnblocksCall(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	// A fake server that handshakes, then goes silent forever.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	silent := make(chan struct{})
-	go func() {
-		defer close(silent)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		nonce := make([]byte, nonceLen)
-		_ = writeFrame(conn, nonce)
-		var h Hello
-		_ = readGobFrame(conn, &h)
-		_ = writeGobFrame(conn, &HelloReply{OK: true})
+	addr, done := fakeServer(t, func(conn *rawConn) {
 		var buf [1 << 12]byte
 		for { // swallow requests, never reply
 			if _, err := conn.Read(buf[:]); err != nil {
 				return
 			}
 		}
-	}()
+	})
 
 	c, err := DialConfig(Config{
-		Addr: ln.Addr().String(), Client: 1, User: 100, Key: clientKey,
+		Addr: addr, Client: 1, User: 100, Key: clientKey,
 		CallTimeout: time.Hour, MaxAttempts: 1,
 	})
 	if err != nil {
@@ -409,8 +388,7 @@ func TestCloseUnblocksCall(t *testing.T) {
 	if _, err := c.Status(); !errors.Is(err, types.ErrClosed) {
 		t.Fatalf("post-Close call returned %v", err)
 	}
-	ln.Close()
-	<-silent
+	done()
 }
 
 // TestGracefulShutdownDrains proves Shutdown lets an in-flight request
@@ -459,41 +437,111 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 // ---- raw-protocol helpers ----
 
+// rawConn speaks the protocol a frame at a time, with none of the
+// client's retry machinery.
+type rawConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+func newRawConn(conn net.Conn) *rawConn { return &rawConn{Conn: conn, br: bufio.NewReader(conn)} }
+
+func (c *rawConn) readFrame() ([]byte, error) {
+	var f xdr.Encoder
+	return readFrame(c.br, &f, MaxFrame)
+}
+
+func (c *rawConn) readRequest() (*Request, error) {
+	body, err := c.readFrame()
+	if err != nil {
+		return nil, err
+	}
+	req := new(Request)
+	return req, requestLayout.decode(body, req, false)
+}
+
+func (c *rawConn) readResponse() (*Response, error) {
+	body, err := c.readFrame()
+	if err != nil {
+		return nil, err
+	}
+	resp := new(Response)
+	return resp, responseLayout.decode(body, resp, false)
+}
+
 // rawHandshake authenticates a bare TCP connection as client 1 /
 // user 100, presenting the given session ID.
-func rawHandshake(t *testing.T, addr string, session uint64) net.Conn {
+func rawHandshake(t *testing.T, addr string, session uint64) *rawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce, err := readFrame(conn)
+	rc := newRawConn(conn)
+	nonce, err := rc.readFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mac := macFor(clientKey, nonce)
-	if err := writeGobFrame(conn, &Hello{Client: 1, User: 100, MAC: mac, Session: session}); err != nil {
+	hello := &Hello{Client: 1, User: 100, MAC: macFor(clientKey, nonce), Session: session}
+	if _, err := conn.Write(frameOf(t, putHello(hello))); err != nil {
 		t.Fatal(err)
 	}
-	var rep HelloReply
-	if err := readGobFrame(conn, &rep); err != nil || !rep.OK {
-		t.Fatalf("handshake: %v ok=%v", err, rep.OK)
+	body, err := rc.readFrame()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return conn
+	if errno, err := decodeHelloReply(body); err != nil || errno != 0 {
+		t.Fatalf("handshake: errno %d, %v", errno, err)
+	}
+	return rc
 }
 
-func rawCall(t *testing.T, conn net.Conn, req *Request) *Response {
+func rawCall(t *testing.T, conn *rawConn, req *Request) *Response {
 	t.Helper()
-	if err := writeGobFrame(conn, req); err != nil {
+	if _, err := conn.Write(requestFrame(t, req)); err != nil {
 		t.Fatal(err)
 	}
-	var resp Response
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := readGobFrame(conn, &resp); err != nil {
+	resp, err := conn.readResponse()
+	if err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Time{})
-	return &resp
+	return resp
+}
+
+// fakeServerRaw accepts one connection and hands it to serve; done
+// closes the listener and waits for serve to return.
+func fakeServerRaw(t *testing.T, serve func(*rawConn)) (addr string, done func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		serve(newRawConn(conn))
+	}()
+	return ln.Addr().String(), func() { ln.Close(); <-exited }
+}
+
+// fakeServer is fakeServerRaw behind a handshake that admits anyone.
+func fakeServer(t *testing.T, serve func(*rawConn)) (addr string, done func()) {
+	t.Helper()
+	nonce := frameOf(t, func(e *xdr.Encoder) error { e.OpaqueFixed(make([]byte, nonceLen)); return nil })
+	granted := frameOf(t, putHelloReply(0))
+	return fakeServerRaw(t, func(conn *rawConn) {
+		_, _ = conn.Write(nonce)
+		_, _ = conn.readFrame()
+		_, _ = conn.Write(granted)
+		serve(conn)
+	})
 }
 
 func macFor(key, nonce []byte) []byte {
@@ -504,9 +552,9 @@ func macFor(key, nonce []byte) []byte {
 
 func newTestRNG() *mrand.Rand { return mrand.New(mrand.NewSource(1)) }
 
-// startServerRaw formats a fresh in-memory drive and serves it with
-// pre-Serve tuning applied. Callers own shutdown.
-func startServerRaw(t *testing.T, tune func(*Server)) (addr string, srv *Server, drv *core.Drive) {
+// newTestServer formats a fresh in-memory drive and wraps it in a
+// server with pre-Serve tuning applied, not yet serving.
+func newTestServer(t *testing.T, tune func(*Server)) (*Server, *core.Drive) {
 	t.Helper()
 	dev := disk.New(disk.SmallDisk(64<<20), nil)
 	drv, err := core.Format(dev, core.Options{
@@ -517,10 +565,18 @@ func startServerRaw(t *testing.T, tune func(*Server)) (addr string, srv *Server,
 	}
 	keys := NewKeyring(adminKey)
 	keys.AddClient(1, clientKey)
-	srv = NewServer(drv, keys)
+	srv := NewServer(drv, keys)
 	if tune != nil {
 		tune(srv)
 	}
+	return srv, drv
+}
+
+// startServerRaw serves a newTestServer on a loopback port. Callers own
+// shutdown.
+func startServerRaw(t *testing.T, tune func(*Server)) (addr string, srv *Server, drv *core.Drive) {
+	t.Helper()
+	srv, drv = newTestServer(t, tune)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ func TestDriveStatsOverWire(t *testing.T) {
 			st.DeviceForces, st.LogAppends)
 	}
 	if st.BytesWritten < int64(len("pipeline")) {
-		t.Fatalf("BytesWritten=%d did not survive gob transport", st.BytesWritten)
+		t.Fatalf("BytesWritten=%d did not survive the wire", st.BytesWritten)
 	}
 }
 
@@ -285,7 +285,7 @@ func TestTable1Coverage(t *testing.T) {
 
 // TestRestartStatsOverWire reopens a checkpointed drive and confirms
 // the restart observability counters — segment-index loads, replay
-// entries, open duration — survive the gob transport intact. A client
+// entries, open duration — survive the wire intact. A client
 // watching s4ctl stats is how an operator verifies instant restart
 // actually engaged, so the wire must not flatten these fields.
 func TestRestartStatsOverWire(t *testing.T) {
@@ -340,7 +340,7 @@ func TestRestartStatsOverWire(t *testing.T) {
 		t.Fatalf("clean reopen fell back to full scan %d times", st.IndexFallbacks)
 	}
 	if st.OpenDuration <= 0 {
-		t.Fatalf("OpenDuration=%v did not survive gob transport", st.OpenDuration)
+		t.Fatalf("OpenDuration=%v did not survive the wire", st.OpenDuration)
 	}
 	if st.RecoveryReplayEntries < 0 {
 		t.Fatalf("RecoveryReplayEntries=%d negative over the wire", st.RecoveryReplayEntries)

@@ -1,13 +1,11 @@
 package s4rpc
 
 import (
+	"bufio"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net"
@@ -18,6 +16,7 @@ import (
 
 	"s4/internal/core"
 	"s4/internal/types"
+	"s4/internal/xdr"
 )
 
 // Keyring maps principals to their session keys. The drive owner loads
@@ -57,6 +56,13 @@ func (k *Keyring) verify(h *Hello, nonce []byte) bool {
 
 // busyRetryAfter is the wait hint attached to a shed (ErrBusy) reply.
 const busyRetryAfter = 20 * time.Millisecond
+
+// The wire codes both ends compare against on every exchange.
+var (
+	errnoBusy       = core.Errno(types.ErrBusy)
+	errnoThrottled  = core.Errno(types.ErrThrottled)
+	errnoAuthFailed = core.Errno(types.ErrAuthFailed)
+)
 
 // defaultMaxSessions bounds the duplicate-reply cache (one last-reply
 // entry per live session).
@@ -248,20 +254,21 @@ func (s *Server) worker() {
 	}
 }
 
-// submit runs one request on the pool. When the worker queue is full
-// the request is shed with a retryable ErrBusy and a retry-after hint
-// — it did not execute, so the client may safely reissue it. The
-// second return value reports whether the request executed (only
-// executed requests enter the duplicate-reply cache).
-func (s *Server) submit(cred types.Cred, req *Request) (*Response, bool) {
-	t := task{cred: cred, req: req, resp: make(chan *Response, 1)}
+// submit runs one request on the pool and waits for its reply on the
+// connection's reply channel (one request is in flight per connection,
+// so one channel serves them all). When the worker queue is full the
+// request is shed with a retryable ErrBusy and a retry-after hint — it
+// did not execute, so the client may safely reissue it. The second
+// return value reports whether the request executed (only executed
+// requests enter the duplicate-reply cache).
+func (s *Server) submit(cred types.Cred, req *Request, reply chan *Response) (*Response, bool) {
 	select {
-	case s.tasks <- t:
-		return <-t.resp, true
+	case s.tasks <- task{cred: cred, req: req, resp: reply}:
+		return <-reply, true
 	case <-s.done:
-		return &Response{Errno: wireErrno(types.ErrDriveStopped)}, false
+		return &Response{Op: req.Op, ID: req.ID, Errno: core.Errno(types.ErrDriveStopped)}, false
 	default:
-		return &Response{Errno: wireErrno(types.ErrBusy), RetryAfter: busyRetryAfter}, false
+		return &Response{Op: req.Op, ID: req.ID, Errno: errnoBusy, RetryAfter: busyRetryAfter}, false
 	}
 }
 
@@ -378,19 +385,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	if iot > 0 {
 		_ = conn.SetDeadline(time.Now().Add(iot))
 	}
-	nonce := make([]byte, nonceLen)
-	if _, err := rand.Read(nonce); err != nil {
-		return
-	}
-	if err := writeFrame(conn, nonce); err != nil {
-		return
-	}
-	hello, err := readHello(conn)
-	if err != nil {
-		return
-	}
-	ok := s.keys.verify(hello, nonce)
-	if err := writeGobFrame(conn, &HelloReply{OK: ok, Errno: errnoOf(ok)}); err != nil || !ok {
+	br := bufio.NewReaderSize(conn, readBufSize)
+	hello, ok := s.handshake(conn, br)
+	if !ok {
 		return
 	}
 	if iot > 0 {
@@ -398,59 +395,90 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	cred := types.Cred{User: hello.User, Client: hello.Client, Admin: hello.Admin}
 	sess := s.lookupSession(cred.Client, hello.Session)
+	// One request is in flight per connection, so one request struct and
+	// one reply channel serve the connection's whole life.
+	req, reply := new(Request), make(chan *Response, 1)
 	for {
+		// The wait for a frame's first byte may last forever — idle
+		// sessions are legal — but once a frame has begun, the rest must
+		// arrive within the timeout: a mid-frame stall is a broken or
+		// hostile peer, and the connection is evicted rather than left
+		// holding drive resources hostage (§3.2).
+		if iot > 0 {
+			_ = conn.SetReadDeadline(time.Time{})
+		}
+		// Checked after the deadline is cleared: Shutdown sets draining
+		// and then boots idle readers with an immediate deadline, so
+		// whichever order the two ran in, this read does not park.
 		if s.draining.Load() {
 			return
 		}
-		req, err := readRequest(conn, iot)
-		if err != nil {
+		if _, err := br.Peek(1); err != nil {
 			return
 		}
-		resp := s.process(sess, cred, req)
+		if iot > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(iot))
+		}
+		// req.Data aliases the pooled frame until process returns; the
+		// drive copies what it keeps (core's TestWriteAppendDoNotRetainData).
+		in := getFrame()
+		body, err := readFrame(br, in, MaxFrame)
+		if err == nil {
+			err = requestLayout.decode(body, req, true)
+		}
+		if err != nil {
+			putFrame(in)
+			return
+		}
+		resp := s.process(sess, cred, req, reply)
+		putFrame(in)
 		if iot > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(iot))
 		}
-		if err := writeGobFrame(conn, resp); err != nil {
-			return
+		err = writeResponse(conn, resp)
+		if errors.Is(err, errUnsendable) {
+			// A reply too large for a frame: say so rather than go silent.
+			err = writeResponse(conn, &Response{Op: resp.Op, ID: resp.ID, Errno: core.Errno(types.ErrTooLarge)})
 		}
-		if s.draining.Load() {
+		if err != nil {
 			return
 		}
 	}
 }
 
-// readRequest reads one request frame. The wait for the first byte may
-// block indefinitely — idle sessions are legal — but once a frame has
-// begun, the rest must arrive within timeout: a mid-frame stall is a
-// broken or hostile peer and the connection is evicted rather than
-// holding drive resources hostage (§3.2).
-func readRequest(conn net.Conn, timeout time.Duration) (*Request, error) {
-	var hdr [4]byte
-	if timeout > 0 {
-		_ = conn.SetReadDeadline(time.Time{})
+// handshake challenges the peer and vets its Hello. Nothing an
+// unauthenticated peer sends can make it read or allocate more than
+// maxHelloFrame bytes, and a Hello that does not open with this protocol's
+// magic is refused without being decoded further.
+func (s *Server) handshake(conn net.Conn, br *bufio.Reader) (Hello, bool) {
+	var nonce [nonceLen]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return Hello{}, false
 	}
-	if _, err := io.ReadFull(conn, hdr[:1]); err != nil {
-		return nil, err
+	err := writeFrame(conn, nonceLen, func(e *xdr.Encoder) error { e.OpaqueFixed(nonce[:]); return nil })
+	if err != nil {
+		return Hello{}, false
 	}
-	if timeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	in := getFrame()
+	defer putFrame(in)
+	body, err := readFrame(br, in, maxHelloFrame)
+	if err != nil {
+		return Hello{}, false
 	}
-	if _, err := io.ReadFull(conn, hdr[1:]); err != nil {
-		return nil, err
+	hello, err := decodeHello(body)
+	if err != nil && !errors.Is(err, ErrProtocol) {
+		return Hello{}, false
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("s4rpc: frame of %d bytes: %w", n, types.ErrTooLarge)
+	errno := errnoAuthFailed
+	if err == nil && s.keys.verify(&hello, nonce[:]) {
+		errno = 0
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	var req Request
-	if err := gob.NewDecoder(&frameReader{b: buf}).Decode(&req); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	err = writeFrame(conn, helloReplyLen, putHelloReply(errno))
+	return hello, err == nil && errno == 0
+}
+
+func writeResponse(w io.Writer, resp *Response) error {
+	return writeFrame(w, msgHdrLen+len(resp.Data), func(e *xdr.Encoder) error { return responseLayout.put(e, resp, true) })
 }
 
 // process executes one request with duplicate suppression. The session
@@ -458,10 +486,9 @@ func readRequest(conn net.Conn, timeout time.Duration) (*Request, error) {
 // connection of the same session) is still executing this request, the
 // retransmission blocks here and then finds the cached reply instead
 // of executing — and auditing — the command twice.
-func (s *Server) process(sess *session, cred types.Cred, req *Request) *Response {
+func (s *Server) process(sess *session, cred types.Cred, req *Request, reply chan *Response) *Response {
 	if sess == nil || req.ID == 0 {
-		resp, _ := s.submit(cred, req)
-		resp.ID = req.ID
+		resp, _ := s.submit(cred, req, reply)
 		return resp
 	}
 	sess.mu.Lock()
@@ -476,10 +503,9 @@ func (s *Server) process(sess *session, cred types.Cred, req *Request) *Response
 	case req.ID < sess.lastID:
 		// Older than the cache: the client violated the one-in-flight
 		// protocol, or someone is replaying captured traffic. Refuse.
-		return &Response{ID: req.ID, Errno: wireErrno(types.ErrInval)}
+		return &Response{Op: req.Op, ID: req.ID, Errno: core.Errno(types.ErrInval)}
 	}
-	resp, executed := s.submit(cred, req)
-	resp.ID = req.ID
+	resp, executed := s.submit(cred, req, reply)
 	if executed {
 		// The arrival of ID n proves the reply to n-1 was received;
 		// that is the cache's eviction rule. Shed (ErrBusy) replies are
@@ -490,13 +516,6 @@ func (s *Server) process(sess *session, cred types.Cred, req *Request) *Response
 	return resp
 }
 
-func errnoOf(ok bool) uint8 {
-	if ok {
-		return 0
-	}
-	return 15 // ErrAuthFailed's wire code
-}
-
 // dispatch executes one request (or batch) against the drive.
 func (s *Server) dispatch(cred types.Cred, req *Request) *Response {
 	// A request may narrow the user within the authenticated client
@@ -505,9 +524,9 @@ func (s *Server) dispatch(cred types.Cred, req *Request) *Response {
 	if req.User != 0 && !cred.Admin {
 		cred.User = req.User
 	}
-	resp := &Response{}
+	resp := &Response{Op: req.Op, ID: req.ID}
 	fail := func(err error) *Response {
-		resp.Errno = wireErrno(err)
+		resp.Errno = core.Errno(err)
 		if after, ok := types.RetryAfterHint(err); ok {
 			resp.RetryAfter = after
 		}
@@ -666,89 +685,4 @@ func (s *Server) dispatch(cred types.Cred, req *Request) *Response {
 		return fail(types.ErrUnimplProto)
 	}
 	return resp
-}
-
-func wireErrno(err error) uint8 {
-	if err == nil {
-		return 0
-	}
-	for code := uint8(1); code < 32; code++ {
-		if e := core.ErrnoToError(code); e != nil && errors.Is(err, e) {
-			return code
-		}
-	}
-	return 255
-}
-
-// ---- framing ----
-
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("s4rpc: frame of %d bytes: %w", n, types.ErrTooLarge)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func writeGobFrame(w io.Writer, v any) error {
-	var buf frameBuffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return err
-	}
-	return writeFrame(w, buf.b)
-}
-
-func readGobFrame(r io.Reader, v any) error {
-	payload, err := readFrame(r)
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(&frameReader{b: payload}).Decode(v)
-}
-
-func readHello(r io.Reader) (*Hello, error) {
-	var h Hello
-	if err := readGobFrame(r, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type frameReader struct {
-	b []byte
-	i int
-}
-
-func (f *frameReader) Read(p []byte) (int, error) {
-	if f.i >= len(f.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.b[f.i:])
-	f.i += n
-	return n, nil
 }

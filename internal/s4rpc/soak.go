@@ -38,6 +38,24 @@ type SoakResult struct {
 	Fault     netfault.Stats
 }
 
+// The soaks' cut budgets, in terms of what the codec puts on the wire.
+// Each connection is severed after a byte budget drawn uniformly from
+// [SoakCutMin, SoakCutMax] (netfault.Config.CutMin/CutMax). The low end
+// falls inside the handshake, so some connections never authenticate;
+// the high end admits the handshake and a few marker appends, so every
+// connection makes a little progress at best and then forces a
+// reconnect. A budget of many exchanges would let connections finish
+// dozens of ops and the soaks would stop proving anything.
+const (
+	// soakExchangeBytes bounds one marker append and its reply: two
+	// frame and message headers, Obj, the forwarded User, the marker as
+	// an opaque, and the Offset that comes back.
+	soakExchangeBytes = 2*(frameHdrLen+msgHdrLen) + 8 + 8 + (4 + 12) + 8
+
+	SoakCutMin = handshakeBytes / 2
+	SoakCutMax = handshakeBytes + 4*soakExchangeBytes
+)
+
 // soakMarker is the marker format: fixed-width so content parsing is
 // trivial and any torn or duplicated append is unmissable.
 func soakMarker(i int) string { return fmt.Sprintf("|op%06d", i) }

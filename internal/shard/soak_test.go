@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"s4/internal/netfault"
+	"s4/internal/s4rpc"
 )
 
 // TestShardFaultSoak is the kill-one-shard recovery proof: a 4-shard
@@ -25,7 +26,7 @@ func TestShardFaultSoak(t *testing.T) {
 		KillFor: 800 * time.Millisecond,
 		Fault: netfault.Config{
 			DelayEvery: 40, MaxDelay: 2 * time.Millisecond,
-			CutMin: 200, CutMax: 3200,
+			CutMin: s4rpc.SoakCutMin, CutMax: s4rpc.SoakCutMax,
 			DropProb: 0.03,
 		},
 		Logf: t.Logf,
@@ -62,7 +63,7 @@ func TestShardFaultSoakSeeds(t *testing.T) {
 				KillFor: 2 * time.Second,
 				Fault: netfault.Config{
 					DelayEvery: 50, MaxDelay: time.Millisecond,
-					CutMin: 150, CutMax: 3200, DropProb: 0.05,
+					CutMin: s4rpc.SoakCutMin, CutMax: s4rpc.SoakCutMax, DropProb: 0.05,
 				},
 				Logf: t.Logf,
 			})

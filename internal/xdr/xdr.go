@@ -23,6 +23,12 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // Bytes returns the encoded stream.
 func (e *Encoder) Bytes() []byte { return e.b }
 
+// Reset points the encoder at a caller-owned buffer: values are appended
+// after buf's current contents, growing it only when its capacity runs
+// out, so one buffer can be reused across messages without allocating.
+// Resetting to a prefix of Bytes truncates the stream.
+func (e *Encoder) Reset(buf []byte) { e.b = buf }
+
 // Uint32 appends a 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
 	var t [4]byte
@@ -132,6 +138,17 @@ func (d *Decoder) OpaqueFixed(n int) ([]byte, error) {
 
 // Opaque reads a variable-length opaque bounded by max (0 = unbounded).
 func (d *Decoder) Opaque(max int) ([]byte, error) {
+	b, err := d.OpaqueRef(max)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), b...), nil
+}
+
+// OpaqueRef is Opaque without the copy: the result is a sub-slice of the
+// decoder's buffer, valid for as long as the caller keeps that buffer
+// unchanged.
+func (d *Decoder) OpaqueRef(max int) ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -139,10 +156,17 @@ func (d *Decoder) Opaque(max int) ([]byte, error) {
 	if max > 0 && int(n) > max {
 		return nil, fmt.Errorf("xdr: opaque of %d exceeds bound %d", n, max)
 	}
-	if int(n) > d.Remaining() {
+	if uint64(n) > uint64(d.Remaining()) {
 		return nil, ErrShort
 	}
-	return d.OpaqueFixed(int(n))
+	b, err := d.take(int(n))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := d.take((4 - int(n)%4) % 4); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // String reads an XDR string bounded by max bytes.

@@ -94,3 +94,47 @@ func TestPropertyOpaqueRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetAndOpaqueRef covers the two entry points s4rpc's pooled
+// frames lean on: an encoder pointed at a caller's buffer appends in
+// place and allocates nothing while the capacity lasts, and OpaqueRef
+// hands back the decoder's own bytes, padding skipped, bounds as Opaque.
+func TestResetAndOpaqueRef(t *testing.T) {
+	buf := make([]byte, 4, 64)
+	copy(buf, "HDR:")
+	var e Encoder
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Reset(buf)
+		e.Opaque([]byte("hello"))
+		e.Uint32(7)
+	})
+	if allocs != 0 {
+		t.Fatalf("encoding into a reused buffer allocated %v times", allocs)
+	}
+	out := e.Bytes()
+	if &out[0] != &buf[0] || string(out[:4]) != "HDR:" || len(out) != 4+4+8+4 {
+		t.Fatalf("Reset did not append in place: %q", out)
+	}
+	e.Reset(out[:4])
+	if len(e.Bytes()) != 4 {
+		t.Fatal("Reset to a prefix did not truncate")
+	}
+
+	d := NewDecoder(out[4:])
+	ref, err := d.OpaqueRef(5)
+	if err != nil || string(ref) != "hello" {
+		t.Fatal(string(ref), err)
+	}
+	if &ref[0] != &out[8] {
+		t.Fatal("OpaqueRef copied")
+	}
+	if v, err := d.Uint32(); err != nil || v != 7 {
+		t.Fatalf("word after the padded opaque: %d %v", v, err)
+	}
+	if _, err := NewDecoder(out[4:]).OpaqueRef(4); err == nil {
+		t.Fatal("OpaqueRef ignored its bound")
+	}
+	if _, err := NewDecoder([]byte{0, 0, 0, 9, 1, 2}).OpaqueRef(0); !errors.Is(err, ErrShort) {
+		t.Fatalf("OpaqueRef past the buffer: %v", err)
+	}
+}

@@ -158,8 +158,8 @@ func (d *Drive) deferFree(seg int64) {
 // true if the object itself was reaped (its deletion aged out).
 func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStats) (bool, error) {
 	// A retention policy with its own window overrides the drive-wide
-	// cut for this object (recovery's usage rebuild applies the same
-	// override, keeping the two classifications equivalent).
+	// cut for this object. Only this function applies either: recovery
+	// rebuilds the pool by the floor it leaves behind.
 	win := d.effectiveWindow(o.id)
 	if win != d.window {
 		ageCut = vclock.TS(d.clk) - types.Timestamp(win)
@@ -184,28 +184,20 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 		entries []journal.Entry
 	}
 	var chain []sec
-	for addr := o.jhead; addr != journal.NilSector; {
-		_, prev, entries, err := journal.ReadSector(d.log, addr)
-		if err != nil {
-			return false, err
-		}
+	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 		chain = append(chain, sec{addr, entries})
-		if addr == o.jtail {
-			break
-		}
-		addr = prev
+		return false, nil
+	})
+	if err != nil {
+		return false, err
 	}
 	touched := false
 	minRetained := types.Timestamp(1 << 62)
-	newestSeen := types.Timestamp(0)
 	// Phase A: release history deprecated by aged entries, oldest
 	// first so the floor rises monotonically.
 	for i := len(chain) - 1; i >= 0; i-- {
 		for j := range chain[i].entries {
 			e := &chain[i].entries[j]
-			if e.Time > newestSeen {
-				newestSeen = e.Time
-			}
 			if e.Time >= ageCut || e.Version <= o.floorVersion {
 				if e.Time >= ageCut && e.Time < minRetained {
 					minRetained = e.Time
@@ -213,12 +205,12 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 				continue
 			}
 			// The pointers this entry deprecated only support versions
-			// older than the window; free them (masked slots through
-			// their shared packed delta block, once per block).
+			// older than the window; free them. Raising the floor in the
+			// same step is what takes them out of the pool: the floor is
+			// persisted with the object map, so no recovery counts them
+			// again and no later pass releases them twice.
 			d.ageOutOldLocked(e, cs)
-			if e.Version > o.floorVersion {
-				o.floorVersion = e.Version
-			}
+			o.floorVersion = e.Version
 			if e.Time > o.floorTime {
 				o.floorTime = e.Time
 			}
@@ -231,7 +223,7 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 	// moment it is freed), and reconstructions now below the floor leave
 	// the inode-at-time cache. Any sector Phase B prunes below holds
 	// only sub-ageCut entries, so its landmarks are already gone.
-	d.dropLandmarksBelow(o, ageCut)
+	d.dropLandmarksBelowFloor(o)
 	d.recon.dropBelow(o.id, o.floorTime)
 	// Phase B: unlink trailing fully-aged sectors from the chain.
 	allAged := func(s sec) bool {
@@ -287,7 +279,6 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 	} else {
 		o.nextAge = minRetained + types.Timestamp(win)
 	}
-	_ = newestSeen
 	return false, nil
 }
 
@@ -307,11 +298,7 @@ func (d *Drive) reapObjectLocked(o *object, cs *CleanStats) error {
 		d.usage.freeLive(segOf(d.log, a))
 		d.cache.drop(a)
 	}
-	for addr := o.jhead; addr != journal.NilSector; {
-		_, prev, entries, err := journal.ReadSector(d.log, addr)
-		if err != nil {
-			return err
-		}
+	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 		// Any not-yet-aged deprecations inside the chain also release
 		// their blocks now: every version of this object is gone.
 		for i := range entries {
@@ -322,10 +309,10 @@ func (d *Drive) reapObjectLocked(o *object, cs *CleanStats) error {
 		}
 		d.unrefJSector(addr)
 		cs.SectorsFreed++
-		if addr == o.jtail {
-			break
-		}
-		addr = prev
+		return false, nil
+	})
+	if err != nil {
+		return err
 	}
 	if o.ino != nil {
 		d.loaded.Add(-1)
@@ -347,33 +334,12 @@ func (d *Drive) reclaimSegmentsLocked(cs *CleanStats) error {
 			continue
 		}
 		live, hist := d.usage.occupancy(seg)
-		if live == 0 && hist == 0 {
-			if isFree, err := d.segmentIsFreeLocked(seg); err != nil {
-				return err
-			} else if isFree {
-				continue
-			}
+		if live == 0 && hist == 0 && !d.log.IsFree(seg) {
 			d.deferFree(seg)
 			cs.SegmentsFreed++
 		}
 	}
 	return nil
-}
-
-// segmentIsFreeLocked reports whether seg is already in the free pool.
-// seglog.FreeSegment is idempotent, but counting re-frees would skew
-// cleaner statistics.
-func (d *Drive) segmentIsFreeLocked(seg int64) (bool, error) {
-	free := d.log.FreeSegments()
-	if err := d.log.FreeSegment(seg); err != nil {
-		return false, err
-	}
-	wasFree := d.log.FreeSegments() == free
-	if !wasFree {
-		// Undo the probe.
-		d.log.MarkAllocated(seg)
-	}
-	return wasFree, nil
 }
 
 // compactLocked drains up to maxSegs fragmented segments by copying
@@ -403,14 +369,9 @@ func (d *Drive) compactLocked(ageCut types.Timestamp, cs *CleanStats, maxSegs in
 			continue
 		}
 		live, hist := d.usage.occupancy(seg)
-		if hist > 0 || live <= 0 || live > limit {
-			// In-window history pins the segment.
-			continue
-		}
-		if free, err := d.segmentIsFreeLocked(seg); err != nil || free {
-			if err != nil {
-				return err
-			}
+		if hist > 0 || live <= 0 || live > limit || d.log.IsFree(seg) {
+			// Pinned by retained history, empty, or too full to be worth
+			// moving.
 			continue
 		}
 		cands = append(cands, cand{seg, live})
@@ -473,22 +434,13 @@ func (d *Drive) relocateChainLocked(o *object, avoid seglog.BlockAddr, cs *Clean
 	}
 	var chain []sec
 	hit := false
-	for addr := o.jhead; addr != journal.NilSector; {
-		_, prev, entries, err := journal.ReadSector(d.log, addr)
-		if err != nil {
-			return err
-		}
+	err := d.walkChain(o, o.jhead, func(addr, prev journal.SectorAddr, entries []journal.Entry) (bool, error) {
 		chain = append(chain, sec{addr, prev, entries})
-		if addr.Block() == avoid {
-			hit = true
-		}
-		if addr == o.jtail {
-			break
-		}
-		addr = prev
-	}
-	if !hit {
-		return nil
+		hit = hit || addr.Block() == avoid
+		return false, nil
+	})
+	if err != nil || !hit {
+		return err
 	}
 	// Re-place oldest first, fixing the backward links.
 	prev := chain[len(chain)-1].prev
@@ -576,7 +528,6 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 			}
 		}
 	}
-	touchedObjs := make(map[types.ObjectID]*object)
 	// Live data blocks are gathered per object and relocated with one
 	// vectored append each, so the survivors of a segment land
 	// contiguously at the log head instead of paying the log mutex and
@@ -723,12 +674,10 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 		// re-walks the chain too (DESIGN.md §14).
 		r.o.lmReset = true
 		d.recon.dropObject(r.o.id)
-		touchedObjs[r.o.id] = r.o
 	}
-	// Touched objects are refreshed by the checkpoint barrier that
+	// Relocated objects are refreshed by the checkpoint barrier that
 	// precedes any reuse of the emptied segment (deferFree); nothing
 	// more is needed here.
-	_ = touchedObjs
 	live, hist := d.usage.occupancy(seg)
 	if live == 0 && hist == 0 && seg != d.log.CurrentSegment() {
 		d.deferFree(seg)

@@ -265,10 +265,10 @@ func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, po
 }
 
 // effectiveWindow returns the detection window governing id: the
-// policy's override when set, else the drive-wide window. Aging, the
-// recovery usage rebuild, and the cleaner all classify against this, so
-// a per-object window shortens (or stretches) that object's history
-// pool without touching anything else.
+// policy's override when set, else the drive-wide window. The cleaner
+// ages against this (recovery ages nothing), so a per-object window
+// shortens (or stretches) that object's history pool without touching
+// anything else.
 func (d *Drive) effectiveWindow(id types.ObjectID) time.Duration {
 	if p := d.effectivePolicy(id); p.Window > 0 {
 		return p.Window
@@ -276,36 +276,50 @@ func (d *Drive) effectiveWindow(id types.ObjectID) time.Duration {
 	return d.window
 }
 
-// ageOutOldLocked releases the history blocks one aged (or reaped)
-// entry deprecated: plain Old pointers directly, masked slots through
-// their shared packed delta block (aged out once, however many slots
-// point in). Returns the number of blocks freed.
-func (d *Drive) ageOutOldLocked(e *journal.Entry, cs *CleanStats) int {
-	n := 0
+// splitDeltaRef splits a packed-slot reference (tag already cleared)
+// into the packed delta block it points into and the slot within it.
+func splitDeltaRef(raw uint64) (packed seglog.BlockAddr, slot int) {
+	return seglog.BlockAddr(raw / journal.DeltaSlotsPerBlock), int(raw % journal.DeltaSlotsPerBlock)
+}
+
+// poolBlocks calls fn for every history-pool block e's Old list pins: a
+// plain pointer names the deprecated block itself; a DeltaMask'd slot
+// names its shared packed delta block, yielded once per entry however
+// many slots point in. Together with landmark roots and the final
+// blocks of unreaped deleted objects, the blocks this yields for the
+// retained entries above an object's floor are the history pool —
+// the cleaner, both recovery paths and CheckInvariants all enumerate
+// it here.
+func poolBlocks(e *journal.Entry, fn func(addr seglog.BlockAddr, packed bool)) {
 	var donePacked map[seglog.BlockAddr]bool
 	for k, old := range e.Old {
 		if old == seglog.NilAddr {
 			continue
 		}
-		addr := old
-		if e.DeltaMask&(1<<uint(k)) != 0 {
-			addr = seglog.BlockAddr(uint64(old) / journal.DeltaSlotsPerBlock)
-			if donePacked[addr] {
-				continue
-			}
-			if donePacked == nil {
-				donePacked = make(map[seglog.BlockAddr]bool)
-			}
-			donePacked[addr] = true
+		if e.DeltaMask&(1<<uint(k)) == 0 {
+			fn(old, false)
+			continue
 		}
+		packed, _ := splitDeltaRef(uint64(old))
+		if donePacked[packed] {
+			continue
+		}
+		if donePacked == nil {
+			donePacked = make(map[seglog.BlockAddr]bool)
+		}
+		donePacked[packed] = true
+		fn(packed, true)
+	}
+}
+
+// ageOutOldLocked releases the history blocks one aged (or reaped)
+// entry deprecated.
+func (d *Drive) ageOutOldLocked(e *journal.Entry, cs *CleanStats) {
+	poolBlocks(e, func(addr seglog.BlockAddr, _ bool) {
 		d.usage.ageOut(segOf(d.log, addr))
 		d.cache.drop(addr)
-		n++
-		if cs != nil {
-			cs.BlocksAgedOut++
-		}
-	}
-	return n
+		cs.BlocksAgedOut++
+	})
 }
 
 // packedOrigs reads the packed delta block at addr and returns the
@@ -328,9 +342,8 @@ func (d *Drive) packedOrigs(addr seglog.BlockAddr) []uint64 {
 // origOfRef resolves a (possibly tagged) packed-slot reference to the
 // original address its slot replaced, or NilAddr if unavailable.
 func (d *Drive) origOfRef(ref uint64) seglog.BlockAddr {
-	raw := ref &^ deltaRefTag
-	origs := d.packedOrigs(seglog.BlockAddr(raw / journal.DeltaSlotsPerBlock))
-	slot := int(raw % journal.DeltaSlotsPerBlock)
+	packed, slot := splitDeltaRef(ref &^ deltaRefTag)
+	origs := d.packedOrigs(packed)
 	if slot >= len(origs) {
 		return seglog.NilAddr
 	}
@@ -385,9 +398,7 @@ func (d *Drive) materializeRef(in *Inode, ref uint64, depth int) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	raw := ref &^ deltaRefTag
-	packed := seglog.BlockAddr(raw / journal.DeltaSlotsPerBlock)
-	slot := int(raw % journal.DeltaSlotsPerBlock)
+	packed, slot := splitDeltaRef(ref &^ deltaRefTag)
 	blk, err := d.readBlock(packed)
 	if err != nil {
 		return nil, err

@@ -903,15 +903,44 @@ func (o *object) registerLandmarkSectors(entries []*journal.Entry, sa journal.Se
 	}
 }
 
-// dropLandmarksBelow frees the checkpoint roots of landmarks older than
-// cut and removes them from the index — the landmark analog of entry
-// aging. Index-driven freeing is idempotent by construction: a root
-// leaves the index the moment it is freed. Caller holds the exclusive
-// drive lock.
-func (d *Drive) dropLandmarksBelow(o *object, cut types.Timestamp) {
+// landmarkRootValid reports whether root still holds object id's
+// checkpoint image at exactly version. Data-block relocation frees
+// checkpoint roots but leaves their chain entries behind as tombstones,
+// so a recorded address may by now hold reused-segment bytes; recovery
+// and the landmark checker both revalidate before trusting one.
+func (d *Drive) landmarkRootValid(id types.ObjectID, version uint64, root seglog.BlockAddr) bool {
+	if root == seglog.NilAddr {
+		return false
+	}
+	buf := make([]byte, seglog.BlockSize)
+	if err := d.log.Read(root, buf); err != nil {
+		return false
+	}
+	in, _, err := decodeInodeRoot(d.log, buf)
+	return err == nil && in.ID == id && in.Version == version
+}
+
+// sortLandmarks restores the index's ascending-by-time order after a
+// chain walk appended entries newest-first.
+func sortLandmarks(ls []landmark) {
+	sort.Slice(ls, func(i, j int) bool {
+		if ls[i].time != ls[j].time {
+			return ls[i].time < ls[j].time
+		}
+		return ls[i].version < ls[j].version
+	})
+}
+
+// dropLandmarksBelowFloor frees the checkpoint roots of landmarks whose
+// entries aging has put at or below the object's floor and removes them
+// from the index — a landmark entry carries its trigger's version, so
+// it leaves the pool with the entries around it. Index-driven freeing
+// is idempotent by construction: a root leaves the index the moment it
+// is freed. Caller holds the exclusive drive lock.
+func (d *Drive) dropLandmarksBelowFloor(o *object) {
 	kept := o.landmarks[:0]
 	for _, ln := range o.landmarks {
-		if ln.time < cut {
+		if ln.version <= o.floorVersion {
 			d.usage.ageOut(segOf(d.log, ln.root))
 			d.cache.drop(ln.root)
 			continue
@@ -948,6 +977,34 @@ func (d *Drive) markClean(o *object) {
 	d.dirtyMu.Lock()
 	delete(d.dirtyObjs, o.id)
 	d.dirtyMu.Unlock()
+}
+
+// walkChain visits o's retained journal chain newest sector first, from
+// the sector at from (o.jhead for the whole chain) through o.jtail
+// (sectors older than jtail were freed by the cleaner). fn sees each
+// sector's address, its backward link and its entries oldest-first, and
+// may stop the walk early. A sector that does not decode, or that
+// belongs to another object, ends the walk with an error. Caller holds
+// the exclusive drive lock: unlike the snapshot walkers of history.go,
+// this reads the object's live chain anchors.
+func (d *Drive) walkChain(o *object, from journal.SectorAddr, fn func(addr, prev journal.SectorAddr, entries []journal.Entry) (stop bool, err error)) error {
+	for addr := from; addr != journal.NilSector; {
+		obj, prev, entries, err := journal.ReadSector(d.log, addr)
+		if err != nil {
+			return fmt.Errorf("core: %v journal sector %d: %w", o.id, addr, err)
+		}
+		if obj != o.id {
+			return fmt.Errorf("core: %v journal sector %d owned by %v: %w", o.id, addr, obj, types.ErrCorrupt)
+		}
+		if stop, err := fn(addr, prev, entries); stop || err != nil {
+			return err
+		}
+		if addr == o.jtail {
+			break
+		}
+		addr = prev
+	}
+	return nil
 }
 
 // readJSector fetches one 512-byte journal sector by sub-block address.

@@ -130,17 +130,8 @@ func (d *Drive) walkEntriesSnap(s *objSnapshot, fn func(e *journal.Entry) (bool,
 	return nil
 }
 
-// inodeAtSnap reconstructs the snapshot's inode as of time at by
-// undoing entries younger than at, newest-first. The returned inode is
-// private to the caller. Caller holds the shared or exclusive drive
-// lock; no object lock is needed.
-func (d *Drive) inodeAtSnap(s *objSnapshot, at types.Timestamp) (*Inode, error) {
-	in, _, _, err := d.inodeAtSnapInterval(s, at)
-	return in, err
-}
-
-// inodeAtCached is inodeAtSnap behind the reconstruction cache. The
-// returned inode may be shared with other readers and must be treated
+// inodeAtCached is inodeAtSnapInterval behind the reconstruction cache.
+// The returned inode may be shared with other readers and must be treated
 // as read-only. The floor precheck runs before the cache lookup, so a
 // cached state whose interval straddles the (monotonically rising)
 // history floor can never serve an at that aging or Flush has since
@@ -160,11 +151,14 @@ func (d *Drive) inodeAtCached(s *objSnapshot, at types.Timestamp) (*Inode, error
 	return in, nil
 }
 
-// inodeAtSnapInterval is inodeAtSnap plus the reconstruction's validity
-// interval: the result is the object's state for every instant in
-// [from, to), which is what makes it memoizable (DESIGN.md §12.2). from
-// is the stop entry's time; to is the oldest undone entry's time, or
-// snapNow when nothing newer than at existed at snapshot time.
+// inodeAtSnapInterval reconstructs the snapshot's inode as of time at
+// by undoing entries younger than at, newest-first, and reports the
+// reconstruction's validity interval: the result is the object's state
+// for every instant in [from, to), which is what makes it memoizable
+// (DESIGN.md §12.2). from is the stop entry's time; to is the oldest
+// undone entry's time, or snapNow when nothing newer than at existed at
+// snapshot time. The returned inode is private to the caller. Caller
+// holds the shared or exclusive drive lock; no object lock is needed.
 func (d *Drive) inodeAtSnapInterval(s *objSnapshot, at types.Timestamp) (in *Inode, from, to types.Timestamp, err error) {
 	if at < s.floorTime {
 		return nil, 0, 0, fmt.Errorf("core: time %v predates retained history: %w", at, types.ErrNoVersion)
@@ -706,7 +700,7 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 			}
 			idx := e.FirstBlock + uint64(k)
 			raw := uint64(e.Old[k])
-			packed := seglog.BlockAddr(raw / journal.DeltaSlotsPerBlock)
+			packed, _ := splitDeltaRef(raw)
 			if !packedSeen[packed] {
 				packedSeen[packed] = true
 				packedGone = append(packedGone, packed)
@@ -971,16 +965,12 @@ func (d *Drive) mergeEntries(from, to *Inode, ver uint64, ts types.Timestamp) []
 // drive lock.
 func (d *Drive) rewriteChainLocked(o *object, entries []*journal.Entry) error {
 	// Free old sectors.
-	for addr := o.jhead; addr != journal.NilSector; {
-		_, prev, _, err := journal.ReadSector(d.log, addr)
-		if err != nil {
-			return err
-		}
+	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
 		d.unrefJSector(addr)
-		if addr == o.jtail {
-			break
-		}
-		addr = prev
+		return false, nil
+	})
+	if err != nil {
+		return err
 	}
 	o.jhead, o.jtail = journal.NilSector, journal.NilSector
 	o.jheadEntries = nil

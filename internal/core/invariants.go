@@ -8,16 +8,18 @@ import (
 	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
-	"s4/internal/vclock"
 )
 
 // CheckInvariants walks every durable structure the drive knows about —
-// object data blocks, inode checkpoints, journal chains, history blocks
-// inside the detection window, and audit blocks — and verifies that
+// object data blocks, inode checkpoints, journal chains, the history
+// pool (every block an entry above its object's floor pins — stricter
+// than the detection window: what has aged but the cleaner has not yet
+// released must still be there), and audit blocks — and verifies that
 // each referenced block is readable, decodes, and lives in a segment
 // the allocator still considers allocated. A reference into a freed
 // segment means the cleaner's deferred-reuse barrier (DESIGN.md §6) was
-// violated: the next append may clobber state recovery depends on.
+// violated: the next append may clobber state recovery depends on. It
+// also audits the usage table those decisions are made from.
 //
 // The torture harness runs this after every crash recovery; it is also
 // safe to call on a live drive (it takes the drive lock).
@@ -53,9 +55,6 @@ func (d *Drive) CheckInvariants() error {
 
 	for _, id := range ids {
 		o := d.objects[id]
-		// Retention policies can shorten an object's window; history
-		// beyond its effective cut is legitimately gone.
-		ageCut := vclock.TS(d.clk) - types.Timestamp(d.effectiveWindow(id))
 		if err := d.loadInode(o); err != nil {
 			return fmt.Errorf("core: %v inode unloadable: %w", id, err)
 		}
@@ -69,43 +68,33 @@ func (d *Drive) CheckInvariants() error {
 				return err
 			}
 		}
-		// Walk the retained journal chain; entries young enough to be
-		// inside the detection window must still reach their history
-		// blocks (the old-version data the entry's undo needs).
-		for addr := o.jhead; addr != journal.NilSector; {
-			if err := checkAddr(id, "journal sector", addr.Block()); err != nil {
-				return err
-			}
-			obj, prev, entries, err := journal.ReadSector(d.log, addr)
+		// Walk the retained journal chain; every entry above the floor
+		// must still reach its history blocks (the old-version data the
+		// entry's undo needs).
+		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
+			err := checkAddr(id, "journal sector", addr.Block())
 			if err != nil {
-				return fmt.Errorf("core: %v journal sector %d undecodable: %v: %w", id, addr, err, types.ErrCorrupt)
-			}
-			if obj != id {
-				return fmt.Errorf("core: %v journal sector %d owned by %v: %w", id, addr, obj, types.ErrCorrupt)
+				return true, err
 			}
 			for i := range entries {
 				e := &entries[i]
-				if e.Time < ageCut || e.Version <= o.floorVersion {
-					continue // aged out; its history blocks may be gone
+				if e.Version <= o.floorVersion {
+					continue // released; its history blocks may be gone
 				}
-				for k, old := range e.Old {
-					a, what := old, "history block"
-					if old != seglog.NilAddr && e.DeltaMask&(1<<uint(k)) != 0 {
-						// A masked slot stores packed*SlotsPerRef+slot; the
-						// block that must stay reachable is the shared
-						// packed delta block.
-						a = seglog.BlockAddr(uint64(old) / journal.DeltaSlotsPerBlock)
+				poolBlocks(e, func(a seglog.BlockAddr, packed bool) {
+					what := "history block"
+					if packed {
 						what = "packed delta block"
 					}
-					if err := checkAddr(id, what, a); err != nil {
-						return err
+					if err == nil {
+						err = checkAddr(id, what, a)
 					}
-				}
+				})
 			}
-			if addr == o.jtail {
-				break
-			}
-			addr = prev
+			return false, err
+		})
+		if err != nil {
+			return err
 		}
 	}
 
@@ -121,10 +110,37 @@ func (d *Drive) CheckInvariants() error {
 	if err := d.checkLandmarksLocked(false); err != nil {
 		return err
 	}
+	if err := d.checkUsageLocked(); err != nil {
+		return err
+	}
 
 	// Loading every inode may have blown past the object cache budget;
 	// trim back down so a live caller's cache stays bounded.
 	return d.evictColdLocked()
+}
+
+// checkUsageLocked audits the segment usage table: no counter is
+// negative, a free segment holds nothing, and the pool totals the
+// throttle reads are the per-segment sums. A segment driven below zero
+// later absorbs real blocks while reading empty, and is reclaimed with
+// them inside.
+func (d *Drive) checkUsageLocked() error {
+	var liveSum, histSum int64
+	for seg := int64(0); seg < d.log.NumSegments(); seg++ {
+		live, hist := d.usage.occupancy(seg)
+		if live < 0 || hist < 0 {
+			return fmt.Errorf("core: segment %d usage negative (live %d, hist %d): %w", seg, live, hist, types.ErrCorrupt)
+		}
+		if (live != 0 || hist != 0) && d.log.IsFree(seg) {
+			return fmt.Errorf("core: free segment %d counts live %d, hist %d: %w", seg, live, hist, types.ErrCorrupt)
+		}
+		liveSum += int64(live)
+		histSum += int64(hist)
+	}
+	if l, h := d.usage.liveBlocks(), d.usage.historyBlocks(); l != liveSum || h != histSum {
+		return fmt.Errorf("core: usage totals live %d, hist %d; segments sum to %d, %d: %w", l, h, liveSum, histSum, types.ErrCorrupt)
+	}
+	return nil
 }
 
 // CheckLandmarks verifies the landmark index (DESIGN.md §12.1) against
@@ -134,7 +150,7 @@ func (d *Drive) CheckInvariants() error {
 // object and version inside an allocated segment, and the index must be
 // sorted ascending by time. With requireComplete (the torture harness
 // uses this right after recovery) the converse is enforced too: every
-// chain checkpoint entry inside the detection window whose root still
+// chain checkpoint entry above the object's floor whose root still
 // validates must be indexed. A live drive cannot require completeness —
 // data-block relocation legitimately drops landmarks while their chain
 // entries remain behind as tombstones until recovery revalidates them.
@@ -148,19 +164,9 @@ func (d *Drive) CheckLandmarks(requireComplete bool) error {
 }
 
 func (d *Drive) checkLandmarksLocked(requireComplete bool) error {
-	buf := make([]byte, seglog.BlockSize)
 	validRoot := func(id types.ObjectID, version uint64, root seglog.BlockAddr) bool {
-		if root == seglog.NilAddr {
-			return false
-		}
-		if seg := d.log.SegOf(root); seg < 0 || d.log.IsFree(seg) {
-			return false
-		}
-		if err := d.log.Read(root, buf); err != nil {
-			return false
-		}
-		in, _, err := decodeInodeRoot(d.log, buf)
-		return err == nil && in.ID == id && in.Version == version
+		seg := segOf(d.log, root)
+		return seg >= 0 && !d.log.IsFree(seg) && d.landmarkRootValid(id, version, root)
 	}
 
 	ids := make([]types.ObjectID, 0, len(d.objects))
@@ -175,28 +181,20 @@ func (d *Drive) checkLandmarksLocked(requireComplete bool) error {
 	}
 	for _, id := range ids {
 		o := d.objects[id]
-		ageCut := vclock.TS(d.clk) - types.Timestamp(d.effectiveWindow(id))
 		found := make(map[lmKey]journal.SectorAddr)
 		for _, e := range o.pending {
 			if e.Type == journal.EntCheckpoint {
 				found[lmKey{e.Version, e.InodeAddr}] = journal.NilSector
 			}
 		}
-		for addr := o.jhead; addr != journal.NilSector; {
-			obj, prev, entries, err := journal.ReadSector(d.log, addr)
-			if err != nil {
-				return fmt.Errorf("core: %v journal sector %d undecodable: %v: %w", id, addr, err, types.ErrCorrupt)
-			}
-			if obj != id {
-				return fmt.Errorf("core: %v journal sector %d owned by %v: %w", id, addr, obj, types.ErrCorrupt)
-			}
+		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 			for i := range entries {
 				e := &entries[i]
 				if e.Type != journal.EntCheckpoint {
 					continue
 				}
 				found[lmKey{e.Version, e.InodeAddr}] = addr
-				if requireComplete && e.Time >= ageCut && validRoot(id, e.Version, e.InodeAddr) {
+				if requireComplete && e.Version > o.floorVersion && validRoot(id, e.Version, e.InodeAddr) {
 					indexed := false
 					for _, ln := range o.landmarks {
 						if ln.version == e.Version && ln.root == e.InodeAddr {
@@ -205,14 +203,14 @@ func (d *Drive) checkLandmarksLocked(requireComplete bool) error {
 						}
 					}
 					if !indexed {
-						return fmt.Errorf("core: %v checkpoint v%d at sector %d missing from landmark index: %w", id, e.Version, addr, types.ErrCorrupt)
+						return true, fmt.Errorf("core: %v checkpoint v%d at sector %d missing from landmark index: %w", id, e.Version, addr, types.ErrCorrupt)
 					}
 				}
 			}
-			if addr == o.jtail {
-				break
-			}
-			addr = prev
+			return false, nil
+		})
+		if err != nil {
+			return err
 		}
 		var prevTime types.Timestamp
 		for _, ln := range o.landmarks {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	stdlog "log"
+	"math"
 	"sort"
 	"time"
 
@@ -32,6 +34,15 @@ import (
 //     segment index and apply only the deltas the replayed tail
 //     implies. Any defect in the index degrades to the full scan; the
 //     torture battery proves both paths produce identical state.
+//
+// Either way recovery is a function of the image alone. A deprecated
+// block is in the history pool iff a retained journal entry above its
+// object's floor pins it (poolBlocks), or it is the validated landmark
+// root of such an entry, or it is a final block of a deleted object not
+// yet reaped — which is the state the drive was in when it stopped.
+// What has left the detection window since is for the first cleaner
+// pass to decide: only the cleaner moves a floor, so only the cleaner
+// releases history, once.
 
 const imapMagic = 0x53344D50 // "S4MP"
 
@@ -270,7 +281,6 @@ func (d *Drive) recover() error {
 	}
 	idx := d.loadSegIndex(idxBlob, ok)
 	if idx != nil {
-		d.stats.IndexLoads++
 		d.preloadSegIndex(idx)
 	}
 	if d.recSumCover == nil {
@@ -306,25 +316,28 @@ func (d *Drive) recover() error {
 		return err
 	}
 	// The roll-forward rebuilt the policy table object (if any) like
-	// every other object; decode it before the usage rebuild so per-
-	// object Window overrides classify history with the same cut the
-	// cleaner used at runtime (DESIGN.md §16). The object is created
-	// lazily by the first SetPolicy, so pre-upgrade images open
-	// unchanged.
+	// every other object. It is created lazily by the first SetPolicy,
+	// so pre-upgrade images open unchanged.
 	if err := d.loadPoliciesLocked(); err != nil {
 		return err
 	}
 	if idx != nil {
-		err = d.finishIndexedRecovery(idx)
-	} else {
-		// Recount usage from scratch.
+		if err = d.finishIndexedRecovery(idx, visited); errors.Is(err, errIndexStale) {
+			idx = d.rejectSegIndex(err.Error())
+		}
+	}
+	if idx == nil {
 		err = d.recountUsage()
+	} else if err == nil {
+		d.stats.IndexLoads++
 	}
 	if err != nil {
 		return err
 	}
-	// Both paths end with aging unscheduled and the landmark index
-	// reconverged with what is actually in each chain.
+	// Both paths end with the landmark index reconverged with what is
+	// actually in each chain and with aging unscheduled, so the first
+	// cleaner pass visits every object: that pass, not this function,
+	// releases whatever left the window while the drive was down.
 	for _, o := range d.objects {
 		o.nextAge = 0
 		o.lmReset = false
@@ -332,6 +345,14 @@ func (d *Drive) recover() error {
 	d.recPreJhead, d.recSnapVer, d.recTouched, d.recSumCover, d.recDrop = nil, nil, nil, nil, nil
 	// Evict down to the configured object-cache budget.
 	return d.evictColdLocked()
+}
+
+// rejectSegIndex records one fallback from the persisted segment index
+// to the full scan, and why.
+func (d *Drive) rejectSegIndex(why string) *segIndex {
+	d.stats.IndexFallbacks++
+	stdlog.Printf("core: %s; falling back to full-scan recovery", why)
+	return nil
 }
 
 // loadSegIndex decides whether recovery may anchor at the persisted
@@ -343,24 +364,19 @@ func (d *Drive) loadSegIndex(idxBlob []byte, haveCP bool) *segIndex {
 	if !haveCP || d.opts.DisableSegIndex {
 		return nil
 	}
-	reject := func(why string) *segIndex {
-		d.stats.IndexFallbacks++
-		stdlog.Printf("core: %s; falling back to full-scan recovery", why)
-		return nil
-	}
 	if idxBlob == nil {
-		return reject("checkpoint carries no segment index")
+		return d.rejectSegIndex("checkpoint carries no segment index")
 	}
 	idx, err := decodeSegIndex(idxBlob, d.log.NumSegments())
 	if err != nil {
-		return reject(fmt.Sprintf("segment index rejected (%v)", err))
+		return d.rejectSegIndex(fmt.Sprintf("segment index rejected (%v)", err))
 	}
 	if len(idx.objects) != len(d.objects) {
-		return reject("segment index object set differs from object map")
+		return d.rejectSegIndex("segment index object set differs from object map")
 	}
 	for id := range d.objects {
 		if _, ok := idx.objects[id]; !ok {
-			return reject("segment index object set differs from object map")
+			return d.rejectSegIndex("segment index object set differs from object map")
 		}
 	}
 	return idx
@@ -442,29 +458,14 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 	// state. Everything synced before the checkpoint is covered, so a
 	// re-synced old sector always vets clean; the poison floor is a
 	// version for the same reason — spared prefixes stay spared.
-	poison := d.recDrop[id]
-	vet := -1
-	for i := range entries {
-		e := &entries[i]
-		if (poison != 0 && e.Version >= poison) || !d.entryDurable(e) {
-			vet = i
-			break
-		}
+	entries, err := d.vetSector(addr, prev, id, entries, math.MaxUint64)
+	if err != nil {
+		return err
 	}
-	if vet >= 0 {
-		if v := entries[vet].Version; poison == 0 || v < poison {
-			d.recDrop[id] = v
-		}
-		d.stats.RecoveryTruncations++
-		if err := d.truncateJournalSector(addr, prev, id, entries, vet); err != nil {
-			return err
-		}
-		entries = entries[:vet]
-		if len(entries) == 0 {
-			// The whole sector was un-durable tail: it is an empty slot
-			// now and never joins the chain.
-			return nil
-		}
+	if len(entries) == 0 {
+		// The whole sector was un-durable tail: it is an empty slot
+		// now and never joins the chain.
+		return nil
 	}
 	// Materialize the inode: from its checkpoint, from the chain the
 	// object map already links (journal-complete objects skip
@@ -489,8 +490,8 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 		return nil
 	}
 	if d.recTouched != nil {
-		// Indexed recovery: pass A walks this object's post-checkpoint
-		// tail once the scan has fully relinked it.
+		// Indexed recovery: accountReplayTail walks this object's post-
+		// checkpoint tail once the scan has fully relinked it.
 		d.recTouched[id] = true
 	}
 	for i := range entries {
@@ -517,6 +518,27 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 	return nil
 }
 
+// vetSector cuts the unacknowledged suffix out of one journal sector:
+// everything from the first entry that is above maxVersion, at or above
+// the object's poison floor, or not durable (entryDurable). The cut
+// lowers the poison floor to that entry's version and is erased from
+// the media; the entries that stay are returned.
+func (d *Drive) vetSector(addr, prev journal.SectorAddr, id types.ObjectID, entries []journal.Entry, maxVersion uint64) ([]journal.Entry, error) {
+	poison := d.recDrop[id]
+	for i := range entries {
+		e := &entries[i]
+		if e.Version <= maxVersion && (poison == 0 || e.Version < poison) && d.entryDurable(e) {
+			continue
+		}
+		if poison == 0 || e.Version < poison {
+			d.recDrop[id] = e.Version
+		}
+		d.stats.RecoveryTruncations++
+		return entries[:i], d.truncateJournalSector(addr, prev, id, entries, i)
+	}
+	return entries, nil
+}
+
 // entryDurable reports whether every block a journal entry introduces
 // is covered by its segment's durable summary. An uncovered pointer
 // means the crash cut the flush between the in-place journal rewrite
@@ -529,21 +551,20 @@ func (d *Drive) entryDurable(e *journal.Entry) bool {
 			return false
 		}
 	}
-	// A masked Old slot points into a packed delta block written by the
-	// same flush; replaying the entry without it would leave history
-	// chains referencing bytes that never became durable.
-	if e.DeltaMask != 0 {
-		for k, old := range e.Old {
-			if e.DeltaMask&(1<<uint(k)) != 0 &&
-				!d.recCovered(seglog.BlockAddr(uint64(old)/journal.DeltaSlotsPerBlock)) {
-				return false
-			}
-		}
-	}
 	if e.Type == journal.EntCheckpoint && e.InodeAddr != seglog.NilAddr && !d.recCovered(e.InodeAddr) {
 		return false
 	}
-	return true
+	// A packed delta block is written by the same flush as the entry
+	// whose masked Old slots point into it; replaying the entry without
+	// it would leave history chains referencing bytes that never became
+	// durable.
+	durable := true
+	poolBlocks(e, func(a seglog.BlockAddr, packed bool) {
+		if packed && !d.recCovered(a) {
+			durable = false
+		}
+	})
+	return durable
 }
 
 // truncateJournalSector rewrites the journal sector at addr keeping
@@ -600,22 +621,7 @@ func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
 			// sector will report it; vetting has nothing to cut.
 			continue
 		}
-		limit := o.nextVersion - 1
-		vet := -1
-		for i := range entries {
-			if entries[i].Version > limit || !d.entryDurable(&entries[i]) {
-				vet = i
-				break
-			}
-		}
-		if vet < 0 {
-			continue
-		}
-		if v := entries[vet].Version; d.recDrop[id] == 0 || v < d.recDrop[id] {
-			d.recDrop[id] = v
-		}
-		d.stats.RecoveryTruncations++
-		if err := d.truncateJournalSector(o.jhead, prev, id, entries, vet); err != nil {
+		if _, err := d.vetSector(o.jhead, prev, id, entries, o.nextVersion-1); err != nil {
 			return err
 		}
 	}
@@ -645,21 +651,19 @@ func (d *Drive) recoverAuditBlock(addr seglog.BlockAddr, firstSeq uint64, lastTi
 	}
 }
 
-// recountUsage rebuilds per-segment live/history counters and the
-// chain-sector index by classifying every on-disk block against the
-// recovered object map.
+// recountUsage rebuilds per-segment live/history counters, the
+// chain-sector index and every landmark index by classifying every
+// on-disk block against the recovered object map. It is the reference
+// the indexed path is diffed against and the fallback it degrades to,
+// so it starts from nothing: whatever a preloaded index installed is
+// overwritten.
 func (d *Drive) recountUsage() error {
 	d.usage.reset()
 	d.jblockRef = make(map[seglog.BlockAddr]int)
 	d.jstageAddr, d.jstageUsed = seglog.NilAddr, 0
 
 	live := make(map[seglog.BlockAddr]bool)
-	// Blocks deprecated inside their owner's detection window — per-
-	// object retention policies can override the drive window, so
-	// membership is decided here, per object, not in the sweep below.
 	hist := make(map[seglog.BlockAddr]bool)
-	now := d.clk.Now()
-
 	for _, r := range d.auditBlocks {
 		live[r.addr] = true
 	}
@@ -667,12 +671,9 @@ func (d *Drive) recountUsage() error {
 		if err := d.loadInode(o); err != nil {
 			return err
 		}
-		ageCut := types.TS(now.Add(-d.effectiveWindow(o.id)))
 		for _, a := range o.ino.blocks {
 			if o.ino.Deleted {
-				if o.ino.DeadTime >= ageCut {
-					hist[a] = true
-				}
+				hist[a] = true // until the cleaner reaps the object
 			} else {
 				live[a] = true
 			}
@@ -681,67 +682,43 @@ func (d *Drive) recountUsage() error {
 			live[a] = true
 		}
 		// Walk the chain: in-chain sectors keep their shared journal
-		// blocks live; entry Old pointers carry deprecation times, and
-		// checkpoint entries rebuild the landmark index.
-		for addr := o.jhead; addr != journal.NilSector; {
+		// blocks live, entries above the floor pin their Old blocks, and
+		// checkpoint entries above it rebuild the landmark index.
+		o.landmarks = nil
+		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 			live[addr.Block()] = true
 			d.jblockRef[addr.Block()]++
-			_, prev, entries, err := journal.ReadSector(d.log, addr)
-			if err != nil {
-				return err
-			}
 			d.recReplay += int64(len(entries))
 			for i := range entries {
 				e := &entries[i]
+				// Entries at or below the floor released their Old blocks
+				// long ago; the blocks may since have been recycled into
+				// other objects' data, so a stale below-floor pointer must
+				// not mark the current owner's block as history.
+				if e.Version <= o.floorVersion {
+					continue
+				}
 				if e.Type == journal.EntCheckpoint {
-					d.recoverLandmark(o, e, addr, hist, ageCut)
+					if d.adoptLandmark(o, e, addr) {
+						hist[e.InodeAddr] = true
+					}
 					continue
 				}
-				// Entries at or below the aging floor released their Old
-				// blocks long ago; the blocks may since have been recycled
-				// into other objects' data, so a stale below-floor pointer
-				// must not mark the current owner's block as history (which
-				// object's walk ran last is map order — without the floor
-				// check the recount itself would be nondeterministic).
-				if e.Version <= o.floorVersion || e.Time < ageCut {
-					continue
-				}
-				for k, old := range e.Old {
-					if old == seglog.NilAddr {
-						continue
-					}
-					if e.DeltaMask&(1<<uint(k)) != 0 {
-						// A packed-slot reference: the deprecated block is
-						// the shared packed delta block (slots coalesce).
-						hist[seglog.BlockAddr(uint64(old)/journal.DeltaSlotsPerBlock)] = true
-						continue
-					}
-					hist[old] = true
-				}
+				poolBlocks(e, func(a seglog.BlockAddr, _ bool) { hist[a] = true })
 			}
-			if addr == o.jtail {
-				break
-			}
-			addr = prev
-		}
-		// The walk visits sectors newest-first (entries within each
-		// oldest-first); restore the index's ascending-by-time order.
-		sort.Slice(o.landmarks, func(i, j int) bool {
-			if o.landmarks[i].time != o.landmarks[j].time {
-				return o.landmarks[i].time < o.landmarks[j].time
-			}
-			return o.landmarks[i].version < o.landmarks[j].version
+			return false, nil
 		})
+		if err != nil {
+			return err
+		}
+		sortLandmarks(o.landmarks)
 	}
 
 	nSeg := d.log.NumSegments()
 	for seg := int64(0); seg < nSeg; seg++ {
-		sum, ok, err := d.log.ReadSummary(seg)
+		sum, _, err := d.log.ReadSummary(seg)
 		if err != nil {
 			return err
-		}
-		if !ok {
-			continue
 		}
 		counted := false
 		for i := range sum.Entries {
@@ -755,7 +732,7 @@ func (d *Drive) recountUsage() error {
 				d.usage.deprecate(seg)
 				counted = true
 			default:
-				// Aged history, superseded checkpoints, or blocks
+				// Released history, superseded checkpoints, or blocks
 				// orphaned by a crash: dead.
 			}
 		}
@@ -770,162 +747,83 @@ func (d *Drive) recountUsage() error {
 	return nil
 }
 
-// recoverLandmark accounts one chain EntCheckpoint and rebuilds its
-// landmark index entry. The root is validated before either: data-block
-// relocation frees checkpoint roots but leaves the chain entry behind
-// as a tombstone, so a recorded address may now hold reused-segment
-// bytes (decode fails or names another object/version — skip) or the
-// original root intact (resurrect it; it is self-consistent and ages
-// out with its entry like any other).
-func (d *Drive) recoverLandmark(o *object, e *journal.Entry, sector journal.SectorAddr, hist map[seglog.BlockAddr]bool, ageCut types.Timestamp) {
-	if e.Time < ageCut || e.InodeAddr == seglog.NilAddr {
-		return // aged out: the root, if any survives, is dead weight
+// adoptLandmark indexes one chain EntCheckpoint entry if it is above
+// the floor and its root still validates, and reports whether it did.
+// An intact tombstone root is resurrected this way: it is
+// self-consistent and leaves the pool with its entry like any other.
+func (d *Drive) adoptLandmark(o *object, e *journal.Entry, sector journal.SectorAddr) bool {
+	if e.Version <= o.floorVersion || !d.landmarkRootValid(o.id, e.Version, e.InodeAddr) {
+		return false
 	}
-	root := make([]byte, seglog.BlockSize)
-	if err := d.log.Read(e.InodeAddr, root); err != nil {
-		return
-	}
-	in, _, err := decodeInodeRoot(d.log, root)
-	if err != nil || in.ID != o.id || in.Version != e.Version {
-		return
-	}
-	hist[e.InodeAddr] = true
-	o.landmarks = append(o.landmarks, landmark{
-		time:    e.Time,
-		version: e.Version,
-		root:    e.InodeAddr,
-		sector:  sector,
-	})
+	o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, root: e.InodeAddr, sector: sector})
+	return true
 }
 
 // ---- Indexed recovery (DESIGN.md §14) ----
 //
 // The preloaded counters are exact for everything durable at the
-// checkpoint; the passes below apply only what changed since: the
-// replayed chain tails, aging that came due, and landmark-index
+// checkpoint, floors included; what is left is to apply what the
+// replayed chain tails changed and to redo the landmark-index
 // maintenance the runtime had performed in memory only. Every rule
 // mirrors a recountUsage classification — the recovery-equivalence
 // battery in internal/torture diffs the two paths' full state.
 
+// errIndexStale reports that the replayed tail refers to state the
+// segment index cannot describe; recover() then falls back to the full
+// recount.
+var errIndexStale = errors.New("segment index stale")
+
 // finishIndexedRecovery replaces recountUsage when recovery anchored at
-// a persisted segment index.
-func (d *Drive) finishIndexedRecovery(idx *segIndex) error {
-	now := d.clk.Now()
-	nowTS := types.TS(now)
-	// Per-object cut: a retention policy's Window override ages that
-	// object on its own clock (matching ageObjectLocked and the full
-	// recount's per-object classification).
-	cutFor := func(id types.ObjectID) types.Timestamp {
-		return types.TS(now.Add(-d.effectiveWindow(id)))
+// a persisted segment index. visited holds the segments the roll-
+// forward scan found written after the checkpoint.
+func (d *Drive) finishIndexedRecovery(idx *segIndex, visited map[int64]bool) error {
+	// postCP reports whether a block was appended after the checkpoint:
+	// anywhere in a segment opened since, or past the checkpoint-time
+	// fill of the segment that was open then.
+	postCP := func(a seglog.BlockAddr) bool {
+		seg := segOf(d.log, a)
+		if seg == idx.openSeg {
+			return int64(a)-int64(d.log.EntryAt(seg, 0)) >= int64(idx.openUsed)
+		}
+		return visited[seg]
 	}
-
-	ids := make([]types.ObjectID, 0, len(d.objects))
-	for id := range d.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	// Pass A: account each object's post-checkpoint chain tail. Two
-	// kinds of object can carry one: objects whose chains the scan
-	// advanced, and objects whose checkpoint-time head sector sits in
-	// the segment that was open when the checkpoint was taken — the
-	// head-merge flush path rewrites that sector in place, so it can
-	// hold entries the checkpoint never saw without any summary update
-	// the scan would notice.
-	settled := make(map[types.ObjectID]bool, len(d.recTouched))
-	for _, id := range ids {
-		o := d.objects[id]
-		if !d.recTouched[id] {
-			pre, ok := d.recPreJhead[id]
-			if !ok || pre == journal.NilSector || idx.openSeg < 0 ||
-				segOf(d.log, pre.Block()) != idx.openSeg {
-				continue
+	for id, o := range d.objects {
+		// Account the post-checkpoint chain tail. Two kinds of object can
+		// carry one: objects whose chains the scan advanced, and objects
+		// whose checkpoint-time head sector sits in the segment that was
+		// open when the checkpoint was taken — the head-merge flush path
+		// rewrites that sector in place, so it can hold entries the
+		// checkpoint never saw without any summary update the scan would
+		// notice.
+		pre := d.recPreJhead[id]
+		if d.recTouched[id] || (pre != journal.NilSector && idx.openSeg >= 0 && segOf(d.log, pre.Block()) == idx.openSeg) {
+			if err := d.accountReplayTail(o, postCP); err != nil {
+				return err
 			}
 		}
-		if err := d.accountReplayTail(o, cutFor(id)); err != nil {
-			return err
-		}
-		settled[id] = true
-	}
-
-	// Pass B: re-derive aging with today's cut. The persisted nextAge
-	// hint is the earliest instant anything retained could age; before
-	// it, the checkpoint-time classification still holds and the walk
-	// is skipped — this is what keeps an idle-drive open O(index).
-	for _, id := range ids {
-		o := d.objects[id]
-		oi := idx.objects[id]
-		if oi == nil {
-			continue // born after the checkpoint: pass A covered it
-		}
-		if oi.nextAge != 0 && nowTS < oi.nextAge {
-			continue
-		}
-		if err := d.agingCorrection(o, cutFor(id), settled[id]); err != nil {
-			return err
-		}
-	}
-
-	// Pass C: drop landmarks whose entries left the window. Their roots
-	// were validated when persisted and the deferred-reuse barrier kept
-	// them intact, so only the time bound matters here.
-	for _, id := range ids {
-		o := d.objects[id]
-		cut := cutFor(id)
-		kept := o.landmarks[:0]
-		for _, ln := range o.landmarks {
-			if ln.time < cut {
-				d.usage.ageOut(segOf(d.log, ln.root))
-				continue
-			}
-			kept = append(kept, ln)
-		}
-		o.landmarks = kept
-	}
-
-	// Pass D: objects flagged lmReset lost their landmark index
-	// wholesale to a compaction since the persisted snapshot; re-walk
-	// their chains for intact checkpoint roots exactly as the full
-	// recount would re-index them.
-	for _, id := range ids {
-		oi := idx.objects[id]
-		if oi == nil || !oi.lmReset {
-			continue
-		}
-		o := d.objects[id]
-		snapVer := d.recSnapVer[id]
-		cut := cutFor(id)
-		for addr := o.jhead; addr != journal.NilSector; {
-			_, prev, entries, err := journal.ReadSector(d.log, addr)
+		// An object flagged lmReset lost its landmark index wholesale to
+		// a compaction since the persisted snapshot; re-walk its chain
+		// for intact checkpoint roots exactly as the full recount would
+		// re-index them.
+		if oi := idx.objects[id]; oi != nil && oi.lmReset {
+			snapVer := d.recSnapVer[id]
+			err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
+				d.recReplay += int64(len(entries))
+				for i := range entries {
+					if e := &entries[i]; e.Type == journal.EntCheckpoint && e.Version <= snapVer {
+						d.accountReplayLandmark(o, e, addr)
+					}
+				}
+				return false, nil
+			})
 			if err != nil {
 				return err
 			}
-			d.recReplay += int64(len(entries))
-			for i := range entries {
-				e := &entries[i]
-				if e.Type == journal.EntCheckpoint && e.Version <= snapVer {
-					d.accountReplayEntry(o, e, addr, cut)
-				}
-			}
-			if addr == o.jtail {
-				break
-			}
-			addr = prev
 		}
+		sortLandmarks(o.landmarks)
 	}
 
-	// The walks append newest-first; restore ascending-by-time order.
-	for _, id := range ids {
-		o := d.objects[id]
-		sort.Slice(o.landmarks, func(i, j int) bool {
-			if o.landmarks[i].time != o.landmarks[j].time {
-				return o.landmarks[i].time < o.landmarks[j].time
-			}
-			return o.landmarks[i].version < o.landmarks[j].version
-		})
-	}
-
-	// Segments the corrections emptied return to the allocator, as the
+	// Segments the tail emptied return to the allocator, as the
 	// recount's sweep would have left them.
 	nSeg := d.log.NumSegments()
 	for seg := int64(0); seg < nSeg; seg++ {
@@ -948,12 +846,12 @@ func (d *Drive) finishIndexedRecovery(idx *segIndex) error {
 // the object's checkpoint-time state by undoing them from the final
 // inode: intermediate delete/revive pairs are net-zero (a deleted
 // object admits no other mutation), so only the boundary states matter.
-func (d *Drive) accountReplayTail(o *object, ageCut types.Timestamp) error {
+func (d *Drive) accountReplayTail(o *object, postCP func(seglog.BlockAddr) bool) error {
 	preJhead := d.recPreJhead[o.id]
 	snapVer := d.recSnapVer[o.id]
 	hitPre := preJhead == journal.NilSector
 	var tail []journal.Entry // entries above snapVer, newest-first
-	for addr := o.jhead; addr != journal.NilSector; {
+	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 		atPre := addr == preJhead
 		if !atPre {
 			// A sector the checkpoint had not seen: its shared journal
@@ -966,17 +864,16 @@ func (d *Drive) accountReplayTail(o *object, ageCut types.Timestamp) error {
 				d.usage.liveBorn(segOf(d.log, blk))
 			}
 		}
-		_, prev, entries, err := journal.ReadSector(d.log, addr)
-		if err != nil {
-			return err
-		}
 		d.recReplay += int64(len(entries))
 		for i := len(entries) - 1; i >= 0; i-- {
 			e := &entries[i]
-			if e.Version > snapVer {
-				d.accountReplayEntry(o, e, addr, ageCut)
+			switch {
+			case e.Version > snapVer:
+				if e.Type == journal.EntCheckpoint {
+					d.accountReplayLandmark(o, e, addr)
+				}
 				tail = append(tail, *e)
-			} else if e.Type == journal.EntCheckpoint {
+			case e.Type == journal.EntCheckpoint:
 				// A pre-checkpoint landmark re-encountered on the walk:
 				// post-checkpoint chain relocation moved its sector;
 				// repoint the persisted index entry, as the relocation
@@ -988,21 +885,39 @@ func (d *Drive) accountReplayTail(o *object, ageCut types.Timestamp) error {
 				}
 			}
 		}
-		if atPre {
-			hitPre = true
-			break
+		hitPre = hitPre || atPre
+		return atPre, nil
+	})
+	if err != nil {
+		return err
+	}
+	// Blocks born inside the tail were never in the checkpoint counters.
+	tailNew := make(map[seglog.BlockAddr]bool)
+	for i := range tail {
+		for _, nw := range tail[i].New {
+			if nw != seglog.NilAddr {
+				tailNew[nw] = true
+			}
 		}
-		if addr == o.jtail {
-			break
+	}
+	// A block the tail retires that was appended after the checkpoint,
+	// yet that no tail entry bore, is a copy the cleaner relocated in
+	// memory only: the counters hold the original, which the crash
+	// orphaned, and no delta rule can say where it was. Rare (a crash
+	// between a relocating cleaner pass and its barrier checkpoint, on an
+	// object overwritten in between), so recount instead.
+	unborn := func(a seglog.BlockAddr) bool { return postCP(a) && !tailNew[a] }
+	for i := range tail {
+		if d.accountReplayEntry(&tail[i], unborn) {
+			return fmt.Errorf("%w: %v v%d retires a block relocated after the checkpoint", errIndexStale, o.id, tail[i].Version)
 		}
-		addr = prev
 	}
 	if !hitPre {
 		// The walk never reached the old head: a post-checkpoint
 		// relocation replaced the whole pre-checkpoint chain with
 		// copies (already counted above as new sectors), so the
 		// original sectors the preload counted are orphans now.
-		for addr := preJhead; addr != journal.NilSector; {
+		err := d.walkChain(o, preJhead, func(addr, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
 			blk := addr.Block()
 			if d.jblockRef[blk] > 0 {
 				d.jblockRef[blk]--
@@ -1011,14 +926,10 @@ func (d *Drive) accountReplayTail(o *object, ageCut types.Timestamp) error {
 					d.usage.freeLive(segOf(d.log, blk))
 				}
 			}
-			_, prev, _, err := journal.ReadSector(d.log, addr)
-			if err != nil {
-				return err
-			}
-			if addr == o.jtail {
-				break
-			}
-			addr = prev
+			return false, nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	// Delete/revive settlement. Undoing the collected tail from the
@@ -1044,16 +955,7 @@ func (d *Drive) accountReplayTail(o *object, ageCut types.Timestamp) error {
 		// address through the packed header; one the tail's retention
 		// skip freed contributes nothing (the undo poisoned it and its
 		// address survives only in the entry's Dropped list, handled
-		// below). Blocks born inside the tail were never in the
-		// checkpoint counters, so they are excluded either way.
-		tailNew := make(map[seglog.BlockAddr]bool)
-		for i := range tail {
-			for _, nw := range tail[i].New {
-				if nw != seglog.NilAddr {
-					tailNew[nw] = true
-				}
-			}
-		}
+		// below). Blocks born inside the tail are excluded either way.
 		for _, a := range atC.blocks {
 			if isDeltaRef(a) {
 				a = d.origOfRef(uint64(a))
@@ -1072,106 +974,84 @@ func (d *Drive) accountReplayTail(o *object, ageCut types.Timestamp) error {
 	}
 	if o.ino.Deleted {
 		// The tail ends deleted: the final version's blocks leave live
-		// service — history while the delete is in-window, dead past it.
+		// service for the pool, where they wait for the reap.
 		for _, a := range o.ino.blocks {
-			if !d.recCovered(a) {
-				continue
-			}
-			if o.ino.DeadTime >= ageCut {
+			if d.recCovered(a) {
 				d.usage.deprecate(segOf(d.log, a))
-			} else {
-				d.usage.freeLive(segOf(d.log, a))
 			}
 		}
 	}
 	return nil
 }
 
-// accountReplayEntry applies one replayed entry's usage deltas: block
-// turnover splits on the window cut the way the recount sweep splits
-// depTime, and in-window checkpoint entries with intact roots join the
-// landmark index.
-func (d *Drive) accountReplayEntry(o *object, e *journal.Entry, addr journal.SectorAddr, ageCut types.Timestamp) {
-	switch e.Type {
-	case journal.EntCheckpoint:
-		if e.Time < ageCut || e.InodeAddr == seglog.NilAddr {
-			return
-		}
-		for i := range o.landmarks {
-			if o.landmarks[i].version == e.Version && o.landmarks[i].root == e.InodeAddr {
-				return // already indexed
-			}
-		}
-		if !d.landmarkRootValid(o, e) {
-			return
-		}
-		if d.recCovered(e.InodeAddr) {
-			seg := segOf(d.log, e.InodeAddr)
-			d.usage.liveBorn(seg)
-			d.usage.deprecate(seg) // history from birth, like any landmark root
-		}
-		o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, root: e.InodeAddr, sector: addr})
-	case journal.EntCreate, journal.EntDelete, journal.EntRevive:
-		// Create allocates nothing; delete/revive settle in closed form
-		// in accountReplayTail.
-	default:
-		var donePacked map[seglog.BlockAddr]bool
-		for k, old := range e.Old {
-			if old == seglog.NilAddr {
-				continue
-			}
-			if e.DeltaMask&(1<<uint(k)) != 0 {
-				// Conversion at runtime: the packed block was born into
-				// history, and each slot's original full block left live
-				// service. Packed blocks are entry-local, so every slot
-				// the header names belongs to this entry.
-				packed := seglog.BlockAddr(uint64(old) / journal.DeltaSlotsPerBlock)
-				if donePacked[packed] {
-					continue
-				}
-				if donePacked == nil {
-					donePacked = make(map[seglog.BlockAddr]bool)
-				}
-				donePacked[packed] = true
-				if !d.recCovered(packed) {
-					continue
-				}
-				seg := segOf(d.log, packed)
-				if e.Time >= ageCut {
-					d.usage.liveBorn(seg)
-					d.usage.deprecate(seg)
-				}
-				if origs := d.packedOrigs(packed); origs != nil {
-					for _, og := range origs {
-						a := seglog.BlockAddr(og)
-						if a != seglog.NilAddr && d.recCovered(a) {
-							d.usage.freeLive(segOf(d.log, a))
-						}
-					}
-				}
-				continue
-			}
-			if !d.recCovered(old) {
-				continue
-			}
-			if e.Time >= ageCut {
-				d.usage.deprecate(segOf(d.log, old))
-			} else {
-				d.usage.freeLive(segOf(d.log, old))
-			}
-		}
-		// Retention skips freed their outgoing blocks outright.
-		for _, dr := range e.Dropped {
-			if dr != seglog.NilAddr && d.recCovered(dr) {
-				d.usage.freeLive(segOf(d.log, dr))
-			}
-		}
-		for _, nw := range e.New {
-			if nw != seglog.NilAddr && d.recCovered(nw) {
-				d.usage.liveBorn(segOf(d.log, nw))
-			}
+// accountReplayLandmark indexes one checkpoint entry the persisted
+// landmark index does not hold, accounting its root as history from
+// birth like any landmark root.
+func (d *Drive) accountReplayLandmark(o *object, e *journal.Entry, sector journal.SectorAddr) {
+	for i := range o.landmarks {
+		if o.landmarks[i].version == e.Version && o.landmarks[i].root == e.InodeAddr {
+			return // already indexed
 		}
 	}
+	if d.adoptLandmark(o, e, sector) && d.recCovered(e.InodeAddr) {
+		seg := segOf(d.log, e.InodeAddr)
+		d.usage.liveBorn(seg)
+		d.usage.deprecate(seg)
+	}
+}
+
+// accountReplayEntry applies the block turnover of one replayed tail
+// entry (always above the floor, so everything it deprecates joins the
+// pool). It reports whether some block the entry retired from live
+// service is unborn as far as the index can tell — the caller then
+// abandons the indexed path, so the deltas already applied do not
+// matter.
+func (d *Drive) accountReplayEntry(e *journal.Entry, unborn func(seglog.BlockAddr) bool) (stale bool) {
+	switch e.Type {
+	case journal.EntCheckpoint, journal.EntCreate, journal.EntDelete, journal.EntRevive:
+		// Landmarks are indexed during the walk; create allocates
+		// nothing; delete/revive settle in closed form in
+		// accountReplayTail.
+		return false
+	}
+	retire := func(a seglog.BlockAddr, apply func(int64)) {
+		if a == seglog.NilAddr {
+			return
+		}
+		stale = stale || unborn(a)
+		if d.recCovered(a) {
+			apply(segOf(d.log, a))
+		}
+	}
+	poolBlocks(e, func(a seglog.BlockAddr, packed bool) {
+		if !packed {
+			retire(a, d.usage.deprecate)
+			return
+		}
+		// Conversion at runtime: the packed block was born into history,
+		// and each slot's original full block left live service. Packed
+		// blocks are entry-local, so every slot the header names belongs
+		// to this entry.
+		if !d.recCovered(a) {
+			return
+		}
+		seg := segOf(d.log, a)
+		d.usage.liveBorn(seg)
+		d.usage.deprecate(seg)
+		for _, og := range d.packedOrigs(a) {
+			retire(seglog.BlockAddr(og), d.usage.freeLive)
+		}
+	})
+	// Retention skips freed their outgoing blocks outright.
+	for _, dr := range e.Dropped {
+		retire(dr, d.usage.freeLive)
+	}
+	for _, nw := range e.New {
+		if nw != seglog.NilAddr && d.recCovered(nw) {
+			d.usage.liveBorn(segOf(d.log, nw))
+		}
+	}
+	return stale
 }
 
 // recCovered reports whether a block is listed in its segment's durable
@@ -1198,85 +1078,4 @@ func (d *Drive) recCovered(addr seglog.BlockAddr) bool {
 	}
 	i := int64(addr) - int64(d.log.EntryAt(seg, 0))
 	return i >= 0 && i < int64(n)
-}
-
-// agingCorrection applies, for one object that is due, the aging the
-// cleaner would have performed by now: retained pre-checkpoint entries
-// whose times left the window release their Old blocks, and an aged-out
-// delete releases the final version's blocks from the history pool.
-// settled reports whether pass A already ran the delete/revive
-// settlement for this object (which covers the aged-delete case).
-func (d *Drive) agingCorrection(o *object, ageCut types.Timestamp, settled bool) error {
-	if o.ino == nil {
-		if err := d.loadInode(o); err != nil {
-			return err
-		}
-	}
-	if !settled && o.ino.Deleted && o.ino.DeadTime != 0 && o.ino.DeadTime < ageCut {
-		// Not settled in pass A (a settled deleted object had its blocks
-		// classified there): recount would classify the final blocks
-		// dead. The reap itself still waits for a live cleaner pass, as
-		// it does after a full-scan open.
-		for _, a := range o.ino.blocks {
-			d.usage.ageOut(segOf(d.log, a))
-		}
-	}
-	snapVer := d.recSnapVer[o.id]
-	for addr := o.jhead; addr != journal.NilSector; {
-		_, prev, entries, err := journal.ReadSector(d.log, addr)
-		if err != nil {
-			return err
-		}
-		d.recReplay += int64(len(entries))
-		for i := range entries {
-			e := &entries[i]
-			// Tail entries were split on the cut in pass A; entries at
-			// or below the checkpoint-time floor were aged before the
-			// snapshot was taken; checkpoint entries are pass C's.
-			if e.Version > snapVer || e.Version <= o.floorVersion || e.Type == journal.EntCheckpoint {
-				continue
-			}
-			if e.Time >= ageCut {
-				continue
-			}
-			var donePacked map[seglog.BlockAddr]bool
-			for k, old := range e.Old {
-				if old == seglog.NilAddr {
-					continue
-				}
-				if e.DeltaMask&(1<<uint(k)) != 0 {
-					// The aged history block is the shared packed delta
-					// block; age it out once however many slots point in.
-					packed := seglog.BlockAddr(uint64(old) / journal.DeltaSlotsPerBlock)
-					if donePacked[packed] {
-						continue
-					}
-					if donePacked == nil {
-						donePacked = make(map[seglog.BlockAddr]bool)
-					}
-					donePacked[packed] = true
-					d.usage.ageOut(segOf(d.log, packed))
-					continue
-				}
-				d.usage.ageOut(segOf(d.log, old))
-			}
-		}
-		if addr == o.jtail {
-			break
-		}
-		addr = prev
-	}
-	return nil
-}
-
-// landmarkRootValid mirrors recoverLandmark's tombstone check: the
-// recorded address must still hold this object's checkpoint image at
-// exactly the entry's version.
-func (d *Drive) landmarkRootValid(o *object, e *journal.Entry) bool {
-	root := make([]byte, seglog.BlockSize)
-	if err := d.log.Read(e.InodeAddr, root); err != nil {
-		return false
-	}
-	in, _, err := decodeInodeRoot(d.log, root)
-	return err == nil && in.ID == o.id && in.Version == e.Version
 }

@@ -283,3 +283,139 @@ func TestRecoveryLargeObjectWithOverflowCheckpoint(t *testing.T) {
 	}
 	_ = e.d.Close()
 }
+
+// TestRestartDoesNotDoubleAge pins the one-owner rule for the history
+// pool: history that left the window while the drive was down is still
+// history after Open (recovery never reads the clock), and the first
+// cleaner pass releases it exactly once. A recovery that ages by the
+// clock without raising the floor lets that pass release the same
+// blocks again: HistoryBlocks goes 9 -> 0 -> -9, and the negative
+// counter can never re-enter the segment index.
+func TestRestartDoesNotDoubleAge(t *testing.T) {
+	modes := []struct {
+		name         string
+		checkpoint   bool
+		disableIndex bool
+	}{
+		{"indexed", true, false},
+		{"full-scan", true, true},
+		{"no-checkpoint", false, false},
+	}
+	for _, m := range modes {
+		m := m
+		t.Run(m.name, func(t *testing.T) {
+			e := newTestDrive(t)
+			id := e.create(alice)
+			for i := 0; i < 10; i++ {
+				e.write(alice, id, 0, bytes.Repeat([]byte{byte('a' + i)}, types.BlockSize))
+			}
+			if err := e.d.Sync(alice); err != nil {
+				t.Fatal(err)
+			}
+			if m.checkpoint {
+				if err := e.d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := e.d.Status().HistoryBlocks; got != 9 {
+				t.Fatalf("before the restart HistoryBlocks = %d, want 9", got)
+			}
+			e.clk.Advance(2 * time.Hour) // window is 1h: all nine aged while down
+			e.d.opts.DisableSegIndex = m.disableIndex
+			e.reopen()
+			if got := e.d.Status().HistoryBlocks; got != 9 {
+				t.Errorf("after Open HistoryBlocks = %d, want 9 (only the cleaner ages)", got)
+			}
+			if _, err := e.d.CleanOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.d.Status().HistoryBlocks; got != 0 {
+				t.Errorf("after Open + CleanOnce HistoryBlocks = %d, want 0", got)
+			}
+			// CheckInvariants audits the usage table: no counter negative.
+			if err := e.d.CheckInvariants(); err != nil {
+				t.Errorf("after Open + CleanOnce: %v", err)
+			}
+			// The cleaned state must be able to re-enter the index.
+			if err := e.d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			e.d.opts.DisableSegIndex = false
+			e.reopen()
+			if st := e.d.DriveStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+				t.Errorf("reopen after the cleaned checkpoint: IndexLoads=%d IndexFallbacks=%d, want 1/0",
+					st.IndexLoads, st.IndexFallbacks)
+			}
+			if got := e.read(alice, id, 0, 1, types.TimeNowest); got[0] != 'j' {
+				t.Errorf("current version reads %q, want 'j'", got)
+			}
+		})
+	}
+}
+
+// TestInWindowHistorySurvivesRestartAndReuse is the data-loss end of
+// the same defect. Segment 0 holds nine versions of A's block 0 and
+// all seven blocks of F. Eight of A's versions age out across a
+// restart; if recovery and the first cleaner pass both release them the
+// segment sits at hist = -8, absorbs the eight genuinely in-window
+// history blocks the next overwrites of A and F create while reading
+// live 0 / hist 0, is reclaimed and reused — and a history read inside
+// the window returns another object's bytes.
+func TestInWindowHistorySurvivesRestartAndReuse(t *testing.T) {
+	e := newTestDrive(t, func(o *Options) { o.SegBlocks = 17 })
+	a, f, other := e.create(alice), e.create(alice), e.create(alice)
+	var aData []byte
+	for i := 0; i < 9; i++ {
+		aData = bytes.Repeat([]byte{byte('A' + i)}, types.BlockSize)
+		e.write(alice, a, 0, aData)
+	}
+	fData := bytes.Repeat([]byte("F-object "), 7*types.BlockSize/9+1)[:7*types.BlockSize]
+	e.write(alice, f, 0, fData)
+	e.write(alice, other, 0, []byte("third object"))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.Advance(2 * time.Hour)
+	e.reopen()
+	if _, err := e.d.CleanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	e.tick()
+	before := e.d.Now() // A and F as written above are in-window history from here on
+	e.tick()
+	e.write(alice, a, 0, bytes.Repeat([]byte{'z'}, types.BlockSize))
+	e.write(alice, f, 0, bytes.Repeat([]byte{'y'}, 7*types.BlockSize))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.d.CleanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Cycle the log so any segment wrongly believed empty is reused.
+	filler := e.create(alice)
+	for i := 0; i < 400; i++ {
+		e.write(alice, filler, 0, bytes.Repeat([]byte{byte(i)}, 32<<10))
+		if (i+1)%20 == 0 {
+			if _, err := e.d.CleanOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Errorf("invariants after reuse: %v", err)
+	}
+	if got, err := e.d.Read(alice, a, 0, types.BlockSize, before); err != nil || !bytes.Equal(got, aData) {
+		t.Errorf("A at %v: err=%v, %d bytes starting %.8q; want the in-window version %.8q",
+			before, err, len(got), got, aData)
+	}
+	if got, err := e.d.Read(alice, f, 0, uint64(len(fData)), before); err != nil || !bytes.Equal(got, fData) {
+		t.Errorf("F at %v: err=%v, %d bytes starting %.8q; want the in-window version %.8q",
+			before, err, len(got), got, fData)
+	}
+}

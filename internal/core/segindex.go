@@ -32,8 +32,11 @@ import (
 // landmark roots are re-validated against the log before use.
 
 const (
-	segIndexMagic   = 0x53344958 // "S4IX"
-	segIndexVersion = 1
+	segIndexMagic = 0x53344958 // "S4IX"
+	// Version 2 dropped the per-object aging hint (recovery does not
+	// age) and added the open segment's fill. An older index fails the
+	// version check and the open degrades to the full scan.
+	segIndexVersion = 2
 
 	// objFlagLMReset marks an object whose landmark index was rebuilt
 	// after a relocation dropped it (see object.lmReset): indexed
@@ -52,7 +55,6 @@ type segIndexSeg struct {
 // segIndexObj is one object's persisted recovery hints.
 type segIndexObj struct {
 	lmReset   bool
-	nextAge   types.Timestamp
 	landmarks []landmark
 }
 
@@ -65,9 +67,12 @@ type segIndex struct {
 	// recovery must re-read heads that live there even when the
 	// roll-forward scan saw nothing.
 	openSeg int64
-	segs    []segIndexSeg
-	jrefs   map[seglog.BlockAddr]int
-	objects map[types.ObjectID]*segIndexObj
+	// openUsed is how many payload slots of openSeg were taken at the
+	// checkpoint: a block at or past it was appended afterwards.
+	openUsed int
+	segs     []segIndexSeg
+	jrefs    map[seglog.BlockAddr]int
+	objects  map[types.ObjectID]*segIndexObj
 }
 
 // encodeSegIndexLocked serializes the drive's usage tables and landmark
@@ -89,6 +94,7 @@ func (d *Drive) encodeSegIndexLocked() []byte {
 	nSeg := d.log.NumSegments()
 	putU(uint64(nSeg))
 	putU(uint64(d.log.CurrentSegment() + 1)) // openSeg, shifted so -1 encodes as 0
+	putU(uint64(d.log.PayloadBlocks() - d.log.Room()))
 	for seg := int64(0); seg < nSeg; seg++ {
 		// pendingFree segments are freed the instant this checkpoint
 		// commits; persisting them free makes the cleaner's reclamation
@@ -130,7 +136,6 @@ func (d *Drive) encodeSegIndexLocked() []byte {
 			flags |= objFlagLMReset
 		}
 		putU(flags)
-		putU(uint64(o.nextAge))
 		putU(uint64(len(o.landmarks)))
 		for _, ln := range o.landmarks {
 			putU(uint64(ln.time))
@@ -181,11 +186,19 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 	if os1 > uint64(nSeg) {
 		return nil, fmt.Errorf("core: segment index open segment %d of %d: %w", int64(os1)-1, nSeg, types.ErrCorrupt)
 	}
+	used, err := getU()
+	if err != nil {
+		return nil, err
+	}
+	if used > math.MaxInt32 || (os1 == 0 && used != 0) {
+		return nil, fmt.Errorf("core: segment index open segment fill %d: %w", used, types.ErrCorrupt)
+	}
 	idx := &segIndex{
-		openSeg: int64(os1) - 1,
-		segs:    make([]segIndexSeg, nSeg),
-		jrefs:   make(map[seglog.BlockAddr]int),
-		objects: make(map[types.ObjectID]*segIndexObj),
+		openSeg:  int64(os1) - 1,
+		openUsed: int(used),
+		segs:     make([]segIndexSeg, nSeg),
+		jrefs:    make(map[seglog.BlockAddr]int),
+		objects:  make(map[types.ObjectID]*segIndexObj),
 	}
 	for seg := int64(0); seg < nSeg; seg++ {
 		f, err := getU()
@@ -271,10 +284,6 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		if flags&^uint64(objFlagLMReset) != 0 {
 			return nil, fmt.Errorf("core: segment index object flags %#x: %w", flags, types.ErrCorrupt)
 		}
-		na, err := getU()
-		if err != nil {
-			return nil, err
-		}
 		nLM, err := getU()
 		if err != nil {
 			return nil, err
@@ -282,10 +291,7 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		if nLM > uint64(len(data)) {
 			return nil, fmt.Errorf("core: segment index landmark count %d: %w", nLM, types.ErrCorrupt)
 		}
-		oi := &segIndexObj{
-			lmReset: flags&objFlagLMReset != 0,
-			nextAge: types.Timestamp(na),
-		}
+		oi := &segIndexObj{lmReset: flags&objFlagLMReset != 0}
 		var prev landmark
 		for j := uint64(0); j < nLM; j++ {
 			t, err := getU()

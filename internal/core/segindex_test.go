@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -54,7 +55,7 @@ func segIndexWorkload(e *testEnv) {
 // TestSegIndexRoundTrip encodes the live drive's recovery tables and
 // checks the decoded form reproduces them exactly: segment occupancy
 // and free bits (with pendingFree folded in), journal-block refcounts,
-// and every object's landmark index and aging hint.
+// and every object's landmark index.
 func TestSegIndexRoundTrip(t *testing.T) {
 	e := newTestDrive(t)
 	segIndexWorkload(e)
@@ -70,6 +71,9 @@ func TestSegIndexRoundTrip(t *testing.T) {
 	}
 	if idx.openSeg != d.log.CurrentSegment() {
 		t.Errorf("openSeg %d want %d", idx.openSeg, d.log.CurrentSegment())
+	}
+	if want := d.log.PayloadBlocks() - d.log.Room(); idx.openUsed != want {
+		t.Errorf("openUsed %d want %d", idx.openUsed, want)
 	}
 	for seg := int64(0); seg < nSeg; seg++ {
 		wantFree := d.log.IsFree(seg) || d.pendingFree[seg]
@@ -100,9 +104,8 @@ func TestSegIndexRoundTrip(t *testing.T) {
 			t.Errorf("object %v missing from decoded index", id)
 			continue
 		}
-		if oi.lmReset != o.lmReset || oi.nextAge != o.nextAge {
-			t.Errorf("object %v: decoded lmReset=%v nextAge=%v, drive %v/%v",
-				id, oi.lmReset, oi.nextAge, o.lmReset, o.nextAge)
+		if oi.lmReset != o.lmReset {
+			t.Errorf("object %v: decoded lmReset=%v, drive %v", id, oi.lmReset, o.lmReset)
 		}
 		if len(oi.landmarks) != len(o.landmarks) {
 			t.Errorf("object %v: decoded %d landmarks, drive has %d", id, len(oi.landmarks), len(o.landmarks))
@@ -402,6 +405,27 @@ func TestSegIndexDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeSegIndex(blob, nSeg+1); !errors.Is(err, types.ErrCorrupt) {
 		t.Errorf("geometry mismatch: err %v does not wrap ErrCorrupt", err)
 	}
+	// An index written before the format change must be refused (the
+	// open then takes the full scan), never read as the current layout.
+	if _, err := decodeSegIndex(segIndexV1Blob(t), segIndexV1Segs); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("version-1 index: err %v, want a rejection wrapping ErrCorrupt", err)
+	}
+}
+
+// segIndexV1Blob is a genuine version-1 index (per-object aging hint,
+// no open-segment fill), encoded by the last commit that wrote that
+// format for a 15-segment log holding the partition table and one
+// thrice-written object with a landmark.
+const segIndexV1Segs = 15
+
+func segIndexV1Blob(t testing.TB) []byte {
+	b, err := hex.DecodeString("58493453010000000f01000305010000010000010000010000010000010000010000010000010000" +
+		"01000001000001000001000001000001100202020090aeb598d4aa92bf0d0190eed292f1c191bf0d020a80011000b8a2f79ed4aa" +
+		"92bf0d02b8e29499f1c191bf0d020b8101b8eb8e9af1c191bf0d040e8101")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // checkSegIndexShape verifies the structural guarantees decodeSegIndex
@@ -415,6 +439,9 @@ func checkSegIndexShape(idx *segIndex, nSeg int64) error {
 	}
 	if idx.openSeg >= 0 && idx.segs[idx.openSeg].free {
 		return fmt.Errorf("open segment %d marked free", idx.openSeg)
+	}
+	if idx.openUsed < 0 || (idx.openSeg < 0 && idx.openUsed != 0) {
+		return fmt.Errorf("open segment %d with fill %d", idx.openSeg, idx.openUsed)
 	}
 	for seg, s := range idx.segs {
 		if s.live < 0 || s.hist < 0 {
@@ -503,6 +530,7 @@ func FuzzSegIndexDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add(append(append([]byte(nil), seed...), 0x01))
+	f.Add(segIndexV1Blob(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := decodeSegIndex(data, nSeg)
@@ -516,4 +544,62 @@ func FuzzSegIndexDecode(f *testing.F) {
 			t.Fatalf("accepted structurally inconsistent index: %v", verr)
 		}
 	})
+}
+
+// TestRelocatedOverwriteFallsBack pins the one tail the index cannot
+// replay. The cleaner moves a live block after the checkpoint (in
+// memory only, until its barrier), a write then journals the copy's
+// address in Old, and the drive crashes before any barrier: the
+// persisted counters hold the original, which no entry ever retires.
+// Indexed recovery must notice the unborn block and take the full
+// recount rather than leave one segment a live block short.
+func TestRelocatedOverwriteFallsBack(t *testing.T) {
+	e := newTestDrive(t)
+	id := e.create(alice)
+	// Fifteen blocks fill the first segment's payload exactly; all but
+	// blocks 0 and 1 are then superseded and the state checkpointed.
+	e.write(alice, id, 0, bytes.Repeat([]byte{'1'}, 15*types.BlockSize))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	e.write(alice, id, 2*types.BlockSize, bytes.Repeat([]byte{'2'}, 13*types.BlockSize))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Past the window one cleaner pass releases the thirteen and, the
+	// segment now holding two live blocks and nothing else, copies those
+	// forward — with too few emptied segments to reach its barrier.
+	e.clk.Advance(2 * time.Hour)
+	cs, err := e.d.CleanOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.BlocksCopied == 0 {
+		t.Fatalf("cleaner relocated nothing (%+v); the scenario needs a post-checkpoint copy", cs)
+	}
+	e.write(alice, id, 0, bytes.Repeat([]byte{'3'}, types.BlockSize))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+
+	e.reopen() // crash: the relocation never reached a checkpoint
+	st := e.d.DriveStats()
+	if st.IndexLoads != 0 || st.IndexFallbacks != 1 {
+		t.Errorf("IndexLoads=%d IndexFallbacks=%d, want 0/1", st.IndexLoads, st.IndexFallbacks)
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Errorf("invariants: %v", err)
+	}
+	got := e.d.StateDigest()
+	e.d.opts.DisableSegIndex = true
+	e.reopen()
+	if want := e.d.StateDigest(); got != want {
+		t.Errorf("fallback diverged from the full scan:\nfallback:\n%s\nfull:\n%s", got, want)
+	}
+	if b := e.read(alice, id, 0, 2*types.BlockSize, types.TimeNowest); b[0] != '3' || b[types.BlockSize] != '1' {
+		t.Errorf("blocks 0,1 read %q,%q, want '3','1'", b[0], b[types.BlockSize])
+	}
 }

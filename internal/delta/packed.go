@@ -81,9 +81,6 @@ func (b *PackedBuilder) Add(s Slot) int {
 	return len(b.slots) - 1
 }
 
-// Count returns the number of slots staged.
-func (b *PackedBuilder) Count() int { return len(b.slots) }
-
 // Finish serializes the staged slots into a block image of exactly the
 // payload-bearing prefix (the log pads the rest with zeros).
 func (b *PackedBuilder) Finish() []byte {

@@ -59,9 +59,7 @@ func (s *cowStore) read(sector int64, buf []byte) {
 		if c, ok := s.chunks[ci]; ok {
 			copy(buf[:n], c.data[off:off+n])
 		} else {
-			for i := range buf[:n] {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		sector += n / SectorSize

@@ -81,12 +81,6 @@ func ParseDirData(data []byte) []fsys.DirEntry {
 	return out
 }
 
-// ParseAttrBlob decodes the Unix attribute blob a node stores in its
-// object's opaque attribute space.
-func ParseAttrBlob(b []byte) (typ fsys.FileType, mode, uid, gid, nlink uint32, ok bool) {
-	return decodeAttrBlob(b)
-}
-
 // Unix attribute blob stored in the object's opaque attribute space.
 const attrBlobLen = 17
 

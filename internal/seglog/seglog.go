@@ -1071,18 +1071,6 @@ func (l *Log) quarantineLocked(seg int64) {
 	}
 }
 
-// Quarantine marks seg unrecyclable (see quarantineLocked). The drive's
-// cleaner calls it when copy-forward hits a corrupt block, so rot is
-// contained instead of relocated.
-func (l *Log) Quarantine(seg int64) {
-	if seg < 0 || seg >= l.nSegments {
-		return
-	}
-	l.mu.Lock()
-	l.quarantineLocked(seg)
-	l.mu.Unlock()
-}
-
 // IsQuarantined reports whether seg has been quarantined this run.
 func (l *Log) IsQuarantined(seg int64) bool {
 	l.mu.Lock()

@@ -84,10 +84,6 @@ func (r *Remote) Close() error {
 	return err
 }
 
-// ClientStats exposes the client session's resilience counters
-// (retries, reconnects) for soak assertions.
-func (r *Remote) ClientStats() s4rpc.Stats { return r.cli.Stats() }
-
 // call routes one request over the session matching the credential.
 // Non-admin requests forward the per-request user inside the gate's
 // authenticated client session (the server narrows, never escalates);

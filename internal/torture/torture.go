@@ -27,7 +27,11 @@
 //     chain walk;
 //  7. equivalence — opening the same image with the persisted segment
 //     index ignored (full-scan recount, DESIGN.md §14) recovers
-//     byte-identical state and serves identical golden reads;
+//     byte-identical state and serves identical golden reads, and
+//     either path recovers the same state whatever the clock reads;
+//  8. ageing across the crash — one cleaner pass on the recovered drive
+//     leaves invariant 5 (which audits the usage table) and every
+//     in-window snapshot standing;
 //
 // plus a post-recovery smoke op proving the reopened drive still
 // serves writes. Everything is driven by Config.Seed: a failing crash
@@ -85,7 +89,9 @@ type Config struct {
 	IndexFlushEvery int
 	// Window is the detection window (1h — far longer than the virtual
 	// time the workload spans, so nothing ages out and every snapshot
-	// stays checkable).
+	// stays checkable). A window of tens of milliseconds makes history
+	// age, the cleaner relocate and objects reap inside the run, and
+	// again on every recovered image (TestTortureShortWindow).
 	Window time.Duration
 	// SyncEveryN / CheckpointEveryN / CleanEveryN set the expected op
 	// gap between Syncs (4), Checkpoints (40), and CleanOnce calls (30).
@@ -206,7 +212,11 @@ type Result struct {
 	// can assert the paths they mean to cover actually fired.
 	DeltaBlocks     int64
 	SkippedVersions int64
-	Violations      []Violation
+	// Cleaned sums what the workload's own cleaner passes did, so a
+	// sweep that means to cross ageing, relocation and reaping can assert
+	// they happened.
+	Cleaned    core.CleanStats
+	Violations []Violation
 }
 
 // Run executes the workload and verifies every crash point.
@@ -223,6 +233,7 @@ func Run(cfg Config) (Result, error) {
 		Objects:         len(w.objects),
 		DeltaBlocks:     w.deltaBlocks,
 		SkippedVersions: w.skippedVersions,
+		Cleaned:         w.cleaned,
 	}
 	points := make([]int, 0, res.Writes+1)
 	for k := 0; k <= res.Writes; k++ {
@@ -315,9 +326,13 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 	// The digest must be taken before any verification traffic: reads
 	// below append audit state to the reopened drive, which would
 	// diverge it from the freshly opened full-scan twin.
+	mark := w.lastMark(k)
 	var idxDigest string
 	if dev2 != nil {
 		idxDigest = drv.StateDigest()
+		if msg := w.checkClockFree(dev, opts, mark, idxDigest); msg != "" {
+			viol("equivalence", "indexed recovery %s", msg)
+		}
 	}
 	st := drv.DriveStats()
 	res.IndexLoads += st.IndexLoads
@@ -327,7 +342,6 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 
 	now := drv.Now()
 	winCut := now - types.Timestamp(w.opts.Window)
-	mark := w.lastMark(k)
 
 	// Invariant 4: the recovered audit log is a contiguous run of the
 	// oracle's op sequence — a prefix may have aged out of the
@@ -359,7 +373,10 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 	// Invariants 2 and 3: everything synced before the crash — the
 	// newest durable version of each object and all window-covered
 	// history beneath it — must read back exactly.
-	if mark != nil {
+	checkSnaps := func(when string) {
+		if mark == nil {
+			return
+		}
 		for _, m := range w.objects {
 			newest := -1
 			for si := range m.snaps {
@@ -377,11 +394,12 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 					inv = "durability"
 				}
 				if msg := checkSnap(drv, admin, m.id, sn, w.relaxed); msg != "" {
-					viol(inv, "object %v: %s", m.id, msg)
+					viol(inv, "object %v%s: %s", m.id, when, msg)
 				}
 			}
 		}
 	}
+	checkSnaps("")
 
 	// Unsynced state may be lost, but the drive must still serve it
 	// without internal errors: absent entirely, or readable.
@@ -399,6 +417,13 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 			}
 		}
 	}
+
+	// Invariant 8: a recovered drive that cannot survive its own cleaner
+	// is not recovered.
+	if msg := cleanRecovered(drv); msg != "" {
+		viol("ageing", "%s", msg)
+	}
+	checkSnaps(" after the cleaner")
 
 	// The reopened drive must still accept and persist new work.
 	if w.cfg.PostRecoverySmoke {
@@ -460,6 +485,10 @@ func (w *run) verifyEquivalence(res *Result, dev disk.Device, idxDigest string, 
 	if fullDigest != idxDigest {
 		viol("indexed and full-scan recovery diverged: %s", digestDiff(idxDigest, fullDigest))
 	}
+	mark := w.lastMark(k)
+	if msg := w.checkClockFree(dev, opts, mark, fullDigest); msg != "" {
+		viol("full-scan recovery %s", msg)
+	}
 	if err := drv.CheckInvariants(); err != nil {
 		viol("full-scan invariants: %v", err)
 	}
@@ -467,46 +496,90 @@ func (w *run) verifyEquivalence(res *Result, dev disk.Device, idxDigest string, 
 		viol("full-scan landmarks: %v", err)
 	}
 
-	mark := w.lastMark(k)
-	if mark == nil {
-		return vs
-	}
 	admin := types.AdminCred()
 	winCut := drv.Now() - types.Timestamp(w.cfg.Window)
-	for _, m := range w.objects {
-		newest := -1
-		for si := range m.snaps {
-			if m.snaps[si].at <= mark.at {
-				newest = si
+	goldenReads := func(when string) {
+		if mark == nil {
+			return
+		}
+		for _, m := range w.objects {
+			newest := -1
+			for si := range m.snaps {
+				if m.snaps[si].at <= mark.at {
+					newest = si
+				}
 			}
-		}
-		if newest < 0 {
-			continue
-		}
-		oldest := -1
-		for si := 0; si <= newest; si++ {
-			if m.snaps[si].at > winCut {
-				oldest = si
-				break
+			if newest < 0 {
+				continue
 			}
-		}
-		if oldest < 0 {
-			continue
-		}
-		depths := []int{newest}
-		if oldest != newest {
-			depths = append(depths, oldest)
-		}
-		if mid := (oldest + newest) / 2; mid != newest && mid != oldest {
-			depths = append(depths, mid)
-		}
-		for _, si := range depths {
-			if msg := checkSnap(drv, admin, m.id, &m.snaps[si], w.relaxed); msg != "" {
-				viol("full-scan golden read, object %v snap %d: %s", m.id, si, msg)
+			oldest := -1
+			for si := 0; si <= newest; si++ {
+				if m.snaps[si].at > winCut {
+					oldest = si
+					break
+				}
+			}
+			if oldest < 0 {
+				continue
+			}
+			depths := []int{newest}
+			if oldest != newest {
+				depths = append(depths, oldest)
+			}
+			if mid := (oldest + newest) / 2; mid != newest && mid != oldest {
+				depths = append(depths, mid)
+			}
+			for _, si := range depths {
+				if msg := checkSnap(drv, admin, m.id, &m.snaps[si], w.relaxed); msg != "" {
+					viol("full-scan golden read%s, object %v snap %d: %s", when, m.id, si, msg)
+				}
 			}
 		}
 	}
+	goldenReads("")
+	if msg := cleanRecovered(drv); msg != "" {
+		viol("full-scan %s", msg)
+	}
+	goldenReads(" after the cleaner")
 	return vs
+}
+
+// cleanRecovered runs one cleaner pass on a freshly recovered drive and
+// re-checks its structure. Everything that left the window while the
+// drive was down is released here and nowhere else, so this is the pass
+// that would release it twice, or release what is still in-window, if
+// recovery and the cleaner disagreed about the history pool.
+func cleanRecovered(drv *core.Drive) string {
+	if _, err := drv.CleanOnce(); err != nil {
+		return fmt.Sprintf("cleaner pass on the recovered drive: %v", err)
+	}
+	if err := drv.CheckInvariants(); err != nil {
+		return fmt.Sprintf("invariants after the cleaner: %v", err)
+	}
+	return ""
+}
+
+// checkClockFree reopens dev a virtual day later than opts says and
+// requires the recovered state to be the one the first open produced:
+// recovery is a function of the image, not of when it runs. dev already
+// carries whatever journal-tail truncation the first open wrote (the
+// same cut either time), and nothing has been appended to it since.
+// Images from before the first durability point are exempt: they may
+// not hold the partition table yet, and Open then creates it stamped
+// with the current time — initialization, not recovery.
+func (w *run) checkClockFree(dev disk.Device, opts core.Options, mark *syncMark, digest string) string {
+	if mark == nil {
+		return ""
+	}
+	opts.Clock = vclock.NewVirtualAt(w.endTime.Time().Add(24 * time.Hour))
+	later, err := core.Open(dev, opts)
+	if err != nil {
+		return fmt.Sprintf("a day later failed: %v", err)
+	}
+	if d := later.StateDigest(); d != digest {
+		return fmt.Sprintf("depends on the clock: %s", digestDiff(digest, d))
+	}
+	return ""
 }
 
 // digestDiff summarizes the first few differing lines of two state
@@ -524,7 +597,7 @@ func digestDiff(a, b string) string {
 			y = lb[i]
 		}
 		if x != y {
-			diffs = append(diffs, fmt.Sprintf("line %d: indexed %q vs full %q", i, x, y))
+			diffs = append(diffs, fmt.Sprintf("line %d: %q vs %q", i, x, y))
 			if len(diffs) == 5 {
 				diffs = append(diffs, "...")
 				break

@@ -316,6 +316,61 @@ func TestTorturePolicyModes(t *testing.T) {
 	}
 }
 
+// TestTortureShortWindow sweeps the dimension a one-hour window never
+// reaches: ageing across the crash. With a window of tens of virtual
+// milliseconds the workload's own cleaner ages entries, relocates
+// blocks and reaps objects between checkpoints, every image is
+// recovered long after most of its history left the window, and the
+// post-recovery cleaner pass (invariant 8) must release exactly what
+// the dead drive had not — never twice, never anything in-window.
+func TestTortureShortWindow(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	cfg := Config{Ops: 300, MaxCrashPoints: 400, PostRecoverySmoke: true}
+	if os.Getenv("S4_TORTURE_LONG") != "" {
+		seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
+		cfg.Ops, cfg.MaxCrashPoints = 1000, 0
+	} else if testing.Short() || os.Getenv("S4_STRESS_SHORT") != "" {
+		seeds = seeds[:1]
+		cfg.MaxCrashPoints = 150
+	}
+	for _, window := range []time.Duration{20 * time.Millisecond, 80 * time.Millisecond} {
+		window := window
+		t.Run(window.String(), func(t *testing.T) {
+			reaped := 0
+			for _, seed := range seeds {
+				cfg := cfg
+				cfg.Seed, cfg.Window = seed, window
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("seed=%d: %d crash points, %d indexed opens, %d fallbacks; workload cleaner aged %d entries, copied %d blocks, reaped %d objects; %d violations",
+					seed, res.CrashPoints, res.IndexLoads, res.IndexFallbacks,
+					res.Cleaned.EntriesAged, res.Cleaned.BlocksCopied, res.Cleaned.ObjectsReaped, len(res.Violations))
+				for i, v := range res.Violations {
+					if i == 10 {
+						t.Errorf("... and %d more", len(res.Violations)-10)
+						break
+					}
+					t.Errorf("seed=%d: %s", seed, v)
+				}
+				// A run in which nothing aged or moved sweeps nothing new.
+				if res.Cleaned.EntriesAged == 0 || res.Cleaned.BlocksCopied == 0 {
+					t.Errorf("seed=%d: workload cleaner aged %d entries and copied %d blocks; the sweep needs both",
+						seed, res.Cleaned.EntriesAged, res.Cleaned.BlocksCopied)
+				}
+				if res.IndexLoads == 0 {
+					t.Errorf("seed=%d: no crash image recovered via the segment index", seed)
+				}
+				reaped += res.Cleaned.ObjectsReaped
+			}
+			if reaped == 0 {
+				t.Errorf("no seed reaped an object: the sweep never crossed a delete ageing out")
+			}
+		})
+	}
+}
+
 func name(seed int64) string {
 	return "seed=" + string(rune('0'+seed%10))
 }

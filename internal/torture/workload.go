@@ -72,6 +72,8 @@ type run struct {
 	// cover actually fired.
 	deltaBlocks     int64
 	skippedVersions int64
+	// cleaned sums the CleanStats of the workload's cleaner passes.
+	cleaned core.CleanStats
 }
 
 func everyoneACL() []types.ACLEntry {
@@ -290,9 +292,13 @@ func runWorkload(cfg Config) (*run, error) {
 			tick()
 		}
 		if rng.Intn(cfg.CleanEveryN) == 0 {
-			if _, err := drv.CleanOnce(); err != nil {
+			cs, err := drv.CleanOnce()
+			if err != nil {
 				return nil, fmt.Errorf("torture: op %d clean: %w", i, err)
 			}
+			w.cleaned.EntriesAged += cs.EntriesAged
+			w.cleaned.BlocksCopied += cs.BlocksCopied
+			w.cleaned.ObjectsReaped += cs.ObjectsReaped
 			tick()
 		}
 	}

@@ -457,6 +457,11 @@ type Drive struct {
 	// exact prefix of the op sequence. Zero (absent) means unpoisoned.
 	recDrop   map[types.ObjectID]uint64
 	recReplay int64 // journal entries examined during this recovery
+	// recErr latches the first device error recCovered met. Its callers
+	// want yes or no, and "the device would not say" must never pass for
+	// "not covered": nothing is truncated on the strength of it, and the
+	// open fails with it.
+	recErr error
 }
 
 type auditBlockRef struct {
@@ -675,9 +680,12 @@ func (d *Drive) loadInode(o *object) error {
 		if o.pruned {
 			return fmt.Errorf("core: %v has a pruned chain and no checkpoint: %w", o.id, types.ErrCorrupt)
 		}
-		var entries []journal.Entry
+		// Pointers into the per-sector slices the walk decoded, newest
+		// first: a deep chain is thousands of ~250-byte entries, and
+		// copying them into one growing slice cost more than decoding them.
+		var entries []*journal.Entry
 		err := journal.WalkBackward(d.log, o.id, o.jhead, func(e *journal.Entry) (bool, error) {
-			entries = append(entries, *e)
+			entries = append(entries, e)
 			return false, nil
 		})
 		if err != nil {
@@ -688,7 +696,7 @@ func (d *Drive) loadInode(o *object) error {
 		}
 		in := newInode(o.id, entries[len(entries)-1].Time, nil)
 		for i := len(entries) - 1; i >= 0; i-- {
-			e := &entries[i]
+			e := entries[i]
 			if e.Type == journal.EntCreate {
 				in.CreateTime, in.ModTime = e.Time, e.Time
 				continue

@@ -331,6 +331,9 @@ func (d *Drive) recover() error {
 	} else if err == nil {
 		d.stats.IndexLoads++
 	}
+	if err == nil {
+		err = d.recErr // a coverage probe the usage rebuild could not finish
+	}
 	if err != nil {
 		return err
 	}
@@ -530,6 +533,9 @@ func (d *Drive) vetSector(addr, prev journal.SectorAddr, id types.ObjectID, entr
 		if e.Version <= maxVersion && (poison == 0 || e.Version < poison) && d.entryDurable(e) {
 			continue
 		}
+		if d.recErr != nil {
+			return nil, d.recErr // the device, not the log, said "not durable"
+		}
 		if poison == 0 || e.Version < poison {
 			d.recDrop[id] = e.Version
 		}
@@ -616,6 +622,9 @@ func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
 			continue // the roll-forward scan vetted every sector there
 		}
 		gotID, prev, entries, err := journal.ReadSector(d.log, o.jhead)
+		if err != nil && !errors.Is(err, types.ErrCorrupt) {
+			return err // unread is not vetted
+		}
 		if err != nil || gotID != id {
 			// Torn, rotted, or reused: the chain walks that need this
 			// sector will report it; vetting has nothing to cut.
@@ -1068,12 +1077,14 @@ func (d *Drive) recCovered(addr seglog.BlockAddr) bool {
 	seg := segOf(d.log, addr)
 	n, ok := d.recSumCover[seg]
 	if !ok {
-		sum, found, err := d.log.ReadSummary(seg)
-		if err != nil || !found {
-			n = 0
-		} else {
-			n = len(sum.Entries)
+		sum, _, err := d.log.ReadSummary(seg) // no summary: no entries
+		if err != nil && seg >= 0 {
+			if d.recErr == nil {
+				d.recErr = err
+			}
+			return false
 		}
+		n = len(sum.Entries)
 		d.recSumCover[seg] = n
 	}
 	i := int64(addr) - int64(d.log.EntryAt(seg, 0))

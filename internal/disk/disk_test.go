@@ -243,3 +243,19 @@ func TestPropertyWriteReadAnywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkReadUnwritten times a 256 KB read of space no write ever
+// touched — what a recovery scan of a mostly empty device is made of. The
+// store has no chunk there and zero-fills the buffer; with clear() that is
+// a memclr (~6 µs here); as a byte-indexed loop it was ~60 µs.
+func BenchmarkReadUnwritten(b *testing.B) {
+	d := New(SmallDisk(64<<20), nil)
+	buf := make([]byte, 256<<10)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.ReadSectors(int64(i%128)*512, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

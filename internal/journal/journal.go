@@ -511,7 +511,13 @@ type SectorReader interface {
 
 // ReadSector fetches and decodes the journal sector at sa.
 func ReadSector(r SectorReader, sa SectorAddr) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
-	buf := make([]byte, seglog.BlockSize)
+	return readSector(r, sa, make([]byte, seglog.BlockSize))
+}
+
+// readSector is ReadSector through the caller's block buffer, which is
+// free again on return: decoded entries never alias the bytes they came
+// from (Decode copies attribute blobs and makes its pointer lists).
+func readSector(r SectorReader, sa SectorAddr, buf []byte) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
 	if err := r.Read(sa.Block(), buf); err != nil {
 		return 0, 0, nil, err
 	}
@@ -530,10 +536,13 @@ func ReadSector(r SectorReader, sa SectorAddr) (obj types.ObjectID, prev SectorA
 // WalkBackward visits an object's journal entries newest-first, starting
 // from the sector at head and following previous pointers, until fn
 // returns stop or the chain ends. Unflushed in-memory entries must be
-// visited by the caller before calling WalkBackward.
+// visited by the caller before calling WalkBackward. The walk reads
+// every sector through one block buffer; an entry handed to fn stays
+// valid, and unshared, after fn returns.
 func WalkBackward(r SectorReader, obj types.ObjectID, head SectorAddr, fn func(e *Entry) (stop bool, err error)) error {
+	buf := make([]byte, seglog.BlockSize)
 	for addr := head; addr != NilSector; {
-		gotObj, prev, entries, err := ReadSector(r, addr)
+		gotObj, prev, entries, err := readSector(r, addr, buf)
 		if err != nil {
 			return err
 		}

@@ -285,6 +285,110 @@ func TestWalkBackward(t *testing.T) {
 	}
 }
 
+// chainOf builds an n-sector chain for obj, one EntCreate-shaped entry
+// per sector (an entry with no slices of its own, so decoding a sector
+// allocates its entry slice and nothing else), and returns its head.
+func chainOf(t *testing.T, r memReader, obj types.ObjectID, n int) SectorAddr {
+	t.Helper()
+	prev := NilSector
+	for i := 1; i <= n; i++ {
+		sec, err := EncodeSector(obj, prev, []*Entry{{Type: EntCreate, Version: uint64(i), Time: types.Timestamp(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r[seglog.BlockAddr(100+i)] = blockWith(sec)
+		prev = MakeSectorAddr(seglog.BlockAddr(100+i), 0)
+	}
+	return prev
+}
+
+// TestWalkBackwardAllocatesPerWalk pins the walk's buffer discipline as a
+// count: a walk owns one block buffer however long the chain, so a
+// further sector costs what decoding it costs and nothing more. When
+// every sector read allocated its own 4 KB block, a deep-chain restart
+// allocated 6 MB of them per open.
+func TestWalkBackwardAllocatesPerWalk(t *testing.T) {
+	r := memReader{}
+	short := chainOf(t, r, 5, 8)
+	long := chainOf(t, r, 5, 64) // rebuilds the same blocks, and 56 more
+	walk := func(head SectorAddr) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := WalkBackward(r, 5, head, func(*Entry) (bool, error) { return false, nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	sector := r[101][:SectorSize]
+	decode := testing.AllocsPerRun(20, func() {
+		if _, _, _, ok, err := DecodeSector(sector); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+	})
+	a8, a64 := walk(short), walk(long)
+	if a64-a8 != (64-8)*decode {
+		t.Fatalf("8 sectors: %.0f allocations, 64 sectors: %.0f; want %.0f (one decode) per further sector, not %.2f",
+			a8, a64, decode, (a64-a8)/(64-8))
+	}
+	if a8 != 8*decode+1 {
+		t.Fatalf("8-sector walk: %.0f allocations, want 8 decodes of %.0f and the one buffer", a8, decode)
+	}
+}
+
+// TestDecodedEntriesOutliveTheBuffer is what lets the walk reuse its
+// buffer and lets callers keep the *Entry they are handed: nothing
+// decoded aliases the bytes it was decoded from. The reader scribbles
+// over every block it serves as soon as the next read arrives — what a
+// reused buffer does — and the entries collected along the way must
+// still equal what was encoded.
+func TestDecodedEntriesOutliveTheBuffer(t *testing.T) {
+	want := sampleEntries()
+	older, err := EncodeSector(5, NilSector, want[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := MakeSectorAddr(100, 0)
+	newer, err := EncodeSector(5, a, want[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &scribbleReader{blocks: memReader{100: blockWith(older), 200: blockWith(newer)}}
+	var got []*Entry
+	if err := WalkBackward(r, 5, MakeSectorAddr(200, 0), func(e *Entry) (bool, error) {
+		got = append(got, e)
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r.scribble()
+	if len(got) != len(want) {
+		t.Fatalf("walk visited %d entries, want %d", len(got), len(want))
+	}
+	for i, e := range got { // newest first
+		if w := want[len(want)-1-i]; !entriesEqual(e, w) {
+			t.Fatalf("entry v%d changed under a reused buffer:\n got %+v\nwant %+v", w.Version, *e, *w)
+		}
+	}
+}
+
+// scribbleReader serves blocks like memReader and overwrites the buffer
+// of the previous read whenever a new one starts.
+type scribbleReader struct {
+	blocks memReader
+	last   []byte
+}
+
+func (s *scribbleReader) scribble() {
+	for i := range s.last {
+		s.last[i] = 0xFF
+	}
+}
+
+func (s *scribbleReader) Read(addr seglog.BlockAddr, buf []byte) error {
+	s.scribble()
+	s.last = buf
+	return s.blocks.Read(addr, buf)
+}
+
 func TestEntryTypeString(t *testing.T) {
 	names := map[EntryType]string{
 		EntCreate: "create", EntWrite: "write", EntTruncate: "truncate",

@@ -226,7 +226,8 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 		forge func([]byte)
 	}{
 		{"formatVer 1", put32(4, 1)},
-		{"formatVer 3", put32(4, 3)},
+		{"formatVer 2", put32(4, 2)}, // no open records: its open segment would scan as never written
+		{"formatVer 4", put32(4, 4)},
 		{"SegBlocks 0", put32(8, 0)},
 		{"SegBlocks 7", put32(8, 7)},
 		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1))},
@@ -265,7 +266,8 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 // own bounds, and a valid encoding mutated anywhere but its CRC slack
 // must be rejected or decode to self-consistent entries.
 func FuzzSegSummaryChecksums(f *testing.F) {
-	// Seeds: a genuine sealed summary, a truncated one, and junk.
+	// Seeds: a genuine sealed summary, a truncated one, junk, and an open
+	// record (a summary with no entries).
 	l, _ := newFaultLog(f, 8)
 	for i := 0; i < l.PayloadBlocks(); i++ {
 		if _, err := l.Append(KindData, 9, uint64(i), types.Timestamp(i+1),
@@ -285,6 +287,13 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 	f.Add([]byte{})
 	short := append([]byte(nil), sb[:40]...)
 	f.Add(short)
+	rec := make([]byte, BlockSize)
+	l.entries = l.entries[:0]
+	l.encodeSummaryLocked(rec, 7, false)
+	if s, ok, _ := decodeSummary(rec); !ok || s.Seq != 7 || len(s.Entries) != 0 {
+		f.Fatalf("open record does not decode as an empty summary: %+v ok=%v", s, ok)
+	}
+	f.Add(rec)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, ok, err := decodeSummary(data)

@@ -1,0 +1,273 @@
+package seglog
+
+import (
+	"bytes"
+	"testing"
+
+	"s4/internal/disk"
+	"s4/internal/types"
+)
+
+// The roll-forward scan and the open record (DESIGN.md §14.5): what one
+// read of block 0 decides, and the crash windows of the record itself.
+
+// readCounter counts the reads that reach the device under it: one-block
+// probes apart from multi-block fetches.
+type readCounter struct {
+	disk.Device
+	single, vectored int
+	bytes            int64
+}
+
+func (c *readCounter) ReadSectors(sector int64, buf []byte) error {
+	if len(buf) == BlockSize {
+		c.single++
+	} else {
+		c.vectored++
+	}
+	c.bytes += int64(len(buf))
+	return c.Device.ReadSectors(sector, buf)
+}
+
+// appendN stages n recognisable data blocks for obj, keyed from key up.
+func appendN(t *testing.T, l *Log, obj types.ObjectID, key, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := l.Append(KindData, obj, uint64(key+i), types.Timestamp(key+i+1), bytes.Repeat([]byte{byte(key + i + 1)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func mustSync(t *testing.T, l *Log) {
+	t.Helper()
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func reopen(t *testing.T, dev disk.Device) *Log {
+	t.Helper()
+	l, err := Open(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// scanHits runs ScanFrom and returns the sequence each hit segment
+// reported.
+func scanHits(t *testing.T, l *Log, afterSeq uint64) map[int64]uint64 {
+	t.Helper()
+	hits := make(map[int64]uint64)
+	if err := l.ScanFrom(afterSeq, func(seg int64, sum Summary) error {
+		hits[seg] = sum.Seq
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return hits
+}
+
+// TestScanReadsOnePerClosedSegment is the scan's cost as a count: on a log
+// of N segments — k sealed, one open with a synced snapshot, the rest
+// never written — ScanFrom reads block 0 of each segment and nothing else,
+// except the one open segment, whose remaining blocks it fetches with a
+// single vectored read. Before the open record every segment without a
+// sealed summary was probed block by block: N-k segments times
+// SegBlocks-1 more reads.
+func TestScanReadsOnePerClosedSegment(t *testing.T) {
+	const sealed = 3
+	l, dev := newFaultLog(t, 16)
+	appendN(t, l, 1, 0, sealed*l.PayloadBlocks())
+	appendN(t, l, 2, 1000, 2)
+	mustSync(t, l)
+
+	cnt := &readCounter{Device: dev}
+	l2 := reopen(t, cnt)
+	*cnt = readCounter{Device: dev} // the superblock read is Open's, not the scan's
+	hits := scanHits(t, l2, 0)
+	if len(hits) != sealed+1 {
+		t.Fatalf("scan hit segments %v, want the %d sealed and the open one", hits, sealed)
+	}
+	n := int(l2.NumSegments())
+	if cnt.single != n || cnt.vectored != 1 {
+		t.Fatalf("scan of %d segments issued %d one-block and %d vectored reads, want %d and 1", n, cnt.single, cnt.vectored, n)
+	}
+	if want := int64(n+l2.PayloadBlocks()) * BlockSize; cnt.bytes != want {
+		t.Fatalf("scan read %d bytes, want %d", cnt.bytes, want)
+	}
+}
+
+// TestCrashBeforeFirstSnapshot crashes between the first payload write of
+// a segment and its first summary snapshot. The open record rode that
+// write (it is the write's first block, not a write of its own), so the
+// segment reads as opened; it has no summary yet, so the scan reports
+// nothing for it and no block of it is covered — the payload was never
+// acknowledged.
+func TestCrashBeforeFirstSnapshot(t *testing.T) {
+	l, dev := newFaultLog(t, 16)
+	dev.StartRecording()
+	appendN(t, l, 1, 0, 2)
+	mustSync(t, l)
+	if dev.Writes() != 2 {
+		t.Fatalf("first sync of a segment took %d device writes, want 2 (payload run, snapshot)", dev.Writes())
+	}
+	if w := dev.Record(0); w.Sector != l.segBase(0)*sectorsPerBlock || w.Sectors() != 3*sectorsPerBlock {
+		t.Fatalf("first write covers sectors %d+%d, want the record and two payload blocks from the segment base", w.Sector, w.Sectors())
+	}
+
+	img, err := dev.ImageAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnt := &readCounter{Device: img}
+	lr := reopen(t, cnt)
+	blk := make([]byte, BlockSize)
+	if err := readBlocks(img, lr.segBase(0), blk); err != nil {
+		t.Fatal(err)
+	}
+	if _, n, ok := checkSummary(blk); !ok || n != 0 {
+		t.Fatalf("block 0 after the first payload write: ok=%v entries=%d, want an open record", ok, n)
+	}
+	*cnt = readCounter{Device: img}
+	if sum, ok, err := lr.ReadSummary(0); err != nil || ok {
+		t.Fatalf("segment with a record and no snapshot: summary %+v ok=%v err=%v, want none", sum, ok, err)
+	}
+	if cnt.single != 1 || cnt.vectored != 1 {
+		t.Fatalf("lookup issued %d one-block and %d vectored reads, want 1 and 1", cnt.single, cnt.vectored)
+	}
+	if hits := scanHits(t, lr, 0); len(hits) != 0 {
+		t.Fatalf("scan hit %v before any snapshot was durable", hits)
+	}
+
+	// One write later the snapshot is there and describes both blocks.
+	if img, err = dev.ImageAt(2); err != nil {
+		t.Fatal(err)
+	}
+	if sum, ok, err := reopen(t, img).ReadSummary(0); err != nil || !ok || len(sum.Entries) != 2 {
+		t.Fatalf("after the snapshot write: summary %+v ok=%v err=%v, want two entries", sum, ok, err)
+	}
+}
+
+// reusedSegment seals segment 0 (with two partial syncs on the way, so its
+// old life leaves trailing snapshots behind as well as a sealed summary),
+// checkpoints, frees it and starts its second life with two staged blocks.
+// It returns the checkpoint's sequence: everything of the old life is at
+// or below it.
+func reusedSegment(t *testing.T, l *Log) (cpSeq uint64) {
+	t.Helper()
+	appendN(t, l, 1, 0, 3)
+	mustSync(t, l)
+	appendN(t, l, 1, 3, 3)
+	mustSync(t, l)
+	for l.CurrentSegment() == 0 {
+		appendN(t, l, 1, 100, 1)
+	}
+	if err := l.WriteCheckpoint([]byte("state"), nil); err != nil {
+		t.Fatal(err)
+	}
+	cpSeq = l.Seq()
+	if err := l.FreeSegment(0); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 2, 200, 2)
+	if l.CurrentSegment() != 0 {
+		t.Fatalf("second life opened segment %d, want 0 (lowest free first)", l.CurrentSegment())
+	}
+	return cpSeq
+}
+
+// TestTornRecordOverStaleSummary tears the first write of a reused
+// segment inside block 0: one sector of the new open record over the
+// sealed summary of the segment's previous life. The mix decodes as
+// nothing, so the segment is read whole, and all that is in it are the
+// previous life's snapshots — every one at or below the checkpoint that
+// authorised the reuse, so the roll-forward scan replays none of them.
+func TestTornRecordOverStaleSummary(t *testing.T) {
+	l, dev := newFaultLog(t, 16)
+	cpSeq := reusedSegment(t, l)
+	dev.StartRecording()
+	mustSync(t, l)
+	img, err := dev.TornImageAt(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := make([]byte, BlockSize)
+	if err := readBlocks(img, l.segBase(0), blk); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := checkSummary(blk); ok || bytes.Equal(blk, zeroBlock[:]) {
+		t.Fatal("torn block 0 still decodes, or is zero: the tear did not mix the two lives")
+	}
+	cnt := &readCounter{Device: img}
+	lr := reopen(t, cnt)
+	*cnt = readCounter{Device: img}
+	sum, ok, err := lr.ReadSummary(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cnt.single != 1 || cnt.vectored != 1 {
+		t.Fatalf("undecodable block 0: %d one-block and %d vectored reads, want the whole segment (1 and 1)", cnt.single, cnt.vectored)
+	}
+	if ok && sum.Seq > cpSeq {
+		t.Fatalf("found a summary at seq %d above the checkpoint's %d in a segment whose new life has none", sum.Seq, cpSeq)
+	}
+	if seq, hit := scanHits(t, lr, cpSeq)[0]; hit {
+		t.Fatalf("scan from the checkpoint replayed the reused segment at seq %d", seq)
+	}
+}
+
+// TestRottedOpenRecordStillOpened rots the open record of a segment with
+// a synced snapshot. "Undecodable" must read as "opened": were it taken
+// for a never-written segment, the snapshot — and the acknowledged writes
+// it covers — would silently fall out of recovery.
+func TestRottedOpenRecordStillOpened(t *testing.T) {
+	l, dev := newFaultLog(t, 16)
+	appendN(t, l, 1, 0, 2)
+	mustSync(t, l)
+	dev.RotSector(l.segBase(0)*sectorsPerBlock, 0x5A)
+	lr := reopen(t, dev)
+	sum, ok, err := lr.ReadSummary(0)
+	if err != nil || !ok || len(sum.Entries) != 2 {
+		t.Fatalf("summary behind a rotted record: %+v ok=%v err=%v, want the two-entry snapshot", sum, ok, err)
+	}
+	if _, hit := scanHits(t, lr, 0)[0]; !hit {
+		t.Fatal("scan skipped the segment whose record rotted")
+	}
+}
+
+// TestStaleSealedSummaryNeverShadowsSnapshot is the property the deleted
+// open-time zeroing write protected. A reused segment's block 0 holds the
+// sealed summary of its previous life until the new life's first write
+// replaces it with the open record — the same write that lands the first
+// payload, ahead of the first snapshot — so from the moment a snapshot of
+// the new life is durable, block 0 no longer claims the segment sealed.
+func TestStaleSealedSummaryNeverShadowsSnapshot(t *testing.T) {
+	l, dev := newFaultLog(t, 16)
+	cpSeq := reusedSegment(t, l)
+
+	// Nothing of the new life is on disk yet: the segment still reads as
+	// its previous, sealed life — which is what it durably is.
+	if sum, ok, err := reopen(t, dev).ReadSummary(0); err != nil || !ok || sum.Seq > cpSeq || len(sum.Entries) != l.PayloadBlocks() {
+		t.Fatalf("before the first flush: %d entries at seq %d ok=%v err=%v, want the previous life's sealed summary", len(sum.Entries), sum.Seq, ok, err)
+	}
+	dev.StartRecording()
+	mustSync(t, l)
+	for k := 1; k <= dev.Writes(); k++ {
+		img, err := dev.ImageAt(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, ok, err := reopen(t, img).ReadSummary(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && len(sum.Entries) == l.PayloadBlocks() {
+			t.Fatalf("after %d writes of the new life the stale sealed summary still answers", k)
+		}
+		if k == dev.Writes() && (!ok || sum.Seq <= cpSeq || len(sum.Entries) != 2 || sum.Entries[0].Obj != 2) {
+			t.Fatalf("after the sync: summary %+v ok=%v, want the new life's two-entry snapshot", sum, ok)
+		}
+	}
+}

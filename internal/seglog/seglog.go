@@ -18,7 +18,9 @@
 // owning object, key, timestamp, length, and a CRC32 of the block's
 // full on-disk contents) and carries a monotonically increasing write
 // sequence number; crash recovery replays summaries with sequence
-// numbers newer than the last checkpoint.
+// numbers newer than the last checkpoint. Until the seal, block 0 holds
+// an open record — a summary with no entries — so one read tells a
+// sealed, an open and a never-written segment apart (findSummary).
 //
 // # Verified reads (DESIGN.md §15)
 //
@@ -33,6 +35,7 @@
 package seglog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -141,8 +144,9 @@ const (
 	summaryMagic2 = 0x53344732 // "S4G2" — summary with per-block CRCs
 	cpMagic       = 0x53344350 // "S4CP"
 	// formatVer is the only on-disk format: Format stamps it and Open
-	// rejects anything else, so no read path admits unchecksummed media.
-	formatVer = 2
+	// rejects anything else, so no read path admits unchecksummed media
+	// (2) and no scan meets an open segment without its record (3).
+	formatVer = 3
 )
 
 // Log is an open segment log. Methods are safe for concurrent use.
@@ -158,7 +162,9 @@ type Log struct {
 	free     []bool // per-segment free flag
 	nFree    int64
 	curSeg   int64  // open segment (-1 if none)
-	buf      []byte // staged open segment (SegBlocks * BlockSize)
+	buf      []byte // staged open segment (SegBlocks * BlockSize); block 0 is its open record
+	recDue   bool   // the open record has not reached the device yet
+	sumBuf   []byte // the summary the current flush writes (one block)
 	used     int    // payload blocks staged (excluding summary)
 	dirty    []bool // per payload block: staged but not yet on disk
 	nDirty   int
@@ -291,6 +297,7 @@ func Open(dev disk.Device) (*Log, error) {
 		curSeg:      -1,
 		buf:         make([]byte, cfg.SegBlocks*BlockSize),
 		flushBuf:    make([]byte, cfg.SegBlocks*BlockSize),
+		sumBuf:      make([]byte, BlockSize),
 		flushSeg:    -1,
 		flushBufSeg: -1,
 		sums:        make(map[int64][]uint32),
@@ -559,7 +566,7 @@ func (l *Log) PatchSettled(addr BlockAddr, off int, data []byte) error {
 	if seg == cur {
 		return fmt.Errorf("seglog: patch of open segment %d: %w", seg, types.ErrInval)
 	}
-	if sum, found, err := l.findSummary(seg); err == nil && found &&
+	if sum, found, err := l.findSummary(seg, 0, newScanBuf()); err == nil && found &&
 		idx-1 < len(sum.Entries) && sum.Entries[idx-1].Sum != 0 {
 		return fmt.Errorf("seglog: patch of checksummed block %v: %w", addr, types.ErrInval)
 	}
@@ -577,53 +584,34 @@ func (l *Log) Room() int {
 	return l.PayloadBlocks() - l.used
 }
 
-// openSegmentLocked picks the next free segment, preferring the one
-// sequentially after the current to keep log writes contiguous.
+// openSegmentLocked opens the lowest-numbered free, unquarantined
+// segment. It touches no device: block 0 of the staging buffer becomes
+// the open record, which rides the segment's first payload write
+// (flushLocked), so a sealed summary left in block 0 by the segment's
+// previous life is gone before any snapshot of this one is durable.
 func (l *Log) openSegmentLocked() error {
-	if l.nFree == 0 {
-		return types.ErrNoSpace
-	}
-	start := int64(0)
-	if l.curSeg >= 0 {
-		start = (l.curSeg + 1) % l.nSegments
-	}
-	for i := int64(0); i < l.nSegments; i++ {
-		seg := (start + i) % l.nSegments
-		if l.free[seg] && !l.quar[seg] {
-			l.free[seg] = false
-			l.nFree--
-			l.curSeg = seg
-			l.used = 0
-			// The segment's previous life is over; its cached checksum
-			// table (and any load racing this reuse) must not survive.
-			delete(l.sums, seg)
-			l.sumGen++
-			if l.dirty == nil {
-				l.dirty = make([]bool, l.cfg.SegBlocks)
-			}
-			for i := range l.dirty {
-				l.dirty[i] = false
-			}
-			l.nDirty = 0
-			l.entries = l.entries[:0]
-			for i := range l.buf {
-				l.buf[i] = 0
-			}
-			// Invalidate any sealed summary left from the segment's
-			// previous life. Seal writes block 0 only after the payload
-			// is durable, so while this segment is open the newest
-			// trailing snapshot is authoritative — a stale block-0
-			// summary from before the reuse must not shadow it. Fresh
-			// segments (the common case) only pay a read here.
-			sb := make([]byte, BlockSize)
-			if err := readBlocks(l.dev, l.segBase(seg), sb); err != nil {
-				return err
-			}
-			if _, stale, _ := decodeSummary(sb); stale {
-				return writeBlocks(l.dev, l.segBase(seg), l.buf[:BlockSize])
-			}
-			return nil
+	for seg := int64(0); l.nFree > 0 && seg < l.nSegments; seg++ {
+		if !l.free[seg] || l.quar[seg] {
+			continue
 		}
+		l.free[seg] = false
+		l.nFree--
+		l.curSeg = seg
+		l.used = 0
+		// The segment's previous life is over; its cached checksum
+		// table (and any load racing this reuse) must not survive.
+		delete(l.sums, seg)
+		l.sumGen++
+		if l.dirty == nil {
+			l.dirty = make([]bool, l.cfg.SegBlocks)
+		}
+		clear(l.dirty)
+		l.nDirty = 0
+		l.entries = l.entries[:0]
+		clear(l.buf)
+		l.encodeSummaryLocked(l.buf[:BlockSize], l.seq, false) // no entries: "opened at seq"
+		l.recDue = true
+		return nil
 	}
 	return types.ErrNoSpace
 }
@@ -692,20 +680,22 @@ func (l *Log) forceDev() error {
 // snapshot intact and loses only unacknowledged work.
 //
 // Seal (closeSeg true): the payload is written first, then the final
-// summary lands in block 0, where steady-state reads expect it. A
-// summary never declares blocks that are not already durable, so a
-// crash mid-seal falls back to the newest partial snapshot.
+// summary lands in block 0, over the open record, where steady-state
+// reads expect it. A summary never declares blocks that are not already
+// durable, so a crash mid-seal falls back to the newest partial
+// snapshot. A segment's first flush, of either kind, starts its run at
+// block 0, not 1: the open record costs no write of its own.
 //
-// The device writes happen with l.mu RELEASED: the summary and dirty
-// runs are snapshotted into flushBuf (a seal swaps the buffers whole,
-// a partial flush copies and reserves its snapshot slot with a pad
-// entry first), so appends keep staging into buf while the writes are
-// in flight. Only one flush runs at a time; a second caller waits on
-// flushCond and re-derives what is left to do. A device-write error
-// latches ioErr, failing every later append and sync — dirty state is
-// cleared optimistically before the writes, so the latch is what keeps
-// a failed flush from being silently dropped. Caller holds l.mu; it is
-// released and re-acquired internally.
+// The device writes happen with l.mu RELEASED: the summary is encoded
+// into sumBuf and the dirty runs are snapshotted into flushBuf (a seal
+// swaps the buffers whole, a partial flush copies and reserves its
+// snapshot slot with a pad entry first), so appends keep staging into
+// buf while the writes are in flight. Only one flush runs at a time; a
+// second caller waits on flushCond and re-derives what is left to do. A
+// device-write error latches ioErr, failing every later append and sync
+// — dirty state is cleared optimistically before the writes, so the
+// latch is what keeps a failed flush from being silently dropped.
+// Caller holds l.mu; it is released and re-acquired internally.
 func (l *Log) flushLocked(closeSeg bool) error {
 	for l.flushing {
 		l.flushStalls++
@@ -728,7 +718,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 		return nil
 	}
 	l.seq++
-	l.encodeSummaryLocked(l.seq, closeSeg)
+	l.encodeSummaryLocked(l.sumBuf, l.seq, closeSeg)
 	seg := l.curSeg
 	base := l.segBase(seg)
 	used := l.used
@@ -749,6 +739,9 @@ func (l *Log) flushLocked(closeSeg bool) error {
 		i = j
 	}
 	l.nDirty = 0
+	if l.recDue { // first flush of this life: all staged blocks were dirty, one run from block 1
+		runs[0][0], l.recDue = 0, false
+	}
 	if closeSeg {
 		// Seal: swap the staged buffer out whole and retire the
 		// segment; the next append opens a fresh one into the (zeroed
@@ -760,13 +753,12 @@ func (l *Log) flushLocked(closeSeg bool) error {
 		l.flushBufSeg = seg
 	} else {
 		// Partial flush: the segment stays open for appends, so copy
-		// the summary snapshot and the dirty runs aside. The snapshot
-		// slot is reserved with a pad entry BEFORE the mutex is
-		// released, so no concurrent append can land on top of what
-		// will be the only durable summary. The copy clobbers whatever
-		// sealed image the buffer retained, so the repair copy is gone.
+		// the dirty runs aside. The snapshot slot is reserved with a pad
+		// entry BEFORE the mutex is released, so no concurrent append
+		// can land on top of what will be the only durable summary. The
+		// copy clobbers whatever sealed image the buffer retained, so
+		// the repair copy is gone.
 		l.flushBufSeg = -1
-		copy(l.flushBuf[:BlockSize], l.buf[:BlockSize])
 		for _, r := range runs {
 			copy(l.flushBuf[r[0]*BlockSize:r[1]*BlockSize], l.buf[r[0]*BlockSize:r[1]*BlockSize])
 		}
@@ -779,7 +771,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 	l.segWrite++
 
 	l.mu.Unlock()
-	src := l.flushBuf // stable while flushing: no other flush can start
+	src := l.flushBuf // stable, like sumBuf, while flushing: no other flush can start
 	var werr error
 	for _, r := range runs {
 		if err := writeBlocks(l.dev, base+int64(r[0]), src[r[0]*BlockSize:r[1]*BlockSize]); err != nil {
@@ -788,13 +780,13 @@ func (l *Log) flushLocked(closeSeg bool) error {
 		}
 	}
 	if werr == nil {
-		if closeSeg {
-			werr = writeBlocks(l.dev, base, src[:BlockSize])
-		} else {
+		at := base // seal: block 0
+		if !closeSeg {
 			// Trailing summary snapshot; usually contiguous with the
 			// tail run just written, so the disk model charges no seek.
-			werr = writeBlocks(l.dev, base+int64(1+used), src[:BlockSize])
+			at = base + int64(1+used)
 		}
+		werr = writeBlocks(l.dev, at, l.sumBuf)
 	}
 	l.mu.Lock()
 
@@ -807,13 +799,12 @@ func (l *Log) flushLocked(closeSeg bool) error {
 	return werr
 }
 
-// encodeSummaryLocked serializes the staged entries into the summary
-// slot of buf. Block checksums are computed here — at flush time, over
-// each block's full staged contents — rather than at append time, so
-// RewriteRange mutations of open-segment blocks are covered by
-// whatever summary next reaches the device alongside them. Pad slots
-// get Sum zero: their on-disk bytes are a retired snapshot, not the
-// staged zeros.
+// encodeSummaryLocked serializes the staged entries into sb, one block.
+// Block checksums are computed here — at flush time, over each block's
+// full staged contents — rather than at append time, so RewriteRange
+// mutations of open-segment blocks are covered by whatever summary next
+// reaches the device alongside them. Pad slots get Sum zero: their
+// on-disk bytes are a retired snapshot, not the staged zeros.
 //
 // Journal blocks are checksummed only in the SEAL summary (sealed
 // true). While the segment is open they are rewritten in place on
@@ -826,11 +817,8 @@ func (l *Log) flushLocked(closeSeg bool) error {
 // torn and stale content there, exactly as before checksums — and the
 // seal, after which no rewrite can ever touch the segment, pins the
 // final bytes. Caller holds l.mu.
-func (l *Log) encodeSummaryLocked(seq uint64, sealed bool) {
-	sb := l.buf[:BlockSize]
-	for i := range sb {
-		sb[i] = 0
-	}
+func (l *Log) encodeSummaryLocked(sb []byte, seq uint64, sealed bool) {
+	clear(sb)
 	binary.LittleEndian.PutUint32(sb[0:], summaryMagic2)
 	binary.LittleEndian.PutUint64(sb[4:], seq)
 	binary.LittleEndian.PutUint32(sb[12:], uint32(len(l.entries)))
@@ -1014,7 +1002,7 @@ func (l *Log) sumsFor(seg int64) []uint32 {
 	}
 	gen := l.sumGen
 	l.mu.Unlock()
-	sum, ok, err := l.findSummary(seg)
+	sum, ok, err := l.findSummary(seg, 0, newScanBuf())
 	if err != nil {
 		return nil // device trouble reading the summary: skip, don't cache
 	}
@@ -1151,60 +1139,86 @@ func (l *Log) ReadSummary(seg int64) (Summary, bool, error) {
 		l.flushCond.Wait()
 	}
 	l.mu.Unlock()
-	return l.findSummary(seg)
+	return l.findSummary(seg, 0, newScanBuf())
 }
 
-// findSummary locates the newest valid summary of a segment on disk: a
-// sealed segment's summary lives in block 0; a partially synced one's
-// lives in the trailing snapshot slot right after its last used block.
-func (l *Log) findSummary(seg int64) (Summary, bool, error) {
-	sb := make([]byte, BlockSize)
-	if err := readBlocks(l.dev, l.segBase(seg), sb); err != nil {
-		return Summary{}, false, err
-	}
-	best, found, err := decodeSummary(sb)
-	if err != nil {
-		return Summary{}, false, err
-	}
-	if found && len(best.Entries) >= l.PayloadBlocks() {
-		return best, true, nil // sealed: full summary in block 0
-	}
-	for i := 1; i < l.cfg.SegBlocks; i++ {
-		if err := readBlocks(l.dev, l.segBase(seg)+int64(i), sb); err != nil {
-			return Summary{}, false, err
-		}
-		s, ok, err := decodeSummary(sb)
-		if err != nil {
-			return Summary{}, false, err
-		}
-		// A genuine trailing snapshot at slot i describes exactly the
-		// i-1 payload blocks before it.
-		if ok && len(s.Entries) == i-1 && (!found || s.Seq > best.Seq) {
-			best, found = s, true
-		}
-	}
-	return best, found, nil
-}
+// scanBuf is findSummary's scratch: block 0 of a segment, and (allocated
+// on first need) the rest of one. ScanFrom shares one across the device.
+type scanBuf struct{ blk, rest []byte }
 
-// decodeSummary parses a candidate summary block. Invalid candidates
-// (wrong magic, hostile count, CRC mismatch) report ok=false, never an
-// error: recovery probes arbitrary blocks looking for summaries.
-func decodeSummary(sb []byte) (Summary, bool, error) {
-	if len(sb) < summaryHeaderSize || binary.LittleEndian.Uint32(sb[0:]) != summaryMagic2 {
+func newScanBuf() *scanBuf { return &scanBuf{blk: make([]byte, BlockSize)} }
+
+var zeroBlock [BlockSize]byte
+
+// findSummary locates the newest valid summary of a segment on disk, if
+// its sequence is above afterSeq, by what block 0 holds (DESIGN.md
+// §14.5). A sealed summary: that is it. Zeros: never written. An open
+// record: the newest valid trailing snapshot (the slot right after the
+// blocks it describes) among blocks 1.., fetched with one vectored read.
+// Anything else — a torn or rotted record — is read like a record, never
+// like zeros: taking an opened segment for a free one would silently
+// drop an acknowledged tail; the reverse costs one read.
+func (l *Log) findSummary(seg int64, afterSeq uint64, b *scanBuf) (Summary, bool, error) {
+	base := l.segBase(seg)
+	if err := readBlocks(l.dev, base, b.blk); err != nil {
+		return Summary{}, false, fmt.Errorf("seglog: segment %d summary: %w", seg, err)
+	}
+	best := b.blk
+	seq, n, ok := checkSummary(best)
+	if !ok || n < l.PayloadBlocks() {
+		if !ok && bytes.Equal(best, zeroBlock[:]) {
+			return Summary{}, false, nil
+		}
+		if b.rest == nil {
+			b.rest = make([]byte, l.PayloadBlocks()*BlockSize)
+		}
+		if err := readBlocks(l.dev, base+1, b.rest); err != nil {
+			return Summary{}, false, fmt.Errorf("seglog: segment %d payload: %w", seg, err)
+		}
+		best, seq = nil, 0
+		for slot := 0; slot < l.PayloadBlocks(); slot++ {
+			// A genuine snapshot in payload slot k describes the k before it.
+			blk := b.rest[slot*BlockSize : (slot+1)*BlockSize]
+			if s, n, ok := checkSummary(blk); ok && n == slot && (best == nil || s > seq) {
+				best, seq = blk, s
+			}
+		}
+	}
+	if best == nil || seq <= afterSeq {
 		return Summary{}, false, nil
 	}
-	count := int(binary.LittleEndian.Uint32(sb[12:]))
+	return decodeSummary(best)
+}
+
+// checkSummary validates a candidate summary block (magic, hostile
+// count, CRC) and returns its sequence and entry count without
+// materializing the entries. Invalid candidates report ok=false, never
+// an error: recovery probes arbitrary blocks looking for summaries.
+func checkSummary(sb []byte) (seq uint64, count int, ok bool) {
+	if len(sb) < summaryHeaderSize || binary.LittleEndian.Uint32(sb[0:]) != summaryMagic2 {
+		return 0, 0, false
+	}
+	count = int(binary.LittleEndian.Uint32(sb[12:]))
 	if count < 0 || summaryHeaderSize+count*summaryEntrySize > BlockSize ||
 		summaryHeaderSize+count*summaryEntrySize > len(sb) {
-		return Summary{}, false, nil
+		return 0, 0, false
 	}
 	if binary.LittleEndian.Uint32(sb[16:]) != crc32.ChecksumIEEE(sb[summaryHeaderSize:]) {
+		return 0, 0, false
+	}
+	return binary.LittleEndian.Uint64(sb[4:]), count, true
+}
+
+// decodeSummary parses a candidate summary block checkSummary accepts.
+func decodeSummary(sb []byte) (Summary, bool, error) {
+	seq, count, ok := checkSummary(sb)
+	if !ok {
 		return Summary{}, false, nil
 	}
-	s := Summary{Seq: binary.LittleEndian.Uint64(sb[4:])}
+	s := Summary{Seq: seq, Entries: make([]SummaryEntry, count)}
 	off := summaryHeaderSize
-	for i := 0; i < count; i++ {
-		e := SummaryEntry{
+	for i := range s.Entries {
+		s.Entries[i] = SummaryEntry{
 			Kind: Kind(sb[off]),
 			Obj:  types.ObjectID(binary.LittleEndian.Uint64(sb[off+1:])),
 			Key:  binary.LittleEndian.Uint64(sb[off+9:]),
@@ -1212,7 +1226,6 @@ func decodeSummary(sb []byte) (Summary, bool, error) {
 			Len:  binary.LittleEndian.Uint32(sb[off+25:]),
 			Sum:  binary.LittleEndian.Uint32(sb[off+29:]),
 		}
-		s.Entries = append(s.Entries, e)
 		off += summaryEntrySize
 	}
 	return s, true, nil
@@ -1290,19 +1303,23 @@ func (l *Log) SetSeq(seq uint64) {
 
 // ScanFrom visits every written segment whose summary sequence is
 // greater than afterSeq, in increasing sequence order. Recovery uses it
-// to roll the object map forward from the last checkpoint.
+// to roll the object map forward from the last checkpoint. It reads one
+// block per segment plus the rest of each unsealed one (findSummary).
 func (l *Log) ScanFrom(afterSeq uint64, fn func(seg int64, sum Summary) error) error {
 	type hit struct {
 		seg int64
 		sum Summary
 	}
 	var hits []hit
+	b := newScanBuf()
 	for seg := int64(0); seg < l.nSegments; seg++ {
-		sum, ok, err := l.findSummary(seg)
-		if err != nil || !ok || sum.Seq <= afterSeq {
-			continue
+		sum, ok, err := l.findSummary(seg, afterSeq, b)
+		if err != nil {
+			return err // skipping it would open on an older prefix, acked writes gone
 		}
-		hits = append(hits, hit{seg, sum})
+		if ok {
+			hits = append(hits, hit{seg, sum})
+		}
 	}
 	sort.Slice(hits, func(i, j int) bool { return hits[i].sum.Seq < hits[j].sum.Seq })
 	for _, h := range hits {

@@ -2,6 +2,7 @@ package torture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -285,5 +286,192 @@ func TestDeviceErrorFailsCleanly(t *testing.T) {
 		t.Fatal("open succeeded with a failing device")
 	} else if !errors.Is(err, errBoom) {
 		t.Fatalf("open error %v does not wrap the device error", err)
+	}
+}
+
+// ioCounter counts the device I/Os that pass through it.
+type ioCounter struct {
+	disk.Device
+	n int64
+}
+
+func (c *ioCounter) ReadSectors(sector int64, buf []byte) error {
+	c.n++
+	return c.Device.ReadSectors(sector, buf)
+}
+
+func (c *ioCounter) WriteSectors(sector int64, buf []byte) error {
+	c.n++
+	return c.Device.WriteSectors(sector, buf)
+}
+
+// TestReadFaultSweep fails, one open at a time, every device I/O a clean
+// open of a crash image issues. TestDeviceErrorFailsCleanly arms only the
+// first of them, the superblock read; the dangerous ones come later, where
+// recovery asks the device a yes-or-no question — is there a summary
+// here, is this block covered — and a failed read used to be taken for
+// "no": the roll-forward scan skipped the segment and Open succeeded on an
+// older prefix, Sync-acked writes gone. The image's last durability point
+// is a Sync past the last checkpoint, so that tail is what a swallowed
+// error loses. Every open must either fail with the device's error or
+// recover a drive that serves everything acked and holds its invariants;
+// and since the error is one-shot, a second open of the same image (the
+// operator retrying) must recover it too, so a refused open may not have
+// cut anything out of the media on its way out.
+func TestReadFaultSweep(t *testing.T) {
+	st := newSyncedTail(t)
+	cnt := &ioCounter{Device: st.image(t)}
+	drv, err := core.Open(cnt, st.opts)
+	if err != nil {
+		t.Fatalf("clean open: %v", err)
+	}
+	if drv.DriveStats().RecoveryReplayEntries == 0 {
+		t.Fatal("clean open replayed nothing; the image has no tail to lose")
+	}
+	total := cnt.n
+	st.check(t, "clean open", drv)
+
+	errBoom := errors.New("boom")
+	refused := 0
+	for n := int64(0); n < total; n++ {
+		img := st.image(t)
+		img.FailAfter(n, errBoom)
+		drv, err := core.Open(img, st.opts)
+		img.ClearFaults()
+		if err == nil {
+			st.check(t, fmt.Sprintf("I/O %d failed, open succeeded", n), drv)
+			continue
+		}
+		refused++
+		if !errors.Is(err, errBoom) {
+			t.Errorf("I/O %d failed: open error %v does not wrap the device error", n, err)
+		}
+		if drv, err = core.Open(img, st.opts); err != nil {
+			t.Errorf("I/O %d failed: retried open: %v", n, err)
+			continue
+		}
+		st.check(t, fmt.Sprintf("I/O %d failed, retried open", n), drv)
+	}
+	t.Logf("%d I/Os per clean open of crash point %d; %d opens refused, %d recovered", total, st.k, refused, int(total)-refused)
+	if refused == 0 {
+		t.Fatal("no injected error ever surfaced")
+	}
+}
+
+// syncedTail is a crash image whose last durability point is a plain
+// Sync past the last checkpoint: the acknowledged writes in between live
+// only in the roll-forward tail, so they are what a recovery that reads
+// too little loses.
+type syncedTail struct {
+	w    *run
+	k    int // crash point: the writes acknowledged when that Sync returned
+	opts core.Options
+}
+
+func newSyncedTail(t *testing.T) *syncedTail {
+	t.Helper()
+	cfg := Config{Seed: 44, Ops: 60}
+	cfg.fill()
+	w, err := runWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &syncedTail{w: w, k: -1, opts: w.opts}
+	for i := 1; i < len(w.syncs); i++ {
+		if !w.syncs[i].cp && w.syncs[i].nWrites > w.syncs[i-1].nWrites {
+			st.k = w.syncs[i].nWrites
+		}
+	}
+	if st.k < 0 || w.lastCpMark(st.k) == nil {
+		t.Fatal("workload has no Sync-acked tail behind a checkpoint; pick another seed")
+	}
+	st.opts.Clock = vclock.NewVirtualAt(w.endTime.Time())
+	return st
+}
+
+func (st *syncedTail) image(t *testing.T) *disk.FaultDisk {
+	t.Helper()
+	img, err := st.w.rec.ImageAt(st.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// acked calls report for every Sync-acked snapshot drv, recovered from
+// the image, does not serve exactly.
+func (st *syncedTail) acked(drv *core.Drive, report func(inv, msg string)) {
+	st.w.checkSynced(drv, st.w.lastMark(st.k), st.w.endTime-types.Timestamp(st.w.opts.Window), report)
+}
+
+// check holds the Sync-acked-content oracle and the structural invariants
+// on a drive recovered from the image.
+func (st *syncedTail) check(t *testing.T, when string, drv *core.Drive) {
+	t.Helper()
+	st.acked(drv, func(inv, msg string) { t.Errorf("%s [%s]: %s", when, inv, msg) })
+	if err := drv.CheckInvariants(); err != nil {
+		t.Errorf("%s: %v", when, err)
+	}
+}
+
+// TestRottedOpenRecordKeepsAckedTail rots the open record of the segment
+// that was open at the crash. The record is what tells the roll-forward
+// scan to read the segment; a record that no longer decodes must still
+// say "opened", because the alternative reading — "never written" — skips
+// the segment's snapshot and opens the drive, without complaint, on the
+// state before the acknowledged tail. The control at the end wipes the
+// record to zeros, which is exactly that reading, and must lose the tail:
+// otherwise this image could not tell the two apart.
+func TestRottedOpenRecordKeepsAckedTail(t *testing.T) {
+	st := newSyncedTail(t)
+	const spb = types.BlockSize / disk.SectorSize
+	segStart := int64(1 + 2*st.w.cfg.CheckpointBlocks)
+	// Open records: block 0 of a segment holding a summary ("S4G2") of
+	// zero entries.
+	var records []int64
+	blk := make([]byte, types.BlockSize)
+	probe := st.image(t)
+	for b := segStart; (b+int64(st.w.cfg.SegBlocks))*types.BlockSize <= probe.Capacity(); b += int64(st.w.cfg.SegBlocks) {
+		if err := probe.ReadSectors(b*spb, blk); err != nil {
+			t.Fatal(err)
+		}
+		if binary.LittleEndian.Uint32(blk[0:]) == 0x53344732 && binary.LittleEndian.Uint32(blk[12:]) == 0 {
+			records = append(records, b)
+		}
+	}
+	if len(records) == 0 {
+		t.Fatal("no segment of the crash image carries an open record")
+	}
+	clean, err := core.Open(st.image(t), st.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	img := st.image(t)
+	for _, b := range records {
+		img.RotSector(b*spb, 0x5A)
+	}
+	drv, err := core.Open(img, st.opts)
+	if err != nil {
+		t.Fatalf("open with %d rotted open records: %v", len(records), err)
+	}
+	st.check(t, "open record rotted", drv)
+	if got, want := drv.DriveStats().RecoveryReplayEntries, clean.DriveStats().RecoveryReplayEntries; got != want {
+		t.Errorf("replayed %d entries behind rotted records, %d on the clean image", got, want)
+	}
+
+	wiped := st.image(t)
+	for _, b := range records {
+		if err := wiped.WriteSectors(b*spb, make([]byte, types.BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if drv, err = core.Open(wiped, st.opts); err != nil {
+		return // refusing is one way of not losing the tail quietly
+	}
+	lost := 0
+	st.acked(drv, func(string, string) { lost++ })
+	if lost == 0 {
+		t.Fatal("control: wiping the open records lost nothing, so the image cannot show what a rotted one must not")
 	}
 }

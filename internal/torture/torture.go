@@ -374,30 +374,7 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 	// newest durable version of each object and all window-covered
 	// history beneath it — must read back exactly.
 	checkSnaps := func(when string) {
-		if mark == nil {
-			return
-		}
-		for _, m := range w.objects {
-			newest := -1
-			for si := range m.snaps {
-				if m.snaps[si].at <= mark.at {
-					newest = si
-				}
-			}
-			for si := 0; si <= newest; si++ {
-				sn := &m.snaps[si]
-				if sn.at <= winCut {
-					continue // aged out of the guarantee
-				}
-				inv := "history"
-				if si == newest {
-					inv = "durability"
-				}
-				if msg := checkSnap(drv, admin, m.id, sn, w.relaxed); msg != "" {
-					viol(inv, "object %v%s: %s", m.id, when, msg)
-				}
-			}
-		}
+		w.checkSynced(drv, mark, winCut, func(inv, msg string) { viol(inv, "%s%s", msg, when) })
 	}
 	checkSnaps("")
 
@@ -454,6 +431,39 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 		vs = append(vs, w.verifyEquivalence(res, dev2, idxDigest, k, torn)...)
 	}
 	return vs
+}
+
+// checkSynced holds invariants 2 and 3 on a recovered drive: every
+// oracle snapshot at or before the durability point mark, and younger
+// than winCut, reads back exactly. Each miss is reported under the
+// invariant it breaks — "durability" for an object's newest such
+// snapshot, "history" for the ones beneath it.
+func (w *run) checkSynced(drv *core.Drive, mark *syncMark, winCut types.Timestamp, report func(inv, msg string)) {
+	if mark == nil {
+		return
+	}
+	admin := types.AdminCred()
+	for _, m := range w.objects {
+		newest := -1
+		for si := range m.snaps {
+			if m.snaps[si].at <= mark.at {
+				newest = si
+			}
+		}
+		for si := 0; si <= newest; si++ {
+			sn := &m.snaps[si]
+			if sn.at <= winCut {
+				continue // aged out of the guarantee
+			}
+			inv := "history"
+			if si == newest {
+				inv = "durability"
+			}
+			if msg := checkSnap(drv, admin, m.id, sn, w.relaxed); msg != "" {
+				report(inv, fmt.Sprintf("object %v: %s", m.id, msg))
+			}
+		}
+	}
 }
 
 // verifyEquivalence opens a pristine copy of a crash image with

@@ -996,8 +996,9 @@ func (d *Drive) markClean(o *object) {
 // the exclusive drive lock: unlike the snapshot walkers of history.go,
 // this reads the object's live chain anchors.
 func (d *Drive) walkChain(o *object, from journal.SectorAddr, fn func(addr, prev journal.SectorAddr, entries []journal.Entry) (stop bool, err error)) error {
+	buf := make([]byte, seglog.BlockSize)
 	for addr := from; addr != journal.NilSector; {
-		obj, prev, entries, err := journal.ReadSector(d.log, addr)
+		obj, prev, entries, err := journal.ReadSectorInto(d.log, addr, buf)
 		if err != nil {
 			return fmt.Errorf("core: %v journal sector %d: %w", o.id, addr, err)
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
 	"s4/internal/disk"
+	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
 	"s4/internal/vclock"
@@ -169,5 +171,50 @@ func TestCrashBeforeFirstSnapshotBothPathsAgree(t *testing.T) {
 	}
 	if windows < 2 {
 		t.Fatalf("the workload opened %d segments under recording; want several", windows)
+	}
+}
+
+// TestWalkChainAllocatesPerWalk is journal's
+// TestWalkBackwardAllocatesPerWalk for the drive's own chain walker,
+// which recovery's loadInode and three cleaner passes run on: the walk
+// owns one block buffer, so a sector costs what decoding its entries
+// costs — well under the 4 KB block that every sector read used to
+// allocate to look at 512 bytes of it.
+func TestWalkChainAllocatesPerWalk(t *testing.T) {
+	e := newTestDrive(t)
+	id := e.create(alice)
+	for v := 0; v < 200; v++ {
+		e.write(alice, id, 0, spanPattern(v, 16))
+		e.tick()
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	d := e.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	o := d.objects[id]
+	sectors := 0
+	walk := func() {
+		sectors = 0
+		if err := d.walkChain(o, o.jhead, func(_, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
+			sectors++
+			return false, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk() // the chain's blocks are in the cache from here on
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	walk()
+	runtime.ReadMemStats(&after)
+	if sectors < 32 {
+		t.Fatalf("chain of 200 versions walked in %d sectors, want a deep chain", sectors)
+	}
+	perSector := (after.TotalAlloc - before.TotalAlloc) / uint64(sectors)
+	t.Logf("%d sectors, %d B allocated per sector", sectors, perSector)
+	if perSector >= seglog.BlockSize {
+		t.Fatalf("walkChain allocates %d B per sector over %d sectors, want less than a block: one buffer per walk, not per sector", perSector, sectors)
 	}
 }

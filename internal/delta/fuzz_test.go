@@ -70,6 +70,17 @@ func FuzzPackedDecodeHostile(f *testing.F) {
 	f.Add(b.Finish(), 0)
 	f.Add([]byte{0x50, 0x44, 0x34, 0x53, 0xFF}, 3)
 	f.Add([]byte{}, 0)
+	// Flated slots whose CRC holds and whose DEFLATE stream does not (cut
+	// short; not a stream at all): the inflater's errors must come out
+	// typed too.
+	if !s.Flate {
+		f.Fatal("seed slot is not deflated")
+	}
+	b = NewPackedBuilder(4096)
+	b.Add(Slot{Payload: s.Payload[:len(s.Payload)/2], Flate: true})
+	b.Add(Slot{Payload: []byte{0xFF, 0xFF, 0xFF, 0xFF}, Flate: true})
+	f.Add(b.Finish(), 0)
+	f.Add(b.Finish(), 1)
 	f.Fuzz(func(t *testing.T, block []byte, slot int) {
 		if _, err := OrigAddrs(block); err != nil && !errors.Is(err, types.ErrCorrupt) {
 			t.Fatalf("OrigAddrs error not typed: %v", err)

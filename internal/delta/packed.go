@@ -18,6 +18,7 @@
 package delta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -175,13 +176,17 @@ func ApplySlot(block []byte, i int, newer []byte) ([]byte, error) {
 // it pays, and reports the resulting slot (without Orig) or ok=false
 // when the encoding is no smaller than maxLen.
 func EncodeSlot(newer, old []byte, maxLen int) (Slot, bool) {
-	enc := Encode(newer, old)
+	e := encoders.Get().(*encoder)
+	defer e.release()
+	enc := e.encode(newer, old)
 	flate := false
-	if c, err := Compress(enc); err == nil && len(c) < len(enc) {
+	if c, err := e.deflate(enc); err == nil && len(c) < len(enc) {
 		enc, flate = c, true
 	}
 	if len(enc) > maxLen {
 		return Slot{}, false
 	}
-	return Slot{Payload: enc, Flate: flate}, true
+	// The caller holds the payload until its packed block is built; it
+	// must not alias the encoder's buffers.
+	return Slot{Payload: bytes.Clone(enc), Flate: flate}, true
 }

@@ -511,13 +511,14 @@ type SectorReader interface {
 
 // ReadSector fetches and decodes the journal sector at sa.
 func ReadSector(r SectorReader, sa SectorAddr) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
-	return readSector(r, sa, make([]byte, seglog.BlockSize))
+	return ReadSectorInto(r, sa, make([]byte, seglog.BlockSize))
 }
 
-// readSector is ReadSector through the caller's block buffer, which is
-// free again on return: decoded entries never alias the bytes they came
-// from (Decode copies attribute blobs and makes its pointer lists).
-func readSector(r SectorReader, sa SectorAddr, buf []byte) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
+// ReadSectorInto is ReadSector through the caller's block buffer, which
+// is free again on return: decoded entries never alias the bytes they
+// came from (Decode copies attribute blobs and makes its pointer lists).
+// A walk over many sectors reads them all through one buffer.
+func ReadSectorInto(r SectorReader, sa SectorAddr, buf []byte) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
 	if err := r.Read(sa.Block(), buf); err != nil {
 		return 0, 0, nil, err
 	}
@@ -542,7 +543,7 @@ func readSector(r SectorReader, sa SectorAddr, buf []byte) (obj types.ObjectID, 
 func WalkBackward(r SectorReader, obj types.ObjectID, head SectorAddr, fn func(e *Entry) (stop bool, err error)) error {
 	buf := make([]byte, seglog.BlockSize)
 	for addr := head; addr != NilSector; {
-		gotObj, prev, entries, err := readSector(r, addr, buf)
+		gotObj, prev, entries, err := ReadSectorInto(r, addr, buf)
 		if err != nil {
 			return err
 		}

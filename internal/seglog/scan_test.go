@@ -271,3 +271,57 @@ func TestStaleSealedSummaryNeverShadowsSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestFormatWipesTheOldLog formats a device twice. The first time it is
+// blank: Format reads block 0 of each segment, finds zeros and writes
+// nothing beyond the superblock and the two checkpoint slots — so no
+// crash sweep that starts from Format gains a crash point. The second
+// time it holds sealed segments and an open one with synced snapshots:
+// Format zeroes exactly those segments, and the scan of the result finds
+// nothing. Before, Format left the segment area alone and the next open
+// replayed every summary of the old log.
+func TestFormatWipesTheOldLog(t *testing.T) {
+	const sealed = 3
+	dev := disk.NewFault(8 << 20)
+	cfg := Config{SegBlocks: 16, CheckpointBlocks: 4}
+	cnt := &readCounter{Device: dev}
+	dev.StartRecording()
+	if err := Format(cnt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	l := reopen(t, dev)
+	n := int(l.NumSegments())
+	if dev.Writes() != 3 || cnt.single != n || cnt.vectored != 0 {
+		t.Fatalf("Format of a blank %d-segment device: %d writes, %d one-block and %d vectored reads; want 3, %d and 0",
+			n, dev.Writes(), cnt.single, cnt.vectored, n)
+	}
+
+	appendN(t, l, 1, 0, sealed*l.PayloadBlocks())
+	appendN(t, l, 2, 1000, 2)
+	mustSync(t, l)
+	appendN(t, l, 2, 2000, 2)
+	mustSync(t, l)
+	if hits := scanHits(t, reopen(t, dev), 0); len(hits) != sealed+1 {
+		t.Fatalf("scan of the used image hit segments %v, want the %d sealed and the open one", hits, sealed)
+	}
+
+	before := dev.Writes()
+	if err := Format(dev, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.Writes() - before; got != 3+sealed+1 {
+		t.Fatalf("Format of the used image: %d writes, want 3 and one per used segment (%d)", got, sealed+1)
+	}
+	lf := reopen(t, dev)
+	if hits := scanHits(t, lf, 0); len(hits) != 0 {
+		t.Fatalf("scan after Format hit segments %v, want none", hits)
+	}
+	// The open segment's snapshots sat in its pad slots, past block 0.
+	seg := make([]byte, cfg.SegBlocks*BlockSize)
+	if err := readBlocks(dev, lf.segBase(sealed), seg); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seg, make([]byte, len(seg))) {
+		t.Fatalf("segment %d, open in the old log, is not zero after Format", sealed)
+	}
+}

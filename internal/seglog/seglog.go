@@ -213,8 +213,16 @@ type Log struct {
 	corruptRepaired int64 // checksum failures healed from a redundant copy
 }
 
-// Format initializes dev with an empty log. Existing contents are
-// ignored; the superblock is rewritten.
+// Format initializes dev with an empty log: it rewrites the superblock,
+// invalidates both checkpoint slots, and wipes whatever log the device
+// held before. Every segment a log has written has a non-zero block 0 (a
+// sealed summary or an open record), and the roll-forward scan decides
+// what a segment is from that block alone (findSummary), so Format reads
+// each segment's block 0 and zeroes the segments where it is not zero —
+// whole, because a used segment keeps its partial-flush snapshots in its
+// pad slots, and the new log numbers its flushes from 1 again: once it
+// reopened the segment, a stale snapshot further in would outrank its
+// own. A blank device sees one read per segment and no write.
 func Format(dev disk.Device, cfg Config) error {
 	if cfg.SegBlocks < 8 || cfg.SegBlocks > maxSegBlocks() {
 		return fmt.Errorf("seglog: SegBlocks %d out of range: %w", cfg.SegBlocks, types.ErrInval)
@@ -243,6 +251,23 @@ func Format(dev disk.Device, cfg Config) error {
 	for slot := 0; slot < 2; slot++ {
 		if err := writeBlocks(dev, 1+int64(slot*cfg.CheckpointBlocks), empty); err != nil {
 			return err
+		}
+	}
+	head := make([]byte, BlockSize)
+	var zeros []byte
+	for seg := int64(0); seg < nSeg; seg++ {
+		base := segStart + seg*int64(cfg.SegBlocks)
+		if err := readBlocks(dev, base, head); err != nil {
+			return fmt.Errorf("seglog: format: segment %d: %w", seg, err)
+		}
+		if bytes.Equal(head, zeroBlock[:]) {
+			continue
+		}
+		if zeros == nil {
+			zeros = make([]byte, cfg.SegBlocks*BlockSize)
+		}
+		if err := writeBlocks(dev, base, zeros); err != nil {
+			return fmt.Errorf("seglog: format: segment %d: %w", seg, err)
 		}
 	}
 	if s, ok := dev.(disk.Syncer); ok {

@@ -286,7 +286,7 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 // window: final-version blocks, checkpoints, and the whole journal
 // chain are freed, and the object disappears from the map.
 func (d *Drive) reapObjectLocked(o *object, cs *CleanStats) error {
-	d.dropAllLandmarks(o)
+	d.retireLandmarks(o)
 	d.recon.dropObject(o.id)
 	for _, a := range o.ino.blocks {
 		// These were deprecated at delete time.
@@ -429,21 +429,24 @@ func (d *Drive) relocateChainLocked(o *object, avoid seglog.BlockAddr, cs *Clean
 	}
 	type sec struct {
 		addr    journal.SectorAddr
-		prev    journal.SectorAddr
 		entries []journal.Entry
 	}
 	var chain []sec
 	hit := false
-	err := d.walkChain(o, o.jhead, func(addr, prev journal.SectorAddr, entries []journal.Entry) (bool, error) {
-		chain = append(chain, sec{addr, prev, entries})
+	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
+		chain = append(chain, sec{addr, entries})
 		hit = hit || addr.Block() == avoid
 		return false, nil
 	})
 	if err != nil || !hit {
 		return err
 	}
-	// Re-place oldest first, fixing the backward links.
-	prev := chain[len(chain)-1].prev
+	// Re-place oldest first, fixing the backward links. The new tail
+	// links to nothing: whatever the old one pointed at was pruned, and a
+	// crash before the barrier recovers this chain (once extended) under
+	// the checkpointed jtail, which no longer names any of its sectors —
+	// the walk must end here on its own.
+	prev := journal.NilSector
 	var newAddrs []journal.SectorAddr
 	for i := len(chain) - 1; i >= 0; i-- {
 		ptrs := make([]*journal.Entry, len(chain[i].entries))
@@ -471,17 +474,9 @@ func (d *Drive) relocateChainLocked(o *object, avoid seglog.BlockAddr, cs *Clean
 	// moved, so re-register each flushed landmark at its new address.
 	// The roots themselves are history blocks and did not move.
 	for i := range chain {
-		newSA := newAddrs[len(chain)-1-i]
 		for j := range chain[i].entries {
-			e := &chain[i].entries[j]
-			if e.Type != journal.EntCheckpoint {
-				continue
-			}
-			for k := range o.landmarks {
-				ln := &o.landmarks[k]
-				if ln.version == e.Version && ln.root == e.InodeAddr {
-					ln.sector = newSA
-				}
+			if ln := o.landmarkOf(&chain[i].entries[j]); ln != nil {
+				ln.sector = newAddrs[len(chain)-1-i]
 			}
 		}
 	}
@@ -664,15 +659,11 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 		r.o.cpVersion = 0
 		// Landmark roots and cached reconstructions snapshot block
 		// addresses too — the relocated blocks may be live in historical
-		// views — so both are invalidated wholesale. Recovery tolerates
-		// the resulting chain tombstones: it revalidates each checkpoint
-		// entry's root before trusting it.
-		d.dropAllLandmarks(r.o)
-		// The chain may still hold checkpoint entries with intact roots
-		// that a full-scan recovery would re-index; flag the object so the
-		// segment index records the list as reset and indexed recovery
-		// re-walks the chain too (DESIGN.md §14).
-		r.o.lmReset = true
+		// views — so every landmark up to the current version dies here,
+		// durably: the landmark floor rides the object map of the barrier
+		// checkpoint that must precede any reuse of the emptied segment,
+		// so no recovery indexes one of them again.
+		d.retireLandmarks(r.o)
 		d.recon.dropObject(r.o.id)
 	}
 	// Relocated objects are refreshed by the checkpoint barrier that

@@ -18,8 +18,7 @@ import (
 // opened via the segment index and via full-scan replay must produce
 // byte-identical digests. Deliberately excluded: object.nextAge (a lazy
 // aging hint, normalized to zero by both recovery paths before first
-// use) and object.lmReset (an index-only persistence flag with no
-// full-scan counterpart); in-memory caches; and statistics.
+// use), in-memory caches, and statistics.
 func (d *Drive) StateDigest() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -41,8 +40,8 @@ func (d *Drive) StateDigest() string {
 	fmt.Fprintf(&b, "objects n=%d\n", len(ids))
 	for _, id := range ids {
 		o := d.objects[id]
-		fmt.Fprintf(&b, "  obj %d nextVer=%d cpVer=%d root=%d jhead=%d jtail=%d floorVer=%d floorTime=%d pruned=%v\n",
-			o.id, o.nextVersion, o.cpVersion, o.inodeRoot, o.jhead, o.jtail, o.floorVersion, o.floorTime, o.pruned)
+		fmt.Fprintf(&b, "  obj %d nextVer=%d cpVer=%d root=%d jhead=%d jtail=%d floorVer=%d floorTime=%d lmFloor=%d pruned=%v\n",
+			o.id, o.nextVersion, o.cpVersion, o.inodeRoot, o.jhead, o.jtail, o.floorVersion, o.floorTime, o.lmFloor, o.pruned)
 		fmt.Fprintf(&b, "    cpBlocks=%v\n", o.cpBlocks)
 		for _, ln := range o.landmarks {
 			fmt.Fprintf(&b, "    landmark t=%d v=%d root=%d sector=%d\n", ln.time, ln.version, ln.root, ln.sector)

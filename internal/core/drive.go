@@ -206,24 +206,23 @@ type object struct {
 	pruned bool
 	// landmarks is the in-memory index of the checkpoint entries in the
 	// journal chain, ascending by time (DESIGN.md §12.1). Invariant: it
-	// holds exactly the checkpoint roots currently accounted as history
-	// blocks — registration (appendEntry), sector fill-in
-	// (flushJournalLocked), aging/reap/Flush removal (cleaner,
+	// holds exactly the chain's and the pending tail's checkpoint entries
+	// above both floorVersion and lmFloor, and exactly their roots are
+	// accounted as history blocks — registration (appendEntry), sector
+	// fill-in (flushJournalLocked), aging/reap/Flush removal (cleaner,
 	// flushObjectLocked), and relocation re-registration
 	// (relocateChainLocked) all preserve that. Persisted in the segment
 	// index at checkpoint; full-scan recovery rebuilds it during
 	// recountUsage's chain walk.
 	landmarks     []landmark
 	sinceLandmark int // real entries appended since the last landmark
-	// lmReset records that compaction dropped this object's landmark
-	// index wholesale (dropAllLandmarks after a forced data-block
-	// relocation), so the in-memory list may be missing checkpoint
-	// entries that are still in the chain. Full-scan recovery would
-	// re-index those; persisting the flag in the segment index tells
-	// indexed recovery to re-walk the chain the same way. The runtime
-	// never reconverges the list on its own, so the flag stays set until
-	// a recovery (which does) clears it.
-	lmReset bool
+	// lmFloor is the landmark floor: checkpoint entries at or below this
+	// version are dead whatever their roots still decode to. A landmark
+	// root is a full inode image, so it names the live blocks of its day;
+	// when the cleaner moves one of them it raises the floor to the
+	// current version (compactSegmentLocked). Persisted in the object
+	// map by the checkpoint that makes the move itself durable.
+	lmFloor uint64
 	lruEl   *list.Element
 
 	// Delta-history bookkeeping (DESIGN.md §16), all volatile: after a
@@ -435,12 +434,13 @@ type Drive struct {
 	// segment. Touched only under the exclusive drive lock.
 	pendingFree map[int64]bool
 
-	// Transient indexed-recovery state (DESIGN.md §14); non-nil only
-	// while recover() runs with a usable segment index, cleared before
-	// Open returns. recPreJhead/recSnapVer snapshot each object's
-	// checkpoint-time chain head and newest applied version so the
-	// post-replay passes know where the replayed tail ends; recTouched
-	// marks objects whose chains the roll-forward scan advanced.
+	// Transient recovery state (DESIGN.md §14), cleared before Open
+	// returns. recSnapVer is each object's newest version at the
+	// checkpoint: everything at or below it was durable then. The
+	// indexed path also keeps recPreJhead, each object's checkpoint-time
+	// chain head, so the post-replay passes know where the replayed tail
+	// ends, and recTouched, the objects whose chains the roll-forward
+	// scan advanced.
 	recPreJhead map[types.ObjectID]journal.SectorAddr
 	recSnapVer  map[types.ObjectID]uint64
 	recTouched  map[types.ObjectID]bool
@@ -893,39 +893,62 @@ func (d *Drive) maybeEmitLandmarkLocked(o *object, e *journal.Entry) {
 	}
 }
 
-// registerLandmarkSectors records the chain position of checkpoint
-// entries that just reached a flushed sector; only flushed landmarks
+// landmarkOf returns the index entry for checkpoint entry e, or nil when
+// e is not a checkpoint entry or is not indexed. Caller holds o.mu
+// exclusively (or the exclusive drive lock) if it writes through the
+// result.
+func (o *object) landmarkOf(e *journal.Entry) *landmark {
+	if e.Type != journal.EntCheckpoint {
+		return nil
+	}
+	for i := range o.landmarks {
+		if ln := &o.landmarks[i]; ln.version == e.Version && ln.root == e.InodeAddr {
+			return ln
+		}
+	}
+	return nil
+}
+
+// placeLandmarks records sector sa as the chain position of every
+// indexed checkpoint entry among entries: they just reached a flushed
+// sector, or the sector holding them just moved. Only flushed landmarks
 // can anchor reconstruction walks. Caller holds o.mu exclusively (or
 // the exclusive drive lock).
-func (o *object) registerLandmarkSectors(entries []*journal.Entry, sa journal.SectorAddr) {
+func (o *object) placeLandmarks(entries []*journal.Entry, sa journal.SectorAddr) {
 	for _, e := range entries {
-		if e.Type != journal.EntCheckpoint {
-			continue
-		}
-		for i := range o.landmarks {
-			ln := &o.landmarks[i]
-			if ln.sector == journal.NilSector && ln.version == e.Version && ln.root == e.InodeAddr {
-				ln.sector = sa
-			}
+		if ln := o.landmarkOf(e); ln != nil {
+			ln.sector = sa
 		}
 	}
 }
 
+// landmarkLive reports whether a checkpoint entry of this version is
+// above both of o's floors — the one rule for what the landmark index
+// holds and which roots are in the history pool. Aging raises
+// floorVersion, relocation of a data block raises lmFloor; both are
+// persisted in the object map, so a restart never re-decides.
+func (o *object) landmarkLive(version uint64) bool {
+	return version > o.floorVersion && version > o.lmFloor
+}
+
 // landmarkRootValid reports whether root still holds object id's
-// checkpoint image at exactly version. Data-block relocation frees
-// checkpoint roots but leaves their chain entries behind as tombstones,
-// so a recorded address may by now hold reused-segment bytes; recovery
-// and the landmark checker both revalidate before trusting one.
-func (d *Drive) landmarkRootValid(id types.ObjectID, version uint64, root seglog.BlockAddr) bool {
+// checkpoint image at exactly version. A root that rotted on media is
+// simply not a landmark any more (the full undo walk serves its reads);
+// any other read failure is the device's and is returned, so an Open
+// never mistakes an I/O error for "no".
+func (d *Drive) landmarkRootValid(id types.ObjectID, version uint64, root seglog.BlockAddr) (bool, error) {
 	if root == seglog.NilAddr {
-		return false
+		return false, nil
 	}
 	buf := make([]byte, seglog.BlockSize)
 	if err := d.log.Read(root, buf); err != nil {
-		return false
+		if errors.Is(err, types.ErrCorrupt) {
+			return false, nil
+		}
+		return false, err
 	}
 	in, _, err := decodeInodeRoot(d.log, buf)
-	return err == nil && in.ID == id && in.Version == version
+	return err == nil && in.ID == id && in.Version == version, nil
 }
 
 // sortLandmarks restores the index's ascending-by-time order after a
@@ -939,16 +962,16 @@ func sortLandmarks(ls []landmark) {
 	})
 }
 
-// dropLandmarksBelowFloor frees the checkpoint roots of landmarks whose
-// entries aging has put at or below the object's floor and removes them
-// from the index — a landmark entry carries its trigger's version, so
-// it leaves the pool with the entries around it. Index-driven freeing
-// is idempotent by construction: a root leaves the index the moment it
-// is freed. Caller holds the exclusive drive lock.
+// dropLandmarksBelowFloor frees the checkpoint roots of landmarks that a
+// raised floor has killed and removes them from the index — a landmark
+// entry carries its trigger's version, so it leaves the pool with the
+// entries around it. Index-driven freeing is idempotent by
+// construction: a root leaves the index the moment it is freed. Caller
+// holds the exclusive drive lock.
 func (d *Drive) dropLandmarksBelowFloor(o *object) {
 	kept := o.landmarks[:0]
 	for _, ln := range o.landmarks {
-		if ln.version <= o.floorVersion {
+		if !o.landmarkLive(ln.version) {
 			d.usage.ageOut(segOf(d.log, ln.root))
 			d.cache.drop(ln.root)
 			continue
@@ -958,15 +981,13 @@ func (d *Drive) dropLandmarksBelowFloor(o *object) {
 	o.landmarks = kept
 }
 
-// dropAllLandmarks frees every checkpoint root in the index and clears
-// it — used when the whole chain is rewritten (Flush) or the object is
-// reaped. Caller holds the exclusive drive lock.
-func (d *Drive) dropAllLandmarks(o *object) {
-	for _, ln := range o.landmarks {
-		d.usage.ageOut(segOf(d.log, ln.root))
-		d.cache.drop(ln.root)
-	}
-	o.landmarks = nil
+// retireLandmarks kills every landmark o has by raising the landmark
+// floor to the current version — used when the images stop describing
+// the object (a data block moved, Flush rewrote the chain) or the
+// object is reaped. Caller holds the exclusive drive lock, o.ino loaded.
+func (d *Drive) retireLandmarks(o *object) {
+	o.lmFloor = o.ino.Version
+	d.dropLandmarksBelowFloor(o)
 }
 
 // markDirty records that o has pending journal entries. Callers hold
@@ -993,8 +1014,8 @@ func (d *Drive) markClean(o *object) {
 // sector's address, its backward link and its entries oldest-first, and
 // may stop the walk early. A sector that does not decode, or that
 // belongs to another object, ends the walk with an error. Caller holds
-// the exclusive drive lock: unlike the snapshot walkers of history.go,
-// this reads the object's live chain anchors.
+// the exclusive drive lock or o.mu exclusively: unlike the snapshot
+// walkers of history.go, this reads the object's live chain anchors.
 func (d *Drive) walkChain(o *object, from journal.SectorAddr, fn func(addr, prev journal.SectorAddr, entries []journal.Entry) (stop bool, err error)) error {
 	buf := make([]byte, seglog.BlockSize)
 	for addr := from; addr != journal.NilSector; {
@@ -1014,13 +1035,6 @@ func (d *Drive) walkChain(o *object, from journal.SectorAddr, fn func(addr, prev
 		addr = prev
 	}
 	return nil
-}
-
-// readJSector fetches one 512-byte journal sector by sub-block address.
-func (d *Drive) readJSector(sa journal.SectorAddr) (prev journal.SectorAddr, entries []journal.Entry, err error) {
-	obj, prev, entries, err := journal.ReadSector(d.log, sa)
-	_ = obj
-	return prev, entries, err
 }
 
 // unrefJSector drops one in-chain sector reference; the shared journal
@@ -1091,10 +1105,13 @@ func (d *Drive) flushJournalLocked(o *object) error {
 	if len(o.pending) > 0 && o.jhead != journal.NilSector && d.log.InOpenSegment(o.jhead.Block()) {
 		prev, existing := o.jheadPrev, o.jheadEntries
 		if existing == nil {
-			// Cold head (recovery, relocation): read it once; successful
-			// merges below keep the decoded image current from then on.
-			var err error
-			prev, existing, err = d.readJSector(o.jhead)
+			// Cold head (recovery, relocation): read it once — walkChain
+			// refuses a sector that is not o's — and successful merges
+			// below keep the decoded image current from then on.
+			err := d.walkChain(o, o.jhead, func(_, p journal.SectorAddr, entries []journal.Entry) (bool, error) {
+				prev, existing = p, entries
+				return true, nil
+			})
 			if err != nil {
 				return err
 			}
@@ -1134,7 +1151,7 @@ func (d *Drive) flushJournalLocked(o *object) error {
 			}
 			if ok {
 				d.cache.drop(o.jhead.Block())
-				o.registerLandmarkSectors(o.pending[:n], o.jhead)
+				o.placeLandmarks(o.pending[:n], o.jhead)
 				for i := 0; i < n; i++ {
 					existing = append(existing, *o.pending[i])
 				}
@@ -1166,7 +1183,7 @@ func (d *Drive) flushJournalLocked(o *object) error {
 		if err != nil {
 			return err
 		}
-		o.registerLandmarkSectors(o.pending[:n], sa)
+		o.placeLandmarks(o.pending[:n], sa)
 		ents := make([]journal.Entry, n)
 		for i := 0; i < n; i++ {
 			ents[i] = *o.pending[i]

@@ -861,10 +861,10 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 			protected[a] = true
 		}
 	}
-	// The chain is rewritten without its checkpoint markers, so the
-	// landmark index empties with it (roots freed), and every cached
+	// The chain is rewritten without its checkpoint markers, so every
+	// landmark dies with it (roots freed), and every cached
 	// reconstruction of this object is now a lie.
-	d.dropAllLandmarks(o)
+	d.retireLandmarks(o)
 	d.recon.dropObject(o.id)
 	o.sinceLandmark = 0
 	// Rewrite the journal chain with the kept entries.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"s4/internal/disk"
+	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
 	"s4/internal/vclock"
@@ -370,3 +371,36 @@ func d2create(t *testing.T, d *Drive) types.ObjectID {
 }
 
 var _ = seglog.BlockAddr(0) // keep the import honest if helpers move
+
+// TestColdHeadMergeRefusesForeignSector: the head-merge flush rewrites
+// the sector o.jhead names in place. When it has to read that sector
+// first (a cold head: no decoded image, as after recovery or a chain
+// relocation) it must hold it to the same rule walkChain does — a
+// sector owned by another object is corruption, not something to merge
+// into and rewrite under this object's id.
+func TestColdHeadMergeRefusesForeignSector(t *testing.T) {
+	e := newTestDrive(t)
+	a, b := e.create(alice), e.create(alice)
+	e.write(alice, a, 0, []byte("a's first"))
+	e.write(alice, b, 0, []byte("b's first"))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	oa, ob := e.d.objects[a], e.d.objects[b]
+	if !e.d.log.InOpenSegment(ob.jhead.Block()) {
+		t.Fatal("b's head sector left the open segment; the merge path would not run")
+	}
+	_, _, before, err := journal.ReadSector(e.d.log, ob.jhead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oa.jhead, oa.jheadEntries = ob.jhead, nil
+	e.write(alice, a, 0, []byte("a's second"))
+	if err := e.d.Sync(alice); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("flush through a foreign head sector: err %v, want ErrCorrupt", err)
+	}
+	owner, _, after, err := journal.ReadSector(e.d.log, ob.jhead)
+	if err != nil || owner != b || len(after) != len(before) {
+		t.Errorf("b's head sector afterwards: owner %v, %d entries, err %v; want %v, %d, nil", owner, len(after), err, b, len(before))
+	}
+}

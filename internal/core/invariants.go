@@ -107,7 +107,7 @@ func (d *Drive) CheckInvariants() error {
 		}
 	}
 
-	if err := d.checkLandmarksLocked(false); err != nil {
+	if err := d.checkLandmarksLocked(); err != nil {
 		return err
 	}
 	if err := d.checkUsageLocked(); err != nil {
@@ -144,29 +144,29 @@ func (d *Drive) checkUsageLocked() error {
 }
 
 // CheckLandmarks verifies the landmark index (DESIGN.md §12.1) against
-// the journal chains: every indexed landmark must correspond to an
-// EntCheckpoint entry in its object's chain or pending tail, at the
-// recorded sector, with a root block that still decodes to the indexed
-// object and version inside an allocated segment, and the index must be
-// sorted ascending by time. With requireComplete (the torture harness
-// uses this right after recovery) the converse is enforced too: every
-// chain checkpoint entry above the object's floor whose root still
-// validates must be indexed. A live drive cannot require completeness —
-// data-block relocation legitimately drops landmarks while their chain
-// entries remain behind as tombstones until recovery revalidates them.
-func (d *Drive) CheckLandmarks(requireComplete bool) error {
+// the journal chains, in both directions. Every indexed landmark must
+// be above both of its object's floors and correspond to an
+// EntCheckpoint entry in the chain or pending tail, at the recorded
+// sector, with a root block that still decodes to the indexed object
+// and version inside an allocated segment, and the index must be sorted
+// ascending by time. Conversely every chain checkpoint entry above both
+// floors whose root still validates must be indexed: the floors are the
+// whole rule, on a live drive and on a recovered one alike.
+func (d *Drive) CheckLandmarks() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return types.ErrDriveStopped
 	}
-	return d.checkLandmarksLocked(requireComplete)
+	return d.checkLandmarksLocked()
 }
 
-func (d *Drive) checkLandmarksLocked(requireComplete bool) error {
-	validRoot := func(id types.ObjectID, version uint64, root seglog.BlockAddr) bool {
-		seg := segOf(d.log, root)
-		return seg >= 0 && !d.log.IsFree(seg) && d.landmarkRootValid(id, version, root)
+func (d *Drive) checkLandmarksLocked() error {
+	validRoot := func(id types.ObjectID, version uint64, root seglog.BlockAddr) (bool, error) {
+		if seg := segOf(d.log, root); seg < 0 || d.log.IsFree(seg) {
+			return false, nil
+		}
+		return d.landmarkRootValid(id, version, root)
 	}
 
 	ids := make([]types.ObjectID, 0, len(d.objects))
@@ -194,17 +194,13 @@ func (d *Drive) checkLandmarksLocked(requireComplete bool) error {
 					continue
 				}
 				found[lmKey{e.Version, e.InodeAddr}] = addr
-				if requireComplete && e.Version > o.floorVersion && validRoot(id, e.Version, e.InodeAddr) {
-					indexed := false
-					for _, ln := range o.landmarks {
-						if ln.version == e.Version && ln.root == e.InodeAddr {
-							indexed = true
-							break
-						}
-					}
-					if !indexed {
-						return true, fmt.Errorf("core: %v checkpoint v%d at sector %d missing from landmark index: %w", id, e.Version, addr, types.ErrCorrupt)
-					}
+				if !o.landmarkLive(e.Version) || o.landmarkOf(e) != nil {
+					continue
+				}
+				if ok, err := validRoot(id, e.Version, e.InodeAddr); err != nil {
+					return true, err
+				} else if ok {
+					return true, fmt.Errorf("core: %v checkpoint v%d at sector %d missing from landmark index: %w", id, e.Version, addr, types.ErrCorrupt)
 				}
 			}
 			return false, nil
@@ -218,6 +214,9 @@ func (d *Drive) checkLandmarksLocked(requireComplete bool) error {
 				return fmt.Errorf("core: %v landmark index out of time order at v%d: %w", id, ln.version, types.ErrCorrupt)
 			}
 			prevTime = ln.time
+			if !o.landmarkLive(ln.version) {
+				return fmt.Errorf("core: %v landmark v%d indexed at or below a floor (history %d, landmark %d): %w", id, ln.version, o.floorVersion, o.lmFloor, types.ErrCorrupt)
+			}
 			sa, ok := found[lmKey{ln.version, ln.root}]
 			if !ok {
 				return fmt.Errorf("core: %v landmark v%d has no chain or pending checkpoint entry: %w", id, ln.version, types.ErrCorrupt)
@@ -225,7 +224,9 @@ func (d *Drive) checkLandmarksLocked(requireComplete bool) error {
 			if ln.sector != sa {
 				return fmt.Errorf("core: %v landmark v%d records sector %d, chain has it at %d: %w", id, ln.version, ln.sector, sa, types.ErrCorrupt)
 			}
-			if !validRoot(id, ln.version, ln.root) {
+			if ok, err := validRoot(id, ln.version, ln.root); err != nil {
+				return err
+			} else if !ok {
 				return fmt.Errorf("core: %v landmark v%d root block %d does not validate: %w", id, ln.version, ln.root, types.ErrCorrupt)
 			}
 		}

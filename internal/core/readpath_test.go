@@ -92,7 +92,7 @@ func TestLandmarkWalkMatchesFullWalk(t *testing.T) {
 		t.Fatalf("%d walk entries over %d reads: landmark acceleration not engaged",
 			st.HistoryWalkEntries, versions)
 	}
-	if err := e.d.CheckLandmarks(true); err != nil {
+	if err := e.d.CheckLandmarks(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +168,7 @@ func TestLandmarkIndexSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.reopen()
-	if err := e.d.CheckLandmarks(true); err != nil {
+	if err := e.d.CheckLandmarks(); err != nil {
 		t.Fatal(err)
 	}
 	verifySnaps(e, id, snaps)

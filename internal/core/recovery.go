@@ -38,13 +38,20 @@ import (
 // Either way recovery is a function of the image alone. A deprecated
 // block is in the history pool iff a retained journal entry above its
 // object's floor pins it (poolBlocks), or it is the validated landmark
-// root of such an entry, or it is a final block of a deleted object not
-// yet reaped — which is the state the drive was in when it stopped.
-// What has left the detection window since is for the first cleaner
-// pass to decide: only the cleaner moves a floor, so only the cleaner
-// releases history, once.
+// root of such an entry above the object's landmark floor too, or it is
+// a final block of a deleted object not yet reaped — which is the state
+// the drive was in when it stopped. What has left the detection window
+// since is for the first cleaner pass to decide: only the cleaner moves
+// a floor, both floors ride the object map, so only the cleaner
+// releases history or retires a landmark, once.
 
-const imapMagic = 0x53344D50 // "S4MP"
+const (
+	imapMagic = 0x53344D50 // "S4MP"
+	// Version 2 added the per-object landmark floor. Like the log format
+	// and the segment index there is one decoder: any other version is
+	// refused.
+	imapVersion = 2
+)
 
 // checkpointLocked makes the entire drive state durable.
 func (d *Drive) checkpointLocked() error {
@@ -127,7 +134,7 @@ func (d *Drive) encodeImapLocked() []byte {
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], imapMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], 1) // format version
+	binary.LittleEndian.PutUint32(hdr[4:], imapVersion)
 	buf = append(buf, hdr[:]...)
 	putU(uint64(d.nextOID))
 	putU(uint64(d.window))
@@ -158,6 +165,7 @@ func (d *Drive) encodeImapLocked() []byte {
 		putU(uint64(o.jtail))
 		putU(o.floorVersion)
 		putU(uint64(o.floorTime))
+		putU(o.lmFloor)
 		if o.pruned {
 			putU(1)
 		} else {
@@ -167,99 +175,67 @@ func (d *Drive) encodeImapLocked() []byte {
 	return buf
 }
 
+// decodeImap installs an object-map checkpoint into a freshly opened
+// drive. Every failure wraps types.ErrCorrupt and leaves the drive
+// untouched: nothing is installed until the whole blob has decoded.
 func (d *Drive) decodeImap(data []byte) error {
 	if len(data) < 8 || binary.LittleEndian.Uint32(data[:4]) != imapMagic {
 		return fmt.Errorf("core: bad object-map checkpoint: %w", types.ErrCorrupt)
 	}
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != imapVersion {
+		return fmt.Errorf("core: object-map checkpoint version %d, this build reads %d: %w", v, imapVersion, types.ErrCorrupt)
+	}
 	data = data[8:]
-	getU := func() (uint64, error) {
+	var err error
+	getU := func() uint64 {
 		v, n := binary.Uvarint(data)
 		if n <= 0 {
-			return 0, fmt.Errorf("core: object-map varint: %w", types.ErrCorrupt)
+			if err == nil {
+				err = fmt.Errorf("core: object-map varint: %w", types.ErrCorrupt)
+			}
+			data = nil
+			return 0
 		}
 		data = data[n:]
-		return v, nil
+		return v
 	}
-	v, err := getU()
+	nextOID := types.ObjectID(getU())
+	window := time.Duration(getU())
+	auditSeq := getU()
+	var auditBlocks []auditBlockRef
+	for n := getU(); n > 0 && err == nil; n-- {
+		auditBlocks = append(auditBlocks, auditBlockRef{
+			addr:     seglog.BlockAddr(getU()),
+			firstSeq: getU(),
+			lastTime: types.Timestamp(getU()),
+		})
+	}
+	var objs []*object
+	for n := getU(); n > 0 && err == nil; n-- {
+		o := &object{id: types.ObjectID(getU()), nextVersion: getU(), inodeRoot: seglog.BlockAddr(getU())}
+		if len(objs) > 0 && o.id <= objs[len(objs)-1].id && err == nil {
+			err = fmt.Errorf("core: object map out of order at %v: %w", o.id, types.ErrCorrupt)
+		}
+		for nCP := getU(); nCP > 0 && err == nil; nCP-- {
+			o.cpBlocks = append(o.cpBlocks, seglog.BlockAddr(getU()))
+		}
+		o.cpVersion = getU()
+		o.jhead = journal.SectorAddr(getU())
+		o.jtail = journal.SectorAddr(getU())
+		o.floorVersion = getU()
+		o.floorTime = types.Timestamp(getU())
+		o.lmFloor = getU()
+		o.pruned = getU() != 0
+		objs = append(objs, o)
+	}
+	if err == nil && len(data) != 0 {
+		err = fmt.Errorf("core: %d trailing bytes after object map: %w", len(data), types.ErrCorrupt)
+	}
 	if err != nil {
 		return err
 	}
-	d.nextOID = types.ObjectID(v)
-	if v, err = getU(); err != nil {
-		return err
-	}
-	d.window = time.Duration(v)
-	if d.auditSeq, err = getU(); err != nil {
-		return err
-	}
-	nAudit, err := getU()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nAudit; i++ {
-		var r auditBlockRef
-		if v, err = getU(); err != nil {
-			return err
-		}
-		r.addr = seglog.BlockAddr(v)
-		if r.firstSeq, err = getU(); err != nil {
-			return err
-		}
-		if v, err = getU(); err != nil {
-			return err
-		}
-		r.lastTime = types.Timestamp(v)
-		d.auditBlocks = append(d.auditBlocks, r)
-	}
-	nObj, err := getU()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nObj; i++ {
-		o := &object{}
-		if v, err = getU(); err != nil {
-			return err
-		}
-		o.id = types.ObjectID(v)
-		if o.nextVersion, err = getU(); err != nil {
-			return err
-		}
-		if v, err = getU(); err != nil {
-			return err
-		}
-		o.inodeRoot = seglog.BlockAddr(v)
-		nCP, err := getU()
-		if err != nil {
-			return err
-		}
-		for j := uint64(0); j < nCP; j++ {
-			if v, err = getU(); err != nil {
-				return err
-			}
-			o.cpBlocks = append(o.cpBlocks, seglog.BlockAddr(v))
-		}
-		if o.cpVersion, err = getU(); err != nil {
-			return err
-		}
-		if v, err = getU(); err != nil {
-			return err
-		}
-		o.jhead = journal.SectorAddr(v)
-		if v, err = getU(); err != nil {
-			return err
-		}
-		o.jtail = journal.SectorAddr(v)
-		if o.floorVersion, err = getU(); err != nil {
-			return err
-		}
-		if v, err = getU(); err != nil {
-			return err
-		}
-		o.floorTime = types.Timestamp(v)
-		if v, err = getU(); err != nil {
-			return err
-		}
-		o.pruned = v != 0
+	d.nextOID, d.window, d.auditSeq, d.auditBlocks = nextOID, window, auditSeq, auditBlocks
+	for _, o := range objs {
 		o.lruEl = d.objLRU.PushBack(o)
 		d.objects[o.id] = o
 	}
@@ -283,15 +259,19 @@ func (d *Drive) recover() error {
 	if idx != nil {
 		d.preloadSegIndex(idx)
 	}
-	if d.recSumCover == nil {
-		// The full-scan path needs the coverage cache too: the replay
-		// durability check consults it for every entry.
-		d.recSumCover = make(map[int64]int)
-	}
+	// Both paths vet the replayed tail: what the checkpoint covered
+	// (recSnapVer) is exempt, the rest is checked against its segment's
+	// durable summary (recSumCover).
+	d.recSumCover = make(map[int64]int)
 	d.recDrop = make(map[types.ObjectID]uint64)
+	d.recSnapVer = make(map[types.ObjectID]uint64, len(d.objects))
+	for id, o := range d.objects {
+		d.recSnapVer[id] = o.nextVersion - 1
+	}
 	// Roll forward: visit segments written after the checkpoint in
 	// sequence order, relinking journal chains and redoing entries.
 	visited := make(map[int64]bool)
+	cpAuditSeq := d.auditSeq
 	err = d.log.ScanFrom(cpSeq, func(seg int64, sum seglog.Summary) error {
 		visited[seg] = true
 		d.log.MarkAllocated(seg)
@@ -304,7 +284,7 @@ func (d *Drive) recover() error {
 					return err
 				}
 			case seglog.KindAudit:
-				d.recoverAuditBlock(addr, e.Key, e.Time)
+				d.recoverAuditBlock(addr, e.Key, e.Time, cpAuditSeq)
 			}
 		}
 		return nil
@@ -337,13 +317,11 @@ func (d *Drive) recover() error {
 	if err != nil {
 		return err
 	}
-	// Both paths end with the landmark index reconverged with what is
-	// actually in each chain and with aging unscheduled, so the first
-	// cleaner pass visits every object: that pass, not this function,
-	// releases whatever left the window while the drive was down.
+	// Both paths end with aging unscheduled, so the first cleaner pass
+	// visits every object: that pass, not this function, releases
+	// whatever left the window while the drive was down.
 	for _, o := range d.objects {
 		o.nextAge = 0
-		o.lmReset = false
 	}
 	d.recPreJhead, d.recSnapVer, d.recTouched, d.recSumCover, d.recDrop = nil, nil, nil, nil, nil
 	// Evict down to the configured object-cache budget.
@@ -403,13 +381,10 @@ func (d *Drive) preloadSegIndex(idx *segIndex) {
 	}
 	d.jstageAddr, d.jstageUsed = seglog.NilAddr, 0
 	d.recPreJhead = make(map[types.ObjectID]journal.SectorAddr, len(d.objects))
-	d.recSnapVer = make(map[types.ObjectID]uint64, len(d.objects))
 	d.recTouched = make(map[types.ObjectID]bool)
-	d.recSumCover = make(map[int64]int)
 	for id, o := range d.objects {
 		d.recPreJhead[id] = o.jhead
-		d.recSnapVer[id] = o.nextVersion - 1
-		o.landmarks = append([]landmark(nil), idx.objects[id].landmarks...)
+		o.landmarks = append([]landmark(nil), idx.objects[id]...)
 	}
 }
 
@@ -525,12 +500,18 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 // everything from the first entry that is above maxVersion, at or above
 // the object's poison floor, or not durable (entryDurable). The cut
 // lowers the poison floor to that entry's version and is erased from
-// the media; the entries that stay are returned.
+// the media; the entries that stay are returned. An entry at or below
+// the object's checkpointed version is never cut: the checkpoint's Sync
+// made it durable, and the blocks it names may have been released and
+// their segments reused since — aged history, a retired landmark's
+// root — which is not the crash cutting a flush. Chain relocation
+// re-places such entries in post-checkpoint segments, so the scan does
+// meet them.
 func (d *Drive) vetSector(addr, prev journal.SectorAddr, id types.ObjectID, entries []journal.Entry, maxVersion uint64) ([]journal.Entry, error) {
-	poison := d.recDrop[id]
+	poison, snapVer := d.recDrop[id], d.recSnapVer[id]
 	for i := range entries {
 		e := &entries[i]
-		if e.Version <= maxVersion && (poison == 0 || e.Version < poison) && d.entryDurable(e) {
+		if e.Version <= snapVer || e.Version <= maxVersion && (poison == 0 || e.Version < poison) && d.entryDurable(e) {
 			continue
 		}
 		if d.recErr != nil {
@@ -607,11 +588,9 @@ func (d *Drive) truncateJournalSector(addr journal.SectorAddr, prev journal.Sect
 // object map points. Nothing replays those entries during recovery,
 // but loadInode's full chain walk would, so they must be vetted and
 // truncated here, before the usage passes walk any chain. Entries at
-// or below the checkpointed version stay (a completed Sync would have
+// or below the checkpointed version stay; a completed Sync would have
 // advanced the snapshot seq past cpSeq, so everything above it is
-// unacknowledged tail); the durability check also runs so an
-// EntCheckpoint naming a never-written inode root cannot slip through
-// on a version tie.
+// unacknowledged tail.
 func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
 	for id, o := range d.objects {
 		if o.jhead == journal.NilSector {
@@ -630,19 +609,25 @@ func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
 			// sector will report it; vetting has nothing to cut.
 			continue
 		}
-		if _, err := d.vetSector(o.jhead, prev, id, entries, o.nextVersion-1); err != nil {
+		if _, err := d.vetSector(o.jhead, prev, id, entries, d.recSnapVer[id]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *Drive) recoverAuditBlock(addr seglog.BlockAddr, firstSeq uint64, lastTime types.Timestamp) {
+func (d *Drive) recoverAuditBlock(addr seglog.BlockAddr, firstSeq uint64, lastTime types.Timestamp, cpAuditSeq uint64) {
+	if firstSeq <= cpAuditSeq {
+		// Flushed by the checkpoint or before it (it drains the audit
+		// buffer): the object map lists the block, or the cleaner has
+		// released it since and the scan is only meeting it again
+		// because its segment went on being written.
+		return
+	}
 	for _, r := range d.auditBlocks {
 		// Matching firstSeq with a different address means the cleaner
-		// relocated the block and the crash beat the checkpoint that
-		// would have recorded the move: both copies hold the same
-		// records, so keep the first (the checkpointed original, whose
+		// relocated a block flushed since the checkpoint: both copies
+		// hold the same records, so keep the first (the original, whose
 		// segment the deferred-reuse barrier kept intact).
 		if r.addr == addr || r.firstSeq == firstSeq {
 			return
@@ -692,7 +677,7 @@ func (d *Drive) recountUsage() error {
 		}
 		// Walk the chain: in-chain sectors keep their shared journal
 		// blocks live, entries above the floor pin their Old blocks, and
-		// checkpoint entries above it rebuild the landmark index.
+		// checkpoint entries above both floors rebuild the landmark index.
 		o.landmarks = nil
 		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 			live[addr.Block()] = true
@@ -708,7 +693,11 @@ func (d *Drive) recountUsage() error {
 					continue
 				}
 				if e.Type == journal.EntCheckpoint {
-					if d.adoptLandmark(o, e, addr) {
+					ok, err := d.adoptLandmark(o, e, addr)
+					if err != nil {
+						return true, err
+					}
+					if ok {
 						hist[e.InodeAddr] = true
 					}
 					continue
@@ -757,25 +746,26 @@ func (d *Drive) recountUsage() error {
 }
 
 // adoptLandmark indexes one chain EntCheckpoint entry if it is above
-// the floor and its root still validates, and reports whether it did.
-// An intact tombstone root is resurrected this way: it is
-// self-consistent and leaves the pool with its entry like any other.
-func (d *Drive) adoptLandmark(o *object, e *journal.Entry, sector journal.SectorAddr) bool {
-	if e.Version <= o.floorVersion || !d.landmarkRootValid(o.id, e.Version, e.InodeAddr) {
-		return false
+// both of the object's floors and its root still validates, and reports
+// whether it did. A root the device could not read fails the open.
+func (d *Drive) adoptLandmark(o *object, e *journal.Entry, sector journal.SectorAddr) (bool, error) {
+	if !o.landmarkLive(e.Version) {
+		return false, nil
+	}
+	if ok, err := d.landmarkRootValid(o.id, e.Version, e.InodeAddr); !ok {
+		return false, err
 	}
 	o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, root: e.InodeAddr, sector: sector})
-	return true
+	return true, nil
 }
 
 // ---- Indexed recovery (DESIGN.md §14) ----
 //
-// The preloaded counters are exact for everything durable at the
-// checkpoint, floors included; what is left is to apply what the
-// replayed chain tails changed and to redo the landmark-index
-// maintenance the runtime had performed in memory only. Every rule
-// mirrors a recountUsage classification — the recovery-equivalence
-// battery in internal/torture diffs the two paths' full state.
+// The preloaded counters and landmark indexes are exact for everything
+// durable at the checkpoint, floors included; what is left is to apply
+// what the replayed chain tails changed. Every rule mirrors a
+// recountUsage classification — the recovery-equivalence battery in
+// internal/torture diffs the two paths' full state.
 
 // errIndexStale reports that the replayed tail refers to state the
 // segment index cannot describe; recover() then falls back to the full
@@ -807,25 +797,6 @@ func (d *Drive) finishIndexedRecovery(idx *segIndex, visited map[int64]bool) err
 		pre := d.recPreJhead[id]
 		if d.recTouched[id] || (pre != journal.NilSector && idx.openSeg >= 0 && segOf(d.log, pre.Block()) == idx.openSeg) {
 			if err := d.accountReplayTail(o, postCP); err != nil {
-				return err
-			}
-		}
-		// An object flagged lmReset lost its landmark index wholesale to
-		// a compaction since the persisted snapshot; re-walk its chain
-		// for intact checkpoint roots exactly as the full recount would
-		// re-index them.
-		if oi := idx.objects[id]; oi != nil && oi.lmReset {
-			snapVer := d.recSnapVer[id]
-			err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
-				d.recReplay += int64(len(entries))
-				for i := range entries {
-					if e := &entries[i]; e.Type == journal.EntCheckpoint && e.Version <= snapVer {
-						d.accountReplayLandmark(o, e, addr)
-					}
-				}
-				return false, nil
-			})
-			if err != nil {
 				return err
 			}
 		}
@@ -876,22 +847,25 @@ func (d *Drive) accountReplayTail(o *object, postCP func(seglog.BlockAddr) bool)
 		d.recReplay += int64(len(entries))
 		for i := len(entries) - 1; i >= 0; i-- {
 			e := &entries[i]
-			switch {
-			case e.Version > snapVer:
-				if e.Type == journal.EntCheckpoint {
-					d.accountReplayLandmark(o, e, addr)
+			if ln := o.landmarkOf(e); ln != nil {
+				// In the persisted index already; post-checkpoint chain
+				// relocation may have moved its sector, so repoint it as
+				// the relocation's re-registration would have.
+				ln.sector = addr
+			} else if e.Type == journal.EntCheckpoint && e.Version > snapVer {
+				// A landmark of the tail: its root is history from birth.
+				ok, err := d.adoptLandmark(o, e, addr)
+				if err != nil {
+					return true, err
 				}
+				if ok && d.recCovered(e.InodeAddr) {
+					seg := segOf(d.log, e.InodeAddr)
+					d.usage.liveBorn(seg)
+					d.usage.deprecate(seg)
+				}
+			}
+			if e.Version > snapVer {
 				tail = append(tail, *e)
-			case e.Type == journal.EntCheckpoint:
-				// A pre-checkpoint landmark re-encountered on the walk:
-				// post-checkpoint chain relocation moved its sector;
-				// repoint the persisted index entry, as the relocation
-				// re-registration would have.
-				for j := range o.landmarks {
-					if o.landmarks[j].version == e.Version && o.landmarks[j].root == e.InodeAddr {
-						o.landmarks[j].sector = addr
-					}
-				}
 			}
 		}
 		hitPre = hitPre || atPre
@@ -991,22 +965,6 @@ func (d *Drive) accountReplayTail(o *object, postCP func(seglog.BlockAddr) bool)
 		}
 	}
 	return nil
-}
-
-// accountReplayLandmark indexes one checkpoint entry the persisted
-// landmark index does not hold, accounting its root as history from
-// birth like any landmark root.
-func (d *Drive) accountReplayLandmark(o *object, e *journal.Entry, sector journal.SectorAddr) {
-	for i := range o.landmarks {
-		if o.landmarks[i].version == e.Version && o.landmarks[i].root == e.InodeAddr {
-			return // already indexed
-		}
-	}
-	if d.adoptLandmark(o, e, sector) && d.recCovered(e.InodeAddr) {
-		seg := segOf(d.log, e.InodeAddr)
-		d.usage.liveBorn(seg)
-		d.usage.deprecate(seg)
-	}
 }
 
 // accountReplayEntry applies the block turnover of one replayed tail

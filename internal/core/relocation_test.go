@@ -1,0 +1,185 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"s4/internal/seglog"
+	"s4/internal/types"
+)
+
+// relocEnv is a drive on which the cleaner's next pass will copy a live
+// block of a landmark-bearing object forward: obj's block 0 shares the
+// first segment with fourteen blocks of a neighbour that have all been
+// superseded and have aged out, while obj's block 1 carries twenty
+// in-window versions and the landmarks that index them.
+type relocEnv struct {
+	*testEnv
+	obj     types.ObjectID
+	orig    []byte           // obj's block 0, written once
+	oldAddr seglog.BlockAddr // where it sits before the cleaner runs
+	at      types.Timestamp  // in-window instant below every landmark
+	lms     int              // landmarks indexed before the cleaner runs
+}
+
+func newRelocEnv(t *testing.T) *relocEnv {
+	e := newTestDrive(t, func(o *Options) { o.CheckpointEvery = 4 })
+	r := &relocEnv{testEnv: e, orig: bytes.Repeat([]byte{'O'}, types.BlockSize)}
+	r.obj = e.create(alice)
+	nb := e.create(alice)
+	// One block of obj and fourteen of the neighbour fill the first
+	// segment's payload exactly, so the journal lands in the next one
+	// and nothing but obj's block pins the segment once the neighbour's
+	// copies are gone.
+	e.write(alice, r.obj, 0, r.orig)
+	e.write(alice, nb, 0, bytes.Repeat([]byte{'n'}, 14*types.BlockSize))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	e.write(alice, nb, 0, bytes.Repeat([]byte{'N'}, 14*types.BlockSize))
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.Advance(2 * time.Hour) // window is 1h: the neighbour's first copies age
+	for i := 0; i < 20; i++ {
+		e.write(alice, r.obj, types.BlockSize, bytes.Repeat([]byte{byte('a' + i)}, types.BlockSize))
+		if i == 0 {
+			r.at = e.d.Now()
+			e.tick()
+		}
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	o := e.d.objects[r.obj]
+	r.oldAddr, r.lms = o.ino.Block(0), len(o.landmarks)
+	if r.lms < 3 {
+		t.Fatalf("only %d landmarks indexed; the scenario needs several", r.lms)
+	}
+	// The read this test is about anchors at a landmark while it can.
+	before := e.d.DriveStats().LandmarkHits
+	if got := e.read(admin, r.obj, 0, types.BlockSize, r.at); !bytes.Equal(got, r.orig) {
+		t.Fatalf("before the relocation block 0 at %v reads %.8q", r.at, got)
+	}
+	if e.d.DriveStats().LandmarkHits <= before {
+		t.Fatal("the history read did not anchor at a landmark before the relocation")
+	}
+	return r
+}
+
+// relocate runs one cleaner pass and checks it moved obj's block 0.
+func (r *relocEnv) relocate() {
+	r.t.Helper()
+	if _, err := r.d.CleanOnce(); err != nil {
+		r.t.Fatal(err)
+	}
+	if now := r.d.objects[r.obj].ino.Block(0); now == r.oldAddr {
+		r.t.Fatalf("block 0 still at %d: the cleaner relocated nothing", now)
+	}
+}
+
+// TestRelocatedBlockHistorySurvivesRestart: a landmark root is a full
+// inode image, so it names the live blocks of its day. When the cleaner
+// moves one of those blocks it retires the object's landmarks, and that
+// decision must survive a restart: a recovery that re-indexes the
+// chain's checkpoint entries because their roots still decode hands a
+// history read an image whose block 0 points into a segment that has
+// since been freed and refilled — another object's bytes, err == nil.
+func TestRelocatedBlockHistorySurvivesRestart(t *testing.T) {
+	modes := []struct {
+		name                  string
+		restart, disableIndex bool
+	}{
+		{"no-restart", false, false},
+		{"indexed", true, false},
+		{"full-scan", true, true},
+	}
+	for _, m := range modes {
+		m := m
+		t.Run(m.name, func(t *testing.T) {
+			r := newRelocEnv(t)
+			r.relocate()
+			if n := len(r.d.objects[r.obj].landmarks); n != 0 {
+				t.Fatalf("%d landmarks still indexed after the relocation", n)
+			}
+			// The barrier: the move, the landmark floor and the freed
+			// segment become durable together.
+			if err := r.d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if m.restart {
+				opts := r.d.opts
+				opts.DisableSegIndex = m.disableIndex
+				if err := r.d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				d, err := Open(r.dev, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.d = d
+				if st := d.DriveStats(); !m.disableIndex && (st.IndexLoads != 1 || st.IndexFallbacks != 0) {
+					t.Errorf("IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
+				}
+				if n := len(d.objects[r.obj].landmarks); n != 0 {
+					t.Errorf("the restart indexed %d landmarks the cleaner had retired", n)
+				}
+			}
+			// Refill until the freed segment is reused.
+			filler := r.create(alice)
+			fill := bytes.Repeat([]byte{0x77}, types.BlockSize)
+			raw := make([]byte, seglog.BlockSize)
+			for i := 0; ; i++ {
+				if err := r.d.log.Read(r.oldAddr, raw); err == nil && bytes.Equal(raw, fill) {
+					break
+				}
+				if i == 64 {
+					t.Fatalf("block %d's segment was never reused", r.oldAddr)
+				}
+				r.write(alice, filler, uint64(i)*types.BlockSize, fill)
+			}
+			got, err := r.d.Read(admin, r.obj, 0, types.BlockSize, r.at)
+			if err != nil || !bytes.Equal(got, r.orig) {
+				t.Errorf("block 0 at %v: err=%v, reads %.8q; want %.8q", r.at, err, got, r.orig)
+			}
+			if err := r.d.CheckInvariants(); err != nil {
+				t.Errorf("invariants: %v", err)
+			}
+		})
+	}
+}
+
+// TestRelocationCrashBeforeBarrier is the other half of the rule: the
+// landmark floor is persisted by the same checkpoint that makes the
+// relocation durable, not before. A crash between the cleaner pass and
+// its barrier recovers the old block address, so it must recover the
+// old floor and the landmarks with it — their roots name that address,
+// and the deferred-reuse barrier has kept its segment intact.
+func TestRelocationCrashBeforeBarrier(t *testing.T) {
+	for _, disableIndex := range []bool{false, true} {
+		r := newRelocEnv(t)
+		floor := r.d.objects[r.obj].lmFloor
+		r.relocate()
+		if len(r.d.pendingFree) == 0 {
+			t.Fatal("the cleaner reached its barrier; the scenario needs the crash before it")
+		}
+		r.d.opts.DisableSegIndex = disableIndex
+		r.reopen() // crash
+		o := r.d.objects[r.obj]
+		if o.lmFloor != floor || len(o.landmarks) != r.lms {
+			t.Errorf("disableIndex=%v: landmark floor %d with %d landmarks, want %d with %d",
+				disableIndex, o.lmFloor, len(o.landmarks), floor, r.lms)
+		}
+		got, err := r.d.Read(admin, r.obj, 0, types.BlockSize, r.at)
+		if err != nil || !bytes.Equal(got, r.orig) {
+			t.Errorf("disableIndex=%v: block 0 at %v: err=%v, reads %.8q", disableIndex, r.at, err, got)
+		}
+		if now := o.ino.Block(0); now != r.oldAddr {
+			t.Errorf("disableIndex=%v: block 0 recovered at %d, want the checkpointed %d", disableIndex, now, r.oldAddr)
+		}
+		if err := r.d.CheckInvariants(); err != nil {
+			t.Errorf("disableIndex=%v: invariants: %v", disableIndex, err)
+		}
+	}
+}

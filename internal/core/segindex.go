@@ -34,15 +34,11 @@ import (
 const (
 	segIndexMagic = 0x53344958 // "S4IX"
 	// Version 2 dropped the per-object aging hint (recovery does not
-	// age) and added the open segment's fill. An older index fails the
-	// version check and the open degrades to the full scan.
-	segIndexVersion = 2
-
-	// objFlagLMReset marks an object whose landmark index was rebuilt
-	// after a relocation dropped it (see object.lmReset): indexed
-	// recovery must re-walk its chain for intact tombstone roots the way
-	// the full recount would.
-	objFlagLMReset = 1 << 0
+	// age) and added the open segment's fill; version 3 dropped the
+	// per-object flags (the landmark floor in the object map replaced
+	// the only one). An older index fails the version check and the open
+	// degrades to the full scan.
+	segIndexVersion = 3
 )
 
 // segIndexSeg is one segment's persisted occupancy.
@@ -50,12 +46,6 @@ type segIndexSeg struct {
 	free bool
 	live int32
 	hist int32
-}
-
-// segIndexObj is one object's persisted recovery hints.
-type segIndexObj struct {
-	lmReset   bool
-	landmarks []landmark
 }
 
 // segIndex is the decoded form consumed by indexed recovery.
@@ -72,7 +62,9 @@ type segIndex struct {
 	openUsed int
 	segs     []segIndexSeg
 	jrefs    map[seglog.BlockAddr]int
-	objects  map[types.ObjectID]*segIndexObj
+	// objects holds every object's landmark index; an object without
+	// landmarks is present with a nil list.
+	objects map[types.ObjectID][]landmark
 }
 
 // encodeSegIndexLocked serializes the drive's usage tables and landmark
@@ -131,11 +123,6 @@ func (d *Drive) encodeSegIndexLocked() []byte {
 	for _, id := range ids {
 		o := d.objects[id]
 		putU(uint64(o.id))
-		flags := uint64(0)
-		if o.lmReset {
-			flags |= objFlagLMReset
-		}
-		putU(flags)
 		putU(uint64(len(o.landmarks)))
 		for _, ln := range o.landmarks {
 			putU(uint64(ln.time))
@@ -160,7 +147,7 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		return nil, fmt.Errorf("core: bad segment index magic: %w", types.ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != segIndexVersion {
-		return nil, fmt.Errorf("core: segment index version %d: %w", v, types.ErrCorrupt)
+		return nil, fmt.Errorf("core: segment index version %d, this build reads %d: %w", v, segIndexVersion, types.ErrCorrupt)
 	}
 	data = data[8:]
 	getU := func() (uint64, error) {
@@ -198,7 +185,7 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		openUsed: int(used),
 		segs:     make([]segIndexSeg, nSeg),
 		jrefs:    make(map[seglog.BlockAddr]int),
-		objects:  make(map[types.ObjectID]*segIndexObj),
+		objects:  make(map[types.ObjectID][]landmark),
 	}
 	for seg := int64(0); seg < nSeg; seg++ {
 		f, err := getU()
@@ -277,13 +264,6 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 			return nil, fmt.Errorf("core: segment index objects out of order: %w", types.ErrCorrupt)
 		}
 		first, prevID = false, id
-		flags, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if flags&^uint64(objFlagLMReset) != 0 {
-			return nil, fmt.Errorf("core: segment index object flags %#x: %w", flags, types.ErrCorrupt)
-		}
 		nLM, err := getU()
 		if err != nil {
 			return nil, err
@@ -291,7 +271,7 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		if nLM > uint64(len(data)) {
 			return nil, fmt.Errorf("core: segment index landmark count %d: %w", nLM, types.ErrCorrupt)
 		}
-		oi := &segIndexObj{lmReset: flags&objFlagLMReset != 0}
+		var lms []landmark
 		var prev landmark
 		for j := uint64(0); j < nLM; j++ {
 			t, err := getU()
@@ -323,9 +303,9 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 				return nil, fmt.Errorf("core: segment index landmarks out of order: %w", types.ErrCorrupt)
 			}
 			prev = ln
-			oi.landmarks = append(oi.landmarks, ln)
+			lms = append(lms, ln)
 		}
-		idx.objects[types.ObjectID(id)] = oi
+		idx.objects[types.ObjectID(id)] = lms
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes after segment index: %w", len(data), types.ErrCorrupt)

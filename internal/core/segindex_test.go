@@ -99,21 +99,18 @@ func TestSegIndexRoundTrip(t *testing.T) {
 		t.Errorf("decoded %d objects, drive has %d", len(idx.objects), len(d.objects))
 	}
 	for id, o := range d.objects {
-		oi := idx.objects[id]
-		if oi == nil {
+		lms, ok := idx.objects[id]
+		if !ok {
 			t.Errorf("object %v missing from decoded index", id)
 			continue
 		}
-		if oi.lmReset != o.lmReset {
-			t.Errorf("object %v: decoded lmReset=%v, drive %v", id, oi.lmReset, o.lmReset)
-		}
-		if len(oi.landmarks) != len(o.landmarks) {
-			t.Errorf("object %v: decoded %d landmarks, drive has %d", id, len(oi.landmarks), len(o.landmarks))
+		if len(lms) != len(o.landmarks) {
+			t.Errorf("object %v: decoded %d landmarks, drive has %d", id, len(lms), len(o.landmarks))
 			continue
 		}
 		for i, ln := range o.landmarks {
-			if oi.landmarks[i] != ln {
-				t.Errorf("object %v landmark %d: decoded %+v want %+v", id, i, oi.landmarks[i], ln)
+			if lms[i] != ln {
+				t.Errorf("object %v landmark %d: decoded %+v want %+v", id, i, lms[i], ln)
 			}
 		}
 	}
@@ -191,7 +188,7 @@ func TestIndexedOpenMatchesFullScan(t *testing.T) {
 	if err := di.CheckInvariants(); err != nil {
 		t.Errorf("indexed open invariants: %v", err)
 	}
-	if err := di.CheckLandmarks(true); err != nil {
+	if err := di.CheckLandmarks(); err != nil {
 		t.Errorf("indexed open landmarks: %v", err)
 	}
 
@@ -405,10 +402,13 @@ func TestSegIndexDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeSegIndex(blob, nSeg+1); !errors.Is(err, types.ErrCorrupt) {
 		t.Errorf("geometry mismatch: err %v does not wrap ErrCorrupt", err)
 	}
-	// An index written before the format change must be refused (the
-	// open then takes the full scan), never read as the current layout.
+	// An index written before a format change must be refused (the open
+	// then takes the full scan), never read as the current layout.
 	if _, err := decodeSegIndex(segIndexV1Blob(t), segIndexV1Segs); !errors.Is(err, types.ErrCorrupt) {
 		t.Errorf("version-1 index: err %v, want a rejection wrapping ErrCorrupt", err)
+	}
+	if _, err := decodeSegIndex(segIndexV2Blob(t), segIndexV2Segs); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("version-2 index: err %v, want a rejection wrapping ErrCorrupt", err)
 	}
 }
 
@@ -422,6 +422,22 @@ func segIndexV1Blob(t testing.TB) []byte {
 	b, err := hex.DecodeString("58493453010000000f01000305010000010000010000010000010000010000010000010000010000" +
 		"01000001000001000001000001000001100202020090aeb598d4aa92bf0d0190eed292f1c191bf0d020a80011000b8a2f79ed4aa" +
 		"92bf0d02b8e29499f1c191bf0d020b8101b8eb8e9af1c191bf0d040e8101")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// segIndexV2Blob is a genuine version-2 index (a flags varint per
+// object), encoded by the last commit that wrote that format for a
+// 30-segment log holding the partition table and one thrice-written
+// object with two landmarks.
+const segIndexV2Segs = 30
+
+func segIndexV2Blob(t testing.TB) []byte {
+	b, err := hex.DecodeString("58493453020000001e01090003050100000100000100000100000100000100000100000100000100000100000100000100000100" +
+		"00010000010000010000010000010000010000010000010000010000010000010000010000010000010000010000010000011802" +
+		"02020001b8a7f3f6f1c191bf0d0212c001100002b8a7f3f6f1c191bf0d0213c101b8b0edf7f1c191bf0d0416c101")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,13 +472,13 @@ func checkSegIndexShape(idx *segIndex, nSeg int64) error {
 			return fmt.Errorf("jref %v: count %d out of range", a, c)
 		}
 	}
-	for id, o := range idx.objects {
-		for i, ln := range o.landmarks {
+	for id, lms := range idx.objects {
+		for i, ln := range lms {
 			if ln.root == seglog.NilAddr {
 				return fmt.Errorf("object %v landmark %d: nil root", id, i)
 			}
 			if i > 0 {
-				prev := o.landmarks[i-1]
+				prev := lms[i-1]
 				if ln.time < prev.time || ln.time == prev.time && ln.version <= prev.version {
 					return fmt.Errorf("object %v landmarks out of order at %d", id, i)
 				}
@@ -472,11 +488,11 @@ func checkSegIndexShape(idx *segIndex, nSeg int64) error {
 	return nil
 }
 
-// FuzzSegIndexDecode throws hostile bytes at the index decoder. The
-// contract under fuzzing: never panic, never allocate absurdly, and
-// anything accepted must satisfy the structural guarantees indexed
-// recovery relies on (checkSegIndexShape).
-func FuzzSegIndexDecode(f *testing.F) {
+// fuzzSeedDrive is a small closed drive with four objects, five
+// checkpointed rounds of writes behind them and a landmark floor on
+// one: what the checkpoint decoders' fuzz seeds are encoded from. (The
+// encoders only read the drive's tables, so closed is fine.)
+func fuzzSeedDrive(f testing.TB) *Drive {
 	clk := vclock.NewVirtual()
 	dev := disk.New(disk.SmallDisk(64<<20), clk)
 	opts := Options{
@@ -512,13 +528,21 @@ func FuzzSegIndexDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	d.mu.Lock()
-	seed := d.encodeSegIndexLocked()
-	nSeg := d.log.NumSegments()
-	d.mu.Unlock()
+	d.objects[ids[0]].lmFloor = 3
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
 	}
+	return d
+}
+
+// FuzzSegIndexDecode throws hostile bytes at the index decoder. The
+// contract under fuzzing: never panic, never allocate absurdly, and
+// anything accepted must satisfy the structural guarantees indexed
+// recovery relies on (checkSegIndexShape).
+func FuzzSegIndexDecode(f *testing.F) {
+	d := fuzzSeedDrive(f)
+	seed := d.encodeSegIndexLocked()
+	nSeg := d.log.NumSegments()
 
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
@@ -531,6 +555,7 @@ func FuzzSegIndexDecode(f *testing.F) {
 	}
 	f.Add(append(append([]byte(nil), seed...), 0x01))
 	f.Add(segIndexV1Blob(f))
+	f.Add(segIndexV2Blob(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := decodeSegIndex(data, nSeg)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"s4/internal/core"
@@ -319,42 +320,67 @@ func (c *ioCounter) WriteSectors(sector int64, buf []byte) error {
 // operator retrying) must recover it too, so a refused open may not have
 // cut anything out of the media on its way out.
 func TestReadFaultSweep(t *testing.T) {
-	st := newSyncedTail(t)
-	cnt := &ioCounter{Device: st.image(t)}
-	drv, err := core.Open(cnt, st.opts)
-	if err != nil {
-		t.Fatalf("clean open: %v", err)
-	}
-	if drv.DriveStats().RecoveryReplayEntries == 0 {
-		t.Fatal("clean open replayed nothing; the image has no tail to lose")
-	}
-	total := cnt.n
-	st.check(t, "clean open", drv)
+	// The second mode is for the yes-or-no question the full scan asks
+	// of every landmark root in every chain — does this block still hold
+	// the image — on an image dense with landmarks.
+	for _, m := range []struct {
+		name     string
+		cfg      Config
+		fullScan bool
+	}{
+		{"indexed", Config{Seed: 44, Ops: 60}, false},
+		{"full-scan-landmarks", Config{Seed: 44, Ops: 60, CheckpointEvery: 3}, true},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			st := newSyncedTail(t, m.cfg)
+			st.opts.DisableSegIndex = m.fullScan
+			cnt := &ioCounter{Device: st.image(t)}
+			drv, err := core.Open(cnt, st.opts)
+			if err != nil {
+				t.Fatalf("clean open: %v", err)
+			}
+			if drv.DriveStats().RecoveryReplayEntries == 0 {
+				t.Fatal("clean open replayed nothing; the image has no tail to lose")
+			}
+			total := cnt.n
+			clean := drv.StateDigest()
+			if m.fullScan && strings.Count(clean, "landmark t=") < 5 {
+				t.Fatal("clean open indexed next to no landmarks; the sweep would not fail a root read")
+			}
+			st.check(t, "clean open", drv)
 
-	errBoom := errors.New("boom")
-	refused := 0
-	for n := int64(0); n < total; n++ {
-		img := st.image(t)
-		img.FailAfter(n, errBoom)
-		drv, err := core.Open(img, st.opts)
-		img.ClearFaults()
-		if err == nil {
-			st.check(t, fmt.Sprintf("I/O %d failed, open succeeded", n), drv)
-			continue
-		}
-		refused++
-		if !errors.Is(err, errBoom) {
-			t.Errorf("I/O %d failed: open error %v does not wrap the device error", n, err)
-		}
-		if drv, err = core.Open(img, st.opts); err != nil {
-			t.Errorf("I/O %d failed: retried open: %v", n, err)
-			continue
-		}
-		st.check(t, fmt.Sprintf("I/O %d failed, retried open", n), drv)
-	}
-	t.Logf("%d I/Os per clean open of crash point %d; %d opens refused, %d recovered", total, st.k, refused, int(total)-refused)
-	if refused == 0 {
-		t.Fatal("no injected error ever surfaced")
+			errBoom := errors.New("boom")
+			refused := 0
+			for n := int64(0); n < total; n++ {
+				img := st.image(t)
+				img.FailAfter(n, errBoom)
+				drv, err := core.Open(img, st.opts)
+				img.ClearFaults()
+				if err == nil {
+					// An open that did not need the failed I/O recovers
+					// what the clean one did — a swallowed read may not
+					// quietly drop a landmark root from the pool either.
+					if got := drv.StateDigest(); got != clean {
+						t.Errorf("I/O %d failed, open succeeded on different state: %s", n, digestDiff(clean, got))
+					}
+					st.check(t, fmt.Sprintf("I/O %d failed, open succeeded", n), drv)
+					continue
+				}
+				refused++
+				if !errors.Is(err, errBoom) {
+					t.Errorf("I/O %d failed: open error %v does not wrap the device error", n, err)
+				}
+				if drv, err = core.Open(img, st.opts); err != nil {
+					t.Errorf("I/O %d failed: retried open: %v", n, err)
+					continue
+				}
+				st.check(t, fmt.Sprintf("I/O %d failed, retried open", n), drv)
+			}
+			t.Logf("%d I/Os per clean open of crash point %d; %d opens refused, %d recovered", total, st.k, refused, int(total)-refused)
+			if refused == 0 {
+				t.Fatal("no injected error ever surfaced")
+			}
+		})
 	}
 }
 
@@ -368,9 +394,8 @@ type syncedTail struct {
 	opts core.Options
 }
 
-func newSyncedTail(t *testing.T) *syncedTail {
+func newSyncedTail(t *testing.T, cfg Config) *syncedTail {
 	t.Helper()
-	cfg := Config{Seed: 44, Ops: 60}
 	cfg.fill()
 	w, err := runWorkload(cfg)
 	if err != nil {
@@ -423,7 +448,7 @@ func (st *syncedTail) check(t *testing.T, when string, drv *core.Drive) {
 // record to zeros, which is exactly that reading, and must lose the tail:
 // otherwise this image could not tell the two apart.
 func TestRottedOpenRecordKeepsAckedTail(t *testing.T) {
-	st := newSyncedTail(t)
+	st := newSyncedTail(t, Config{Seed: 44, Ops: 60})
 	const spb = types.BlockSize / disk.SectorSize
 	segStart := int64(1 + 2*st.w.cfg.CheckpointBlocks)
 	// Open records: block 0 of a segment holding a summary ("S4G2") of

@@ -24,7 +24,8 @@
 //     returned to the allocator (Drive.CheckInvariants, the
 //     deferred-reuse barrier of DESIGN.md §6);
 //  6. landmarks — the recovered landmark index matches a from-scratch
-//     chain walk;
+//     chain walk (part of Drive.CheckInvariants too, so 5 and 6 are
+//     one call);
 //  7. equivalence — opening the same image with the persisted segment
 //     index ignored (full-scan recount, DESIGN.md §14) recovers
 //     byte-identical state and serves identical golden reads, and
@@ -98,6 +99,16 @@ type Config struct {
 	SyncEveryN       int
 	CheckpointEveryN int
 	CleanEveryN      int
+	// StaggerAt, when positive, jumps the clock two windows ahead after
+	// that many ops. Everything written before the jump ages at once
+	// while the same objects go on being written after it, so live
+	// blocks the old writes left behind sit in segments whose neighbours
+	// the cleaner releases — and it relocates them while their objects'
+	// newer landmarks are still in-window (TestTortureRelocation). Such
+	// a run also refills every recovered image after its cleaner pass —
+	// filler over half of the free segments, then the snapshot oracle
+	// again: whatever recovery wrongly believes free is reused first.
+	StaggerAt int
 	// Torn adds, for every multi-sector write, a second crash image in
 	// which only the first half of that write's sectors persisted.
 	Torn bool
@@ -215,8 +226,15 @@ type Result struct {
 	// Cleaned sums what the workload's own cleaner passes did, so a
 	// sweep that means to cross ageing, relocation and reaping can assert
 	// they happened.
-	Cleaned    core.CleanStats
-	Violations []Violation
+	Cleaned core.CleanStats
+	// LandmarkedRelocs counts the workload's relocations of a data block
+	// of an object that had landmarks indexed (its landmark floor rose
+	// and the index emptied); LandmarkReads counts the history reads the
+	// recovered drives anchored at a landmark. A relocation sweep needs
+	// both above zero.
+	LandmarkedRelocs int
+	LandmarkReads    int64
+	Violations       []Violation
 }
 
 // Run executes the workload and verifies every crash point.
@@ -235,6 +253,7 @@ func Run(cfg Config) (Result, error) {
 		SkippedVersions: w.skippedVersions,
 		Cleaned:         w.cleaned,
 	}
+	res.LandmarkedRelocs = w.landmarkedRelocs
 	points := make([]int, 0, res.Writes+1)
 	for k := 0; k <= res.Writes; k++ {
 		points = append(points, k)
@@ -358,16 +377,13 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 	}
 
 	// Invariant 5: no durable structure reaches into a freed segment.
+	// Invariant 6: the recovered landmark index matches a from-scratch
+	// chain walk — every indexed landmark is above both of its object's
+	// floors and decodes at the sector the chain records it at, and
+	// every checkpoint entry above both floors whose root still
+	// validates is indexed.
 	if err := drv.CheckInvariants(); err != nil {
 		viol("reuse", "%v", err)
-	}
-
-	// Invariant 6: the recovered landmark index matches a from-scratch
-	// chain walk — every indexed landmark decodes at the sector the
-	// chain records it at, and every window-covered checkpoint entry
-	// whose root still validates is indexed.
-	if err := drv.CheckLandmarks(true); err != nil {
-		viol("landmarks", "%v", err)
 	}
 
 	// Invariants 2 and 3: everything synced before the crash — the
@@ -401,6 +417,13 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 		viol("ageing", "%s", msg)
 	}
 	checkSnaps(" after the cleaner")
+	if w.cfg.StaggerAt > 0 {
+		if err := w.refill(drv); err != nil {
+			viol("recovery", "post-recovery refill: %v", err)
+		}
+		checkSnaps(" after the refill")
+	}
+	res.LandmarkReads += drv.DriveStats().LandmarkHits
 
 	// The reopened drive must still accept and persist new work.
 	if w.cfg.PostRecoverySmoke {
@@ -502,9 +525,6 @@ func (w *run) verifyEquivalence(res *Result, dev disk.Device, idxDigest string, 
 	if err := drv.CheckInvariants(); err != nil {
 		viol("full-scan invariants: %v", err)
 	}
-	if err := drv.CheckLandmarks(true); err != nil {
-		viol("full-scan landmarks: %v", err)
-	}
 
 	admin := types.AdminCred()
 	winCut := drv.Now() - types.Timestamp(w.cfg.Window)
@@ -552,6 +572,26 @@ func (w *run) verifyEquivalence(res *Result, dev disk.Device, idxDigest string, 
 	}
 	goldenReads(" after the cleaner")
 	return vs
+}
+
+// refill writes filler over half of drv's free segments. Allocation is
+// lowest-free-first, so a segment recovery wrongly counts empty is
+// among the first reused.
+func (w *run) refill(drv *core.Drive) error {
+	cred := types.Cred{User: 100, Client: 1}
+	id, err := drv.Create(cred, everyoneACL(), nil)
+	blocks := drv.Status().FreeSegments * int64(w.cfg.SegBlocks-1) / 2
+	fill := bytes.Repeat([]byte{0x77}, types.BlockSize)
+	for i := int64(0); i < blocks && err == nil; i++ {
+		err = drv.Write(cred, id, uint64(i)*types.BlockSize, fill)
+	}
+	if err == nil {
+		err = drv.Sync(cred)
+	}
+	if errors.Is(err, types.ErrNoSpace) {
+		return nil // as full as it gets
+	}
+	return err
 }
 
 // cleanRecovered runs one cleaner pass on a freshly recovered drive and

@@ -160,7 +160,7 @@ func TestTortureVectoredSeals(t *testing.T) {
 // checkpoint every ~3 journal entries, with frequent cleaning so the
 // index is also pruned, relocated, and dropped mid-run. Every crash
 // image must recover a landmark index that matches a from-scratch chain
-// walk (verifyImage's CheckLandmarks(true) invariant) while all the
+// walk (verifyImage's CheckInvariants, invariant 6) while all the
 // usual durability and history invariants hold.
 func TestTortureCheckpointHeavy(t *testing.T) {
 	cfg := Config{
@@ -366,6 +366,71 @@ func TestTortureShortWindow(t *testing.T) {
 			}
 			if reaped == 0 {
 				t.Errorf("no seed reaped an object: the sweep never crossed a delete ageing out")
+			}
+		})
+	}
+}
+
+// TestTortureRelocation sweeps the one thing the cleaner does to a live
+// block: move it. An object's landmark roots are full inode images, so
+// when one of its data blocks is copied forward the cleaner retires its
+// landmarks — and every recovery afterwards must agree, or a history
+// read anchors at an image whose block points into a segment that has
+// since been freed and refilled. No other sweep gets there: it takes a
+// live block of a landmark-bearing object relocated (neighbours aged,
+// landmarks in-window: the clock jump, on a device small enough that
+// the cleaner's first pass after it runs pressed), the emptied segment
+// reused (the post-recovery refill), and then a read of history below a
+// landmark on the recovered image (the snapshot oracle, re-read after
+// the refill). The second configuration is tighter still — more of the
+// device in use at the jump, so more chains re-placed — and is there
+// for what a pressed pass leaves in the log besides: copies of old
+// sectors whose entries name blocks long released (recovery must not
+// vet them as a crash-cut tail), a re-placed chain extended past its
+// checkpointed tail, and audit blocks released in a segment that went
+// on being written.
+func TestTortureRelocation(t *testing.T) {
+	sweeps := []struct {
+		name  string
+		seeds []int64
+		cfg   Config
+	}{
+		{"landmarks", []int64{2, 3, 4}, Config{Ops: 220, StaggerAt: 120, CheckpointEvery: 3}},
+		{"pressed", []int64{2, 1, 7}, Config{Ops: 200, StaggerAt: 100, CheckpointEvery: 2, MaxObjects: 12}},
+	}
+	for _, sw := range sweeps {
+		sw := sw
+		t.Run(sw.name, func(t *testing.T) {
+			cfg, seeds := sw.cfg, sw.seeds
+			cfg.DiskBytes, cfg.CleanEveryN, cfg.CheckpointEveryN = 2<<20, 3, 10
+			cfg.MaxCrashPoints = 120
+			if os.Getenv("S4_TORTURE_LONG") != "" {
+				cfg.MaxCrashPoints = 0
+			} else if testing.Short() || os.Getenv("S4_STRESS_SHORT") != "" {
+				seeds, cfg.MaxCrashPoints = seeds[:1], 60
+			}
+			relocs, reads := 0, int64(0)
+			for _, seed := range seeds {
+				cfg.Seed = seed
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("seed=%d: %d crash points, %d indexed opens, %d fallbacks; workload cleaner copied %d blocks, %d relocations of landmark-bearing objects; %d landmark-anchored reads on recovered images; %d violations",
+					seed, res.CrashPoints, res.IndexLoads, res.IndexFallbacks, res.Cleaned.BlocksCopied,
+					res.LandmarkedRelocs, res.LandmarkReads, len(res.Violations))
+				for i, v := range res.Violations {
+					if i == 10 {
+						t.Errorf("... and %d more", len(res.Violations)-10)
+						break
+					}
+					t.Errorf("seed=%d: %s", seed, v)
+				}
+				relocs += res.LandmarkedRelocs
+				reads += res.LandmarkReads
+			}
+			if relocs == 0 || reads == 0 {
+				t.Errorf("%d relocations of landmark-bearing objects, %d landmark-anchored reads after recovery: the sweep needs both", relocs, reads)
 			}
 		})
 	}

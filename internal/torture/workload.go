@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"s4/internal/core"
@@ -74,6 +75,8 @@ type run struct {
 	skippedVersions int64
 	// cleaned sums the CleanStats of the workload's cleaner passes.
 	cleaned core.CleanStats
+	// landmarkedRelocs: see Result.LandmarkedRelocs.
+	landmarkedRelocs int
 }
 
 func everyoneACL() []types.ACLEntry {
@@ -291,10 +294,27 @@ func runWorkload(cfg Config) (*run, error) {
 			w.syncs = append(w.syncs, syncMark{nWrites: rec.Writes(), at: drv.Now(), cp: true})
 			tick()
 		}
-		if rng.Intn(cfg.CleanEveryN) == 0 {
+		if i+1 == cfg.StaggerAt {
+			clk.Advance(2 * cfg.Window)
+		}
+		// After the jump the cleaner rests for a while, so that its first
+		// pass finds the objects written since with landmarks in-window.
+		rest := cfg.StaggerAt > 0 && i >= cfg.StaggerAt && i < cfg.StaggerAt+cfg.StaggerAt/3
+		if rng.Intn(cfg.CleanEveryN) == 0 && !rest {
+			var before map[string]*landmarkState
+			if cfg.StaggerAt > 0 {
+				before = landmarkStates(drv.StateDigest())
+			}
 			cs, err := drv.CleanOnce()
 			if err != nil {
 				return nil, fmt.Errorf("torture: op %d clean: %w", i, err)
+			}
+			if cs.BlocksCopied > 0 && before != nil {
+				for id, after := range landmarkStates(drv.StateDigest()) {
+					if b := before[id]; b != nil && after.floor != b.floor && b.indexed > 0 {
+						w.landmarkedRelocs++
+					}
+				}
 			}
 			w.cleaned.EntriesAged += cs.EntriesAged
 			w.cleaned.BlocksCopied += cs.BlocksCopied
@@ -307,6 +327,36 @@ func runWorkload(cfg Config) (*run, error) {
 	w.deltaBlocks = st.DeltaBlocksWritten
 	w.skippedVersions = st.PolicySkippedVersions
 	return w, nil
+}
+
+// landmarkState is what a StateDigest says about one object's
+// landmarks: its landmark floor and how many it has indexed.
+type landmarkState struct {
+	floor   string
+	indexed int
+}
+
+// landmarkStates reads every object's landmarkState out of a digest,
+// keyed by the object's id as printed.
+func landmarkStates(digest string) map[string]*landmarkState {
+	out := make(map[string]*landmarkState)
+	var cur *landmarkState
+	for _, line := range strings.Split(digest, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) > 2 && f[0] == "obj":
+			cur = &landmarkState{}
+			out[f[1]] = cur
+			for _, kv := range f[2:] {
+				if v, ok := strings.CutPrefix(kv, "lmFloor="); ok {
+					cur.floor = v
+				}
+			}
+		case len(f) > 0 && f[0] == "landmark" && cur != nil:
+			cur.indexed++
+		}
+	}
+	return out
 }
 
 func (s *snapshot) clone(at types.Timestamp) snapshot {

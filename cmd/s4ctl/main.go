@@ -128,6 +128,7 @@ func main() {
 		fmt.Printf("bytes written:   %d\n", st.BytesWritten)
 		fmt.Printf("bytes read:      %d\n", st.BytesRead)
 		fmt.Printf("cache hit rate:  %d / %d\n", st.CacheHits, st.CacheHits+st.CacheMisses)
+		fmt.Printf("journal cache:   %d / %d\n", st.JournalCacheHits, st.JournalCacheHits+st.JournalCacheMisses)
 		fmt.Printf("device reads:    %d (%d vectored)\n", st.DeviceReads, st.VecReads)
 		if st.ReadOps > 0 {
 			fmt.Printf("reads/op:        %.3f\n", float64(st.DeviceReads)/float64(st.ReadOps))

@@ -10,7 +10,32 @@ import (
 // blockCache is an LRU cache of log blocks keyed by address, standing in
 // for the drive's buffer cache (the paper's S4 drives ran a 128MB buffer
 // cache and a 32MB object cache, §5.1.1). It caches immutable log blocks
-// only, so invalidation is needed just when the cleaner frees segments.
+// only: data, checkpoint-root, packed-delta and audit blocks, which are
+// never rewritten once appended, and journal blocks of sealed segments
+// (readJSector never fills from the open segment, the one place a
+// journal block is rewritten in place). Every fill comes from
+// seglog.Read, which verifies it against the segment's checksum table.
+//
+// A cached address changes meaning in exactly these places, and each
+// one invalidates:
+//
+//   - a block dies on its own — history aged out (ageOutOldLocked,
+//     dropLandmarksBelowFloor), delta-converted or skipped by retention
+//     (convertOldLocked), erased (flushObjectLocked); a superseded
+//     checkpoint, a reaped object's blocks, a relocated data or audit
+//     block, a released audit block; a journal block whose last in-chain
+//     sector is unlinked (unrefJSector): drop at the site;
+//   - a whole segment rejoins the allocator and its addresses will be
+//     appended to again (releaseSegmentLocked: the checkpoint barrier,
+//     recovery's sweep of segments it counts empty, or at once under
+//     UnsafeImmediateReuse): dropRange;
+//   - recovery erases an unacknowledged tail from a journal sector of a
+//     settled segment in place (truncateJournalSector, the only caller
+//     of seglog.PatchSettled), after chain walks may have cached the
+//     block: drop at the site.
+//
+// CheckInvariants compares every cached block it meets with the media,
+// so a missed invalidation fails the torture batteries, not a read.
 //
 // The cache is internally synchronized (its mutex is a leaf in the
 // drive's lock hierarchy), so concurrent readers hit it without any
@@ -22,8 +47,12 @@ type blockCache struct {
 	lru      *list.List // front = most recent; values are *cacheEnt
 	byAddr   map[seglog.BlockAddr]*list.Element
 
-	hits, misses int64
+	// Journal-block lookups are counted apart, so the data-block hit
+	// ratio keeps meaning what a client's reads found.
+	data, journal cacheCounts
 }
+
+type cacheCounts struct{ hits, misses int64 }
 
 type cacheEnt struct {
 	addr seglog.BlockAddr
@@ -46,7 +75,12 @@ func newBlockCache(capBytes int64) *blockCache {
 // audit.DecodeBlock) only ever parse the bytes. put takes ownership of
 // its argument for the same reason — the cache never copies.
 // TestBlockCachePoison enforces the stability half of this contract.
-func (c *blockCache) get(addr seglog.BlockAddr) []byte {
+func (c *blockCache) get(addr seglog.BlockAddr) []byte { return c.lookup(addr, &c.data) }
+
+// getJournal is get for a journal block, counted in its own pair.
+func (c *blockCache) getJournal(addr seglog.BlockAddr) []byte { return c.lookup(addr, &c.journal) }
+
+func (c *blockCache) lookup(addr seglog.BlockAddr, n *cacheCounts) []byte {
 	if c.capBytes <= 0 {
 		return nil
 	}
@@ -54,10 +88,21 @@ func (c *blockCache) get(addr seglog.BlockAddr) []byte {
 	defer c.mu.Unlock()
 	if el, ok := c.byAddr[addr]; ok {
 		c.lru.MoveToFront(el)
-		c.hits++
+		n.hits++
 		return el.Value.(*cacheEnt).data
 	}
-	c.misses++
+	n.misses++
+	return nil
+}
+
+// peek returns the cached block without counting the lookup or touching
+// the LRU order; the invariant checker uses it.
+func (c *blockCache) peek(addr seglog.BlockAddr) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byAddr[addr]; ok {
+		return el.Value.(*cacheEnt).data
+	}
 	return nil
 }
 
@@ -106,8 +151,9 @@ func (c *blockCache) dropLocked(addr seglog.BlockAddr) {
 }
 
 // dropRange removes every cached block with addr in [lo, hi) — used when
-// a whole segment is freed. When the range dwarfs the cache population
-// (huge segments, small cache) walking the map beats walking the range.
+// a whole segment rejoins the allocator. When the range dwarfs the cache
+// population (huge segments, small cache) walking the map beats walking
+// the range.
 func (c *blockCache) dropRange(lo, hi seglog.BlockAddr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -124,9 +170,10 @@ func (c *blockCache) dropRange(lo, hi seglog.BlockAddr) {
 	}
 }
 
-// counters returns the hit/miss totals.
-func (c *blockCache) counters() (hits, misses int64) {
+// counters returns the hit/miss totals, data blocks and journal blocks
+// apart.
+func (c *blockCache) counters() (data, journal cacheCounts) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.data, c.journal
 }

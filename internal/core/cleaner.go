@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"s4/internal/journal"
@@ -46,6 +47,11 @@ type CleanStats struct {
 	SegmentsFreed   int
 	SegmentsCleaned int
 	BlocksCopied    int
+	// RipeVisits counts the objects whose chain the ageing phase scanned
+	// (their schedule said something could have aged); SectorsDecoded the
+	// journal sectors it decoded to do so, index-building walks included.
+	RipeVisits     int
+	SectorsDecoded int
 }
 
 // CleanOnce performs one bounded cleaning pass and reports what it did.
@@ -66,26 +72,30 @@ func (d *Drive) CleanOnce() (CleanStats, error) {
 	ageCut := vclock.TS(d.clk) - types.Timestamp(d.window)
 
 	// Phase 1: age history out of the window, a bounded batch of
-	// objects per pass. Go's randomized map iteration spreads passes
-	// across the population without the cost of maintaining a sorted
-	// cursor; the per-object nextAge schedule makes unripe visits
-	// nearly free, so the batch can be generous.
+	// objects per pass, in ID order from where the last pass stopped — so
+	// what a pass does is a function of the drive's state, and a
+	// population larger than the batch is covered in turn. The per-object
+	// nextAge schedule makes an unripe visit a comparison (no inode load,
+	// no read), so the batch can be generous.
 	const maxObjects = 4096
-	visited := 0
-	for _, o := range d.objects {
-		if visited >= maxObjects {
-			break
+	i, _ := slices.BinarySearch(d.objOrder, d.cleanCursor)
+	for n := min(len(d.objOrder), maxObjects); n > 0; n-- {
+		if i >= len(d.objOrder) {
+			i = 0
 		}
-		visited++
-		// Reaping deletes from d.objects; Go permits deletion during
-		// map iteration.
-		reaped, err := d.ageObjectLocked(o, ageCut, &cs)
+		reaped, err := d.ageObjectLocked(d.objects[d.objOrder[i]], ageCut, &cs)
 		if err != nil {
 			return cs, err
 		}
 		if reaped {
-			cs.ObjectsReaped++
+			cs.ObjectsReaped++ // and objOrder[i] is the next object now
+		} else {
+			i++
 		}
+	}
+	d.cleanCursor = 0
+	if i < len(d.objOrder) {
+		d.cleanCursor = d.objOrder[i]
 	}
 
 	// Phase 1b: audit blocks whose newest record has left the window
@@ -148,10 +158,25 @@ func (d *Drive) CleanOnce() (CleanStats, error) {
 // harness can demonstrate the corruption it causes.
 func (d *Drive) deferFree(seg int64) {
 	if d.opts.UnsafeImmediateReuse {
-		_ = d.log.FreeSegment(seg)
+		_ = d.releaseSegmentLocked(seg)
 		return
 	}
 	d.pendingFree[seg] = true
+}
+
+// releaseSegmentLocked returns an emptied segment to the allocator: the
+// one place a whole address range changes meaning, since the log will
+// append new blocks at its addresses. On a running drive every block in
+// it died on its own and left the cache then, but recovery frees what
+// its counts call empty, chain walks through the cache behind it (the
+// pre-relocation chain of an object whose relocated chain the scan then
+// relinked, say). Dropping the range here makes "no cached block of a
+// free segment" a property of this function instead of every site that
+// ever frees a block. Caller holds the exclusive drive lock.
+func (d *Drive) releaseSegmentLocked(seg int64) error {
+	lo := d.log.EntryAt(seg, 0)
+	d.cache.dropRange(lo, lo+seglog.BlockAddr(d.log.PayloadBlocks()))
+	return d.log.FreeSegment(seg)
 }
 
 // ageObjectLocked releases o's history older than ageCut. It returns
@@ -178,30 +203,39 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 	if o.jhead == journal.NilSector {
 		return false, nil
 	}
-	// Read the chain oldest-last; collect sector addresses and entries.
-	type sec struct {
-		addr    journal.SectorAddr
-		entries []journal.Entry
-	}
-	var chain []sec
-	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
-		chain = append(chain, sec{addr, entries})
-		return false, nil
-	})
+	cs.RipeVisits++
+	chain, err := d.chainIndexLocked(o, cs)
 	if err != nil {
 		return false, err
 	}
+	if ageCut <= o.floorTime {
+		// The window grew back over the floor (SetWindow, SetPolicy): the
+		// sectors passed whole hold entries this cut calls in-window again.
+		o.chainAged = 0
+	}
+	// One scan, from the oldest sector not yet passed whole to the first
+	// in-window entry: entries are appended in time order, so everything
+	// past that entry is in the window too (under a clock that stepped
+	// back, something past it waits for it: late, never early).
+	// Releasing oldest first raises the floor monotonically.
 	touched := false
 	minRetained := types.Timestamp(1 << 62)
-	// Phase A: release history deprecated by aged entries, oldest
-	// first so the floor rises monotonically.
-	for i := len(chain) - 1; i >= 0; i-- {
-		for j := range chain[i].entries {
-			e := &chain[i].entries[j]
-			if e.Time >= ageCut || e.Version <= o.floorVersion {
-				if e.Time >= ageCut && e.Time < minRetained {
-					minRetained = e.Time
-				}
+	passed := o.chainAged // leading sectors holding no in-window entry
+	var scratch []byte
+scan:
+	for ; passed < len(chain); passed++ {
+		_, entries, err := d.readJSector(o.id, chain[passed], &scratch)
+		if err != nil {
+			return false, err
+		}
+		cs.SectorsDecoded++
+		for j := range entries {
+			e := &entries[j]
+			if e.Time >= ageCut {
+				minRetained = e.Time
+				break scan
+			}
+			if e.Version <= o.floorVersion {
 				continue
 			}
 			// The pointers this entry deprecated only support versions
@@ -218,46 +252,35 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 			touched = true
 		}
 	}
+	// The head sector is never counted as passed: while it sits in the
+	// open segment, flushes merge newer entries into it.
+	passed = min(passed, len(chain)-1)
 	// Landmark checkpoints age with the entries around them: their roots
 	// are freed index-first (idempotent — a root leaves the index the
 	// moment it is freed), and reconstructions now below the floor leave
-	// the inode-at-time cache. Any sector Phase B prunes below holds
-	// only sub-ageCut entries, so its landmarks are already gone.
+	// the inode-at-time cache. Any sector pruned below holds only
+	// sub-ageCut entries, so its landmarks are already gone.
 	d.dropLandmarksBelowFloor(o)
 	d.recon.dropBelow(o.id, o.floorTime)
-	// Phase B: unlink trailing fully-aged sectors from the chain.
-	allAged := func(s sec) bool {
-		for j := range s.entries {
-			if s.entries[j].Time >= ageCut {
-				return false
-			}
-		}
-		return true
-	}
-	// Count the trailing fully-aged sectors; pruning them requires an
-	// inode checkpoint (the journal alone no longer rebuilds the
-	// object), so it only pays off for long chains — short fully-aged
+	// The passed sectors can be unlinked from the chain, but pruning
+	// requires an inode checkpoint (the journal alone no longer rebuilds
+	// the object), so it only pays off for long chains — short fully-aged
 	// chains stay as cheap packed sectors and move via relocation.
-	prunable := 0
-	for i := len(chain) - 1; i > 0; i-- {
-		if !allAged(chain[i]) {
-			break
-		}
-		prunable++
-	}
 	const pruneThreshold = 8 // sectors; ~one checkpoint block's worth
-	if prunable >= pruneThreshold {
+	if passed >= pruneThreshold {
 		// Crash recovery must be anchored by a checkpoint covering the
 		// retired entries before any sector leaves the chain.
 		switch err := d.checkpointObjectLocked(o); {
 		case err == nil:
-			for i := len(chain) - 1; i >= len(chain)-prunable; i-- {
-				d.unrefJSector(chain[i].addr)
-				cs.SectorsFreed++
-				o.jtail = chain[i-1].addr
-				o.pruned = true
-				touched = true
+			for _, sa := range chain[:passed] {
+				d.unrefJSector(sa)
 			}
+			cs.SectorsFreed += passed
+			o.chain = chain[passed:]
+			o.jtail = o.chain[0]
+			o.pruned = true
+			touched = true
+			passed = 0
 		case errors.Is(err, types.ErrNoSpace):
 			// No room for the anchoring checkpoint. Pruning is an
 			// optimization; aborting the whole cleaning pass here would
@@ -267,6 +290,7 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 			return false, err
 		}
 	}
+	o.chainAged = passed
 	if touched {
 		cs.ObjectsAged++
 	}
@@ -280,6 +304,25 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 		o.nextAge = minRetained + types.Timestamp(win)
 	}
 	return false, nil
+}
+
+// chainIndexLocked returns o's chain index, building it with one walk of
+// the chain if the object was loaded without one. Caller holds the
+// exclusive drive lock, o loaded.
+func (d *Drive) chainIndexLocked(o *object, cs *CleanStats) ([]journal.SectorAddr, error) {
+	if o.chain == nil {
+		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
+			o.chain = append(o.chain, addr)
+			cs.SectorsDecoded++
+			return false, nil
+		})
+		if err != nil {
+			o.chain = nil
+			return nil, err
+		}
+		slices.Reverse(o.chain)
+	}
+	return o.chain, nil
 }
 
 // reapObjectLocked removes an object whose deletion aged out of the
@@ -322,6 +365,9 @@ func (d *Drive) reapObjectLocked(o *object, cs *CleanStats) error {
 	d.lruMu.Unlock()
 	d.markClean(o)
 	delete(d.objects, o.id)
+	if i, ok := slices.BinarySearch(d.objOrder, o.id); ok {
+		d.objOrder = slices.Delete(d.objOrder, i, i+1)
+	}
 	return nil
 }
 
@@ -399,15 +445,15 @@ func (d *Drive) relocateJournalBlockLocked(blk seglog.BlockAddr, cs *CleanStats)
 	if err := d.log.Read(blk, buf); err != nil {
 		return false, err
 	}
-	owners := make(map[types.ObjectID]*object)
+	var owners []*object // in slot order, so a pass repeats exactly
 	for slot := 0; slot < journal.SectorsPerBlock; slot++ {
 		data := buf[slot*journal.SectorSize : (slot+1)*journal.SectorSize]
 		id, _, _, ok, err := journal.DecodeSector(data)
 		if err != nil || !ok {
 			continue
 		}
-		if o := d.objects[id]; o != nil {
-			owners[id] = o
+		if o := d.objects[id]; o != nil && !slices.Contains(owners, o) {
+			owners = append(owners, o)
 		}
 	}
 	for _, o := range owners {
@@ -483,7 +529,25 @@ func (d *Drive) relocateChainLocked(o *object, avoid seglog.BlockAddr, cs *Clean
 	o.jhead = newAddrs[len(newAddrs)-1]
 	o.jtail = newAddrs[0]
 	o.jheadEntries = nil // decoded head image is stale; reread on demand
+	if o.chain != nil {
+		// Sector for sector the same entries, so chainAged still holds.
+		o.chain = newAddrs
+	}
 	return nil
+}
+
+// holdsChainSectors reports whether any journal block of seg still has
+// a sector in some object's chain.
+func (d *Drive) holdsChainSectors(seg int64) bool {
+	lo := d.log.EntryAt(seg, 0)
+	d.logMu.Lock()
+	defer d.logMu.Unlock()
+	for a := lo; a < lo+seglog.BlockAddr(d.log.PayloadBlocks()); a++ {
+		if d.jblockRef[a] > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // compactSegmentLocked moves every still-referenced block out of seg and
@@ -497,23 +561,24 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 	if d.log.IsQuarantined(seg) {
 		return nil
 	}
+	// Journal blocks with in-chain sectors pin the segment unless space
+	// pressure justifies relocating their owners' chains (relocated
+	// chains re-land at the log head, so doing this eagerly would churn
+	// them forever). jblockRef says so without the summary: a pass that
+	// may not move the segment does not read it either.
+	if !pressed && d.holdsChainSectors(seg) {
+		return nil
+	}
 	sum, ok, err := d.log.ReadSummary(seg)
 	if err != nil || !ok {
 		return err
 	}
-	// First scan: journal blocks with in-chain sectors pin the segment
-	// unless space pressure justifies relocating their owners' chains
-	// (relocated chains re-land at the log head, so doing this eagerly
-	// would churn them forever).
-	for i := range sum.Entries {
+	for i := 0; pressed && i < len(sum.Entries); i++ {
 		addr := d.log.EntryAt(seg, i)
 		d.logMu.Lock()
 		inChain := d.jblockRef[addr] > 0
 		d.logMu.Unlock()
 		if sum.Entries[i].Kind == seglog.KindJournal && inChain {
-			if !pressed {
-				return nil
-			}
 			moved, err := d.relocateJournalBlockLocked(addr, cs)
 			if err != nil {
 				return err

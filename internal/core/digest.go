@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"s4/internal/types"
 )
 
 // StateDigest renders the drive's recovered structural state as a
@@ -32,13 +30,8 @@ func (d *Drive) StateDigest() string {
 		fmt.Fprintf(&b, "  audit addr=%d firstSeq=%d lastTime=%d\n", r.addr, r.firstSeq, r.lastTime)
 	}
 
-	ids := make([]types.ObjectID, 0, len(d.objects))
-	for id := range d.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	fmt.Fprintf(&b, "objects n=%d\n", len(ids))
-	for _, id := range ids {
+	fmt.Fprintf(&b, "objects n=%d\n", len(d.objOrder))
+	for _, id := range d.objOrder {
 		o := d.objects[id]
 		fmt.Fprintf(&b, "  obj %d nextVer=%d cpVer=%d root=%d jhead=%d jtail=%d floorVer=%d floorTime=%d lmFloor=%d pruned=%v\n",
 			o.id, o.nextVersion, o.cpVersion, o.inodeRoot, o.jhead, o.jtail, o.floorVersion, o.floorTime, o.lmFloor, o.pruned)

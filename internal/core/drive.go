@@ -44,10 +44,12 @@
 package core
 
 import (
+	"cmp"
 	"container/list"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -186,6 +188,22 @@ type object struct {
 	// oldest retained one (the cleaner advances it as entries age).
 	jhead, jtail journal.SectorAddr
 	pending      []*journal.Entry // entries not yet in a flushed sector
+	// chain is the chain index: the retained chain's sector addresses
+	// oldest first (chain[0] == jtail, the last one == jhead), 8 bytes a
+	// sector. Chains link newest to oldest and entries age at the old
+	// end, so without it every ageing visit walks the whole chain to
+	// reach the part it can act on. nil on an object that has a chain
+	// means not built yet: the first ripe visit after Open or a reload
+	// walks the chain once (chainIndexLocked). From then on
+	// flushJournalLocked extends it, pruning trims it, relocation and
+	// Flush replace it, and eviction drops it with the inode.
+	// CheckInvariants compares it with the chain.
+	chain []journal.SectorAddr
+	// chainAged counts the leading sectors of chain that an ageing pass
+	// has passed whole: every entry in them is at or below floorVersion
+	// and no newer than floorTime, so the next visit starts past them
+	// (they stay in the chain until enough collect to pay for a prune).
+	chainAged int
 	// Decoded image of the head sector, mirroring what is on disk at
 	// jhead, so the per-sync merge path need not re-read and re-decode
 	// it. nil jheadEntries means unknown (e.g. after recovery or chain
@@ -300,6 +318,10 @@ type Stats struct {
 	ReconCacheMisses   int64 // reconstructions that had to walk
 	DeviceReads        int64 // segment-log device read I/Os
 	VecReads           int64 // multi-block coalesced device reads
+	// Journal-block lookups in the block cache (every chain walker reads
+	// sectors through it); CacheHits/CacheMisses count data blocks only.
+	JournalCacheHits   int64
+	JournalCacheMisses int64
 
 	// Restart counters (DESIGN.md §14). Set once by Open; reads are
 	// reported through the same snapshot as everything else.
@@ -341,8 +363,15 @@ type Drive struct {
 	// written only under the exclusive hold.
 	mu      sync.RWMutex
 	objects map[types.ObjectID]*object
-	nextOID types.ObjectID
-	window  time.Duration
+	// objOrder holds the keys of objects in ascending order, so every
+	// whole-drive sweep (checkpoint, the cleaner's ageing phase, the
+	// invariant checker) visits objects in one deterministic order without
+	// sorting the table first. cleanCursor is the ID at which the next
+	// ageing pass resumes. Both follow objects' locking.
+	objOrder    []types.ObjectID
+	cleanCursor types.ObjectID
+	nextOID     types.ObjectID
+	window      time.Duration
 	// policies maps object IDs to their retention policies; key 0 holds
 	// the drive-wide default (DESIGN.md §16). Mutated only under the
 	// exclusive drive lock; read under the shared lock. The table is
@@ -570,9 +599,21 @@ func (d *Drive) registerObject(id types.ObjectID, now types.Timestamp, acl []typ
 	d.lruMu.Lock()
 	o.lruEl = d.objLRU.PushFront(o)
 	d.lruMu.Unlock()
-	d.objects[id] = o
+	d.addObjectLocked(o)
 	d.loaded.Add(1)
 	return o
+}
+
+// addObjectLocked enters o in the object table. IDs are mostly handed
+// out in rising order, so the ordered insert is usually an append.
+// Caller holds the exclusive drive lock.
+func (d *Drive) addObjectLocked(o *object) {
+	d.objects[o.id] = o
+	i := len(d.objOrder)
+	if i > 0 && d.objOrder[i-1] > o.id {
+		i, _ = slices.BinarySearch(d.objOrder, o.id)
+	}
+	d.objOrder = slices.Insert(d.objOrder, i, o.id)
 }
 
 var errStopIteration = errors.New("stop")
@@ -684,8 +725,10 @@ func (d *Drive) loadInode(o *object) error {
 		// first: a deep chain is thousands of ~250-byte entries, and
 		// copying them into one growing slice cost more than decoding them.
 		var entries []*journal.Entry
-		err := journal.WalkBackward(d.log, o.id, o.jhead, func(e *journal.Entry) (bool, error) {
-			entries = append(entries, e)
+		err := d.walkChain(o, o.jhead, func(_, _ journal.SectorAddr, sec []journal.Entry) (bool, error) {
+			for i := len(sec) - 1; i >= 0; i-- {
+				entries = append(entries, &sec[i])
+			}
 			return false, nil
 		})
 		if err != nil {
@@ -750,6 +793,7 @@ func (d *Drive) evictColdLocked() error {
 				}
 			}
 			o.ino = nil
+			o.chain, o.chainAged = nil, 0
 			d.loaded.Add(-1)
 		}
 		el = prev
@@ -1017,14 +1061,11 @@ func (d *Drive) markClean(o *object) {
 // the exclusive drive lock or o.mu exclusively: unlike the snapshot
 // walkers of history.go, this reads the object's live chain anchors.
 func (d *Drive) walkChain(o *object, from journal.SectorAddr, fn func(addr, prev journal.SectorAddr, entries []journal.Entry) (stop bool, err error)) error {
-	buf := make([]byte, seglog.BlockSize)
+	var scratch []byte
 	for addr := from; addr != journal.NilSector; {
-		obj, prev, entries, err := journal.ReadSectorInto(d.log, addr, buf)
+		prev, entries, err := d.readJSector(o.id, addr, &scratch)
 		if err != nil {
-			return fmt.Errorf("core: %v journal sector %d: %w", o.id, addr, err)
-		}
-		if obj != o.id {
-			return fmt.Errorf("core: %v journal sector %d owned by %v: %w", o.id, addr, obj, types.ErrCorrupt)
+			return err
 		}
 		if stop, err := fn(addr, prev, entries); stop || err != nil {
 			return err
@@ -1035,6 +1076,51 @@ func (d *Drive) walkChain(o *object, from journal.SectorAddr, fn func(addr, prev
 		addr = prev
 	}
 	return nil
+}
+
+// readJSector fetches and decodes id's journal sector at sa: the one way
+// the running drive reads a journal sector (recovery's roll-forward scan
+// probes whole blocks before any of this state exists). A block of a
+// sealed segment is immutable, so it is served from the block cache and
+// decoded straight out of the shared image — decoded entries never alias
+// the bytes they came from — and a miss fills the cache with the buffer
+// seglog.Read verified into. A block of the open segment is still being
+// rewritten in place by head merges and sector placement (several
+// objects share it), so it is read into *scratch, the caller's per-walk
+// buffer, and never cached. The openness test comes before the read: a
+// block found sealed can never be rewritten again, so no RewriteRange
+// can race the fill, while testing afterwards could cache an image read
+// just before the last rewrite. A sector that does not decode, or is not
+// id's, is an error. Needs no lock beyond whatever keeps sa in a chain.
+func (d *Drive) readJSector(id types.ObjectID, sa journal.SectorAddr, scratch *[]byte) (prev journal.SectorAddr, entries []journal.Entry, err error) {
+	blk := sa.Block()
+	var img []byte
+	if d.log.InOpenSegment(blk) {
+		if *scratch == nil {
+			*scratch = make([]byte, seglog.BlockSize)
+		}
+		img = *scratch
+		err = d.log.Read(blk, img)
+	} else if img = d.cache.getJournal(blk); img == nil {
+		img = make([]byte, seglog.BlockSize)
+		if err = d.log.Read(blk, img); err == nil {
+			d.cache.put(blk, img)
+		}
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: %v journal sector %d: %w", id, sa, err)
+	}
+	slot := sa.Slot()
+	obj, prev, entries, ok, err := journal.DecodeSector(img[slot*journal.SectorSize : (slot+1)*journal.SectorSize])
+	switch {
+	case err != nil:
+		return 0, nil, fmt.Errorf("core: %v journal sector %d: %w", id, sa, err)
+	case !ok:
+		return 0, nil, fmt.Errorf("core: %v journal sector %d is empty: %w", id, sa, types.ErrCorrupt)
+	case obj != id:
+		return 0, nil, fmt.Errorf("core: %v journal sector %d owned by %v: %w", id, sa, obj, types.ErrCorrupt)
+	}
+	return prev, entries, nil
 }
 
 // unrefJSector drops one in-chain sector reference; the shared journal
@@ -1075,7 +1161,6 @@ func (d *Drive) placeSectorLocked(sec []byte, newest types.Timestamp) (journal.S
 		if ok {
 			d.jstageUsed++
 			d.jblockRef[d.jstageAddr]++
-			d.cache.drop(d.jstageAddr)
 			return journal.MakeSectorAddr(d.jstageAddr, slot), nil
 		}
 	}
@@ -1150,7 +1235,6 @@ func (d *Drive) flushJournalLocked(o *object) error {
 				return err
 			}
 			if ok {
-				d.cache.drop(o.jhead.Block())
 				o.placeLandmarks(o.pending[:n], o.jhead)
 				for i := 0; i < n; i++ {
 					existing = append(existing, *o.pending[i])
@@ -1189,6 +1273,10 @@ func (d *Drive) flushJournalLocked(o *object) error {
 			ents[i] = *o.pending[i]
 		}
 		o.jheadPrev, o.jheadEntries = o.jhead, ents
+		if o.jhead == journal.NilSector || o.chain != nil {
+			// A chain's first sector starts its index; a built one grows.
+			o.chain = append(o.chain, sa)
+		}
 		o.jhead = sa
 		if o.jtail == journal.NilSector {
 			o.jtail = sa
@@ -2283,6 +2371,9 @@ func (d *Drive) flushDirtyObjects() error {
 		objs = append(objs, o)
 	}
 	d.dirtyMu.Unlock()
+	// In ID order, not the map's: where each sector lands, and so every
+	// address and count downstream of it, is then a function of the ops.
+	slices.SortFunc(objs, func(a, b *object) int { return cmp.Compare(a.id, b.id) })
 	for _, o := range objs {
 		o.mu.Lock()
 		var err error
@@ -2397,7 +2488,9 @@ func (d *Drive) DriveStats() Stats {
 		s.Ops[k] = v
 	}
 	d.statsMu.Unlock()
-	s.CacheHits, s.CacheMisses = d.cache.counters()
+	data, jrn := d.cache.counters()
+	s.CacheHits, s.CacheMisses = data.hits, data.misses
+	s.JournalCacheHits, s.JournalCacheMisses = jrn.hits, jrn.misses
 	s.HistoryBlocks = d.usage.historyBlocks()
 	s.LiveBlocks = d.usage.liveBlocks()
 	s.FreeSegments = d.log.FreeSegments()

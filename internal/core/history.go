@@ -98,13 +98,11 @@ func (d *Drive) walkEntriesSnap(s *objSnapshot, fn func(e *journal.Entry) (bool,
 			return nil
 		}
 	}
+	var scratch []byte
 	for addr := s.jhead; addr != journal.NilSector; {
-		obj, prev, entries, err := journal.ReadSector(d.log, addr)
+		prev, entries, err := d.readJSector(s.id, addr, &scratch)
 		if err != nil {
 			return err
-		}
-		if obj != s.id {
-			return fmt.Errorf("core: journal chain of %v crossed into %v: %w", s.id, obj, types.ErrCorrupt)
 		}
 		for i := len(entries) - 1; i >= 0; i-- {
 			e := &entries[i]
@@ -261,13 +259,11 @@ func (d *Drive) inodeAtLandmark(s *objSnapshot, ln landmark, at types.Timestamp)
 	from = s.floorTime
 	seen := false // the landmark's own entry has been passed
 	stopped := false
+	var scratch []byte
 	for addr := ln.sector; addr != journal.NilSector; {
-		obj, prev, entries, err := journal.ReadSector(d.log, addr)
+		prev, entries, err := d.readJSector(s.id, addr, &scratch)
 		if err != nil {
 			return nil, 0, 0, err
-		}
-		if obj != s.id {
-			return nil, 0, 0, fmt.Errorf("core: journal chain of %v crossed into %v: %w", s.id, obj, types.ErrCorrupt)
 		}
 		for i := len(entries) - 1; i >= 0; i-- {
 			e := &entries[i]
@@ -586,12 +582,7 @@ func (d *Drive) Flush(cred types.Cred, from, to types.Timestamp) error {
 	} else if d.closed {
 		err = types.ErrDriveStopped
 	} else {
-		ids := make([]types.ObjectID, 0, len(d.objects))
-		for id := range d.objects {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range d.objOrder {
 			if id == types.AuditObject {
 				continue
 			}
@@ -974,6 +965,7 @@ func (d *Drive) rewriteChainLocked(o *object, entries []*journal.Entry) error {
 	}
 	o.jhead, o.jtail = journal.NilSector, journal.NilSector
 	o.jheadEntries = nil
+	o.chain, o.chainAged = nil, 0 // the flush below starts a new index
 	// The rebuilt chain is complete only if it reaches creation.
 	o.pruned = len(entries) == 0 || entries[0].Type != journal.EntCreate
 	o.pending = entries

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"s4/internal/audit"
 	"s4/internal/journal"
@@ -44,16 +45,13 @@ func (d *Drive) CheckInvariants() error {
 		if err := d.log.Read(addr, buf); err != nil {
 			return fmt.Errorf("core: %v %s at block %d unreadable: %v: %w", id, what, addr, err, types.ErrCorrupt)
 		}
+		if c := d.cache.peek(addr); c != nil && !bytes.Equal(c, buf) {
+			return fmt.Errorf("core: %v %s at block %d: cached image differs from the log: %w", id, what, addr, types.ErrCorrupt)
+		}
 		return nil
 	}
 
-	ids := make([]types.ObjectID, 0, len(d.objects))
-	for id := range d.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, id := range ids {
+	for _, id := range d.objOrder {
 		o := d.objects[id]
 		if err := d.loadInode(o); err != nil {
 			return fmt.Errorf("core: %v inode unloadable: %w", id, err)
@@ -71,7 +69,9 @@ func (d *Drive) CheckInvariants() error {
 		// Walk the retained journal chain; every entry above the floor
 		// must still reach its history blocks (the old-version data the
 		// entry's undo needs).
+		var chain []journal.SectorAddr // newest first
 		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
+			chain = append(chain, addr)
 			err := checkAddr(id, "journal sector", addr.Block())
 			if err != nil {
 				return true, err
@@ -95,6 +95,12 @@ func (d *Drive) CheckInvariants() error {
 		})
 		if err != nil {
 			return err
+		}
+		if o.chain != nil {
+			slices.Reverse(chain)
+			if !slices.Equal(o.chain, chain) || o.chainAged >= len(chain) {
+				return fmt.Errorf("core: %v chain index %v (aged %d) does not match chain %v: %w", id, o.chain, o.chainAged, chain, types.ErrCorrupt)
+			}
 		}
 	}
 
@@ -169,17 +175,11 @@ func (d *Drive) checkLandmarksLocked() error {
 		return d.landmarkRootValid(id, version, root)
 	}
 
-	ids := make([]types.ObjectID, 0, len(d.objects))
-	for id := range d.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 	type lmKey struct {
 		version uint64
 		root    seglog.BlockAddr
 	}
-	for _, id := range ids {
+	for _, id := range d.objOrder {
 		o := d.objects[id]
 		found := make(map[lmKey]journal.SectorAddr)
 		for _, e := range o.pending {

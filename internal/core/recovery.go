@@ -6,7 +6,6 @@ import (
 	"fmt"
 	stdlog "log"
 	"math"
-	"sort"
 	"time"
 
 	"s4/internal/journal"
@@ -55,12 +54,7 @@ const (
 
 // checkpointLocked makes the entire drive state durable.
 func (d *Drive) checkpointLocked() error {
-	ids := make([]types.ObjectID, 0, len(d.objects))
-	for id := range d.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range d.objOrder {
 		o := d.objects[id]
 		if len(o.pending) > 0 {
 			if err := d.flushJournalLocked(o); err != nil {
@@ -107,7 +101,7 @@ func (d *Drive) checkpointLocked() error {
 	// The durable object map no longer references segments the cleaner
 	// emptied; they may now rejoin the allocator.
 	for seg := range d.pendingFree {
-		if err := d.log.FreeSegment(seg); err != nil {
+		if err := d.releaseSegmentLocked(seg); err != nil {
 			return err
 		}
 		delete(d.pendingFree, seg)
@@ -146,12 +140,7 @@ func (d *Drive) encodeImapLocked() []byte {
 		putU(uint64(r.lastTime))
 	}
 	putU(uint64(len(d.objects)))
-	ids := make([]types.ObjectID, 0, len(d.objects))
-	for id := range d.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range d.objOrder {
 		o := d.objects[id]
 		putU(uint64(o.id))
 		putU(o.nextVersion)
@@ -237,7 +226,7 @@ func (d *Drive) decodeImap(data []byte) error {
 	d.nextOID, d.window, d.auditSeq, d.auditBlocks = nextOID, window, auditSeq, auditBlocks
 	for _, o := range objs {
 		o.lruEl = d.objLRU.PushBack(o)
-		d.objects[o.id] = o
+		d.addObjectLocked(o)
 	}
 	return nil
 }
@@ -416,7 +405,7 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 	if o == nil {
 		o = &object{id: id, nextVersion: 1}
 		o.lruEl = d.objLRU.PushBack(o)
-		d.objects[id] = o
+		d.addObjectLocked(o)
 		if id >= d.nextOID {
 			d.nextOID = id + 1
 		}
@@ -464,7 +453,13 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 	newest := entries[len(entries)-1].Version
 	if newest <= o.cpVersion || newest <= o.ino.Version {
 		// A pre-checkpoint (or already-linked) sector re-synced inside
-		// a newer segment: its effects are already present.
+		// a newer segment: its effects are already present — in the inode.
+		// The checkpointed version counter can still predate them: a head
+		// merge rewrote the checkpoint-time head sector in place, and the
+		// loadInode above replayed the merged entries with the rest of
+		// the chain. Left behind, the counter mints their versions again,
+		// and the next open cuts the originals as an unacknowledged tail.
+		o.nextVersion = max(o.nextVersion, newest+1)
 		return nil
 	}
 	if d.recTouched != nil {
@@ -575,6 +570,10 @@ func (d *Drive) truncateJournalSector(addr journal.SectorAddr, prev journal.Sect
 		}
 		copy(sector, enc)
 	}
+	// The chain walks that materialized inodes on the way here (loadInode
+	// in recoverJournalSector) read this block through the cache; the
+	// image they left there is about to stop matching the media.
+	d.cache.drop(addr.Block())
 	return d.log.PatchSettled(addr.Block(), addr.Slot()*journal.SectorSize, sector)
 }
 
@@ -737,7 +736,7 @@ func (d *Drive) recountUsage() error {
 		if counted {
 			d.log.MarkAllocated(seg)
 		} else if seg != d.log.CurrentSegment() {
-			if err := d.log.FreeSegment(seg); err != nil {
+			if err := d.releaseSegmentLocked(seg); err != nil {
 				return err
 			}
 		}
@@ -811,7 +810,7 @@ func (d *Drive) finishIndexedRecovery(idx *segIndex, visited map[int64]bool) err
 			continue
 		}
 		if d.usage.reclaimable(seg) {
-			if err := d.log.FreeSegment(seg); err != nil {
+			if err := d.releaseSegmentLocked(seg); err != nil {
 				return err
 			}
 		}

@@ -114,13 +114,8 @@ func (d *Drive) encodeSegIndexLocked() []byte {
 		putU(uint64(uint32(d.jblockRef[a])))
 	}
 
-	ids := make([]types.ObjectID, 0, len(d.objects))
-	for id := range d.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	putU(uint64(len(ids)))
-	for _, id := range ids {
+	putU(uint64(len(d.objOrder)))
+	for _, id := range d.objOrder {
 		o := d.objects[id]
 		putU(uint64(o.id))
 		putU(uint64(len(o.landmarks)))

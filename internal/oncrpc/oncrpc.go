@@ -10,6 +10,7 @@
 package oncrpc
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -245,6 +246,10 @@ type Client struct {
 	conn *net.UDPConn
 	xid  uint32
 	cred Cred
+	// rbuf receives every reply datagram: calls are serialized by mu, so
+	// one maximum-size buffer serves them all, and each caller is handed
+	// a copy the size of its reply instead of a fresh, zeroed 64 KB.
+	rbuf []byte
 }
 
 // DialClient connects to a UDP RPC server with the given AUTH_UNIX
@@ -258,7 +263,8 @@ func DialClient(addr string, uid, gid uint32, machine string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, xid: 1, cred: Cred{Flavor: AuthUnix, UID: uid, GID: gid, Machine: machine}}, nil
+	return &Client{conn: conn, xid: 1, cred: Cred{Flavor: AuthUnix, UID: uid, GID: gid, Machine: machine},
+		rbuf: make([]byte, 65536)}, nil
 }
 
 // Close releases the socket.
@@ -292,12 +298,12 @@ func (c *Client) Call(prog, vers, proc uint32, args []byte) (*xdr.Decoder, error
 	if _, err := c.conn.Write(e.Bytes()); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 65536)
-	n, err := c.conn.Read(buf)
+	n, err := c.conn.Read(c.rbuf)
 	if err != nil {
 		return nil, err
 	}
-	d := xdr.NewDecoder(buf[:n])
+	// The decoder outlives the lock, and its opaques may alias its input.
+	d := xdr.NewDecoder(bytes.Clone(c.rbuf[:n]))
 	xid, err := d.Uint32()
 	if err != nil || xid != c.xid {
 		return nil, fmt.Errorf("oncrpc: xid mismatch")

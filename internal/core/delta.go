@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"s4/internal/delta"
@@ -109,11 +110,10 @@ func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, po
 		idx  int // position within e.Old
 		addr seglog.BlockAddr
 		t    types.Timestamp
-		slot delta.Slot
 	}
 	var (
 		hist     int64
-		cands    []cand
+		eligible []cand
 		chainHit int64
 		skipped  bool
 		minDropT types.Timestamp
@@ -162,45 +162,42 @@ func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, po
 			hist += types.BlockSize
 			continue
 		}
-		prev, err := d.readBlock(old)
-		if err != nil {
-			// Unreadable old block: keep it as a plain (possibly
-			// quarantined) history pointer; the scrubber reports it.
-			keyframe(i)
-			hist += types.BlockSize
-			continue
-		}
-		s, ok := delta.EncodeSlot(fulls[i], prev, maxDeltaSlotBytes)
-		if !ok {
-			keyframe(i)
-			hist += types.BlockSize
-			continue
-		}
-		s.Orig = uint64(old)
-		cands = append(cands, cand{idx: i, addr: old, t: bi.t, slot: s})
+		eligible = append(eligible, cand{idx: i, addr: old, t: bi.t})
 	}
 
-	// Pack this entry's candidate slots. Conversion only pays if it
-	// saves at least one physical block; otherwise every candidate
-	// stays a plain full-block history pointer.
-	committed := false
-	if len(cands) > 1 {
-		builders := []*delta.PackedBuilder{delta.NewPackedBuilder(seglog.BlockSize)}
-		place := make([]int, len(cands))
-		slotIdx := make([]int, len(cands))
-		for ci := range cands {
-			b := builders[len(builders)-1]
-			if !b.Room(len(cands[ci].slot.Payload)) {
-				b = delta.NewPackedBuilder(seglog.BlockSize)
-				builders = append(builders, b)
+	// Encode and pack the eligible blocks. Conversion only pays if it
+	// saves at least one physical block, and a packed block is never
+	// shared between entries, so a lone eligible block is not even read:
+	// it, like every eligible block of an entry whose conversion saves
+	// nothing or fails, stays a plain full-block history pointer.
+	var (
+		cands []cand
+		slots []delta.Slot
+	)
+	if len(eligible) > 1 {
+		for _, c := range eligible {
+			prev, err := d.readBlock(c.addr)
+			if err != nil {
+				// Unreadable old block: keep it as a plain (possibly
+				// quarantined) history pointer; the scrubber reports it.
+				continue
 			}
-			place[ci] = len(builders) - 1
-			slotIdx[ci] = b.Add(cands[ci].slot)
+			s, ok := delta.EncodeSlot(fulls[c.idx], prev, maxDeltaSlotBytes)
+			if !ok {
+				continue
+			}
+			s.Orig = uint64(c.addr)
+			cands = append(cands, c)
+			slots = append(slots, s)
 		}
-		if len(builders) < len(cands) {
-			vec := make([]seglog.VecEntry, len(builders))
-			for bi, b := range builders {
-				vec[bi] = seglog.VecEntry{Key: e.Version, Time: e.Time, Data: b.Finish()}
+	}
+	if len(cands) > 1 {
+		// PackSlots compresses the slots only if that can save a block.
+		images, at := delta.PackSlots(slots, seglog.BlockSize)
+		if len(images) < len(cands) {
+			vec := make([]seglog.VecEntry, len(images))
+			for bi, img := range images {
+				vec[bi] = seglog.VecEntry{Key: e.Version, Time: e.Time, Data: img}
 			}
 			addrs, err := d.log.AppendVec(seglog.KindDelta, o.id, vec...)
 			if err == nil {
@@ -212,12 +209,12 @@ func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, po
 					d.usage.liveBorn(seg)
 					d.usage.deprecate(seg)
 					full := make([]byte, seglog.BlockSize)
-					copy(full, vec[bi].Data)
+					copy(full, images[bi])
 					d.cache.put(a, full)
 				}
 				var minT types.Timestamp
 				for ci, c := range cands {
-					ref := uint64(addrs[place[ci]])*journal.DeltaSlotsPerBlock + uint64(slotIdx[ci])
+					ref := uint64(addrs[at[ci].Block])*journal.DeltaSlotsPerBlock + uint64(at[ci].Slot)
 					e.Old[c.idx] = seglog.BlockAddr(ref)
 					e.DeltaMask |= 1 << uint(c.idx)
 					d.usage.freeLive(segOf(d.log, c.addr))
@@ -240,12 +237,11 @@ func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, po
 				d.stats.DeltaBlocksWritten += int64(len(addrs))
 				d.stats.DeltaBytesSaved += int64(len(cands)-len(addrs)) * types.BlockSize
 				d.statsMu.Unlock()
-				committed = true
 			}
 		}
 	}
-	if !committed {
-		for _, c := range cands {
+	for _, c := range eligible {
+		if e.DeltaMask&(1<<uint(c.idx)) == 0 {
 			keyframe(c.idx)
 			hist += types.BlockSize
 		}
@@ -376,42 +372,65 @@ func rebuildDropped(e *journal.Entry, addrOf map[int]seglog.BlockAddr) {
 	}
 }
 
+// chainBufs holds the pairs of block buffers a chain of two or more
+// links decodes its intermediate contents in.
+var chainBufs = sync.Pool{New: func() any { return new([2][seglog.BlockSize]byte) }}
+
 // materializeRef resolves a (possibly tagged) block-map value to block
-// content. A plain address reads the log; a tagged reference resolves
-// its successor context through in.deltaRef, then decodes its packed
-// slot against it — one recursion level per chain link. Every failure
-// is typed: a broken chain or rotted slot never materializes garbage.
-func (d *Drive) materializeRef(in *Inode, ref uint64, depth int) ([]byte, error) {
-	if ref&deltaRefTag == 0 {
-		return d.readBlock(seglog.BlockAddr(ref))
+// content. A plain address reads the log. A tagged reference is the top
+// of a chain: its successor contexts are resolved through in.deltaRef
+// down to the plain keyframe, then each packed slot is decoded against
+// the content below it, newest first. Intermediate contents alternate
+// between two pooled buffers (the keyframe is the cache's and is only
+// read); the last link decodes into a buffer of its own, because the
+// caller keeps what it gets — in a reply under assembly, or in the block
+// cache. Every failure is typed: a broken chain or rotted slot never
+// materializes garbage.
+func (d *Drive) materializeRef(in *Inode, ref uint64) ([]byte, error) {
+	var arr [maxDeltaDepth]uint64
+	links := arr[:0]
+	for ref&deltaRefTag != 0 {
+		if len(links) == maxDeltaDepth {
+			return nil, fmt.Errorf("core: %v delta chain exceeds depth %d: %w",
+				in.ID, maxDeltaDepth, types.ErrCorrupt)
+		}
+		ctx, ok := in.deltaRef[ref]
+		if !ok {
+			return nil, fmt.Errorf("core: %v unresolved delta reference %#x: %w",
+				in.ID, ref, types.ErrCorrupt)
+		}
+		links = append(links, ref)
+		ref = ctx
 	}
-	if depth >= maxDeltaDepth {
-		return nil, fmt.Errorf("core: %v delta chain exceeds depth %d: %w",
-			in.ID, maxDeltaDepth, types.ErrCorrupt)
-	}
-	ctx, ok := in.deltaRef[ref]
-	if !ok {
-		return nil, fmt.Errorf("core: %v unresolved delta reference %#x: %w",
-			in.ID, ref, types.ErrCorrupt)
-	}
-	newer, err := d.materializeRef(in, ctx, depth+1)
+	content, err := d.readBlock(seglog.BlockAddr(ref))
 	if err != nil {
 		return nil, err
 	}
-	packed, slot := splitDeltaRef(ref &^ deltaRefTag)
-	blk, err := d.readBlock(packed)
-	if err != nil {
-		return nil, err
+	var bufs *[2][seglog.BlockSize]byte
+	if len(links) > 1 {
+		bufs = chainBufs.Get().(*[2][seglog.BlockSize]byte)
+		defer chainBufs.Put(bufs)
 	}
-	out, err := delta.ApplySlot(blk, slot, newer)
-	if err != nil {
-		return nil, fmt.Errorf("core: %v delta slot %d@%v: %w", in.ID, slot, packed, err)
+	for i := len(links) - 1; i >= 0; i-- {
+		var dst []byte
+		if i > 0 {
+			dst = bufs[i&1][:]
+		}
+		packed, slot := splitDeltaRef(links[i] &^ deltaRefTag)
+		blk, err := d.readBlock(packed)
+		if err != nil {
+			return nil, err
+		}
+		content, err = delta.ApplySlot(dst, blk, slot, content)
+		if err != nil {
+			return nil, fmt.Errorf("core: %v delta slot %d@%v: %w", in.ID, slot, packed, err)
+		}
+		if len(content) != seglog.BlockSize {
+			return nil, fmt.Errorf("core: %v delta slot %d@%v decoded %d bytes: %w",
+				in.ID, slot, packed, len(content), types.ErrCorrupt)
+		}
 	}
-	if len(out) != seglog.BlockSize {
-		return nil, fmt.Errorf("core: %v delta slot %d@%v decoded %d bytes: %w",
-			in.ID, slot, packed, len(out), types.ErrCorrupt)
-	}
-	return out, nil
+	return content, nil
 }
 
 // materializeBlock returns the content of file block idx of a
@@ -423,5 +442,5 @@ func (d *Drive) materializeBlock(in *Inode, idx uint64) ([]byte, error) {
 	if a == seglog.NilAddr {
 		return nil, nil
 	}
-	return d.materializeRef(in, uint64(a), 0)
+	return d.materializeRef(in, uint64(a))
 }

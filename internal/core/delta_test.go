@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"s4/internal/delta"
+	"s4/internal/journal"
 	"s4/internal/types"
 )
 
@@ -405,4 +408,200 @@ func TestPolicyWindowOverride(t *testing.T) {
 	if got := e.read(alice, long, 0, types.BlockSize, tOld); !bytes.Equal(got, blockPattern(1)) {
 		t.Fatal("default-window history lost across recovery")
 	}
+}
+
+// storedSlot is one packed slot a retained journal entry of an object
+// points at: the entry's time, the file block it holds the old version
+// of, and the slot as stored.
+type storedSlot struct {
+	t    types.Timestamp
+	blk  uint64
+	slot delta.Slot
+}
+
+// deltaSlots unpacks every slot id's retained entries reference.
+func (e *testEnv) deltaSlots(id types.ObjectID) []storedSlot {
+	e.t.Helper()
+	e.d.mu.Lock()
+	defer e.d.mu.Unlock()
+	var out []storedSlot
+	err := e.d.walkEntriesSnap(e.d.snapshotObject(e.d.objects[id]), func(je *journal.Entry) (bool, error) {
+		for k, old := range je.Old {
+			if je.DeltaMask&(1<<uint(k)) == 0 {
+				continue
+			}
+			packed, i := splitDeltaRef(uint64(old))
+			blk, err := e.d.readBlock(packed)
+			if err != nil {
+				return false, err
+			}
+			s, err := delta.UnpackSlot(blk, i)
+			if err != nil {
+				return false, err
+			}
+			s.Payload = bytes.Clone(s.Payload)
+			out = append(out, storedSlot{t: je.Time, blk: je.FirstBlock + uint64(k), slot: s})
+		}
+		return false, nil
+	})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	return out
+}
+
+// textSpan is spanPattern with n bytes of each block replaced by text
+// that names the version: the reverse delta of a block is about n bytes
+// of INSERT, which DEFLATE would shrink severalfold.
+func textSpan(v, blocks, n int) []byte {
+	span := spanPattern(v, blocks)
+	for b := 0; b < blocks; b++ {
+		region := span[b*types.BlockSize+500:][:n]
+		phrase := []byte(fmt.Sprintf("version %d of block %d; ", v, b))
+		for i := range region {
+			region[i] = phrase[i%len(phrase)]
+		}
+	}
+	return span
+}
+
+// TestPackerCompressesOnlyToSaveABlock holds the packer's rule at drive
+// level, in both directions. Eight old blocks whose raw deltas, ~300
+// compressible bytes each, share one packed block with room to spare
+// are stored with no DEFLATE stream anywhere: every slot is exactly
+// delta.Encode of its pair, 200 overwrites running. Eight whose raw
+// deltas are ~1 KB each overflow a block, are stored compressed, and
+// land in one block for it.
+func TestPackerCompressesOnlyToSaveABlock(t *testing.T) {
+	e := newTestDrive(t)
+	deltaOn(e)
+	const span, rounds = 8, 200
+	for _, c := range []struct {
+		name      string
+		textBytes int
+		flate     bool
+	}{{"fits one block raw", 300, false}, {"overflows one block raw", 1024, true}} {
+		id := e.create(alice)
+		times := make([]types.Timestamp, rounds)
+		for v := range times {
+			e.write(alice, id, 0, textSpan(v, span, c.textBytes))
+			times[v] = e.d.Now()
+			e.tick()
+		}
+		slots := e.deltaSlots(id)
+		if len(slots) < rounds*span/2 {
+			t.Fatalf("%s: %d packed slots after %d overwrites of %d blocks: conversion barely ran", c.name, len(slots), rounds, span)
+		}
+		for _, s := range slots {
+			// The write of version v, stamped at or before times[v] (device
+			// I/O advances the clock), pushed out version v-1.
+			v := sort.Search(rounds, func(v int) bool { return times[v] >= s.t })
+			newer := textSpan(v, span, c.textBytes)[s.blk*types.BlockSize:][:types.BlockSize]
+			old := textSpan(v-1, span, c.textBytes)[s.blk*types.BlockSize:][:types.BlockSize]
+			raw := delta.Encode(newer, old)
+			if len(raw) < c.textBytes {
+				t.Fatalf("%s: version %d block %d has a raw delta of %d bytes, the test wants at least %d", c.name, v-1, s.blk, len(raw), c.textBytes)
+			}
+			payload := s.slot.Payload
+			if s.slot.Flate {
+				var err error
+				if payload, err = delta.Decompress(payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.slot.Flate != c.flate || !bytes.Equal(payload, raw) {
+				t.Fatalf("%s: version %d block %d: slot of %d bytes, flate %v, for a raw delta of %d bytes",
+					c.name, v-1, s.blk, len(s.slot.Payload), s.slot.Flate, len(raw))
+			}
+		}
+		// One packed block per converting entry, either way.
+		st := e.d.DriveStats()
+		if stored := st.DeltaBytesSaved/types.BlockSize + st.DeltaBlocksWritten; stored != span*st.DeltaBlocksWritten {
+			t.Fatalf("%s: %d packed blocks hold %d slots, want %d in each", c.name, st.DeltaBlocksWritten, stored, span)
+		}
+		for _, v := range []int{0, rounds / 2, rounds - 2} {
+			if got := e.read(alice, id, 0, span*types.BlockSize, times[v]); !bytes.Equal(got, textSpan(v, span, c.textBytes)) {
+				t.Fatalf("%s: version %d did not read back", c.name, v)
+			}
+		}
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deepChain writes versions 0..depth of a span-block object under a
+// delta policy, so that version v of every block sits under a chain of
+// depth-v links, and returns the time each version was current.
+func deepChain(e *testEnv, id types.ObjectID, span, depth int) []types.Timestamp {
+	e.t.Helper()
+	times := make([]types.Timestamp, depth+1)
+	for v := range times {
+		e.write(alice, id, 0, spanPattern(v, span))
+		times[v] = e.d.Now()
+		e.tick()
+	}
+	return times
+}
+
+// TestMaterializedBlockIsPrivate holds what lets a chain decode in
+// pooled buffers: the block materializeRef returns belongs to its caller.
+// readShared keeps one per block until the reply is assembled, and
+// Flush's demotion puts one in the block cache.
+func TestMaterializedBlockIsPrivate(t *testing.T) {
+	e := newTestDrive(t)
+	deltaOn(e)
+	const span, depth = 4, 8
+	id, other := e.create(alice), e.create(alice)
+	t0 := deepChain(e, id, span, depth)[0]
+	otherT0 := deepChain(e, other, span, depth-1)[0] // a chain that ends in the other pooled buffer
+	want := spanPattern(0, span)
+
+	var held [][]byte
+	order := []struct {
+		id  types.ObjectID
+		at  types.Timestamp
+		idx uint64
+	}{{id, t0, 0}, {other, otherT0, 0}, {id, t0, 1}, {other, otherT0, 1}, {id, t0, 0}}
+	func() {
+		e.d.mu.RLock()
+		defer e.d.mu.RUnlock()
+		for _, b := range order {
+			in, err := e.d.inodeAtCached(e.d.snapshotObject(e.d.objects[b.id]), b.at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !isDeltaRef(in.Block(b.idx)) {
+				t.Fatalf("block %d of version 0 is not behind a delta chain", b.idx)
+			}
+			got, err := e.d.materializeBlock(in, b.idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, got)
+		}
+	}()
+	for i, b := range order {
+		if !bytes.Equal(held[i], want[b.idx*types.BlockSize:][:types.BlockSize]) {
+			t.Fatalf("materialized block %d (of %d) is wrong once later chains were decoded", i, len(order))
+		}
+	}
+
+	// Demotion: flushing the newest versions away rewrites version 0's
+	// slots as plain blocks, decoded through the chains and put in the
+	// block cache; later decodes must not write to them.
+	if err := e.d.FlushO(admin, id, t0, e.d.Now()-1); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		if got := e.read(alice, other, 0, span*types.BlockSize, otherT0); !bytes.Equal(got, want) {
+			t.Fatal("the other object's version 0 did not read back")
+		}
+		if got := e.read(alice, id, 0, span*types.BlockSize, t0); !bytes.Equal(got, want) {
+			t.Fatal("version 0 did not read back after its chain was flushed away")
+		}
+	}
+	// No CheckInvariants here: a Flush that erases entries whose New
+	// blocks were later delta-converted releases those blocks a second
+	// time (ROADMAP, "Flush over a delta chain"), at the parent as here.
 }

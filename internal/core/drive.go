@@ -1584,7 +1584,7 @@ func (d *Drive) readShared(cred types.Cred, id types.ObjectID, off, n uint64, at
 			if _, done := materialized[a]; done {
 				break
 			}
-			content, err := d.materializeRef(in, uint64(a), 0)
+			content, err := d.materializeRef(in, uint64(a))
 			if err != nil {
 				return nil, err
 			}

@@ -511,7 +511,7 @@ func (d *Drive) revertShared(cred types.Cred, id types.ObjectID, at types.Timest
 				content = make([]byte, types.BlockSize)
 			case isDeltaRef(oldAddr):
 				var err error
-				if content, err = d.materializeRef(old, uint64(oldAddr), 0); err != nil {
+				if content, err = d.materializeRef(old, uint64(oldAddr)); err != nil {
 					return err
 				}
 			default:

@@ -55,17 +55,17 @@ func Encode(ref, target []byte) []byte {
 	return bytes.Clone(e.encode(ref, target))
 }
 
-// encoder is the working state of one Encode, Compress or EncodeSlot
-// call: the reference index, the delta under construction, and the
-// DEFLATE compressor with the buffer it writes into. None of it carries
-// meaning from one call to the next — every call rebuilds the index and
-// resets the compressor — it is kept only so that a call costs what it
-// encodes instead of what its state costs to allocate and zero (a
-// level-6 flate.Writer alone is ~800 KB). Encoders are recycled through
-// a pool rather than owned by a drive because writers to different
-// objects convert old blocks concurrently under the shared drive lock.
-// Whatever a call returns is a copy: nothing handed out aliases pooled
-// memory.
+// encoder is the working state of one Encode, Compress, EncodeSlot or
+// PackSlots call: the reference index, the delta under construction,
+// and the DEFLATE compressor with the buffer it writes into. None of it
+// carries meaning from one call to the next — a call rebuilds the index
+// and resets the compressor before using them — it is kept only so that
+// a call costs what it encodes instead of what its state costs to
+// allocate and zero (a level-6 flate.Writer alone is ~800 KB). Encoders
+// are recycled through a pool rather than owned by a drive because
+// writers to different objects convert old blocks concurrently under the
+// shared drive lock. Whatever a call returns is a copy: nothing handed
+// out aliases pooled memory.
 type encoder struct {
 	// The index is a chained hash table over the reference's aligned
 	// 16-byte chunks, stored flat. head[b] is 1 + the lowest-numbered
@@ -215,6 +215,15 @@ func matchLen(a, b []byte) int {
 
 // Apply reconstructs the target from ref and a delta produced by Encode.
 func Apply(ref, delta []byte) ([]byte, error) {
+	return ApplyInto(nil, ref, delta)
+}
+
+// ApplyInto is Apply into dst's backing array when the target the delta
+// declares fits its capacity (dst's length and contents are ignored),
+// and into a new slice otherwise; either way the result is exactly the
+// declared length and shares no memory with ref. dst must not overlap
+// ref or delta. On an error dst's contents are unspecified.
+func ApplyInto(dst, ref, delta []byte) ([]byte, error) {
 	getU := func() (uint64, error) {
 		v, n := binary.Uvarint(delta)
 		if n <= 0 {
@@ -230,7 +239,12 @@ func Apply(ref, delta []byte) ([]byte, error) {
 	if tlen > MaxTarget {
 		return nil, fmt.Errorf("delta: target length %d exceeds limit: %w", tlen, types.ErrCorrupt)
 	}
-	out := make([]byte, 0, tlen)
+	// Every append below is checked against tlen first, so out never
+	// outgrows the array chosen here.
+	out := dst[:0]
+	if dst == nil || uint64(cap(dst)) < tlen {
+		out = make([]byte, 0, tlen)
+	}
 	for len(delta) > 0 {
 		op := delta[0]
 		delta = delta[1:]

@@ -69,15 +69,43 @@ func checkAgainstReference(t *testing.T, ref, target []byte) {
 	if inflated, err := Decompress(gotC); err != nil || !bytes.Equal(inflated, got) {
 		t.Fatalf("Decompress: %d bytes, err %v; want the %d-byte delta", len(inflated), err, len(got))
 	}
-	// Both sides of the size cut-off, and no cut-off at all.
+	// Both sides of the size cut-off, and no cut-off at all. EncodeSlot
+	// is held in two halves: what it accepts is what the reference
+	// accepts, its payload is the raw delta unless only DEFLATE got that
+	// under the cut-off, and deflating the payload the way PackSlots
+	// would gives the reference's slot.
 	for _, maxLen := range []int{len(target) / 2, min(len(wantC), len(want)) - 1, math.MaxInt} {
 		ws, wok := refEncodeSlot(ref, target, maxLen)
 		gs, gok := EncodeSlot(ref, target, maxLen)
-		if gok != wok || gs.Flate != ws.Flate || !bytes.Equal(gs.Payload, ws.Payload) {
-			t.Fatalf("EncodeSlot(maxLen %d) = (%d bytes, flate %v, ok %v), reference (%d bytes, flate %v, ok %v)",
-				maxLen, len(gs.Payload), gs.Flate, gok, len(ws.Payload), ws.Flate, wok)
+		if gok != wok {
+			t.Fatalf("EncodeSlot(maxLen %d) ok = %v, reference %v", maxLen, gok, wok)
+		}
+		if !gok {
+			continue
+		}
+		if gs.Flate != (len(want) > maxLen) || !gs.Flate && !bytes.Equal(gs.Payload, want) {
+			t.Fatalf("EncodeSlot(maxLen %d) = (%d bytes, flate %v), raw delta is %d bytes",
+				maxLen, len(gs.Payload), gs.Flate, len(want))
+		}
+		if ds, err := deflateIfSmaller(gs); err != nil || ds.Flate != ws.Flate || !bytes.Equal(ds.Payload, ws.Payload) {
+			t.Fatalf("EncodeSlot(maxLen %d), deflated = (%d bytes, flate %v, err %v), reference (%d bytes, flate %v)",
+				maxLen, len(ds.Payload), ds.Flate, err, len(ws.Payload), ws.Flate)
 		}
 	}
+}
+
+// deflateIfSmaller is what PackSlots does to each raw slot of an entry
+// that overflows one packed block, and what the reference encoder did
+// to every slot.
+func deflateIfSmaller(s Slot) (Slot, error) {
+	if s.Flate {
+		return s, nil
+	}
+	c, err := Compress(s.Payload)
+	if err == nil && len(c) < len(s.Payload) {
+		s.Payload, s.Flate = c, true
+	}
+	return s, err
 }
 
 func firstDiff(a, b []byte) int {
@@ -153,13 +181,18 @@ func TestEncodeMatchesReferenceOnEdits(t *testing.T) {
 // was 112 allocations and 820 KB for this pair.
 func TestEncodeSlotAllocs(t *testing.T) {
 	newer, older := churnPair(1)
-	want, wok := refEncodeSlot(newer, older, 2048)
+	want := refEncode(newer, older)
 	encode := func() {
 		s, ok := EncodeSlot(newer, older, 2048)
-		if ok != wok || s.Flate != want.Flate || !bytes.Equal(s.Payload, want.Payload) {
-			t.Fatalf("EncodeSlot = (%d bytes, flate %v, ok %v), reference (%d bytes, flate %v, ok %v)",
-				len(s.Payload), s.Flate, ok, len(want.Payload), want.Flate, wok)
+		if !ok || s.Flate || !bytes.Equal(s.Payload, want) {
+			t.Fatalf("EncodeSlot = (%d bytes, flate %v, ok %v), want the %d-byte raw delta",
+				len(s.Payload), s.Flate, ok, len(want))
 		}
+	}
+	ws, _ := refEncodeSlot(newer, older, 2048)
+	if ds, err := deflateIfSmaller(Slot{Payload: want}); err != nil || ds.Flate != ws.Flate || !bytes.Equal(ds.Payload, ws.Payload) {
+		t.Fatalf("raw delta, deflated = (%d bytes, flate %v, err %v), reference (%d bytes, flate %v)",
+			len(ds.Payload), ds.Flate, err, len(ws.Payload), ws.Flate)
 	}
 	encode() // warm the pool
 	if israce.Enabled {
@@ -179,7 +212,7 @@ func TestEncodeSlotAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("EncodeSlot on the churn pair: %.0f allocs, %.0f B per call, %d-byte payload", allocs, bytesPer, len(want.Payload))
+	t.Logf("EncodeSlot on the churn pair: %.0f allocs, %.0f B per call, %d-byte payload", allocs, bytesPer, len(want))
 	if allocs > 2 {
 		t.Errorf("EncodeSlot allocates %.0f times per call, want at most 2 (the payload)", allocs)
 	}
@@ -205,8 +238,13 @@ func TestEncodeConcurrent(t *testing.T) {
 				}
 				want, wok := refEncodeSlot(newer, older, 1<<20)
 				got, ok := EncodeSlot(newer, older, 1<<20)
-				if ok != wok || got.Flate != want.Flate || !bytes.Equal(got.Payload, want.Payload) {
-					t.Errorf("worker %d round %d: EncodeSlot differs from the reference", w, r)
+				if ok != wok || got.Flate || !bytes.Equal(got.Payload, refEncode(newer, older)) {
+					t.Errorf("worker %d round %d: EncodeSlot differs from the reference's raw delta", w, r)
+					return
+				}
+				got, err := deflateIfSmaller(got)
+				if err != nil || got.Flate != want.Flate || !bytes.Equal(got.Payload, want.Payload) {
+					t.Errorf("worker %d round %d: EncodeSlot, deflated, differs from the reference (err %v)", w, r, err)
 					return
 				}
 				if d := Encode(newer, older); !bytes.Equal(d, refEncode(newer, older)) {
@@ -215,7 +253,7 @@ func TestEncodeConcurrent(t *testing.T) {
 				}
 				block := NewPackedBuilder(1 << 20)
 				block.Add(got)
-				if back, err := ApplySlot(block.Finish(), 0, newer); err != nil || !bytes.Equal(back, older) {
+				if back, err := ApplySlot(nil, block.Finish(), 0, newer); err != nil || !bytes.Equal(back, older) {
 					t.Errorf("worker %d round %d: ApplySlot: err %v", w, r, err)
 					return
 				}
@@ -228,8 +266,7 @@ func TestEncodeConcurrent(t *testing.T) {
 var sinkSlot Slot
 
 // BenchmarkEncodeSlotChurn is what convertOldLocked pays per old block
-// on rpc_churn_history: index, match, a DEFLATE attempt that does not
-// pay on a 48-byte delta, and the payload copy.
+// on rpc_churn_history: index, match and the payload copy.
 func BenchmarkEncodeSlotChurn(b *testing.B) {
 	newer, older := churnPair(1)
 	b.ReportAllocs()

@@ -33,7 +33,10 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 
 // FuzzDeltaApplyHostile feeds Apply arbitrary delta bytes: it must
 // return data or a typed ErrCorrupt, never panic, and never allocate
-// beyond MaxTarget.
+// beyond MaxTarget. ApplyInto is held to the same through destinations
+// shorter than, as long as and longer than the length the delta
+// declares: it agrees with Apply, and what it returns is never ref's
+// memory.
 func FuzzDeltaApplyHostile(f *testing.F) {
 	ref := []byte("reference block content for hostile decoding")
 	f.Add(Encode(ref, []byte("reference block content for hostile decoding!!")))
@@ -42,16 +45,43 @@ func FuzzDeltaApplyHostile(f *testing.F) {
 	f.Add([]byte{0x08, opCopy, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x05})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{0x00})
+	// A whole-reference copy: the cheapest result would be ref itself.
+	f.Add(Encode(ref, ref))
 	f.Fuzz(func(t *testing.T, d []byte) {
 		out, err := Apply(ref, d)
 		if err != nil {
 			if !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("apply error not typed ErrCorrupt: %v", err)
 			}
-			return
-		}
-		if len(out) > MaxTarget {
+		} else if len(out) > MaxTarget {
 			t.Fatalf("apply produced %d bytes past MaxTarget", len(out))
+		}
+		for _, dstLen := range []int{len(out) - 1, len(out), len(out) + 9} {
+			if dstLen < 0 {
+				continue
+			}
+			dst := bytes.Repeat([]byte{0xEE}, dstLen)
+			refCopy := bytes.Clone(ref)
+			got, ierr := ApplyInto(dst, refCopy, d)
+			if (ierr == nil) != (err == nil) || ierr != nil && !errors.Is(ierr, types.ErrCorrupt) {
+				t.Fatalf("ApplyInto(dst of %d): error %v, Apply's %v", dstLen, ierr, err)
+			}
+			if ierr != nil {
+				continue
+			}
+			if !bytes.Equal(got, out) {
+				t.Fatalf("ApplyInto(dst of %d) reconstructed %d bytes, Apply %d", dstLen, len(got), len(out))
+			}
+			if len(out) > 0 && (dstLen > 0 && &got[0] == &dst[0]) != (dstLen >= len(out)) {
+				t.Fatalf("ApplyInto(dst of %d) for a %d-byte target: wrong choice of destination", dstLen, len(out))
+			}
+			// Not ref's memory: overwriting the result leaves ref alone.
+			for i := range got {
+				got[i] ^= 0xFF
+			}
+			if !bytes.Equal(refCopy, ref) {
+				t.Fatalf("ApplyInto(dst of %d) returned its reference's memory", dstLen)
+			}
 		}
 	})
 }
@@ -88,7 +118,7 @@ func FuzzPackedDecodeHostile(f *testing.F) {
 		if _, err := UnpackSlot(block, slot); err != nil && !errors.Is(err, types.ErrCorrupt) {
 			t.Fatalf("UnpackSlot error not typed: %v", err)
 		}
-		if _, err := ApplySlot(block, slot, newer); err != nil && !errors.Is(err, types.ErrCorrupt) {
+		if _, err := ApplySlot(nil, block, slot, newer); err != nil && !errors.Is(err, types.ErrCorrupt) {
 			t.Fatalf("ApplySlot error not typed: %v", err)
 		}
 	})
@@ -128,7 +158,7 @@ func TestPackedRoundTrip(t *testing.T) {
 		if origs[i] != uint64(1000+i) {
 			t.Fatalf("slot %d orig %d", i, origs[i])
 		}
-		got, err := ApplySlot(blk, i, newer[i])
+		got, err := ApplySlot(nil, blk, i, newer[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +173,7 @@ func TestPackedRoundTrip(t *testing.T) {
 		bad := append([]byte(nil), blk...)
 		bad[pos] ^= 0x40
 		for i := range newer {
-			got, err := ApplySlot(bad, i, newer[i])
+			got, err := ApplySlot(nil, bad, i, newer[i])
 			if err == nil && !bytes.Equal(got, older[i]) {
 				t.Fatalf("flip at %d slot %d materialized garbage", pos, i)
 			}

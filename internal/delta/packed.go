@@ -156,9 +156,10 @@ func packedCount(block []byte) (int, error) {
 }
 
 // ApplySlot materializes the older version of a block from packed slot
-// i and the newer content the delta was encoded against. Every failure
-// wraps types.ErrCorrupt; a rotted delta never yields garbage bytes.
-func ApplySlot(block []byte, i int, newer []byte) ([]byte, error) {
+// i and the newer content the delta was encoded against, into dst as
+// ApplyInto does. Every failure wraps types.ErrCorrupt; a rotted delta
+// never yields garbage bytes.
+func ApplySlot(dst, block []byte, i int, newer []byte) ([]byte, error) {
 	s, err := UnpackSlot(block, i)
 	if err != nil {
 		return nil, err
@@ -169,24 +170,75 @@ func ApplySlot(block []byte, i int, newer []byte) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return Apply(newer, payload)
+	return ApplyInto(dst, newer, payload)
 }
 
-// EncodeSlot reverse-delta-encodes old against newer, compressing when
-// it pays, and reports the resulting slot (without Orig) or ok=false
-// when the encoding is no smaller than maxLen.
+// EncodeSlot reverse-delta-encodes old against newer and reports the
+// resulting slot (without Orig), or ok=false when no encoding of it is
+// at most maxLen bytes. The payload is the raw delta whenever that is
+// within maxLen: whether compressing it saves anything depends on what
+// shares its packed block, so PackSlots decides. A raw delta over maxLen
+// is DEFLATEd here, where that alone can turn a rejection into a slot.
 func EncodeSlot(newer, old []byte, maxLen int) (Slot, bool) {
 	e := encoders.Get().(*encoder)
 	defer e.release()
 	enc := e.encode(newer, old)
 	flate := false
-	if c, err := e.deflate(enc); err == nil && len(c) < len(enc) {
-		enc, flate = c, true
-	}
 	if len(enc) > maxLen {
-		return Slot{}, false
+		c, err := e.deflate(enc)
+		if err != nil || len(c) > maxLen {
+			return Slot{}, false
+		}
+		enc, flate = c, true
 	}
 	// The caller holds the payload until its packed block is built; it
 	// must not alias the encoder's buffers.
 	return Slot{Payload: bytes.Clone(enc), Flate: flate}, true
+}
+
+// Placement locates a packed slot in a PackSlots result: directory
+// index Slot of block image Block.
+type Placement struct{ Block, Slot int }
+
+// PackSlots packs one journal entry's slots (at least one), in order,
+// into packed blocks of blockSize bytes: a slot goes into the block
+// being filled, or starts the next one when it does not fit. It returns
+// the block images and where each slot went.
+//
+// It is also where compression is decided, because the history pool is
+// counted in blocks and this is where the count is known. Slots that fit
+// one block as they stand are stored as they stand: no encoding of them
+// takes fewer blocks than one. Otherwise every raw slot is DEFLATEd and
+// stored compressed when that is smaller, which is what a block holds
+// when every slot is compressed as it is encoded — so the number of
+// blocks, and in this case every stored byte, is what that gives.
+// slots[i].Payload and Flate are updated to what was stored.
+func PackSlots(slots []Slot, blockSize int) (blocks [][]byte, at []Placement) {
+	raw := packedHdr + len(slots)*slotDirSize
+	for _, s := range slots {
+		raw += len(s.Payload)
+	}
+	if len(slots) > MaxSlots || raw > blockSize {
+		e := encoders.Get().(*encoder)
+		for i := range slots {
+			s := &slots[i]
+			if s.Flate {
+				continue
+			}
+			if c, err := e.deflate(s.Payload); err == nil && len(c) < len(s.Payload) {
+				s.Payload, s.Flate = bytes.Clone(c), true
+			}
+		}
+		e.release()
+	}
+	at = make([]Placement, len(slots))
+	b := NewPackedBuilder(blockSize)
+	for i, s := range slots {
+		if !b.Room(len(s.Payload)) {
+			blocks = append(blocks, b.Finish())
+			b = NewPackedBuilder(blockSize)
+		}
+		at[i] = Placement{Block: len(blocks), Slot: b.Add(s)}
+	}
+	return append(blocks, b.Finish()), at
 }

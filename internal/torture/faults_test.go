@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"s4/internal/core"
@@ -264,6 +265,50 @@ func TestBitRotDeltaChainOracle(t *testing.T) {
 			t.Errorf("rot round %d (crash point %d): %s", r, k, msg)
 		}
 	}
+}
+
+// TestDeltaChainConcurrentReaders reads the delta-chain workload's whole
+// history back from eight goroutines at once, against the same oracle.
+// A chain decodes its intermediate contents in pooled buffers and hands
+// its caller a block of its own; under the race detector this is what
+// would catch a decode that let two readers share one.
+func TestDeltaChainConcurrentReaders(t *testing.T) {
+	cfg := Config{
+		Seed: 47, Ops: 120, MaxWriteBlocks: 4,
+		Policy: types.Policy{Mode: types.ModeEveryVersion, DeltaEnabled: true},
+	}
+	cfg.fill()
+	w, err := runWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.deltaBlocks == 0 {
+		t.Fatal("workload wrote no packed delta blocks; the readers would not cross chains")
+	}
+	n := w.rec.Writes()
+	img, err := w.rec.ImageAt(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := w.opts
+	opts.Clock = vclock.NewVirtualAt(w.endTime.Time())
+	drv, err := core.Open(img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drv.Close()
+	winCut := drv.Now() - types.Timestamp(w.opts.Window)
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			w.checkSynced(drv, w.lastMark(n), winCut, func(inv, msg string) {
+				t.Errorf("reader %d: %s: %s", r, inv, msg)
+			})
+		}(r)
+	}
+	wg.Wait()
 }
 
 // TestDeviceErrorFailsCleanly arms a hard I/O error mid-recovery and

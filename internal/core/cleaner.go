@@ -222,6 +222,7 @@ func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStat
 	minRetained := types.Timestamp(1 << 62)
 	passed := o.chainAged // leading sectors holding no in-window entry
 	var scratch []byte
+	aging := uint64(0) // the version whose entries this scan is releasing
 scan:
 	for ; passed < len(chain); passed++ {
 		_, entries, err := d.readJSector(o.id, chain[passed], &scratch)
@@ -235,9 +236,13 @@ scan:
 				minRetained = e.Time
 				break scan
 			}
-			if e.Version <= o.floorVersion {
+			// Flush's merge entries share one version (and one time, so
+			// one scan meets them all): those after the first are at the
+			// floor it just raised, not below it.
+			if e.Version <= o.floorVersion && e.Version != aging {
 				continue
 			}
+			aging = e.Version
 			// The pointers this entry deprecated only support versions
 			// older than the window; free them. Raising the floor in the
 			// same step is what takes them out of the pool: the floor is
@@ -722,6 +727,7 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 		// barrier must write one.
 		r.o.pruned = true
 		r.o.cpVersion = 0
+		r.o.relocPending = true
 		// Landmark roots and cached reconstructions snapshot block
 		// addresses too — the relocated blocks may be live in historical
 		// views — so every landmark up to the current version dies here,

@@ -601,7 +601,118 @@ func TestMaterializedBlockIsPrivate(t *testing.T) {
 			t.Fatal("version 0 did not read back after its chain was flushed away")
 		}
 	}
-	// No CheckInvariants here: a Flush that erases entries whose New
-	// blocks were later delta-converted releases those blocks a second
-	// time (ROADMAP, "Flush over a delta chain"), at the parent as here.
+	// The erased entries' New blocks were delta-converted by the
+	// overwrites above them and left the counts then: a Flush that
+	// releases them a second time drives a segment's count negative.
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// historyRecount holds the drive's running history count to a recount
+// of the log from scratch (a checkpoint for the floors, a crash, and a
+// full-scan open on a drive made with DisableSegIndex): a block
+// released twice makes the running count too low, and so does an Old
+// pointer left naming a block that was released — the recount finds the
+// pointer, the running count does not hold the block.
+func historyRecount(e *testEnv) {
+	e.t.Helper()
+	if err := e.d.CheckInvariants(); err != nil {
+		e.t.Fatal(err)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		e.t.Fatal(err)
+	}
+	ran := e.d.Status().HistoryBlocks
+	e.reopen()
+	if re := e.d.Status().HistoryBlocks; re != ran {
+		e.t.Fatalf("running history count %d blocks; a full recount of the log finds %d", ran, re)
+	}
+}
+
+// TestFlushKeepsWhatConversionReleased: the blocks below a delta chain
+// were released when the chain's first overwrite converted them; their
+// content lives in the chain's packed slots. A Flush that erases the
+// chain demotes those slots to fresh blocks, and the kept entries around
+// the erased range — the write below it, the merge that stands in for it
+// — must name the fresh blocks, not the released addresses.
+func TestFlushKeepsWhatConversionReleased(t *testing.T) {
+	e := newTestDrive(t, func(o *Options) { o.DisableSegIndex = true })
+	deltaOn(e)
+	const span, depth = 4, 3
+	id := e.create(alice)
+	times := deepChain(e, id, span, depth)
+	if err := e.d.FlushO(admin, id, times[0], e.d.Now()-1); err != nil {
+		t.Fatal(err)
+	}
+	historyRecount(e)
+	if got := e.read(alice, id, 0, span*types.BlockSize, times[0]); !bytes.Equal(got, spanPattern(0, span)) {
+		t.Fatal("the version below the erased chain did not read back after the flush and a restart")
+	}
+	if got := e.read(alice, id, 0, span*types.BlockSize, types.TimeNowest); !bytes.Equal(got, spanPattern(depth, span)) {
+		t.Fatal("the live version did not read back after the flush and a restart")
+	}
+}
+
+// TestFlushTwiceOverDeltaChain: a second Flush over what a first one
+// left — its merge entries, the write below them, an overwrite above
+// that converted blocks of both — releases every block once, whether it
+// erases the earlier entries or keeps them, and so does ageing what is
+// left.
+func TestFlushTwiceOverDeltaChain(t *testing.T) {
+	for _, eraseBelow := range []bool{false, true} {
+		t.Run(fmt.Sprintf("eraseBelow=%v", eraseBelow), func(t *testing.T) {
+			e := newTestDrive(t, func(o *Options) { o.DisableSegIndex = true })
+			deltaOn(e)
+			const span = 4
+			id := e.create(alice)
+			born := e.d.Now()
+			e.write(alice, id, 0, spanPattern(0, span))
+			t0 := e.d.Now()
+			e.tick()
+			// The erased range rewrites the span's two outer blocks only:
+			// the merge must not cover the two it left alone.
+			e.write(alice, id, 0, blockPattern(100))
+			e.tick()
+			e.write(alice, id, (span-1)*types.BlockSize, blockPattern(103))
+			t2 := e.d.Now()
+			e.tick()
+			if err := e.d.FlushO(admin, id, t0, t2); err != nil {
+				t.Fatal(err)
+			}
+			merged := e.d.Now() // no kept entry follows: the merge is stamped now
+			e.tick()
+			before := e.d.DriveStats().DeltaBlocksWritten
+			want := spanPattern(2, span)
+			e.write(alice, id, 0, want)
+			e.tick()
+			if e.d.DriveStats().DeltaBlocksWritten == before {
+				t.Fatal("the overwrite converted nothing: the test needs the merged blocks behind deltas")
+			}
+			if got := e.read(alice, id, 0, span*types.BlockSize, t0); !bytes.Equal(got, spanPattern(0, span)) {
+				t.Fatal("the version below the merge did not read back through the conversion")
+			}
+			from := t0 // the merge entries only
+			if eraseBelow {
+				from = born - 1 // and the first write
+			}
+			if err := e.d.FlushO(admin, id, from, merged); err != nil {
+				t.Fatal(err)
+			}
+			if !eraseBelow {
+				if got := e.read(alice, id, 0, span*types.BlockSize, t0); !bytes.Equal(got, spanPattern(0, span)) {
+					t.Fatal("the version below the erased merge did not read back")
+				}
+			}
+			historyRecount(e)
+			if got := e.read(alice, id, 0, span*types.BlockSize, types.TimeNowest); !bytes.Equal(got, want) {
+				t.Fatal("the live version did not survive the second flush")
+			}
+			e.clk.Advance(2 * e.d.Status().Window)
+			if _, err := e.d.CleanOnce(); err != nil {
+				t.Fatal(err)
+			}
+			historyRecount(e)
+		})
+	}
 }

@@ -241,7 +241,14 @@ type object struct {
 	// current version (compactSegmentLocked). Persisted in the object
 	// map by the checkpoint that makes the move itself durable.
 	lmFloor uint64
-	lruEl   *list.Element
+	// relocPending is set from the moment the cleaner moves one of o's
+	// live data blocks until the barrier checkpoint makes the move
+	// durable. A crash in between recovers the object at the old
+	// addresses, so a landmark image taken in between — which names the
+	// copies — would not be the replay of the recovered chain below it:
+	// none is emitted (maybeEmitLandmarkLocked).
+	relocPending bool
+	lruEl        *list.Element
 
 	// Delta-history bookkeeping (DESIGN.md §16), all volatile: after a
 	// restart every map is empty, which only disables conversions (the
@@ -709,10 +716,17 @@ func (d *Drive) lockObjectWrite(o *object) error {
 }
 
 // loadInode materializes o.ino: from its checkpoint if one exists, or
-// by replaying the complete journal chain — journal-based metadata
-// means the journal alone can rebuild any object whose chain still
-// reaches its creation (§4.2.2). Caller holds o.mu exclusively or the
-// exclusive drive lock.
+// from the journal chain — journal-based metadata means the journal
+// alone can rebuild any object whose chain still reaches its creation
+// (§4.2.2). The chain is walked backward only as far as the newest live
+// landmark whose root still holds this object at the entry's version:
+// that image is the replay of everything below it (DESIGN.md §12.1), so
+// only the entries above it are redone. A chain with no such landmark —
+// short, CheckpointEvery < 0, every root rotted — is walked to its
+// EntCreate, which is the same walk not stopping. The landmark is found
+// in the chain, not in o.landmarks: recovery loads inodes before it has
+// an index to trust. Caller holds o.mu exclusively or the exclusive
+// drive lock.
 func (d *Drive) loadInode(o *object) error {
 	if o.ino != nil {
 		return nil
@@ -722,29 +736,36 @@ func (d *Drive) loadInode(o *object) error {
 			return fmt.Errorf("core: %v has a pruned chain and no checkpoint: %w", o.id, types.ErrCorrupt)
 		}
 		// Pointers into the per-sector slices the walk decoded, newest
-		// first: a deep chain is thousands of ~250-byte entries, and
-		// copying them into one growing slice cost more than decoding them.
-		var entries []*journal.Entry
+		// first: copying ~250-byte entries into one growing slice cost
+		// more than decoding them.
+		var redo []*journal.Entry
+		var in *Inode
 		err := d.walkChain(o, o.jhead, func(_, _ journal.SectorAddr, sec []journal.Entry) (bool, error) {
 			for i := len(sec) - 1; i >= 0; i-- {
-				entries = append(entries, &sec[i])
+				e := &sec[i]
+				if e.Type != journal.EntCheckpoint {
+					redo = append(redo, e)
+				} else if o.landmarkLive(e.Version) {
+					var err error
+					if in, err = d.landmarkImage(o.id, e.Version, e.InodeAddr); in != nil || err != nil {
+						return true, err
+					}
+				}
 			}
 			return false, nil
 		})
 		if err != nil {
 			return err
 		}
-		if len(entries) == 0 || entries[len(entries)-1].Type != journal.EntCreate {
-			return fmt.Errorf("core: %v journal does not reach creation: %w", o.id, types.ErrCorrupt)
-		}
-		in := newInode(o.id, entries[len(entries)-1].Time, nil)
-		for i := len(entries) - 1; i >= 0; i-- {
-			e := entries[i]
-			if e.Type == journal.EntCreate {
-				in.CreateTime, in.ModTime = e.Time, e.Time
-				continue
+		if in == nil {
+			n := len(redo) - 1
+			if n < 0 || redo[n].Type != journal.EntCreate {
+				return fmt.Errorf("core: %v journal does not reach creation: %w", o.id, types.ErrCorrupt)
 			}
-			in.redo(e)
+			in, redo = newInode(o.id, redo[n].Time, nil), redo[:n]
+		}
+		for i := len(redo) - 1; i >= 0; i-- {
+			in.redo(redo[i])
 		}
 		o.ino = in
 		d.loaded.Add(1)
@@ -889,8 +910,12 @@ func (d *Drive) appendEntry(o *object, e *journal.Entry) {
 // entry pointing at it, so back-in-time reconstruction can anchor
 // mid-chain instead of undoing from the live head. The root block is
 // accounted as history from birth — it ages out of the pool together
-// with the entries around it. Landmarks are an optimization: any
-// failure to emit one (no space, oversized inode) is silently skipped.
+// with the entries around it. A root is also what loadInode anchors at,
+// so its image must equal the replay of the chain below it on every
+// image a crash can leave: none is emitted while a relocation of the
+// object's data awaits its barrier checkpoint. Landmarks are an
+// optimization: any failure to emit one (no space, oversized inode) is
+// silently skipped.
 // Caller holds o.mu exclusively (plus the shared drive lock) or the
 // exclusive drive lock; e is the just-appended triggering entry.
 func (d *Drive) maybeEmitLandmarkLocked(o *object, e *journal.Entry) {
@@ -898,7 +923,9 @@ func (d *Drive) maybeEmitLandmarkLocked(o *object, e *journal.Entry) {
 		return
 	}
 	o.sinceLandmark++
-	if o.sinceLandmark < d.opts.CheckpointEvery {
+	if o.sinceLandmark < d.opts.CheckpointEvery || o.relocPending {
+		// Withheld, not forgotten: the count keeps running, so the first
+		// entry after the barrier emits the landmark that was due.
 		return
 	}
 	o.sinceLandmark = 0
@@ -975,24 +1002,30 @@ func (o *object) landmarkLive(version uint64) bool {
 	return version > o.floorVersion && version > o.lmFloor
 }
 
-// landmarkRootValid reports whether root still holds object id's
-// checkpoint image at exactly version. A root that rotted on media is
-// simply not a landmark any more (the full undo walk serves its reads);
-// any other read failure is the device's and is returned, so an Open
-// never mistakes an I/O error for "no".
-func (d *Drive) landmarkRootValid(id types.ObjectID, version uint64, root seglog.BlockAddr) (bool, error) {
+// landmarkImage returns the inode image in checkpoint root block root if
+// it still holds object id at exactly version, and nil if it does not: a
+// root that rotted on media, or whose address was reused, is simply not
+// a landmark any more — a history read falls back to the undo walk, a
+// load to a longer replay. Any other read failure is the device's and is
+// returned, so an Open never mistakes an I/O error for "no". The one
+// read-decode-and-check behind the load anchor, history reads,
+// recovery's adoption and the checkers; the caller owns the image.
+func (d *Drive) landmarkImage(id types.ObjectID, version uint64, root seglog.BlockAddr) (*Inode, error) {
 	if root == seglog.NilAddr {
-		return false, nil
+		return nil, nil
 	}
-	buf := make([]byte, seglog.BlockSize)
-	if err := d.log.Read(root, buf); err != nil {
+	buf, err := d.readBlock(root)
+	if err != nil {
 		if errors.Is(err, types.ErrCorrupt) {
-			return false, nil
+			return nil, nil
 		}
-		return false, err
+		return nil, err
 	}
 	in, _, err := decodeInodeRoot(d.log, buf)
-	return err == nil && in.ID == id && in.Version == version, nil
+	if err != nil || in.ID != id || in.Version != version {
+		return nil, nil
+	}
+	return in, nil
 }
 
 // sortLandmarks restores the index's ascending-by-time order after a

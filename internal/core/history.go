@@ -240,19 +240,15 @@ func landmarkAfter(ls []landmark, at types.Timestamp) (landmark, bool) {
 // entries stacked above it, and undoes from there exactly as the full
 // walk would.
 func (d *Drive) inodeAtLandmark(s *objSnapshot, ln landmark, at types.Timestamp) (in *Inode, from, to types.Timestamp, err error) {
-	root, err := d.readBlock(ln.root)
-	if errors.Is(err, types.ErrCorrupt) {
-		// The checkpoint root rotted on media. The landmark is only an
-		// accelerator — the full undo walk reconstructs the same state
-		// from the live inode, so a miss here degrades to the slow path
-		// instead of failing the read.
-		return nil, 0, 0, errLandmarkMiss
-	}
+	clone, err := d.landmarkImage(s.id, ln.version, ln.root)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	clone, _, err := decodeInodeRoot(d.log, root)
-	if err != nil || clone.ID != s.id || clone.Version != ln.version {
+	if clone == nil {
+		// The checkpoint root rotted on media or was reused. The landmark
+		// is only an accelerator — the full undo walk reconstructs the
+		// same state from the live inode, so a miss here degrades to the
+		// slow path instead of failing the read.
 		return nil, 0, 0, errLandmarkMiss
 	}
 	to = ln.time
@@ -662,6 +658,38 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 		return nil
 	}
 
+	// A New block that a later overwrite delta-converted, or dropped under
+	// a retention policy, left the usage counts then (freeLive) and its
+	// address may have been reused since: the slot that wrote it must
+	// neither release it again when its entry is erased nor, when its
+	// entry is kept, go on naming it once the overwrite above is gone.
+	// Which slots those are is read off the chain while its masks are
+	// still the originals: pred maps a converting or dropping slot to the
+	// slot that last wrote the same file block.
+	type newSlot struct {
+		e *journal.Entry
+		k int
+	}
+	pred := make(map[newSlot]newSlot)
+	writer := make(map[uint64]newSlot) // file block → the slot holding its content
+	for _, e := range all {
+		switch e.Type {
+		case journal.EntWrite:
+			drops := droppedByBit(e)
+			for k := range e.New {
+				idx, bit := e.FirstBlock+uint64(k), uint32(1)<<uint(k)
+				if w, ok := writer[idx]; ok && (e.DeltaMask&bit != 0 || drops[k] != seglog.NilAddr) {
+					pred[newSlot{e, k}] = w
+				}
+				writer[idx] = newSlot{e, k}
+			}
+		case journal.EntTruncate:
+			for k := range e.Old {
+				delete(writer, e.FirstBlock+uint64(k))
+			}
+		}
+	}
+
 	// Demote every delta reference in the chain to a plain full block
 	// before any undo-field rewriting (DESIGN.md §16). A reverse delta
 	// decodes against the exact content the original chain had just
@@ -716,6 +744,14 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 			d.usage.deprecate(seg)
 			d.cache.put(addr, content)
 			e.Old[k] = addr
+			// The fresh block is the content the slot below wrote, and
+			// from here on the only copy of it: that slot names it too, so
+			// a replay that keeps its entry lands on this block and not on
+			// the address conversion released.
+			if w, ok := pred[newSlot{e, k}]; ok {
+				w.e.New[w.k] = addr
+				delete(pred, newSlot{e, k})
+			}
 			// Re-point the probe too, so deeper references in the same
 			// chain resolve their context through the fresh block.
 			ref := raw | deltaRefTag
@@ -730,6 +766,13 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 		d.cache.drop(a)
 	}
 	o.deltaRun = nil
+	// What is left in pred lost its content for good (a retention drop, a
+	// reference whose context a newer skip poisoned): nothing to re-point,
+	// only a release not to repeat — by (entry, index), not by address.
+	released := make(map[newSlot]bool, len(pred))
+	for _, w := range pred {
+		released[w] = true
+	}
 
 	// Two parallel replays from the oldest reconstructible state:
 	// trueState applies every entry (real history); shadow applies only
@@ -759,7 +802,11 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 	var droppedNew []seglog.BlockAddr
 	for i, e := range all {
 		if isDropped(e) {
-			droppedNew = append(droppedNew, e.New...)
+			for k, a := range e.New {
+				if !released[newSlot{e, k}] {
+					droppedNew = append(droppedNew, a)
+				}
+			}
 			trueState.redo(e)
 			if i == lastDrop {
 				merges := d.mergeEntries(shadow, trueState, e.Version, mergeTime)
@@ -871,15 +918,18 @@ func (d *Drive) mergeEntries(from, to *Inode, ver uint64, ts types.Timestamp) []
 		idxs := divergentBlocks(from, to)
 		i := 0
 		for i < len(idxs) {
-			n := len(idxs) - i
-			// Bound the covered span, not just the divergent count, so
-			// the entry's pointer arrays stay within budget — the delta
-			// budget, since a poisoned source slot adds a skip bit and a
-			// dropped-address word to the wire encoding.
-			for n > 1 && idxs[i+n-1]-idxs[i]+1 > maxDeltaEntryBlocks {
-				n--
+			// One entry per run of adjacent divergent blocks, never across
+			// a block the range left alone: such a slot would carry the
+			// live block's address as its Old, and an Old pointer is a
+			// claim on the history pool (poolBlocks) — ageing the entry
+			// would release a block that was never deprecated. Runs are
+			// cut at the delta budget, since a poisoned source slot adds a
+			// skip bit and a dropped-address word to the wire encoding.
+			n := 1
+			for i+n < len(idxs) && idxs[i+n] == idxs[i+n-1]+1 && n < maxDeltaEntryBlocks {
+				n++
 			}
-			span := idxs[i+n-1] - idxs[i] + 1
+			span := uint64(n)
 			e := &journal.Entry{
 				Type: journal.EntWrite, Version: ver, Time: ts,
 				FirstBlock: idxs[i],

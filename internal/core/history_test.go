@@ -397,3 +397,38 @@ func TestFlushThenTimeTravelConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestFlushMergeAgesOut: the merge entries a Flush leaves behind claim,
+// as history, exactly the blocks the erased range deprecated — not the
+// blocks between them that it left alone and that are still live — and
+// every one of them is released when the merge leaves the window, though
+// they all carry one version.
+func TestFlushMergeAgesOut(t *testing.T) {
+	e := newTestDrive(t)
+	id := e.create(alice)
+	const span = 4
+	e.write(alice, id, 0, bytes.Repeat([]byte{1}, span*types.BlockSize))
+	t0 := e.d.Now()
+	e.tick()
+	e.write(alice, id, 0, bytes.Repeat([]byte{2}, types.BlockSize))
+	e.tick()
+	e.write(alice, id, (span-1)*types.BlockSize, bytes.Repeat([]byte{3}, types.BlockSize))
+	t2 := e.d.Now()
+	e.tick()
+	if err := e.d.FlushO(admin, id, t0, t2); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.d.Status().HistoryBlocks; got != 2 {
+		t.Fatalf("after the flush the history pool holds %d blocks, want the 2 the erased writes deprecated", got)
+	}
+	e.clk.Advance(2 * e.d.Status().Window)
+	if _, err := e.d.CleanOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.d.Status().HistoryBlocks; got != 0 {
+		t.Fatalf("after the merge aged out the history pool holds %d blocks, want 0", got)
+	}
+}

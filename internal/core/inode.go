@@ -458,19 +458,24 @@ func decodeInodeRoot(rd journal.SectorReader, root []byte) (*Inode, []seglog.Blo
 	}
 	pairCount := int(binary.LittleEndian.Uint32(root[p:]))
 	p += 4
-	var stream []byte
-	blk := make([]byte, seglog.BlockSize)
-	for _, a := range overAddrs {
-		if err := rd.Read(a, blk); err != nil {
-			return nil, nil, fmt.Errorf("core: inode overflow read: %w", err)
+	// Most roots, and every landmark's, hold the whole pair stream inline:
+	// no scratch block, no copy.
+	stream := root[p:]
+	if nOver > 0 {
+		stream = nil
+		blk := make([]byte, seglog.BlockSize)
+		for _, a := range overAddrs {
+			if err := rd.Read(a, blk); err != nil {
+				return nil, nil, fmt.Errorf("core: inode overflow read: %w", err)
+			}
+			n := int(binary.LittleEndian.Uint32(blk[:4]))
+			if 4+n > len(blk) {
+				return nil, nil, fmt.Errorf("core: inode overflow block length: %w", types.ErrCorrupt)
+			}
+			stream = append(stream, blk[4:4+n]...)
 		}
-		n := int(binary.LittleEndian.Uint32(blk[:4]))
-		if 4+n > len(blk) {
-			return nil, nil, fmt.Errorf("core: inode overflow block length: %w", types.ErrCorrupt)
-		}
-		stream = append(stream, blk[4:4+n]...)
+		stream = append(stream, root[p:]...)
 	}
-	stream = append(stream, root[p:]...)
 	m, err := decodeMapPairs(stream, pairCount)
 	if err != nil {
 		return nil, nil, err

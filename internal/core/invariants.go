@@ -20,7 +20,9 @@ import (
 // the allocator still considers allocated. A reference into a freed
 // segment means the cleaner's deferred-reuse barrier (DESIGN.md §6) was
 // violated: the next append may clobber state recovery depends on. It
-// also audits the usage table those decisions are made from.
+// also audits the usage table those decisions are made from, and holds
+// every object that loads from its journal to the replay of that
+// journal from EntCreate (checkReplayLocked).
 //
 // The torture harness runs this after every crash recovery; it is also
 // safe to call on a live drive (it takes the drive lock).
@@ -70,8 +72,10 @@ func (d *Drive) CheckInvariants() error {
 		// must still reach its history blocks (the old-version data the
 		// entry's undo needs).
 		var chain []journal.SectorAddr // newest first
+		var secs [][]journal.Entry     // their entries, for checkReplayLocked
 		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 			chain = append(chain, addr)
+			secs = append(secs, entries)
 			err := checkAddr(id, "journal sector", addr.Block())
 			if err != nil {
 				return true, err
@@ -95,6 +99,11 @@ func (d *Drive) CheckInvariants() error {
 		})
 		if err != nil {
 			return err
+		}
+		if o.inodeRoot == seglog.NilAddr && !o.pruned {
+			if err := d.checkReplayLocked(o, secs); err != nil {
+				return err
+			}
 		}
 		if o.chain != nil {
 			slices.Reverse(chain)
@@ -123,6 +132,91 @@ func (d *Drive) CheckInvariants() error {
 	// Loading every inode may have blown past the object cache budget;
 	// trim back down so a live caller's cache stays bounded.
 	return d.evictColdLocked()
+}
+
+// checkReplayLocked holds an object that loads from its journal to what
+// loadInode's anchor relies on (DESIGN.md §12.1): replaying the chain
+// (secs, newest sector first) and the pending tail from EntCreate yields
+// o.ino field for field and block for block, and every live landmark
+// root met on the way holds exactly the replay at its version — so a
+// load may stop at any of them. Caller holds the exclusive drive lock,
+// o.ino loaded.
+func (d *Drive) checkReplayLocked(o *object, secs [][]journal.Entry) error {
+	var in *Inode
+	step := func(e *journal.Entry) error {
+		switch {
+		case in == nil:
+			if e.Type != journal.EntCreate {
+				return fmt.Errorf("core: %v journal does not reach creation: %w", o.id, types.ErrCorrupt)
+			}
+			in = newInode(o.id, e.Time, nil)
+		case e.Type != journal.EntCheckpoint:
+			in.redo(e)
+		case o.landmarkLive(e.Version):
+			img, err := d.landmarkImage(o.id, e.Version, e.InodeAddr)
+			if err != nil {
+				return err
+			}
+			if img == nil {
+				break // rotted: not a landmark, nothing anchors here
+			}
+			if diff := inodeDiff(img, in); diff != "" {
+				return fmt.Errorf("core: %v landmark v%d root block %d is not the replay below it (%s): %w", o.id, e.Version, e.InodeAddr, diff, types.ErrCorrupt)
+			}
+		}
+		return nil
+	}
+	for i := len(secs) - 1; i >= 0; i-- {
+		for j := range secs[i] {
+			if err := step(&secs[i][j]); err != nil {
+				return err
+			}
+		}
+	}
+	for _, e := range o.pending {
+		if err := step(e); err != nil {
+			return err
+		}
+	}
+	if in == nil {
+		return fmt.Errorf("core: %v has neither a checkpoint nor a journal: %w", o.id, types.ErrCorrupt)
+	}
+	if diff := inodeDiff(o.ino, in); diff != "" {
+		return fmt.Errorf("core: %v v%d differs from the replay of its journal (%s): %w", o.id, o.ino.Version, diff, types.ErrCorrupt)
+	}
+	return nil
+}
+
+// inodeDiff names the first persistent field in which two inodes differ,
+// or returns "" when they are the same version of the same object.
+func inodeDiff(a, b *Inode) string {
+	switch {
+	case a.ID != b.ID:
+		return fmt.Sprintf("id %v / %v", a.ID, b.ID)
+	case a.Version != b.Version:
+		return fmt.Sprintf("version %d / %d", a.Version, b.Version)
+	case a.Size != b.Size:
+		return fmt.Sprintf("size %d / %d", a.Size, b.Size)
+	case a.CreateTime != b.CreateTime:
+		return fmt.Sprintf("create time %d / %d", a.CreateTime, b.CreateTime)
+	case a.ModTime != b.ModTime:
+		return fmt.Sprintf("mod time %d / %d", a.ModTime, b.ModTime)
+	case a.Deleted != b.Deleted || a.DeadTime != b.DeadTime:
+		return fmt.Sprintf("deleted %v@%d / %v@%d", a.Deleted, a.DeadTime, b.Deleted, b.DeadTime)
+	case !bytes.Equal(a.Attr, b.Attr):
+		return "attributes"
+	case !slices.Equal(a.ACL, b.ACL):
+		return "ACL"
+	}
+	for idx, addr := range a.blocks {
+		if b.blocks[idx] != addr {
+			return fmt.Sprintf("block %d at %d / %d", idx, addr, b.blocks[idx])
+		}
+	}
+	if len(a.blocks) != len(b.blocks) {
+		return fmt.Sprintf("%d / %d mapped blocks", len(a.blocks), len(b.blocks))
+	}
+	return ""
 }
 
 // checkUsageLocked audits the segment usage table: no counter is
@@ -172,7 +266,8 @@ func (d *Drive) checkLandmarksLocked() error {
 		if seg := segOf(d.log, root); seg < 0 || d.log.IsFree(seg) {
 			return false, nil
 		}
-		return d.landmarkRootValid(id, version, root)
+		img, err := d.landmarkImage(id, version, root)
+		return img != nil, err
 	}
 
 	type lmKey struct {

@@ -99,12 +99,16 @@ func (d *Drive) checkpointLocked() error {
 		return err
 	}
 	// The durable object map no longer references segments the cleaner
-	// emptied; they may now rejoin the allocator.
+	// emptied; they may now rejoin the allocator, and the objects whose
+	// blocks it moved out of them may emit landmarks again.
 	for seg := range d.pendingFree {
 		if err := d.releaseSegmentLocked(seg); err != nil {
 			return err
 		}
 		delete(d.pendingFree, seg)
+	}
+	for _, o := range d.objects {
+		o.relocPending = false
 	}
 	return nil
 }
@@ -261,6 +265,7 @@ func (d *Drive) recover() error {
 	// sequence order, relinking journal chains and redoing entries.
 	visited := make(map[int64]bool)
 	cpAuditSeq := d.auditSeq
+	jbuf := make([]byte, seglog.BlockSize) // every journal block of the scan
 	err = d.log.ScanFrom(cpSeq, func(seg int64, sum seglog.Summary) error {
 		visited[seg] = true
 		d.log.MarkAllocated(seg)
@@ -269,7 +274,7 @@ func (d *Drive) recover() error {
 			addr := d.log.EntryAt(seg, i)
 			switch e.Kind {
 			case seglog.KindJournal:
-				if err := d.recoverJournalBlock(addr); err != nil {
+				if err := d.recoverJournalBlock(addr, jbuf); err != nil {
 					return err
 				}
 			case seglog.KindAudit:
@@ -380,8 +385,8 @@ func (d *Drive) preloadSegIndex(idx *segIndex) {
 // recoverJournalBlock relinks every sector of one flushed journal block
 // and redoes entries newer than the owning objects' checkpointed
 // versions. Slots are processed in order, which preserves chronology.
-func (d *Drive) recoverJournalBlock(addr seglog.BlockAddr) error {
-	buf := make([]byte, seglog.BlockSize)
+// buf is the scan's block buffer; decoded entries do not alias it.
+func (d *Drive) recoverJournalBlock(addr seglog.BlockAddr, buf []byte) error {
 	if err := d.log.Read(addr, buf); err != nil {
 		return err
 	}
@@ -751,7 +756,7 @@ func (d *Drive) adoptLandmark(o *object, e *journal.Entry, sector journal.Sector
 	if !o.landmarkLive(e.Version) {
 		return false, nil
 	}
-	if ok, err := d.landmarkRootValid(o.id, e.Version, e.InodeAddr); !ok {
+	if img, err := d.landmarkImage(o.id, e.Version, e.InodeAddr); img == nil {
 		return false, err
 	}
 	o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, root: e.InodeAddr, sector: sector})

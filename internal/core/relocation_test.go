@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
 )
@@ -181,5 +182,119 @@ func TestRelocationCrashBeforeBarrier(t *testing.T) {
 		if err := r.d.CheckInvariants(); err != nil {
 			t.Errorf("disableIndex=%v: invariants: %v", disableIndex, err)
 		}
+	}
+}
+
+// TestLandmarkBetweenRelocationAndBarrier is the window the load anchor
+// cannot afford. After the cleaner has moved a live block and before
+// the barrier checkpoint, the running inode names the copy — and so
+// would a landmark image taken then. A crash in that window recovers
+// the object map of the last checkpoint, in which the object is
+// journal-complete at the old address and its landmarks are live: an
+// image naming the copy is then neither the replay of the chain below
+// it (CheckInvariants) nor accounted anywhere, so the copy's segment is
+// reclaimed under a landmark that history reads, and now loads, anchor
+// at. No landmark is emitted in the window. The writes go on through
+// it, synced one by one so the checkpoint-time head sector is rewritten
+// in place with whatever they emit; then the crash, both recovery
+// paths, and the shape of TestTortureRelocation: the oracle, a pressed
+// cleaner pass, a refill of what it emptied, the oracle again.
+func TestLandmarkBetweenRelocationAndBarrier(t *testing.T) {
+	for _, disableIndex := range []bool{false, true} {
+		r := newRelocEnv(t)
+		every := r.d.opts.CheckpointEvery
+		r.relocate()
+		if len(r.d.pendingFree) == 0 {
+			t.Fatal("the cleaner reached its barrier; the scenario needs the window before it")
+		}
+		o := r.d.objects[r.obj]
+		head, relocated := o.jhead, o.ino.Version
+		// Block 1 through the window: three landmark intervals of synced
+		// overwrites, each remembered with the instant it became current.
+		type version struct {
+			at   types.Timestamp
+			blk1 []byte
+		}
+		var oracle []version
+		for i := 0; i < 3*every; i++ {
+			data := bytes.Repeat([]byte{byte('A' + i)}, types.BlockSize)
+			r.write(alice, r.obj, types.BlockSize, data)
+			oracle = append(oracle, version{r.d.Now() - 1, data})
+			if err := r.d.Sync(alice); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, merged, err := journal.ReadSector(r.d.log, head)
+		if err != nil || merged[len(merged)-1].Version <= relocated {
+			t.Fatalf("the window's entries were not merged into the checkpoint-time head sector (err %v)", err)
+		}
+		if n := len(o.landmarks); n != 0 {
+			t.Fatalf("disableIndex=%v: %d landmarks emitted between the relocation and its barrier", disableIndex, n)
+		}
+		if len(r.d.pendingFree) == 0 {
+			t.Fatal("a barrier checkpoint ran inside the window")
+		}
+		check := func(when string) {
+			t.Helper()
+			if err := r.d.CheckInvariants(); err != nil {
+				t.Fatalf("disableIndex=%v, %s: %v", disableIndex, when, err)
+			}
+			got, err := r.d.Read(admin, r.obj, 0, 2*types.BlockSize, types.TimeNowest)
+			if err != nil || !bytes.Equal(got[:types.BlockSize], r.orig) || !bytes.Equal(got[types.BlockSize:], oracle[len(oracle)-1].blk1) {
+				t.Fatalf("disableIndex=%v, %s: live object reads wrong (err %v)", disableIndex, when, err)
+			}
+			// Block 0 never changed: below every landmark and at every
+			// instant of the window it reads what was written once.
+			for _, v := range append([]version{{at: r.at}}, oracle...) {
+				got, err := r.d.Read(admin, r.obj, 0, types.BlockSize, v.at)
+				if err != nil || !bytes.Equal(got, r.orig) {
+					t.Fatalf("disableIndex=%v, %s: block 0 at %v: err=%v, reads %.8q", disableIndex, when, v.at, err, got)
+				}
+				if v.blk1 == nil {
+					continue
+				}
+				got, err = r.d.Read(admin, r.obj, types.BlockSize, types.BlockSize, v.at)
+				if err != nil || !bytes.Equal(got, v.blk1) {
+					t.Fatalf("disableIndex=%v, %s: block 1 at %v: err=%v, reads %.8q, want %.8q", disableIndex, when, v.at, err, got, v.blk1)
+				}
+			}
+		}
+		r.d.opts.DisableSegIndex = disableIndex
+		r.reopen() // crash before the barrier
+		if now := r.d.objects[r.obj].ino.Block(0); now != r.oldAddr {
+			t.Fatalf("disableIndex=%v: block 0 recovered at %d, want the checkpointed %d", disableIndex, now, r.oldAddr)
+		}
+		check("after the crash")
+
+		// Fill the device until the cleaner runs pressed, let it compact
+		// and release what it can, then write over what it released.
+		filler := r.create(alice)
+		fill := bytes.Repeat([]byte{0x77}, 32*types.BlockSize)
+		off := uint64(0)
+		refill := func(until func() bool) {
+			for !until() {
+				if err := r.d.Write(alice, filler, off, fill); err != nil {
+					t.Fatal(err)
+				}
+				off += uint64(len(fill))
+			}
+			if err := r.d.Sync(alice); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nSeg := r.d.log.NumSegments()
+		refill(func() bool { return r.d.log.FreeSegments() < nSeg/5-1 })
+		cs, err := r.d.CleanOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.d.Checkpoint(); err != nil { // the barrier: emptied segments rejoin the allocator
+			t.Fatal(err)
+		}
+		t.Logf("disableIndex=%v: pressed pass copied %d blocks, freed %d segments", disableIndex, cs.BlocksCopied, cs.SegmentsFreed)
+		check("after the pressed cleaner pass")
+		free := r.d.log.FreeSegments()
+		refill(func() bool { return r.d.log.FreeSegments() <= free/2 || r.d.log.FreeSegments() <= r.d.spaceReserve+1 })
+		check("after the refill")
 	}
 }

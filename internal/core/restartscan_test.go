@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,4 +220,286 @@ func TestWalkChainAllocatesPerWalk(t *testing.T) {
 	if perSector >= seglog.BlockSize {
 		t.Fatalf("walkChain allocates %d B per sector over %d sectors, want less than a block: one buffer per walk, not per sector", perSector, sectors)
 	}
+}
+
+// deepChainImage formats a drive on a 256 MB device, writes versions
+// overwrites round-robin over four two-block objects, checkpoints, adds
+// a synced tail of eight more writes that touches every object, and
+// abandons the drive: dev holds what a crash leaves, and opts opens it.
+// The chains are journal-complete (nothing aged, nothing pruned) and,
+// past 32 entries each, carry a landmark every CheckpointEvery.
+func deepChainImage(t *testing.T, versions int, mod ...func(*Options)) (dev *disk.Disk, opts Options, ids []types.ObjectID) {
+	t.Helper()
+	dev = disk.New(disk.SmallDisk(256<<20), nil)
+	clk := vclock.NewVirtual()
+	opts = Options{Clock: clk, Window: time.Hour}
+	for _, m := range mod {
+		m(&opts)
+	}
+	d, err := Format(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &testEnv{t: t, d: d, clk: clk}
+	ids = make([]types.ObjectID, 4)
+	for i := range ids {
+		ids[i] = e.create(alice)
+		e.write(alice, ids[i], 0, make([]byte, 2*types.BlockSize))
+	}
+	for v := 0; v < versions+8; v++ {
+		e.write(alice, ids[v%len(ids)], uint64(v*37%(2*types.BlockSize-512)), bytes.Repeat([]byte{byte(v)}, 512))
+		switch {
+		case v >= versions:
+			if err := d.Sync(alice); err != nil {
+				t.Fatal(err)
+			}
+		case v == versions-1:
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	opts.Clock = vclock.NewVirtualAt(d.Now().Time())
+	return dev, opts, ids
+}
+
+// TestOpenWorkDoesNotScaleWithChainDepth opens two crash images that
+// differ only in how much history lies under the checkpoint: 1,000 and
+// 8,000 versions over the same four objects, the same device, the same
+// synced tail. The tail touches every object and each is journal-
+// complete, so the open loads each from its chain — from the newest
+// landmark up, which is a root block and the few sectors above it
+// however deep the chain (DESIGN.md §12.1). When loadInode replayed
+// every chain from its EntCreate, both counts grew with the depth:
+// ~8x in the chain-walk term, which on the deeper image was most of
+// the open.
+func TestOpenWorkDoesNotScaleWithChainDepth(t *testing.T) {
+	type result struct {
+		reads int64
+		alloc uint64
+		st    Stats
+	}
+	open := func(versions int) result {
+		dev, opts, ids := deepChainImage(t, versions)
+		dev.ResetStats()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := Open(dev, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := dev.Stats() // before CheckInvariants reads anything
+		for _, id := range ids {
+			if r.objects[id].ino == nil || !r.objects[id].journalComplete() {
+				t.Fatalf("%d versions: %v was not loaded from its chain by the open", versions, id)
+			}
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return result{ds.Reads, after.TotalAlloc - before.TotalAlloc, r.DriveStats()}
+	}
+	shallow, deep := open(1000), open(8000)
+	t.Logf("1,000 versions: %d reads, %d B allocated; 8,000 versions: %d reads, %d B allocated",
+		shallow.reads, shallow.alloc, deep.reads, deep.alloc)
+	if shallow.st.IndexLoads != 1 || deep.st.IndexLoads != 1 ||
+		shallow.st.RecoveryReplayEntries == 0 || deep.st.RecoveryReplayEntries == 0 {
+		t.Fatalf("the two opens did not both replay a tail from the segment index: %+v vs %+v", shallow.st, deep.st)
+	}
+	// One read of slack per object: where a chain's landmark falls
+	// relative to its sector boundaries differs between the images.
+	if diff := deep.reads - shallow.reads; diff > 4 {
+		t.Errorf("open issued %d more reads over chains eight times as deep; want at most one per object (4)", diff)
+	}
+	if deep.alloc > shallow.alloc+shallow.alloc/10 {
+		t.Errorf("open allocated %d B over chains eight times as deep, %d B over the shallow ones; want within 10%%", deep.alloc, shallow.alloc)
+	}
+}
+
+// TestEvictedObjectReloadsFromLandmark is the same bound on a running
+// drive: an object with a thousand versions, evicted (an object cache
+// of one) and touched again, reloads from its newest landmark — the
+// root and the sectors holding the at most CheckpointEvery entries
+// above it and the checkpoint entry itself — not from its EntCreate.
+func TestEvictedObjectReloadsFromLandmark(t *testing.T) {
+	e := newTestDrive(t, func(o *Options) { o.ObjectCacheCount = 1 })
+	id, other := e.create(alice), e.create(alice)
+	for v := 0; v < 1000; v++ {
+		e.write(alice, id, uint64(v%2)*types.BlockSize, bytes.Repeat([]byte{byte(v)}, 512))
+	}
+	want := e.read(alice, id, 0, 2*types.BlockSize, types.TimeNowest)
+	if _, err := e.d.GetAttr(alice, other, types.TimeNowest); err != nil { // evicts id
+		t.Fatal(err)
+	}
+	d := e.d
+	o := d.objects[id]
+	if o.ino != nil || !o.journalComplete() {
+		t.Fatalf("object not evicted (ino %v) or not journal-complete", o.ino != nil)
+	}
+	// How many entries the chain's sectors hold on average says how many
+	// sectors CheckpointEvery+1 entries span.
+	sectors, entries := 0, 0
+	d.mu.Lock()
+	err := d.walkChain(o, o.jhead, func(_, _ journal.SectorAddr, sec []journal.Entry) (bool, error) {
+		sectors++
+		entries += len(sec)
+		return false, nil
+	})
+	d.cache.dropRange(0, seglog.BlockAddr(d.log.NumSegments()*int64(d.opts.SegBlocks)+1024))
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSector := entries / sectors
+	bound := int64(1 + (d.opts.CheckpointEvery+1+perSector-1)/perSector + 1)
+	if int64(sectors) < 4*bound {
+		t.Fatalf("chain of %d sectors is not deep against a bound of %d reads", sectors, bound)
+	}
+	e.dev.ResetStats()
+	if _, err := d.GetAttr(alice, id, types.TimeNowest); err != nil {
+		t.Fatal(err)
+	}
+	reads := e.dev.Stats().Reads
+	t.Logf("chain of %d sectors, %d entries in each: reload read %d blocks (bound %d)", sectors, perSector, reads, bound)
+	if reads > bound {
+		t.Errorf("reload of a %d-sector chain read %d blocks from a cold cache, want at most %d: one root, the sectors above it", sectors, reads, bound)
+	}
+	if got := e.read(alice, id, 0, 2*types.BlockSize, types.TimeNowest); !bytes.Equal(got, want) {
+		t.Error("the reloaded object does not read back what it held")
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// failReads fails every read that touches sectors [lo, hi) with err.
+type failReads struct {
+	disk.Device
+	lo, hi int64
+	err    error
+}
+
+func (f *failReads) ReadSectors(sector int64, buf []byte) error {
+	if sector < f.hi && sector+int64(len(buf)/disk.SectorSize) > f.lo {
+		return f.err
+	}
+	return f.Device.ReadSectors(sector, buf)
+}
+
+// TestRottedNewestLandmarkFallsBack: the anchor is an optimization, so
+// rot in it costs replay, never the open. With the newest landmark root
+// of a deep chain rotted on media the open succeeds on the state the
+// clean open recovers, having anchored one landmark further down — it
+// reads about one landmark interval more, not the chain. A root the
+// device cannot read at all is different: that is an I/O error, and the
+// open fails with it rather than take it for "no landmark here".
+func TestRottedNewestLandmarkFallsBack(t *testing.T) {
+	// 1,000 versions over four objects: chains of ~250 entries, the
+	// newest landmark of each below the checkpoint.
+	dev, opts, ids := deepChainImage(t, 1000)
+	clean, err := Open(dev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := clean.StateDigest()
+	o := clean.objects[ids[0]]
+	if len(o.landmarks) < 5 {
+		t.Fatalf("only %d landmarks on the deep chain", len(o.landmarks))
+	}
+	root := o.landmarks[len(o.landmarks)-1].root
+	want, err := clean.Read(alice, ids[0], 0, 2*types.BlockSize, types.TimeNowest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sectors := 0
+	err = clean.walkChain(o, o.jhead, func(_, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
+		sectors++
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := func(dev disk.Device, st func() disk.Stats) (int64, *Drive) {
+		before := st().Reads
+		r, err := Open(dev, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st().Reads - before, r
+	}
+	cleanReads, _ := reads(dev, dev.Stats)
+
+	const spb = types.BlockSize / disk.SectorSize
+	boom := errors.New("boom")
+	if _, err := Open(&failReads{Device: dev, lo: int64(root) * spb, hi: int64(root+1) * spb, err: boom}, opts); !errors.Is(err, boom) {
+		t.Fatalf("open with the newest landmark root unreadable: %v, want the device's error", err)
+	}
+
+	sec := make([]byte, disk.SectorSize)
+	if err := dev.ReadSectors(int64(root)*spb, sec); err != nil {
+		t.Fatal(err)
+	}
+	sec[100] ^= 0x40
+	if err := dev.WriteSectors(int64(root)*spb, sec); err != nil {
+		t.Fatal(err)
+	}
+	rotReads, r := reads(dev, dev.Stats)
+	if got := r.StateDigest(); got != digest {
+		t.Errorf("open over the rotted root recovered different state:\n%s\n--\n%s", got, digest)
+	}
+	if got, err := r.Read(alice, ids[0], 0, 2*types.BlockSize, types.TimeNowest); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("object reads back differently over the rotted root (err %v)", err)
+	}
+	t.Logf("chain of %d sectors: clean open %d reads, newest landmark rotted %d reads", sectors, cleanReads, rotReads)
+	// The rotted root, the next one down, and the sectors of one more
+	// landmark interval (32 entries, at least ~10 to a sector).
+	if extra := rotReads - cleanReads; extra < 1 || extra > 8 || extra >= int64(sectors)/2 {
+		t.Errorf("rotted newest landmark cost %d more reads on a chain of %d sectors; want about one landmark interval (1..8)", extra, sectors)
+	}
+}
+
+// TestCheckInvariantsHoldsLandmarkToReplay plants the one defect the
+// load anchor cannot tolerate and nothing else used to look for: a
+// landmark root that decodes, carries the right object and version,
+// passes its checksum — and names a block the replay of the chain below
+// it does not. A load that stops there would take that address into
+// live state. CheckInvariants must refuse it, on the running drive and
+// on the recovered image, naming the object and the version.
+func TestCheckInvariantsHoldsLandmarkToReplay(t *testing.T) {
+	e := newTestDrive(t, func(o *Options) { o.CheckpointEvery = 4 })
+	id := e.create(alice)
+	e.write(alice, id, 0, bytes.Repeat([]byte{'a'}, 2*types.BlockSize))
+	for e.d.objects[id].sinceLandmark != 3 {
+		e.write(alice, id, types.BlockSize, bytes.Repeat([]byte{'b'}, 512))
+	}
+	// The next entry emits a landmark. Let its image name block 1's
+	// address at index 0 as well, then put the live inode right again:
+	// the root is appended, and checksummed, by the log itself.
+	o := e.d.objects[id]
+	good := o.ino.blocks[0]
+	o.ino.blocks[0] = o.ino.blocks[1]
+	e.write(alice, id, types.BlockSize, bytes.Repeat([]byte{'c'}, 512))
+	o.ino.blocks[0] = good
+	version := o.ino.Version
+	if n := len(o.landmarks); n == 0 || o.landmarks[n-1].version != version {
+		t.Fatalf("no landmark emitted at v%d", version)
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		err := e.d.CheckInvariants()
+		if err == nil {
+			t.Fatalf("%s: CheckInvariants passed a landmark root that is not the replay below it", when)
+		}
+		for _, s := range []string{id.String(), fmt.Sprintf("v%d", version)} {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("%s: %q does not name %s", when, err, s)
+			}
+		}
+	}
+	check("running drive")
+	e.reopen()
+	check("recovered image")
 }

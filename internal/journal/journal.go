@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 
 	"s4/internal/seglog"
 	"s4/internal/types"
@@ -222,178 +223,156 @@ func (e *Entry) Encode(dst []byte) []byte {
 // bytes.
 func Decode(data []byte) (Entry, []byte, error) {
 	var e Entry
-	if len(data) < 1 {
-		return e, nil, fmt.Errorf("journal: short entry: %w", types.ErrCorrupt)
+	var slab []seglog.BlockAddr
+	rest, err := e.decode(data, &slab)
+	return e, rest, err
+}
+
+// cursor reads an entry's fields off the front of data. The first
+// malformed field latches err; every read after it returns zero, so a
+// decoder checks once, at the end.
+type cursor struct {
+	data []byte
+	err  error
+}
+
+func (c *cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	e.Type = EntryType(data[0])
-	data = data[1:]
-	wire2 := false
-	if e.Type == entWrite2 {
+	c.data = nil
+}
+
+func (c *cursor) u8() byte {
+	if len(c.data) < 1 {
+		c.fail(fmt.Errorf("journal: short entry: %w", types.ErrCorrupt))
+		return 0
+	}
+	b := c.data[0]
+	c.data = c.data[1:]
+	return b
+}
+
+func (c *cursor) uvarint() uint64 {
+	v, m := binary.Uvarint(c.data)
+	if m <= 0 {
+		c.fail(fmt.Errorf("journal: bad varint: %w", types.ErrCorrupt))
+		return 0
+	}
+	c.data = c.data[m:]
+	return v
+}
+
+// blob returns a private copy of a length-prefixed byte field (nil when
+// empty).
+func (c *cursor) blob() []byte {
+	n := c.uvarint()
+	if n > uint64(len(c.data)) {
+		c.fail(fmt.Errorf("journal: truncated bytes field: %w", types.ErrCorrupt))
+		return nil
+	}
+	b := append([]byte(nil), c.data[:n]...)
+	c.data = c.data[n:]
+	return b
+}
+
+// count reads the number of blocks an entry spans.
+func (c *cursor) count() int {
+	n := c.uvarint()
+	if n > MaxBlocksPerEntry {
+		c.fail(fmt.Errorf("journal: entry spans %d blocks: %w", n, types.ErrCorrupt))
+		return 0
+	}
+	return int(n)
+}
+
+// slabChunk is how many addresses one slab allocation holds: the New
+// and Old lists of the largest entry. Any one list fits a fresh chunk,
+// and a sector of small writes fits one chunk whole.
+const slabChunk = 2 * MaxBlocksPerEntry
+
+// addrs reads n block addresses into a list carved from *slab, starting
+// a new chunk when the current one cannot hold it. The list's capacity
+// is its length, so an append to it reallocates instead of running into
+// the list carved next.
+func (c *cursor) addrs(n int, slab *[]seglog.BlockAddr) []seglog.BlockAddr {
+	if n == 0 {
+		return []seglog.BlockAddr{}
+	}
+	s := *slab
+	if n > cap(s)-len(s) {
+		s = make([]seglog.BlockAddr, 0, slabChunk)
+	}
+	lo, hi := len(s), len(s)+n
+	*slab = s[:hi]
+	list := s[lo:hi:hi]
+	for i := range list {
+		list[i] = seglog.BlockAddr(c.uvarint())
+	}
+	return list
+}
+
+// decode parses one entry from data into e, which must be zero, and
+// returns the remaining bytes. Address lists are carved from *slab (see
+// cursor.addrs) and attribute blobs are copied: nothing in e aliases data.
+func (e *Entry) decode(data []byte, slab *[]seglog.BlockAddr) ([]byte, error) {
+	c := cursor{data: data}
+	e.Type = EntryType(c.u8())
+	wire2 := e.Type == entWrite2
+	if wire2 {
 		// Normalize: in-memory entries are always EntWrite; the v2 tag
 		// only signals the three extra trailing fields.
 		e.Type = EntWrite
-		wire2 = true
 	}
-	getU := func() (uint64, error) {
-		v, m := binary.Uvarint(data)
-		if m <= 0 {
-			return 0, fmt.Errorf("journal: bad varint: %w", types.ErrCorrupt)
-		}
-		data = data[m:]
-		return v, nil
-	}
-	getBytes := func() ([]byte, error) {
-		n, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(data)) {
-			return nil, fmt.Errorf("journal: truncated bytes field: %w", types.ErrCorrupt)
-		}
-		b := append([]byte(nil), data[:n]...)
-		data = data[n:]
-		return b, nil
-	}
-	var err error
-	var v uint64
-	if v, err = getU(); err != nil {
-		return e, nil, err
-	}
-	e.Version = v
-	if v, err = getU(); err != nil {
-		return e, nil, err
-	}
-	e.Time = types.Timestamp(v)
-	if v, err = getU(); err != nil {
-		return e, nil, err
-	}
-	e.User = types.UserID(v)
-	if v, err = getU(); err != nil {
-		return e, nil, err
-	}
-	e.Client = types.ClientID(v)
+	e.Version = c.uvarint()
+	e.Time = types.Timestamp(c.uvarint())
+	e.User = types.UserID(c.uvarint())
+	e.Client = types.ClientID(c.uvarint())
 
 	switch e.Type {
 	case EntCreate:
 	case EntWrite:
-		if e.FirstBlock, err = getU(); err != nil {
-			return e, nil, err
-		}
-		n, err := getU()
-		if err != nil {
-			return e, nil, err
-		}
-		if n > MaxBlocksPerEntry {
-			return e, nil, fmt.Errorf("journal: entry spans %d blocks: %w", n, types.ErrCorrupt)
-		}
-		e.New = make([]seglog.BlockAddr, n)
-		e.Old = make([]seglog.BlockAddr, n)
-		for i := range e.New {
-			if v, err = getU(); err != nil {
-				return e, nil, err
-			}
-			e.New[i] = seglog.BlockAddr(v)
-		}
-		for i := range e.Old {
-			if v, err = getU(); err != nil {
-				return e, nil, err
-			}
-			e.Old[i] = seglog.BlockAddr(v)
-		}
-		if e.OldSize, err = getU(); err != nil {
-			return e, nil, err
-		}
-		if e.NewSize, err = getU(); err != nil {
-			return e, nil, err
-		}
+		e.FirstBlock = c.uvarint()
+		n := c.count()
+		e.New = c.addrs(n, slab)
+		e.Old = c.addrs(n, slab)
+		e.OldSize = c.uvarint()
+		e.NewSize = c.uvarint()
 		if wire2 {
-			if v, err = getU(); err != nil {
-				return e, nil, err
-			}
-			e.DeltaMask = uint32(v)
-			if v, err = getU(); err != nil {
-				return e, nil, err
-			}
-			e.SkipMask = uint32(v)
+			e.DeltaMask = uint32(c.uvarint())
+			e.SkipMask = uint32(c.uvarint())
 			lim := uint32(1)<<uint(n) - 1
-			if e.DeltaMask&^lim != 0 || e.SkipMask&^lim != 0 ||
-				e.DeltaMask&e.SkipMask != 0 || e.DeltaMask|e.SkipMask == 0 {
-				return e, nil, fmt.Errorf("journal: bad entry masks %#x/%#x over %d blocks: %w",
-					e.DeltaMask, e.SkipMask, n, types.ErrCorrupt)
+			if c.err == nil && (e.DeltaMask&^lim != 0 || e.SkipMask&^lim != 0 ||
+				e.DeltaMask&e.SkipMask != 0 || e.DeltaMask|e.SkipMask == 0) {
+				c.fail(fmt.Errorf("journal: bad entry masks %#x/%#x over %d blocks: %w",
+					e.DeltaMask, e.SkipMask, n, types.ErrCorrupt))
 			}
-			for m := e.SkipMask; m != 0; m &= m - 1 {
-				if v, err = getU(); err != nil {
-					return e, nil, err
-				}
-				e.Dropped = append(e.Dropped, seglog.BlockAddr(v))
+			if c.err == nil && e.SkipMask != 0 {
+				e.Dropped = c.addrs(bits.OnesCount32(e.SkipMask), slab)
 			}
 		}
 	case EntTruncate:
-		if e.FirstBlock, err = getU(); err != nil {
-			return e, nil, err
-		}
-		n, err := getU()
-		if err != nil {
-			return e, nil, err
-		}
-		if n > MaxBlocksPerEntry {
-			return e, nil, fmt.Errorf("journal: entry spans %d blocks: %w", n, types.ErrCorrupt)
-		}
-		e.Old = make([]seglog.BlockAddr, n)
-		for i := range e.Old {
-			if v, err = getU(); err != nil {
-				return e, nil, err
-			}
-			e.Old[i] = seglog.BlockAddr(v)
-		}
-		if e.OldSize, err = getU(); err != nil {
-			return e, nil, err
-		}
-		if e.NewSize, err = getU(); err != nil {
-			return e, nil, err
-		}
+		e.FirstBlock = c.uvarint()
+		e.Old = c.addrs(c.count(), slab)
+		e.OldSize = c.uvarint()
+		e.NewSize = c.uvarint()
 	case EntSetAttr:
-		if e.OldAttr, err = getBytes(); err != nil {
-			return e, nil, err
-		}
-		if e.NewAttr, err = getBytes(); err != nil {
-			return e, nil, err
-		}
+		e.OldAttr = c.blob()
+		e.NewAttr = c.blob()
 	case EntSetACL:
-		if len(data) < 1 {
-			return e, nil, fmt.Errorf("journal: truncated setacl: %w", types.ErrCorrupt)
-		}
-		e.ACLIndex = data[0]
-		data = data[1:]
-		if v, err = getU(); err != nil {
-			return e, nil, err
-		}
-		e.OldACL.User = types.UserID(v)
-		if v, err = getU(); err != nil {
-			return e, nil, err
-		}
-		e.OldACL.Perm = types.Perm(v)
-		if v, err = getU(); err != nil {
-			return e, nil, err
-		}
-		e.NewACL.User = types.UserID(v)
-		if v, err = getU(); err != nil {
-			return e, nil, err
-		}
-		e.NewACL.Perm = types.Perm(v)
+		e.ACLIndex = c.u8()
+		e.OldACL.User = types.UserID(c.uvarint())
+		e.OldACL.Perm = types.Perm(c.uvarint())
+		e.NewACL.User = types.UserID(c.uvarint())
+		e.NewACL.Perm = types.Perm(c.uvarint())
 	case EntDelete, EntRevive:
-		if e.OldSize, err = getU(); err != nil {
-			return e, nil, err
-		}
+		e.OldSize = c.uvarint()
 	case EntCheckpoint:
-		if v, err = getU(); err != nil {
-			return e, nil, err
-		}
-		e.InodeAddr = seglog.BlockAddr(v)
+		e.InodeAddr = seglog.BlockAddr(c.uvarint())
 	default:
-		return e, nil, fmt.Errorf("journal: unknown entry type %d: %w", e.Type, types.ErrCorrupt)
+		c.fail(fmt.Errorf("journal: unknown entry type %d: %w", e.Type, types.ErrCorrupt))
 	}
-	return e, data, nil
+	return c.data, c.err
 }
 
 // Journal sectors are 512-byte units — the paper's "journal sectors"
@@ -467,9 +446,17 @@ func EncodeSector(obj types.ObjectID, prev SectorAddr, entries []*Entry) ([]byte
 	return buf, nil
 }
 
+// zeroCRC stands in for the crc field when a sector's checksum is
+// verified (a local array would escape to the heap on every decode).
+var zeroCRC [4]byte
+
+// minEntrySize is the shortest encoding an entry can have: its type and
+// four one-byte varints.
+const minEntrySize = 5
+
 // DecodeSector parses a journal sector, returning the owning object,
 // the previous-sector pointer, and the entries oldest first. ok is
-// false (with no error) for an empty slot.
+// false (with no error) for an empty slot. The entries never alias data.
 func DecodeSector(data []byte) (obj types.ObjectID, prev SectorAddr, entries []Entry, ok bool, err error) {
 	if len(data) < SectorHeaderSize {
 		return 0, 0, nil, false, fmt.Errorf("journal: short sector: %w", types.ErrCorrupt)
@@ -481,22 +468,26 @@ func DecodeSector(data []byte) (obj types.ObjectID, prev SectorAddr, entries []E
 	prev = SectorAddr(binary.LittleEndian.Uint64(data[12:]))
 	count := int(binary.LittleEndian.Uint16(data[20:]))
 	rest := data[SectorHeaderSize:]
-	entries = make([]Entry, 0, count)
-	for i := 0; i < count; i++ {
-		var e Entry
-		e, rest, err = Decode(rest)
-		if err != nil {
+	if count*minEntrySize > len(rest) {
+		return 0, 0, nil, false, fmt.Errorf("journal: %d entries in %d bytes: %w", count, len(rest), types.ErrCorrupt)
+	}
+	// Each entry decodes in place and every address list of the sector
+	// comes out of one slab: a deep chain is thousands of ~250-byte
+	// entries, and returning each by value plus two makes per write entry
+	// cost more than parsing them.
+	entries = make([]Entry, count)
+	var slab []seglog.BlockAddr
+	for i := range entries {
+		if rest, err = entries[i].decode(rest, &slab); err != nil {
 			return 0, 0, nil, false, err
 		}
-		entries = append(entries, e)
 	}
 	// The checksum covers exactly the bytes the decode consumed;
 	// anything beyond is stale residue from a longer prior encoding
 	// of this in-place-rewritten sector and is deliberately excluded.
 	consumed := len(data) - len(rest)
-	var zero [4]byte
 	c := crc32.Update(0, crc32.IEEETable, data[:22])
-	c = crc32.Update(c, crc32.IEEETable, zero[:])
+	c = crc32.Update(c, crc32.IEEETable, zeroCRC[:])
 	c = crc32.Update(c, crc32.IEEETable, data[26:consumed])
 	if c != binary.LittleEndian.Uint32(data[22:]) {
 		return 0, 0, nil, false, fmt.Errorf("journal: sector checksum mismatch: %w", types.ErrCorrupt)
@@ -516,7 +507,8 @@ func ReadSector(r SectorReader, sa SectorAddr) (obj types.ObjectID, prev SectorA
 
 // ReadSectorInto is ReadSector through the caller's block buffer, which
 // is free again on return: decoded entries never alias the bytes they
-// came from (Decode copies attribute blobs and makes its pointer lists).
+// came from (the decoder copies attribute blobs and fills its own address
+// lists).
 // A walk over many sectors reads them all through one buffer.
 func ReadSectorInto(r SectorReader, sa SectorAddr, buf []byte) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
 	if err := r.Read(sa.Block(), buf); err != nil {

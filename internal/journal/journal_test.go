@@ -6,9 +6,13 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"s4/internal/harness/israce"
 	"s4/internal/seglog"
 	"s4/internal/types"
 )
@@ -332,6 +336,133 @@ func TestWalkBackwardAllocatesPerWalk(t *testing.T) {
 	if a8 != 8*decode+1 {
 		t.Fatalf("8-sector walk: %.0f allocations, want 8 decodes of %.0f and the one buffer", a8, decode)
 	}
+}
+
+// fullSectorOfWrites packs as many one-block overwrites as a sector
+// holds: the sector a hot object's chain is made of.
+func fullSectorOfWrites(t testing.TB) []byte {
+	var entries []*Entry
+	for v, room := uint64(1), SectorCapacity; ; v++ {
+		e := &Entry{Type: EntWrite, Version: v, Time: types.Timestamp(1e15 + v), User: 3, Client: 9,
+			FirstBlock: v % 8, Old: []seglog.BlockAddr{seglog.BlockAddr(9000 + v)}, New: []seglog.BlockAddr{seglog.BlockAddr(9100 + v)},
+			OldSize: 32768, NewSize: 32768}
+		if room -= e.EncodedSize(); room < 0 {
+			break
+		}
+		entries = append(entries, e)
+	}
+	sec, err := EncodeSector(5, MakeSectorAddr(77, 3), entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sec
+}
+
+// TestDecodeSectorAllocs pins what a sector costs to decode: the entry
+// slice and one slab for every address list in it, not an Entry copied
+// out by value and two makes per write entry — a deep chain's replay is
+// thousands of these. And it pins what the slab must not cost: each list
+// is carved with its capacity equal to its length, so growing one
+// entry's list (Flush's rewrite appends to Old and Dropped) reallocates
+// it instead of running into its neighbour's.
+func TestDecodeSectorAllocs(t *testing.T) {
+	sec := fullSectorOfWrites(t)
+	_, _, entries, ok, err := DecodeSector(sec)
+	if err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, _, ok, err := DecodeSector(sec); !ok || err != nil {
+			t.Fatal(ok, err)
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const rounds = 200
+	for i := 0; i < rounds; i++ {
+		DecodeSector(sec)
+	}
+	runtime.ReadMemStats(&after)
+	perSector := (after.TotalAlloc - before.TotalAlloc) / rounds
+	entryBytes := uint64(len(entries)) * uint64(unsafe.Sizeof(Entry{}))
+	t.Logf("%d write entries: %.0f allocations, %d B per decode (the entries alone are %d B)", len(entries), allocs, perSector, entryBytes)
+	if allocs > 3 {
+		t.Errorf("a full sector of %d write entries decodes in %.0f allocations, want at most 3", len(entries), allocs)
+	}
+	if israce.Enabled {
+		t.Log("race detector on: allocation sizes are not the program's, byte threshold not checked")
+	} else if perSector > entryBytes*9/8+1024 {
+		t.Errorf("a full sector decodes into %d B, want the %d B of its entries (rounded up to a size class) and under 1 KB of address lists", perSector, entryBytes)
+	}
+
+	for i := 0; i+1 < len(entries); i++ {
+		next := entries[i+1]
+		wantOld, wantNew := slices.Clone(next.Old), slices.Clone(next.New)
+		entries[i].Old = append(entries[i].Old, 0xdead)
+		entries[i].New = append(entries[i].New, 0xbeef)
+		entries[i].Dropped = append(entries[i].Dropped, 0xf00d)
+		if !slices.Equal(next.Old, wantOld) || !slices.Equal(next.New, wantNew) {
+			t.Fatalf("appending to entry %d's lists changed entry %d's", i, i+1)
+		}
+	}
+	// The same for a sector whose entries carry all three lists.
+	masked, err := EncodeSector(5, NilSector, maskedEntries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, entries, _, err = DecodeSector(masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maskedEntries()
+	for i := range entries {
+		entries[i].Old = append(entries[i].Old, 0xdead)
+		entries[i].New = append(entries[i].New, 0xbeef)
+		entries[i].Dropped = append(entries[i].Dropped, 0xf00d)
+	}
+	for i := range entries {
+		e, w := &entries[i], want[i]
+		if !slices.Equal(e.Old[:len(w.Old)], w.Old) || !slices.Equal(e.New[:len(w.New)], w.New) || !slices.Equal(e.Dropped[:len(w.Dropped)], w.Dropped) {
+			t.Fatalf("masked entry %d changed when its neighbours' lists grew:\n  %+v\n  %+v", i, *e, *w)
+		}
+	}
+}
+
+// TestDecodeMatchesReference runs every corpus seed through the check
+// the fuzzers apply, so a plain go test holds the in-place decoder to
+// the reference too, and adds what only canonical input allows:
+// re-encoding what was decoded reproduces the bytes consumed.
+func TestDecodeMatchesReference(t *testing.T) {
+	all := append(append(sampleEntries(), seedEntries()...), maskedEntries()...)
+	for _, e := range all {
+		enc := e.Encode(nil)
+		got, rest, err := Decode(append(enc, 0xEE))
+		want, _, wantErr := refDecode(enc)
+		if err != nil || wantErr != nil || len(rest) != 1 {
+			t.Fatalf("%v entry: %v / %v, %d bytes left", e.Type, err, wantErr, len(rest))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v entry differs from the reference:\n  %+v\n  %+v", e.Type, got, want)
+		}
+		if again := got.Encode(nil); !bytes.Equal(again, enc) {
+			t.Fatalf("%v entry re-encodes to different bytes", e.Type)
+		}
+	}
+	for _, set := range [][]*Entry{sampleEntries(), seedEntries(), maskedEntries()} {
+		sec, err := EncodeSector(42, 7, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSectorAgainstReference(t, sec)
+		// Truncated and bit-flipped images must fail alike too.
+		for cut := SectorHeaderSize; cut < len(sec); cut += 7 {
+			checkSectorAgainstReference(t, sec[:cut])
+			flipped := append([]byte(nil), sec...)
+			flipped[cut] ^= 0x5A
+			checkSectorAgainstReference(t, flipped)
+		}
+	}
+	checkSectorAgainstReference(t, fullSectorOfWrites(t))
 }
 
 // TestDecodedEntriesOutliveTheBuffer is what lets the walk reuse its

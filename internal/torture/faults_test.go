@@ -365,15 +365,20 @@ func (c *ioCounter) WriteSectors(sector int64, buf []byte) error {
 // operator retrying) must recover it too, so a refused open may not have
 // cut anything out of the media on its way out.
 func TestReadFaultSweep(t *testing.T) {
-	// The second mode is for the yes-or-no question the full scan asks
-	// of every landmark root in every chain — does this block still hold
-	// the image — on an image dense with landmarks.
+	// The landmark modes are for the yes-or-no question an open asks of a
+	// landmark root — does this block still hold the image — on an image
+	// dense with landmarks: the full scan asks it of every root in every
+	// chain it indexes, and either path asks it of the newest root of
+	// every chain it loads an inode from (loadInode's anchor), where
+	// taking a failed read for "no" would quietly replay from further
+	// down on a device that is failing.
 	for _, m := range []struct {
 		name     string
 		cfg      Config
 		fullScan bool
 	}{
 		{"indexed", Config{Seed: 44, Ops: 60}, false},
+		{"indexed-landmarks", Config{Seed: 44, Ops: 60, CheckpointEvery: 3}, false},
 		{"full-scan-landmarks", Config{Seed: 44, Ops: 60, CheckpointEvery: 3}, true},
 	} {
 		t.Run(m.name, func(t *testing.T) {
@@ -389,7 +394,7 @@ func TestReadFaultSweep(t *testing.T) {
 			}
 			total := cnt.n
 			clean := drv.StateDigest()
-			if m.fullScan && strings.Count(clean, "landmark t=") < 5 {
+			if m.cfg.CheckpointEvery > 0 && strings.Count(clean, "landmark t=") < 5 {
 				t.Fatal("clean open indexed next to no landmarks; the sweep would not fail a root read")
 			}
 			st.check(t, "clean open", drv)

@@ -33,6 +33,10 @@
 //  8. ageing across the crash — one cleaner pass on the recovered drive
 //     leaves invariant 5 (which audits the usage table) and every
 //     in-window snapshot standing;
+//  9. flush — under a delta policy, erasing the middle of every
+//     object's history (FlushO across delta chains and retention skips)
+//     and cleaning again leaves invariant 5 and the versions around the
+//     erased ranges standing;
 //
 // plus a post-recovery smoke op proving the reopened drive still
 // serves writes. Everything is driven by Config.Seed: a failing crash
@@ -134,6 +138,13 @@ type Config struct {
 	// an unretained version may read back as a typed miss, but never as
 	// fabricated bytes (DESIGN.md §16).
 	Policy types.Policy
+	// EvictHard runs the workload with an object cache of two inodes, so
+	// nearly every op evicts an object and reloads another from its
+	// journal chain — the path that takes a landmark image into live
+	// state (DESIGN.md §12.1) — and every crash image is of a drive that
+	// was running on reloaded inodes. The default cache holds every
+	// object the workload creates and never reloads.
+	EvictHard bool
 	// UnsafeImmediateReuse forwards to core.Options: it disables the
 	// cleaner's deferred-reuse barrier so regression tests can prove
 	// the harness catches the resulting corruption.
@@ -234,7 +245,10 @@ type Result struct {
 	// both above zero.
 	LandmarkedRelocs int
 	LandmarkReads    int64
-	Violations       []Violation
+	// SpaceRetries counts the workload ops the drive refused with
+	// ErrNoSpace and served after the cleaner pass the refusal asks for.
+	SpaceRetries int
+	Violations   []Violation
 }
 
 // Run executes the workload and verifies every crash point.
@@ -253,7 +267,7 @@ func Run(cfg Config) (Result, error) {
 		SkippedVersions: w.skippedVersions,
 		Cleaned:         w.cleaned,
 	}
-	res.LandmarkedRelocs = w.landmarkedRelocs
+	res.LandmarkedRelocs, res.SpaceRetries = w.landmarkedRelocs, w.spaceRetries
 	points := make([]int, 0, res.Writes+1)
 	for k := 0; k <= res.Writes; k++ {
 		points = append(points, k)
@@ -424,6 +438,11 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 		checkSnaps(" after the refill")
 	}
 	res.LandmarkReads += drv.DriveStats().LandmarkHits
+	if w.cfg.Policy.DeltaEnabled {
+		if msg := w.flushMiddles(drv, mark, winCut); msg != "" {
+			viol("flush", "%s", msg)
+		}
+	}
 
 	// The reopened drive must still accept and persist new work.
 	if w.cfg.PostRecoverySmoke {
@@ -592,6 +611,56 @@ func (w *run) refill(drv *core.Drive) error {
 		return nil // as full as it gets
 	}
 	return err
+}
+
+// flushMiddles erases the middle third of every object's durable
+// history — under a delta policy, FlushO across packed-slot chains and
+// retention skips, whose erased entries' blocks the overwrites above
+// them had already converted or dropped, and released — then runs the
+// cleaner and the structural check over what is left, and reads back
+// the two versions of each object the erase must keep: the state at the
+// range's start and the newest durable one. It runs last: the history
+// it erases is gone.
+func (w *run) flushMiddles(drv *core.Drive, mark *syncMark, winCut types.Timestamp) string {
+	if mark == nil {
+		return ""
+	}
+	admin := types.AdminCred()
+	type erased struct {
+		id   types.ObjectID
+		keep [2]*snapshot
+	}
+	var done []erased
+	for _, m := range w.objects {
+		var durable []*snapshot // in-window, at or before mark
+		for si := range m.snaps {
+			if sn := &m.snaps[si]; sn.at > winCut && sn.at <= mark.at {
+				durable = append(durable, sn)
+			}
+		}
+		if len(durable) < 3 || durable[len(durable)-1].deleted {
+			continue
+		}
+		// The range ends below the newest durable version, which it must
+		// not erase.
+		last := len(durable) - 1
+		from, to := durable[last/3], durable[2*last/3]
+		if err := drv.FlushO(admin, m.id, from.at, to.at); err != nil {
+			return fmt.Sprintf("FlushO of object %v over (%v, %v]: %v", m.id, from.at, to.at, err)
+		}
+		done = append(done, erased{m.id, [2]*snapshot{from, durable[last]}})
+	}
+	if msg := cleanRecovered(drv); msg != "" {
+		return "after FlushO: " + msg
+	}
+	for _, e := range done {
+		for _, sn := range e.keep {
+			if msg := checkSnap(drv, admin, e.id, sn, w.relaxed); msg != "" {
+				return fmt.Sprintf("object %v after FlushO: %s", e.id, msg)
+			}
+		}
+	}
+	return ""
 }
 
 // cleanRecovered runs one cleaner pass on a freshly recovered drive and

@@ -179,15 +179,25 @@ func TestTortureCheckpointHeavy(t *testing.T) {
 		cfg.Ops = 120
 		cfg.MaxCrashPoints = 200
 	}
+	// The last run repeats the first seed with an object cache of two
+	// inodes: with a landmark every third entry nearly every op reloads an
+	// object anchored at one, and every image is of a drive running on
+	// such inodes.
+	var runs []Config
 	for _, seed := range seeds {
-		cfg := cfg
 		cfg.Seed = seed
+		runs = append(runs, cfg)
+	}
+	evict := runs[0]
+	evict.EvictHard = true
+	runs = append(runs, evict)
+	for _, cfg := range runs {
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("seed=%d: %d ops, %d device writes -> %d crash points (%d torn), %d violations",
-			seed, res.Ops, res.Writes, res.CrashPoints, res.TornPoints, len(res.Violations))
+		t.Logf("seed=%d evict=%v: %d ops, %d device writes -> %d crash points (%d torn), %d violations",
+			cfg.Seed, cfg.EvictHard, res.Ops, res.Writes, res.CrashPoints, res.TornPoints, len(res.Violations))
 		for i, v := range res.Violations {
 			if i == 10 {
 				t.Errorf("... and %d more", len(res.Violations)-10)
@@ -396,7 +406,19 @@ func TestTortureRelocation(t *testing.T) {
 		cfg   Config
 	}{
 		{"landmarks", []int64{2, 3, 4}, Config{Ops: 220, StaggerAt: 120, CheckpointEvery: 3}},
-		{"pressed", []int64{2, 1, 7}, Config{Ops: 200, StaggerAt: 100, CheckpointEvery: 2, MaxObjects: 12}},
+		// Seed 29 beside the parent's three: it relocates four
+		// landmark-bearing objects and appends five entries between a
+		// relocation and its barrier, where no landmark may be emitted.
+		// Seed 2 runs into the cleaner's reserve at op 198 (one withheld
+		// root block keeps the drive a segment above the barrier's
+		// low-space trigger one pass longer) and is served after the
+		// pass the refusal asks for: SpaceRetries in the log line.
+		{"pressed", []int64{2, 29, 1, 7}, Config{Ops: 200, StaggerAt: 100, CheckpointEvery: 2, MaxObjects: 12}},
+		// The same two with an object cache of two inodes: evict, reload
+		// anchored at a landmark, write, crash, recover — at every crash
+		// point.
+		{"landmarks-evict", []int64{2}, Config{Ops: 220, StaggerAt: 120, CheckpointEvery: 3, EvictHard: true}},
+		{"pressed-evict", []int64{2}, Config{Ops: 200, StaggerAt: 100, CheckpointEvery: 2, MaxObjects: 12, EvictHard: true}},
 	}
 	for _, sw := range sweeps {
 		sw := sw
@@ -416,9 +438,9 @@ func TestTortureRelocation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Logf("seed=%d: %d crash points, %d indexed opens, %d fallbacks; workload cleaner copied %d blocks, %d relocations of landmark-bearing objects; %d landmark-anchored reads on recovered images; %d violations",
+				t.Logf("seed=%d: %d crash points, %d indexed opens, %d fallbacks; workload cleaner copied %d blocks, %d relocations of landmark-bearing objects; %d landmark-anchored reads on recovered images; %d ops retried after ErrNoSpace; %d violations",
 					seed, res.CrashPoints, res.IndexLoads, res.IndexFallbacks, res.Cleaned.BlocksCopied,
-					res.LandmarkedRelocs, res.LandmarkReads, len(res.Violations))
+					res.LandmarkedRelocs, res.LandmarkReads, res.SpaceRetries, len(res.Violations))
 				for i, v := range res.Violations {
 					if i == 10 {
 						t.Errorf("... and %d more", len(res.Violations)-10)

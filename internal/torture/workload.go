@@ -77,6 +77,8 @@ type run struct {
 	cleaned core.CleanStats
 	// landmarkedRelocs: see Result.LandmarkedRelocs.
 	landmarkedRelocs int
+	// spaceRetries: see Result.SpaceRetries.
+	spaceRetries int
 }
 
 func everyoneACL() []types.ACLEntry {
@@ -100,11 +102,18 @@ func runWorkload(cfg Config) (*run, error) {
 		CheckpointEvery:      cfg.CheckpointEvery,
 		UnsafeImmediateReuse: cfg.UnsafeImmediateReuse,
 	}
+	w := &run{cfg: cfg, rec: rec, opts: opts}
+	if cfg.EvictHard {
+		// The workload drive only. An Open ends by evicting down to its
+		// budget, which checkpoints pruned objects: recovered with two
+		// inodes, an image's state would depend on which recovery path
+		// happened to load what, and the equivalence checks compare that.
+		opts.ObjectCacheCount = 2
+	}
 	drv, err := core.Format(rec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("torture: format: %w", err)
 	}
-	w := &run{cfg: cfg, rec: rec, opts: opts}
 	if cfg.Policy != (types.Policy{}) {
 		// The retention policy is part of the mkfs baseline (set before
 		// recording starts), so every crash image recovers under it and
@@ -139,6 +148,49 @@ func runWorkload(cfg Config) (*run, error) {
 		return out
 	}
 
+	// clean is one cleaner pass of the workload drive.
+	clean := func() error {
+		var before map[string]*landmarkState
+		if cfg.StaggerAt > 0 {
+			before = landmarkStates(drv.StateDigest())
+		}
+		cs, err := drv.CleanOnce()
+		if err != nil {
+			return err
+		}
+		if cs.BlocksCopied > 0 && before != nil {
+			for id, after := range landmarkStates(drv.StateDigest()) {
+				if b := before[id]; b != nil && after.floor != b.floor && b.indexed > 0 {
+					w.landmarkedRelocs++
+				}
+			}
+		}
+		w.cleaned.EntriesAged += cs.EntriesAged
+		w.cleaned.BlocksCopied += cs.BlocksCopied
+		w.cleaned.ObjectsReaped += cs.ObjectsReaped
+		tick()
+		return nil
+	}
+	// mutate runs one mutating op. ErrNoSpace is the drive holding back
+	// the cleaner's reserve and asking for a pass (core's throttle), so
+	// the harness does what a client does: lets the cleaner run and
+	// retries, once. The refusal is audited like any failed op. On a
+	// device of a few dozen segments the barrier that hands emptied
+	// segments back waits until the drive is down to its reserve, so which
+	// op meets the refusal turns on a block more or less written before
+	// it; the passes the workload schedules itself are drawn from rng.
+	mutate := func(op types.Op, obj types.ObjectID, cred types.Cred, f func() error) error {
+		err := f()
+		if errors.Is(err, types.ErrNoSpace) {
+			audit(op, obj, cred, false)
+			w.spaceRetries++
+			if err = clean(); err == nil {
+				err = f()
+			}
+		}
+		return err
+	}
+
 	for i := 0; i < cfg.Ops; i++ {
 		cred := creds[rng.Intn(len(creds))]
 		objs := live()
@@ -146,7 +198,11 @@ func runWorkload(cfg Config) (*run, error) {
 		switch {
 		case (op < 10 && len(w.objects) < cfg.MaxObjects) || len(objs) == 0:
 			attr := randBytes(rng, 1+rng.Intn(48))
-			id, err := drv.Create(cred, everyoneACL(), attr)
+			var id types.ObjectID
+			err := mutate(types.OpCreate, 0, cred, func() (err error) {
+				id, err = drv.Create(cred, everyoneACL(), attr)
+				return err
+			})
 			if err != nil {
 				return nil, fmt.Errorf("torture: op %d create: %w", i, err)
 			}
@@ -173,7 +229,7 @@ func runWorkload(cfg Config) (*run, error) {
 					data[rng.Intn(n)] ^= byte(1 + rng.Intn(255))
 				}
 			}
-			if err := drv.Write(cred, m.id, uint64(off), data); err != nil {
+			if err := mutate(types.OpWrite, m.id, cred, func() error { return drv.Write(cred, m.id, uint64(off), data) }); err != nil {
 				return nil, fmt.Errorf("torture: op %d write: %w", i, err)
 			}
 			audit(types.OpWrite, m.id, cred, true)
@@ -187,7 +243,7 @@ func runWorkload(cfg Config) (*run, error) {
 		case op < 62: // append
 			m := objs[rng.Intn(len(objs))]
 			data := randBytes(rng, 1+rng.Intn(types.BlockSize))
-			if _, err := drv.Append(cred, m.id, data); err != nil {
+			if err := mutate(types.OpAppend, m.id, cred, func() error { _, err := drv.Append(cred, m.id, data); return err }); err != nil {
 				return nil, fmt.Errorf("torture: op %d append: %w", i, err)
 			}
 			audit(types.OpAppend, m.id, cred, true)
@@ -203,7 +259,7 @@ func runWorkload(cfg Config) (*run, error) {
 			} else {
 				size = len(m.cur().data) + rng.Intn(types.BlockSize)
 			}
-			if err := drv.Truncate(cred, m.id, uint64(size)); err != nil {
+			if err := mutate(types.OpTruncate, m.id, cred, func() error { return drv.Truncate(cred, m.id, uint64(size)) }); err != nil {
 				return nil, fmt.Errorf("torture: op %d truncate: %w", i, err)
 			}
 			audit(types.OpTruncate, m.id, cred, true)
@@ -217,7 +273,7 @@ func runWorkload(cfg Config) (*run, error) {
 		case op < 78: // setattr
 			m := objs[rng.Intn(len(objs))]
 			attr := randBytes(rng, rng.Intn(64))
-			if err := drv.SetAttr(cred, m.id, attr); err != nil {
+			if err := mutate(types.OpSetAttr, m.id, cred, func() error { return drv.SetAttr(cred, m.id, attr) }); err != nil {
 				return nil, fmt.Errorf("torture: op %d setattr: %w", i, err)
 			}
 			audit(types.OpSetAttr, m.id, cred, true)
@@ -229,7 +285,7 @@ func runWorkload(cfg Config) (*run, error) {
 			m := objs[rng.Intn(len(objs))]
 			idx := 1 + rng.Intn(3)
 			entry := types.ACLEntry{User: creds[rng.Intn(len(creds))].User, Perm: types.PermRead}
-			if err := drv.SetACL(cred, m.id, idx, entry); err != nil {
+			if err := mutate(types.OpSetACL, m.id, cred, func() error { return drv.SetACL(cred, m.id, idx, entry) }); err != nil {
 				return nil, fmt.Errorf("torture: op %d setacl: %w", i, err)
 			}
 			audit(types.OpSetACL, m.id, cred, true)
@@ -237,7 +293,7 @@ func runWorkload(cfg Config) (*run, error) {
 
 		case op < 84 && len(objs) > 2: // delete
 			m := objs[rng.Intn(len(objs))]
-			if err := drv.Delete(cred, m.id); err != nil {
+			if err := mutate(types.OpDelete, m.id, cred, func() error { return drv.Delete(cred, m.id) }); err != nil {
 				return nil, fmt.Errorf("torture: op %d delete: %w", i, err)
 			}
 			audit(types.OpDelete, m.id, cred, true)
@@ -301,25 +357,9 @@ func runWorkload(cfg Config) (*run, error) {
 		// pass finds the objects written since with landmarks in-window.
 		rest := cfg.StaggerAt > 0 && i >= cfg.StaggerAt && i < cfg.StaggerAt+cfg.StaggerAt/3
 		if rng.Intn(cfg.CleanEveryN) == 0 && !rest {
-			var before map[string]*landmarkState
-			if cfg.StaggerAt > 0 {
-				before = landmarkStates(drv.StateDigest())
-			}
-			cs, err := drv.CleanOnce()
-			if err != nil {
+			if err := clean(); err != nil {
 				return nil, fmt.Errorf("torture: op %d clean: %w", i, err)
 			}
-			if cs.BlocksCopied > 0 && before != nil {
-				for id, after := range landmarkStates(drv.StateDigest()) {
-					if b := before[id]; b != nil && after.floor != b.floor && b.indexed > 0 {
-						w.landmarkedRelocs++
-					}
-				}
-			}
-			w.cleaned.EntriesAged += cs.EntriesAged
-			w.cleaned.BlocksCopied += cs.BlocksCopied
-			w.cleaned.ObjectsReaped += cs.ObjectsReaped
-			tick()
 		}
 	}
 	w.endTime = drv.Now()

@@ -14,6 +14,7 @@ package audit
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"s4/internal/seglog"
 	"s4/internal/types"
@@ -55,33 +56,35 @@ type Record struct {
 
 // Encode appends the record's wire form to dst.
 func (r *Record) Encode(dst []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		dst = append(dst, tmp[:n]...)
-	}
-	putU(r.Seq)
-	putU(uint64(r.Time))
-	putU(uint64(r.Client))
-	putU(uint64(r.User))
+	dst = binary.AppendUvarint(dst, r.Seq)
+	dst = binary.AppendUvarint(dst, uint64(r.Time))
+	dst = binary.AppendUvarint(dst, uint64(r.Client))
+	dst = binary.AppendUvarint(dst, uint64(r.User))
 	dst = append(dst, byte(r.Op))
-	putU(uint64(r.Obj))
-	putU(r.Offset)
-	putU(r.Length)
-	putU(uint64(len(r.Arg)))
+	dst = binary.AppendUvarint(dst, uint64(r.Obj))
+	dst = binary.AppendUvarint(dst, r.Offset)
+	dst = binary.AppendUvarint(dst, r.Length)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Arg)))
 	dst = append(dst, r.Arg...)
-	putU(uint64(len(r.Raw)))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Raw)))
 	dst = append(dst, r.Raw...)
 	flags := byte(0)
 	if r.OK {
 		flags = 1
 	}
-	dst = append(dst, flags, r.Errno)
-	return dst
+	return append(dst, flags, r.Errno)
 }
 
-// EncodedSize returns the exact encoded length of r.
-func (r *Record) EncodedSize() int { return len(r.Encode(nil)) }
+// EncodedSize returns the exact encoded length of r, without encoding it.
+func (r *Record) EncodedSize() int {
+	return uvarintLen(r.Seq) + uvarintLen(uint64(r.Time)) + uvarintLen(uint64(r.Client)) +
+		uvarintLen(uint64(r.User)) + 1 + uvarintLen(uint64(r.Obj)) + uvarintLen(r.Offset) +
+		uvarintLen(r.Length) + uvarintLen(uint64(len(r.Arg))) + len(r.Arg) +
+		uvarintLen(uint64(len(r.Raw))) + len(r.Raw) + 2
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Decode parses one record from data, returning the remainder.
 func Decode(data []byte) (Record, []byte, error) {
@@ -155,33 +158,43 @@ func Decode(data []byte) (Record, []byte, error) {
 
 // Block layout: magic(4) count(2) used(2) then packed records.
 const (
-	blockMagic      = 0x53344155 // "S4AU"
-	blockHeaderSize = 8
+	blockMagic = 0x53344155 // "S4AU"
+	// BlockHeaderSize is the room a block's first record follows.
+	BlockHeaderSize = 8
 	// BlockCapacity is the payload space of one audit block.
-	BlockCapacity = seglog.BlockSize - blockHeaderSize
+	BlockCapacity = seglog.BlockSize - BlockHeaderSize
 )
+
+// FinishBlock fills in the header of blk, which holds BlockHeaderSize
+// bytes of room for it followed by count encoded records, at most
+// seglog.BlockSize bytes in all. A writer that packs records as they
+// arrive encodes each one straight into the block and finishes it when
+// the next would not fit; EncodeBlock is the same in one call.
+func FinishBlock(blk []byte, count int) {
+	binary.LittleEndian.PutUint32(blk[0:], blockMagic)
+	binary.LittleEndian.PutUint16(blk[4:], uint16(count))
+	binary.LittleEndian.PutUint16(blk[6:], uint16(len(blk)))
+}
 
 // EncodeBlock packs records into one audit block.
 func EncodeBlock(recs []Record) ([]byte, error) {
 	if len(recs) == 0 || len(recs) > 0xFFFF {
 		return nil, fmt.Errorf("audit: block with %d records: %w", len(recs), types.ErrInval)
 	}
-	buf := make([]byte, blockHeaderSize, seglog.BlockSize)
-	binary.LittleEndian.PutUint32(buf[0:], blockMagic)
-	binary.LittleEndian.PutUint16(buf[4:], uint16(len(recs)))
+	buf := make([]byte, BlockHeaderSize, seglog.BlockSize)
 	for i := range recs {
 		buf = recs[i].Encode(buf)
 		if len(buf) > seglog.BlockSize {
 			return nil, fmt.Errorf("audit: records overflow block: %w", types.ErrTooLarge)
 		}
 	}
-	binary.LittleEndian.PutUint16(buf[6:], uint16(len(buf)))
+	FinishBlock(buf, len(recs))
 	return buf, nil
 }
 
 // DecodeBlock unpacks an audit block.
 func DecodeBlock(data []byte) ([]Record, error) {
-	if len(data) < blockHeaderSize {
+	if len(data) < BlockHeaderSize {
 		return nil, fmt.Errorf("audit: short block: %w", types.ErrCorrupt)
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != blockMagic {
@@ -189,10 +202,10 @@ func DecodeBlock(data []byte) ([]Record, error) {
 	}
 	count := int(binary.LittleEndian.Uint16(data[4:]))
 	used := int(binary.LittleEndian.Uint16(data[6:]))
-	if used < blockHeaderSize || used > len(data) {
+	if used < BlockHeaderSize || used > len(data) {
 		return nil, fmt.Errorf("audit: block length %d out of range: %w", used, types.ErrCorrupt)
 	}
-	rest := data[blockHeaderSize:used]
+	rest := data[BlockHeaderSize:used]
 	recs := make([]Record, 0, count)
 	for i := 0; i < count; i++ {
 		var r Record

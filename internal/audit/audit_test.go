@@ -60,7 +60,7 @@ func TestPropertyRecordRoundTrip(t *testing.T) {
 		}
 		enc := (&r).Encode(nil)
 		got, rest, err := Decode(enc)
-		return err == nil && len(rest) == 0 && reflect.DeepEqual(got, r)
+		return err == nil && len(rest) == 0 && reflect.DeepEqual(got, r) && r.EncodedSize() == len(enc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

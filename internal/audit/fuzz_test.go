@@ -18,7 +18,8 @@ func seedRecords() []Record {
 }
 
 // FuzzDecode feeds arbitrary bytes to the record decoder: no panics,
-// and accepted records must survive an encode/decode round trip.
+// accepted records must survive an encode/decode round trip, and the
+// arithmetic EncodedSize must be the length Encode writes.
 func FuzzDecode(f *testing.F) {
 	for _, r := range seedRecords() {
 		f.Add(r.Encode(nil))
@@ -30,7 +31,11 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, rest, err := Decode(r.Encode(nil))
+		enc := r.Encode(nil)
+		if r.EncodedSize() != len(enc) {
+			t.Fatalf("EncodedSize %d, Encode wrote %d bytes", r.EncodedSize(), len(enc))
+		}
+		again, rest, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted record failed: %v", err)
 		}
@@ -63,6 +68,11 @@ func FuzzDecodeBlock(f *testing.F) {
 		recs, err := DecodeBlock(data)
 		if err != nil || len(recs) == 0 {
 			return
+		}
+		for i := range recs {
+			if n := len(recs[i].Encode(nil)); recs[i].EncodedSize() != n {
+				t.Fatalf("record %d: EncodedSize %d, Encode wrote %d bytes", i, recs[i].EncodedSize(), n)
+			}
 		}
 		blk, err := EncodeBlock(recs)
 		if err != nil {

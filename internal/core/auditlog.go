@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 
 	"s4/internal/audit"
 	"s4/internal/seglog"
@@ -119,30 +122,37 @@ func ErrnoToError(code uint8) error {
 // drive synthesizes an equivalently sized capture.
 const captureBytes = 256
 
-func requestCapture(cred types.Cred, op types.Op, obj types.ObjectID, off, length uint64, arg string) []byte {
-	raw := make([]byte, captureBytes)
-	b := raw[:0]
-	b = append(b, byte(op))
-	put := func(v uint64) {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	put(uint64(cred.User))
-	put(uint64(cred.Client))
-	put(uint64(obj))
-	put(off)
-	put(length)
-	if len(arg) > captureBytes-len(b) {
-		arg = arg[:captureBytes-len(b)]
-	}
-	b = append(b, arg...)
+// requestCapture builds the request image in raw, captureBytes long, and
+// returns it.
+func requestCapture(raw []byte, cred types.Cred, op types.Op, obj types.ObjectID, off, length uint64, arg string) []byte {
+	clear(raw)
+	raw[0] = byte(op)
+	binary.LittleEndian.PutUint64(raw[1:], uint64(cred.User))
+	binary.LittleEndian.PutUint64(raw[9:], uint64(cred.Client))
+	binary.LittleEndian.PutUint64(raw[17:], uint64(obj))
+	binary.LittleEndian.PutUint64(raw[25:], off)
+	binary.LittleEndian.PutUint64(raw[33:], length)
+	copy(raw[41:], arg)
 	return raw
+}
+
+// auditPending is one record buffered in Drive.auditBlk.
+type auditPending struct {
+	end  int // offset just past the record's bytes
+	seq  uint64
+	time types.Timestamp
 }
 
 // auditOp appends one audit record for a just-executed request. Caller
 // holds the drive lock in either mode; the audit pipeline itself is
 // serialized by auditMu so concurrent requests interleave their records
 // in a single sequence.
+//
+// A record is encoded once, straight into the audit block being filled
+// (auditBlk, behind the room left for the block's header), from a
+// capture built in a buffer the drive reuses. The block is written when
+// the next record would not fit, so every audit block but one a
+// checkpoint flushes is full.
 func (d *Drive) auditOp(cred types.Cred, op types.Op, obj types.ObjectID, off, length uint64, arg string, err error) {
 	d.statsMu.Lock()
 	d.stats.Ops[op]++
@@ -152,73 +162,72 @@ func (d *Drive) auditOp(cred types.Cred, op types.Op, obj types.ObjectID, off, l
 	}
 	d.auditMu.Lock()
 	d.auditSeq++
+	if d.auditRaw == nil {
+		d.auditRaw = make([]byte, captureBytes)
+		d.auditBlk = make([]byte, audit.BlockHeaderSize, seglog.BlockSize)
+	}
 	rec := audit.Record{
 		Seq: d.auditSeq, Time: vclock.TS(d.clk),
 		Client: cred.Client, User: cred.User,
 		Op: op, Obj: obj, Offset: off, Length: length, Arg: arg,
-		Raw: requestCapture(cred, op, obj, off, length, arg),
+		Raw: requestCapture(d.auditRaw, cred, op, obj, off, length, arg),
 		OK:  err == nil, Errno: Errno(err),
 	}
-	d.auditBuf = append(d.auditBuf, rec)
-	d.auditBufBytes += rec.EncodedSize()
-	// Flush when a block's worth of records has accumulated. The
-	// running byte counter keeps this O(1) per request; summing the
-	// buffer here made every audited op linear in the buffer depth.
-	if d.auditBufBytes >= audit.BlockCapacity {
-		_ = d.flushAuditLocked()
+	size := rec.EncodedSize()
+	for len(d.auditPend) > 0 && len(d.auditBlk)+size > seglog.BlockSize {
+		if d.writeAuditBlockLocked() != nil {
+			break // the records stay buffered; the next record retries
+		}
 	}
+	d.auditBlk = rec.Encode(d.auditBlk)
+	d.auditPend = append(d.auditPend, auditPending{end: len(d.auditBlk), seq: rec.Seq, time: rec.Time})
 	d.auditMu.Unlock()
 	d.statsMu.Lock()
 	d.stats.AuditRecords++
 	d.statsMu.Unlock()
 }
 
-// auditBufSize sums the encoded size of buffered records. Caller holds
-// auditMu.
-func (d *Drive) auditBufSize() int {
-	n := 0
-	for i := range d.auditBuf {
-		n += d.auditBuf[i].EncodedSize()
+// flushAuditLocked writes every buffered audit record, the last block
+// as full as the records make it; on failure the unwritten records stay
+// buffered. Caller holds auditMu.
+func (d *Drive) flushAuditLocked() error {
+	for len(d.auditPend) > 0 {
+		if err := d.writeAuditBlockLocked(); err != nil {
+			return err
+		}
 	}
-	return n
+	return nil
 }
 
-// flushAuditLocked writes buffered audit records as audit blocks.
-// Caller holds auditMu (the segment log and usage counters are
-// internally synchronized).
-func (d *Drive) flushAuditLocked() error {
-	// The running counter is re-derived on exit so an early error
-	// return (records still buffered) leaves it consistent.
-	defer func() { d.auditBufBytes = d.auditBufSize() }()
-	for len(d.auditBuf) > 0 {
-		// Fill one block.
-		room := audit.BlockCapacity
-		n := 0
-		for n < len(d.auditBuf) {
-			sz := d.auditBuf[n].EncodedSize()
-			if sz > room {
-				break
-			}
-			room -= sz
-			n++
-		}
-		if n == 0 {
-			n = 1 // a single oversized record cannot happen (args are bounded)
-		}
-		blk, err := audit.EncodeBlock(d.auditBuf[:n])
-		if err != nil {
-			return err
-		}
-		batch := d.auditBuf[:n]
-		addr, err := d.log.Append(seglog.KindAudit, types.AuditObject, batch[0].Seq, batch[len(batch)-1].Time, blk)
-		if err != nil {
-			return err
-		}
-		d.usage.liveBorn(segOf(d.log, addr))
-		d.auditBlocks = append(d.auditBlocks, auditBlockRef{
-			addr: addr, firstSeq: batch[0].Seq, lastTime: batch[len(batch)-1].Time,
-		})
-		d.auditBuf = append(d.auditBuf[:0], d.auditBuf[n:]...)
+// writeAuditBlockLocked writes the longest run of buffered records that
+// fits a block as one audit block: normally all of them, fewer only when
+// earlier writes failed and records piled up past a block. Caller holds
+// auditMu (the segment log and usage counters are internally
+// synchronized).
+func (d *Drive) writeAuditBlockLocked() error {
+	n := len(d.auditPend)
+	for n > 0 && d.auditPend[n-1].end > seglog.BlockSize {
+		n--
+	}
+	if n == 0 {
+		return fmt.Errorf("core: audit record larger than a block: %w", types.ErrTooLarge)
+	}
+	end := d.auditPend[n-1].end
+	blk := d.auditBlk[:end]
+	audit.FinishBlock(blk, n)
+	first, last := d.auditPend[0], d.auditPend[n-1]
+	addr, err := d.log.Append(seglog.KindAudit, types.AuditObject, first.seq, last.time, blk)
+	if err != nil {
+		return err
+	}
+	d.usage.liveBorn(segOf(d.log, addr))
+	d.auditBlocks = append(d.auditBlocks, auditBlockRef{addr: addr, firstSeq: first.seq, lastTime: last.time})
+	// Move what is left up behind the header.
+	kept := copy(d.auditBlk[audit.BlockHeaderSize:], d.auditBlk[end:])
+	d.auditBlk = d.auditBlk[:audit.BlockHeaderSize+kept]
+	d.auditPend = append(d.auditPend[:0], d.auditPend[n:]...)
+	for i := range d.auditPend {
+		d.auditPend[i].end -= end - audit.BlockHeaderSize
 	}
 	return nil
 }
@@ -253,7 +262,10 @@ func (d *Drive) auditReadShared(cred types.Cred, fromSeq uint64, max int) ([]aud
 	// post-date this request.
 	d.auditMu.Lock()
 	blocks := append([]auditBlockRef(nil), d.auditBlocks...)
-	tail := append([]audit.Record(nil), d.auditBuf...)
+	var tail []byte
+	if len(d.auditPend) > 0 {
+		tail = bytes.Clone(d.auditBlk[audit.BlockHeaderSize:])
+	}
 	d.auditMu.Unlock()
 	var out []audit.Record
 	buf := make([]byte, seglog.BlockSize)
@@ -279,10 +291,15 @@ func (d *Drive) auditReadShared(cred types.Cred, fromSeq uint64, max int) ([]aud
 			}
 		}
 	}
-	for i := range tail {
-		if tail[i].Seq >= fromSeq {
-			out = append(out, tail[i])
+	for len(tail) > 0 {
+		r, rest, err := audit.Decode(tail)
+		if err != nil {
+			return nil, err
 		}
+		if r.Seq >= fromSeq {
+			out = append(out, r)
+		}
+		tail = rest
 	}
 	if len(out) > max {
 		out = out[:max]

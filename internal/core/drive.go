@@ -55,7 +55,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"s4/internal/audit"
 	"s4/internal/disk"
 	"s4/internal/journal"
 	"s4/internal/seglog"
@@ -428,11 +427,12 @@ type Drive struct {
 
 	// auditMu guards the audit pipeline. It is taken while holding
 	// Drive.mu (either mode) and object locks, never the reverse.
-	auditMu       sync.Mutex
-	auditBuf      []audit.Record
-	auditBufBytes int // running encoded size of auditBuf
-	auditSeq      uint64
-	auditBlocks   []auditBlockRef
+	auditMu     sync.Mutex
+	auditBlk    []byte         // the audit block being filled: header room, then the buffered records
+	auditPend   []auditPending // per record in auditBlk
+	auditRaw    []byte         // request capture, rebuilt for every record
+	auditSeq    uint64
+	auditBlocks []auditBlockRef
 
 	// Commit-ticket state for group commit (DESIGN.md §11). Every Sync
 	// takes the next ticket (commitSeq); one leader at a time flushes

@@ -47,7 +47,8 @@ func maskedEntries() []*Entry {
 // FuzzDecode feeds arbitrary bytes to the entry decoder: it must never
 // panic, it must accept exactly what the reference decoder accepts and
 // decode it to the same entry over the same bytes, and anything it
-// accepts must re-encode to a form it decodes to the same entry.
+// accepts must re-encode, in EncodedSize bytes, to a form it decodes to
+// the same entry.
 func FuzzDecode(f *testing.F) {
 	for _, e := range append(seedEntries(), maskedEntries()...) {
 		f.Add(e.Encode(nil))
@@ -69,7 +70,11 @@ func FuzzDecode(f *testing.F) {
 		if !reflect.DeepEqual(e, want) || !bytes.Equal(rest, wantRest) {
 			t.Fatalf("Decode differs from the reference:\n  %+v (%d left)\n  %+v (%d left)", e, len(rest), want, len(wantRest))
 		}
-		again, rest, err := Decode(e.Encode(nil))
+		enc := e.Encode(nil)
+		if e.EncodedSize() != len(enc) {
+			t.Fatalf("EncodedSize %d, Encode wrote %d bytes: %+v", e.EncodedSize(), len(enc), e)
+		}
+		again, rest, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of accepted entry failed: %v", err)
 		}
@@ -134,7 +139,8 @@ func checkSectorAgainstReference(t *testing.T, data []byte) {
 
 // FuzzDecodeSector does the same at sector granularity — this is what
 // recovery feeds raw disk sectors to — and there holds the in-place
-// decoder to the reference applied entry by entry.
+// decoder to the reference applied entry by entry, and EncodedSize to
+// the length of every accepted entry's encoding.
 func FuzzDecodeSector(f *testing.F) {
 	if sec, err := EncodeSector(42, 7, seedEntries()); err == nil {
 		f.Add(sec)
@@ -154,6 +160,9 @@ func FuzzDecodeSector(f *testing.F) {
 		ptrs := make([]*Entry, len(entries))
 		for i := range entries {
 			ptrs[i] = &entries[i]
+			if n := len(entries[i].Encode(nil)); entries[i].EncodedSize() != n {
+				t.Fatalf("entry %d: EncodedSize %d, Encode wrote %d bytes: %+v", i, entries[i].EncodedSize(), n, entries[i])
+			}
 		}
 		if len(ptrs) == 0 || len(ptrs) > 0xFFFF {
 			return // re-encode rejects these by design

@@ -144,9 +144,42 @@ type Entry struct {
 // slot). It must be at least delta.MaxSlots; 32 leaves headroom.
 const DeltaSlotsPerBlock = 32
 
-// EncodedSize returns the exact encoded length of e.
+// EncodedSize returns the exact encoded length of e, without encoding it.
 func (e *Entry) EncodedSize() int {
-	return len(e.Encode(nil))
+	n := 1 + uvarintLen(e.Version) + uvarintLen(uint64(e.Time)) + uvarintLen(uint64(e.User)) + uvarintLen(uint64(e.Client))
+	switch e.Type {
+	case EntWrite:
+		n += uvarintLen(e.FirstBlock) + uvarintLen(uint64(len(e.New))) +
+			addrsLen(e.New) + addrsLen(e.Old) + uvarintLen(e.OldSize) + uvarintLen(e.NewSize)
+		if e.DeltaMask != 0 || e.SkipMask != 0 {
+			n += uvarintLen(uint64(e.DeltaMask)) + uvarintLen(uint64(e.SkipMask)) + addrsLen(e.Dropped)
+		}
+	case EntTruncate:
+		n += uvarintLen(e.FirstBlock) + uvarintLen(uint64(len(e.Old))) +
+			addrsLen(e.Old) + uvarintLen(e.OldSize) + uvarintLen(e.NewSize)
+	case EntSetAttr:
+		n += uvarintLen(uint64(len(e.OldAttr))) + len(e.OldAttr) + uvarintLen(uint64(len(e.NewAttr))) + len(e.NewAttr)
+	case EntSetACL:
+		n += 1 + uvarintLen(uint64(e.OldACL.User)) + uvarintLen(uint64(e.OldACL.Perm)) +
+			uvarintLen(uint64(e.NewACL.User)) + uvarintLen(uint64(e.NewACL.Perm))
+	case EntDelete, EntRevive:
+		n += uvarintLen(e.OldSize)
+	case EntCheckpoint:
+		n += uvarintLen(uint64(e.InodeAddr))
+	}
+	return n
+}
+
+// uvarintLen is the length of the uvarint encoding of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// addrsLen is the encoded length of a list of block addresses.
+func addrsLen(as []seglog.BlockAddr) int {
+	n := 0
+	for _, a := range as {
+		n += uvarintLen(uint64(a))
+	}
+	return n
 }
 
 // Encode appends e's encoding to dst and returns the extended slice.

@@ -11,6 +11,7 @@ package oncrpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -120,6 +121,9 @@ func (s *Server) Close() error {
 
 func (s *Server) serve(conn *net.UDPConn) error {
 	buf := make([]byte, 65536)
+	// One reply encoder serves every call: the loop is serial and the
+	// reply is written to the socket before the next datagram is read.
+	var e xdr.Encoder
 	for {
 		n, peer, err := conn.ReadFromUDP(buf)
 		if err != nil {
@@ -131,7 +135,7 @@ func (s *Server) serve(conn *net.UDPConn) error {
 			}
 			return err
 		}
-		reply := s.handle(buf[:n])
+		reply := s.handle(buf[:n], &e)
 		if reply != nil {
 			if _, err := conn.WriteToUDP(reply, peer); err != nil && !s.isClosed() {
 				return err
@@ -146,8 +150,9 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// handle decodes one call and produces the reply datagram (nil to drop).
-func (s *Server) handle(pkt []byte) []byte {
+// handle decodes one call and produces the reply datagram (nil to drop)
+// in e's buffer, which it reuses: the reply is valid until the next call.
+func (s *Server) handle(pkt []byte, e *xdr.Encoder) []byte {
 	d := xdr.NewDecoder(pkt)
 	xid, err := d.Uint32()
 	if err != nil {
@@ -172,7 +177,7 @@ func (s *Server) handle(pkt []byte) []byte {
 	if _, err := d.Uint32(); err != nil {
 		return denied(xid)
 	}
-	if _, err := d.Opaque(400); err != nil {
+	if _, err := d.OpaqueRef(400); err != nil {
 		return denied(xid)
 	}
 
@@ -180,7 +185,7 @@ func (s *Server) handle(pkt []byte) []byte {
 	h := s.programs[progKey{prog, vers}]
 	s.mu.Unlock()
 
-	e := xdr.NewEncoder()
+	e.Reset(e.Bytes()[:0])
 	e.Uint32(xid)
 	e.Uint32(msgReply)
 	e.Uint32(replyAccepted)
@@ -190,13 +195,19 @@ func (s *Server) handle(pkt []byte) []byte {
 		e.Uint32(AcceptProgUnavail)
 		return e.Bytes()
 	}
-	body := xdr.NewEncoder()
-	stat := h(proc, cred, d, body)
-	e.Uint32(stat)
-	if stat == AcceptSuccess {
-		e.OpaqueFixed(body.Bytes())
+	// Reserve the accept status, let the handler encode its results in
+	// place behind it (every Encoder method keeps the stream a whole
+	// number of words), then patch the status in; only a success carries
+	// the results.
+	at := len(e.Bytes())
+	e.Uint32(0)
+	stat := h(proc, cred, d, e)
+	reply := e.Bytes()
+	binary.BigEndian.PutUint32(reply[at:], stat)
+	if stat != AcceptSuccess {
+		reply = reply[:at+4]
 	}
-	return e.Bytes()
+	return reply
 }
 
 func decodeAuth(d *xdr.Decoder) (Cred, error) {
@@ -206,7 +217,7 @@ func decodeAuth(d *xdr.Decoder) (Cred, error) {
 		return c, err
 	}
 	c.Flavor = flavor
-	body, err := d.Opaque(400)
+	body, err := d.OpaqueRef(400) // parsed here, never kept
 	if err != nil {
 		return c, err
 	}

@@ -168,10 +168,13 @@ type Log struct {
 	used     int    // payload blocks staged (excluding summary)
 	dirty    []bool // per payload block: staged but not yet on disk
 	nDirty   int
+	crcs     []uint32 // per payload block: its checksum, valid while crcOK (encodeSummaryLocked)
+	crcOK    []bool   // cleared when the block is staged or rewritten, all cleared when a segment opens
 	entries  []SummaryEntry
 	cpSlot   int   // next checkpoint slot to write (0 or 1)
 	appends  int64 // stats: blocks appended
 	segWrite int64 // stats: segment (full or partial) writes
+	hashed   int64 // block checksums summaries computed, i.e. crcs misses; tests bound it
 
 	// Decoupled-flush state (DESIGN.md §11). While flushing is true one
 	// flush's device writes are in flight against flushBuf — a snapshot
@@ -495,11 +498,10 @@ func (l *Log) appendOneLocked(kind Kind, obj types.ObjectID, key uint64, t types
 	idx := 1 + l.used // block index within the segment (0 is summary)
 	off := idx * BlockSize
 	copy(l.buf[off:off+BlockSize], data)
-	for i := off + len(data); i < off+BlockSize; i++ {
-		l.buf[i] = 0
-	}
+	clear(l.buf[off+len(data) : off+BlockSize])
 	l.entries = append(l.entries, SummaryEntry{Kind: kind, Obj: obj, Key: key, Time: t, Len: uint32(len(data))})
 	addr := BlockAddr(l.segBase(l.curSeg) + int64(idx))
+	l.crcOK[idx-1] = false
 	l.dirty[idx-1] = true
 	l.nDirty++
 	l.used++
@@ -550,6 +552,7 @@ func (l *Log) RewriteRange(addr BlockAddr, off int, data []byte) (bool, error) {
 	if end := uint32(off + len(data)); l.entries[idx-1].Len < end {
 		l.entries[idx-1].Len = end
 	}
+	l.crcOK[idx-1] = false
 	if !l.dirty[idx-1] {
 		l.dirty[idx-1] = true
 		l.nDirty++
@@ -629,8 +632,11 @@ func (l *Log) openSegmentLocked() error {
 		l.sumGen++
 		if l.dirty == nil {
 			l.dirty = make([]bool, l.cfg.SegBlocks)
+			l.crcs = make([]uint32, l.cfg.SegBlocks)
+			l.crcOK = make([]bool, l.cfg.SegBlocks)
 		}
 		clear(l.dirty)
+		clear(l.crcOK)
 		l.nDirty = 0
 		l.entries = l.entries[:0]
 		clear(l.buf)
@@ -828,7 +834,10 @@ func (l *Log) flushLocked(closeSeg bool) error {
 // Block checksums are computed here — at flush time, over each block's
 // full staged contents — rather than at append time, so RewriteRange
 // mutations of open-segment blocks are covered by whatever summary next
-// reaches the device alongside them. Pad slots get Sum zero: their
+// reaches the device alongside them. Each sum is computed once and
+// cached per slot until the block's bytes change (crcOK), so a partial
+// snapshot hashes only what was staged or rewritten since the previous
+// one, not the whole segment fill. Pad slots get Sum zero: their
 // on-disk bytes are a retired snapshot, not the staged zeros.
 //
 // Journal blocks are checksummed only in the SEAL summary (sealed
@@ -856,8 +865,12 @@ func (l *Log) encodeSummaryLocked(sb []byte, seq uint64, sealed bool) {
 		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
 		var sum uint32
 		if e.Kind != KindPad && (sealed || e.Kind != KindJournal) {
-			bo := (1 + i) * BlockSize
-			sum = crc32.ChecksumIEEE(l.buf[bo : bo+BlockSize])
+			if !l.crcOK[i] {
+				bo := (1 + i) * BlockSize
+				l.crcs[i], l.crcOK[i] = crc32.ChecksumIEEE(l.buf[bo:bo+BlockSize]), true
+				l.hashed++
+			}
+			sum = l.crcs[i]
 		}
 		binary.LittleEndian.PutUint32(sb[off+29:], sum)
 		off += summaryEntrySize

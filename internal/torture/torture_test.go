@@ -333,11 +333,16 @@ func TestTorturePolicyModes(t *testing.T) {
 // recovered long after most of its history left the window, and the
 // post-recovery cleaner pass (invariant 8) must release exactly what
 // the dead drive had not — never twice, never anything in-window.
+//
+// Each seed must both age and copy at both windows, and -short runs the
+// first alone, so the lists hold seeds that do so with room to spare: at
+// 300 ops seed 1 copies nothing at 80 ms once audit blocks are written
+// full, and at 1,000 ops seed 8 copies nothing there either.
 func TestTortureShortWindow(t *testing.T) {
-	seeds := []int64{1, 2, 3}
+	seeds := []int64{7, 9, 12}
 	cfg := Config{Ops: 300, MaxCrashPoints: 400, PostRecoverySmoke: true}
 	if os.Getenv("S4_TORTURE_LONG") != "" {
-		seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
+		seeds = []int64{2, 3, 4, 5, 7, 9, 10, 12}
 		cfg.Ops, cfg.MaxCrashPoints = 1000, 0
 	} else if testing.Short() || os.Getenv("S4_STRESS_SHORT") != "" {
 		seeds = seeds[:1]

@@ -268,6 +268,7 @@ func (d *Drive) recover() error {
 	jbuf := make([]byte, seglog.BlockSize) // every journal block of the scan
 	err = d.log.ScanFrom(cpSeq, func(seg int64, sum seglog.Summary) error {
 		visited[seg] = true
+		d.recSumCover[seg] = len(sum.Entries)
 		d.log.MarkAllocated(seg)
 		d.log.SetSeq(sum.Seq)
 		for i, e := range sum.Entries {
@@ -1035,18 +1036,19 @@ func (d *Drive) accountReplayEntry(e *journal.Entry, unborn func(seglog.BlockAdd
 // liveBorn/deprecate/freeLive deltas fire only for covered blocks.
 // Everything durable at the checkpoint is covered (WriteCheckpoint
 // follows a full Sync), so only post-checkpoint tail blocks can miss.
+// The roll-forward scan recorded the count of every segment it replayed;
+// any other segment costs one count-only lookup.
 func (d *Drive) recCovered(addr seglog.BlockAddr) bool {
 	seg := segOf(d.log, addr)
 	n, ok := d.recSumCover[seg]
 	if !ok {
-		sum, _, err := d.log.ReadSummary(seg) // no summary: no entries
-		if err != nil && seg >= 0 {
+		var err error
+		if n, err = d.log.Covered(seg); err != nil && seg >= 0 {
 			if d.recErr == nil {
 				d.recErr = err
 			}
 			return false
 		}
-		n = len(sum.Entries)
 		d.recSumCover[seg] = n
 	}
 	i := int64(addr) - int64(d.log.EntryAt(seg, 0))

@@ -127,12 +127,13 @@ func TestRelocatedBlockHistorySurvivesRestart(t *testing.T) {
 					t.Errorf("the restart indexed %d landmarks the cleaner had retired", n)
 				}
 			}
-			// Refill until the freed segment is reused.
+			// Refill until the freed segment is reused and the block is
+			// overwritten.
 			filler := r.create(alice)
 			fill := bytes.Repeat([]byte{0x77}, types.BlockSize)
 			raw := make([]byte, seglog.BlockSize)
 			for i := 0; ; i++ {
-				if err := r.d.log.Read(r.oldAddr, raw); err == nil && bytes.Equal(raw, fill) {
+				if err := r.d.log.Read(r.oldAddr, raw); err == nil && !bytes.Equal(raw, r.orig) {
 					break
 				}
 				if i == 64 {

@@ -310,7 +310,7 @@ func corruptNewestSlotIndex(t *testing.T, dev disk.Device, cpBlocks int) {
 		}
 		if bestSlot < 0 || seq > bestSeq {
 			bestSlot, bestSeq = slot, seq
-			bestOff = 28 + lenA // cpHeaderSize + state blob = first index byte
+			bestOff = 48 + lenA // cpHeaderSize + state blob = first index byte
 		}
 	}
 	if bestSlot < 0 {

@@ -178,7 +178,8 @@ func TestV1SummaryRejected(t *testing.T) {
 	binary.LittleEndian.PutUint32(sb[0:], 0x53344753)
 	binary.LittleEndian.PutUint64(sb[4:], sum.Seq)
 	binary.LittleEndian.PutUint32(sb[12:], uint32(len(sum.Entries)))
-	off := summaryHeaderSize
+	const v1HeaderSize = 4 + 8 + 4 + 4 // magic, seq, count, crc
+	off := v1HeaderSize
 	for _, e := range sum.Entries {
 		sb[off] = byte(e.Kind)
 		binary.LittleEndian.PutUint64(sb[off+1:], uint64(e.Obj))
@@ -187,7 +188,7 @@ func TestV1SummaryRejected(t *testing.T) {
 		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
 		off += 1 + 8 + 8 + 8 + 4
 	}
-	binary.LittleEndian.PutUint32(sb[16:], crc32.ChecksumIEEE(sb[summaryHeaderSize:]))
+	binary.LittleEndian.PutUint32(sb[16:], crc32.ChecksumIEEE(sb[v1HeaderSize:]))
 	if _, ok, err := decodeSummary(sb); ok || err != nil {
 		t.Fatalf("v1 summary decoded: ok=%v err=%v", ok, err)
 	}
@@ -207,7 +208,7 @@ func TestV1SummaryRejected(t *testing.T) {
 // and recomputes the CRC, as anyone who can write the image file can.
 // Open must answer ErrCorrupt; before the geometry was validated a zero
 // SegBlocks divided by zero in SegOf and a huge segment count exhausted
-// memory in make.
+// memory in make. The one version it accepts is its own, 4.
 func TestOpenRejectsForgedSuperblock(t *testing.T) {
 	_, dev := newFaultLog(t, 8)
 	good := make([]byte, BlockSize)
@@ -222,23 +223,26 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 		return func(sb []byte) { binary.LittleEndian.PutUint64(sb[16:], v) }
 	}
 	for _, tc := range []struct {
-		name  string
-		forge func([]byte)
+		name   string
+		forge  func([]byte)
+		accept bool
 	}{
-		{"formatVer 1", put32(4, 1)},
-		{"formatVer 2", put32(4, 2)}, // no open records: its open segment would scan as never written
-		{"formatVer 4", put32(4, 4)},
-		{"SegBlocks 0", put32(8, 0)},
-		{"SegBlocks 7", put32(8, 7)},
-		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1))},
-		{"SegBlocks huge", put32(8, 1<<31)},
-		{"CheckpointBlocks 0", put32(12, 0)},
-		{"CheckpointBlocks past the device", put32(12, 1<<30)},
-		{"nSeg 0", putSegs(0)},
-		{"nSeg 3", putSegs(3)},
-		{"nSeg one past the device", putSegs(nSeg + 1)},
-		{"nSeg huge", putSegs(1 << 40)},
-		{"nSeg overflows int64", putSegs(1 << 63)},
+		{"formatVer 1", put32(4, 1), false},
+		{"formatVer 2", put32(4, 2), false}, // no open records: its open segment would scan as never written
+		{"formatVer 3", put32(4, 3), false}, // unthreaded summaries: no chain to walk, entries where v4 keeps next/prev
+		{"formatVer 4", put32(4, 4), true},
+		{"formatVer 5", put32(4, 5), false},
+		{"SegBlocks 0", put32(8, 0), false},
+		{"SegBlocks 7", put32(8, 7), false},
+		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1)), false},
+		{"SegBlocks huge", put32(8, 1<<31), false},
+		{"CheckpointBlocks 0", put32(12, 0), false},
+		{"CheckpointBlocks past the device", put32(12, 1<<30), false},
+		{"nSeg 0", putSegs(0), false},
+		{"nSeg 3", putSegs(3), false},
+		{"nSeg one past the device", putSegs(nSeg + 1), false},
+		{"nSeg huge", putSegs(1 << 40), false},
+		{"nSeg overflows int64", putSegs(1 << 63), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sb := append([]byte(nil), good...)
@@ -248,7 +252,10 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 				t.Fatal(err)
 			}
 			l, err := Open(dev)
-			if !errors.Is(err, types.ErrCorrupt) {
+			if tc.accept && err != nil {
+				t.Fatalf("Open = %v; want the image accepted", err)
+			}
+			if !tc.accept && !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("Open = %v, %v; want ErrCorrupt", l, err)
 			}
 		})
@@ -261,13 +268,45 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 	}
 }
 
+// v3Summary re-encodes a summary block in the version-3 layout: magic
+// "S4G2", entries right after a 20-byte header, no neighbours, and a CRC
+// over everything after the header.
+func v3Summary(sum Summary) []byte {
+	const v3HeaderSize = 4 + 8 + 4 + 4
+	sb := make([]byte, BlockSize)
+	binary.LittleEndian.PutUint32(sb[0:], 0x53344732)
+	binary.LittleEndian.PutUint64(sb[4:], sum.Seq)
+	binary.LittleEndian.PutUint32(sb[12:], uint32(len(sum.Entries)))
+	off := v3HeaderSize
+	for _, e := range sum.Entries {
+		sb[off] = byte(e.Kind)
+		binary.LittleEndian.PutUint64(sb[off+1:], uint64(e.Obj))
+		binary.LittleEndian.PutUint64(sb[off+9:], e.Key)
+		binary.LittleEndian.PutUint64(sb[off+17:], uint64(e.Time))
+		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
+		binary.LittleEndian.PutUint32(sb[off+29:], e.Sum)
+		off += summaryEntrySize
+	}
+	binary.LittleEndian.PutUint32(sb[16:], crc32.ChecksumIEEE(sb[v3HeaderSize:]))
+	return sb
+}
+
+// fuzzSeg is the segment FuzzSegSummaryChecksums takes each block to be
+// block 0 of, for the chain walk's judgement of the neighbours it names.
+const fuzzSeg = 1
+
 // FuzzSegSummaryChecksums feeds hostile bytes to the summary codec:
 // it must never panic, anything it accepts must satisfy the format's
 // own bounds, and a valid encoding mutated anywhere but its CRC slack
-// must be rejected or decode to self-consistent entries.
+// must be rejected or decode to self-consistent entries. A CRC is not a
+// MAC, so the neighbours an accepted summary names are hostile too: the
+// chain walk may step only to a segment inside the log, and never from a
+// segment to itself.
 func FuzzSegSummaryChecksums(f *testing.F) {
-	// Seeds: a genuine sealed summary, a truncated one, junk, and an open
-	// record (a summary with no entries).
+	// Seeds: a genuine sealed summary, a truncated one, junk, an open
+	// record (a summary with no entries), the same sealed summary in the
+	// version-3 layout, and open records naming a successor past the log,
+	// the segment itself as successor or as predecessor.
 	l, _ := newFaultLog(f, 8)
 	for i := 0; i < l.PayloadBlocks(); i++ {
 		if _, err := l.Append(KindData, 9, uint64(i), types.Timestamp(i+1),
@@ -287,13 +326,32 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 	f.Add([]byte{})
 	short := append([]byte(nil), sb[:40]...)
 	f.Add(short)
-	rec := make([]byte, BlockSize)
-	l.entries = l.entries[:0]
-	l.encodeSummaryLocked(rec, 7, false)
+	sealed, ok, err := decodeSummary(sb)
+	if err != nil || !ok {
+		f.Fatalf("genuine sealed summary: ok=%v err=%v", ok, err)
+	}
+	v3 := v3Summary(sealed)
+	if _, ok, _ := decodeSummary(v3); ok {
+		f.Fatal("a version-3 summary decodes")
+	}
+	f.Add(v3)
+	record := func(next, prev int64) []byte {
+		l.entries = l.entries[:0]
+		l.nextSeg, l.curPrev = next, prev
+		rec := make([]byte, BlockSize)
+		l.encodeSummaryLocked(rec, 7, false)
+		return rec
+	}
+	rec := record(2, 0)
 	if s, ok, _ := decodeSummary(rec); !ok || s.Seq != 7 || len(s.Entries) != 0 {
 		f.Fatalf("open record does not decode as an empty summary: %+v ok=%v", s, ok)
 	}
 	f.Add(rec)
+	f.Add(record(l.nSegments, 0))
+	f.Add(record(noSeg-1, 0))
+	f.Add(record(fuzzSeg, 0))
+	f.Add(record(2, fuzzSeg))
+	nSeg := l.nSegments
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, ok, err := decodeSummary(data)
@@ -309,6 +367,13 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 		}
 		if len(s.Entries) > maxSegBlocks() {
 			t.Fatalf("accepted summary with impossible entry count %d", len(s.Entries))
+		}
+		// Its neighbours, as the walk judges a hop to it from the
+		// predecessor it names: only the successor is left to refuse.
+		h, _ := checkSummary(data)
+		if hopFault(h, fuzzSeg, h.prev, h.opened, false, nSeg) == "" &&
+			(h.next < 0 || h.next >= nSeg || h.next == fuzzSeg || h.prev == fuzzSeg) {
+			t.Fatalf("the walk would step from segment %d (prev %d) to segment %d of %d", fuzzSeg, h.prev, h.next, nSeg)
 		}
 	})
 }

@@ -2,6 +2,8 @@ package seglog
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"s4/internal/disk"
@@ -69,13 +71,41 @@ func scanHits(t *testing.T, l *Log, afterSeq uint64) map[int64]uint64 {
 	return hits
 }
 
+// resumeHits reads the checkpoint and scans from it, as recovery does,
+// and returns the sequence each hit segment reported.
+func resumeHits(t *testing.T, l *Log) map[int64]uint64 {
+	t.Helper()
+	_, _, seq, _, err := l.ReadCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scanHits(t, l, seq)
+}
+
+// walkWhy walks the chain of a fresh open of dev from its checkpoint and
+// says why the walk falls back to probing every segment, or "".
+func walkWhy(t *testing.T, dev disk.Device) string {
+	t.Helper()
+	l := reopen(t, dev)
+	if _, _, _, _, err := l.ReadCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, why, err := l.walkChain(l.anchor, &scanBuf{blk: make([]byte, BlockSize)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return why
+}
+
 // TestScanReadsOnePerClosedSegment is the scan's cost as a count: on a log
 // of N segments — k sealed, one open with a synced snapshot, the rest
-// never written — ScanFrom reads block 0 of each segment and nothing else,
-// except the one open segment, whose remaining blocks it fetches with a
-// single vectored read. Before the open record every segment without a
-// sealed summary was probed block by block: N-k segments times
-// SegBlocks-1 more reads.
+// never written — recovery's ScanFrom follows the chain from segment 0
+// (no checkpoint: where Format left the log) and reads block 0 of the k+1
+// segments on it, block 0 of the successor the open one promised (zero:
+// the chain ends), and the rest of the open segment with one vectored
+// read. Until the log was threaded it read block 0 of all N segments;
+// before the open record, every segment without a sealed summary was
+// probed block by block, N-k segments times SegBlocks-1 more reads.
 func TestScanReadsOnePerClosedSegment(t *testing.T) {
 	const sealed = 3
 	l, dev := newFaultLog(t, 16)
@@ -85,17 +115,38 @@ func TestScanReadsOnePerClosedSegment(t *testing.T) {
 
 	cnt := &readCounter{Device: dev}
 	l2 := reopen(t, cnt)
-	*cnt = readCounter{Device: dev} // the superblock read is Open's, not the scan's
-	hits := scanHits(t, l2, 0)
+	_, _, seq, _, err := l2.ReadCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	*cnt = readCounter{Device: dev} // the superblock and checkpoint reads are Open's, not the scan's
+	hits := scanHits(t, l2, seq)
 	if len(hits) != sealed+1 {
 		t.Fatalf("scan hit segments %v, want the %d sealed and the open one", hits, sealed)
 	}
 	n := int(l2.NumSegments())
-	if cnt.single != n || cnt.vectored != 1 {
-		t.Fatalf("scan of %d segments issued %d one-block and %d vectored reads, want %d and 1", n, cnt.single, cnt.vectored, n)
+	if cnt.single != sealed+2 || cnt.vectored != 1 {
+		t.Fatalf("scan of %d segments, %d written, issued %d one-block and %d vectored reads, want %d and 1",
+			n, sealed+1, cnt.single, cnt.vectored, sealed+2)
 	}
-	if want := int64(n+l2.PayloadBlocks()) * BlockSize; cnt.bytes != want {
+	if want := int64(sealed+2+l2.PayloadBlocks()) * BlockSize; cnt.bytes != want {
 		t.Fatalf("scan read %d bytes, want %d", cnt.bytes, want)
+	}
+	// The scan read every summary the open's verified reads need.
+	*cnt = readCounter{Device: dev}
+	blk := make([]byte, BlockSize)
+	for seg := range hits {
+		if err := l2.Read(l2.EntryAt(seg, 0), blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cnt.single != len(hits) || cnt.vectored != 0 {
+		t.Fatalf("%d verified reads issued %d one-block and %d vectored reads, want only the blocks", len(hits), cnt.single, cnt.vectored)
+	}
+	// The probe it replaces reads block 0 of every segment.
+	*cnt = readCounter{Device: dev}
+	if probed := scanHits(t, reopen(t, cnt), seq); len(probed) != len(hits) || cnt.single != n+1 {
+		t.Fatalf("probe: %d hits, %d one-block reads; want %d and %d", len(probed), cnt.single, len(hits), n+1)
 	}
 }
 
@@ -127,8 +178,8 @@ func TestCrashBeforeFirstSnapshot(t *testing.T) {
 	if err := readBlocks(img, lr.segBase(0), blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, n, ok := checkSummary(blk); !ok || n != 0 {
-		t.Fatalf("block 0 after the first payload write: ok=%v entries=%d, want an open record", ok, n)
+	if h, ok := checkSummary(blk); !ok || h.count != 0 {
+		t.Fatalf("block 0 after the first payload write: ok=%v entries=%d, want an open record", ok, h.count)
 	}
 	*cnt = readCounter{Device: img}
 	if sum, ok, err := lr.ReadSummary(0); err != nil || ok {
@@ -152,9 +203,10 @@ func TestCrashBeforeFirstSnapshot(t *testing.T) {
 
 // reusedSegment seals segment 0 (with two partial syncs on the way, so its
 // old life leaves trailing snapshots behind as well as a sealed summary),
-// checkpoints, frees it and starts its second life with two staged blocks.
-// It returns the checkpoint's sequence: everything of the old life is at
-// or below it.
+// checkpoints and frees it. Segment 1, promised when 0 opened, then fills
+// and seals; having found 0 free when it opened, it promised 0, whose
+// second life starts with two staged blocks. It returns the checkpoint's
+// sequence: everything of the old life is at or below it.
 func reusedSegment(t *testing.T, l *Log) (cpSeq uint64) {
 	t.Helper()
 	appendN(t, l, 1, 0, 3)
@@ -171,9 +223,10 @@ func reusedSegment(t *testing.T, l *Log) (cpSeq uint64) {
 	if err := l.FreeSegment(0); err != nil {
 		t.Fatal(err)
 	}
+	appendN(t, l, 3, 300, l.PayloadBlocks())
 	appendN(t, l, 2, 200, 2)
 	if l.CurrentSegment() != 0 {
-		t.Fatalf("second life opened segment %d, want 0 (lowest free first)", l.CurrentSegment())
+		t.Fatalf("second life opened segment %d, want 0 (the successor 1 promised)", l.CurrentSegment())
 	}
 	return cpSeq
 }
@@ -184,6 +237,9 @@ func reusedSegment(t *testing.T, l *Log) (cpSeq uint64) {
 // nothing, so the segment is read whole, and all that is in it are the
 // previous life's snapshots — every one at or below the checkpoint that
 // authorised the reuse, so the roll-forward scan replays none of them.
+// The chain reaches the segment as the successor segment 1 promised, and
+// cannot end there — a rotted seal reads the same — so the scan probes
+// every segment, and finds segment 1 alone.
 func TestTornRecordOverStaleSummary(t *testing.T) {
 	l, dev := newFaultLog(t, 16)
 	cpSeq := reusedSegment(t, l)
@@ -197,7 +253,7 @@ func TestTornRecordOverStaleSummary(t *testing.T) {
 	if err := readBlocks(img, l.segBase(0), blk); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := checkSummary(blk); ok || bytes.Equal(blk, zeroBlock[:]) {
+	if _, ok := checkSummary(blk); ok || bytes.Equal(blk, zeroBlock[:]) {
 		t.Fatal("torn block 0 still decodes, or is zero: the tear did not mix the two lives")
 	}
 	cnt := &readCounter{Device: img}
@@ -215,6 +271,55 @@ func TestTornRecordOverStaleSummary(t *testing.T) {
 	}
 	if seq, hit := scanHits(t, lr, cpSeq)[0]; hit {
 		t.Fatalf("scan from the checkpoint replayed the reused segment at seq %d", seq)
+	}
+	if why := walkWhy(t, img); !strings.Contains(why, "segment 0 holds neither") {
+		t.Fatalf("walk over the torn record: %q, want a fallback at segment 0", why)
+	}
+	if hits := resumeHits(t, reopen(t, img)); len(hits) != 1 || hits[1] <= cpSeq {
+		t.Fatalf("resume hit %v, want segment 1 alone", hits)
+	}
+}
+
+// TestTornRecordOverSealFallsBack tears the first write of a reused
+// segment whose previous life left no snapshot behind its seal: block 0
+// is then the record's first sector over the rest of the old seal. That
+// is no summary and not zero — what a rotted seal reads as, behind which
+// the chain could go on — so the walk cannot end the chain there, and
+// the scan probes every segment, which finds the one segment written
+// since the checkpoint and nothing of the torn one: no Sync acknowledged
+// it. Over a never-written segment the same tear leaves a whole record
+// (a record is zeros past its header), and the walk reads on.
+func TestTornRecordOverSealFallsBack(t *testing.T) {
+	for _, reused := range []bool{true, false} {
+		l, dev := newFaultLog(t, 16)
+		appendN(t, l, 1, 0, l.PayloadBlocks())
+		if err := l.WriteCheckpoint([]byte("state"), nil); err != nil {
+			t.Fatal(err)
+		}
+		if reused {
+			if err := l.FreeSegment(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appendN(t, l, 2, 100, l.PayloadBlocks()+2)
+		torn := l.CurrentSegment()
+		if want := map[bool]int64{true: 0, false: 2}[reused]; torn != want {
+			t.Fatalf("reused=%v: the successor of segment 1 is %d, want %d", reused, torn, want)
+		}
+		dev.StartRecording()
+		mustSync(t, l)
+		img, err := dev.TornImageAt(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		why := walkWhy(t, img)
+		if fellBack := strings.Contains(why, fmt.Sprintf("segment %d holds neither", torn)); fellBack != reused {
+			t.Fatalf("reused=%v: walk over the torn record: %q", reused, why)
+		}
+		hits := resumeHits(t, reopen(t, img))
+		if _, ok := hits[1]; len(hits) != 1 || !ok {
+			t.Fatalf("reused=%v: resume hit %v, want segment 1 alone", reused, hits)
+		}
 	}
 }
 

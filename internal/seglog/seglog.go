@@ -20,7 +20,11 @@
 // sequence number; crash recovery replays summaries with sequence
 // numbers newer than the last checkpoint. Until the seal, block 0 holds
 // an open record — a summary with no entries — so one read tells a
-// sealed, an open and a never-written segment apart (findSummary).
+// sealed, an open and a never-written segment apart (newestSummary).
+// Every summary of a segment's life also names the segment opened
+// before it and the one the allocator promised to open after it, so
+// recovery follows the log from the checkpoint (ScanFrom) instead of
+// reading block 0 of every segment on the device.
 //
 // # Verified reads (DESIGN.md §15)
 //
@@ -40,6 +44,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	stdlog "log"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,14 +146,30 @@ func DefaultConfig() Config {
 }
 
 const (
-	superMagic    = 0x53344C47 // "S4LG"
-	summaryMagic2 = 0x53344732 // "S4G2" — summary with per-block CRCs
-	cpMagic       = 0x53344350 // "S4CP"
+	superMagic   = 0x53344C47 // "S4LG"
+	summaryMagic = 0x53344734 // "S4G4" — summary with per-block CRCs, threaded into the log
+	cpMagic      = 0x53344350 // "S4CP"
 	// formatVer is the only on-disk format: Format stamps it and Open
 	// rejects anything else, so no read path admits unchecksummed media
-	// (2) and no scan meets an open segment without its record (3).
-	formatVer = 3
+	// (2), no scan meets an open segment without its record (3), and no
+	// chain walk meets a summary that does not name its neighbours (4).
+	formatVer = 4
 )
+
+// noSeg stands for "no segment" in a summary's next and prev fields and
+// in a checkpoint's anchor; a log therefore has fewer segments than it.
+const noSeg = math.MaxUint32
+
+// anchor is where the roll-forward chain walk starts (DESIGN.md §14.5):
+// the segment open at the checkpoint, or the one promised to open next,
+// pinned by the segment opened before it and the seq it opened at.
+type anchor struct {
+	ok     bool   // ReadCheckpoint set it; until then ScanFrom probes every segment
+	seq    uint64 // the checkpoint's seq: the afterSeq the walk answers for
+	seg    int64  // -1: the checkpoint names none
+	prev   int64
+	opened uint64
+}
 
 // Log is an open segment log. Methods are safe for concurrent use.
 type Log struct {
@@ -160,7 +182,7 @@ type Log struct {
 	mu       sync.Mutex
 	seq      uint64 // last issued segment write sequence
 	free     []bool // per-segment free flag
-	nFree    int64
+	nFree    int64  // segments the allocator may hand out (allocatable)
 	curSeg   int64  // open segment (-1 if none)
 	buf      []byte // staged open segment (SegBlocks * BlockSize); block 0 is its open record
 	recDue   bool   // the open record has not reached the device yet
@@ -175,6 +197,23 @@ type Log struct {
 	appends  int64 // stats: blocks appended
 	segWrite int64 // stats: segment (full or partial) writes
 	hashed   int64 // block checksums summaries computed, i.e. crcs misses; tests bound it
+
+	// Threading (DESIGN.md §14.5). Every summary of the open segment
+	// carries curPrev, the segment opened before it, curOpened, the seq it
+	// opened at, and nextSeg, the successor the allocator reserved when it
+	// opened: the next open takes nextSeg, whatever else is free by then.
+	// lastSeg is the segment opened last (the open one while curSeg >= 0);
+	// -1 means none since Format, or none known after a probe fallback.
+	// held is the chain recovery walked: those segments are not handed
+	// out again before the next checkpoint moves the anchor past them, so
+	// a second crash finds the chain as the first left it. anchor is
+	// where the walk starts.
+	curPrev   int64
+	curOpened uint64
+	lastSeg   int64
+	nextSeg   int64
+	held      map[int64]bool
+	anchor    anchor
 
 	// Decoupled-flush state (DESIGN.md §11). While flushing is true one
 	// flush's device writes are in flight against flushBuf — a snapshot
@@ -220,7 +259,7 @@ type Log struct {
 // invalidates both checkpoint slots, and wipes whatever log the device
 // held before. Every segment a log has written has a non-zero block 0 (a
 // sealed summary or an open record), and the roll-forward scan decides
-// what a segment is from that block alone (findSummary), so Format reads
+// what a segment is from that block alone (newestSummary), so Format reads
 // each segment's block 0 and zeroes the segments where it is not zero —
 // whole, because a used segment keeps its partial-flush snapshots in its
 // pad slots, and the new log numbers its flushes from 1 again: once it
@@ -236,8 +275,8 @@ func Format(dev disk.Device, cfg Config) error {
 	totalBlocks := dev.Capacity() / BlockSize
 	segStart := int64(1 + 2*cfg.CheckpointBlocks)
 	nSeg := (totalBlocks - segStart) / int64(cfg.SegBlocks)
-	if nSeg < 4 {
-		return fmt.Errorf("seglog: device too small (%d segments): %w", nSeg, types.ErrInval)
+	if nSeg < 4 || nSeg >= noSeg {
+		return fmt.Errorf("seglog: device of %d segments out of range: %w", nSeg, types.ErrInval)
 	}
 	sb := make([]byte, BlockSize)
 	binary.LittleEndian.PutUint32(sb[0:], superMagic)
@@ -283,7 +322,17 @@ func maxSegBlocks() int {
 	return (BlockSize - summaryHeaderSize) / summaryEntrySize
 }
 
-const summaryHeaderSize = 4 + 8 + 4 + 4 // magic, seq, count, crc
+// A summary block, every field little-endian:
+//
+//	[0:4)   magic
+//	[4:12)  seq of the flush that wrote it
+//	[12:16) entry count
+//	[16:20) CRC32 (IEEE) of the block without these four bytes
+//	[20:24) next: the segment promised to open after this one (noSeg: none was free)
+//	[24:28) prev: the segment opened before this one (noSeg: none known)
+//	[28:36) opened: the seq this life of the segment opened at
+//	[36:)   entries, summaryEntrySize bytes each
+const summaryHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 8
 
 // Open attaches to a formatted device. It performs no replay; the owner
 // (the drive) restores free-map/sequence state from its checkpoint and
@@ -309,7 +358,7 @@ func Open(dev disk.Device) (*Log, error) {
 	nSegU := binary.LittleEndian.Uint64(sb[16:])
 	totalBlocks := uint64(dev.Capacity() / BlockSize)
 	if segBlocks < 8 || segBlocks > uint32(maxSegBlocks()) || cpBlocks < 1 ||
-		nSegU < 4 || nSegU > totalBlocks || // the second bound keeps the product below from wrapping
+		nSegU < 4 || nSegU >= noSeg || nSegU > totalBlocks || // the last bound keeps the product below from wrapping
 		1+2*uint64(cpBlocks)+nSegU*uint64(segBlocks) > totalBlocks {
 		return nil, fmt.Errorf("seglog: superblock geometry (%d blocks/segment, %d checkpoint blocks, %d segments) does not fit the %d-block device: %w",
 			segBlocks, cpBlocks, nSegU, totalBlocks, types.ErrCorrupt)
@@ -328,6 +377,10 @@ func Open(dev disk.Device) (*Log, error) {
 		sumBuf:      make([]byte, BlockSize),
 		flushSeg:    -1,
 		flushBufSeg: -1,
+		curPrev:     -1,
+		lastSeg:     -1,
+		nextSeg:     -1,
+		anchor:      anchor{seg: -1},
 		sums:        make(map[int64][]uint32),
 		quar:        make(map[int64]bool),
 	}
@@ -594,8 +647,11 @@ func (l *Log) PatchSettled(addr BlockAddr, off int, data []byte) error {
 	if seg == cur {
 		return fmt.Errorf("seglog: patch of open segment %d: %w", seg, types.ErrInval)
 	}
-	if sum, found, err := l.findSummary(seg, 0, newScanBuf()); err == nil && found &&
-		idx-1 < len(sum.Entries) && sum.Entries[idx-1].Sum != 0 {
+	sums, err := l.sumsFor(seg)
+	if err != nil {
+		return err
+	}
+	if idx-1 < len(sums) && sums[idx-1] != 0 {
 		return fmt.Errorf("seglog: patch of checksummed block %v: %w", addr, types.ErrInval)
 	}
 	return l.dev.WriteSectors(int64(addr)*sectorsPerBlock+int64(off/disk.SectorSize), data)
@@ -612,39 +668,105 @@ func (l *Log) Room() int {
 	return l.PayloadBlocks() - l.used
 }
 
-// openSegmentLocked opens the lowest-numbered free, unquarantined
-// segment. It touches no device: block 0 of the staging buffer becomes
-// the open record, which rides the segment's first payload write
-// (flushLocked), so a sealed summary left in block 0 by the segment's
-// previous life is gone before any snapshot of this one is durable.
+// openSegmentLocked opens the successor the previous open promised, or,
+// with no promise outstanding, the lowest-numbered allocatable segment,
+// and promises the lowest allocatable one left as its own successor
+// (recountLocked moves the promise while the segment is open). The
+// promise is kept even if the cleaner has freed a lower segment since
+// the previous segment sealed: its seal names the promised one, and the
+// chain walk would take any other segment for the end of the log. It
+// touches no device: block 0 of the staging buffer becomes the open
+// record, which rides the segment's first payload write (flushLocked),
+// so a sealed summary left in block 0 by the segment's previous life is
+// gone before any snapshot of this one is durable.
 func (l *Log) openSegmentLocked() error {
-	for seg := int64(0); l.nFree > 0 && seg < l.nSegments; seg++ {
-		if !l.free[seg] || l.quar[seg] {
-			continue
+	seg := l.nextSeg
+	if seg < 0 {
+		if seg = l.lowestAllocatableLocked(); seg < 0 {
+			return types.ErrNoSpace
 		}
-		l.free[seg] = false
-		l.nFree--
-		l.curSeg = seg
-		l.used = 0
-		// The segment's previous life is over; its cached checksum
-		// table (and any load racing this reuse) must not survive.
-		delete(l.sums, seg)
-		l.sumGen++
-		if l.dirty == nil {
-			l.dirty = make([]bool, l.cfg.SegBlocks)
-			l.crcs = make([]uint32, l.cfg.SegBlocks)
-			l.crcOK = make([]bool, l.cfg.SegBlocks)
-		}
-		clear(l.dirty)
-		clear(l.crcOK)
-		l.nDirty = 0
-		l.entries = l.entries[:0]
-		clear(l.buf)
-		l.encodeSummaryLocked(l.buf[:BlockSize], l.seq, false) // no entries: "opened at seq"
-		l.recDue = true
-		return nil
+	} else if !l.free[seg] {
+		// Marked allocated since it was promised. Opening anything else
+		// would end the chain short of it, so there is no room until the
+		// promised segment is freed again.
+		return fmt.Errorf("seglog: promised successor %d is in use: %w", seg, types.ErrNoSpace)
 	}
-	return types.ErrNoSpace
+	was := l.allocatable(seg)
+	l.free[seg] = false
+	l.recountLocked(seg, was)
+	l.curPrev, l.curOpened, l.lastSeg = l.lastSeg, l.seq, seg
+	l.nextSeg = l.lowestAllocatableLocked() // -1: none free, the chain cannot name what follows
+	l.curSeg = seg
+	l.used = 0
+	// The segment's previous life is over; its cached checksum
+	// table (and any load racing this reuse) must not survive.
+	delete(l.sums, seg)
+	l.sumGen++
+	if l.dirty == nil {
+		l.dirty = make([]bool, l.cfg.SegBlocks)
+		l.crcs = make([]uint32, l.cfg.SegBlocks)
+		l.crcOK = make([]bool, l.cfg.SegBlocks)
+	}
+	clear(l.dirty)
+	clear(l.crcOK)
+	l.nDirty = 0
+	l.entries = l.entries[:0]
+	clear(l.buf)
+	l.encodeSummaryLocked(l.buf[:BlockSize], l.seq, false) // no entries: "opened at seq"
+	l.recDue = true
+	return nil
+}
+
+// allocatable reports whether the allocator may hand seg out: free, not
+// quarantined, and not held for the chain. nFree counts exactly these.
+// Caller holds l.mu.
+func (l *Log) allocatable(seg int64) bool {
+	return l.free[seg] && !l.quar[seg] && !l.held[seg]
+}
+
+// recountLocked adjusts nFree after a change to seg's allocator state;
+// was is what allocatable(seg) said before it. While a segment is open
+// its successor is only promised — no seal names it yet, and the open
+// segment's later summaries and its seal carry whatever nextSeg is when
+// they are encoded — so the promise moves to the lowest allocatable
+// segment, as the next open would have chosen it. Caller holds l.mu.
+func (l *Log) recountLocked(seg int64, was bool) {
+	now := l.allocatable(seg)
+	switch {
+	case now && !was:
+		l.nFree++
+	case was && !now:
+		l.nFree--
+	}
+	if now != was && l.curSeg >= 0 {
+		l.nextSeg = l.lowestAllocatableLocked()
+	}
+}
+
+// lowestAllocatableLocked returns the lowest allocatable segment, or -1.
+func (l *Log) lowestAllocatableLocked() int64 {
+	for seg := int64(0); l.nFree > 0 && seg < l.nSegments; seg++ {
+		if l.allocatable(seg) {
+			return seg
+		}
+	}
+	return -1
+}
+
+// holdLocked replaces the held set with chain (nil releases it).
+func (l *Log) holdLocked(chain []int64) {
+	for seg := range l.held {
+		delete(l.held, seg)
+		l.recountLocked(seg, false)
+	}
+	for _, seg := range chain {
+		if l.held == nil {
+			l.held = make(map[int64]bool)
+		}
+		was := l.allocatable(seg)
+		l.held[seg] = true
+		l.recountLocked(seg, was)
+	}
 }
 
 // Sync makes all staged blocks durable. A partially filled segment is
@@ -707,7 +829,7 @@ func (l *Log) forceDev() error {
 // The snapshot's slot is then retired with a pad entry, so no later
 // append can overwrite the only durable summary before its replacement
 // lands; recovery finds the newest valid snapshot by scanning
-// (findSummary). A crash anywhere inside the flush leaves the previous
+// (newestSummary). A crash anywhere inside the flush leaves the previous
 // snapshot intact and loses only unacknowledged work.
 //
 // Seal (closeSeg true): the payload is written first, then the final
@@ -850,12 +972,18 @@ func (l *Log) flushLocked(closeSeg bool) error {
 // leave journal sums zero — the journal's own per-sector CRCs police
 // torn and stale content there, exactly as before checksums — and the
 // seal, after which no rewrite can ever touch the segment, pins the
-// final bytes. Caller holds l.mu.
+// final bytes. Every summary of the segment's life names the same
+// predecessor and opening seq, and the successor promised when it is
+// encoded: the promise may move until the seal (recountLocked). Caller
+// holds l.mu.
 func (l *Log) encodeSummaryLocked(sb []byte, seq uint64, sealed bool) {
 	clear(sb)
-	binary.LittleEndian.PutUint32(sb[0:], summaryMagic2)
+	binary.LittleEndian.PutUint32(sb[0:], summaryMagic)
 	binary.LittleEndian.PutUint64(sb[4:], seq)
 	binary.LittleEndian.PutUint32(sb[12:], uint32(len(l.entries)))
+	binary.LittleEndian.PutUint32(sb[20:], segWord(l.nextSeg))
+	binary.LittleEndian.PutUint32(sb[24:], segWord(l.curPrev))
+	binary.LittleEndian.PutUint64(sb[28:], l.curOpened)
 	off := summaryHeaderSize
 	for i, e := range l.entries {
 		sb[off] = byte(e.Kind)
@@ -875,7 +1003,29 @@ func (l *Log) encodeSummaryLocked(sb []byte, seq uint64, sealed bool) {
 		binary.LittleEndian.PutUint32(sb[off+29:], sum)
 		off += summaryEntrySize
 	}
-	binary.LittleEndian.PutUint32(sb[16:], crc32.ChecksumIEEE(sb[summaryHeaderSize:]))
+	binary.LittleEndian.PutUint32(sb[16:], summaryCRC(sb))
+}
+
+// summaryCRC is the checksum of a summary block: everything but the four
+// bytes that hold it.
+func summaryCRC(sb []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(sb[:16]), crc32.IEEETable, sb[20:])
+}
+
+// segWord encodes a segment number for a summary or checkpoint field.
+func segWord(seg int64) uint32 {
+	if seg < 0 {
+		return noSeg
+	}
+	return uint32(seg)
+}
+
+// segOfWord decodes segWord; the caller bounds the result.
+func segOfWord(w uint32) int64 {
+	if w == noSeg {
+		return -1
+	}
+	return int64(w)
 }
 
 // Read fills buf (length ≤ BlockSize) with the contents of the block at
@@ -985,12 +1135,13 @@ func (l *Log) ReadRun(addr BlockAddr, n int, buf []byte) error {
 // checksum table. A mismatched block is first retried against the
 // retained flush buffer (repairBlock); an unrepairable one quarantines
 // the segment and fails the read with a typed CorruptError. Segments
-// without a table — the open segment, unreadable or missing summaries —
-// pass unverified.
+// without a table — the open segment, or no summary on the device —
+// pass unverified. A device error reading the summary fails the read:
+// "the device would not say" is not "no checksum".
 func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) error {
-	sums := l.sumsFor(seg)
-	if sums == nil {
-		return nil
+	sums, err := l.sumsFor(seg)
+	if err != nil || sums == nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		e := idx - 1 + i
@@ -1024,38 +1175,60 @@ func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) err
 }
 
 // sumsFor returns seg's checksum table (payload index -> expected CRC),
-// lazily loading it from the segment's durable summary. nil means no
-// verification is possible: the open segment, or no readable summary at
-// all. Negative results are cached too, so such a segment does not pay
-// a summary scan per read.
-func (l *Log) sumsFor(seg int64) []uint32 {
+// lazily loading it from the segment's durable summary, or from the
+// summary the roll-forward scan already read (cacheSums). nil means no
+// verification is possible: the open segment, or no summary at all.
+// Negative results are cached too, so such a segment does not pay a
+// summary scan per read; a device error is returned and not cached.
+func (l *Log) sumsFor(seg int64) ([]uint32, error) {
 	l.mu.Lock()
 	if seg == l.curSeg {
 		l.mu.Unlock()
-		return nil
+		return nil, nil
 	}
 	if s, ok := l.sums[seg]; ok {
 		l.mu.Unlock()
-		return s
+		return s, nil
 	}
 	gen := l.sumGen
 	l.mu.Unlock()
-	sum, ok, err := l.findSummary(seg, 0, newScanBuf())
+	b := scanBufs.Get().(*scanBuf)
+	defer scanBufs.Put(b)
+	sb, h, _, err := l.newestSummary(seg, b)
 	if err != nil {
-		return nil // device trouble reading the summary: skip, don't cache
+		return nil, err
 	}
-	var table []uint32
-	if ok {
-		table = make([]uint32, len(sum.Entries))
-		for i := range sum.Entries {
-			table[i] = sum.Entries[i].Sum
-		}
-	}
+	table := sumColumn(sb, h)
 	l.mu.Lock()
 	if l.sumGen == gen && seg != l.curSeg {
 		l.sums[seg] = table
 	}
 	l.mu.Unlock()
+	return table, nil
+}
+
+// cacheSums installs the checksum table of a settled segment whose newest
+// summary the caller holds (sb, h; sb nil: none), so that the first
+// verified read there does not read the summary a second time.
+func (l *Log) cacheSums(seg int64, sb []byte, h sumHeader) {
+	table := sumColumn(sb, h)
+	l.mu.Lock()
+	if seg != l.curSeg {
+		l.sums[seg] = table
+	}
+	l.mu.Unlock()
+}
+
+// sumColumn returns the Sum column of a summary block, decoding nothing
+// else; nil for no summary or an open record.
+func sumColumn(sb []byte, h sumHeader) []uint32 {
+	if sb == nil || h.count == 0 {
+		return nil
+	}
+	table := make([]uint32, h.count)
+	for i := range table {
+		table[i] = binary.LittleEndian.Uint32(sb[summaryHeaderSize+i*summaryEntrySize+29:])
+	}
 	return table
 }
 
@@ -1088,13 +1261,9 @@ func (l *Log) repairBlock(seg int64, idx int, want uint32, blk []byte) bool {
 // only future allocation, so losing it at a crash costs nothing but a
 // rediscovery. Caller holds l.mu.
 func (l *Log) quarantineLocked(seg int64) {
-	if l.quar[seg] {
-		return
-	}
+	was := l.allocatable(seg)
 	l.quar[seg] = true
-	if l.free[seg] {
-		l.nFree--
-	}
+	l.recountLocked(seg, was)
 }
 
 // IsQuarantined reports whether seg has been quarantined this run.
@@ -1168,7 +1337,7 @@ func (l *Log) ReadSummary(seg int64) (Summary, bool, error) {
 		return s, true, nil
 	}
 	// A sealed segment's block-0 summary may still be in flight; wait
-	// it out so findSummary reads a settled image. (The drive's lock
+	// it out so the lookup reads a settled image. (The drive's lock
 	// hierarchy already excludes this — summary readers hold the
 	// exclusive drive lock, which waits out every in-flight flush — so
 	// this guards direct users of the package.)
@@ -1177,83 +1346,156 @@ func (l *Log) ReadSummary(seg int64) (Summary, bool, error) {
 		l.flushCond.Wait()
 	}
 	l.mu.Unlock()
-	return l.findSummary(seg, 0, newScanBuf())
+	b := scanBufs.Get().(*scanBuf)
+	defer scanBufs.Put(b)
+	return l.findSummary(seg, b)
 }
 
-// scanBuf is findSummary's scratch: block 0 of a segment, and (allocated
-// on first need) the rest of one. ScanFrom shares one across the device.
+// Covered returns how many payload blocks of seg its newest durable
+// summary describes (the staged entries, for the open segment): zero
+// for a segment without one. It is the length of the segment's checksum
+// table, so it decodes nothing but the Sum column, and the verified
+// reads that follow find the table cached.
+func (l *Log) Covered(seg int64) (int, error) {
+	if seg < 0 || seg >= l.nSegments {
+		return 0, fmt.Errorf("seglog: segment %d out of range: %w", seg, types.ErrInval)
+	}
+	l.mu.Lock()
+	if seg == l.curSeg {
+		n := len(l.entries)
+		l.mu.Unlock()
+		return n, nil
+	}
+	for l.flushing && seg == l.flushSeg {
+		l.flushStalls++
+		l.flushCond.Wait()
+	}
+	l.mu.Unlock()
+	sums, err := l.sumsFor(seg)
+	return len(sums), err
+}
+
+// scanBuf is newestSummary's scratch: block 0 of a segment, and
+// (allocated on first need) the rest of one. ScanFrom borrows one from
+// scanBufs for its whole scan, a one-segment lookup for its one.
 type scanBuf struct{ blk, rest []byte }
 
-func newScanBuf() *scanBuf { return &scanBuf{blk: make([]byte, BlockSize)} }
+// scanBufs is shared by every Log, not owned by one: a pool registers
+// itself globally, and a pool inside a Log would keep a closed Log and
+// its staging buffers reachable until two collections later.
+var scanBufs = sync.Pool{New: func() any { return &scanBuf{blk: make([]byte, BlockSize)} }}
 
 var zeroBlock [BlockSize]byte
 
-// findSummary locates the newest valid summary of a segment on disk, if
-// its sequence is above afterSeq, by what block 0 holds (DESIGN.md
-// §14.5). A sealed summary: that is it. Zeros: never written. An open
-// record: the newest valid trailing snapshot (the slot right after the
-// blocks it describes) among blocks 1.., fetched with one vectored read.
-// Anything else — a torn or rotted record — is read like a record, never
-// like zeros: taking an opened segment for a free one would silently
-// drop an acknowledged tail; the reverse costs one read.
-func (l *Log) findSummary(seg int64, afterSeq uint64, b *scanBuf) (Summary, bool, error) {
+// findSummary decodes the newest valid summary of a segment on disk.
+// An open record with no snapshot behind it is no summary: it lists
+// nothing.
+func (l *Log) findSummary(seg int64, b *scanBuf) (Summary, bool, error) {
+	sb, h, _, err := l.newestSummary(seg, b)
+	if err != nil || sb == nil || h.count == 0 {
+		return Summary{}, false, err
+	}
+	return decodeEntries(sb, h), true, nil
+}
+
+// block0 is what newestSummary found in a segment's block 0.
+type block0 uint8
+
+const (
+	b0Junk    block0 = iota // neither of the others: a torn or rotted summary
+	b0Zero                  // never written
+	b0Summary               // a sealed summary or an open record
+)
+
+// newestSummary locates the newest valid summary block of a segment on
+// disk by what block 0 holds (DESIGN.md §14.5), and returns it (aliasing
+// b) with its header and what block 0 held. A sealed summary: that is
+// it. Zeros: never written (sb is nil). An open record: the newest
+// trailing snapshot of this life (the slot right after the blocks it
+// describes, newer than the record) among blocks 1.., fetched with one
+// vectored read, or the record itself when there is none. Anything else
+// — a torn or rotted record — is read like a record, never like zeros:
+// taking an opened segment for a free one would silently drop an
+// acknowledged tail; the reverse costs one read. Then sb is the newest
+// valid snapshot of any life, or nil.
+func (l *Log) newestSummary(seg int64, b *scanBuf) (sb []byte, h sumHeader, b0 block0, err error) {
 	base := l.segBase(seg)
 	if err := readBlocks(l.dev, base, b.blk); err != nil {
-		return Summary{}, false, fmt.Errorf("seglog: segment %d summary: %w", seg, err)
+		return nil, sumHeader{}, b0Junk, fmt.Errorf("seglog: segment %d summary: %w", seg, err)
 	}
-	best := b.blk
-	seq, n, ok := checkSummary(best)
-	if !ok || n < l.PayloadBlocks() {
-		if !ok && bytes.Equal(best, zeroBlock[:]) {
-			return Summary{}, false, nil
-		}
-		if b.rest == nil {
-			b.rest = make([]byte, l.PayloadBlocks()*BlockSize)
-		}
-		if err := readBlocks(l.dev, base+1, b.rest); err != nil {
-			return Summary{}, false, fmt.Errorf("seglog: segment %d payload: %w", seg, err)
-		}
-		best, seq = nil, 0
-		for slot := 0; slot < l.PayloadBlocks(); slot++ {
-			// A genuine snapshot in payload slot k describes the k before it.
-			blk := b.rest[slot*BlockSize : (slot+1)*BlockSize]
-			if s, n, ok := checkSummary(blk); ok && n == slot && (best == nil || s > seq) {
-				best, seq = blk, s
-			}
+	h, ok := checkSummary(b.blk)
+	if ok && h.count == l.PayloadBlocks() {
+		return b.blk, h, b0Summary, nil
+	}
+	if !ok && bytes.Equal(b.blk, zeroBlock[:]) {
+		return nil, sumHeader{}, b0Zero, nil
+	}
+	if ok && h.count == 0 {
+		sb, b0 = b.blk, b0Summary // the record; snapshots older than it are an earlier life's
+	} else {
+		h = sumHeader{}
+	}
+	if len(b.rest) != l.PayloadBlocks()*BlockSize { // unused yet, or used by a log of another geometry
+		b.rest = make([]byte, l.PayloadBlocks()*BlockSize)
+	}
+	if err := readBlocks(l.dev, base+1, b.rest); err != nil {
+		return nil, sumHeader{}, b0, fmt.Errorf("seglog: segment %d payload: %w", seg, err)
+	}
+	for slot := 1; slot < l.PayloadBlocks(); slot++ {
+		// A genuine snapshot in payload slot k describes the k before it.
+		blk := b.rest[slot*BlockSize : (slot+1)*BlockSize]
+		if s, ok := checkSummary(blk); ok && s.count == slot && (sb == nil || s.seq > h.seq) {
+			sb, h = blk, s
 		}
 	}
-	if best == nil || seq <= afterSeq {
-		return Summary{}, false, nil
-	}
-	return decodeSummary(best)
+	return sb, h, b0, nil
+}
+
+// sumHeader is the header of a summary block checkSummary accepted.
+type sumHeader struct {
+	seq        uint64
+	count      int
+	next, prev int64 // -1: noSeg; not yet bounded by the log's size
+	opened     uint64
 }
 
 // checkSummary validates a candidate summary block (magic, hostile
-// count, CRC) and returns its sequence and entry count without
-// materializing the entries. Invalid candidates report ok=false, never
-// an error: recovery probes arbitrary blocks looking for summaries.
-func checkSummary(sb []byte) (seq uint64, count int, ok bool) {
-	if len(sb) < summaryHeaderSize || binary.LittleEndian.Uint32(sb[0:]) != summaryMagic2 {
-		return 0, 0, false
+// count, CRC) and returns its header without materializing the entries.
+// Invalid candidates report ok=false, never an error: recovery probes
+// arbitrary blocks looking for summaries.
+func checkSummary(sb []byte) (sumHeader, bool) {
+	if len(sb) < summaryHeaderSize || binary.LittleEndian.Uint32(sb[0:]) != summaryMagic {
+		return sumHeader{}, false
 	}
-	count = int(binary.LittleEndian.Uint32(sb[12:]))
+	count := int(binary.LittleEndian.Uint32(sb[12:]))
 	if count < 0 || summaryHeaderSize+count*summaryEntrySize > BlockSize ||
 		summaryHeaderSize+count*summaryEntrySize > len(sb) {
-		return 0, 0, false
+		return sumHeader{}, false
 	}
-	if binary.LittleEndian.Uint32(sb[16:]) != crc32.ChecksumIEEE(sb[summaryHeaderSize:]) {
-		return 0, 0, false
+	if binary.LittleEndian.Uint32(sb[16:]) != summaryCRC(sb) {
+		return sumHeader{}, false
 	}
-	return binary.LittleEndian.Uint64(sb[4:]), count, true
+	return sumHeader{
+		seq:    binary.LittleEndian.Uint64(sb[4:]),
+		count:  count,
+		next:   segOfWord(binary.LittleEndian.Uint32(sb[20:])),
+		prev:   segOfWord(binary.LittleEndian.Uint32(sb[24:])),
+		opened: binary.LittleEndian.Uint64(sb[28:]),
+	}, true
 }
 
 // decodeSummary parses a candidate summary block checkSummary accepts.
 func decodeSummary(sb []byte) (Summary, bool, error) {
-	seq, count, ok := checkSummary(sb)
+	h, ok := checkSummary(sb)
 	if !ok {
 		return Summary{}, false, nil
 	}
-	s := Summary{Seq: seq, Entries: make([]SummaryEntry, count)}
+	return decodeEntries(sb, h), true, nil
+}
+
+// decodeEntries materializes the entries of a validated summary block.
+func decodeEntries(sb []byte, h sumHeader) Summary {
+	s := Summary{Seq: h.seq, Entries: make([]SummaryEntry, h.count)}
 	off := summaryHeaderSize
 	for i := range s.Entries {
 		s.Entries[i] = SummaryEntry{
@@ -1266,7 +1508,7 @@ func decodeSummary(sb []byte) (Summary, bool, error) {
 		}
 		off += summaryEntrySize
 	}
-	return s, true, nil
+	return s
 }
 
 // EntryAt returns the block address of entry i in segment seg.
@@ -1275,8 +1517,12 @@ func (l *Log) EntryAt(seg int64, i int) BlockAddr {
 }
 
 // FreeSegment returns seg to the free pool. The caller (the cleaner)
-// must have established that no live or in-window block remains in it.
-// Freeing the open segment is rejected.
+// must have established that no live or in-window block remains in it,
+// and, for a segment written since the last checkpoint, that the
+// checkpoint after it is durable: the roll-forward chain runs through
+// every such segment, and a reuse cuts it (the walk then falls back to
+// probing every segment). Freeing the open segment is rejected. A held
+// or quarantined segment is free for accounting but not handed out.
 func (l *Log) FreeSegment(seg int64) error {
 	if seg < 0 || seg >= l.nSegments {
 		return fmt.Errorf("seglog: segment %d out of range: %w", seg, types.ErrInval)
@@ -1289,15 +1535,9 @@ func (l *Log) FreeSegment(seg int64) error {
 	if l.flushing && seg == l.flushSeg {
 		return fmt.Errorf("seglog: cannot free segment %d mid-flush: %w", seg, types.ErrInval)
 	}
-	if !l.free[seg] {
-		l.free[seg] = true
-		// A quarantined segment is free for accounting (no durable
-		// structure may reference it) but never counted for — or handed
-		// out by — the allocator.
-		if !l.quar[seg] {
-			l.nFree++
-		}
-	}
+	was := l.allocatable(seg)
+	l.free[seg] = true
+	l.recountLocked(seg, was)
 	delete(l.sums, seg)
 	l.sumGen++
 	if l.flushBufSeg == seg {
@@ -1322,12 +1562,9 @@ func (l *Log) IsFree(seg int64) bool {
 func (l *Log) MarkAllocated(seg int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.free[seg] {
-		l.free[seg] = false
-		if !l.quar[seg] {
-			l.nFree--
-		}
-	}
+	was := l.allocatable(seg)
+	l.free[seg] = false
+	l.recountLocked(seg, was)
 }
 
 // SetSeq restores the write sequence counter during recovery.
@@ -1341,31 +1578,164 @@ func (l *Log) SetSeq(seq uint64) {
 
 // ScanFrom visits every written segment whose summary sequence is
 // greater than afterSeq, in increasing sequence order. Recovery uses it
-// to roll the object map forward from the last checkpoint. It reads one
-// block per segment plus the rest of each unsealed one (findSummary).
+// to roll the object map forward from the last checkpoint. When afterSeq
+// is the seq of the checkpoint ReadCheckpoint returned, it follows the
+// log from that checkpoint's anchor (walkChain) and reads only the
+// segments written since, plus the block 0 that ends the chain; it then
+// holds the chain back from reuse until the next checkpoint and promises
+// the chain's successor to the next open. Otherwise, or when the walk
+// cannot vouch for the chain, it reads block 0 of every segment, and the
+// rest of each unsealed one (probeAll); after a failed walk, the next
+// open takes the lowest free segment and names no predecessor, since the
+// promise at the chain's end is unknown. The summaries either reads
+// become the segments' checksum tables. Only a log that has appended
+// nothing since Open takes up the chain's promise.
 func (l *Log) ScanFrom(afterSeq uint64, fn func(seg int64, sum Summary) error) error {
-	type hit struct {
-		seg int64
-		sum Summary
-	}
+	b := scanBufs.Get().(*scanBuf)
+	defer scanBufs.Put(b)
+	l.mu.Lock()
+	a := l.anchor
+	l.mu.Unlock()
 	var hits []hit
-	b := newScanBuf()
-	for seg := int64(0); seg < l.nSegments; seg++ {
-		sum, ok, err := l.findSummary(seg, afterSeq, b)
-		if err != nil {
-			return err // skipping it would open on an older prefix, acked writes gone
+	var err error
+	walked := a.ok && a.seq == afterSeq
+	if walked {
+		var t chainTail
+		var why string
+		if hits, t, why, err = l.walkChain(a, b); err != nil {
+			return err
 		}
-		if ok {
-			hits = append(hits, hit{seg, sum})
+		if why != "" {
+			stdlog.Printf("seglog: %s; probing every segment", why)
+			walked = false
+		}
+		l.mu.Lock()
+		if l.appends == 0 {
+			l.lastSeg, l.nextSeg, l.seq = t.last, t.next, max(l.seq, t.newest)
+			l.holdLocked(t.chain)
+		}
+		l.mu.Unlock()
+	}
+	if !walked {
+		if hits, err = l.probeAll(afterSeq, b); err != nil {
+			return err
 		}
 	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].sum.Seq < hits[j].sum.Seq })
 	for _, h := range hits {
 		if err := fn(h.seg, h.sum); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// hit is a segment the roll-forward scan replays.
+type hit struct {
+	seg int64
+	sum Summary
+}
+
+// walkChain follows the log from anchor a (DESIGN.md §14.5) and returns
+// the segments whose newest summary is above a.seq, in seq order. It
+// steps to the segment a summary names as next only if that segment's
+// newest summary is valid and no older than the predecessor's, names the
+// predecessor as prev, opened no earlier than the predecessor's newest
+// summary (the anchor: at exactly the seq the checkpoint recorded), and
+// names a successor inside the log (hopFault). The chain ends at a block
+// 0 that is exactly zero or a valid summary older than the predecessor's:
+// the promised successor has not been opened. A block 0 that is neither
+// does not end it, even with older snapshots behind it: a torn first
+// record reads so, but so does a rotted seal over payload that merely
+// looks like an old snapshot (a CRC is not a MAC). A snapshot
+// names the successor promised when it was written, and the promise may
+// move until the seal (recountLocked), so a successor named by a snapshot
+// behind a block 0 that is no summary — a rotted seal, say — may be
+// stepped to, but cannot end the chain. Anything else returns why the
+// walk cannot vouch for the rest of the log, and the caller probes. The walk never consults a free bit: nothing in it comes
+// from the drive's own bookkeeping, only from summaries on the device.
+func (l *Log) walkChain(a anchor, b *scanBuf) (hits []hit, t chainTail, why string, err error) {
+	t = chainTail{last: -1, next: -1}
+	if a.seg < 0 || a.seg >= l.nSegments {
+		return nil, t, "the checkpoint names no segment to resume in", nil
+	}
+	var chain []int64
+	prev, prevSeq, seg, newest := a.prev, a.opened, a.seg, uint64(0)
+	named := true // seg is the successor the checkpoint or prev's block 0 names
+	for {
+		if len(chain) == int(l.nSegments) {
+			return nil, t, "the chain is longer than the log", nil
+		}
+		sb, h, b0, err := l.newestSummary(seg, b)
+		if err != nil {
+			return nil, t, "", err // skipping it would open on an older prefix, acked writes gone
+		}
+		if b0 == b0Zero || b0 == b0Summary && h.seq < prevSeq {
+			if !named {
+				return nil, t, fmt.Sprintf("segment %d, whose block 0 is no summary, promised %d in a snapshot, which never opened: its seal may name another", prev, seg), nil
+			}
+			break
+		}
+		if sb == nil || h.seq < prevSeq {
+			return nil, t, fmt.Sprintf("segment %d holds neither a summary nor a zero block 0, nor a snapshot newer than seq %d", seg, prevSeq), nil
+		}
+		if why := hopFault(h, seg, prev, prevSeq, len(chain) == 0, l.nSegments); why != "" {
+			return nil, t, why, nil
+		}
+		chain = append(chain, seg)
+		newest = max(newest, h.seq)
+		l.cacheSums(seg, sb, h)
+		if h.count > 0 && h.seq > a.seq {
+			hits = append(hits, hit{seg, decodeEntries(sb, h)})
+		}
+		prev, prevSeq, seg, named = seg, h.seq, h.next, b0 == b0Summary
+	}
+	return hits, chainTail{last: prev, next: seg, chain: chain, newest: newest}, "", nil
+}
+
+// chainTail is where a walk ended: the last segment on the chain (the
+// anchor's predecessor when the anchor was never opened), the successor
+// it promised, every segment on the chain, and the newest seq met.
+type chainTail struct {
+	last, next int64
+	chain      []int64
+	newest     uint64
+}
+
+// hopFault says why the chain may not step to seg, whose newest summary
+// h is no older than its predecessor's (prev, with newest seq prevSeq),
+// or "" if it may. For the anchor, prevSeq is the seq the checkpoint
+// recorded it opening at, which h must match.
+func hopFault(h sumHeader, seg, prev int64, prevSeq uint64, anchor bool, nSeg int64) string {
+	switch {
+	case h.prev != prev || h.prev == seg:
+		return fmt.Sprintf("segment %d names %d as the segment opened before it, not %d", seg, h.prev, prev)
+	case anchor && h.opened != prevSeq, h.opened < prevSeq:
+		return fmt.Sprintf("segment %d opened at seq %d, out of step with the chain at seq %d", seg, h.opened, prevSeq)
+	case h.next < 0:
+		return fmt.Sprintf("segment %d opened with no free segment to name as its successor", seg)
+	case h.next >= nSeg || h.next == seg:
+		return fmt.Sprintf("segment %d names segment %d as its successor", seg, h.next)
+	}
+	return ""
+}
+
+// probeAll reads every segment and returns those whose newest summary is
+// above afterSeq, in seq order. It trusts no pointer, so it is what the
+// walk falls back to.
+func (l *Log) probeAll(afterSeq uint64, b *scanBuf) ([]hit, error) {
+	var hits []hit
+	for seg := int64(0); seg < l.nSegments; seg++ {
+		sb, h, _, err := l.newestSummary(seg, b)
+		if err != nil {
+			return nil, err // skipping it would open on an older prefix, acked writes gone
+		}
+		if sb != nil && h.count > 0 && h.seq > afterSeq {
+			l.cacheSums(seg, sb, h)
+			hits = append(hits, hit{seg, decodeEntries(sb, h)})
+		}
+	}
+	sort.Slice(hits, func(i, j int) bool { return hits[i].sum.Seq < hits[j].sum.Seq })
+	return hits, nil
 }
 
 // CheckpointCapacity returns the payload bytes one checkpoint slot can
@@ -1381,7 +1751,10 @@ func (l *Log) CheckpointCapacity() int {
 // is valid whenever the state blob's CRC holds, while a missing or
 // corrupt index blob merely degrades ReadCheckpoint's index to nil —
 // the caller falls back to full replay, never to a different anchor.
-// Both blobs together must fit CheckpointCapacity; index may be nil.
+// Both blobs together must fit CheckpointCapacity; index may be nil. The
+// header also records where the log resumes after the checkpoint (the
+// anchor of ScanFrom's chain walk); once the slot is durable, the chain
+// a recovery held back is released to the allocator.
 func (l *Log) WriteCheckpoint(data, index []byte) error {
 	maxLen := l.CheckpointCapacity()
 	if len(data)+len(index) > maxLen {
@@ -1392,6 +1765,7 @@ func (l *Log) WriteCheckpoint(data, index []byte) error {
 	l.cpSlot = 1 - l.cpSlot
 	l.seq++
 	seq := l.seq
+	a := l.anchorLocked(seq)
 	l.mu.Unlock()
 
 	blob := make([]byte, cpHeaderSize+len(data)+len(index))
@@ -1401,6 +1775,10 @@ func (l *Log) WriteCheckpoint(data, index []byte) error {
 	binary.LittleEndian.PutUint32(blob[16:], crc32.ChecksumIEEE(data))
 	binary.LittleEndian.PutUint32(blob[20:], uint32(len(index)))
 	binary.LittleEndian.PutUint32(blob[24:], crc32.ChecksumIEEE(index))
+	binary.LittleEndian.PutUint32(blob[28:], segWord(a.seg))
+	binary.LittleEndian.PutUint32(blob[32:], segWord(a.prev))
+	binary.LittleEndian.PutUint64(blob[36:], a.opened)
+	binary.LittleEndian.PutUint32(blob[44:], crc32.ChecksumIEEE(blob[:44]))
 	copy(blob[cpHeaderSize:], data)
 	copy(blob[cpHeaderSize+len(data):], index)
 	// Pad to block multiple.
@@ -1414,10 +1792,32 @@ func (l *Log) WriteCheckpoint(data, index []byte) error {
 	// Barrier: the checkpoint authorizes segment reuse (the drive drains
 	// its deferred-free queue right after), so it must be on stable media
 	// before this call returns.
-	return l.forceDev()
+	if err := l.forceDev(); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	l.holdLocked(nil)
+	l.mu.Unlock()
+	return nil
 }
 
-const cpHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 // magic, seq, lenA, crcA, lenB, crcB
+// anchorLocked is the anchor a checkpoint at seq records: the open
+// segment, or else the successor promised to open next (reserved now if
+// none is), which opens at exactly seq, since no seq is issued while no
+// segment is open but by a later checkpoint, which records its own.
+func (l *Log) anchorLocked(seq uint64) anchor {
+	if l.curSeg >= 0 {
+		return anchor{seg: l.curSeg, prev: l.curPrev, opened: l.curOpened}
+	}
+	if l.nextSeg < 0 {
+		l.nextSeg = l.lowestAllocatableLocked()
+	}
+	return anchor{seg: l.nextSeg, prev: l.lastSeg, opened: seq}
+}
+
+// magic, seq, lenA, crcA, lenB, crcB, anchor segment, its prev, the seq
+// it opened at, and a CRC of all of these
+const cpHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 8 + 4
 
 // ReadCheckpoint returns the newest valid checkpoint blob, its optional
 // recovery index, and the log sequence at which it was taken. ok is
@@ -1427,18 +1827,28 @@ const cpHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 // magic, seq, lenA, crcA, lenB, crcB
 // that is the whole point of alternating slots. The index blob is best
 // effort: out-of-bounds length or CRC mismatch (a tear inside the index
 // region of an otherwise intact slot) returns index nil without
-// invalidating the slot.
+// invalidating the slot. It also sets the anchor ScanFrom(seq) walks
+// from. Without a checkpoint that is where Format left the log — the
+// first segment opened, at seq 0 — unless a slot holds a checkpoint that
+// no longer decodes: then the log has moved on from there, and nothing
+// says to where.
 func (l *Log) ReadCheckpoint() (data, index []byte, seq uint64, ok bool, err error) {
 	hdr := make([]byte, BlockSize)
 	var bestSlot = -1
 	var bestSeq uint64
 	var bestData, bestIndex []byte
+	var best anchor
+	written := false
 	for slot := 0; slot < 2; slot++ {
 		base := int64(1 + slot*l.cfg.CheckpointBlocks)
 		if err := readBlocks(l.dev, base, hdr); err != nil {
 			return nil, nil, 0, false, err
 		}
 		if binary.LittleEndian.Uint32(hdr[0:]) != cpMagic {
+			continue
+		}
+		written = true
+		if binary.LittleEndian.Uint32(hdr[44:]) != crc32.ChecksumIEEE(hdr[:44]) {
 			continue
 		}
 		s := binary.LittleEndian.Uint64(hdr[4:])
@@ -1469,17 +1879,23 @@ func (l *Log) ReadCheckpoint() (data, index []byte, seq uint64, ok bool, err err
 		}
 		if bestSlot < 0 || s > bestSeq {
 			bestSlot, bestSeq, bestData, bestIndex = slot, s, payload, idx
+			best = anchor{ok: true, seq: s,
+				seg:    segOfWord(binary.LittleEndian.Uint32(hdr[28:])),
+				prev:   segOfWord(binary.LittleEndian.Uint32(hdr[32:])),
+				opened: binary.LittleEndian.Uint64(hdr[36:])}
 		}
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if bestSlot < 0 {
+		l.anchor = anchor{ok: !written, seg: 0, prev: -1}
 		return nil, nil, 0, false, nil
 	}
-	l.mu.Lock()
+	l.anchor = best
 	l.cpSlot = 1 - bestSlot
 	if bestSeq > l.seq {
 		l.seq = bestSeq
 	}
-	l.mu.Unlock()
 	return bestData, bestIndex, bestSeq, true, nil
 }
 

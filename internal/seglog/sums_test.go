@@ -110,7 +110,7 @@ func checkDurableSums(t *testing.T, l *Log, segs map[int64]bool) {
 	cur := l.CurrentSegment()
 	blk := make([]byte, BlockSize)
 	for seg := range segs {
-		sum, ok, err := l.findSummary(seg, 0, newScanBuf())
+		sum, ok, err := l.findSummary(seg, &scanBuf{blk: make([]byte, BlockSize)})
 		if err != nil || !ok {
 			t.Fatalf("segment %d: synced but no durable summary (ok=%v, %v)", seg, ok, err)
 		}

@@ -284,7 +284,7 @@ func splitDeltaRef(raw uint64) (packed seglog.BlockAddr, slot int) {
 // many slots point in. Together with landmark roots and the final
 // blocks of unreaped deleted objects, the blocks this yields for the
 // retained entries above an object's floor are the history pool —
-// the cleaner, both recovery paths and CheckInvariants all enumerate
+// the cleaner, recovery's usage rebuild and CheckInvariants all enumerate
 // it here.
 func poolBlocks(e *journal.Entry, fn func(addr seglog.BlockAddr, packed bool)) {
 	var donePacked map[seglog.BlockAddr]bool
@@ -333,17 +333,6 @@ func (d *Drive) packedOrigs(addr seglog.BlockAddr) []uint64 {
 		return nil
 	}
 	return origs
-}
-
-// origOfRef resolves a (possibly tagged) packed-slot reference to the
-// original address its slot replaced, or NilAddr if unavailable.
-func (d *Drive) origOfRef(ref uint64) seglog.BlockAddr {
-	packed, slot := splitDeltaRef(ref &^ deltaRefTag)
-	origs := d.packedOrigs(packed)
-	if slot >= len(origs) {
-		return seglog.NilAddr
-	}
-	return seglog.BlockAddr(origs[slot])
 }
 
 // droppedByBit decodes e's Dropped list (ascending-bit wire order) into

@@ -121,10 +121,11 @@ type Options struct {
 	// the resulting corruption. Never set outside tests.
 	UnsafeImmediateReuse bool
 	// DisableSegIndex ignores the persisted segment index at Open and
-	// forces full-scan recovery (DESIGN.md §14). It affects only the
-	// open path — checkpoints still write the index — so the
-	// recovery-equivalence battery can open the same crash image both
-	// ways and diff the results.
+	// recovers from the empty base: every object's usage is rebuilt from
+	// its whole chain (DESIGN.md §14.2). It affects only the open path —
+	// checkpoints still write the index — so the recovery-equivalence
+	// battery can open the same crash image on both bases and diff the
+	// results.
 	DisableSegIndex bool
 }
 
@@ -229,8 +230,8 @@ type object struct {
 	// fill-in (flushJournalLocked), aging/reap/Flush removal (cleaner,
 	// flushObjectLocked), and relocation re-registration
 	// (relocateChainLocked) all preserve that. Persisted in the segment
-	// index at checkpoint; full-scan recovery rebuilds it during
-	// recountUsage's chain walk.
+	// index at checkpoint; recovery's accountObject adds the tail's (on
+	// the empty base, every chain's) while it walks the chain.
 	landmarks     []landmark
 	sinceLandmark int // real entries appended since the last landmark
 	// lmFloor is the landmark floor: checkpoint entries at or below this
@@ -472,19 +473,17 @@ type Drive struct {
 
 	// Transient recovery state (DESIGN.md §14), cleared before Open
 	// returns. recSnapVer is each object's newest version at the
-	// checkpoint: everything at or below it was durable then. The
-	// indexed path also keeps recPreJhead, each object's checkpoint-time
-	// chain head, so the post-replay passes know where the replayed tail
-	// ends, and recTouched, the objects whose chains the roll-forward
-	// scan advanced.
-	recPreJhead map[types.ObjectID]journal.SectorAddr
-	recSnapVer  map[types.ObjectID]uint64
-	recTouched  map[types.ObjectID]bool
+	// checkpoint: everything at or below it was durable then.
+	// recTouched holds the objects whose chains the roll-forward scan
+	// advanced: on the segment index (recBase) only they, and objects
+	// whose head sat in the segment open at the checkpoint, can have
+	// moved a counter.
+	recSnapVer map[types.ObjectID]uint64
+	recTouched map[types.ObjectID]bool
 	// recSumCover caches each probed segment's durable-summary entry
-	// count. The full recount's sweep classifies only summary-listed
-	// blocks, so a tail block whose payload survived a crash but whose
-	// summary write did not is referenced by chains yet never counted;
-	// indexed recovery gates its usage deltas on the same coverage.
+	// count. The usage rebuild counts only summary-listed blocks, so a
+	// tail block whose payload survived a crash but whose summary write
+	// did not is referenced by chains yet never counted.
 	recSumCover map[int64]int
 	// recDrop is the per-object poison floor: the lowest version whose
 	// journal entry named un-durable blocks during replay. That entry

@@ -100,6 +100,11 @@ func (d *Drive) CheckInvariants() error {
 		if err != nil {
 			return err
 		}
+		// The walk stops at jtail or where the chain ends; a jtail it
+		// never met names a sector outside the chain.
+		if n := len(chain); n > 0 && chain[n-1] != o.jtail {
+			return fmt.Errorf("core: %v chain ends at sector %d, jtail is %d: %w", id, chain[n-1], o.jtail, types.ErrCorrupt)
+		}
 		if o.inodeRoot == seglog.NilAddr && !o.pruned {
 			if err := d.checkReplayLocked(o, secs); err != nil {
 				return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	stdlog "log"
+	"maps"
 	"math"
 	"time"
 
@@ -23,16 +24,16 @@ import (
 //
 // Recovery: read the newest object-map checkpoint, roll forward over
 // segments written after it by redoing journal entries with versions
-// beyond each object's checkpointed version, then rebuild segment
-// usage. Two ways to rebuild (DESIGN.md §14):
-//
-//   - Full scan: recount from scratch by classifying every on-disk
-//     block against the recovered object map — the LFS-style recovery
-//     that trades restart time for zero steady-state bookkeeping risk.
-//   - Indexed: preload the checkpoint-time counters from the persisted
-//     segment index and apply only the deltas the replayed tail
-//     implies. Any defect in the index degrades to the full scan; the
-//     torture battery proves both paths produce identical state.
+// beyond each object's checkpointed version, then rebuild segment usage
+// against a base (DESIGN.md §14.2). The base is the persisted segment
+// index when it is usable: the checkpoint-time counters, journal-block
+// refcounts and landmark indexes, which only the objects the replayed
+// tail touched can have moved. Otherwise it is the empty base, which
+// names nothing, so every object is accounted from its whole chain —
+// the LFS-style full scan. One function, accountObject, moves each block
+// an object names from its class in the base to its class now, on
+// either base; the torture battery proves the two land on identical
+// state.
 //
 // Either way recovery is a function of the image alone. A deprecated
 // block is in the history pool iff a retained journal entry above its
@@ -236,8 +237,8 @@ func (d *Drive) decodeImap(data []byte) error {
 }
 
 // recover restores drive state after Open: checkpoint load, journal
-// roll-forward, and a usage rebuild (indexed when the persisted segment
-// index is usable, full recount otherwise).
+// roll-forward, and the usage rebuild against the persisted segment
+// index when it is usable and against the empty base otherwise.
 func (d *Drive) recover() error {
 	blob, idxBlob, cpSeq, ok, err := d.log.ReadCheckpoint()
 	if err != nil {
@@ -248,19 +249,17 @@ func (d *Drive) recover() error {
 			return err
 		}
 	}
-	idx := d.loadSegIndex(idxBlob, ok)
-	if idx != nil {
-		d.preloadSegIndex(idx)
-	}
-	// Both paths vet the replayed tail: what the checkpoint covered
-	// (recSnapVer) is exempt, the rest is checked against its segment's
-	// durable summary (recSumCover).
+	// The replayed tail is vetted on either base: what the checkpoint
+	// covered (recSnapVer) is exempt, the rest is checked against its
+	// segment's durable summary (recSumCover).
 	d.recSumCover = make(map[int64]int)
 	d.recDrop = make(map[types.ObjectID]uint64)
+	d.recTouched = make(map[types.ObjectID]bool)
 	d.recSnapVer = make(map[types.ObjectID]uint64, len(d.objects))
 	for id, o := range d.objects {
 		d.recSnapVer[id] = o.nextVersion - 1
 	}
+	base := d.installBase(d.loadSegIndex(idxBlob, ok))
 	// Roll forward: visit segments written after the checkpoint in
 	// sequence order, relinking journal chains and redoing entries.
 	visited := make(map[int64]bool)
@@ -296,14 +295,11 @@ func (d *Drive) recover() error {
 	if err := d.loadPoliciesLocked(); err != nil {
 		return err
 	}
-	if idx != nil {
-		if err = d.finishIndexedRecovery(idx, visited); errors.Is(err, errIndexStale) {
-			idx = d.rejectSegIndex(err.Error())
-		}
-	}
-	if idx == nil {
-		err = d.recountUsage()
-	} else if err == nil {
+	base.visited = visited
+	if err = d.rebuildUsage(base); errors.Is(err, errIndexStale) {
+		base = d.installBase(d.rejectSegIndex(err.Error()))
+		err = d.rebuildUsage(base)
+	} else if err == nil && base.idx != nil {
 		d.stats.IndexLoads++
 	}
 	if err == nil {
@@ -312,30 +308,30 @@ func (d *Drive) recover() error {
 	if err != nil {
 		return err
 	}
-	// Both paths end with aging unscheduled, so the first cleaner pass
+	// Either base ends with aging unscheduled, so the first cleaner pass
 	// visits every object: that pass, not this function, releases
 	// whatever left the window while the drive was down.
 	for _, o := range d.objects {
 		o.nextAge = 0
 	}
-	d.recPreJhead, d.recSnapVer, d.recTouched, d.recSumCover, d.recDrop = nil, nil, nil, nil, nil
+	d.recSnapVer, d.recTouched, d.recSumCover, d.recDrop = nil, nil, nil, nil
 	// Evict down to the configured object-cache budget.
 	return d.evictColdLocked()
 }
 
 // rejectSegIndex records one fallback from the persisted segment index
-// to the full scan, and why.
+// to the empty base, and why.
 func (d *Drive) rejectSegIndex(why string) *segIndex {
 	d.stats.IndexFallbacks++
 	stdlog.Printf("core: %s; falling back to full-scan recovery", why)
 	return nil
 }
 
-// loadSegIndex decides whether recovery may anchor at the persisted
-// segment index. Any reason it cannot — index absent, undecodable, or
-// naming a different object set than the object map it rode with —
-// counts as a fallback and degrades to the full scan. DisableSegIndex
-// is a deliberate request for the full scan, not a fallback.
+// loadSegIndex decides whether recovery may take the persisted segment
+// index for its base. Any reason it cannot — index absent, undecodable,
+// or naming a different object set than the object map it rode with —
+// counts as a fallback to the empty base. DisableSegIndex is a
+// deliberate request for the empty base, not a fallback.
 func (d *Drive) loadSegIndex(idxBlob []byte, haveCP bool) *segIndex {
 	if !haveCP || d.opts.DisableSegIndex {
 		return nil
@@ -358,29 +354,46 @@ func (d *Drive) loadSegIndex(idxBlob []byte, haveCP bool) *segIndex {
 	return idx
 }
 
-// preloadSegIndex installs the checkpoint-time usage tables and per-
-// object recovery hints before the roll-forward scan runs.
-func (d *Drive) preloadSegIndex(idx *segIndex) {
-	nSeg := d.log.NumSegments()
-	for seg := int64(0); seg < nSeg; seg++ {
-		s := idx.segs[seg]
-		if s.free {
-			continue // seglog.Open starts every segment free
-		}
-		d.log.MarkAllocated(seg)
-		d.usage.set(seg, s.live, s.hist)
-	}
-	d.jblockRef = make(map[seglog.BlockAddr]int, len(idx.jrefs))
-	for a, n := range idx.jrefs {
-		d.jblockRef[a] = n
-	}
+// recBase is what recovery's usage rebuild accounts the recovered state
+// against. idx nil is the empty base: no counters, refcounts, landmarks
+// or chains, so every object is accounted from its whole chain.
+// Otherwise the usage tables and landmark indexes hold the persisted
+// segment index, which counted each object's chain down from heads[id]
+// and its entries up to vers[id], and the first audit blocks.
+type recBase struct {
+	idx     *segIndex
+	heads   map[types.ObjectID]journal.SectorAddr
+	vers    map[types.ObjectID]uint64
+	audit   int
+	visited map[int64]bool // the segments the roll-forward scan replayed
+}
+
+// installBase sets the usage tables, the journal-block refcounts and
+// every landmark index to what idx recorded at the checkpoint — to
+// nothing when idx is nil — and returns the base. It runs before the
+// roll-forward scan, and again after it when the index proves stale.
+func (d *Drive) installBase(idx *segIndex) *recBase {
+	b := &recBase{idx: idx}
+	d.usage = newSegUsage(d.log.NumSegments())
+	d.jblockRef = make(map[seglog.BlockAddr]int)
 	d.jstageAddr, d.jstageUsed = seglog.NilAddr, 0
-	d.recPreJhead = make(map[types.ObjectID]journal.SectorAddr, len(d.objects))
-	d.recTouched = make(map[types.ObjectID]bool)
+	for _, o := range d.objects {
+		o.landmarks = nil
+	}
+	if idx == nil {
+		return b
+	}
+	for seg, s := range idx.segs {
+		d.usage.add(int64(seg), s.live, s.hist)
+	}
+	maps.Copy(d.jblockRef, idx.jrefs)
+	b.heads = make(map[types.ObjectID]journal.SectorAddr, len(d.objects))
+	b.vers, b.audit = d.recSnapVer, len(d.auditBlocks)
 	for id, o := range d.objects {
-		d.recPreJhead[id] = o.jhead
+		b.heads[id] = o.jhead
 		o.landmarks = append([]landmark(nil), idx.objects[id]...)
 	}
+	return b
 }
 
 // recoverJournalBlock relinks every sector of one flushed journal block
@@ -468,11 +481,7 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 		o.nextVersion = max(o.nextVersion, newest+1)
 		return nil
 	}
-	if d.recTouched != nil {
-		// Indexed recovery: accountReplayTail walks this object's post-
-		// checkpoint tail once the scan has fully relinked it.
-		d.recTouched[id] = true
-	}
+	d.recTouched[id] = true
 	for i := range entries {
 		e := &entries[i]
 		if e.Version <= o.cpVersion || e.Version < o.ino.Version {
@@ -638,11 +647,6 @@ func (d *Drive) recoverAuditBlock(addr seglog.BlockAddr, firstSeq uint64, lastTi
 			return
 		}
 	}
-	if d.recTouched != nil {
-		// Indexed recovery skips the recount that would classify this
-		// freshly scanned audit block live; account it here.
-		d.usage.liveBorn(segOf(d.log, addr))
-	}
 	d.auditBlocks = append(d.auditBlocks, auditBlockRef{addr: addr, firstSeq: firstSeq, lastTime: lastTime})
 	// Recover the sequence counter past anything on disk.
 	if firstSeq >= d.auditSeq {
@@ -650,172 +654,41 @@ func (d *Drive) recoverAuditBlock(addr seglog.BlockAddr, firstSeq uint64, lastTi
 	}
 }
 
-// recountUsage rebuilds per-segment live/history counters, the
-// chain-sector index and every landmark index by classifying every
-// on-disk block against the recovered object map. It is the reference
-// the indexed path is diffed against and the fallback it degrades to,
-// so it starts from nothing: whatever a preloaded index installed is
-// overwritten.
-func (d *Drive) recountUsage() error {
-	d.usage.reset()
-	d.jblockRef = make(map[seglog.BlockAddr]int)
-	d.jstageAddr, d.jstageUsed = seglog.NilAddr, 0
+// ---- The usage rebuild (DESIGN.md §14.2) ----
 
-	live := make(map[seglog.BlockAddr]bool)
-	hist := make(map[seglog.BlockAddr]bool)
-	for _, r := range d.auditBlocks {
-		live[r.addr] = true
-	}
-	for _, o := range d.objects {
-		if err := d.loadInode(o); err != nil {
-			return err
-		}
-		for _, a := range o.ino.blocks {
-			if o.ino.Deleted {
-				hist[a] = true // until the cleaner reaps the object
-			} else {
-				live[a] = true
-			}
-		}
-		for _, a := range o.cpBlocks {
-			live[a] = true
-		}
-		// Walk the chain: in-chain sectors keep their shared journal
-		// blocks live, entries above the floor pin their Old blocks, and
-		// checkpoint entries above both floors rebuild the landmark index.
-		o.landmarks = nil
-		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
-			live[addr.Block()] = true
-			d.jblockRef[addr.Block()]++
-			d.recReplay += int64(len(entries))
-			for i := range entries {
-				e := &entries[i]
-				// Entries at or below the floor released their Old blocks
-				// long ago; the blocks may since have been recycled into
-				// other objects' data, so a stale below-floor pointer must
-				// not mark the current owner's block as history.
-				if e.Version <= o.floorVersion {
-					continue
-				}
-				if e.Type == journal.EntCheckpoint {
-					ok, err := d.adoptLandmark(o, e, addr)
-					if err != nil {
-						return true, err
-					}
-					if ok {
-						hist[e.InodeAddr] = true
-					}
-					continue
-				}
-				poolBlocks(e, func(a seglog.BlockAddr, _ bool) { hist[a] = true })
-			}
-			return false, nil
-		})
-		if err != nil {
-			return err
-		}
-		sortLandmarks(o.landmarks)
-	}
-
-	nSeg := d.log.NumSegments()
-	for seg := int64(0); seg < nSeg; seg++ {
-		sum, _, err := d.log.ReadSummary(seg)
-		if err != nil {
-			return err
-		}
-		counted := false
-		for i := range sum.Entries {
-			addr := d.log.EntryAt(seg, i)
-			switch {
-			case live[addr]:
-				d.usage.liveBorn(seg)
-				counted = true
-			case hist[addr]:
-				d.usage.liveBorn(seg)
-				d.usage.deprecate(seg)
-				counted = true
-			default:
-				// Released history, superseded checkpoints, or blocks
-				// orphaned by a crash: dead.
-			}
-		}
-		if counted {
-			d.log.MarkAllocated(seg)
-		} else if seg != d.log.CurrentSegment() {
-			if err := d.releaseSegmentLocked(seg); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// adoptLandmark indexes one chain EntCheckpoint entry if it is above
-// both of the object's floors and its root still validates, and reports
-// whether it did. A root the device could not read fails the open.
-func (d *Drive) adoptLandmark(o *object, e *journal.Entry, sector journal.SectorAddr) (bool, error) {
-	if !o.landmarkLive(e.Version) {
-		return false, nil
-	}
-	if img, err := d.landmarkImage(o.id, e.Version, e.InodeAddr); img == nil {
-		return false, err
-	}
-	o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, root: e.InodeAddr, sector: sector})
-	return true, nil
-}
-
-// ---- Indexed recovery (DESIGN.md §14) ----
-//
-// The preloaded counters and landmark indexes are exact for everything
-// durable at the checkpoint, floors included; what is left is to apply
-// what the replayed chain tails changed. Every rule mirrors a
-// recountUsage classification — the recovery-equivalence battery in
-// internal/torture diffs the two paths' full state.
-
-// errIndexStale reports that the replayed tail refers to state the
-// segment index cannot describe; recover() then falls back to the full
-// recount.
+// errIndexStale reports that the replayed tail retires a block the
+// segment index cannot describe; recover() then rebuilds from the empty
+// base.
 var errIndexStale = errors.New("segment index stale")
 
-// finishIndexedRecovery replaces recountUsage when recovery anchored at
-// a persisted segment index. visited holds the segments the roll-
-// forward scan found written after the checkpoint.
-func (d *Drive) finishIndexedRecovery(idx *segIndex, visited map[int64]bool) error {
-	// postCP reports whether a block was appended after the checkpoint:
-	// anywhere in a segment opened since, or past the checkpoint-time
-	// fill of the segment that was open then.
-	postCP := func(a seglog.BlockAddr) bool {
-		seg := segOf(d.log, a)
-		if seg == idx.openSeg {
-			return int64(a)-int64(d.log.EntryAt(seg, 0)) >= int64(idx.openUsed)
-		}
-		return visited[seg]
-	}
-	for id, o := range d.objects {
-		// Account the post-checkpoint chain tail. Two kinds of object can
-		// carry one: objects whose chains the scan advanced, and objects
-		// whose checkpoint-time head sector sits in the segment that was
-		// open when the checkpoint was taken — the head-merge flush path
-		// rewrites that sector in place, so it can hold entries the
-		// checkpoint never saw without any summary update the scan would
-		// notice.
-		pre := d.recPreJhead[id]
-		if d.recTouched[id] || (pre != journal.NilSector && idx.openSeg >= 0 && segOf(d.log, pre.Block()) == idx.openSeg) {
-			if err := d.accountReplayTail(o, postCP); err != nil {
-				return err
-			}
-		}
-		sortLandmarks(o.landmarks)
-	}
-
-	// Segments the tail emptied return to the allocator, as the
-	// recount's sweep would have left them.
-	nSeg := d.log.NumSegments()
-	for seg := int64(0); seg < nSeg; seg++ {
-		if d.log.IsFree(seg) || seg == d.log.CurrentSegment() {
+// rebuildUsage accounts what the base does not describe: on the empty
+// base every object; on the index the objects whose chains the scan
+// advanced, and those whose head sector sits in the segment open at the
+// checkpoint (the head-merge flush rewrites that sector in place, with
+// no summary update the scan would notice); on both the audit blocks
+// past the base's. Then one sweep: a segment that holds counts is
+// allocated, and every other one that is not free returns to the
+// allocator, the open segment excepted.
+func (d *Drive) rebuildUsage(b *recBase) error {
+	for _, id := range d.objOrder {
+		head := segOf(d.log, b.heads[id].Block())
+		if b.idx != nil && !d.recTouched[id] && (head < 0 || head != b.idx.openSeg) {
 			continue
 		}
-		if d.usage.reclaimable(seg) {
+		if err := d.accountObject(d.objects[id], b); err != nil {
+			return err
+		}
+	}
+	for _, r := range d.auditBlocks[b.audit:] {
+		if d.recCovered(r.addr) {
+			d.usage.liveBorn(segOf(d.log, r.addr))
+		}
+	}
+	for seg := int64(0); seg < d.log.NumSegments(); seg++ {
+		switch {
+		case !d.usage.reclaimable(seg):
+			d.log.MarkAllocated(seg)
+		case !d.log.IsFree(seg) && seg != d.log.CurrentSegment():
 			if err := d.releaseSegmentLocked(seg); err != nil {
 				return err
 			}
@@ -824,95 +697,86 @@ func (d *Drive) finishIndexedRecovery(idx *segIndex, visited map[int64]bool) err
 	return nil
 }
 
-// accountReplayTail walks one object's post-checkpoint chain tail
-// (newest-first, stopping at the checkpoint-time head) and accounts the
-// new sectors and the blocks their entries turned over. The walk also
-// collects the tail entries so the delete/revive settlement can derive
-// the object's checkpoint-time state by undoing them from the final
-// inode: intermediate delete/revive pairs are net-zero (a deleted
-// object admits no other mutation), so only the boundary states matter.
-func (d *Drive) accountReplayTail(o *object, postCP func(seglog.BlockAddr) bool) error {
-	preJhead := d.recPreJhead[o.id]
-	snapVer := d.recSnapVer[o.id]
-	hitPre := preJhead == journal.NilSector
-	var tail []journal.Entry // entries above snapVer, newest-first
+// accountObject moves each block o names from its class in the base to
+// its class now (blockClass), for the blocks recCovered accepts. It
+// walks o's chain from the head down to the base's head — all of it on
+// the empty base — counting the sectors the base did not and indexing
+// the landmarks above the base whose roots validate. What names a block:
+//
+//   - now: the final inode (live; history until the reap once deleted),
+//     the object's checkpoint (live), and each walked entry above both
+//     the base and the floor, whose pool blocks (poolBlocks) and
+//     landmark root are history;
+//   - the index base: the checkpoint (live) and the checkpoint-time
+//     inode, which undoing the walked tail from the final one gives:
+//     the final inode's blocks and every block the tail retired, less
+//     those the tail bore, live — or history if it was deleted then.
+//
+// A walk that does not end at the base's head ends where the chain
+// does, and that sector is jtail: a relocation since the checkpoint can
+// have replaced the sector the object map names.
+func (d *Drive) accountObject(o *object, b *recBase) error {
+	if err := d.loadInode(o); err != nil {
+		return err
+	}
+	const inBase, inNow = 0, 1
+	cls := make(map[seglog.BlockAddr][2]blockClass)
+	name := func(side int, a seglog.BlockAddr, c blockClass) {
+		if a != seglog.NilAddr {
+			k := cls[a]
+			k[side] = max(k[side], c)
+			cls[a] = k
+		}
+	}
+	head, baseVer := b.heads[o.id], b.vers[o.id]
+	var tail []*journal.Entry // the walked entries above the base, newest first
+	last, met := journal.NilSector, false
 	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
-		atPre := addr == preJhead
-		if !atPre {
-			// A sector the checkpoint had not seen: its shared journal
-			// block joins the chain-sector index (the head-merge rewrite
-			// of the old head sector stays at its old address and is
-			// already counted).
-			blk := addr.Block()
-			d.jblockRef[blk]++
-			if d.jblockRef[blk] == 1 && d.recCovered(blk) {
+		last, met = addr, addr == head
+		if blk := addr.Block(); !met {
+			if d.jblockRef[blk]++; d.jblockRef[blk] == 1 && d.recCovered(blk) {
 				d.usage.liveBorn(segOf(d.log, blk))
 			}
 		}
 		d.recReplay += int64(len(entries))
 		for i := len(entries) - 1; i >= 0; i-- {
 			e := &entries[i]
-			if ln := o.landmarkOf(e); ln != nil {
-				// In the persisted index already; post-checkpoint chain
-				// relocation may have moved its sector, so repoint it as
-				// the relocation's re-registration would have.
-				ln.sector = addr
-			} else if e.Type == journal.EntCheckpoint && e.Version > snapVer {
-				// A landmark of the tail: its root is history from birth.
-				ok, err := d.adoptLandmark(o, e, addr)
+			switch {
+			case e.Version <= baseVer:
+				// Indexed already, if a landmark; a relocation since the
+				// checkpoint may have moved its sector.
+				if ln := o.landmarkOf(e); ln != nil {
+					ln.sector = addr
+				}
+			case e.Version <= o.floorVersion:
+				// Its pool blocks were released long ago and may since
+				// hold another object's data.
+			case e.Type != journal.EntCheckpoint:
+				poolBlocks(e, func(a seglog.BlockAddr, _ bool) { name(inNow, a, classHist) })
+				tail = append(tail, e)
+			case o.landmarkLive(e.Version):
+				img, err := d.landmarkImage(o.id, e.Version, e.InodeAddr)
 				if err != nil {
-					return true, err
+					return true, err // unread is not rotted
 				}
-				if ok && d.recCovered(e.InodeAddr) {
-					seg := segOf(d.log, e.InodeAddr)
-					d.usage.liveBorn(seg)
-					d.usage.deprecate(seg)
+				if img != nil {
+					o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, root: e.InodeAddr, sector: addr})
+					name(inNow, e.InodeAddr, classHist)
 				}
-			}
-			if e.Version > snapVer {
-				tail = append(tail, *e)
 			}
 		}
-		hitPre = hitPre || atPre
-		return atPre, nil
+		return met, nil
 	})
 	if err != nil {
 		return err
 	}
-	// Blocks born inside the tail were never in the checkpoint counters.
-	tailNew := make(map[seglog.BlockAddr]bool)
-	for i := range tail {
-		for _, nw := range tail[i].New {
-			if nw != seglog.NilAddr {
-				tailNew[nw] = true
-			}
-		}
-	}
-	// A block the tail retires that was appended after the checkpoint,
-	// yet that no tail entry bore, is a copy the cleaner relocated in
-	// memory only: the counters hold the original, which the crash
-	// orphaned, and no delta rule can say where it was. Rare (a crash
-	// between a relocating cleaner pass and its barrier checkpoint, on an
-	// object overwritten in between), so recount instead.
-	unborn := func(a seglog.BlockAddr) bool { return postCP(a) && !tailNew[a] }
-	for i := range tail {
-		if d.accountReplayEntry(&tail[i], unborn) {
-			return fmt.Errorf("%w: %v v%d retires a block relocated after the checkpoint", errIndexStale, o.id, tail[i].Version)
-		}
-	}
-	if !hitPre {
-		// The walk never reached the old head: a post-checkpoint
-		// relocation replaced the whole pre-checkpoint chain with
-		// copies (already counted above as new sectors), so the
-		// original sectors the preload counted are orphans now.
-		err := d.walkChain(o, preJhead, func(addr, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
-			blk := addr.Block()
-			if d.jblockRef[blk] > 0 {
-				d.jblockRef[blk]--
-				if d.jblockRef[blk] == 0 {
-					delete(d.jblockRef, blk)
-					d.usage.freeLive(segOf(d.log, blk))
-				}
+	if head != journal.NilSector && !met {
+		// A relocation since the checkpoint replaced the chain the base
+		// counted with copies, which the walk counted: the originals are
+		// orphans.
+		err := d.walkChain(o, head, func(addr, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
+			if d.jblockRef[addr.Block()] > 0 {
+				d.unrefJSector(addr)
 			}
 			return false, nil
 		})
@@ -920,122 +784,101 @@ func (d *Drive) accountReplayTail(o *object, postCP func(seglog.BlockAddr) bool)
 			return err
 		}
 	}
-	// Delete/revive settlement. Undoing the collected tail from the
-	// final inode yields the checkpoint-time state the persisted
-	// counters describe; only the boundary deleted-ness matters.
-	if o.ino == nil {
-		if err := d.loadInode(o); err != nil {
-			return err
+	if !met && last != journal.NilSector {
+		o.jtail = last
+	}
+
+	final := classLive
+	if o.ino.Deleted {
+		final = classHist
+	}
+	for _, a := range o.ino.blocks {
+		name(inNow, a, final)
+	}
+	for _, a := range o.cpBlocks {
+		name(inNow, a, classLive)
+		if b.idx != nil {
+			name(inBase, a, classLive)
 		}
 	}
-	atC := o.ino
-	if len(tail) > 0 {
-		atC = o.ino.Clone()
-		for i := range tail {
-			atC.undo(&tail[i])
-		}
-	}
-	if atC.Deleted {
-		// The checkpoint counters hold this object's blocks in history
-		// (its delete deprecated them); the tail's revive returned them
-		// to live service. An index the tail's delta conversion turned
-		// into a packed-slot reference resolves back to the original
-		// address through the packed header; one the tail's retention
-		// skip freed contributes nothing (the undo poisoned it and its
-		// address survives only in the entry's Dropped list, handled
-		// below). Blocks born inside the tail are excluded either way.
-		for _, a := range atC.blocks {
-			if isDeltaRef(a) {
-				a = d.origOfRef(uint64(a))
+	if b.idx != nil {
+		born := make(map[seglog.BlockAddr]bool)
+		was := final
+		for _, e := range tail {
+			for _, a := range e.New {
+				born[a] = true
 			}
-			if a != seglog.NilAddr && !tailNew[a] && d.recCovered(a) {
-				d.usage.undeprecate(segOf(d.log, a))
+			switch e.Type {
+			case journal.EntDelete:
+				was = classLive
+			case journal.EntRevive:
+				was = classHist
 			}
 		}
-		for i := range tail {
-			for _, dr := range tail[i].Dropped {
-				if dr != seglog.NilAddr && !tailNew[dr] && d.recCovered(dr) {
-					d.usage.undeprecate(segOf(d.log, dr))
+		for _, a := range o.ino.blocks {
+			if !born[a] {
+				name(inBase, a, was)
+			}
+		}
+		for _, e := range tail {
+			stale := false
+			retired := func(a seglog.BlockAddr) {
+				if a != seglog.NilAddr && !born[a] {
+					stale = stale || b.postCP(d.log, a)
+					name(inBase, a, was)
 				}
 			}
-		}
-	}
-	if o.ino.Deleted {
-		// The tail ends deleted: the final version's blocks leave live
-		// service for the pool, where they wait for the reap.
-		for _, a := range o.ino.blocks {
-			if d.recCovered(a) {
-				d.usage.deprecate(segOf(d.log, a))
+			poolBlocks(e, func(a seglog.BlockAddr, packed bool) {
+				if !packed {
+					retired(a)
+					return
+				}
+				for _, og := range d.packedOrigs(a) {
+					retired(seglog.BlockAddr(og))
+				}
+			})
+			for _, dr := range e.Dropped {
+				retired(dr)
+			}
+			if stale {
+				// The cleaner's relocated copy, moved in memory only: the
+				// counters hold the original, which the crash orphaned, and
+				// no base says where it was. Rare (a crash between a
+				// relocating cleaner pass and its barrier checkpoint, on an
+				// object overwritten in between), so start from nothing.
+				return fmt.Errorf("%w: %v v%d retires a block relocated after the checkpoint", errIndexStale, o.id, e.Version)
 			}
 		}
 	}
+	for a, k := range cls {
+		if k[inBase] != k[inNow] && d.recCovered(a) {
+			d.usage.move(segOf(d.log, a), k[inBase], k[inNow])
+		}
+	}
+	sortLandmarks(o.landmarks)
 	return nil
 }
 
-// accountReplayEntry applies the block turnover of one replayed tail
-// entry (always above the floor, so everything it deprecates joins the
-// pool). It reports whether some block the entry retired from live
-// service is unborn as far as the index can tell — the caller then
-// abandons the indexed path, so the deltas already applied do not
-// matter.
-func (d *Drive) accountReplayEntry(e *journal.Entry, unborn func(seglog.BlockAddr) bool) (stale bool) {
-	switch e.Type {
-	case journal.EntCheckpoint, journal.EntCreate, journal.EntDelete, journal.EntRevive:
-		// Landmarks are indexed during the walk; create allocates
-		// nothing; delete/revive settle in closed form in
-		// accountReplayTail.
-		return false
+// postCP reports whether block a was appended after the checkpoint:
+// anywhere in a segment the scan replayed, or past the checkpoint-time
+// fill of the segment that was open then.
+func (b *recBase) postCP(log *seglog.Log, a seglog.BlockAddr) bool {
+	seg := segOf(log, a)
+	if seg == b.idx.openSeg {
+		return int64(a)-int64(log.EntryAt(seg, 0)) >= int64(b.idx.openUsed)
 	}
-	retire := func(a seglog.BlockAddr, apply func(int64)) {
-		if a == seglog.NilAddr {
-			return
-		}
-		stale = stale || unborn(a)
-		if d.recCovered(a) {
-			apply(segOf(d.log, a))
-		}
-	}
-	poolBlocks(e, func(a seglog.BlockAddr, packed bool) {
-		if !packed {
-			retire(a, d.usage.deprecate)
-			return
-		}
-		// Conversion at runtime: the packed block was born into history,
-		// and each slot's original full block left live service. Packed
-		// blocks are entry-local, so every slot the header names belongs
-		// to this entry.
-		if !d.recCovered(a) {
-			return
-		}
-		seg := segOf(d.log, a)
-		d.usage.liveBorn(seg)
-		d.usage.deprecate(seg)
-		for _, og := range d.packedOrigs(a) {
-			retire(seglog.BlockAddr(og), d.usage.freeLive)
-		}
-	})
-	// Retention skips freed their outgoing blocks outright.
-	for _, dr := range e.Dropped {
-		retire(dr, d.usage.freeLive)
-	}
-	for _, nw := range e.New {
-		if nw != seglog.NilAddr && d.recCovered(nw) {
-			d.usage.liveBorn(segOf(d.log, nw))
-		}
-	}
-	return stale
+	return b.visited[seg]
 }
 
 // recCovered reports whether a block is listed in its segment's durable
 // summary. Usage counters follow the summary view: a crash can leave a
 // tail block's payload durable while the summary write covering it was
-// cut, and the full recount's sweep — which classifies exactly the
-// summary-listed blocks — never counts such a block even though chains
-// still reference it. Indexed recovery applies the same rule: chain
-// refcounts and landmark entries are recorded unconditionally, but
-// liveBorn/deprecate/freeLive deltas fire only for covered blocks.
-// Everything durable at the checkpoint is covered (WriteCheckpoint
-// follows a full Sync), so only post-checkpoint tail blocks can miss.
+// cut, and such a block is never counted even though chains still
+// reference it. Chain refcounts and landmark entries are recorded
+// unconditionally, but the rebuild moves counters only for covered
+// blocks. Everything durable at the checkpoint is covered
+// (WriteCheckpoint follows a full Sync), so only post-checkpoint tail
+// blocks can miss.
 // The roll-forward scan recorded the count of every segment it replayed;
 // any other segment costs one count-only lookup.
 func (d *Drive) recCovered(addr seglog.BlockAddr) bool {

@@ -419,3 +419,135 @@ func TestInWindowHistorySurvivesRestartAndReuse(t *testing.T) {
 			before, err, len(got), got, fData)
 	}
 }
+
+// crashCopy copies what e's device holds into a fresh device: the image
+// a crash leaves when e's drive is abandoned without Close. Only the
+// chunks holding data are written, so the copy stays sparse.
+func crashCopy(t *testing.T, e *testEnv) *disk.Disk {
+	t.Helper()
+	geo := e.dev.Geometry()
+	img := disk.New(geo, nil)
+	buf, zero := make([]byte, 64<<10), make([]byte, 64<<10)
+	for s := int64(0); s < geo.NumSectors; s += int64(len(buf)) / disk.SectorSize {
+		b := buf[:min(int64(len(buf)), (geo.NumSectors-s)*disk.SectorSize)]
+		if err := e.dev.ReadSectors(s, b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, zero[:len(b)]) {
+			if err := img.WriteSectors(s, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return img
+}
+
+// TestDeleteReviveAcrossCrash puts the checkpoint after an object's
+// delete and before its Revert, after both (with a second delete in the
+// tail), and before both, then opens each crash image anchored at the
+// segment index and with DisableSegIndex. A delete moves the final
+// version's blocks into the history pool and a revive moves them back,
+// so each open must account the object's blocks from the state the
+// checkpoint saw. Both opens recover the same digest, hold every
+// invariant, read back the live version and every version before it,
+// and count the history pool as a recount of the log does.
+func TestDeleteReviveAcrossCrash(t *testing.T) {
+	rows := []struct {
+		name string
+		// d deletes, r reverts to the newest live version, w overwrites
+		// block 1, c checkpoints.
+		ops string
+	}{
+		{"delete-checkpoint-revert", "dcrw"},
+		{"delete-revert-checkpoint-delete", "drwcd"},
+		{"checkpoint-delete-revert", "cdrw"},
+	}
+	const span = 2 * types.BlockSize
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			e := newTestDrive(t)
+			id := e.create(alice)
+			type snap struct {
+				at   types.Timestamp
+				data []byte
+			}
+			var snaps []snap
+			cur := bytes.Repeat([]byte{'a'}, span)
+			write := func(off uint64, b byte) {
+				cur = append([]byte(nil), cur...)
+				copy(cur[off:off+types.BlockSize], bytes.Repeat([]byte{b}, types.BlockSize))
+				snaps = append(snaps, snap{e.d.Now(), cur})
+				e.write(alice, id, off, cur[off:off+types.BlockSize])
+			}
+			snaps = append(snaps, snap{e.d.Now(), cur})
+			e.write(alice, id, 0, cur)
+			write(0, 'b')
+			deleted := false
+			for i, op := range row.ops {
+				switch op {
+				case 'd':
+					if err := e.d.Delete(alice, id); err != nil {
+						t.Fatal(err)
+					}
+					deleted = true
+				case 'r':
+					if err := e.d.Revert(admin, id, snaps[len(snaps)-1].at); err != nil {
+						t.Fatal(err)
+					}
+					deleted = false
+				case 'w':
+					write(types.BlockSize, byte('c'+i))
+				case 'c':
+					if err := e.d.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e.tick()
+			}
+			if err := e.d.Sync(alice); err != nil {
+				t.Fatal(err)
+			}
+
+			open := func(fullScan bool) *testEnv {
+				opts := e.d.opts
+				clk := vclock.NewVirtualAt(e.d.Now().Time())
+				opts.Clock, opts.DisableSegIndex = clk, fullScan
+				img := crashCopy(t, e)
+				d, err := Open(img, opts)
+				if err != nil {
+					t.Fatalf("open (full scan %v): %v", fullScan, err)
+				}
+				return &testEnv{t: t, d: d, dev: img, clk: clk}
+			}
+			idx, full := open(false), open(true)
+			if st := idx.d.DriveStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+				t.Errorf("indexed open: IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
+			}
+			if a, b := idx.d.StateDigest(), full.d.StateDigest(); a != b {
+				t.Fatalf("indexed and full-scan recovery diverged:\nindexed:\n%s\nfull:\n%s", a, b)
+			}
+			for _, r := range []*testEnv{idx, full} {
+				if err := r.d.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				ai, err := r.d.GetAttr(admin, id, types.TimeNowest)
+				if err != nil || ai.Deleted != deleted {
+					t.Fatalf("recovered object: deleted=%v (%v), want %v", ai.Deleted, err, deleted)
+				}
+				if !deleted {
+					if got := r.read(admin, id, 0, span, types.TimeNowest); !bytes.Equal(got, cur) {
+						t.Fatalf("live version reads %.1q…, want %.1q…", got[types.BlockSize:], cur[types.BlockSize:])
+					}
+				}
+				for _, s := range snaps {
+					if got := r.read(admin, id, 0, span, s.at); !bytes.Equal(got, s.data) {
+						t.Fatalf("version at %v reads %.1q/%.1q, want %.1q/%.1q",
+							s.at, got, got[types.BlockSize:], s.data, s.data[types.BlockSize:])
+					}
+				}
+				r.d.opts.DisableSegIndex = true
+				historyRecount(r)
+			}
+		})
+	}
+}

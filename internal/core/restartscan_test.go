@@ -22,20 +22,25 @@ import (
 
 // TestOpenReadsDoNotScaleWithFreeSpace runs one workload — a few hundred
 // checkpointed versions, then a synced tail — on a 64 MB and on a 512 MB
-// device and opens both crash images. The larger device has 1,792 more
-// segments, all never written, and the roll-forward scan follows the log
-// from the checkpoint through the segments written since, so the two
+// device and opens both crash images, anchored at the segment index and
+// with DisableSegIndex. The larger device has 1,792 more segments, all
+// never written, and the roll-forward scan follows the log from the
+// checkpoint through the segments written since, so the two indexed
 // opens issue the same reads; only the segment index in the checkpoint
 // is longer, by a few bytes per segment. When the scan read block 0 of
 // every segment, the larger open issued 1,792 more reads; when it probed
 // every block of every segment without a sealed summary, the two opens
-// differed by about the difference in capacity.
+// differed by about the difference in capacity. The full-scan opens
+// read the summary of each segment holding a block they account, and
+// sweep the rest from the counters, so they too issue the same reads;
+// when the full scan classified the blocks of every segment's summary,
+// the larger issued 1,792 more.
 func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 	type result struct {
 		nSeg, reads, bytes int64
 		st                 Stats
 	}
-	open := func(capacity int64) result {
+	open := func(capacity int64) (indexed, fullScan result) {
 		dev := disk.New(disk.SmallDisk(capacity), nil)
 		clk := vclock.NewVirtual()
 		opts := Options{Clock: clk, Window: time.Hour}
@@ -62,25 +67,37 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 				}
 			}
 		}
-		// Abandoned, not closed: dev holds what a crash leaves.
-		dev.ResetStats()
+		// Abandoned, not closed: dev holds what a crash leaves, and each
+		// open below is abandoned again to keep it so.
 		opts.Clock = vclock.NewVirtualAt(d.Now().Time())
-		r, err := Open(dev, opts)
-		if err != nil {
-			t.Fatal(err)
+		reopen := func(disableIndex bool) result {
+			dev.ResetStats()
+			opts.DisableSegIndex = disableIndex
+			r, err := Open(dev, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := dev.Stats() // before CheckInvariants reads anything
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			return result{r.log.NumSegments(), ds.Reads, ds.SectorsRead * disk.SectorSize, r.DriveStats()}
 		}
-		ds := dev.Stats() // before CheckInvariants reads anything
-		if err := r.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return result{r.log.NumSegments(), ds.Reads, ds.SectorsRead * disk.SectorSize, r.DriveStats()}
+		return reopen(false), reopen(true)
 	}
-	small, large := open(64<<20), open(512<<20)
+	small, smallFull := open(64 << 20)
+	large, largeFull := open(512 << 20)
 	t.Logf("64 MB: %d segments, %d reads, %d bytes; 512 MB: %d segments, %d reads, %d bytes",
 		small.nSeg, small.reads, small.bytes, large.nSeg, large.reads, large.bytes)
+	t.Logf("full scan: 64 MB %d reads, %d bytes; 512 MB %d reads, %d bytes",
+		smallFull.reads, smallFull.bytes, largeFull.reads, largeFull.bytes)
 	if small.st.IndexLoads != 1 || large.st.IndexLoads != 1 ||
 		small.st.RecoveryReplayEntries == 0 || small.st.RecoveryReplayEntries != large.st.RecoveryReplayEntries {
 		t.Fatalf("the two opens did not recover the same tail the same way: %+v vs %+v", small.st, large.st)
+	}
+	if smallFull.st.IndexLoads != 0 || largeFull.st.IndexLoads != 0 ||
+		smallFull.st.RecoveryReplayEntries != largeFull.st.RecoveryReplayEntries {
+		t.Fatalf("the two full-scan opens did not recover the same chains the same way: %+v vs %+v", smallFull.st, largeFull.st)
 	}
 	extra := large.nSeg - small.nSeg
 	if extra < 1000 {
@@ -88,11 +105,15 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 	}
 	// The index spends three varints on each free segment, and the
 	// checkpoint blob is read by the block.
-	if diff, bound := large.bytes-small.bytes, (3*extra/seglog.BlockSize+2)*seglog.BlockSize; diff > bound {
-		t.Fatalf("open read %d bytes more on the larger device; %d more segments in the index allow %d", diff, extra, bound)
-	}
-	if large.reads != small.reads {
-		t.Fatalf("open issued %d reads on the larger device, %d on the smaller", large.reads, small.reads)
+	bound := (3*extra/seglog.BlockSize + 2) * seglog.BlockSize
+	for _, p := range [][2]result{{small, large}, {smallFull, largeFull}} {
+		if diff := p[1].bytes - p[0].bytes; diff > bound {
+			t.Fatalf("open read %d bytes more on the larger device; %d more segments in the index allow %d", diff, extra, bound)
+		}
+		if p[1].reads != p[0].reads {
+			t.Fatalf("open issued %d reads on the larger device, %d on the smaller (full scan %v)",
+				p[1].reads, p[0].reads, p[0].st.IndexLoads == 0)
+		}
 	}
 }
 

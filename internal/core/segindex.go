@@ -13,17 +13,17 @@ import (
 
 // Persistent segment index (DESIGN.md §14).
 //
-// Full-scan recovery recounts every segment's occupancy and re-walks
-// every journal chain on each Open — robust, but open time grows with
-// history depth. The segment index is the checkpoint-time snapshot of
-// exactly the state that recount rebuilds: per-segment live/history
-// counters and free bits, the shared-journal-block refcounts, and each
-// object's landmark index. It rides in the same checkpoint slot write
-// as the object map (one atomic blob, seglog.WriteCheckpoint's second
-// part), so it can never be newer or older than the object map it
-// describes. An indexed Open preloads these tables and replays only the
-// journal tail past the checkpoint; any decode failure, version skew,
-// or torn slot degrades to the full recount — never to divergent state.
+// Recovering from the empty base re-walks every journal chain on each
+// Open — robust, but open time grows with history depth. The segment
+// index is the checkpoint-time snapshot of exactly the state that walk
+// rebuilds: per-segment live/history counters and free bits, the
+// shared-journal-block refcounts, and each object's landmark index. It
+// rides in the same checkpoint slot write as the object map (one atomic
+// blob, seglog.WriteCheckpoint's second part), so it can never be newer
+// or older than the object map it describes. An Open that takes it for
+// its base accounts only the objects the journal tail past the
+// checkpoint touched (accountObject); any decode failure, version skew,
+// or torn slot degrades to the empty base — never to divergent state.
 //
 // The index is advisory by construction: nothing on the recovery path
 // trusts it over the log. Segment free bits fold in pendingFree (the

@@ -106,27 +106,36 @@ func (u *segUsage) liveBlocks() int64 {
 	return u.liveTotal.Load()
 }
 
-// set installs absolute occupancy counters for seg, adjusting the pool
-// totals by the delta. Indexed recovery uses it to preload the usage
-// table from the persisted segment index before tail replay; it runs
-// single-threaded during Open.
-func (u *segUsage) set(seg int64, live, hist int32) {
-	if seg < 0 {
-		return
+// add adjusts seg's counters, and the pool totals with them, by live and
+// hist blocks.
+func (u *segUsage) add(seg int64, live, hist int32) {
+	if seg >= 0 {
+		u.live[seg].Add(live)
+		u.hist[seg].Add(hist)
+		u.liveTotal.Add(int64(live))
+		u.histTotal.Add(int64(hist))
 	}
-	u.liveTotal.Add(int64(live - u.live[seg].Load()))
-	u.histTotal.Add(int64(hist - u.hist[seg].Load()))
-	u.live[seg].Store(live)
-	u.hist[seg].Store(hist)
 }
 
-func (u *segUsage) reset() {
-	for i := range u.live {
-		u.live[i].Store(0)
-		u.hist[i].Store(0)
-	}
-	u.liveTotal.Store(0)
-	u.histTotal.Store(0)
+// blockClass is what one block is to the usage table. Recovery's usage
+// rebuild moves each block it accounts from its class in the base to its
+// class now (DESIGN.md §14.2); a block named both live and history is
+// live, once.
+type blockClass uint8
+
+const (
+	classNone blockClass = iota
+	classHist
+	classLive
+)
+
+// classCounts is what one block of each class adds to (live, hist).
+var classCounts = [...][2]int32{classNone: {0, 0}, classHist: {0, 1}, classLive: {1, 0}}
+
+// move shifts one block of seg from class from to class to.
+func (u *segUsage) move(seg int64, from, to blockClass) {
+	f, t := classCounts[from], classCounts[to]
+	u.add(seg, t[0]-f[0], t[1]-f[1])
 }
 
 // segOf is a convenience wrapper used by the drive's accounting paths.

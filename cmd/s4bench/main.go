@@ -10,8 +10,6 @@
 //	s4bench -fig 6 -macro            §5.1.4 application-level audit cost
 //	s4bench -fig 5 -costs            §5.1.5 fundamental-cost derivation
 //	s4bench -scale 0.2               shrink workloads (quick look)
-//	s4bench -torture -seed 7         crash-consistency torture sweep
-//	s4bench -netfault -seed 7        exactly-once soak under network faults
 package main
 
 import (
@@ -32,27 +30,8 @@ func main() {
 	costs := flag.Bool("costs", false, "with -fig 5: fundamental-cost derivation (§5.1.5)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper scale)")
 	disk := flag.Int64("disk", 2<<30, "simulated disk size for figs 3/4/6 in bytes")
-	tort := flag.Bool("torture", false, "run the crash-consistency torture harness instead of a figure")
-	netfaultRun := flag.Bool("netfault", false, "run the network-fault exactly-once soak instead of a figure")
-	seed := flag.Int64("seed", 1, "with -torture/-netfault: schedule seed")
-	ops := flag.Int("ops", 0, "with -torture/-netfault: operations (0 = default)")
-	points := flag.Int("points", 0, "with -torture: cap verified crash points (0 = all)")
 	flag.Parse()
 
-	if *tort {
-		if err := runTorture(*seed, *ops, *points); err != nil {
-			fmt.Fprintf(os.Stderr, "torture: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *netfaultRun {
-		if err := runNetfault(*seed, *ops); err != nil {
-			fmt.Fprintf(os.Stderr, "netfault: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if !*all && *fig == 0 {
 		flag.Usage()
 		os.Exit(2)

@@ -425,7 +425,7 @@ func (e *testEnv) deltaSlots(id types.ObjectID) []storedSlot {
 	e.d.mu.Lock()
 	defer e.d.mu.Unlock()
 	var out []storedSlot
-	err := e.d.walkEntriesSnap(e.d.snapshotObject(e.d.objects[id]), func(je *journal.Entry) (bool, error) {
+	err := e.d.walkEntriesSnap(e.d.snapshotObject(e.d.objects[id]), nil, func(je *journal.Entry) (bool, error) {
 		for k, old := range je.Old {
 			if je.DeltaMask&(1<<uint(k)) == 0 {
 				continue

@@ -821,19 +821,25 @@ func (d *Drive) evictColdLocked() error {
 	return nil
 }
 
-// maybeEvict trims the object cache after an operation that may have
-// materialized inodes. It runs after the shared lock is released:
-// eviction touches other objects and so needs the exclusive lock.
-func (d *Drive) maybeEvict() error {
+// releaseShared ends a per-object operation: it releases the shared
+// drive lock, then trims the object cache, which the operation may have
+// grown by materializing an inode — eviction touches other objects and
+// so needs the exclusive lock. It returns the operation's err, or the
+// trim's if the operation succeeded.
+func (d *Drive) releaseShared(err error) error {
+	d.mu.RUnlock()
 	if int(d.loaded.Load()) <= d.opts.ObjectCacheCount {
-		return nil
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return nil
+		return err
 	}
-	return d.evictColdLocked()
+	if eerr := d.evictColdLocked(); err == nil {
+		err = eerr
+	}
+	return err
 }
 
 // ---- Journal machinery ----
@@ -1091,23 +1097,19 @@ func (d *Drive) markClean(o *object) {
 // may stop the walk early. A sector that does not decode, or that
 // belongs to another object, ends the walk with an error. Caller holds
 // the exclusive drive lock or o.mu exclusively: unlike the snapshot
-// walkers of history.go, this reads the object's live chain anchors.
+// walker of history.go, this reads the object's live chain anchors.
 func (d *Drive) walkChain(o *object, from journal.SectorAddr, fn func(addr, prev journal.SectorAddr, entries []journal.Entry) (stop bool, err error)) error {
+	return d.walkSectors(o.id, from, o.jtail, fn)
+}
+
+// walkSectors is journal.WalkSectors over id's sectors read through
+// readJSector, one scratch buffer per walk: the chain walk behind both
+// walkChain and the snapshot walker.
+func (d *Drive) walkSectors(id types.ObjectID, from, tail journal.SectorAddr, fn func(addr, prev journal.SectorAddr, entries []journal.Entry) (stop bool, err error)) error {
 	var scratch []byte
-	for addr := from; addr != journal.NilSector; {
-		prev, entries, err := d.readJSector(o.id, addr, &scratch)
-		if err != nil {
-			return err
-		}
-		if stop, err := fn(addr, prev, entries); stop || err != nil {
-			return err
-		}
-		if addr == o.jtail {
-			break
-		}
-		addr = prev
-	}
-	return nil
+	return journal.WalkSectors(func(sa journal.SectorAddr) (journal.SectorAddr, []journal.Entry, error) {
+		return d.readJSector(id, sa, &scratch)
+	}, from, tail, fn)
 }
 
 // readJSector fetches and decodes id's journal sector at sa: the one way
@@ -1485,11 +1487,7 @@ func (d *Drive) Delete(cred types.Cred, id types.ObjectID) error {
 	d.mu.RLock()
 	err := d.deleteShared(cred, id)
 	d.auditOp(cred, types.OpDelete, id, 0, 0, "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return err
+	return d.releaseShared(err)
 }
 
 // deleteShared implements Delete. Caller holds the shared drive lock.
@@ -1541,11 +1539,7 @@ func (d *Drive) Read(cred types.Cred, id types.ObjectID, off, n uint64, at types
 	d.mu.RLock()
 	data, err := d.readShared(cred, id, off, n, at)
 	d.auditOp(cred, types.OpRead, id, off, n, "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return data, err
+	return data, d.releaseShared(err)
 }
 
 // readShared implements Read. Caller holds the shared drive lock.
@@ -1559,37 +1553,12 @@ func (d *Drive) readShared(cred types.Cred, id types.ObjectID, off, n uint64, at
 	if id == types.AuditObject && !cred.Admin {
 		return nil, types.ErrPerm
 	}
-	o, err := d.getObjectShared(id)
+	in, held, err := d.inodeForRead(cred, id, at)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.lockObjectRead(o); err != nil {
-		return nil, err
-	}
-	var in *Inode
-	if at >= o.ino.ModTime {
-		// Live version: read under the shared object lock.
-		defer o.mu.RUnlock()
-		if err := d.checkPerm(cred, o.ino, types.PermRead); err != nil {
-			return nil, err
-		}
-		in = o.ino
-	} else {
-		// Historical version: the Recovery flag gates access. The
-		// CURRENT ACL governs, so clearing the flag hides all old
-		// versions from everyone but the administrator (§3.4). The
-		// permission verdict is captured before the snapshot walk but
-		// reported after it, preserving error precedence.
-		permErr := d.checkPerm(cred, o.ino, types.PermRead|types.PermRecover)
-		snap := d.snapshotObject(o)
-		o.mu.RUnlock()
-		in, err = d.inodeAtCached(snap, at)
-		if err != nil {
-			return nil, err
-		}
-		if permErr != nil {
-			return nil, permErr
-		}
+	if held != nil {
+		defer held.RUnlock()
 	}
 	if in.Deleted {
 		return nil, types.ErrNoObject
@@ -1707,11 +1676,7 @@ func (d *Drive) Write(cred types.Cred, id types.ObjectID, off uint64, data []byt
 	d.mu.RLock()
 	_, err := d.writeShared(cred, id, off, data)
 	d.auditOp(cred, types.OpWrite, id, off, uint64(len(data)), "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return err
+	return d.releaseShared(err)
 }
 
 // Append writes data at the live version's end, returning the offset at
@@ -1720,11 +1685,7 @@ func (d *Drive) Append(cred types.Cred, id types.ObjectID, data []byte) (uint64,
 	d.mu.RLock()
 	off, err := d.writeShared(cred, id, ^uint64(0), data)
 	d.auditOp(cred, types.OpAppend, id, off, uint64(len(data)), "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return off, err
+	return off, d.releaseShared(err)
 }
 
 // writeShared implements Write and Append (off == ^0 means append),
@@ -1920,11 +1881,7 @@ func (d *Drive) Truncate(cred types.Cred, id types.ObjectID, size uint64) error 
 	d.mu.RLock()
 	err := d.truncateShared(cred, id, size)
 	d.auditOp(cred, types.OpTruncate, id, size, 0, "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return err
+	return d.releaseShared(err)
 }
 
 // truncateShared implements Truncate. Caller holds the shared drive
@@ -2072,11 +2029,7 @@ func (d *Drive) GetAttr(cred types.Cred, id types.ObjectID, at types.Timestamp) 
 	d.mu.RLock()
 	ai, err := d.getAttrShared(cred, id, at)
 	d.auditOp(cred, types.OpGetAttr, id, 0, 0, "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return ai, err
+	return ai, d.releaseShared(err)
 }
 
 // getAttrShared implements GetAttr. Caller holds the shared drive lock.
@@ -2084,31 +2037,12 @@ func (d *Drive) getAttrShared(cred types.Cred, id types.ObjectID, at types.Times
 	if d.closed {
 		return AttrInfo{}, types.ErrDriveStopped
 	}
-	o, err := d.getObjectShared(id)
+	in, held, err := d.inodeForRead(cred, id, at)
 	if err != nil {
 		return AttrInfo{}, err
 	}
-	if err := d.lockObjectRead(o); err != nil {
-		return AttrInfo{}, err
-	}
-	var in *Inode
-	if at >= o.ino.ModTime {
-		defer o.mu.RUnlock()
-		if err := d.checkPerm(cred, o.ino, types.PermRead); err != nil {
-			return AttrInfo{}, err
-		}
-		in = o.ino
-	} else {
-		permErr := d.checkPerm(cred, o.ino, types.PermRead|types.PermRecover)
-		snap := d.snapshotObject(o)
-		o.mu.RUnlock()
-		in, err = d.inodeAtCached(snap, at)
-		if err != nil {
-			return AttrInfo{}, err
-		}
-		if permErr != nil {
-			return AttrInfo{}, permErr
-		}
+	if held != nil {
+		defer held.RUnlock()
 	}
 	return AttrInfo{
 		ID: id, Version: in.Version, Size: in.Size,
@@ -2122,11 +2056,7 @@ func (d *Drive) SetAttr(cred types.Cred, id types.ObjectID, attr []byte) error {
 	d.mu.RLock()
 	err := d.setAttrShared(cred, id, attr)
 	d.auditOp(cred, types.OpSetAttr, id, 0, uint64(len(attr)), "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return err
+	return d.releaseShared(err)
 }
 
 // setAttrShared implements SetAttr. Caller holds the shared drive lock.
@@ -2175,8 +2105,7 @@ func (d *Drive) GetACLByUser(cred types.Cred, id types.ObjectID, user types.User
 		return types.ACLEntry{User: user, Perm: in.PermFor(user)}, nil
 	})
 	d.auditOp(cred, types.OpGetACLByUser, id, uint64(user), 0, "", err)
-	d.mu.RUnlock()
-	return e, err
+	return e, d.releaseShared(err)
 }
 
 // GetACLByIndex returns slot idx of the ACL table at time at.
@@ -2189,8 +2118,7 @@ func (d *Drive) GetACLByIndex(cred types.Cred, id types.ObjectID, idx int, at ty
 		return in.ACL[idx], nil
 	})
 	d.auditOp(cred, types.OpGetACLByIndex, id, uint64(idx), 0, "", err)
-	d.mu.RUnlock()
-	return e, err
+	return e, d.releaseShared(err)
 }
 
 // getACLShared implements the ACL reads. Caller holds the shared drive
@@ -2199,33 +2127,51 @@ func (d *Drive) getACLShared(cred types.Cred, id types.ObjectID, at types.Timest
 	if d.closed {
 		return types.ACLEntry{}, types.ErrDriveStopped
 	}
-	o, err := d.getObjectShared(id)
+	in, held, err := d.inodeForRead(cred, id, at)
 	if err != nil {
 		return types.ACLEntry{}, err
 	}
-	if err := d.lockObjectRead(o); err != nil {
-		return types.ACLEntry{}, err
-	}
-	var in *Inode
-	if at >= o.ino.ModTime {
-		defer o.mu.RUnlock()
-		if err := d.checkPerm(cred, o.ino, types.PermRead); err != nil {
-			return types.ACLEntry{}, err
-		}
-		in = o.ino
-	} else {
-		permErr := d.checkPerm(cred, o.ino, types.PermRead|types.PermRecover)
-		snap := d.snapshotObject(o)
-		o.mu.RUnlock()
-		in, err = d.inodeAtCached(snap, at)
-		if err != nil {
-			return types.ACLEntry{}, err
-		}
-		if permErr != nil {
-			return types.ACLEntry{}, permErr
-		}
+	if held != nil {
+		defer held.RUnlock()
 	}
 	return pick(in)
+}
+
+// inodeForRead resolves the version of object id that a read at time at
+// sees, once the caller may read it: the one live-or-past choice behind
+// Read, GetAttr and the ACL reads. The live version is read under the
+// shared object lock (DESIGN.md §9), so held is o.mu, which the caller
+// must RUnlock once done with the inode. A past version is rebuilt from
+// a snapshot with no object lock held, and held is nil. The Recovery
+// flag gates the past: the CURRENT ACL governs, so clearing the flag
+// hides all old versions from everyone but the administrator (§3.4).
+// That verdict is taken before the walk but reported after it,
+// preserving error precedence. Caller holds the shared drive lock.
+func (d *Drive) inodeForRead(cred types.Cred, id types.ObjectID, at types.Timestamp) (in *Inode, held *sync.RWMutex, err error) {
+	o, err := d.getObjectShared(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := d.lockObjectRead(o); err != nil {
+		return nil, nil, err
+	}
+	if at >= o.ino.ModTime {
+		if err := d.checkPerm(cred, o.ino, types.PermRead); err != nil {
+			o.mu.RUnlock()
+			return nil, nil, err
+		}
+		return o.ino, &o.mu, nil
+	}
+	permErr := d.checkPerm(cred, o.ino, types.PermRead|types.PermRecover)
+	snap := d.snapshotObject(o)
+	o.mu.RUnlock()
+	if in, err = d.inodeAtCached(snap, at); err != nil {
+		return nil, nil, err
+	}
+	if permErr != nil {
+		return nil, nil, permErr
+	}
+	return in, nil, nil
 }
 
 // SetACL replaces ACL slot idx, creating a new version. Users need
@@ -2235,8 +2181,7 @@ func (d *Drive) SetACL(cred types.Cred, id types.ObjectID, idx int, entry types.
 	d.mu.RLock()
 	err := d.setACLShared(cred, id, idx, entry)
 	d.auditOp(cred, types.OpSetACL, id, uint64(idx), 0, "", err)
-	d.mu.RUnlock()
-	return err
+	return d.releaseShared(err)
 }
 
 // setACLShared implements SetACL. Caller holds the shared drive lock.

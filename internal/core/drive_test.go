@@ -575,6 +575,53 @@ func TestObjectCacheEviction(t *testing.T) {
 			t.Fatalf("object %v corrupted after eviction", id)
 		}
 	}
+	// Every per-object op trims the object cache once it is done, history
+	// reads and ACL ops included.
+	written := e.d.Now()
+	e.tick()
+	ops := []struct {
+		name string
+		op   func(id types.ObjectID) error
+	}{
+		{"GetAttr", func(id types.ObjectID) error {
+			_, err := e.d.GetAttr(alice, id, types.TimeNowest)
+			return err
+		}},
+		{"GetACLByUser", func(id types.ObjectID) error {
+			_, err := e.d.GetACLByUser(alice, id, bob.User, types.TimeNowest)
+			return err
+		}},
+		{"GetACLByIndex", func(id types.ObjectID) error {
+			_, err := e.d.GetACLByIndex(alice, id, 0, types.TimeNowest)
+			return err
+		}},
+		{"SetACL", func(id types.ObjectID) error {
+			return e.d.SetACL(alice, id, 1, types.ACLEntry{User: bob.User, Perm: types.PermRead})
+		}},
+		{"ListVersions", func(id types.ObjectID) error {
+			_, err := e.d.ListVersions(alice, id)
+			return err
+		}},
+		{"Read(at)", func(id types.ObjectID) error {
+			got, err := e.d.Read(alice, id, 0, 1024, written)
+			if err == nil && !bytes.Equal(got, contents[id]) {
+				err = fmt.Errorf("read %d bytes, want the %d written", len(got), len(contents[id]))
+			}
+			return err
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			for _, id := range ids {
+				if err := op.op(id); err != nil {
+					t.Fatalf("%v: %v", id, err)
+				}
+				if n := int(e.d.loaded.Load()); n > e.d.opts.ObjectCacheCount {
+					t.Fatalf("%v left %d inodes loaded, want <= ObjectCacheCount %d", id, n, e.d.opts.ObjectCacheCount)
+				}
+			}
+		})
+	}
 }
 
 func TestMaxIOLimit(t *testing.T) {

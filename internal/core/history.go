@@ -82,84 +82,66 @@ func (d *Drive) snapshotObject(o *object) *objSnapshot {
 	return s
 }
 
-// walkEntriesSnap visits the snapshot's journal entries newest-first:
-// the pending copy, then flushed sectors following the backward chain,
-// stopping at the retained tail (sectors older than jtail were freed by
-// the cleaner). fn returning true stops the walk. Caller holds the
-// shared or exclusive drive lock — that is what keeps the cleaner from
-// relocating chain sectors mid-walk; no object lock is needed.
-func (d *Drive) walkEntriesSnap(s *objSnapshot, fn func(e *journal.Entry) (bool, error)) error {
-	for i := len(s.pending) - 1; i >= 0; i-- {
-		stop, err := fn(s.pending[i])
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
+// walkEntriesSnap visits the snapshot's journal entries newest-first, from
+// an anchor, through the retained tail (sectors older than jtail were
+// freed by the cleaner). With no landmark the walk starts at the top:
+// the pending copy, then the flushed chain from jhead. With one it
+// starts in the landmark's sector, past the (newer) entries stacked
+// above its checkpoint entry, and a sector that does not hold that entry
+// ends the walk with errLandmarkMiss before fn sees anything. fn
+// returning true stops the walk. Caller holds the shared or exclusive
+// drive lock — that is what keeps the cleaner from relocating chain
+// sectors mid-walk; no object lock is needed.
+func (d *Drive) walkEntriesSnap(s *objSnapshot, ln *landmark, fn func(e *journal.Entry) (bool, error)) error {
+	from := s.jhead
+	if ln != nil {
+		from = ln.sector
+	} else {
+		for i := len(s.pending) - 1; i >= 0; i-- {
+			if stop, err := fn(s.pending[i]); stop || err != nil {
+				return err
+			}
 		}
 	}
-	var scratch []byte
-	for addr := s.jhead; addr != journal.NilSector; {
-		prev, entries, err := d.readJSector(s.id, addr, &scratch)
-		if err != nil {
-			return err
-		}
+	seen := ln == nil // the anchor's own entry has been passed
+	return d.walkSectors(s.id, from, s.jtail, func(_, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
 		for i := len(entries) - 1; i >= 0; i-- {
 			e := &entries[i]
-			if e.Version > s.chainLim && e.Type != journal.EntCheckpoint {
+			switch {
+			case !seen:
+				seen = e.Type == journal.EntCheckpoint && e.Version == ln.version &&
+					e.Time == ln.time && e.InodeAddr == ln.root
+			case e.Version > s.chainLim && e.Type != journal.EntCheckpoint:
 				// Merged into the head sector after this snapshot was
 				// taken; the pending copy already covered (or post-dates)
 				// it.
-				continue
-			}
-			stop, err := fn(e)
-			if err != nil {
-				return err
-			}
-			if stop {
-				return nil
+			default:
+				if stop, err := fn(e); stop || err != nil {
+					return true, err
+				}
 			}
 		}
-		if addr == s.jtail {
-			break
+		if !seen {
+			// The landmark entry was not where the index said; stale copy.
+			return true, errLandmarkMiss
 		}
-		addr = prev
-	}
-	return nil
+		return false, nil
+	})
 }
 
-// inodeAtCached is inodeAtSnapInterval behind the reconstruction cache.
-// The returned inode may be shared with other readers and must be treated
-// as read-only. The floor precheck runs before the cache lookup, so a
-// cached state whose interval straddles the (monotonically rising)
-// history floor can never serve an at that aging or Flush has since
-// made unreconstructible.
+// inodeAtCached reconstructs the snapshot's inode as of time at, behind
+// the reconstruction cache. The returned inode may be shared with other
+// readers and must be treated as read-only. The floor precheck runs
+// before the cache lookup, so a cached state whose interval straddles
+// the (monotonically rising) history floor can never serve an at that
+// aging or Flush has since made unreconstructible. Caller holds the
+// shared or exclusive drive lock; no object lock is needed.
 func (d *Drive) inodeAtCached(s *objSnapshot, at types.Timestamp) (*Inode, error) {
 	if at < s.floorTime {
 		return nil, fmt.Errorf("core: time %v predates retained history: %w", at, types.ErrNoVersion)
 	}
 	if in := d.recon.get(s.id, at); in != nil {
 		return in, nil
-	}
-	in, from, to, err := d.inodeAtSnapInterval(s, at)
-	if err != nil {
-		return nil, err
-	}
-	d.recon.put(s.id, from, to, in, s.epoch)
-	return in, nil
-}
-
-// inodeAtSnapInterval reconstructs the snapshot's inode as of time at
-// by undoing entries younger than at, newest-first, and reports the
-// reconstruction's validity interval: the result is the object's state
-// for every instant in [from, to), which is what makes it memoizable
-// (DESIGN.md §12.2). from is the stop entry's time; to is the oldest
-// undone entry's time, or snapNow when nothing newer than at existed at
-// snapshot time. The returned inode is private to the caller. Caller
-// holds the shared or exclusive drive lock; no object lock is needed.
-func (d *Drive) inodeAtSnapInterval(s *objSnapshot, at types.Timestamp) (in *Inode, from, to types.Timestamp, err error) {
-	if at < s.floorTime {
-		return nil, 0, 0, fmt.Errorf("core: time %v predates retained history: %w", at, types.ErrNoVersion)
 	}
 	// Landmark fast path (DESIGN.md §12.1): anchor at the earliest
 	// flushed checkpoint entry strictly after at. Every entry newer than
@@ -168,21 +150,52 @@ func (d *Drive) inodeAtSnapInterval(s *objSnapshot, at types.Timestamp) (in *Ino
 	// exactly the state they leave behind. The bound must be strict: an
 	// entry sharing the landmark's timestamp but preceding it in the
 	// chain could be the true stop entry for at == that timestamp.
+	var in *Inode
+	var from, to types.Timestamp
+	err := errLandmarkMiss
 	if ln, ok := landmarkAfter(s.landmarks, at); ok {
-		in, from, to, err = d.inodeAtLandmark(s, ln, at)
-		if err == nil || !errors.Is(err, errLandmarkMiss) {
-			if err == nil {
-				d.landmarkHits.Add(1)
-			}
-			return in, from, to, err
+		if in, from, to, err = d.inodeAtSnapInterval(s, &ln, at); err == nil {
+			d.landmarkHits.Add(1)
 		}
-		// Miss: anchor decoding raced something unexpected; the full
-		// walk below is always correct.
 	}
-	clone := s.ino
-	to = s.snapNow
+	if errors.Is(err, errLandmarkMiss) {
+		// No landmark, or a miss: the walk from the live clone is always
+		// correct.
+		in, from, to, err = d.inodeAtSnapInterval(s, nil, at)
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.recon.put(s.id, from, to, in, s.epoch)
+	return in, nil
+}
+
+// inodeAtSnapInterval is the one undo walk behind history reads. It
+// reconstructs the snapshot's inode as of time at by undoing entries
+// younger than at, newest-first, from an anchor: with no landmark the
+// snapshot's live clone, with one the landmark's checkpoint image, the
+// entries being those walkEntriesSnap visits from that anchor. It reports
+// the reconstruction's validity interval: the result is the object's
+// state for every instant in [from, to), which is what makes it
+// memoizable (DESIGN.md §12.2). from is the stop entry's time; to is
+// the oldest undone entry's time, or the anchor's (snapNow, the
+// landmark's time) when nothing was undone. The returned inode is
+// private to the caller. A landmark whose root rotted on media or was
+// reused, or whose sector no longer holds its entry, is
+// errLandmarkMiss: the landmark is only an accelerator.
+func (d *Drive) inodeAtSnapInterval(s *objSnapshot, ln *landmark, at types.Timestamp) (in *Inode, from, to types.Timestamp, err error) {
+	in, to = s.ino, s.snapNow
+	if ln != nil {
+		if in, err = d.landmarkImage(s.id, ln.version, ln.root); in == nil {
+			if err == nil {
+				err = errLandmarkMiss
+			}
+			return nil, 0, 0, err
+		}
+		to = ln.time
+	}
 	from = s.floorTime // walk may run off the retained tail
-	walkErr := d.walkEntriesSnap(s, func(e *journal.Entry) (bool, error) {
+	err = d.walkEntriesSnap(s, ln, func(e *journal.Entry) (bool, error) {
 		d.walkEntries.Add(1)
 		if e.Time <= at {
 			from = e.Time // stop entry established this state
@@ -192,28 +205,28 @@ func (d *Drive) inodeAtSnapInterval(s *objSnapshot, at types.Timestamp) (in *Ino
 			// Undoing creation: the object did not exist at `at`.
 			return true, types.ErrNoVersion
 		}
-		clone.undo(e)
+		in.undo(e)
 		to = e.Time
 		return false, nil
 	})
-	if walkErr != nil {
-		return nil, 0, 0, walkErr
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if at < clone.CreateTime {
+	if at < in.CreateTime {
 		return nil, 0, 0, types.ErrNoVersion
 	}
-	if clone.Poisoned() {
+	if in.Poisoned() {
 		// Some block's content at this instant was freed by a retention
 		// skip (DESIGN.md §16): the whole version is conservatively
 		// unreadable — a typed error, never manufactured bytes.
 		return nil, 0, 0, fmt.Errorf("core: version at %v not retained by policy: %w", at, types.ErrNoVersion)
 	}
-	if from < clone.CreateTime {
+	if from < in.CreateTime {
 		// The interval must not extend to instants before the object
 		// existed: those must keep answering ErrNoVersion.
-		from = clone.CreateTime
+		from = in.CreateTime
 	}
-	return clone, from, to, nil
+	return in, from, to, nil
 }
 
 // errLandmarkMiss reports that a landmark anchor could not serve the
@@ -232,74 +245,6 @@ func landmarkAfter(ls []landmark, at types.Timestamp) (landmark, bool) {
 		}
 	}
 	return landmark{}, false
-}
-
-// inodeAtLandmark reconstructs the state at `at` starting from a
-// checkpoint root instead of the live inode. The walk begins in the
-// sector holding the landmark's checkpoint entry, skips the (newer)
-// entries stacked above it, and undoes from there exactly as the full
-// walk would.
-func (d *Drive) inodeAtLandmark(s *objSnapshot, ln landmark, at types.Timestamp) (in *Inode, from, to types.Timestamp, err error) {
-	clone, err := d.landmarkImage(s.id, ln.version, ln.root)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if clone == nil {
-		// The checkpoint root rotted on media or was reused. The landmark
-		// is only an accelerator — the full undo walk reconstructs the
-		// same state from the live inode, so a miss here degrades to the
-		// slow path instead of failing the read.
-		return nil, 0, 0, errLandmarkMiss
-	}
-	to = ln.time
-	from = s.floorTime
-	seen := false // the landmark's own entry has been passed
-	stopped := false
-	var scratch []byte
-	for addr := ln.sector; addr != journal.NilSector; {
-		prev, entries, err := d.readJSector(s.id, addr, &scratch)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for i := len(entries) - 1; i >= 0; i-- {
-			e := &entries[i]
-			if !seen {
-				if e.Type == journal.EntCheckpoint && e.Version == ln.version &&
-					e.Time == ln.time && e.InodeAddr == ln.root {
-					seen = true
-				}
-				continue
-			}
-			d.walkEntries.Add(1)
-			if e.Time <= at {
-				from, stopped = e.Time, true
-				break
-			}
-			if e.Type == journal.EntCreate {
-				return nil, 0, 0, types.ErrNoVersion
-			}
-			clone.undo(e)
-			to = e.Time
-		}
-		if !seen {
-			// The landmark entry was not where the index said; stale copy.
-			return nil, 0, 0, errLandmarkMiss
-		}
-		if stopped || addr == s.jtail {
-			break
-		}
-		addr = prev
-	}
-	if at < clone.CreateTime {
-		return nil, 0, 0, types.ErrNoVersion
-	}
-	if clone.Poisoned() {
-		return nil, 0, 0, fmt.Errorf("core: version at %v not retained by policy: %w", at, types.ErrNoVersion)
-	}
-	if from < clone.CreateTime {
-		from = clone.CreateTime
-	}
-	return clone, from, to, nil
 }
 
 // inodeAtLocked returns the object's inode as of time at. current
@@ -335,11 +280,7 @@ func (d *Drive) ListVersions(cred types.Cred, id types.ObjectID) ([]VersionInfo,
 	d.mu.RLock()
 	vs, err := d.listVersionsShared(cred, id)
 	d.auditOp(cred, types.OpListVersions, id, 0, 0, "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return vs, err
+	return vs, d.releaseShared(err)
 }
 
 // listVersionsShared implements ListVersions. Caller holds the shared
@@ -363,7 +304,7 @@ func (d *Drive) listVersionsShared(cred types.Cred, id types.ObjectID) ([]Versio
 	o.mu.RUnlock()
 	var out []VersionInfo
 	size := snap.ino.Size
-	err = d.walkEntriesSnap(snap, func(e *journal.Entry) (bool, error) {
+	err = d.walkEntriesSnap(snap, nil, func(e *journal.Entry) (bool, error) {
 		if e.Type == journal.EntCheckpoint {
 			return false, nil
 		}
@@ -393,11 +334,7 @@ func (d *Drive) Revert(cred types.Cred, id types.ObjectID, at types.Timestamp) e
 	d.mu.RLock()
 	err := d.revertShared(cred, id, at)
 	d.auditOp(cred, types.OpRevert, id, uint64(at), 0, "", err)
-	d.mu.RUnlock()
-	if eerr := d.maybeEvict(); err == nil {
-		err = eerr
-	}
-	return err
+	return d.releaseShared(err)
 }
 
 // revertShared implements Revert. Caller holds the shared drive lock.
@@ -623,7 +560,7 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 	}
 	// Collect all retained entries, oldest first.
 	var all []*journal.Entry
-	if err := d.walkEntriesSnap(d.snapshotObject(o), func(e *journal.Entry) (bool, error) {
+	if err := d.walkEntriesSnap(d.snapshotObject(o), nil, func(e *journal.Entry) (bool, error) {
 		cp := *e
 		all = append(all, &cp)
 		return false, nil

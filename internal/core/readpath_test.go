@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"s4/internal/journal"
 	"s4/internal/types"
 )
 
@@ -65,7 +67,9 @@ func verifySnaps(e *testEnv, id types.ObjectID, snaps []versionSnap) {
 // oracle: with checkpoints every 4 entries and the reconstruction
 // cache disabled, every historical read must reproduce the recorded
 // state exactly, while the stats prove the landmark path (not the full
-// walk) served the bulk of them.
+// walk) served the bulk of them. Each further row spoils every anchor of
+// the index one way; the walk must then fall back to the full walk for
+// every read, reproduce the same bytes, and count no landmark hit.
 func TestLandmarkWalkMatchesFullWalk(t *testing.T) {
 	e := newTestDrive(t, func(o *Options) {
 		o.CheckpointEvery = 4
@@ -79,18 +83,78 @@ func TestLandmarkWalkMatchesFullWalk(t *testing.T) {
 	if err := e.d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	verifySnaps(e, id, snaps)
-
-	st := e.d.GetStats()
-	if st.LandmarkHits < versions/2 {
-		t.Fatalf("only %d of %d reads anchored at a landmark", st.LandmarkHits, versions)
+	o := e.d.objects[id]
+	var chain []journal.SectorAddr // newest first
+	e.d.mu.Lock()
+	err := e.d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
+		chain = append(chain, addr)
+		return false, nil
+	})
+	intact := append([]landmark(nil), o.landmarks...)
+	e.d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A full walk averages versions/2 undos per read; the landmark walk
-	// is bounded by the checkpoint cadence. Leave generous slack for the
-	// fallback reads near the live head.
-	if st.HistoryWalkEntries > int64(versions)*10 {
-		t.Fatalf("%d walk entries over %d reads: landmark acceleration not engaged",
-			st.HistoryWalkEntries, versions)
+	if len(intact) < 2 || len(chain) < 2 {
+		t.Fatalf("%d landmarks over %d sectors, want several of each", len(intact), len(chain))
+	}
+	rows := []struct {
+		name  string
+		spoil func(ls []landmark)
+	}{
+		{"indexed", nil},
+		// The errLandmarkMiss path: the index names a sector of the chain
+		// that does not hold the landmark's entry.
+		{"sector-without-entry", func(ls []landmark) {
+			for i := range ls {
+				k := slices.Index(chain, ls[i].sector)
+				ls[i].sector = chain[(k+1)%len(chain)]
+			}
+		}},
+		// The root decodes as this object, but at another landmark's
+		// version: no anchor.
+		{"root-of-another-version", func(ls []landmark) {
+			for i := range ls {
+				ls[i].root = intact[(i+1)%len(intact)].root
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.spoil != nil {
+				e.d.mu.Lock()
+				row.spoil(o.landmarks)
+				e.d.mu.Unlock()
+				t.Cleanup(func() {
+					e.d.mu.Lock()
+					o.landmarks = append(o.landmarks[:0], intact...)
+					e.d.mu.Unlock()
+				})
+			}
+			s0 := e.d.GetStats()
+			re := *e
+			re.t = t
+			verifySnaps(&re, id, snaps)
+			st := e.d.GetStats()
+			hits, walked := st.LandmarkHits-s0.LandmarkHits, st.HistoryWalkEntries-s0.HistoryWalkEntries
+			t.Logf("%d reads: %d landmark hits, %d entries walked", versions, hits, walked)
+			if row.spoil != nil {
+				if hits != 0 {
+					t.Fatalf("%d reads anchored at a spoiled landmark", hits)
+				}
+				return
+			}
+			if hits < versions/2 {
+				t.Fatalf("only %d of %d reads anchored at a landmark", hits, versions)
+			}
+			// A full walk averages versions/2 undos per read; the landmark
+			// walk is bounded by the checkpoint cadence. Leave generous
+			// slack for the fallback reads near the live head.
+			if walked > int64(versions)*10 {
+				t.Fatalf("%d walk entries over %d reads: landmark acceleration not engaged",
+					walked, versions)
+			}
+		})
 	}
 	if err := e.d.CheckLandmarks(); err != nil {
 		t.Fatal(err)

@@ -606,6 +606,7 @@ func (d *Drive) truncateJournalSector(addr journal.SectorAddr, prev journal.Sect
 // advanced the snapshot seq past cpSeq, so everything above it is
 // unacknowledged tail.
 func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
+	var scratch []byte
 	for id, o := range d.objects {
 		if o.jhead == journal.NilSector {
 			continue
@@ -614,13 +615,14 @@ func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
 		if seg < 0 || visited[seg] {
 			continue // the roll-forward scan vetted every sector there
 		}
-		gotID, prev, entries, err := journal.ReadSector(d.log, o.jhead)
-		if err != nil && !errors.Is(err, types.ErrCorrupt) {
-			return err // unread is not vetted
-		}
-		if err != nil || gotID != id {
-			// Torn, rotted, or reused: the chain walks that need this
-			// sector will report it; vetting has nothing to cut.
+		prev, entries, err := d.readJSector(id, o.jhead, &scratch)
+		if err != nil {
+			if !errors.Is(err, types.ErrCorrupt) {
+				return err // unread is not vetted
+			}
+			// Torn, rotted, reused or another object's: the chain walks
+			// that need this sector will report it; vetting has nothing
+			// to cut.
 			continue
 		}
 		if _, err := d.vetSector(o.jhead, prev, id, entries, d.recSnapVer[id]); err != nil {

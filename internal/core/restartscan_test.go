@@ -306,6 +306,10 @@ func TestOpenWorkDoesNotScaleWithChainDepth(t *testing.T) {
 	open := func(versions int) result {
 		dev, opts, ids := deepChainImage(t, versions)
 		dev.ResetStats()
+		// Two collections empty every sync.Pool, so neither open reuses
+		// what earlier work in this process happened to leave pooled.
+		runtime.GC()
+		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		r, err := Open(dev, opts)

@@ -559,6 +559,29 @@ func ReadSectorInto(r SectorReader, sa SectorAddr, buf []byte) (obj types.Object
 	return obj, prev, entries, nil
 }
 
+// WalkSectors is the one loop that follows a journal chain backward. It
+// reads the sector at from through read, hands fn its address, backward
+// link and entries (oldest first), and moves to the link, until fn stops
+// it or errs, a read fails, the sector at tail has been visited, or the
+// link is NilSector (pass NilSector as tail to walk to the chain's end).
+// read decides where a sector comes from and whose it must be.
+func WalkSectors(read func(sa SectorAddr) (prev SectorAddr, entries []Entry, err error), from, tail SectorAddr, fn func(addr, prev SectorAddr, entries []Entry) (stop bool, err error)) error {
+	for addr := from; addr != NilSector; {
+		prev, entries, err := read(addr)
+		if err != nil {
+			return err
+		}
+		if stop, err := fn(addr, prev, entries); stop || err != nil {
+			return err
+		}
+		if addr == tail {
+			break
+		}
+		addr = prev
+	}
+	return nil
+}
+
 // WalkBackward visits an object's journal entries newest-first, starting
 // from the sector at head and following previous pointers, until fn
 // returns stop or the chain ends. Unflushed in-memory entries must be
@@ -567,24 +590,18 @@ func ReadSectorInto(r SectorReader, sa SectorAddr, buf []byte) (obj types.Object
 // valid, and unshared, after fn returns.
 func WalkBackward(r SectorReader, obj types.ObjectID, head SectorAddr, fn func(e *Entry) (stop bool, err error)) error {
 	buf := make([]byte, seglog.BlockSize)
-	for addr := head; addr != NilSector; {
-		gotObj, prev, entries, err := ReadSectorInto(r, addr, buf)
-		if err != nil {
-			return err
+	return WalkSectors(func(sa SectorAddr) (SectorAddr, []Entry, error) {
+		gotObj, prev, entries, err := ReadSectorInto(r, sa, buf)
+		if err == nil && gotObj != obj {
+			err = fmt.Errorf("journal: sector at %d belongs to %v, expected %v: %w", sa, gotObj, obj, types.ErrCorrupt)
 		}
-		if gotObj != obj {
-			return fmt.Errorf("journal: sector at %d belongs to %v, expected %v: %w", addr, gotObj, obj, types.ErrCorrupt)
-		}
+		return prev, entries, err
+	}, head, NilSector, func(_, _ SectorAddr, entries []Entry) (bool, error) {
 		for i := len(entries) - 1; i >= 0; i-- {
-			stop, err := fn(&entries[i])
-			if err != nil {
-				return err
-			}
-			if stop {
-				return nil
+			if stop, err := fn(&entries[i]); stop || err != nil {
+				return true, err
 			}
 		}
-		addr = prev
-	}
-	return nil
+		return false, nil
+	})
 }

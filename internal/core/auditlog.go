@@ -248,11 +248,8 @@ func (d *Drive) AuditRead(cred types.Cred, fromSeq uint64, max int) ([]audit.Rec
 // auditReadShared implements AuditRead. Caller holds the shared drive
 // lock but not auditMu.
 func (d *Drive) auditReadShared(cred types.Cred, fromSeq uint64, max int) ([]audit.Record, error) {
-	if d.closed {
-		return nil, types.ErrDriveStopped
-	}
-	if !cred.Admin {
-		return nil, types.ErrAdminOnly
+	if err := d.adminGate(cred, types.OpAuditRead); err != nil {
+		return nil, err
 	}
 	if max <= 0 || max > 100000 {
 		max = 100000

@@ -173,4 +173,42 @@ func TestAuditOpAllocs(t *testing.T) {
 	} else if perOp > 64 {
 		t.Errorf("an audited op allocates %d B, want at most 64", perOp)
 	}
+
+	// Whole mutations, through the one door into an object: what each
+	// allocates is its journal entry and what the change itself needs,
+	// pinned at what each op allocated when every op had a prologue of
+	// its own. A door that allocated — a closure escaping to the heap —
+	// would add one to every row.
+	e = newTestDrive(t, func(o *Options) { o.ObjectCacheCount = 1 << 12 })
+	id := e.create(alice)
+	blk := make([]byte, types.BlockSize)
+	var doomed []types.ObjectID
+	for range 300 {
+		doomed = append(doomed, e.create(alice))
+	}
+	for _, row := range []struct {
+		name string
+		max  float64
+		op   func(i int) error
+	}{
+		{"Write", 10, func(int) error { return e.d.Write(alice, id, 0, blk) }},
+		{"Truncate", 1, func(i int) error { return e.d.Truncate(alice, id, uint64(1+i%2)*types.BlockSize) }},
+		{"SetAttr", 4, func(int) error { return e.d.SetAttr(alice, id, blk[:16]) }},
+		{"SetACL", 1, func(i int) error {
+			return e.d.SetACL(alice, id, 1, types.ACLEntry{User: bob.User, Perm: types.Perm(1 + i%2)})
+		}},
+		{"Delete", 2, func(i int) error { return e.d.Delete(alice, doomed[i]) }},
+	} {
+		i := 0
+		allocs := testing.AllocsPerRun(250, func() {
+			if err := row.op(i); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("%s: %.0f allocations (at most %.0f)", row.name, allocs, row.max)
+		if allocs > row.max {
+			t.Errorf("%s allocates %.0f times, want at most %.0f", row.name, allocs, row.max)
+		}
+	}
 }

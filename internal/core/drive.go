@@ -41,6 +41,19 @@
 //
 // Functions named *Locked document in their comment which of these
 // locks the caller must hold.
+//
+// # Ways in
+//
+// Every per-object mutation (Write, Append, Truncate, SetAttr, SetACL,
+// Delete, Revert) enters through one door, mutateShared: a closed
+// drive, the op's own argument check, a reserved ID, then lookup and
+// load under the exclusive object lock; then a deleted object, the op's
+// permission and the throttle (Revert takes its own two-version
+// permission step in place of the first two). One place hands out
+// version numbers: object.mint stamps an entry with the next version,
+// the time and the caller. The whole-drive administrative ops
+// (types.Op.Admin) pass one gate, adminGate: a closed drive first, then
+// administrative credentials; whatever they end with is audited.
 package core
 
 import (
@@ -598,18 +611,6 @@ func (d *Drive) Window() time.Duration {
 // Now returns the drive clock's current timestamp.
 func (d *Drive) Now() types.Timestamp { return vclock.TS(d.clk) }
 
-// registerObject installs a fresh object with its initial inode.
-// Caller holds the exclusive drive lock.
-func (d *Drive) registerObject(id types.ObjectID, now types.Timestamp, acl []types.ACLEntry) *object {
-	o := &object{id: id, ino: newInode(id, now, acl), nextVersion: 2}
-	d.lruMu.Lock()
-	o.lruEl = d.objLRU.PushFront(o)
-	d.lruMu.Unlock()
-	d.addObjectLocked(o)
-	d.loaded.Add(1)
-	return o
-}
-
 // addObjectLocked enters o in the object table. IDs are mostly handed
 // out in rising order, so the ordered insert is usually an append.
 // Caller holds the exclusive drive lock.
@@ -634,6 +635,96 @@ func (d *Drive) checkPerm(cred types.Cred, in *Inode, need types.Perm) error {
 		return nil
 	}
 	return types.ErrPerm
+}
+
+// errIf returns err when bad holds: an op's own argument check, in the
+// form the door and the create path take it.
+func errIf(bad bool, err error) error {
+	if bad {
+		return err
+	}
+	return nil
+}
+
+// adminGate is the one rule for the whole-drive administrative ops
+// (types.Op.Admin: Flush, FlushO, SetWindow, AuditRead, Scrub,
+// SetPolicy): a closed drive first, then administrative credentials. The
+// op audits whatever it ends with, a refusal here included. Caller holds
+// the drive lock in either mode.
+func (d *Drive) adminGate(cred types.Cred, op types.Op) error {
+	switch {
+	case d.closed:
+		return types.ErrDriveStopped
+	case op.Admin() && !cred.Admin:
+		return types.ErrAdminOnly
+	}
+	return nil
+}
+
+// mutateShared is the one door into an object: Write, Append, Truncate,
+// SetAttr, SetACL, Delete and Revert enter through it and no other way.
+// It runs the checks each of them owes in one order: a closed drive, the
+// op's own argument check (argErr), a reserved ID, then lookup and load
+// under the exclusive object lock. Then pre, when the op has one (Write
+// and Append resolve where the data lands; Revert takes its own
+// two-version permission step there and passes need == 0, which skips
+// the next two checks), a deleted object and need on the live version,
+// and the throttle. pre may report that nothing is left to do — an empty
+// write, a Revert to the version already current — and then neither the
+// throttle nor apply runs. apply makes the change under the same
+// exclusive hold. Neither closure escapes, so entering allocates
+// nothing. Caller holds the shared drive lock.
+func (d *Drive) mutateShared(cred types.Cred, id types.ObjectID, argErr error, need types.Perm,
+	pre func(o *object) (skip bool, err error), apply func(o *object) error) error {
+	if d.closed {
+		return types.ErrDriveStopped
+	}
+	if argErr != nil {
+		return argErr
+	}
+	if err := checkReserved(cred, id); err != nil {
+		return err
+	}
+	o, err := d.getObjectShared(id)
+	if err != nil {
+		return err
+	}
+	if err := d.lockObjectWrite(o); err != nil {
+		return err
+	}
+	defer o.mu.Unlock()
+	skip := false
+	if pre != nil {
+		if skip, err = pre(o); err != nil {
+			return err
+		}
+	}
+	if need != 0 {
+		if o.ino.Deleted {
+			return types.ErrNoObject
+		}
+		if err := d.checkPerm(cred, o.ino, need); err != nil {
+			return err
+		}
+	}
+	if skip {
+		return nil
+	}
+	if err := d.throttle(cred); err != nil {
+		return err
+	}
+	return apply(o)
+}
+
+// mint stamps e as o's next version, made by cred at now, and returns
+// it: the one place a version number is handed out. Flush's merge
+// entries and landmark entries are not versions of their own; they
+// share the version of the entry they stand beside. Caller holds o.mu
+// exclusively (plus the shared drive lock) or the exclusive drive lock.
+func (o *object) mint(cred types.Cred, now types.Timestamp, e *journal.Entry) *journal.Entry {
+	e.Version, e.Time, e.User, e.Client = o.nextVersion, now, cred.User, cred.Client
+	o.nextVersion++
+	return e
 }
 
 // checkReserved rejects direct client mutation of drive-owned objects.
@@ -1387,28 +1478,7 @@ func (d *Drive) readBlock(addr seglog.BlockAddr) ([]byte, error) {
 // which the user may later clear with SetACL, §3.4). Creation mutates
 // the object map, so it is a whole-drive operation.
 func (d *Drive) Create(cred types.Cred, acl []types.ACLEntry, attr []byte) (types.ObjectID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return 0, types.ErrDriveStopped
-	}
-	if len(acl) > types.MaxACLEntries || len(attr) > types.MaxAttrLen {
-		d.auditOp(cred, types.OpCreate, 0, 0, 0, "", types.ErrTooLarge)
-		return 0, types.ErrTooLarge
-	}
-	if err := d.throttle(cred); err != nil {
-		d.auditOp(cred, types.OpCreate, 0, 0, 0, "", err)
-		return 0, err
-	}
-	if len(acl) == 0 {
-		acl = []types.ACLEntry{{User: cred.User, Perm: types.PermAll}}
-	}
-	id := d.nextOID
-	d.nextOID++
-	d.createObjectLocked(id, cred, acl, attr)
-	d.auditOp(cred, types.OpCreate, id, 0, 0, "", nil)
-	err := d.evictColdLocked()
-	return id, err
+	return d.create(cred, 0, acl, attr)
 }
 
 // CreateWithID makes a new object under a caller-chosen ID. It exists
@@ -1421,62 +1491,62 @@ func (d *Drive) Create(cred types.Cred, acl []types.ACLEntry, attr []byte) (type
 // objects' histories together and blind intrusion diagnosis. nextOID
 // advances past the given ID so a later plain Create cannot collide.
 func (d *Drive) CreateWithID(cred types.Cred, id types.ObjectID, acl []types.ACLEntry, attr []byte) error {
+	_, err := d.create(cred, id, acl, attr)
+	return err
+}
+
+// create is the one create path: Create passes id 0 and takes the next
+// free ID, CreateWithID passes its own.
+func (d *Drive) create(cred types.Cred, id types.ObjectID, acl []types.ACLEntry, attr []byte) (types.ObjectID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return types.ErrDriveStopped
+		return 0, types.ErrDriveStopped
 	}
-	var err error
-	switch {
-	case id < types.FirstUserObject:
-		err = types.ErrInval
-	case len(acl) > types.MaxACLEntries || len(attr) > types.MaxAttrLen:
-		err = types.ErrTooLarge
-	default:
-		if _, exists := d.objects[id]; exists {
-			err = types.ErrExist
-		}
+	err := errIf(id != 0 && id < types.FirstUserObject, types.ErrInval)
+	if err == nil {
+		err = errIf(len(acl) > types.MaxACLEntries || len(attr) > types.MaxAttrLen, types.ErrTooLarge)
+	}
+	if _, exists := d.objects[id]; err == nil && exists {
+		err = types.ErrExist
 	}
 	if err == nil {
 		err = d.throttle(cred)
 	}
 	if err != nil {
 		d.auditOp(cred, types.OpCreate, id, 0, 0, "", err)
-		return err
+		return 0, err
 	}
+	if id == 0 {
+		id = d.nextOID
+	}
+	d.nextOID = max(d.nextOID, id+1)
 	if len(acl) == 0 {
 		acl = []types.ACLEntry{{User: cred.User, Perm: types.PermAll}}
 	}
-	if id >= d.nextOID {
-		d.nextOID = id + 1
-	}
 	d.createObjectLocked(id, cred, acl, attr)
 	d.auditOp(cred, types.OpCreate, id, 0, 0, "", nil)
-	return d.evictColdLocked()
+	return id, d.evictColdLocked()
 }
 
-// createObjectLocked registers a new object and journals its birth,
+// createObjectLocked installs a new object and journals its birth,
 // initial ACL, and initial attributes, so that crash recovery can
 // rebuild the object entirely from the log. Caller holds the exclusive
 // drive lock.
 func (d *Drive) createObjectLocked(id types.ObjectID, cred types.Cred, acl []types.ACLEntry, attr []byte) *object {
 	now := vclock.TS(d.clk)
-	o := d.registerObject(id, now, nil)
-	d.appendEntry(o, &journal.Entry{Type: journal.EntCreate, Version: 1, Time: now, User: cred.User, Client: cred.Client})
+	o := &object{id: id, ino: newInode(id, now, nil), nextVersion: 1}
+	d.lruMu.Lock()
+	o.lruEl = d.objLRU.PushFront(o)
+	d.lruMu.Unlock()
+	d.addObjectLocked(o)
+	d.loaded.Add(1)
+	d.appendEntry(o, o.mint(cred, now, &journal.Entry{Type: journal.EntCreate}))
 	for i, e := range acl {
-		d.appendEntry(o, &journal.Entry{
-			Type: journal.EntSetACL, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client,
-			ACLIndex: uint8(i), NewACL: e,
-		})
-		o.nextVersion++
+		d.appendEntry(o, o.mint(cred, now, &journal.Entry{Type: journal.EntSetACL, ACLIndex: uint8(i), NewACL: e}))
 	}
 	if len(attr) > 0 {
-		d.appendEntry(o, &journal.Entry{
-			Type: journal.EntSetAttr, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client, NewAttr: append([]byte(nil), attr...),
-		})
-		o.nextVersion++
+		d.appendEntry(o, o.mint(cred, now, &journal.Entry{Type: journal.EntSetAttr, NewAttr: append([]byte(nil), attr...)}))
 	}
 	return o
 }
@@ -1485,44 +1555,13 @@ func (d *Drive) createObjectLocked(id types.ObjectID, cred types.Cred, acl []typ
 // one — remain recoverable for the detection window.
 func (d *Drive) Delete(cred types.Cred, id types.ObjectID) error {
 	d.mu.RLock()
-	err := d.deleteShared(cred, id)
+	err := d.mutateShared(cred, id, nil, types.PermDelete, nil, func(o *object) error {
+		d.appendEntry(o, o.mint(cred, vclock.TS(d.clk), &journal.Entry{Type: journal.EntDelete, OldSize: o.ino.Size}))
+		d.charge(cred, int64(o.ino.Size))
+		return nil
+	})
 	d.auditOp(cred, types.OpDelete, id, 0, 0, "", err)
 	return d.releaseShared(err)
-}
-
-// deleteShared implements Delete. Caller holds the shared drive lock.
-func (d *Drive) deleteShared(cred types.Cred, id types.ObjectID) error {
-	if d.closed {
-		return types.ErrDriveStopped
-	}
-	if err := checkReserved(cred, id); err != nil {
-		return err
-	}
-	o, err := d.getObjectShared(id)
-	if err != nil {
-		return err
-	}
-	if err := d.lockObjectWrite(o); err != nil {
-		return err
-	}
-	defer o.mu.Unlock()
-	if o.ino.Deleted {
-		return types.ErrNoObject
-	}
-	if err := d.checkPerm(cred, o.ino, types.PermDelete); err != nil {
-		return err
-	}
-	if err := d.throttle(cred); err != nil {
-		return err
-	}
-	now := vclock.TS(d.clk)
-	d.appendEntry(o, &journal.Entry{
-		Type: journal.EntDelete, Version: o.nextVersion, Time: now,
-		User: cred.User, Client: cred.Client, OldSize: o.ino.Size,
-	})
-	o.nextVersion++
-	d.charge(cred, int64(o.ino.Size))
-	return nil
 }
 
 // Read returns up to n bytes at off from the version of the object
@@ -1685,55 +1724,31 @@ func (d *Drive) Append(cred types.Cred, id types.ObjectID, data []byte) (uint64,
 	d.mu.RLock()
 	off, err := d.writeShared(cred, id, ^uint64(0), data)
 	d.auditOp(cred, types.OpAppend, id, off, uint64(len(data)), "", err)
+	if err != nil {
+		off = 0 // the data landed nowhere; the record keeps where it would have
+	}
 	return off, d.releaseShared(err)
 }
 
 // writeShared implements Write and Append (off == ^0 means append),
-// returning the offset the data landed at. Caller holds the shared
-// drive lock. Resolving the append offset and performing the write
-// happen under one exclusive object lock hold, so concurrent appends
-// to the same object land at distinct offsets.
+// returning where the data lands once the door has the object locked,
+// and 0 before. An empty write is checked like any other and then
+// creates no version. Resolving the append offset and performing the
+// write happen under one exclusive object lock hold, so concurrent
+// appends to the same object land at distinct offsets. Caller holds the
+// shared drive lock.
 func (d *Drive) writeShared(cred types.Cred, id types.ObjectID, off uint64, data []byte) (uint64, error) {
-	if d.closed {
-		return 0, types.ErrDriveStopped
-	}
-	if len(data) == 0 {
-		// Empty writes succeed without creating a version; report where
-		// an append would have landed.
-		var sz uint64
-		if o, err := d.getObjectShared(id); err == nil && d.lockObjectRead(o) == nil {
-			sz = o.ino.Size
-			o.mu.RUnlock()
-		}
-		return sz, nil
-	}
-	if len(data) > types.MaxIO {
-		return 0, types.ErrTooLarge
-	}
-	if err := checkReserved(cred, id); err != nil {
-		return 0, err
-	}
-	o, err := d.getObjectShared(id)
-	if err != nil {
-		return 0, err
-	}
-	if err := d.lockObjectWrite(o); err != nil {
-		return 0, err
-	}
-	defer o.mu.Unlock()
-	if off == ^uint64(0) {
-		off = o.ino.Size
-	}
-	if o.ino.Deleted {
-		return off, types.ErrNoObject
-	}
-	if err := d.checkPerm(cred, o.ino, types.PermWrite); err != nil {
-		return off, err
-	}
-	if err := d.throttle(cred); err != nil {
-		return off, err
-	}
-	return off, d.writeBlocksLocked(cred, o, off, data)
+	var at uint64
+	err := d.mutateShared(cred, id, errIf(len(data) > types.MaxIO, types.ErrTooLarge), types.PermWrite,
+		func(o *object) (bool, error) {
+			at = off
+			if off == ^uint64(0) {
+				at = o.ino.Size
+			}
+			return len(data) == 0, nil
+		},
+		func(o *object) error { return d.writeBlocksLocked(cred, o, at, data) })
+	return at, err
 }
 
 // writeBlocksLocked performs the block-level write on an authorized
@@ -1742,9 +1757,6 @@ func (d *Drive) writeShared(cred types.Cred, id types.ObjectID, off uint64, data
 // shared drive lock) or the exclusive drive lock.
 func (d *Drive) writeBlocksLocked(cred types.Cred, o *object, off uint64, data []byte) error {
 	in := o.ino
-	if off == ^uint64(0) {
-		off = in.Size
-	}
 	now := vclock.TS(d.clk)
 	end := off + uint64(len(data))
 	b0 := off / types.BlockSize
@@ -1846,14 +1858,12 @@ func (d *Drive) writeBlocksLocked(cred types.Cred, o *object, off uint64, data [
 		if n > maxPer {
 			n = maxPer
 		}
-		e := &journal.Entry{
-			Type: journal.EntWrite, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client,
-			FirstBlock: blk,
-			New:        append([]seglog.BlockAddr(nil), remaining[:n]...),
-			Old:        make([]seglog.BlockAddr, n),
-			OldSize:    oldSize, NewSize: newSize,
-		}
+		e := o.mint(cred, now, &journal.Entry{
+			Type: journal.EntWrite, FirstBlock: blk,
+			New:     append([]seglog.BlockAddr(nil), remaining[:n]...),
+			Old:     make([]seglog.BlockAddr, n),
+			OldSize: oldSize, NewSize: newSize,
+		})
 		for i := 0; i < n; i++ {
 			e.Old[i] = in.Block(blk + uint64(i))
 		}
@@ -1861,7 +1871,6 @@ func (d *Drive) writeBlocksLocked(cred types.Cred, o *object, off uint64, data [
 		// slots in place (DESIGN.md §16) and report what the history
 		// pool actually grew by.
 		histBytes += d.convertOldLocked(o, e, remFulls[:n], pol)
-		o.nextVersion++
 		d.appendEntry(o, e)
 		oldSize = newSize
 		blk += uint64(n)
@@ -1879,110 +1888,58 @@ func (d *Drive) writeBlocksLocked(cred types.Cred, o *object, off uint64, data [
 // Shrinks move the discarded block pointers into the history pool.
 func (d *Drive) Truncate(cred types.Cred, id types.ObjectID, size uint64) error {
 	d.mu.RLock()
-	err := d.truncateShared(cred, id, size)
+	err := d.mutateShared(cred, id, nil, types.PermWrite, nil, func(o *object) error {
+		return d.truncateBlocksLocked(cred, o, size)
+	})
 	d.auditOp(cred, types.OpTruncate, id, size, 0, "", err)
 	return d.releaseShared(err)
-}
-
-// truncateShared implements Truncate. Caller holds the shared drive
-// lock.
-func (d *Drive) truncateShared(cred types.Cred, id types.ObjectID, size uint64) error {
-	if d.closed {
-		return types.ErrDriveStopped
-	}
-	if err := checkReserved(cred, id); err != nil {
-		return err
-	}
-	o, err := d.getObjectShared(id)
-	if err != nil {
-		return err
-	}
-	if err := d.lockObjectWrite(o); err != nil {
-		return err
-	}
-	defer o.mu.Unlock()
-	if o.ino.Deleted {
-		return types.ErrNoObject
-	}
-	if err := d.checkPerm(cred, o.ino, types.PermWrite); err != nil {
-		return err
-	}
-	if err := d.throttle(cred); err != nil {
-		return err
-	}
-	return d.truncateBlocksLocked(cred, o, size)
 }
 
 // truncateBlocksLocked performs the block-level truncate. Caller holds
 // o.mu exclusively (plus the shared drive lock) or the exclusive drive
 // lock.
 func (d *Drive) truncateBlocksLocked(cred types.Cred, o *object, size uint64) error {
-	in := o.ino
-	now := vclock.TS(d.clk)
-	if size >= in.Size {
-		// Growth: a hole; one entry with no pointers.
-		d.appendEntry(o, &journal.Entry{
-			Type: journal.EntTruncate, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client,
-			OldSize: in.Size, NewSize: size,
-		})
-		o.nextVersion++
-		return nil
-	}
-	// Shrink: collect the mapped blocks being discarded.
-	firstGone := (size + types.BlockSize - 1) / types.BlockSize
-	lastOld := (in.Size - 1) / types.BlockSize
+	in, now, oldSize := o.ino, vclock.TS(d.clk), o.ino.Size
+	// A shrink discards the mapped blocks past the new end; a growth
+	// leaves a hole.
 	var idxs []uint64
-	for blk := firstGone; blk <= lastOld; blk++ {
-		if in.Block(blk) != seglog.NilAddr {
-			idxs = append(idxs, blk)
+	if size < oldSize {
+		for blk := (size + types.BlockSize - 1) / types.BlockSize; blk <= (oldSize-1)/types.BlockSize; blk++ {
+			if in.Block(blk) != seglog.NilAddr {
+				idxs = append(idxs, blk)
+			}
 		}
 	}
-	oldSize := in.Size
+	if len(idxs) == 0 {
+		// No pointers to carry; still a size change.
+		d.appendEntry(o, o.mint(cred, now, &journal.Entry{Type: journal.EntTruncate, OldSize: oldSize, NewSize: size}))
+	}
 	var histBytes int64
 	// Split into per-entry contiguous runs bounded by the pointer
 	// budget. Runs include unmapped gaps implicitly (Old=NilAddr).
-	i := 0
-	emitted := false
-	for i < len(idxs) {
+	for i := 0; i < len(idxs); {
 		start := idxs[i]
 		j := i
 		for j < len(idxs) && idxs[j]-start < journal.MaxBlocksPerEntry {
 			j++
 		}
-		count := idxs[j-1] - start + 1
-		e := &journal.Entry{
-			Type: journal.EntTruncate, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client,
-			FirstBlock: start,
-			Old:        make([]seglog.BlockAddr, count),
-			OldSize:    oldSize, NewSize: size,
-		}
-		for k := i; k < j; k++ {
-			old := in.Block(idxs[k])
-			e.Old[idxs[k]-start] = old
-			histBytes += types.BlockSize
-		}
-		o.nextVersion++
-		d.appendEntry(o, e)
-		oldSize = size
-		emitted = true
-		i = j
-	}
-	if !emitted {
-		// No mapped blocks discarded; still a size change.
-		d.appendEntry(o, &journal.Entry{
-			Type: journal.EntTruncate, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client,
+		e := o.mint(cred, now, &journal.Entry{
+			Type: journal.EntTruncate, FirstBlock: start,
+			Old:     make([]seglog.BlockAddr, idxs[j-1]-start+1),
 			OldSize: in.Size, NewSize: size,
 		})
-		o.nextVersion++
+		for k := i; k < j; k++ {
+			e.Old[idxs[k]-start] = in.Block(idxs[k])
+			histBytes += types.BlockSize
+		}
+		d.appendEntry(o, e)
+		i = j
 	}
 	// An unaligned shrink leaves stale bytes in the retained tail
 	// block; rewrite it zero-truncated so a later size extension never
 	// resurrects them. The old tail joins the history pool, keeping
 	// pre-truncate versions exact.
-	if rem := size % types.BlockSize; rem != 0 {
+	if rem := size % types.BlockSize; rem != 0 && size < oldSize {
 		tailBlk := size / types.BlockSize
 		if oldAddr := in.Block(tailBlk); oldAddr != seglog.NilAddr {
 			prev, err := d.readBlock(oldAddr)
@@ -1997,15 +1954,12 @@ func (d *Drive) truncateBlocksLocked(cred types.Cred, o *object, size uint64) er
 			full := make([]byte, types.BlockSize)
 			copy(full, prev[:rem])
 			d.cache.put(newAddr, full)
-			d.appendEntry(o, &journal.Entry{
-				Type: journal.EntWrite, Version: o.nextVersion, Time: now,
-				User: cred.User, Client: cred.Client,
-				FirstBlock: tailBlk,
-				Old:        []seglog.BlockAddr{oldAddr},
-				New:        []seglog.BlockAddr{newAddr},
-				OldSize:    size, NewSize: size,
-			})
-			o.nextVersion++
+			d.appendEntry(o, o.mint(cred, now, &journal.Entry{
+				Type: journal.EntWrite, FirstBlock: tailBlk,
+				Old:     []seglog.BlockAddr{oldAddr},
+				New:     []seglog.BlockAddr{newAddr},
+				OldSize: size, NewSize: size,
+			}))
 			histBytes += types.BlockSize
 		}
 	}
@@ -2054,48 +2008,14 @@ func (d *Drive) getAttrShared(cred types.Cred, id types.ObjectID, at types.Times
 // SetAttr replaces the opaque attribute blob, creating a new version.
 func (d *Drive) SetAttr(cred types.Cred, id types.ObjectID, attr []byte) error {
 	d.mu.RLock()
-	err := d.setAttrShared(cred, id, attr)
+	err := d.mutateShared(cred, id, errIf(len(attr) > types.MaxAttrLen, types.ErrTooLarge), types.PermWrite, nil,
+		func(o *object) error {
+			d.appendEntry(o, o.mint(cred, vclock.TS(d.clk), &journal.Entry{Type: journal.EntSetAttr,
+				OldAttr: append([]byte(nil), o.ino.Attr...), NewAttr: append([]byte(nil), attr...)}))
+			return nil
+		})
 	d.auditOp(cred, types.OpSetAttr, id, 0, uint64(len(attr)), "", err)
 	return d.releaseShared(err)
-}
-
-// setAttrShared implements SetAttr. Caller holds the shared drive lock.
-func (d *Drive) setAttrShared(cred types.Cred, id types.ObjectID, attr []byte) error {
-	if d.closed {
-		return types.ErrDriveStopped
-	}
-	if len(attr) > types.MaxAttrLen {
-		return types.ErrTooLarge
-	}
-	if err := checkReserved(cred, id); err != nil {
-		return err
-	}
-	o, err := d.getObjectShared(id)
-	if err != nil {
-		return err
-	}
-	if err := d.lockObjectWrite(o); err != nil {
-		return err
-	}
-	defer o.mu.Unlock()
-	if o.ino.Deleted {
-		return types.ErrNoObject
-	}
-	if err := d.checkPerm(cred, o.ino, types.PermWrite); err != nil {
-		return err
-	}
-	if err := d.throttle(cred); err != nil {
-		return err
-	}
-	now := vclock.TS(d.clk)
-	d.appendEntry(o, &journal.Entry{
-		Type: journal.EntSetAttr, Version: o.nextVersion, Time: now,
-		User: cred.User, Client: cred.Client,
-		OldAttr: append([]byte(nil), o.ino.Attr...),
-		NewAttr: append([]byte(nil), attr...),
-	})
-	o.nextVersion++
-	return nil
 }
 
 // GetACLByUser returns the effective ACL entry for user at time at.
@@ -2179,51 +2099,14 @@ func (d *Drive) inodeForRead(cred types.Cred, id types.ObjectID, at types.Timest
 // versions of a sensitive file from everyone but the administrator.
 func (d *Drive) SetACL(cred types.Cred, id types.ObjectID, idx int, entry types.ACLEntry) error {
 	d.mu.RLock()
-	err := d.setACLShared(cred, id, idx, entry)
+	err := d.mutateShared(cred, id, errIf(idx < 0 || idx >= types.MaxACLEntries, types.ErrInval), types.PermSetACL, nil,
+		func(o *object) error {
+			d.appendEntry(o, o.mint(cred, vclock.TS(d.clk), &journal.Entry{Type: journal.EntSetACL,
+				ACLIndex: uint8(idx), OldACL: o.ino.aclSlot(idx), NewACL: entry}))
+			return nil
+		})
 	d.auditOp(cred, types.OpSetACL, id, uint64(idx), 0, "", err)
 	return d.releaseShared(err)
-}
-
-// setACLShared implements SetACL. Caller holds the shared drive lock.
-func (d *Drive) setACLShared(cred types.Cred, id types.ObjectID, idx int, entry types.ACLEntry) error {
-	if d.closed {
-		return types.ErrDriveStopped
-	}
-	if idx < 0 || idx >= types.MaxACLEntries {
-		return types.ErrInval
-	}
-	if err := checkReserved(cred, id); err != nil {
-		return err
-	}
-	o, err := d.getObjectShared(id)
-	if err != nil {
-		return err
-	}
-	if err := d.lockObjectWrite(o); err != nil {
-		return err
-	}
-	defer o.mu.Unlock()
-	if o.ino.Deleted {
-		return types.ErrNoObject
-	}
-	if err := d.checkPerm(cred, o.ino, types.PermSetACL); err != nil {
-		return err
-	}
-	if err := d.throttle(cred); err != nil {
-		return err
-	}
-	var old types.ACLEntry
-	if idx < len(o.ino.ACL) {
-		old = o.ino.ACL[idx]
-	}
-	now := vclock.TS(d.clk)
-	d.appendEntry(o, &journal.Entry{
-		Type: journal.EntSetACL, Version: o.nextVersion, Time: now,
-		User: cred.User, Client: cred.Client,
-		ACLIndex: uint8(idx), OldACL: old, NewACL: entry,
-	})
-	o.nextVersion++
-	return nil
 }
 
 // Sync makes every acknowledged modification durable: journal sectors
@@ -2248,11 +2131,11 @@ func (d *Drive) Sync(cred types.Cred) error {
 // worth an audit record, not a silent no-op.
 func (d *Drive) SyncObj(cred types.Cred, id types.ObjectID) error {
 	d.mu.RLock()
-	var err error
-	if _, gerr := d.getObjectShared(id); gerr != nil {
-		err = gerr
-	} else {
-		err = d.syncShared()
+	err := errIf(d.closed, types.ErrDriveStopped)
+	if err == nil {
+		if _, err = d.getObjectShared(id); err == nil {
+			err = d.syncShared()
+		}
 	}
 	d.auditOp(cred, types.OpSync, id, 0, 0, "", err)
 	d.mu.RUnlock()
@@ -2380,12 +2263,9 @@ func (d *Drive) flushDirtyObjects() error {
 func (d *Drive) SetWindow(cred types.Cred, w time.Duration) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var err error
+	err := d.adminGate(cred, types.OpSetWindow)
 	switch {
-	case d.closed:
-		err = types.ErrDriveStopped
-	case !cred.Admin:
-		err = types.ErrAdminOnly
+	case err != nil:
 	case w < 0:
 		err = types.ErrInval
 	default:

@@ -187,6 +187,64 @@ func TestAppend(t *testing.T) {
 	}
 }
 
+// TestEmptyWriteIsChecked: a zero-length Write or Append is refused for
+// exactly the reasons a non-empty one is — the caller learns nothing
+// about an object it may not write, and an object that is missing or
+// deleted stays so — and once admitted it makes no version, pays no
+// throttle, and an Append reports where its data would have landed.
+func TestEmptyWriteIsChecked(t *testing.T) {
+	e := newTestDrive(t)
+	id := e.create(alice)
+	e.write(alice, id, 0, make([]byte, 12345))
+	gone := e.create(alice)
+	if err := e.d.Delete(alice, gone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.d.GetAttr(bob, id, types.TimeNowest); !errors.Is(err, types.ErrPerm) {
+		t.Fatalf("bob's GetAttr: %v, want ErrPerm", err)
+	}
+	if off, err := e.d.Append(bob, id, nil); !errors.Is(err, types.ErrPerm) || off != 0 {
+		t.Fatalf("bob's empty Append: offset %d, %v; want 0, ErrPerm", off, err)
+	}
+	if err := e.d.Write(bob, id, 0, nil); !errors.Is(err, types.ErrPerm) {
+		t.Fatalf("bob's empty Write: %v, want ErrPerm", err)
+	}
+	for _, c := range []struct {
+		id   types.ObjectID
+		want error
+	}{{1 << 40, types.ErrNoObject}, {gone, types.ErrNoObject}, {types.AuditObject, types.ErrReadOnly}} {
+		if err := e.d.Write(alice, c.id, 0, nil); !errors.Is(err, c.want) {
+			t.Errorf("empty Write to %v: %v, want %v", c.id, err, c.want)
+		}
+		if _, err := e.d.Append(alice, c.id, nil); !errors.Is(err, c.want) {
+			t.Errorf("empty Append to %v: %v, want %v", c.id, err, c.want)
+		}
+	}
+
+	// Admitted, even with only the cleaner's reserve left: no version.
+	for seg := int64(0); seg < e.d.log.NumSegments(); seg++ {
+		if e.d.log.IsFree(seg) {
+			e.d.log.MarkAllocated(seg)
+		}
+	}
+	before, err := e.d.GetAttr(alice, id, types.TimeNowest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.Write(alice, id, 0, nil); err != nil {
+		t.Fatalf("empty Write: %v", err)
+	}
+	if off, err := e.d.Append(alice, id, nil); err != nil || off != 12345 {
+		t.Fatalf("empty Append: offset %d, %v; want 12345, nil", off, err)
+	}
+	if err := e.d.Write(alice, id, 0, []byte{1}); !errors.Is(err, types.ErrNoSpace) {
+		t.Fatalf("a one-byte write with no space: %v, want ErrNoSpace", err)
+	}
+	if after, err := e.d.GetAttr(alice, id, types.TimeNowest); err != nil || after.Version != before.Version {
+		t.Fatalf("empty writes moved the version %d → %d (%v)", before.Version, after.Version, err)
+	}
+}
+
 func TestTruncateShrinkAndHistory(t *testing.T) {
 	e := newTestDrive(t)
 	id := e.create(alice)

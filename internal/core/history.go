@@ -329,60 +329,40 @@ func (d *Drive) listVersionsShared(cred types.Cred, id types.ObjectID) ([]Versio
 // version forward as a new version (§3.3). Data blocks are physically
 // copied so block liveness never spans versions. It mutates only the
 // one object, so it runs under the shared drive lock with the object
-// locked exclusively.
+// locked exclusively. In place of the door's deleted and permission
+// checks it takes its own: restoring history requires recovery rights on
+// the old version and write rights on the current object, and a deleted
+// object is revived.
 func (d *Drive) Revert(cred types.Cred, id types.ObjectID, at types.Timestamp) error {
 	d.mu.RLock()
-	err := d.revertShared(cred, id, at)
+	var old *Inode
+	err := d.mutateShared(cred, id, nil, 0, func(o *object) (bool, error) {
+		var current bool
+		var err error
+		if old, current, err = d.inodeAtLocked(o, at); err != nil || current {
+			return true, err // a Revert to the current version is already done
+		}
+		if err := d.checkPerm(cred, old, types.PermRead|types.PermRecover); err != nil {
+			return false, err
+		}
+		if err := d.checkPerm(cred, o.ino, types.PermWrite); err != nil {
+			return false, err
+		}
+		if old.Deleted {
+			return false, fmt.Errorf("core: target version is deleted: %w", types.ErrNoVersion)
+		}
+		return false, nil
+	}, func(o *object) error { return d.revertLocked(cred, o, old) })
 	d.auditOp(cred, types.OpRevert, id, uint64(at), 0, "", err)
 	return d.releaseShared(err)
 }
 
-// revertShared implements Revert. Caller holds the shared drive lock.
-func (d *Drive) revertShared(cred types.Cred, id types.ObjectID, at types.Timestamp) error {
-	if d.closed {
-		return types.ErrDriveStopped
-	}
-	if err := checkReserved(cred, id); err != nil {
-		return err
-	}
-	o, err := d.getObjectShared(id)
-	if err != nil {
-		return err
-	}
-	if err := d.lockObjectWrite(o); err != nil {
-		return err
-	}
-	defer o.mu.Unlock()
-	old, current, err := d.inodeAtLocked(o, at)
-	if err != nil {
-		return err
-	}
-	if current {
-		return nil // already there
-	}
-	// Restoring history requires both recovery rights on the old
-	// version and write rights on the current object.
-	if err := d.checkPerm(cred, old, types.PermRead|types.PermRecover); err != nil {
-		return err
-	}
-	if err := d.checkPerm(cred, o.ino, types.PermWrite); err != nil {
-		return err
-	}
-	if old.Deleted {
-		return fmt.Errorf("core: target version is deleted: %w", types.ErrNoVersion)
-	}
-	if err := d.throttle(cred); err != nil {
-		return err
-	}
+// revertLocked copies old forward as o's new live version. Caller holds
+// o.mu exclusively (plus the shared drive lock).
+func (d *Drive) revertLocked(cred types.Cred, o *object, old *Inode) error {
 	now := vclock.TS(d.clk)
-
-	// Revive if currently deleted.
 	if o.ino.Deleted {
-		d.appendEntry(o, &journal.Entry{
-			Type: journal.EntRevive, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client, OldSize: uint64(o.ino.DeadTime),
-		})
-		o.nextVersion++
+		d.appendEntry(o, o.mint(cred, now, &journal.Entry{Type: journal.EntRevive, OldSize: uint64(o.ino.DeadTime)}))
 	}
 	// Shape first: set the size (frees blocks beyond the target size).
 	if o.ino.Size != old.Size {
@@ -468,36 +448,10 @@ func (d *Drive) revertShared(cred types.Cred, id types.ObjectID, at types.Timest
 			return err
 		}
 	}
-	// Attributes and ACL.
-	if string(o.ino.Attr) != string(old.Attr) {
-		d.appendEntry(o, &journal.Entry{
-			Type: journal.EntSetAttr, Version: o.nextVersion, Time: now,
-			User: cred.User, Client: cred.Client,
-			OldAttr: append([]byte(nil), o.ino.Attr...),
-			NewAttr: append([]byte(nil), old.Attr...),
-		})
-		o.nextVersion++
-	}
-	maxACL := len(o.ino.ACL)
-	if len(old.ACL) > maxACL {
-		maxACL = len(old.ACL)
-	}
-	for i := 0; i < maxACL; i++ {
-		var cur, want types.ACLEntry
-		if i < len(o.ino.ACL) {
-			cur = o.ino.ACL[i]
-		}
-		if i < len(old.ACL) {
-			want = old.ACL[i]
-		}
-		if cur != want {
-			d.appendEntry(o, &journal.Entry{
-				Type: journal.EntSetACL, Version: o.nextVersion, Time: now,
-				User: cred.User, Client: cred.Client,
-				ACLIndex: uint8(i), OldACL: cur, NewACL: want,
-			})
-			o.nextVersion++
-		}
+	// Attributes and ACL, each change a version of its own. Neither side
+	// is deleted by now, so the diff holds no deletion entry.
+	for _, e := range metaDiff(nil, o.ino, old) {
+		d.appendEntry(o, o.mint(cred, now, e))
 	}
 	return nil
 }
@@ -509,20 +463,10 @@ func (d *Drive) revertShared(cred types.Cred, id types.ObjectID, at types.Timest
 func (d *Drive) Flush(cred types.Cred, from, to types.Timestamp) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var err error
-	if !cred.Admin {
-		err = types.ErrAdminOnly
-	} else if d.closed {
-		err = types.ErrDriveStopped
-	} else {
-		for _, id := range d.objOrder {
-			if id == types.AuditObject {
-				continue
-			}
-			if ferr := d.flushObjectLocked(d.objects[id], from, to); ferr != nil {
-				err = ferr
-				break
-			}
+	err := d.adminGate(cred, types.OpFlush)
+	for i := 0; err == nil && i < len(d.objOrder); i++ {
+		if id := d.objOrder[i]; id != types.AuditObject {
+			err = d.flushObjectLocked(d.objects[id], from, to)
 		}
 	}
 	d.auditOp(cred, types.OpFlush, 0, uint64(from), uint64(to), "", err)
@@ -534,14 +478,12 @@ func (d *Drive) Flush(cred types.Cred, from, to types.Timestamp) error {
 func (d *Drive) FlushO(cred types.Cred, id types.ObjectID, from, to types.Timestamp) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var err error
-	if !cred.Admin {
-		err = types.ErrAdminOnly
-	} else if d.closed {
-		err = types.ErrDriveStopped
-	} else if o, ok := d.objects[id]; !ok {
-		err = types.ErrNoObject
-	} else {
+	err := d.adminGate(cred, types.OpFlushO)
+	o, ok := d.objects[id]
+	if err == nil {
+		err = errIf(!ok, types.ErrNoObject)
+	}
+	if err == nil {
 		err = d.flushObjectLocked(o, from, to)
 	}
 	d.auditOp(cred, types.OpFlushO, id, uint64(from), uint64(to), "", err)
@@ -746,7 +688,7 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 			}
 			trueState.redo(e)
 			if i == lastDrop {
-				merges := d.mergeEntries(shadow, trueState, e.Version, mergeTime)
+				merges := mergeEntries(shadow, trueState, e.Version, mergeTime)
 				kept = append(kept, merges...)
 				for _, m := range merges {
 					shadow.redo(m)
@@ -791,11 +733,7 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 		case journal.EntSetAttr:
 			e.OldAttr = append([]byte(nil), shadow.Attr...)
 		case journal.EntSetACL:
-			var old types.ACLEntry
-			if int(e.ACLIndex) < len(shadow.ACL) {
-				old = shadow.ACL[e.ACLIndex]
-			}
-			e.OldACL = old
+			e.OldACL = shadow.aclSlot(int(e.ACLIndex))
 		case journal.EntDelete:
 			e.OldSize = shadow.Size
 		case journal.EntRevive:
@@ -846,10 +784,10 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 	return d.rewriteChainLocked(o, kept)
 }
 
-// mergeEntries synthesizes the entries that carry `from` to `to`,
+// mergeEntries synthesizes the entries that carry `from` to `to`, all
 // stamped with the given version and time. They stand in for an erased
 // version range so that reads after the range still see reality.
-func (d *Drive) mergeEntries(from, to *Inode, ver uint64, ts types.Timestamp) []*journal.Entry {
+func mergeEntries(from, to *Inode, ver uint64, ts types.Timestamp) []*journal.Entry {
 	var synth []*journal.Entry
 	if from.Size != to.Size || !mapsEqual(from, to) {
 		idxs := divergentBlocks(from, to)
@@ -868,11 +806,10 @@ func (d *Drive) mergeEntries(from, to *Inode, ver uint64, ts types.Timestamp) []
 			}
 			span := uint64(n)
 			e := &journal.Entry{
-				Type: journal.EntWrite, Version: ver, Time: ts,
-				FirstBlock: idxs[i],
-				Old:        make([]seglog.BlockAddr, span),
-				New:        make([]seglog.BlockAddr, span),
-				OldSize:    from.Size, NewSize: to.Size,
+				Type: journal.EntWrite, FirstBlock: idxs[i],
+				Old:     make([]seglog.BlockAddr, span),
+				New:     make([]seglog.BlockAddr, span),
+				OldSize: from.Size, NewSize: to.Size,
 			}
 			for rel := uint64(0); rel < span; rel++ {
 				blk := idxs[i] + rel
@@ -891,47 +828,33 @@ func (d *Drive) mergeEntries(from, to *Inode, ver uint64, ts types.Timestamp) []
 			i += n
 		}
 		if len(synth) == 0 {
-			synth = append(synth, &journal.Entry{
-				Type: journal.EntTruncate, Version: ver, Time: ts,
-				OldSize: from.Size, NewSize: to.Size,
-			})
+			synth = append(synth, &journal.Entry{Type: journal.EntTruncate, OldSize: from.Size, NewSize: to.Size})
 		}
 	}
+	synth = metaDiff(synth, from, to)
+	for _, e := range synth {
+		e.Version, e.Time = ver, ts
+	}
+	return synth
+}
+
+// metaDiff appends to synth the entries that carry from's attributes,
+// deletion state and ACL to to's, unstamped: Flush's merge gives them
+// the erased range's version, Revert mints each a version of its own.
+func metaDiff(synth []*journal.Entry, from, to *Inode) []*journal.Entry {
 	if string(from.Attr) != string(to.Attr) {
-		synth = append(synth, &journal.Entry{
-			Type: journal.EntSetAttr, Version: ver, Time: ts,
-			OldAttr: append([]byte(nil), from.Attr...),
-			NewAttr: append([]byte(nil), to.Attr...),
-		})
+		synth = append(synth, &journal.Entry{Type: journal.EntSetAttr,
+			OldAttr: append([]byte(nil), from.Attr...), NewAttr: append([]byte(nil), to.Attr...)})
 	}
-	if from.Deleted != to.Deleted {
-		if to.Deleted {
-			synth = append(synth, &journal.Entry{
-				Type: journal.EntDelete, Version: ver, Time: ts, OldSize: from.Size,
-			})
-		} else {
-			synth = append(synth, &journal.Entry{
-				Type: journal.EntRevive, Version: ver, Time: ts, OldSize: uint64(from.DeadTime),
-			})
-		}
+	switch {
+	case !from.Deleted && to.Deleted:
+		synth = append(synth, &journal.Entry{Type: journal.EntDelete, OldSize: from.Size})
+	case from.Deleted && !to.Deleted:
+		synth = append(synth, &journal.Entry{Type: journal.EntRevive, OldSize: uint64(from.DeadTime)})
 	}
-	maxACL := len(from.ACL)
-	if len(to.ACL) > maxACL {
-		maxACL = len(to.ACL)
-	}
-	for i := 0; i < maxACL; i++ {
-		var s, l types.ACLEntry
-		if i < len(from.ACL) {
-			s = from.ACL[i]
-		}
-		if i < len(to.ACL) {
-			l = to.ACL[i]
-		}
-		if s != l {
-			synth = append(synth, &journal.Entry{
-				Type: journal.EntSetACL, Version: ver, Time: ts,
-				ACLIndex: uint8(i), OldACL: s, NewACL: l,
-			})
+	for i := range max(len(from.ACL), len(to.ACL)) {
+		if s, l := from.aclSlot(i), to.aclSlot(i); s != l {
+			synth = append(synth, &journal.Entry{Type: journal.EntSetACL, ACLIndex: uint8(i), OldACL: s, NewACL: l})
 		}
 	}
 	return synth

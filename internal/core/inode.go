@@ -231,6 +231,14 @@ func (in *Inode) redo(e *journal.Entry) {
 	}
 }
 
+// aclSlot returns ACL slot idx: the zero entry past the table's end.
+func (in *Inode) aclSlot(idx int) types.ACLEntry {
+	if idx < len(in.ACL) {
+		return in.ACL[idx]
+	}
+	return types.ACLEntry{}
+}
+
 func (in *Inode) setACLSlot(idx int, e types.ACLEntry) {
 	for len(in.ACL) <= idx {
 		in.ACL = append(in.ACL, types.ACLEntry{})

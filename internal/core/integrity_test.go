@@ -359,6 +359,33 @@ func TestScrubberBackground(t *testing.T) {
 	}
 }
 
+// TestScrubIsAudited: Scrub passes the admin gate every whole-drive
+// admin op does, so like them it leaves one audit record whether it is
+// refused or granted, and a closed drive refuses it before the
+// credential is looked at.
+func TestScrubIsAudited(t *testing.T) {
+	e := newTestDrive(t)
+	for _, c := range []struct {
+		cred types.Cred
+		want error
+	}{{alice, types.ErrAdminOnly}, {admin, nil}} {
+		seq := e.d.auditSeq
+		if _, err := e.d.Scrub(c.cred); !errors.Is(err, c.want) {
+			t.Fatalf("Scrub as %v: %v, want %v", c.cred.User, err, c.want)
+		}
+		recs := auditAfter(t, e.d, seq)
+		if len(recs) != 1 || recs[0].Op != types.OpScrub || recs[0].Errno != Errno(c.want) {
+			t.Fatalf("Scrub as %v left %+v, want one OpScrub record with errno %d", c.cred.User, recs, Errno(c.want))
+		}
+	}
+	if err := e.d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.d.Scrub(alice); !errors.Is(err, types.ErrDriveStopped) {
+		t.Fatalf("Scrub on a closed drive: %v, want ErrDriveStopped", err)
+	}
+}
+
 // d2create makes an object with a permissive ACL, mirroring testEnv's
 // helper for drives not wrapped in a testEnv.
 func d2create(t *testing.T, d *Drive) types.ObjectID {

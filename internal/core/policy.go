@@ -136,12 +136,9 @@ func (d *Drive) writePolicyTableLocked(cred types.Cred) error {
 func (d *Drive) SetPolicy(cred types.Cred, id types.ObjectID, p types.Policy) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var err error
+	err := d.adminGate(cred, types.OpSetPolicy)
 	switch {
-	case d.closed:
-		err = types.ErrDriveStopped
-	case !cred.Admin:
-		err = types.ErrAdminOnly
+	case err != nil:
 	case !p.Mode.Valid() || p.Window < 0:
 		err = types.ErrInval
 	case id != 0 && id < types.FirstUserObject:

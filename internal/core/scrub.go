@@ -46,12 +46,26 @@ type ScrubResult struct {
 // Scrub runs one full synchronous sweep over every sealed segment and
 // reports what it found. Admin-only: it is the `s4ctl scrub` on-demand
 // trigger, and an unprivileged client should not be able to command a
-// whole-device read workload.
+// whole-device read workload. Like every request it is audited, refused
+// or not.
 func (d *Drive) Scrub(cred types.Cred) (ScrubResult, error) {
+	d.mu.RLock()
+	err := d.adminGate(cred, types.OpScrub)
+	d.mu.RUnlock()
 	var res ScrubResult
-	if !cred.Admin {
-		return res, types.ErrAdminOnly
+	if err == nil {
+		res, err = d.scrubSweep()
 	}
+	d.mu.RLock()
+	d.auditOp(cred, types.OpScrub, 0, 0, 0, "", err)
+	d.mu.RUnlock()
+	return res, err
+}
+
+// scrubSweep is Scrub's sweep, one segment at a time under the shared
+// drive lock.
+func (d *Drive) scrubSweep() (ScrubResult, error) {
+	var res ScrubResult
 	_, rep0, _ := d.log.IntegrityStats()
 	n := d.log.NumSegments()
 	for seg := int64(0); seg < n; seg++ {

@@ -16,7 +16,6 @@ package disk
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"s4/internal/types"
@@ -106,12 +105,10 @@ type Disk struct {
 	geo   Geometry
 	clock vclock.Clock
 
-	mu      sync.Mutex
+	faults                   // its mu also guards the fields below
 	chunks  map[int64][]byte // sparse backing: chunk index -> chunk
 	headPos int64            // sector under the head after last request
 	stats   Stats
-	failAt  int64 // fault injection: fail the Nth next I/O (<0 disabled)
-	failErr error
 	freeIO  bool // service time not charged (idle-time activity)
 }
 
@@ -125,7 +122,9 @@ func New(geo Geometry, clk vclock.Clock) *Disk {
 	if geo.NumSectors <= 0 {
 		panic("disk: geometry with no capacity")
 	}
-	return &Disk{geo: geo, clock: clk, chunks: make(map[int64][]byte), failAt: -1}
+	d := &Disk{geo: geo, clock: clk, chunks: make(map[int64][]byte)}
+	d.disarm()
+	return d
 }
 
 // Capacity returns the device size in bytes.
@@ -148,27 +147,19 @@ func (d *Disk) ResetStats() {
 	d.mu.Unlock()
 }
 
-// FailAfter arms fault injection: the n-th subsequent I/O (0 = the very
-// next) fails with err without transferring data. Used by crash and
-// error-path tests.
-func (d *Disk) FailAfter(n int64, err error) {
-	d.mu.Lock()
-	d.failAt = n
-	d.failErr = err
-	d.mu.Unlock()
-}
-
-func (d *Disk) checkRange(sector int64, n int) error {
-	if sector < 0 || n%SectorSize != 0 || sector+int64(n/SectorSize) > d.geo.NumSectors {
+// checkRange refuses a request that is not whole sectors inside a
+// device of numSectors.
+func checkRange(sector int64, n int, numSectors int64) error {
+	if sector < 0 || n%SectorSize != 0 || sector+int64(n/SectorSize) > numSectors {
 		return fmt.Errorf("disk: out-of-range request sector=%d len=%d cap=%d sectors: %w",
-			sector, n, d.geo.NumSectors, types.ErrInval)
+			sector, n, numSectors, types.ErrInval)
 	}
 	return nil
 }
 
 // ReadSectors implements Device.
 func (d *Disk) ReadSectors(sector int64, buf []byte) error {
-	if err := d.checkRange(sector, len(buf)); err != nil {
+	if err := checkRange(sector, len(buf), d.geo.NumSectors); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -178,6 +169,7 @@ func (d *Disk) ReadSectors(sector int64, buf []byte) error {
 	}
 	nsec := int64(len(buf) / SectorSize)
 	d.copyOut(sector, buf)
+	d.rotMap.apply(sector, buf)
 	svc := d.serviceTime(sector, nsec)
 	d.stats.Reads++
 	d.stats.SectorsRead += nsec
@@ -186,9 +178,10 @@ func (d *Disk) ReadSectors(sector int64, buf []byte) error {
 	return nil
 }
 
-// WriteSectors implements Device.
+// WriteSectors implements Device. Dropped and torn writes still return
+// success, and take the device time of the whole request.
 func (d *Disk) WriteSectors(sector int64, buf []byte) error {
-	if err := d.checkRange(sector, len(buf)); err != nil {
+	if err := checkRange(sector, len(buf), d.geo.NumSectors); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -197,28 +190,12 @@ func (d *Disk) WriteSectors(sector int64, buf []byte) error {
 		return err
 	}
 	nsec := int64(len(buf) / SectorSize)
-	d.copyIn(sector, buf)
+	d.copyIn(sector, d.persisted(sector, buf))
 	svc := d.serviceTime(sector, nsec)
 	d.stats.Writes++
 	d.stats.SectorsWrite += nsec
 	d.advance(svc)
 	d.mu.Unlock()
-	return nil
-}
-
-func (d *Disk) injectFault() error {
-	if d.failAt < 0 {
-		return nil
-	}
-	if d.failAt == 0 {
-		d.failAt = -1
-		err := d.failErr
-		if err == nil {
-			err = fmt.Errorf("disk: injected fault")
-		}
-		return err
-	}
-	d.failAt--
 	return nil
 }
 

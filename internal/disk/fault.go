@@ -15,7 +15,6 @@ package disk
 
 import (
 	"fmt"
-	"sync"
 
 	"s4/internal/types"
 )
@@ -105,22 +104,15 @@ func (w WriteRecord) Sectors() int { return len(w.Data) / SectorSize }
 // FaultDisk is a recording, fault-injecting Device. It is safe for
 // concurrent use.
 type FaultDisk struct {
-	mu         sync.Mutex
 	numSectors int64
-	store      *cowStore
 
+	faults    // its mu also guards the fields below
+	store     *cowStore
 	recording bool
 	base      *cowStore // state when StartRecording was called
 	writes    []WriteRecord
 	cursor    *cowStore // base + writes[:cursorK], for ImageAt
 	cursorK   int
-
-	failAt   int64 // fail the Nth next I/O (<0 disabled)
-	failErr  error
-	dropAt   int64 // silently drop the Nth next write (<0 disabled)
-	tearAt   int64 // tear the Nth next write (<0 disabled)
-	tearKeep int   // sectors of the torn write that persist
-	rotMap         // bit-rot in both modes; see rot.go
 }
 
 // NewFault creates a FaultDisk with the given capacity in bytes.
@@ -128,45 +120,22 @@ func NewFault(capacity int64) *FaultDisk {
 	if capacity < SectorSize {
 		panic("disk: fault device with no capacity")
 	}
-	return &FaultDisk{
-		numSectors: capacity / SectorSize,
-		store:      newCowStore(),
-		failAt:     -1,
-		dropAt:     -1,
-		tearAt:     -1,
-	}
+	return newFaultDisk(capacity/SectorSize, newCowStore())
+}
+
+// newFaultDisk returns a disarmed FaultDisk over store.
+func newFaultDisk(numSectors int64, store *cowStore) *FaultDisk {
+	f := &FaultDisk{numSectors: numSectors, store: store}
+	f.disarm()
+	return f
 }
 
 // Capacity implements Device.
 func (f *FaultDisk) Capacity() int64 { return f.numSectors * SectorSize }
 
-func (f *FaultDisk) checkRange(sector int64, n int) error {
-	if sector < 0 || n%SectorSize != 0 || sector+int64(n/SectorSize) > f.numSectors {
-		return fmt.Errorf("disk: out-of-range request sector=%d len=%d cap=%d sectors: %w",
-			sector, n, f.numSectors, types.ErrInval)
-	}
-	return nil
-}
-
-func (f *FaultDisk) injectFault() error {
-	if f.failAt < 0 {
-		return nil
-	}
-	if f.failAt == 0 {
-		f.failAt = -1
-		err := f.failErr
-		if err == nil {
-			err = fmt.Errorf("disk: injected fault")
-		}
-		return err
-	}
-	f.failAt--
-	return nil
-}
-
 // ReadSectors implements Device.
 func (f *FaultDisk) ReadSectors(sector int64, buf []byte) error {
-	if err := f.checkRange(sector, len(buf)); err != nil {
+	if err := checkRange(sector, len(buf), f.numSectors); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -182,7 +151,7 @@ func (f *FaultDisk) ReadSectors(sector int64, buf []byte) error {
 // WriteSectors implements Device. Dropped and torn writes still return
 // success — the whole point is that the drive believed them durable.
 func (f *FaultDisk) WriteSectors(sector int64, buf []byte) error {
-	if err := f.checkRange(sector, len(buf)); err != nil {
+	if err := checkRange(sector, len(buf), f.numSectors); err != nil {
 		return err
 	}
 	f.mu.Lock()
@@ -190,30 +159,9 @@ func (f *FaultDisk) WriteSectors(sector int64, buf []byte) error {
 	if err := f.injectFault(); err != nil {
 		return err
 	}
-	persist := buf
-	switch {
-	case f.dropAt == 0:
-		f.dropAt = -1
-		persist = nil
-	case f.dropAt > 0:
-		f.dropAt--
-	}
-	if persist != nil {
-		switch {
-		case f.tearAt == 0:
-			f.tearAt = -1
-			keep := f.tearKeep * SectorSize
-			if keep > len(persist) {
-				keep = len(persist)
-			}
-			persist = persist[:keep]
-		case f.tearAt > 0:
-			f.tearAt--
-		}
-	}
+	persist := f.persisted(sector, buf)
 	if len(persist) > 0 {
 		f.store.write(sector, persist)
-		f.rotMap.overwrite(sector, int64(len(persist)/SectorSize))
 	}
 	if f.recording {
 		var cp []byte
@@ -223,60 +171,6 @@ func (f *FaultDisk) WriteSectors(sector int64, buf []byte) error {
 		f.writes = append(f.writes, WriteRecord{Sector: sector, Data: cp})
 	}
 	return nil
-}
-
-// FailAfter arms fault injection: the n-th subsequent I/O (0 = the very
-// next) fails with err without transferring data. Mirrors Disk.FailAfter;
-// pass a negative n to disarm.
-func (f *FaultDisk) FailAfter(n int64, err error) {
-	f.mu.Lock()
-	f.failAt = n
-	f.failErr = err
-	f.mu.Unlock()
-}
-
-// DropAfter arms a dropped write: the n-th subsequent WriteSectors
-// (0 = the very next) is acknowledged but nothing reaches the media.
-func (f *FaultDisk) DropAfter(n int64) {
-	f.mu.Lock()
-	f.dropAt = n
-	f.mu.Unlock()
-}
-
-// TearAfter arms a torn write: the n-th subsequent WriteSectors
-// (0 = the very next) persists only its first keepSectors sectors but
-// is acknowledged in full.
-func (f *FaultDisk) TearAfter(n int64, keepSectors int) {
-	f.mu.Lock()
-	f.tearAt = n
-	f.tearKeep = keepSectors
-	f.mu.Unlock()
-}
-
-// RotSector arms persistent bit-rot: every subsequent read covering the
-// sector sees its bytes XORed with mask until the sector is overwritten
-// or the rot is cleared with a zero mask. See rotMap in rot.go for the
-// full contract shared with Injector.
-func (f *FaultDisk) RotSector(sector int64, mask byte) {
-	f.mu.Lock()
-	f.rotMap.arm(sector, mask, false)
-	f.mu.Unlock()
-}
-
-// RotSectorOnce arms one-shot bit-rot: only the next read covering the
-// sector sees the corruption, then it self-clears. A zero mask disarms.
-func (f *FaultDisk) RotSectorOnce(sector int64, mask byte) {
-	f.mu.Lock()
-	f.rotMap.arm(sector, mask, true)
-	f.mu.Unlock()
-}
-
-// ClearFaults disarms every pending fault, including rot in both modes.
-func (f *FaultDisk) ClearFaults() {
-	f.mu.Lock()
-	f.failAt, f.dropAt, f.tearAt = -1, -1, -1
-	f.rotMap.clear()
-	f.mu.Unlock()
 }
 
 // StartRecording snapshots the current contents as the recording base
@@ -332,13 +226,7 @@ func (f *FaultDisk) ImageAt(k int) (*FaultDisk, error) {
 		}
 		f.cursorK++
 	}
-	return &FaultDisk{
-		numSectors: f.numSectors,
-		store:      f.cursor.snapshot(),
-		failAt:     -1,
-		dropAt:     -1,
-		tearAt:     -1,
-	}, nil
+	return newFaultDisk(f.numSectors, f.cursor.snapshot()), nil
 }
 
 // ImageDropping materializes the image after the first k journaled
@@ -363,13 +251,7 @@ func (f *FaultDisk) ImageDropping(k, j int) (*FaultDisk, error) {
 			st.write(w.Sector, w.Data)
 		}
 	}
-	return &FaultDisk{
-		numSectors: f.numSectors,
-		store:      st,
-		failAt:     -1,
-		dropAt:     -1,
-		tearAt:     -1,
-	}, nil
+	return newFaultDisk(f.numSectors, st), nil
 }
 
 // TornImageAt materializes the crash image after the first k writes

@@ -73,7 +73,7 @@ func (d *FileDisk) Capacity() int64 { return d.size }
 
 // ReadSectors implements Device.
 func (d *FileDisk) ReadSectors(sector int64, buf []byte) error {
-	if err := d.check(sector, len(buf)); err != nil {
+	if err := checkRange(sector, len(buf), d.size/SectorSize); err != nil {
 		return err
 	}
 	_, err := d.f.ReadAt(buf, sector*SectorSize)
@@ -82,18 +82,11 @@ func (d *FileDisk) ReadSectors(sector int64, buf []byte) error {
 
 // WriteSectors implements Device.
 func (d *FileDisk) WriteSectors(sector int64, buf []byte) error {
-	if err := d.check(sector, len(buf)); err != nil {
+	if err := checkRange(sector, len(buf), d.size/SectorSize); err != nil {
 		return err
 	}
 	_, err := d.f.WriteAt(buf, sector*SectorSize)
 	return err
-}
-
-func (d *FileDisk) check(sector int64, n int) error {
-	if sector < 0 || n%SectorSize != 0 || sector*SectorSize+int64(n) > d.size {
-		return fmt.Errorf("disk: out-of-range request sector=%d len=%d: %w", sector, n, types.ErrInval)
-	}
-	return nil
 }
 
 // Sync flushes the backing file to stable storage.

@@ -8,28 +8,18 @@
 // bit-rot. It records nothing; crash-image sweeps stay on FaultDisk.
 package disk
 
-import (
-	"fmt"
-	"sync"
-)
-
 // Injector is a fault-injecting Device wrapper. It is safe for
 // concurrent use and passes Syncer through to the underlying device.
 type Injector struct {
 	dev Device
-
-	mu       sync.Mutex
-	failAt   int64 // fail the Nth next I/O (<0 disabled)
-	failErr  error
-	dropAt   int64 // silently drop the Nth next write (<0 disabled)
-	tearAt   int64 // tear the Nth next write (<0 disabled)
-	tearKeep int
-	rotMap   // bit-rot in both modes; see rot.go
+	faults
 }
 
 // NewInjector wraps dev with disarmed fault injection.
 func NewInjector(dev Device) *Injector {
-	return &Injector{dev: dev, failAt: -1, dropAt: -1, tearAt: -1}
+	j := &Injector{dev: dev}
+	j.disarm()
+	return j
 }
 
 // Capacity implements Device.
@@ -44,22 +34,6 @@ func (j *Injector) Sync() error {
 	return nil
 }
 
-func (j *Injector) injectFault() error {
-	if j.failAt < 0 {
-		return nil
-	}
-	if j.failAt == 0 {
-		j.failAt = -1
-		err := j.failErr
-		if err == nil {
-			err = fmt.Errorf("disk: injected fault")
-		}
-		return err
-	}
-	j.failAt--
-	return nil
-}
-
 // ReadSectors implements Device.
 func (j *Injector) ReadSectors(sector int64, buf []byte) error {
 	j.mu.Lock()
@@ -67,7 +41,7 @@ func (j *Injector) ReadSectors(sector int64, buf []byte) error {
 		j.mu.Unlock()
 		return err
 	}
-	armed := len(j.rot) > 0 || len(j.rotOnce) > 0
+	armed := j.rotMap.armed()
 	j.mu.Unlock()
 	if err := j.dev.ReadSectors(sector, buf); err != nil {
 		return err
@@ -88,82 +62,10 @@ func (j *Injector) WriteSectors(sector int64, buf []byte) error {
 		j.mu.Unlock()
 		return err
 	}
-	persist := buf
-	switch {
-	case j.dropAt == 0:
-		j.dropAt = -1
-		persist = nil
-	case j.dropAt > 0:
-		j.dropAt--
-	}
-	if persist != nil {
-		switch {
-		case j.tearAt == 0:
-			j.tearAt = -1
-			keep := j.tearKeep * SectorSize
-			if keep > len(persist) {
-				keep = len(persist)
-			}
-			persist = persist[:keep]
-		case j.tearAt > 0:
-			j.tearAt--
-		}
-	}
-	j.rotMap.overwrite(sector, int64(len(persist)/SectorSize))
+	persist := j.persisted(sector, buf)
 	j.mu.Unlock()
 	if len(persist) == 0 {
 		return nil
 	}
 	return j.dev.WriteSectors(sector, persist)
-}
-
-// FailAfter arms fault injection: the n-th subsequent I/O (0 = the very
-// next) fails without transferring data; negative n disarms.
-func (j *Injector) FailAfter(n int64, err error) {
-	j.mu.Lock()
-	j.failAt, j.failErr = n, err
-	j.mu.Unlock()
-}
-
-// DropAfter arms a dropped write: the n-th subsequent WriteSectors is
-// acknowledged but nothing reaches the device.
-func (j *Injector) DropAfter(n int64) {
-	j.mu.Lock()
-	j.dropAt = n
-	j.mu.Unlock()
-}
-
-// TearAfter arms a torn write: the n-th subsequent WriteSectors
-// persists only its first keepSectors sectors but is acknowledged in
-// full.
-func (j *Injector) TearAfter(n int64, keepSectors int) {
-	j.mu.Lock()
-	j.tearAt, j.tearKeep = n, keepSectors
-	j.mu.Unlock()
-}
-
-// RotSector arms persistent bit-rot: every subsequent read covering the
-// sector sees its bytes XORed with mask until the sector is overwritten
-// or the rot is cleared with a zero mask. See rotMap in rot.go for the
-// full contract shared with FaultDisk.
-func (j *Injector) RotSector(sector int64, mask byte) {
-	j.mu.Lock()
-	j.rotMap.arm(sector, mask, false)
-	j.mu.Unlock()
-}
-
-// RotSectorOnce arms one-shot bit-rot: only the next read covering the
-// sector sees the corruption, then it self-clears. A zero mask disarms.
-func (j *Injector) RotSectorOnce(sector int64, mask byte) {
-	j.mu.Lock()
-	j.rotMap.arm(sector, mask, true)
-	j.mu.Unlock()
-}
-
-// ClearFaults disarms every pending fault, including rot in both modes.
-func (j *Injector) ClearFaults() {
-	j.mu.Lock()
-	j.failAt, j.dropAt, j.tearAt = -1, -1, -1
-	j.rotMap.clear()
-	j.mu.Unlock()
 }

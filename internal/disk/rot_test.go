@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// rotDevice is the fault surface the two wrappers share; the parity
-// tests below run the same scenarios over both so the rot contract
-// cannot drift between them.
+// rotDevice is the fault surface every device of this package embeds;
+// the parity tests below run the same scenarios over all three so the
+// rot contract cannot drift between them.
 type rotDevice interface {
 	Device
 	RotSector(sector int64, mask byte)
@@ -23,6 +23,7 @@ func rotWrappers(t *testing.T) map[string]rotDevice {
 	}
 	t.Cleanup(func() { fd.Close() })
 	return map[string]rotDevice{
+		"Disk":      New(SmallDisk(1<<20), nil),
 		"FaultDisk": NewFault(1 << 20),
 		"Injector":  NewInjector(fd),
 	}
@@ -46,7 +47,7 @@ func rotReadSector(t *testing.T, d Device, sector int64) []byte {
 	return buf
 }
 
-// TestRotParity runs identical rot scenarios over FaultDisk and
+// TestRotParity runs identical rot scenarios over Disk, FaultDisk and
 // Injector: persistent rot corrupts every read until overwritten or
 // disarmed; one-shot rot corrupts exactly one read; ClearFaults drops
 // both.

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"s4/internal/audit"
 	"s4/internal/seglog"
@@ -230,6 +232,22 @@ func (d *Drive) writeAuditBlockLocked() error {
 		d.auditPend[i].end -= end - audit.BlockHeaderSize
 	}
 	return nil
+}
+
+// auditRefIndex returns the position in refs of the ref whose firstSeq
+// is seq, or -1. A ref's firstSeq is the summary key its block was
+// appended under, and d.auditBlocks is ordered by it, strictly: blocks
+// are written in record order, the cleaner moves a block without
+// changing its key, and recovery appends only blocks the checkpoint
+// postdates (CheckInvariants holds the order).
+func auditRefIndex(refs []auditBlockRef, seq uint64) int {
+	i, ok := slices.BinarySearchFunc(refs, seq, func(r auditBlockRef, s uint64) int {
+		return cmp.Compare(r.firstSeq, s)
+	})
+	if !ok {
+		return -1
+	}
+	return i
 }
 
 // AuditRead returns up to max audit records with Seq >= fromSeq

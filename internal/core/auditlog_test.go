@@ -140,6 +140,97 @@ func TestAuditBlocksAreFull(t *testing.T) {
 		records, len(decoded), float64(records)/float64(len(decoded)), len(byCheckpoint))
 }
 
+// TestRelocatedTailAuditBlockRecoversOnce: the cleaner moves audit
+// blocks flushed since the checkpoint, and the drive crashes before the
+// next one. The roll-forward scan then meets each moved block twice,
+// the original (its segment kept by the deferred-reuse barrier) and the
+// copy, and must list it once, at the original: recoverAuditBlock finds
+// the copy's firstSeq already listed. Opened on either base, the drive
+// must list the blocks the crashed drive did, strictly ordered, and
+// read each record back once.
+func TestRelocatedTailAuditBlockRecoversOnce(t *testing.T) {
+	e := newTestDrive(t)
+	rnd := rand.New(rand.NewSource(1))
+	for range 100 {
+		auditRandomOp(e, rnd)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	listed := len(e.d.auditBlocks)
+	for len(e.d.auditBlocks) < listed+2*e.d.log.PayloadBlocks() {
+		auditRandomOp(e, rnd)
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	orig := make(map[uint64]seglog.BlockAddr)
+	for _, r := range e.d.auditBlocks[listed:] {
+		orig[r.firstSeq] = r.addr
+	}
+	// The second segment holding audit blocks the checkpoint did not
+	// list: it holds nothing else, so no chain sector pins it.
+	first := segOf(e.d.log, e.d.auditBlocks[listed].addr)
+	seg := first
+	for _, r := range e.d.auditBlocks[listed:] {
+		if seg = segOf(e.d.log, r.addr); seg != first {
+			break
+		}
+	}
+	if seg == first || seg == e.d.log.CurrentSegment() {
+		t.Fatalf("the audit blocks since the checkpoint fill no segment of their own")
+	}
+	var cs CleanStats
+	e.d.mu.Lock()
+	err := e.d.compactSegmentLocked(seg, false, &cs)
+	e.d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, r := range e.d.auditBlocks[listed:] {
+		if r.addr != orig[r.firstSeq] {
+			moved++
+		}
+	}
+	if moved == 0 || moved != cs.BlocksCopied {
+		t.Fatalf("the cleaner moved %d audit blocks and copied %d blocks; want the same count, above 0", moved, cs.BlocksCopied)
+	}
+	// Abandoned, not closed: the device holds what a crash leaves.
+	crashed := e.d.auditBlocks
+	for _, emptyBase := range []bool{false, true} {
+		d, _ := openLogged(t, e, emptyBase)
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("empty base %v: %v", emptyBase, err)
+		}
+		if len(d.auditBlocks) != len(crashed) {
+			t.Fatalf("empty base %v: %d audit blocks listed, the crashed drive listed %d", emptyBase, len(d.auditBlocks), len(crashed))
+		}
+		for i, r := range d.auditBlocks {
+			want := crashed[i].addr
+			if i >= listed {
+				want = orig[r.firstSeq]
+			}
+			if r.firstSeq != crashed[i].firstSeq || r.addr != want {
+				t.Fatalf("empty base %v: audit block %d is seq %d at %d, want seq %d at %d", emptyBase, i, r.firstSeq, r.addr, crashed[i].firstSeq, want)
+			}
+		}
+		recs, err := d.AuditRead(admin, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Seq <= recs[i-1].Seq {
+				t.Fatalf("empty base %v: record seq %d follows %d", emptyBase, recs[i].Seq, recs[i-1].Seq)
+			}
+		}
+	}
+	t.Logf("%d of %d audit blocks written since the checkpoint moved before the crash", moved, len(crashed)-listed)
+}
+
 // TestAuditOpAllocs is the count gate on what auditing costs a request:
 // the record is encoded once, into the block being filled, from a
 // capture built in a buffer the drive reuses, so a steady-state audited

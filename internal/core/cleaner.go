@@ -665,15 +665,9 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 			cs.BlocksCopied++
 		case seglog.KindAudit:
 			d.auditMu.Lock()
-			idx := -1
-			for j := range d.auditBlocks {
-				if d.auditBlocks[j].addr == addr {
-					idx = j
-					break
-				}
-			}
-			if idx < 0 {
-				d.auditMu.Unlock()
+			idx := auditRefIndex(d.auditBlocks, se.Key)
+			if idx < 0 || d.auditBlocks[idx].addr != addr {
+				d.auditMu.Unlock() // released: aged out, or moved already
 				continue
 			}
 			data, err := d.readBlock(addr)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"s4/internal/delta"
+	"s4/internal/disk"
 	"s4/internal/journal"
 	"s4/internal/types"
 )
@@ -617,17 +618,29 @@ func TestMaterializedBlockIsPrivate(t *testing.T) {
 // pointer, the running count does not hold the block.
 func historyRecount(e *testEnv) {
 	e.t.Helper()
-	if err := e.d.CheckInvariants(); err != nil {
-		e.t.Fatal(err)
+	e.d = recountHistory(e.t, e.d, e.dev, e.d.opts)
+}
+
+// recountHistory is historyRecount for a drive on any device: it
+// checkpoints d, reopens dev with opts, which must ask for the empty
+// base, and returns the reopened drive.
+func recountHistory(t *testing.T, d *Drive, dev disk.Device, opts Options) *Drive {
+	t.Helper()
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	if err := e.d.Checkpoint(); err != nil {
-		e.t.Fatal(err)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	ran := e.d.Status().HistoryBlocks
-	e.reopen()
-	if re := e.d.Status().HistoryBlocks; re != ran {
-		e.t.Fatalf("running history count %d blocks; a full recount of the log finds %d", ran, re)
+	ran := d.Status().HistoryBlocks
+	re, err := Open(dev, opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
+	if n := re.Status().HistoryBlocks; n != ran {
+		t.Fatalf("running history count %d blocks; a full recount of the log finds %d", ran, n)
+	}
+	return re
 }
 
 // TestFlushKeepsWhatConversionReleased: the blocks below a delta chain

@@ -493,6 +493,10 @@ type Drive struct {
 	// moved a counter.
 	recSnapVer map[types.ObjectID]uint64
 	recTouched map[types.ObjectID]bool
+	// recSectors holds every journal sector the roll-forward scan
+	// decoded, as vetting left it; readJSector serves them, so the usage
+	// rebuild's chain walks neither read nor decode the tail again.
+	recSectors map[journal.SectorAddr]recSector
 	// recSumCover caches each probed segment's durable-summary entry
 	// count. The usage rebuild counts only summary-listed blocks, so a
 	// tail block whose payload survived a crash but whose summary write
@@ -1215,9 +1219,15 @@ func (d *Drive) walkSectors(id types.ObjectID, from, tail journal.SectorAddr, fn
 // buffer, and never cached. The openness test comes before the read: a
 // block found sealed can never be rewritten again, so no RewriteRange
 // can race the fill, while testing afterwards could cache an image read
-// just before the last rewrite. A sector that does not decode, or is not
-// id's, is an error. Needs no lock beyond whatever keeps sa in a chain.
+// just before the last rewrite. While recovery runs, a sector the
+// roll-forward scan decoded is served from recSectors instead, entries
+// shared with every walk that meets it: callers only read them. A sector
+// that does not decode, or is not id's, is an error. Needs no lock
+// beyond whatever keeps sa in a chain.
 func (d *Drive) readJSector(id types.ObjectID, sa journal.SectorAddr, scratch *[]byte) (prev journal.SectorAddr, entries []journal.Entry, err error) {
+	if r, ok := d.recSectors[sa]; ok && r.id == id {
+		return r.prev, r.entries, nil
+	}
 	blk := sa.Block()
 	var img []byte
 	if d.log.InOpenSegment(blk) {

@@ -118,7 +118,11 @@ func (d *Drive) CheckInvariants() error {
 		}
 	}
 
-	for _, r := range d.auditBlocks {
+	for i, r := range d.auditBlocks {
+		// auditRefIndex searches the list by firstSeq.
+		if i > 0 && r.firstSeq <= d.auditBlocks[i-1].firstSeq {
+			return fmt.Errorf("core: audit block %d first seq %d follows %d: %w", r.addr, r.firstSeq, d.auditBlocks[i-1].firstSeq, types.ErrCorrupt)
+		}
 		if err := checkAddr(types.AuditObject, "audit block", r.addr); err != nil {
 			return err
 		}

@@ -255,6 +255,7 @@ func (d *Drive) recover() error {
 	d.recSumCover = make(map[int64]int)
 	d.recDrop = make(map[types.ObjectID]uint64)
 	d.recTouched = make(map[types.ObjectID]bool)
+	d.recSectors = make(map[journal.SectorAddr]recSector)
 	d.recSnapVer = make(map[types.ObjectID]uint64, len(d.objects))
 	for id, o := range d.objects {
 		d.recSnapVer[id] = o.nextVersion - 1
@@ -314,7 +315,7 @@ func (d *Drive) recover() error {
 	for _, o := range d.objects {
 		o.nextAge = 0
 	}
-	d.recSnapVer, d.recTouched, d.recSumCover, d.recDrop = nil, nil, nil, nil
+	d.recSnapVer, d.recTouched, d.recSectors, d.recSumCover, d.recDrop = nil, nil, nil, nil, nil
 	// Evict down to the configured object-cache budget.
 	return d.evictColdLocked()
 }
@@ -396,6 +397,14 @@ func (d *Drive) installBase(idx *segIndex) *recBase {
 	return b
 }
 
+// recSector is one journal sector the roll-forward scan decoded, as
+// vetSector left it.
+type recSector struct {
+	id      types.ObjectID
+	prev    journal.SectorAddr
+	entries []journal.Entry
+}
+
 // recoverJournalBlock relinks every sector of one flushed journal block
 // and redoes entries newer than the owning objects' checkpointed
 // versions. Slots are processed in order, which preserves chronology.
@@ -453,6 +462,9 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 		// now and never joins the chain.
 		return nil
 	}
+	// The media now holds exactly this, and nothing rewrites a sector of
+	// a replayed segment again before recover() returns.
+	d.recSectors[addr] = recSector{id: id, prev: prev, entries: entries}
 	// Materialize the inode: from its checkpoint, from the chain the
 	// object map already links (journal-complete objects skip
 	// checkpoints), or fresh for objects born after the checkpoint.
@@ -640,14 +652,13 @@ func (d *Drive) recoverAuditBlock(addr seglog.BlockAddr, firstSeq uint64, lastTi
 		// because its segment went on being written.
 		return
 	}
-	for _, r := range d.auditBlocks {
-		// Matching firstSeq with a different address means the cleaner
-		// relocated a block flushed since the checkpoint: both copies
-		// hold the same records, so keep the first (the original, whose
-		// segment the deferred-reuse barrier kept intact).
-		if r.addr == addr || r.firstSeq == firstSeq {
-			return
-		}
+	// Every ref the checkpoint listed sorts below firstSeq, so only the
+	// tail's can match. A match means the cleaner relocated a block
+	// flushed since the checkpoint: both copies hold the same records, so
+	// keep the first (the original, whose segment the deferred-reuse
+	// barrier kept intact).
+	if auditRefIndex(d.auditBlocks, firstSeq) >= 0 {
+		return
 	}
 	d.auditBlocks = append(d.auditBlocks, auditBlockRef{addr: addr, firstSeq: firstSeq, lastTime: lastTime})
 	// Recover the sequence counter past anything on disk.

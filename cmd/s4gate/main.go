@@ -59,7 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var bs []s4rpc.Backend
+	var shards []s4rpc.Handler
 	var remotes []*shard.Remote
 	for i, addr := range strings.Split(*backends, ",") {
 		addr = strings.TrimSpace(addr)
@@ -78,13 +78,13 @@ func main() {
 			log.Fatalf("s4gate: shard %d (%s): %v", i, addr, err)
 		}
 		remotes = append(remotes, rm)
-		bs = append(bs, rm)
+		shards = append(shards, rm.Do)
 	}
-	if len(bs) == 0 {
+	if len(shards) == 0 {
 		log.Fatalf("s4gate: no shard addresses in -backends")
 	}
 
-	router, err := shard.New(bs, shard.Options{MaxFan: *maxFan, FanTimeout: *fanTimeout})
+	router, err := shard.New(shards, shard.Options{MaxFan: *maxFan, FanTimeout: *fanTimeout})
 	if err != nil {
 		log.Fatalf("s4gate: router: %v", err)
 	}
@@ -105,7 +105,7 @@ func main() {
 		keys.AddClient(types.ClientID(n), []byte(key))
 	}
 
-	srv := s4rpc.NewServer(router, keys)
+	srv := s4rpc.NewHandlerServer(router.Do, keys)
 	srv.SetWorkers(*workers)
 	srv.SetIOTimeout(*ioTimeout)
 	ln, err := net.Listen("tcp", *listen)

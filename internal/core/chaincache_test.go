@@ -112,7 +112,7 @@ func TestCleanerWarmPassReadsNothing(t *testing.T) {
 	if aged < objects || ripe < objects {
 		t.Fatalf("warm passes aged %d entries over %d ripe visits; the gate measured nothing", aged, ripe)
 	}
-	st := d.DriveStats()
+	st := d.GetStats()
 	if st.JournalCacheHits == 0 || st.JournalCacheMisses == 0 {
 		t.Fatalf("journal cache counters: %d hits, %d misses; want both counted", st.JournalCacheHits, st.JournalCacheMisses)
 	}
@@ -310,7 +310,7 @@ func TestTruncatedTailLeavesNoStaleCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("crash@%d: %v", k, err)
 		}
-		if first.DriveStats().RecoveryTruncations == 0 {
+		if first.GetStats().RecoveryTruncations == 0 {
 			continue
 		}
 		truncated++

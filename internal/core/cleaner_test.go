@@ -314,14 +314,14 @@ func TestThrottleEngagesUnderHistoryPressure(t *testing.T) {
 	})
 	id := e.create(alice)
 	payload := bytes.Repeat([]byte{1}, 4*types.BlockSize)
-	before := e.d.DriveStats().ThrottleDelays
+	before := e.d.GetStats().ThrottleDelays
 	for i := 0; i < 200; i++ {
 		if err := e.d.Write(alice, id, 0, payload); err != nil {
 			t.Fatal(err)
 		}
 		e.clk.Advance(10 * time.Millisecond)
 	}
-	after := e.d.DriveStats().ThrottleDelays
+	after := e.d.GetStats().ThrottleDelays
 	if after <= before {
 		t.Fatal("history-pool abuser never throttled")
 	}
@@ -344,7 +344,7 @@ func TestCleanStatsAccumulate(t *testing.T) {
 	if _, err := e.d.CleanOnce(); err != nil {
 		t.Fatal(err)
 	}
-	ds := e.d.DriveStats()
+	ds := e.d.GetStats()
 	if ds.CleanerRuns == 0 {
 		t.Fatal("cleaner runs not counted")
 	}

@@ -59,7 +59,7 @@ func TestDeltaHistoryRoundTrip(t *testing.T) {
 		times[v] = e.d.Now()
 		e.tick()
 	}
-	st := e.d.DriveStats()
+	st := e.d.GetStats()
 	if st.DeltaBlocksWritten == 0 {
 		t.Fatal("no packed delta blocks written despite DeltaEnabled")
 	}
@@ -159,7 +159,7 @@ func TestDeltaChainKeyframe(t *testing.T) {
 		times[v] = e.d.Now()
 		e.tick()
 	}
-	st := e.d.DriveStats()
+	st := e.d.GetStats()
 	if st.ChainKeyframes == 0 {
 		t.Fatal("no keyframes forced at the MaxDeltaChain bound")
 	}
@@ -196,7 +196,7 @@ func TestDeltaCrashRecovery(t *testing.T) {
 			if err := e.d.Sync(alice); err != nil {
 				t.Fatal(err)
 			}
-			if st := e.d.DriveStats(); st.DeltaBlocksWritten == 0 {
+			if st := e.d.GetStats(); st.DeltaBlocksWritten == 0 {
 				t.Fatal("recovery scenario wrote no packed delta blocks")
 			}
 			e.reopen()
@@ -257,7 +257,7 @@ func TestPolicyRetentionSkip(t *testing.T) {
 			if _, err := e.d.Read(alice, id, 0, types.BlockSize, t1); !errors.Is(err, types.ErrNoVersion) {
 				t.Fatalf("unretained version 1: got err %v, want ErrNoVersion", err)
 			}
-			if st := e.d.DriveStats(); st.PolicySkippedVersions == 0 {
+			if st := e.d.GetStats(); st.PolicySkippedVersions == 0 {
 				t.Fatal("PolicySkippedVersions did not count the drops")
 			}
 			if err := e.d.CheckInvariants(); err != nil {
@@ -516,7 +516,7 @@ func TestPackerCompressesOnlyToSaveABlock(t *testing.T) {
 			}
 		}
 		// One packed block per converting entry, either way.
-		st := e.d.DriveStats()
+		st := e.d.GetStats()
 		if stored := st.DeltaBytesSaved/types.BlockSize + st.DeltaBlocksWritten; stored != span*st.DeltaBlocksWritten {
 			t.Fatalf("%s: %d packed blocks hold %d slots, want %d in each", c.name, st.DeltaBlocksWritten, stored, span)
 		}
@@ -695,11 +695,11 @@ func TestFlushTwiceOverDeltaChain(t *testing.T) {
 			}
 			merged := e.d.Now() // no kept entry follows: the merge is stamped now
 			e.tick()
-			before := e.d.DriveStats().DeltaBlocksWritten
+			before := e.d.GetStats().DeltaBlocksWritten
 			want := spanPattern(2, span)
 			e.write(alice, id, 0, want)
 			e.tick()
-			if e.d.DriveStats().DeltaBlocksWritten == before {
+			if e.d.GetStats().DeltaBlocksWritten == before {
 				t.Fatal("the overwrite converted nothing: the test needs the merged blocks behind deltas")
 			}
 			if got := e.read(alice, id, 0, span*types.BlockSize, t0); !bytes.Equal(got, spanPattern(0, span)) {

@@ -47,7 +47,7 @@ func TestDeltaOverwriteAllocBytes(t *testing.T) {
 		t.Errorf("a delta overwrite of %d blocks allocates %d B, want under 128 KB", span, perWrite)
 	}
 
-	st := e.d.DriveStats()
+	st := e.d.GetStats()
 	got := [4]int64{st.DeltaBlocksWritten, st.DeltaBytesSaved, st.ChainKeyframes, st.HistoryBlocks}
 	want := [4]int64{182, 5218304, 152, 388}
 	if got != want {

@@ -471,7 +471,7 @@ type Drive struct {
 	dirtyObjs map[types.ObjectID]*object
 
 	// statsMu guards stats. Cache hit/miss counters live inside the
-	// block cache and are merged in DriveStats.
+	// block cache and are merged in GetStats.
 	statsMu sync.Mutex
 	stats   Stats
 
@@ -2344,8 +2344,9 @@ func (d *Drive) Status() StatusInfo {
 	}
 }
 
-// DriveStats returns a copy of the activity counters.
-func (d *Drive) DriveStats() Stats {
+// GetStats returns a copy of the activity counters; the RPC layer and
+// s4ctl stats read drive health through it.
+func (d *Drive) GetStats() Stats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	d.statsMu.Lock()
@@ -2376,10 +2377,6 @@ func (d *Drive) DriveStats() Stats {
 	s.ScrubBlocks = d.scrubBlocks.Load()
 	return s
 }
-
-// GetStats is the stable public name for the activity counters; the RPC
-// layer and s4ctl stats read drive health through it.
-func (d *Drive) GetStats() Stats { return d.DriveStats() }
 
 // ---- Throttle integration ----
 

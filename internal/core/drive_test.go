@@ -719,7 +719,7 @@ func TestStatusAndStats(t *testing.T) {
 	if st.HistoryBlocks < 5 {
 		t.Fatalf("history blocks = %d, want >= 5 (overwritten data)", st.HistoryBlocks)
 	}
-	ds := e.d.DriveStats()
+	ds := e.d.GetStats()
 	if ds.Ops[types.OpWrite] != 2 || ds.VersionsMade == 0 {
 		t.Fatalf("stats = %+v", ds)
 	}

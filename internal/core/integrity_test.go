@@ -239,9 +239,9 @@ func TestBitRotQuarantineAndScrub(t *testing.T) {
 				t.Fatalf("victim read: %v, want ErrCorrupt", err)
 			}
 
-			stats := d.DriveStats()
+			stats := d.GetStats()
 			if stats.CorruptDetected+stats.CorruptRepaired == 0 {
-				t.Fatal("integrity counters not surfaced through DriveStats")
+				t.Fatal("integrity counters not surfaced through GetStats")
 			}
 			if stats.ScrubPasses == 0 || stats.ScrubBlocks == 0 {
 				t.Fatalf("scrub counters not surfaced: %+v", sr)

@@ -92,7 +92,7 @@ func TestIndexedOpenReadsEachSummaryOnce(t *testing.T) {
 	e := tailImage(t)
 	d, rl := openLogged(t, e, false)
 	opts := d.opts
-	if st := d.DriveStats(); st.IndexLoads != 1 || st.RecoveryReplayEntries == 0 {
+	if st := d.GetStats(); st.IndexLoads != 1 || st.RecoveryReplayEntries == 0 {
 		t.Fatalf("open: IndexLoads=%d replayed %d entries, want an indexed open of a tail", st.IndexLoads, st.RecoveryReplayEntries)
 	}
 	read := 0
@@ -137,7 +137,7 @@ func TestOpenReadsEachTailBlockOnce(t *testing.T) {
 	var digests []string
 	for _, emptyBase := range []bool{false, true} {
 		d, rl := openLogged(t, e, emptyBase)
-		if n := d.DriveStats().RecoveryReplayEntries; n != 358 {
+		if n := d.GetStats().RecoveryReplayEntries; n != 358 {
 			t.Errorf("empty base %v: %d journal entries examined, want 358", emptyBase, n)
 		}
 		reads := make(map[int64]int)
@@ -240,7 +240,7 @@ func TestTruncatedSectorHandedOverTruncated(t *testing.T) {
 		var digests []string
 		for _, emptyBase := range []bool{false, true} {
 			got, img, o := open(k, emptyBase)
-			if got.DriveStats().RecoveryTruncations == 0 {
+			if got.GetStats().RecoveryTruncations == 0 {
 				if emptyBase {
 					t.Fatalf("crash@%d: only the indexed open truncated", k)
 				}
@@ -424,7 +424,7 @@ func TestSecondCrashReadsOnlyTheChain(t *testing.T) {
 	if int64(len(rl.reads)) >= n/4 {
 		t.Fatalf("second open issued %d reads on a %d-segment log: it read more than the chain", len(rl.reads), n)
 	}
-	if st := d3.DriveStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+	if st := d3.GetStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
 		t.Fatalf("IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
 	}
 	got, err := d3.Read(alice, id, 0, types.BlockSize, types.TimeNowest)

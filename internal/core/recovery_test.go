@@ -342,7 +342,7 @@ func TestRestartDoesNotDoubleAge(t *testing.T) {
 			}
 			e.d.opts.DisableSegIndex = false
 			e.reopen()
-			if st := e.d.DriveStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+			if st := e.d.GetStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
 				t.Errorf("reopen after the cleaned checkpoint: IndexLoads=%d IndexFallbacks=%d, want 1/0",
 					st.IndexLoads, st.IndexFallbacks)
 			}
@@ -520,7 +520,7 @@ func TestDeleteReviveAcrossCrash(t *testing.T) {
 				return &testEnv{t: t, d: d, dev: img, clk: clk}
 			}
 			idx, full := open(false), open(true)
-			if st := idx.d.DriveStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+			if st := idx.d.GetStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
 				t.Errorf("indexed open: IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
 			}
 			if a, b := idx.d.StateDigest(), full.d.StateDigest(); a != b {

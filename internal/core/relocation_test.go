@@ -59,11 +59,11 @@ func newRelocEnv(t *testing.T) *relocEnv {
 		t.Fatalf("only %d landmarks indexed; the scenario needs several", r.lms)
 	}
 	// The read this test is about anchors at a landmark while it can.
-	before := e.d.DriveStats().LandmarkHits
+	before := e.d.GetStats().LandmarkHits
 	if got := e.read(admin, r.obj, 0, types.BlockSize, r.at); !bytes.Equal(got, r.orig) {
 		t.Fatalf("before the relocation block 0 at %v reads %.8q", r.at, got)
 	}
-	if e.d.DriveStats().LandmarkHits <= before {
+	if e.d.GetStats().LandmarkHits <= before {
 		t.Fatal("the history read did not anchor at a landmark before the relocation")
 	}
 	return r
@@ -120,7 +120,7 @@ func TestRelocatedBlockHistorySurvivesRestart(t *testing.T) {
 					t.Fatal(err)
 				}
 				r.d = d
-				if st := d.DriveStats(); !m.disableIndex && (st.IndexLoads != 1 || st.IndexFallbacks != 0) {
+				if st := d.GetStats(); !m.disableIndex && (st.IndexLoads != 1 || st.IndexFallbacks != 0) {
 					t.Errorf("IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
 				}
 				if n := len(d.objects[r.obj].landmarks); n != 0 {

@@ -81,7 +81,7 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 			if err := r.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			return result{r.log.NumSegments(), ds.Reads, ds.SectorsRead * disk.SectorSize, r.DriveStats()}
+			return result{r.log.NumSegments(), ds.Reads, ds.SectorsRead * disk.SectorSize, r.GetStats()}
 		}
 		return reopen(false), reopen(true)
 	}
@@ -192,7 +192,7 @@ func TestCrashBeforeFirstSnapshotBothPathsAgree(t *testing.T) {
 			t.Fatalf("crash@%d: segment %d, opened and never summarised, is not free (indexed %v, full scan %v)",
 				k+1, seg, indexed.log.IsFree(seg), full.log.IsFree(seg))
 		}
-		if a, b := before.DriveStats().RecoveryReplayEntries, indexed.DriveStats().RecoveryReplayEntries; a != b {
+		if a, b := before.GetStats().RecoveryReplayEntries, indexed.GetStats().RecoveryReplayEntries; a != b {
 			t.Fatalf("crash@%d: replayed %d entries, %d one write earlier", k+1, b, a)
 		}
 	}
@@ -326,7 +326,7 @@ func TestOpenWorkDoesNotScaleWithChainDepth(t *testing.T) {
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return result{ds.Reads, after.TotalAlloc - before.TotalAlloc, r.DriveStats()}
+		return result{ds.Reads, after.TotalAlloc - before.TotalAlloc, r.GetStats()}
 	}
 	shallow, deep := open(1000), open(8000)
 	t.Logf("1,000 versions: %d reads, %d B allocated; 8,000 versions: %d reads, %d B allocated",

@@ -166,7 +166,7 @@ func reopenImage(t *testing.T, rec *disk.FaultDisk, opts Options, end types.Time
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, d.DriveStats()
+	return d, d.GetStats()
 }
 
 // TestIndexedOpenMatchesFullScan is the clean-shutdown equivalence
@@ -272,7 +272,7 @@ func TestIndexedReplayTenfold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return r.DriveStats()
+				return r.GetStats()
 			}
 			si, sf := replayed(false), replayed(true)
 			if si.IndexLoads != 1 || si.IndexFallbacks != 0 {
@@ -611,7 +611,7 @@ func TestRelocatedOverwriteFallsBack(t *testing.T) {
 	}
 
 	e.reopen() // crash: the relocation never reached a checkpoint
-	st := e.d.DriveStats()
+	st := e.d.GetStats()
 	if st.IndexLoads != 0 || st.IndexFallbacks != 1 {
 		t.Errorf("IndexLoads=%d IndexFallbacks=%d, want 0/1", st.IndexLoads, st.IndexFallbacks)
 	}

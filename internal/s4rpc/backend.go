@@ -8,15 +8,10 @@ import (
 	"s4/internal/types"
 )
 
-// Backend is the op surface the RPC server dispatches against: exactly
-// the method set of core.Drive that Table 1 (plus the recovery and
-// status extensions) reaches. A *core.Drive satisfies it directly; the
-// shard router (internal/shard) satisfies it by routing per-object
-// operations through its consistent-hash ring and scatter-gathering
-// whole-drive operations across its shards. Keeping the interface here
-// — rather than in internal/shard — lets the server depend on one name
-// while the router depends on s4rpc for its wire backends without an
-// import cycle.
+// Backend is the drive-facing op surface: exactly the method set of
+// core.Drive that Table 1 (plus the recovery and status extensions)
+// reaches. A *core.Drive satisfies it directly; Dispatch turns one into
+// the Handler a Server runs.
 type Backend interface {
 	Create(cred types.Cred, acl []types.ACLEntry, attr []byte) (types.ObjectID, error)
 	CreateWithID(cred types.Cred, id types.ObjectID, acl []types.ACLEntry, attr []byte) error
@@ -44,34 +39,104 @@ type Backend interface {
 	ListVersions(cred types.Cred, id types.ObjectID) ([]core.VersionInfo, error)
 	Revert(cred types.Cred, id types.ObjectID, at types.Timestamp) error
 	AuditRead(cred types.Cred, fromSeq uint64, max int) ([]audit.Record, error)
+	Scrub(cred types.Cred) (core.ScrubResult, error)
 	Status() core.StatusInfo
 	GetStats() core.Stats
 }
 
-// ShardStatser is the optional interface a multi-shard Backend
-// implements so OpStats can carry both the summed counters and the
-// per-shard breakdown, and so a down shard surfaces as an error
-// instead of silently zeroed counters.
-type ShardStatser interface {
-	// ShardStats returns the aggregate counters, the per-shard
-	// breakdown in ring order, and any fan-out error (a down shard
-	// yields a typed per-shard error; reachable shards still report).
-	ShardStats() (core.Stats, []core.Stats, error)
-}
+// Handler executes one request under an authenticated credential. It
+// is the op surface between a Server and whatever stands behind it: a
+// drive (Dispatch), a remote drive (shard.Remote) or a shard router.
+// A Handler never sees OpBatch — the Server unpacks batches — and
+// returns a reply the caller owns, non-nil whenever the error is nil.
+// On an error the Server sends only the errno and the retry-after
+// hint; the reply beside it (a fan-out's reachable shards' results)
+// serves in-process callers.
+type Handler func(cred types.Cred, req *Request) (*Response, error)
 
-// StatusErrer is the optional interface a Backend implements when its
-// Status can fail (a remote or fanned-out backend). The server prefers
-// it over the infallible Status so a down shard yields a wire error
-// rather than a silently truncated summary.
-type StatusErrer interface {
-	StatusErr() (core.StatusInfo, error)
-}
-
-// Scrubber is the optional interface behind OpScrub: an on-demand
-// integrity sweep over every sealed segment (core.Drive, the shard
-// router, and remote shard stubs all implement it; a Backend without it
-// answers OpScrub with ErrUnimplProto). Admin-only — the implementation
-// must reject non-admin credentials.
-type Scrubber interface {
-	Scrub(cred types.Cred) (core.ScrubResult, error)
+// Dispatch is the one mapping from an op to a typed drive method.
+func Dispatch(drv Backend) Handler {
+	return func(cred types.Cred, req *Request) (*Response, error) {
+		resp := new(Response)
+		var err error
+		switch req.Op {
+		case types.OpCreate:
+			// Obj != 0 selects explicit-ID creation (no separate op code:
+			// audit blocks persist op codes, and a plain Create never
+			// carries an object). The shard router uses it so the ring —
+			// not the shard — owns ID allocation.
+			if req.Obj != 0 {
+				resp.Obj, err = req.Obj, drv.CreateWithID(cred, req.Obj, req.ACL, req.Attr)
+			} else {
+				resp.Obj, err = drv.Create(cred, req.ACL, req.Attr)
+			}
+		case types.OpDelete:
+			err = drv.Delete(cred, req.Obj)
+		case types.OpRead:
+			resp.Data, err = drv.Read(cred, req.Obj, req.Offset, req.Length, req.At)
+		case types.OpWrite:
+			err = drv.Write(cred, req.Obj, req.Offset, req.Data)
+		case types.OpAppend:
+			resp.Offset, err = drv.Append(cred, req.Obj, req.Data)
+		case types.OpTruncate:
+			err = drv.Truncate(cred, req.Obj, req.Length)
+		case types.OpGetAttr:
+			resp.Attr, err = drv.GetAttr(cred, req.Obj, req.At)
+		case types.OpSetAttr:
+			err = drv.SetAttr(cred, req.Obj, req.Attr)
+		case types.OpGetACLByUser:
+			resp.ACL, err = drv.GetACLByUser(cred, req.Obj, types.UserID(req.Offset), req.At)
+		case types.OpGetACLByIndex:
+			resp.ACL, err = drv.GetACLByIndex(cred, req.Obj, req.ACLIdx, req.At)
+		case types.OpSetACL:
+			err = types.ErrInval
+			if len(req.ACL) == 1 {
+				err = drv.SetACL(cred, req.Obj, req.ACLIdx, req.ACL[0])
+			}
+		case types.OpPCreate:
+			err = drv.PCreate(cred, req.Name, req.Obj)
+		case types.OpPDelete:
+			err = drv.PDelete(cred, req.Name)
+		case types.OpPList:
+			resp.Parts, err = drv.PList(cred, req.At)
+		case types.OpPMount:
+			resp.Obj, err = drv.PMount(cred, req.Name, req.At)
+		case types.OpSync:
+			// Obj != 0 narrows the sync to one object so a shard router
+			// can route it to a single shard instead of broadcasting.
+			if req.Obj != 0 {
+				err = drv.SyncObj(cred, req.Obj)
+			} else {
+				err = drv.Sync(cred)
+			}
+		case types.OpFlush:
+			err = drv.Flush(cred, req.From, req.To)
+		case types.OpFlushO:
+			err = drv.FlushO(cred, req.Obj, req.From, req.To)
+		case types.OpSetWindow:
+			err = drv.SetWindow(cred, req.Window)
+		case types.OpSetPolicy:
+			err = drv.SetPolicy(cred, req.Obj, req.Policy)
+		case types.OpGetPolicy:
+			resp.Policy, resp.PolicyOwn, err = drv.GetPolicy(cred, req.Obj)
+		case types.OpListVersions:
+			resp.Versions, err = drv.ListVersions(cred, req.Obj)
+			if req.Max > 0 && len(resp.Versions) > req.Max {
+				resp.Versions = resp.Versions[:req.Max]
+			}
+		case types.OpRevert:
+			err = drv.Revert(cred, req.Obj, req.At)
+		case types.OpAuditRead:
+			resp.Records, err = drv.AuditRead(cred, req.Seq, req.Max)
+		case types.OpStatus:
+			resp.Status = drv.Status()
+		case types.OpStats:
+			resp.Stats = drv.GetStats()
+		case types.OpScrub:
+			resp.Scrub, err = drv.Scrub(cred)
+		default:
+			err = types.ErrUnimplProto
+		}
+		return resp, err
+	}
 }

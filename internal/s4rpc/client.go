@@ -638,18 +638,8 @@ func (c *Client) Status() (core.StatusInfo, error) {
 	return resp.Status, nil
 }
 
-// DriveStats reads the commit-pipeline and cache counters.
-func (c *Client) DriveStats() (core.Stats, error) {
-	resp, err := c.call1(&Request{Op: types.OpStats})
-	if err != nil {
-		return core.Stats{}, err
-	}
-	return resp.Stats, nil
-}
-
-// ShardStats reads the activity counters plus, when the peer is a
-// shard router or gate, the per-shard breakdown (empty for a single
-// drive).
+// ShardStats reads the drive's activity counters plus, when the peer
+// is a shard gate, the per-shard breakdown (empty for a single drive).
 func (c *Client) ShardStats() (core.Stats, []core.Stats, error) {
 	resp, err := c.call1(&Request{Op: types.OpStats})
 	if err != nil {

@@ -350,7 +350,7 @@ func TestWireSizes(t *testing.T) {
 		{"append reply", len(responseFrame(t, &Response{Op: types.OpAppend, ID: 1 << 40, Offset: 1 << 40})), 32},
 		{"4 KB read reply", len(responseFrame(t, &Response{Op: types.OpRead, ID: 1 << 40, Data: block})), types.BlockSize + 32},
 		{"handshake", handshakeBytes, 160},
-		{"soak exchange", len(requestFrame(t, &Request{Op: types.OpAppend, ID: 1 << 40, Obj: 1 << 40, User: 100, Data: []byte(soakMarker(1))})) +
+		{"soak exchange", len(requestFrame(t, &Request{Op: types.OpAppend, ID: 1 << 40, Obj: 1 << 40, User: 100, Data: []byte(SoakMarker(1))})) +
 			len(responseFrame(t, &Response{Op: types.OpAppend, ID: 1 << 40, Offset: 1 << 40})), soakExchangeBytes},
 	} {
 		if c.size > c.most {

@@ -97,7 +97,7 @@ func TestDriveStatsOverWire(t *testing.T) {
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.DriveStats()
+	st, _, err := c.ShardStats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestRestartStatsOverWire(t *testing.T) {
 	})
 
 	c := dialUser(t, ln.Addr().String(), 100)
-	st, err := c.DriveStats()
+	st, _, err := c.ShardStats()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,17 +68,18 @@ var (
 // entry per live session).
 const defaultMaxSessions = 4096
 
-// Server exposes a core.Drive over TCP. Requests from all connections
-// are dispatched on a bounded worker pool (SetWorkers) with a bounded
-// queue (SetQueueDepth): a flood of connections cannot spawn an
-// unbounded number of drive operations, and once the queue is full
+// Server exposes a Handler — a core.Drive through Dispatch, or a shard
+// router — over TCP. Requests from all connections are dispatched on a
+// bounded worker pool (SetWorkers) with a bounded queue
+// (SetQueueDepth): a flood of connections cannot spawn an unbounded
+// number of drive operations, and once the queue is full
 // further requests are shed with a retryable ErrBusy instead of parked.
 // Per-frame I/O deadlines (SetIOTimeout) evict stalled and slowloris
 // connections, and a per-session duplicate-reply cache gives retrying
 // clients exactly-once execution (see proto.go).
 type Server struct {
-	drv  Backend
-	keys *Keyring
+	handler Handler
+	keys    *Keyring
 
 	mu        sync.Mutex
 	ln        net.Listener
@@ -133,11 +134,14 @@ type session struct {
 	lastUsed atomic.Int64 // unix nanos, for registry eviction
 }
 
-// NewServer wraps drv — a single drive or a shard router — with the
-// given keyring.
-func NewServer(drv Backend, keys *Keyring) *Server {
+// NewServer serves a drive with the given keyring.
+func NewServer(drv Backend, keys *Keyring) *Server { return NewHandlerServer(Dispatch(drv), keys) }
+
+// NewHandlerServer serves whatever h stands for — a drive, or a shard
+// router over remote drives — with the given keyring.
+func NewHandlerServer(h Handler, keys *Keyring) *Server {
 	return &Server{
-		drv: drv, keys: keys,
+		handler: h, keys: keys,
 		conns:       make(map[net.Conn]struct{}),
 		sessions:    make(map[sessionKey]*session),
 		maxSessions: defaultMaxSessions,
@@ -516,7 +520,9 @@ func (s *Server) process(sess *session, cred types.Cred, req *Request, reply cha
 	return resp
 }
 
-// dispatch executes one request (or batch) against the drive.
+// dispatch runs one request (or batch) through the handler. It narrows
+// the user, unpacks batches, and stamps the request's Op and ID on the
+// reply; a failed request's reply carries only its errno and wait hint.
 func (s *Server) dispatch(cred types.Cred, req *Request) *Response {
 	// A request may narrow the user within the authenticated client
 	// session (the NFS gateway forwards per-request uids); it can never
@@ -524,165 +530,20 @@ func (s *Server) dispatch(cred types.Cred, req *Request) *Response {
 	if req.User != 0 && !cred.Admin {
 		cred.User = req.User
 	}
-	resp := &Response{Op: req.Op, ID: req.ID}
-	fail := func(err error) *Response {
-		resp.Errno = core.Errno(err)
-		if after, ok := types.RetryAfterHint(err); ok {
-			resp.RetryAfter = after
-		}
-		return resp
-	}
-	switch req.Op {
-	case types.OpBatch:
+	var resp *Response
+	var err error
+	if req.Op == types.OpBatch {
+		resp = new(Response)
 		for i := range req.Batch {
-			sub := s.dispatch(cred, &req.Batch[i])
-			resp.Batch = append(resp.Batch, *sub)
+			resp.Batch = append(resp.Batch, *s.dispatch(cred, &req.Batch[i]))
 		}
-	case types.OpCreate:
-		// Obj != 0 selects explicit-ID creation (no separate op code:
-		// audit blocks persist op codes, and a plain Create never
-		// carries an object). The shard router and gate use it so the
-		// ring — not the shard — owns ID allocation.
-		var id types.ObjectID
-		var err error
-		if req.Obj != 0 {
-			id, err = req.Obj, s.drv.CreateWithID(cred, req.Obj, req.ACL, req.Attr)
-		} else {
-			id, err = s.drv.Create(cred, req.ACL, req.Attr)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		resp.Obj = id
-	case types.OpDelete:
-		return fail(s.drv.Delete(cred, req.Obj))
-	case types.OpRead:
-		data, err := s.drv.Read(cred, req.Obj, req.Offset, req.Length, req.At)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Data = data
-	case types.OpWrite:
-		return fail(s.drv.Write(cred, req.Obj, req.Offset, req.Data))
-	case types.OpAppend:
-		off, err := s.drv.Append(cred, req.Obj, req.Data)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Offset = off
-	case types.OpTruncate:
-		return fail(s.drv.Truncate(cred, req.Obj, req.Length))
-	case types.OpGetAttr:
-		ai, err := s.drv.GetAttr(cred, req.Obj, req.At)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Attr = ai
-	case types.OpSetAttr:
-		return fail(s.drv.SetAttr(cred, req.Obj, req.Attr))
-	case types.OpGetACLByUser:
-		e, err := s.drv.GetACLByUser(cred, req.Obj, types.UserID(req.Offset), req.At)
-		if err != nil {
-			return fail(err)
-		}
-		resp.ACL = e
-	case types.OpGetACLByIndex:
-		e, err := s.drv.GetACLByIndex(cred, req.Obj, req.ACLIdx, req.At)
-		if err != nil {
-			return fail(err)
-		}
-		resp.ACL = e
-	case types.OpSetACL:
-		if len(req.ACL) != 1 {
-			return fail(types.ErrInval)
-		}
-		return fail(s.drv.SetACL(cred, req.Obj, req.ACLIdx, req.ACL[0]))
-	case types.OpPCreate:
-		return fail(s.drv.PCreate(cred, req.Name, req.Obj))
-	case types.OpPDelete:
-		return fail(s.drv.PDelete(cred, req.Name))
-	case types.OpPList:
-		ps, err := s.drv.PList(cred, req.At)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Parts = ps
-	case types.OpPMount:
-		id, err := s.drv.PMount(cred, req.Name, req.At)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Obj = id
-	case types.OpSync:
-		// Obj != 0 narrows the sync to one object so a shard router can
-		// route it to a single shard instead of broadcasting.
-		if req.Obj != 0 {
-			return fail(s.drv.SyncObj(cred, req.Obj))
-		}
-		return fail(s.drv.Sync(cred))
-	case types.OpFlush:
-		return fail(s.drv.Flush(cred, req.From, req.To))
-	case types.OpFlushO:
-		return fail(s.drv.FlushO(cred, req.Obj, req.From, req.To))
-	case types.OpSetWindow:
-		return fail(s.drv.SetWindow(cred, req.Window))
-	case types.OpSetPolicy:
-		return fail(s.drv.SetPolicy(cred, req.Obj, req.Policy))
-	case types.OpGetPolicy:
-		p, own, err := s.drv.GetPolicy(cred, req.Obj)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Policy, resp.PolicyOwn = p, own
-	case types.OpListVersions:
-		vs, err := s.drv.ListVersions(cred, req.Obj)
-		if err != nil {
-			return fail(err)
-		}
-		if req.Max > 0 && len(vs) > req.Max {
-			vs = vs[:req.Max]
-		}
-		resp.Versions = vs
-	case types.OpRevert:
-		return fail(s.drv.Revert(cred, req.Obj, req.At))
-	case types.OpAuditRead:
-		recs, err := s.drv.AuditRead(cred, req.Seq, req.Max)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Records = recs
-	case types.OpStatus:
-		if b, ok := s.drv.(StatusErrer); ok {
-			st, err := b.StatusErr()
-			if err != nil {
-				return fail(err)
-			}
-			resp.Status = st
-		} else {
-			resp.Status = s.drv.Status()
-		}
-	case types.OpStats:
-		if b, ok := s.drv.(ShardStatser); ok {
-			agg, per, err := b.ShardStats()
-			if err != nil {
-				return fail(err)
-			}
-			resp.Stats, resp.ShardStats = agg, per
-		} else {
-			resp.Stats = s.drv.GetStats()
-		}
-	case types.OpScrub:
-		b, ok := s.drv.(Scrubber)
-		if !ok {
-			return fail(types.ErrUnimplProto)
-		}
-		sr, err := b.Scrub(cred)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Scrub = sr
-	default:
-		return fail(types.ErrUnimplProto)
+	} else {
+		resp, err = s.handler(cred, req)
 	}
+	if err != nil {
+		resp = &Response{Errno: core.Errno(err)}
+		resp.RetryAfter, _ = types.RetryAfterHint(err)
+	}
+	resp.Op, resp.ID = req.Op, req.ID
 	return resp
 }

@@ -56,9 +56,86 @@ const (
 	SoakCutMax = handshakeBytes + 4*soakExchangeBytes
 )
 
-// soakMarker is the marker format: fixed-width so content parsing is
-// trivial and any torn or duplicated append is unmissable.
-func soakMarker(i int) string { return fmt.Sprintf("|op%06d", i) }
+// SoakMarker is the soaks' marker format: fixed-width so content
+// parsing is trivial and any torn or duplicated append is unmissable.
+func SoakMarker(i int) string { return fmt.Sprintf("|op%06d", i) }
+
+// VerifyMarkers is the soaks' exactly-once oracle for one object of
+// drive d that cred may read; acked[i] says whether the append of
+// marker i was acknowledged. It checks that the object holds whole
+// markers, none twice, in issue order, with every acked one present,
+// and that the audit log shows one successful append, and the history
+// one write version, per present marker. It returns how many markers
+// are present.
+func VerifyMarkers(d *core.Drive, cred types.Cred, obj types.ObjectID, acked []bool) (present int, err error) {
+	ai, err := d.GetAttr(cred, obj, types.TimeNowest)
+	if err != nil {
+		return 0, fmt.Errorf("oracle getattr: %w", err)
+	}
+	data, err := d.Read(cred, obj, 0, ai.Size, types.TimeNowest)
+	if err != nil {
+		return 0, fmt.Errorf("oracle read: %w", err)
+	}
+	mlen := len(SoakMarker(0))
+	if len(data)%mlen != 0 {
+		return 0, fmt.Errorf("object size %d not a whole number of markers (torn append)", len(data))
+	}
+	seen := make(map[int]int)
+	prev := -1
+	for p := 0; p < len(data); p += mlen {
+		var i int
+		if _, err := fmt.Sscanf(string(data[p:p+mlen]), "|op%06d", &i); err != nil {
+			return 0, fmt.Errorf("garbage marker %q at %d", data[p:p+mlen], p)
+		}
+		if seen[i]++; seen[i] > 1 {
+			return 0, fmt.Errorf("marker %d appears %d times: duplicate execution", i, seen[i])
+		}
+		if i <= prev {
+			return 0, fmt.Errorf("marker %d after %d: ordering violated", i, prev)
+		}
+		prev = i
+		present++
+	}
+	for i, ok := range acked {
+		if ok && seen[i] == 0 {
+			return 0, fmt.Errorf("acked marker %d missing: lost acknowledged write", i)
+		}
+	}
+
+	// Audit log: one successful append record per present marker —
+	// suppressed duplicates must leave no second evidence entry.
+	admin := types.AdminCred()
+	recs, err := d.AuditRead(admin, 0, 1<<20)
+	if err != nil {
+		return 0, fmt.Errorf("oracle audit read: %w", err)
+	}
+	var okAppends int
+	for _, r := range recs {
+		if r.Op == types.OpAppend && r.Obj == obj && r.OK {
+			okAppends++
+		}
+	}
+	if okAppends != present {
+		return 0, fmt.Errorf("audit shows %d successful appends, object holds %d markers", okAppends, present)
+	}
+
+	// Version history: exactly one write version per executed append
+	// (creation and ACL setup journal under their own entry types).
+	vs, err := d.ListVersions(admin, obj)
+	if err != nil {
+		return 0, fmt.Errorf("oracle versions: %w", err)
+	}
+	var writes int
+	for _, v := range vs {
+		if v.Op == "write" {
+			writes++
+		}
+	}
+	if writes != present {
+		return 0, fmt.Errorf("%d write versions for %d present markers", writes, present)
+	}
+	return present, nil
+}
 
 // RunFaultSoak is the end-to-end exactly-once proof. It formats a
 // fresh in-memory drive, serves it through a fault-injecting listener
@@ -153,7 +230,7 @@ func RunFaultSoak(cfg SoakConfig) (SoakResult, error) {
 	acked := make([]bool, cfg.Ops)
 	for i := 0; i < cfg.Ops; i++ {
 		res.Attempted++
-		if _, err := c.Append(obj, []byte(soakMarker(i))); err == nil {
+		if _, err := c.Append(obj, []byte(SoakMarker(i))); err == nil {
 			acked[i] = true
 			res.Acked++
 		}
@@ -170,75 +247,11 @@ func RunFaultSoak(cfg SoakConfig) (SoakResult, error) {
 	// ---- oracle: verify against the drive directly, under the faults'
 	// reach no longer (the wire is out of the loop from here). ----
 	verify := func(d *core.Drive) error {
-		ai, err := d.GetAttr(cred, obj, types.TimeNowest)
+		present, err := VerifyMarkers(d, cred, obj, acked)
 		if err != nil {
-			return fmt.Errorf("oracle getattr: %w", err)
-		}
-		data, err := d.Read(cred, obj, 0, ai.Size, types.TimeNowest)
-		if err != nil {
-			return fmt.Errorf("oracle read: %w", err)
-		}
-		mlen := len(soakMarker(0))
-		if len(data)%mlen != 0 {
-			return fmt.Errorf("object size %d not a whole number of markers (torn append)", len(data))
-		}
-		seen := make(map[int]int)
-		prev := -1
-		var present int
-		for p := 0; p < len(data); p += mlen {
-			var i int
-			if _, err := fmt.Sscanf(string(data[p:p+mlen]), "|op%06d", &i); err != nil {
-				return fmt.Errorf("garbage marker %q at %d", data[p:p+mlen], p)
-			}
-			seen[i]++
-			if seen[i] > 1 {
-				return fmt.Errorf("marker %d appears %d times: duplicate execution", i, seen[i])
-			}
-			if i <= prev {
-				return fmt.Errorf("marker %d after %d: ordering violated", i, prev)
-			}
-			prev = i
-			present++
-		}
-		for i, ok := range acked {
-			if ok && seen[i] == 0 {
-				return fmt.Errorf("acked marker %d missing: lost acknowledged write", i)
-			}
+			return err
 		}
 		res.Present = present
-
-		// Audit log: one successful append record per present marker —
-		// suppressed duplicates must leave no second evidence entry.
-		admin := types.AdminCred()
-		recs, err := d.AuditRead(admin, 0, 1<<20)
-		if err != nil {
-			return fmt.Errorf("oracle audit read: %w", err)
-		}
-		var okAppends int
-		for _, r := range recs {
-			if r.Op == types.OpAppend && r.Obj == obj && r.OK {
-				okAppends++
-			}
-		}
-		if okAppends != present {
-			return fmt.Errorf("audit shows %d successful appends, object holds %d markers", okAppends, present)
-		}
-
-		// Version history: exactly one write version per executed append
-		// (creation and ACL setup journal under their own entry types).
-		vs, err := d.ListVersions(admin, obj)
-		if err != nil {
-			return fmt.Errorf("oracle versions: %w", err)
-		}
-		var writes int
-		for _, v := range vs {
-			if v.Op == "write" {
-				writes++
-			}
-		}
-		if writes != present {
-			return fmt.Errorf("%d write versions for %d present markers", writes, present)
-		}
 		return d.CheckInvariants()
 	}
 	if err := verify(drv); err != nil {

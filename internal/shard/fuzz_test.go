@@ -6,6 +6,7 @@ import (
 
 	"s4/internal/audit"
 	"s4/internal/core"
+	"s4/internal/s4rpc"
 	"s4/internal/types"
 )
 
@@ -79,7 +80,7 @@ func FuzzGatherMerge(f *testing.F) {
 		}
 
 		// ---- gatherStats ----
-		statsIn := make([]statsReply, shards)
+		statsIn := make([]reply, shards)
 		var wantWrites, wantSyncs int64
 		for i := 0; i < shards; i++ {
 			st := core.Stats{Ops: map[types.Op]int64{
@@ -87,10 +88,10 @@ func FuzzGatherMerge(f *testing.F) {
 				types.OpSync:  int64(in.next()),
 			}}
 			if fails[i] != nil {
-				statsIn[i] = statsReply{err: fails[i]}
+				statsIn[i] = reply{err: fails[i]}
 				continue // counters from a down shard must not leak in
 			}
-			statsIn[i] = statsReply{stats: st}
+			statsIn[i] = reply{resp: &s4rpc.Response{Stats: st}}
 			wantWrites += st.Ops[types.OpWrite]
 			wantSyncs += st.Ops[types.OpSync]
 		}
@@ -110,7 +111,7 @@ func FuzzGatherMerge(f *testing.F) {
 		}
 
 		// ---- gatherStatus ----
-		statusIn := make([]statusReply, shards)
+		statusIn := make([]reply, shards)
 		var wantObjects int
 		var wantNext types.ObjectID
 		for i := 0; i < shards; i++ {
@@ -119,10 +120,10 @@ func FuzzGatherMerge(f *testing.F) {
 				NextOID: types.ObjectID(in.next()) + types.FirstUserObject,
 			}
 			if fails[i] != nil {
-				statusIn[i] = statusReply{err: fails[i]}
+				statusIn[i] = reply{err: fails[i]}
 				continue
 			}
-			statusIn[i] = statusReply{status: st}
+			statusIn[i] = reply{resp: &s4rpc.Response{Status: st}}
 			wantObjects += st.Objects
 			if st.NextOID > wantNext {
 				wantNext = st.NextOID
@@ -138,11 +139,11 @@ func FuzzGatherMerge(f *testing.F) {
 		}
 
 		// ---- gatherAudit ----
-		auditIn := make([]auditReply, shards)
+		auditIn := make([]reply, shards)
 		wantRecs := 0
 		for i := 0; i < shards; i++ {
 			if fails[i] != nil {
-				auditIn[i] = auditReply{err: fails[i]}
+				auditIn[i] = reply{err: fails[i]}
 				continue
 			}
 			n := int(in.next()) % 5
@@ -154,7 +155,7 @@ func FuzzGatherMerge(f *testing.F) {
 					Obj:  types.ObjectID(in.next()),
 				}
 			}
-			auditIn[i] = auditReply{recs: recs}
+			auditIn[i] = reply{resp: &s4rpc.Response{Records: recs}}
 			wantRecs += n
 		}
 		max := int(in.next()) % 12
@@ -184,6 +185,25 @@ func FuzzGatherMerge(f *testing.F) {
 				(rec.Time == prev.Time && rec.Shard == prev.Shard && rec.Seq < prev.Seq) {
 				t.Fatalf("gatherAudit: records %d and %d out of (Time, Shard, Seq) order", k-1, k)
 			}
+		}
+
+		// ---- gatherScrub ----
+		scrubIn := make([]reply, shards)
+		var wantBlocks int64
+		for i := 0; i < shards; i++ {
+			sr := core.ScrubResult{Segments: 1, Blocks: int64(in.next())}
+			if fails[i] != nil {
+				scrubIn[i] = reply{err: fails[i]}
+				continue
+			}
+			scrubIn[i] = reply{resp: &s4rpc.Response{Scrub: sr}}
+			wantBlocks += sr.Blocks
+		}
+		scAgg, err := gatherScrub(scrubIn)
+		checkErr("gatherScrub", err)
+		if scAgg.Blocks != wantBlocks || scAgg.Segments != int64(shards-len(failed)) {
+			t.Fatalf("gatherScrub: %d segments, %d blocks; want %d, %d",
+				scAgg.Segments, scAgg.Blocks, shards-len(failed), wantBlocks)
 		}
 	})
 }

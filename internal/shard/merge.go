@@ -8,6 +8,7 @@ import (
 
 	"s4/internal/audit"
 	"s4/internal/core"
+	"s4/internal/s4rpc"
 	"s4/internal/types"
 )
 
@@ -45,13 +46,20 @@ func (e *PartialError) Error() string {
 
 func (e *PartialError) Unwrap() []error { return e.Errs }
 
-// partialFrom folds a per-shard error slice (indexed by shard) into a
-// PartialError, or nil when every shard succeeded.
-func partialFrom(errs []error) error {
+// reply is one shard's answer to a fanned-out request: resp is read
+// only when err is nil.
+type reply struct {
+	resp *s4rpc.Response
+	err  error
+}
+
+// partialFrom folds the failed shards' errors (replies indexed by
+// shard) into a PartialError, or nil when every shard succeeded.
+func partialFrom(rs []reply) error {
 	var list []error
-	for i, err := range errs {
-		if err != nil {
-			list = append(list, &ShardError{Shard: i, Err: err})
+	for i, rep := range rs {
+		if rep.err != nil {
+			list = append(list, &ShardError{Shard: i, Err: rep.err})
 		}
 	}
 	if len(list) == 0 {
@@ -60,30 +68,21 @@ func partialFrom(errs []error) error {
 	return &PartialError{Errs: list}
 }
 
-// statsReply is one shard's contribution to a stats scatter-gather.
-type statsReply struct {
-	stats core.Stats
-	err   error
-}
-
 // gatherStats merges per-shard stats replies (indexed by shard) into
 // the aggregate, the per-shard breakdown, and the typed partial
 // error. Only successful shards contribute to the aggregate — a failed
 // shard's slot in the breakdown is the zero Stats and is reported via
 // the error, never invented or double-counted.
-func gatherStats(replies []statsReply) (core.Stats, []core.Stats, error) {
-	per := make([]core.Stats, len(replies))
-	errs := make([]error, len(replies))
-	ok := make([]core.Stats, 0, len(replies))
-	for i, rep := range replies {
-		if rep.err != nil {
-			errs[i] = rep.err
-			continue
+func gatherStats(rs []reply) (core.Stats, []core.Stats, error) {
+	per := make([]core.Stats, len(rs))
+	ok := make([]core.Stats, 0, len(rs))
+	for i, rep := range rs {
+		if rep.err == nil {
+			per[i] = rep.resp.Stats
+			ok = append(ok, rep.resp.Stats)
 		}
-		per[i] = rep.stats
-		ok = append(ok, rep.stats)
 	}
-	return sumStats(ok), per, partialFrom(errs)
+	return sumStats(ok), per, partialFrom(rs)
 }
 
 // sumStats adds counters field-by-field. Every int64 counter (and the
@@ -112,27 +111,19 @@ func sumStats(per []core.Stats) core.Stats {
 	return out
 }
 
-// statusReply is one shard's contribution to a status scatter-gather.
-type statusReply struct {
-	status core.StatusInfo
-	err    error
-}
-
 // gatherStatus merges per-shard status replies (indexed by shard).
 // Occupancy counters sum; Window reports the widest shard (shards are
 // configured alike, so a disagreement is worth surfacing as the
 // conservative maximum); NextOID is the cross-shard allocation
 // high-water mark; Suspects is the deduplicated union.
-func gatherStatus(replies []statusReply) (core.StatusInfo, error) {
+func gatherStatus(rs []reply) (core.StatusInfo, error) {
 	var out core.StatusInfo
-	errs := make([]error, len(replies))
 	seen := make(map[types.ClientID]bool)
-	for i, rep := range replies {
+	for _, rep := range rs {
 		if rep.err != nil {
-			errs[i] = rep.err
 			continue
 		}
-		st := rep.status
+		st := &rep.resp.Status
 		if st.Window > out.Window {
 			out.Window = st.Window
 		}
@@ -156,13 +147,7 @@ func gatherStatus(replies []statusReply) (core.StatusInfo, error) {
 		}
 	}
 	sort.Slice(out.Suspects, func(i, j int) bool { return out.Suspects[i] < out.Suspects[j] })
-	return out, partialFrom(errs)
-}
-
-// auditReply is one shard's contribution to an audit scatter-gather.
-type auditReply struct {
-	recs []audit.Record
-	err  error
+	return out, partialFrom(rs)
 }
 
 // gatherAudit merges per-shard audit streams (indexed by shard) into
@@ -172,15 +157,13 @@ type auditReply struct {
 // unique key, which is why the tag exists. Failed shards contribute
 // nothing and are reported in the typed error; the reachable shards'
 // records are still returned.
-func gatherAudit(replies []auditReply, max int) ([]audit.Record, error) {
-	errs := make([]error, len(replies))
+func gatherAudit(rs []reply, max int) ([]audit.Record, error) {
 	var merged []audit.Record
-	for i, rep := range replies {
+	for i, rep := range rs {
 		if rep.err != nil {
-			errs[i] = rep.err
 			continue
 		}
-		for _, r := range rep.recs {
+		for _, r := range rep.resp.Records {
 			r.Shard = i
 			merged = append(merged, r)
 		}
@@ -198,5 +181,22 @@ func gatherAudit(replies []auditReply, max int) ([]audit.Record, error) {
 	if max > 0 && len(merged) > max {
 		merged = merged[:max]
 	}
-	return merged, partialFrom(errs)
+	return merged, partialFrom(rs)
+}
+
+// gatherScrub sums the reachable shards' integrity sweeps.
+func gatherScrub(rs []reply) (core.ScrubResult, error) {
+	var out core.ScrubResult
+	for _, rep := range rs {
+		if rep.err != nil {
+			continue
+		}
+		sr := &rep.resp.Scrub
+		out.Segments += sr.Segments
+		out.Blocks += sr.Blocks
+		out.Corrupt += sr.Corrupt
+		out.Repaired += sr.Repaired
+		out.Quarantined += sr.Quarantined
+	}
+	return out, partialFrom(rs)
 }

@@ -1,10 +1,11 @@
 // Package shard scales the self-securing drive horizontally: a
 // consistent-hash router fronts N independent Drive instances — each
 // with its own segment log, cleaner, group-commit pipeline, audit log,
-// and detection window — behind the single-drive op surface
-// (s4rpc.Backend). Per-object operations route to exactly one shard;
-// whole-drive operations scatter-gather with bounded fan-out, per-shard
-// deadlines, and typed partial-failure errors (DESIGN.md §13).
+// and detection window — behind the single-drive protocol: Router.Do is
+// an s4rpc.Handler over one s4rpc.Handler per shard. Per-object
+// operations route to exactly one shard; whole-drive operations
+// scatter-gather with bounded fan-out, per-shard deadlines, and typed
+// partial-failure errors (DESIGN.md §13).
 package shard
 
 import (

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"s4/internal/audit"
-	"s4/internal/core"
 	"s4/internal/s4rpc"
 	"s4/internal/types"
 )
@@ -36,361 +34,177 @@ func (o *Options) fill() {
 	}
 }
 
-// Router fronts N shard backends behind the single-drive op surface
-// (s4rpc.Backend). Routing invariants (DESIGN.md §13):
+// Router fronts N shards behind the single-drive op surface: its Do is
+// an s4rpc.Handler over shard handlers (s4rpc.Dispatch of a drive, or a
+// Remote's Do). Routing invariants (DESIGN.md §13):
 //
 //   - per-object operations go to exactly one shard, chosen by the
 //     consistent-hash ring over the object ID;
-//   - object IDs are allocated by the router (CreateWithID on the
-//     owning shard), never by a shard itself, so IDs cannot collide
+//   - object IDs are allocated by the router (an explicit-ID Create on
+//     the owning shard), never by a shard itself, so IDs cannot collide
 //     across shards and the ring can place an object before any shard
 //     has seen it;
-//   - partition-table operations and reserved objects live on shard 0;
-//   - whole-drive operations (Sync, Flush, SetWindow, AuditRead,
-//     Status, GetStats) scatter-gather across every shard with bounded
-//     fan-out and per-shard deadlines; a down shard yields a typed
-//     *ShardError inside a *PartialError beside whatever partial
-//     result the reachable shards produced — never a hang, never a
-//     silently truncated result.
+//   - partition-table operations and the drive-wide policy read live on
+//     shard 0;
+//   - whole-drive operations (Sync, Flush, SetWindow, SetPolicy of the
+//     default, AuditRead, Scrub, Status, Stats) scatter-gather across
+//     every shard with bounded fan-out and per-shard deadlines; a down
+//     shard yields a typed *ShardError inside a *PartialError beside
+//     whatever partial result the reachable shards produced — never a
+//     hang, never a silently truncated result.
 //
-// A Router is safe for concurrent use whenever its backends are.
+// A Router is safe for concurrent use whenever its shards are.
 type Router struct {
-	ring     *Ring
-	backends []s4rpc.Backend
-	opts     Options
-	nextOID  atomic.Uint64
+	ring    *Ring
+	shards  []s4rpc.Handler
+	opts    Options
+	nextOID atomic.Uint64
 }
 
-// New builds a router over backends (shard i = backends[i]). It seeds
-// the router's object-ID allocator from the maximum NextOID across the
+// New builds a router over shards (shard i = shards[i]). It seeds the
+// router's object-ID allocator from the maximum NextOID across the
 // shards, so a router rebuilt over recovered drives never re-issues a
 // live ID; every shard must therefore be reachable at construction.
-func New(backends []s4rpc.Backend, opts Options) (*Router, error) {
+func New(shards []s4rpc.Handler, opts Options) (*Router, error) {
 	opts.fill()
-	ring, err := NewRing(len(backends), opts.Vnodes)
+	ring, err := NewRing(len(shards), opts.Vnodes)
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{ring: ring, backends: backends, opts: opts}
+	r := &Router{ring: ring, shards: shards, opts: opts}
 	next := uint64(types.FirstUserObject)
-	for i, b := range backends {
-		st, err := statusOf(b)
+	for i, h := range shards {
+		resp, err := h(types.Cred{}, &s4rpc.Request{Op: types.OpStatus})
 		if err != nil {
 			return nil, &ShardError{Shard: i, Err: err}
 		}
-		if uint64(st.NextOID) > next {
-			next = uint64(st.NextOID)
-		}
+		next = max(next, uint64(resp.Status.NextOID))
 	}
 	r.nextOID.Store(next)
 	return r, nil
 }
 
-// statusOf prefers the fallible status when the backend offers one.
-func statusOf(b s4rpc.Backend) (core.StatusInfo, error) {
-	if se, ok := b.(s4rpc.StatusErrer); ok {
-		return se.StatusErr()
-	}
-	return b.Status(), nil
-}
-
 // Shards returns the shard count.
-func (r *Router) Shards() int { return len(r.backends) }
+func (r *Router) Shards() int { return len(r.shards) }
 
 // ShardOf exposes the ring mapping (tests, tooling, s4ctl).
 func (r *Router) ShardOf(id types.ObjectID) int { return r.ring.Shard(id) }
 
-// Backend returns shard i's backend (tests and tooling reach through
-// the router for per-shard verification).
-func (r *Router) Backend(i int) s4rpc.Backend { return r.backends[i] }
+func (r *Router) owner(id types.ObjectID) s4rpc.Handler { return r.shards[r.ring.Shard(id)] }
 
-func (r *Router) owner(id types.ObjectID) s4rpc.Backend {
-	return r.backends[r.ring.Shard(id)]
+// Do sends req to the object's shard, to shard 0, or to every shard
+// with the replies merged by op. It is the router's s4rpc.Handler.
+func (r *Router) Do(cred types.Cred, req *s4rpc.Request) (*s4rpc.Response, error) {
+	switch req.Op {
+	case types.OpCreate:
+		return r.create(cred, req)
+	case types.OpDelete, types.OpRead, types.OpWrite, types.OpAppend, types.OpTruncate,
+		types.OpGetAttr, types.OpSetAttr, types.OpGetACLByUser, types.OpGetACLByIndex,
+		types.OpSetACL, types.OpFlushO, types.OpListVersions, types.OpRevert:
+		return r.owner(req.Obj)(cred, req)
+	case types.OpSync, types.OpSetPolicy:
+		// A per-object sync costs one shard's force, a per-object policy
+		// lives with its object; the drive-wide forms reach every shard.
+		if req.Obj != 0 {
+			return r.owner(req.Obj)(cred, req)
+		}
+		return r.fanOut(cred, req)
+	case types.OpGetPolicy:
+		// Every shard holds the broadcast default, so shard 0 answers
+		// for it like the partition table.
+		if req.Obj != 0 {
+			return r.owner(req.Obj)(cred, req)
+		}
+		return r.shards[0](cred, req)
+	case types.OpPCreate, types.OpPDelete, types.OpPList, types.OpPMount:
+		return r.shards[0](cred, req)
+	case types.OpFlush, types.OpSetWindow, types.OpAuditRead, types.OpScrub:
+		return r.fanOut(cred, req)
+	case types.OpStatus, types.OpStats:
+		// Read-only and open to any client: ask on the gate's own
+		// client session, which exists whether or not the gate holds
+		// the shards' admin key.
+		return r.fanOut(types.Cred{}, req)
+	}
+	return nil, types.ErrUnimplProto
 }
 
-// fanOut runs fn against every shard with at most MaxFan concurrent
-// calls, each under FanTimeout, returning per-shard results and errors
-// indexed by shard. A shard missing the deadline is abandoned — its
-// goroutine may finish later but writes only to a channel nothing
-// reads anymore, its fan-out slot frees immediately (one hung shard
-// cannot wedge the operation), and its slot reports ErrShardTimeout.
-func fanOut[T any](r *Router, fn func(shard int, b s4rpc.Backend) (T, error)) ([]T, []error) {
-	type outcome struct {
-		v   T
-		err error
+// create allocates the next object ID from the router's cross-shard
+// counter and creates it on the shard the ring names. A collision
+// (another allocator raced us to the ID) retries with a fresh ID rather
+// than failing the client. An explicit ID advances the counter past it.
+func (r *Router) create(cred types.Cred, req *s4rpc.Request) (*s4rpc.Response, error) {
+	if id := uint64(req.Obj); id != 0 {
+		for {
+			cur := r.nextOID.Load()
+			if id < cur || r.nextOID.CompareAndSwap(cur, id+1) {
+				break
+			}
+		}
+		return r.owner(req.Obj)(cred, req)
 	}
-	results := make([]T, len(r.backends))
-	errs := make([]error, len(r.backends))
+	sub := *req
+	var resp *s4rpc.Response
+	var err error
+	for tries := 0; tries < 256; tries++ {
+		sub.Obj = types.ObjectID(r.nextOID.Add(1) - 1)
+		if resp, err = r.owner(sub.Obj)(cred, &sub); !errors.Is(err, types.ErrExist) {
+			break
+		}
+	}
+	return resp, err
+}
+
+// fanOut sends req to every shard with at most MaxFan concurrent calls,
+// each under FanTimeout, and merges the replies by op. A shard missing
+// the deadline is abandoned — its call may finish later but writes only
+// to a channel nothing reads anymore, its fan-out slot frees
+// immediately (one hung shard cannot wedge the operation), and its slot
+// reports ErrShardTimeout. Each shard gets its own copy of the request,
+// since an abandoned call outlives Do. The copies drop Data: no
+// whole-drive op reads it, and a server's decoded request aliases its
+// pooled frame through Data alone.
+func (r *Router) fanOut(cred types.Cred, req *s4rpc.Request) (*s4rpc.Response, error) {
+	rs := make([]reply, len(r.shards))
 	sem := make(chan struct{}, r.opts.MaxFan)
 	var wg sync.WaitGroup
-	for i := range r.backends {
+	for i, h := range r.shards {
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(i int) {
+		sub := *req
+		sub.Data = nil
+		go func() {
 			defer func() { <-sem; wg.Done() }()
-			done := make(chan outcome, 1)
+			done := make(chan reply, 1)
 			go func() {
-				v, err := fn(i, r.backends[i])
-				done <- outcome{v, err}
+				resp, err := h(cred, &sub)
+				done <- reply{resp, err}
 			}()
 			timer := time.NewTimer(r.opts.FanTimeout)
 			defer timer.Stop()
 			select {
-			case o := <-done:
-				results[i], errs[i] = o.v, o.err
+			case rs[i] = <-done:
 			case <-timer.C:
-				errs[i] = ErrShardTimeout
+				rs[i].err = ErrShardTimeout
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
-	return results, errs
-}
-
-// broadcast is fanOut for operations with no result value.
-func (r *Router) broadcast(fn func(shard int, b s4rpc.Backend) error) error {
-	_, errs := fanOut(r, func(i int, b s4rpc.Backend) (struct{}, error) {
-		return struct{}{}, fn(i, b)
-	})
-	return partialFrom(errs)
-}
-
-// ---- Per-object operations: one shard each ----
-
-// Create allocates the next object ID from the router's cross-shard
-// counter, maps it through the ring, and creates it on the owning
-// shard. A collision (another allocator raced us to the ID) retries
-// with a fresh ID rather than failing the client.
-func (r *Router) Create(cred types.Cred, acl []types.ACLEntry, attr []byte) (types.ObjectID, error) {
-	var lastErr error
-	for tries := 0; tries < 256; tries++ {
-		id := types.ObjectID(r.nextOID.Add(1) - 1)
-		err := r.owner(id).CreateWithID(cred, id, acl, attr)
-		if err == nil {
-			return id, nil
-		}
-		if !errors.Is(err, types.ErrExist) {
-			return 0, err
-		}
-		lastErr = err
+	out := new(s4rpc.Response)
+	var err error
+	switch req.Op {
+	case types.OpAuditRead:
+		// Seq and Max apply per shard on the way in; Max bounds the
+		// merged stream on the way out.
+		out.Records, err = gatherAudit(rs, req.Max)
+	case types.OpStatus:
+		out.Status, err = gatherStatus(rs)
+	case types.OpStats:
+		out.Stats, out.ShardStats, err = gatherStats(rs)
+	case types.OpScrub:
+		out.Scrub, err = gatherScrub(rs)
+	default:
+		err = partialFrom(rs)
 	}
-	return 0, lastErr
+	return out, err
 }
-
-// CreateWithID creates an explicitly numbered object on its ring
-// shard, advancing the router's allocator past it.
-func (r *Router) CreateWithID(cred types.Cred, id types.ObjectID, acl []types.ACLEntry, attr []byte) error {
-	for {
-		cur := r.nextOID.Load()
-		if uint64(id) < cur || r.nextOID.CompareAndSwap(cur, uint64(id)+1) {
-			break
-		}
-	}
-	return r.owner(id).CreateWithID(cred, id, acl, attr)
-}
-
-func (r *Router) Delete(cred types.Cred, id types.ObjectID) error {
-	return r.owner(id).Delete(cred, id)
-}
-
-func (r *Router) Read(cred types.Cred, id types.ObjectID, off, n uint64, at types.Timestamp) ([]byte, error) {
-	return r.owner(id).Read(cred, id, off, n, at)
-}
-
-func (r *Router) Write(cred types.Cred, id types.ObjectID, off uint64, data []byte) error {
-	return r.owner(id).Write(cred, id, off, data)
-}
-
-func (r *Router) Append(cred types.Cred, id types.ObjectID, data []byte) (uint64, error) {
-	return r.owner(id).Append(cred, id, data)
-}
-
-func (r *Router) Truncate(cred types.Cred, id types.ObjectID, size uint64) error {
-	return r.owner(id).Truncate(cred, id, size)
-}
-
-func (r *Router) GetAttr(cred types.Cred, id types.ObjectID, at types.Timestamp) (core.AttrInfo, error) {
-	return r.owner(id).GetAttr(cred, id, at)
-}
-
-func (r *Router) SetAttr(cred types.Cred, id types.ObjectID, attr []byte) error {
-	return r.owner(id).SetAttr(cred, id, attr)
-}
-
-func (r *Router) GetACLByUser(cred types.Cred, id types.ObjectID, user types.UserID, at types.Timestamp) (types.ACLEntry, error) {
-	return r.owner(id).GetACLByUser(cred, id, user, at)
-}
-
-func (r *Router) GetACLByIndex(cred types.Cred, id types.ObjectID, idx int, at types.Timestamp) (types.ACLEntry, error) {
-	return r.owner(id).GetACLByIndex(cred, id, idx, at)
-}
-
-func (r *Router) SetACL(cred types.Cred, id types.ObjectID, idx int, e types.ACLEntry) error {
-	return r.owner(id).SetACL(cred, id, idx, e)
-}
-
-// SyncObj routes the per-object durability force to the one shard
-// holding the object — the reason the per-object form exists: a
-// whole-drive Sync through a router costs one force per shard.
-func (r *Router) SyncObj(cred types.Cred, id types.ObjectID) error {
-	return r.owner(id).SyncObj(cred, id)
-}
-
-func (r *Router) ListVersions(cred types.Cred, id types.ObjectID) ([]core.VersionInfo, error) {
-	return r.owner(id).ListVersions(cred, id)
-}
-
-func (r *Router) Revert(cred types.Cred, id types.ObjectID, at types.Timestamp) error {
-	return r.owner(id).Revert(cred, id, at)
-}
-
-func (r *Router) FlushO(cred types.Cred, id types.ObjectID, from, to types.Timestamp) error {
-	return r.owner(id).FlushO(cred, id, from, to)
-}
-
-// ---- Partition table: single-homed on shard 0 ----
-
-func (r *Router) PCreate(cred types.Cred, name string, id types.ObjectID) error {
-	return r.backends[0].PCreate(cred, name, id)
-}
-
-func (r *Router) PDelete(cred types.Cred, name string) error {
-	return r.backends[0].PDelete(cred, name)
-}
-
-func (r *Router) PList(cred types.Cred, at types.Timestamp) ([]core.PartEntry, error) {
-	return r.backends[0].PList(cred, at)
-}
-
-func (r *Router) PMount(cred types.Cred, name string, at types.Timestamp) (types.ObjectID, error) {
-	return r.backends[0].PMount(cred, name, at)
-}
-
-// ---- Whole-drive operations: scatter-gather ----
-
-// Sync broadcasts the durability force to every shard.
-func (r *Router) Sync(cred types.Cred) error {
-	return r.broadcast(func(_ int, b s4rpc.Backend) error { return b.Sync(cred) })
-}
-
-// Flush erases history in range on every shard.
-func (r *Router) Flush(cred types.Cred, from, to types.Timestamp) error {
-	return r.broadcast(func(_ int, b s4rpc.Backend) error { return b.Flush(cred, from, to) })
-}
-
-// SetWindow adjusts the detection window on every shard.
-func (r *Router) SetWindow(cred types.Cred, w time.Duration) error {
-	return r.broadcast(func(_ int, b s4rpc.Backend) error { return b.SetWindow(cred, w) })
-}
-
-// SetPolicy routes a per-object retention policy to the owning shard;
-// the drive-wide default (id 0) broadcasts so every shard enforces it.
-func (r *Router) SetPolicy(cred types.Cred, id types.ObjectID, p types.Policy) error {
-	if id == 0 {
-		return r.broadcast(func(_ int, b s4rpc.Backend) error { return b.SetPolicy(cred, id, p) })
-	}
-	return r.owner(id).SetPolicy(cred, id, p)
-}
-
-// GetPolicy asks the owning shard (any shard answers for the broadcast
-// default, so shard 0 serves id 0 like the partition table).
-func (r *Router) GetPolicy(cred types.Cred, id types.ObjectID) (types.Policy, bool, error) {
-	if id == 0 {
-		return r.backends[0].GetPolicy(cred, id)
-	}
-	return r.owner(id).GetPolicy(cred, id)
-}
-
-// AuditRead merges every shard's audit stream into one shard-tagged
-// diagnosis timeline (see gatherAudit). fromSeq and max apply
-// per-shard on the way in; max bounds the merged result on the way
-// out. Reachable shards' records are returned even when the error is
-// non-nil.
-func (r *Router) AuditRead(cred types.Cred, fromSeq uint64, max int) ([]audit.Record, error) {
-	recs, errs := fanOut(r, func(_ int, b s4rpc.Backend) ([]audit.Record, error) {
-		return b.AuditRead(cred, fromSeq, max)
-	})
-	replies := make([]auditReply, len(recs))
-	for i := range replies {
-		replies[i] = auditReply{recs: recs[i], err: errs[i]}
-	}
-	return gatherAudit(replies, max)
-}
-
-// StatusErr aggregates shard statuses; a down shard is a typed error
-// beside the reachable shards' merged summary.
-func (r *Router) StatusErr() (core.StatusInfo, error) {
-	sts, errs := fanOut(r, func(_ int, b s4rpc.Backend) (core.StatusInfo, error) {
-		return statusOf(b)
-	})
-	replies := make([]statusReply, len(sts))
-	for i := range replies {
-		replies[i] = statusReply{status: sts[i], err: errs[i]}
-	}
-	return gatherStatus(replies)
-}
-
-// Status satisfies the single-drive surface; fan-out failures surface
-// through StatusErr (which the RPC server prefers).
-func (r *Router) Status() core.StatusInfo {
-	st, _ := r.StatusErr()
-	return st
-}
-
-// ShardStats aggregates the counters and returns the per-shard
-// breakdown in ring order. Only reachable shards contribute; failures
-// arrive as the typed partial error.
-func (r *Router) ShardStats() (core.Stats, []core.Stats, error) {
-	sts, errs := fanOut(r, func(_ int, b s4rpc.Backend) (core.Stats, error) {
-		if se, ok := b.(statsErrer); ok {
-			return se.GetStatsErr()
-		}
-		return b.GetStats(), nil
-	})
-	replies := make([]statsReply, len(sts))
-	for i := range replies {
-		replies[i] = statsReply{stats: sts[i], err: errs[i]}
-	}
-	return gatherStats(replies)
-}
-
-// statsErrer lets a remote backend report stats fetch failures instead
-// of swallowing them into zero counters.
-type statsErrer interface {
-	GetStatsErr() (core.Stats, error)
-}
-
-// GetStats satisfies the single-drive surface with the aggregate.
-func (r *Router) GetStats() core.Stats {
-	agg, _, _ := r.ShardStats()
-	return agg
-}
-
-// Scrub fans the integrity sweep out to every shard and sums the
-// results; a down shard arrives as the typed partial error beside the
-// reachable shards' totals.
-func (r *Router) Scrub(cred types.Cred) (core.ScrubResult, error) {
-	rs, errs := fanOut(r, func(_ int, b s4rpc.Backend) (core.ScrubResult, error) {
-		sb, ok := b.(s4rpc.Scrubber)
-		if !ok {
-			return core.ScrubResult{}, types.ErrUnimplProto
-		}
-		return sb.Scrub(cred)
-	})
-	var agg core.ScrubResult
-	for _, sr := range rs {
-		agg.Segments += sr.Segments
-		agg.Blocks += sr.Blocks
-		agg.Corrupt += sr.Corrupt
-		agg.Repaired += sr.Repaired
-		agg.Quarantined += sr.Quarantined
-	}
-	return agg, partialFrom(errs)
-}
-
-var (
-	_ s4rpc.Backend      = (*Router)(nil)
-	_ s4rpc.ShardStatser = (*Router)(nil)
-	_ s4rpc.StatusErrer  = (*Router)(nil)
-	_ s4rpc.Scrubber     = (*Router)(nil)
-)

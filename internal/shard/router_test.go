@@ -26,7 +26,7 @@ var (
 // timestamps are comparable.
 type testCluster struct {
 	t      *testing.T
-	router *Router
+	router routed
 	drives []*core.Drive
 	recs   []*disk.FaultDisk
 	clk    *vclock.Virtual
@@ -58,7 +58,6 @@ func newTestCluster(t *testing.T, shards int, mod ...func(*Options)) *testCluste
 		BlockCacheBytes:  1 << 20,
 		ObjectCacheCount: 64,
 	}
-	backends := make([]s4rpc.Backend, shards)
 	for i := 0; i < shards; i++ {
 		rec := disk.NewFault(64 << 20)
 		d, err := core.Format(rec, c.opts)
@@ -68,17 +67,16 @@ func newTestCluster(t *testing.T, shards int, mod ...func(*Options)) *testCluste
 		rec.StartRecording()
 		c.recs = append(c.recs, rec)
 		c.drives = append(c.drives, d)
-		backends[i] = d
 	}
 	ropts := Options{}
 	for _, m := range mod {
 		m(&ropts)
 	}
-	r, err := New(backends, ropts)
+	r, err := New(c.handlers(), ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.router = r
+	c.router = routed{r}
 	t.Cleanup(func() {
 		if !c.closed {
 			for _, d := range c.drives {
@@ -90,6 +88,82 @@ func newTestCluster(t *testing.T, shards int, mod ...func(*Options)) *testCluste
 }
 
 func (c *testCluster) tick() { c.clk.Advance(time.Millisecond) }
+
+// handlers returns the cluster's drives as shard handlers, for tests
+// that build a router of their own.
+func (c *testCluster) handlers() []s4rpc.Handler {
+	hs := make([]s4rpc.Handler, len(c.drives))
+	for i, d := range c.drives {
+		hs[i] = s4rpc.Dispatch(d)
+	}
+	return hs
+}
+
+// routed gives the tests typed calls over Router.Do.
+type routed struct{ *Router }
+
+func (r routed) call(cred types.Cred, req s4rpc.Request) (*s4rpc.Response, error) {
+	resp, err := r.Do(cred, &req)
+	if resp == nil {
+		resp = new(s4rpc.Response)
+	}
+	return resp, err
+}
+
+func (r routed) Create(cred types.Cred, acl []types.ACLEntry, attr []byte) (types.ObjectID, error) {
+	resp, err := r.call(cred, s4rpc.Request{Op: types.OpCreate, ACL: acl, Attr: attr})
+	return resp.Obj, err
+}
+
+func (r routed) CreateWithID(cred types.Cred, id types.ObjectID, acl []types.ACLEntry, attr []byte) error {
+	_, err := r.call(cred, s4rpc.Request{Op: types.OpCreate, Obj: id, ACL: acl, Attr: attr})
+	return err
+}
+
+func (r routed) Write(cred types.Cred, id types.ObjectID, off uint64, data []byte) error {
+	_, err := r.call(cred, s4rpc.Request{Op: types.OpWrite, Obj: id, Offset: off, Data: data})
+	return err
+}
+
+func (r routed) Append(cred types.Cred, id types.ObjectID, data []byte) (uint64, error) {
+	resp, err := r.call(cred, s4rpc.Request{Op: types.OpAppend, Obj: id, Data: data})
+	return resp.Offset, err
+}
+
+func (r routed) Read(cred types.Cred, id types.ObjectID, off, n uint64, at types.Timestamp) ([]byte, error) {
+	resp, err := r.call(cred, s4rpc.Request{Op: types.OpRead, Obj: id, Offset: off, Length: n, At: at})
+	return resp.Data, err
+}
+
+func (r routed) Delete(cred types.Cred, id types.ObjectID) error {
+	_, err := r.call(cred, s4rpc.Request{Op: types.OpDelete, Obj: id})
+	return err
+}
+
+func (r routed) Sync(cred types.Cred) error {
+	_, err := r.call(cred, s4rpc.Request{Op: types.OpSync})
+	return err
+}
+
+func (r routed) SyncObj(cred types.Cred, id types.ObjectID) error {
+	_, err := r.call(cred, s4rpc.Request{Op: types.OpSync, Obj: id})
+	return err
+}
+
+func (r routed) Status() (core.StatusInfo, error) {
+	resp, err := r.call(types.Cred{}, s4rpc.Request{Op: types.OpStatus})
+	return resp.Status, err
+}
+
+func (r routed) ShardStats() (core.Stats, []core.Stats, error) {
+	resp, err := r.call(types.Cred{}, s4rpc.Request{Op: types.OpStats})
+	return resp.Stats, resp.ShardStats, err
+}
+
+func (r routed) AuditRead(cred types.Cred, fromSeq uint64, max int) ([]audit.Record, error) {
+	resp, err := r.call(cred, s4rpc.Request{Op: types.OpAuditRead, Seq: fromSeq, Max: max})
+	return resp.Records, err
+}
 
 func (c *testCluster) create(cred types.Cred, data []byte) types.ObjectID {
 	c.t.Helper()
@@ -264,15 +338,11 @@ func TestRouterAllocator(t *testing.T) {
 
 	// A rebuilt router (restart) must seed from shard NextOID
 	// high-water marks, not from zero.
-	backends := make([]s4rpc.Backend, len(c.drives))
-	for i, d := range c.drives {
-		backends[i] = d
-	}
-	r2, err := New(backends, Options{})
+	r2, err := New(c.handlers(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := r2.Create(alice, nil, nil)
+	id, err := routed{r2}.Create(alice, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,9 +408,9 @@ func TestRouterScatterGather(t *testing.T) {
 
 	// Status aggregation: occupancy counters sum across shards, and
 	// NextOID is the cross-shard high-water mark.
-	st, err := r.StatusErr()
+	st, err := r.Status()
 	if err != nil {
-		t.Fatalf("StatusErr: %v", err)
+		t.Fatalf("Status: %v", err)
 	}
 	var wantObjects int
 	var wantNext types.ObjectID
@@ -412,46 +482,15 @@ func TestRouterScatterGather(t *testing.T) {
 	c.finale()
 }
 
-// faulty wraps one shard's backend with a kill switch: while tripped,
-// the wrapped operations fail with ErrBusy without reaching the drive.
-type faulty struct {
-	s4rpc.Backend
-	fail atomic.Bool
-}
-
-func (f *faulty) gate() error {
-	if f.fail.Load() {
-		return types.ErrBusy
+// faulty wraps one shard's handler with a kill switch: while tripped,
+// every request fails with ErrBusy without reaching the drive.
+func faulty(h s4rpc.Handler, fail *atomic.Bool) s4rpc.Handler {
+	return func(cred types.Cred, req *s4rpc.Request) (*s4rpc.Response, error) {
+		if fail.Load() {
+			return nil, types.ErrBusy
+		}
+		return h(cred, req)
 	}
-	return nil
-}
-
-func (f *faulty) Sync(cred types.Cred) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.Backend.Sync(cred)
-}
-
-func (f *faulty) AuditRead(cred types.Cred, fromSeq uint64, max int) ([]audit.Record, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	return f.Backend.AuditRead(cred, fromSeq, max)
-}
-
-func (f *faulty) GetStatsErr() (core.Stats, error) {
-	if err := f.gate(); err != nil {
-		return core.Stats{}, err
-	}
-	return f.Backend.GetStats(), nil
-}
-
-func (f *faulty) StatusErr() (core.StatusInfo, error) {
-	if err := f.gate(); err != nil {
-		return core.StatusInfo{}, err
-	}
-	return f.Backend.Status(), nil
 }
 
 // TestRouterPartialFailure pins the partial-failure contract: with one
@@ -463,16 +502,14 @@ func TestRouterPartialFailure(t *testing.T) {
 
 	// Rebuild the router with shard 2 behind a kill switch.
 	const victim = 2
-	backends := make([]s4rpc.Backend, len(c.drives))
-	for i, d := range c.drives {
-		backends[i] = d
-	}
-	fb := &faulty{Backend: c.drives[victim]}
-	backends[victim] = fb
-	r, err := New(backends, Options{})
+	var down atomic.Bool
+	hs := c.handlers()
+	hs[victim] = faulty(hs[victim], &down)
+	rt, err := New(hs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := routed{rt}
 
 	// Spread some objects first, while all shards are healthy.
 	ids := make([]types.ObjectID, 0, 16)
@@ -489,7 +526,7 @@ func TestRouterPartialFailure(t *testing.T) {
 		c.tick()
 	}
 
-	fb.fail.Store(true)
+	down.Store(true)
 
 	// Sync: typed per-shard error, retryable cause visible through the
 	// wrapping.
@@ -553,7 +590,7 @@ func TestRouterPartialFailure(t *testing.T) {
 	}
 
 	// Recovery: clear the switch and the scatter path heals.
-	fb.fail.Store(false)
+	down.Store(false)
 	if err := r.Sync(admin); err != nil {
 		t.Fatalf("Sync after shard recovery: %v", err)
 	}
@@ -561,16 +598,16 @@ func TestRouterPartialFailure(t *testing.T) {
 	c.finale()
 }
 
-// hang wraps a backend whose Sync blocks until released, without
-// touching the underlying drive.
-type hang struct {
-	s4rpc.Backend
-	release chan struct{}
-}
-
-func (h *hang) Sync(cred types.Cred) error {
-	<-h.release
-	return nil
+// hang wraps a shard's handler so that Sync blocks until released,
+// without touching the underlying drive.
+func hang(h s4rpc.Handler, release chan struct{}) s4rpc.Handler {
+	return func(cred types.Cred, req *s4rpc.Request) (*s4rpc.Response, error) {
+		if req.Op == types.OpSync {
+			<-release
+			return new(s4rpc.Response), nil
+		}
+		return h(cred, req)
+	}
 }
 
 // TestRouterFanTimeout proves a hung shard cannot wedge a
@@ -581,17 +618,15 @@ func TestRouterFanTimeout(t *testing.T) {
 	c := newTestCluster(t, 4)
 
 	const victim = 1
-	backends := make([]s4rpc.Backend, len(c.drives))
-	for i, d := range c.drives {
-		backends[i] = d
-	}
-	hb := &hang{Backend: c.drives[victim], release: make(chan struct{})}
-	backends[victim] = hb
-	r, err := New(backends, Options{FanTimeout: 50 * time.Millisecond})
+	release := make(chan struct{})
+	hs := c.handlers()
+	hs[victim] = hang(hs[victim], release)
+	rt, err := New(hs, Options{FanTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer close(hb.release) // let the abandoned goroutine finish
+	r := routed{rt}
+	defer close(release) // let the abandoned goroutine finish
 
 	start := time.Now()
 	err = r.Sync(admin)
@@ -610,5 +645,33 @@ func TestRouterFanTimeout(t *testing.T) {
 		t.Fatalf("timeout error %v: want exactly one failed shard", err)
 	}
 
+	c.finale()
+}
+
+// TestRouterFanOutDropsData: a fanned-out call may outlive Do, so no
+// shard is handed the Data of the caller's request, which a server's
+// decoded request shares with its pooled frame.
+func TestRouterFanOutDropsData(t *testing.T) {
+	c := newTestCluster(t, 2)
+	hs := c.handlers()
+	var saw atomic.Int32
+	for i, h := range hs {
+		hs[i] = func(cred types.Cred, req *s4rpc.Request) (*s4rpc.Response, error) {
+			if req.Data != nil {
+				saw.Add(1)
+			}
+			return h(cred, req)
+		}
+	}
+	r, err := New(hs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Do(admin, &s4rpc.Request{Op: types.OpSync, Data: []byte("frame")}); err != nil {
+		t.Fatal(err)
+	}
+	if n := saw.Load(); n != 0 {
+		t.Fatalf("%d shards were handed the request's Data", n)
+	}
 	c.finale()
 }

@@ -52,8 +52,6 @@ type SoakResult struct {
 	Fault           []netfault.Stats // per shard
 }
 
-func soakMarker(i int) string { return fmt.Sprintf("|op%06d", i) }
-
 // RunShardFaultSoak is the sharded exactly-once proof: N drives behind
 // fault-injecting listeners, a router of per-shard Remote sessions, one
 // worker per object appending ordered markers. Mid-soak the victim
@@ -142,7 +140,7 @@ func RunShardFaultSoak(cfg SoakConfig) (SoakResult, error) {
 	}
 
 	// ---- router over one Remote session pair per shard ----
-	backends := make([]s4rpc.Backend, cfg.Shards)
+	handlers := make([]s4rpc.Handler, cfg.Shards)
 	remotes := make([]*Remote, cfg.Shards)
 	defer func() {
 		for _, rm := range remotes {
@@ -171,9 +169,9 @@ func RunShardFaultSoak(cfg SoakConfig) (SoakResult, error) {
 			}
 		}
 		remotes[i] = rm
-		backends[i] = rm
+		handlers[i] = rm.Do
 	}
-	router, err := New(backends, Options{FanTimeout: 30 * time.Second})
+	router, err := New(handlers, Options{FanTimeout: 30 * time.Second})
 	if err != nil {
 		return res, fmt.Errorf("soak: router: %w", err)
 	}
@@ -182,11 +180,11 @@ func RunShardFaultSoak(cfg SoakConfig) (SoakResult, error) {
 	acl := []types.ACLEntry{{User: 100, Perm: types.PermRead | types.PermWrite}}
 	objs := make([]types.ObjectID, cfg.Objects)
 	for i := range objs {
-		id, err := router.Create(cred, acl, nil)
+		resp, err := router.Do(cred, &s4rpc.Request{Op: types.OpCreate, ACL: acl})
 		if err != nil {
 			return res, fmt.Errorf("soak: create object %d: %w", i, err)
 		}
-		objs[i] = id
+		objs[i] = resp.Obj
 	}
 	victim := router.ShardOf(objs[0])
 	res.Victim = victim
@@ -213,7 +211,8 @@ func RunShardFaultSoak(cfg SoakConfig) (SoakResult, error) {
 			obj := objs[w]
 			onVictim := router.ShardOf(obj) == victim
 			for i := 0; i < cfg.Ops; i++ {
-				if _, err := router.Append(cred, obj, []byte(soakMarker(i))); err == nil {
+				req := &s4rpc.Request{Op: types.OpAppend, Obj: obj, Data: []byte(s4rpc.SoakMarker(i))}
+				if _, err := router.Do(cred, req); err == nil {
 					acked[w][i] = true
 					totalAcked.Add(1)
 					if !onVictim {
@@ -266,71 +265,14 @@ func RunShardFaultSoak(cfg SoakConfig) (SoakResult, error) {
 	}
 
 	// ---- per-object exactly-once oracle against the owning drive ----
-	admin := types.AdminCred()
 	verify := func(drv []*core.Drive) (int, error) {
 		present := 0
 		for w, obj := range objs {
-			d := drv[router.ShardOf(obj)]
-			ai, err := d.GetAttr(cred, obj, types.TimeNowest)
+			n, err := s4rpc.VerifyMarkers(drv[router.ShardOf(obj)], cred, obj, acked[w])
 			if err != nil {
-				return 0, fmt.Errorf("object %d getattr: %w", obj, err)
+				return 0, fmt.Errorf("object %d: %w", obj, err)
 			}
-			data, err := d.Read(cred, obj, 0, ai.Size, types.TimeNowest)
-			if err != nil {
-				return 0, fmt.Errorf("object %d read: %w", obj, err)
-			}
-			mlen := len(soakMarker(0))
-			if len(data)%mlen != 0 {
-				return 0, fmt.Errorf("object %d size %d not a whole number of markers (torn append)", obj, len(data))
-			}
-			seen := make(map[int]int)
-			prev, objPresent := -1, 0
-			for p := 0; p < len(data); p += mlen {
-				var i int
-				if _, err := fmt.Sscanf(string(data[p:p+mlen]), "|op%06d", &i); err != nil {
-					return 0, fmt.Errorf("object %d: garbage marker %q at %d", obj, data[p:p+mlen], p)
-				}
-				if seen[i]++; seen[i] > 1 {
-					return 0, fmt.Errorf("object %d: marker %d appears %d times: duplicate execution", obj, i, seen[i])
-				}
-				if i <= prev {
-					return 0, fmt.Errorf("object %d: marker %d after %d: ordering violated", obj, i, prev)
-				}
-				prev = i
-				objPresent++
-			}
-			for i, ok := range acked[w] {
-				if ok && seen[i] == 0 {
-					return 0, fmt.Errorf("object %d: acked marker %d missing: lost acknowledged write", obj, i)
-				}
-			}
-			recs, err := d.AuditRead(admin, 0, 1<<20)
-			if err != nil {
-				return 0, fmt.Errorf("object %d audit read: %w", obj, err)
-			}
-			okAppends := 0
-			for _, r := range recs {
-				if r.Op == types.OpAppend && r.Obj == obj && r.OK {
-					okAppends++
-				}
-			}
-			if okAppends != objPresent {
-				return 0, fmt.Errorf("object %d: audit shows %d successful appends, object holds %d markers", obj, okAppends, objPresent)
-			}
-			vs, err := d.ListVersions(admin, obj)
-			if err != nil {
-				return 0, fmt.Errorf("object %d versions: %w", obj, err)
-			}
-			writes := 0
-			for _, v := range vs {
-				if v.Op == "write" {
-					writes++
-				}
-			}
-			if writes != objPresent {
-				return 0, fmt.Errorf("object %d: %d write versions for %d present markers", obj, writes, objPresent)
-			}
-			present += objPresent
+			present += n
 		}
 		for i, d := range drv {
 			if err := d.CheckInvariants(); err != nil {
@@ -347,7 +289,7 @@ func RunShardFaultSoak(cfg SoakConfig) (SoakResult, error) {
 
 	// ---- recovery finale: every shard must replay to the same truth ----
 	for i := range drvs {
-		if err := drvs[i].Sync(admin); err != nil {
+		if err := drvs[i].Sync(types.AdminCred()); err != nil {
 			return res, fmt.Errorf("shard %d sync: %w", i, err)
 		}
 		if err := drvs[i].Close(); err != nil {

@@ -389,7 +389,7 @@ func TestReadFaultSweep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("clean open: %v", err)
 			}
-			if drv.DriveStats().RecoveryReplayEntries == 0 {
+			if drv.GetStats().RecoveryReplayEntries == 0 {
 				t.Fatal("clean open replayed nothing; the image has no tail to lose")
 			}
 			total := cnt.n
@@ -531,7 +531,7 @@ func TestRottedOpenRecordKeepsAckedTail(t *testing.T) {
 		t.Fatalf("open with %d rotted open records: %v", len(records), err)
 	}
 	st.check(t, "open record rotted", drv)
-	if got, want := drv.DriveStats().RecoveryReplayEntries, clean.DriveStats().RecoveryReplayEntries; got != want {
+	if got, want := drv.GetStats().RecoveryReplayEntries, clean.GetStats().RecoveryReplayEntries; got != want {
 		t.Errorf("replayed %d entries behind rotted records, %d on the clean image", got, want)
 	}
 

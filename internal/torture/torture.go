@@ -367,7 +367,7 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 			viol("equivalence", "indexed recovery %s", msg)
 		}
 	}
-	st := drv.DriveStats()
+	st := drv.GetStats()
 	res.IndexLoads += st.IndexLoads
 	res.IndexFallbacks += st.IndexFallbacks
 	res.ReplayIndexed += st.RecoveryReplayEntries
@@ -437,7 +437,7 @@ func (w *run) verifyImage(res *Result, dev, dev2 disk.Device, k int, torn bool) 
 		}
 		checkSnaps(" after the refill")
 	}
-	res.LandmarkReads += drv.DriveStats().LandmarkHits
+	res.LandmarkReads += drv.GetStats().LandmarkHits
 	if w.cfg.Policy.DeltaEnabled {
 		if msg := w.flushMiddles(drv, mark, winCut); msg != "" {
 			viol("flush", "%s", msg)
@@ -533,7 +533,7 @@ func (w *run) verifyEquivalence(res *Result, dev disk.Device, idxDigest string, 
 		return vs
 	}
 	fullDigest := drv.StateDigest()
-	res.ReplayFull += drv.DriveStats().RecoveryReplayEntries
+	res.ReplayFull += drv.GetStats().RecoveryReplayEntries
 	if fullDigest != idxDigest {
 		viol("indexed and full-scan recovery diverged: %s", digestDiff(idxDigest, fullDigest))
 	}

@@ -363,7 +363,7 @@ func runWorkload(cfg Config) (*run, error) {
 		}
 	}
 	w.endTime = drv.Now()
-	st := drv.DriveStats()
+	st := drv.GetStats()
 	w.deltaBlocks = st.DeltaBlocksWritten
 	w.skippedVersions = st.PolicySkippedVersions
 	return w, nil

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"s4/internal/codec"
 	"s4/internal/seglog"
 	"s4/internal/types"
 )
@@ -88,72 +89,32 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Decode parses one record from data, returning the remainder.
 func Decode(data []byte) (Record, []byte, error) {
-	var r Record
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, fmt.Errorf("audit: bad varint: %w", types.ErrCorrupt)
-		}
-		data = data[n:]
-		return v, nil
+	r := codec.NewReader("audit", data)
+	rec := decode(&r)
+	return rec, r.Rest(), r.Err()
+}
+
+// minRecordSize is the shortest encoding a record can have: nine
+// one-byte varints, the op and the two flag bytes.
+const minRecordSize = 12
+
+// decode reads one record off r; Raw is a private copy.
+func decode(r *codec.Reader) Record {
+	rec := Record{
+		Seq:    r.Uvarint(),
+		Time:   types.Timestamp(r.Uvarint()),
+		Client: types.ClientID(r.Uvarint()),
+		User:   types.UserID(r.Uvarint()),
+		Op:     types.Op(r.U8()),
+		Obj:    types.ObjectID(r.Uvarint()),
+		Offset: r.Uvarint(),
+		Length: r.Uvarint(),
 	}
-	var v uint64
-	var err error
-	if r.Seq, err = getU(); err != nil {
-		return r, nil, err
-	}
-	if v, err = getU(); err != nil {
-		return r, nil, err
-	}
-	r.Time = types.Timestamp(v)
-	if v, err = getU(); err != nil {
-		return r, nil, err
-	}
-	r.Client = types.ClientID(v)
-	if v, err = getU(); err != nil {
-		return r, nil, err
-	}
-	r.User = types.UserID(v)
-	if len(data) < 1 {
-		return r, nil, fmt.Errorf("audit: truncated op: %w", types.ErrCorrupt)
-	}
-	r.Op = types.Op(data[0])
-	data = data[1:]
-	if v, err = getU(); err != nil {
-		return r, nil, err
-	}
-	r.Obj = types.ObjectID(v)
-	if r.Offset, err = getU(); err != nil {
-		return r, nil, err
-	}
-	if r.Length, err = getU(); err != nil {
-		return r, nil, err
-	}
-	if v, err = getU(); err != nil {
-		return r, nil, err
-	}
-	if v > uint64(len(data)) {
-		return r, nil, fmt.Errorf("audit: truncated arg: %w", types.ErrCorrupt)
-	}
-	r.Arg = string(data[:v])
-	data = data[v:]
-	if v, err = getU(); err != nil {
-		return r, nil, err
-	}
-	if v > uint64(len(data)) {
-		return r, nil, fmt.Errorf("audit: truncated raw image: %w", types.ErrCorrupt)
-	}
-	if v > 0 {
-		r.Raw = append([]byte(nil), data[:v]...)
-	}
-	data = data[v:]
-	if len(data) < 2 {
-		return r, nil, fmt.Errorf("audit: truncated flags: %w", types.ErrCorrupt)
-	}
-	r.OK = data[0]&1 != 0
-	r.Errno = data[1]
-	data = data[2:]
-	return r, data, nil
+	rec.Arg = string(r.Bytes(r.Count(r.Uvarint(), 1, 0)))
+	rec.Raw = r.Blob()
+	rec.OK = r.U8()&1 != 0
+	rec.Errno = r.U8()
+	return rec
 }
 
 // Block layout: magic(4) count(2) used(2) then packed records.
@@ -194,27 +155,23 @@ func EncodeBlock(recs []Record) ([]byte, error) {
 
 // DecodeBlock unpacks an audit block.
 func DecodeBlock(data []byte) ([]Record, error) {
-	if len(data) < BlockHeaderSize {
-		return nil, fmt.Errorf("audit: short block: %w", types.ErrCorrupt)
+	r := codec.NewReader("audit", data)
+	magic, count, used := r.U32(), r.U16(), int(r.U16())
+	switch {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case magic != blockMagic:
+		return nil, r.Fail("bad block magic")
+	case used < BlockHeaderSize || used > len(data):
+		return nil, r.Fail("block length %d out of range", used)
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != blockMagic {
-		return nil, fmt.Errorf("audit: bad block magic: %w", types.ErrCorrupt)
+	r = codec.NewReader("audit", data[BlockHeaderSize:used])
+	recs := make([]Record, r.Count(uint64(count), minRecordSize, 0))
+	for i := range recs {
+		recs[i] = decode(&r)
 	}
-	count := int(binary.LittleEndian.Uint16(data[4:]))
-	used := int(binary.LittleEndian.Uint16(data[6:]))
-	if used < BlockHeaderSize || used > len(data) {
-		return nil, fmt.Errorf("audit: block length %d out of range: %w", used, types.ErrCorrupt)
-	}
-	rest := data[BlockHeaderSize:used]
-	recs := make([]Record, 0, count)
-	for i := 0; i < count; i++ {
-		var r Record
-		var err error
-		r, rest, err = Decode(rest)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, r)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }

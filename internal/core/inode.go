@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
+	"s4/internal/codec"
 	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
@@ -265,44 +267,31 @@ func (in *Inode) encodeMapPairs() []byte {
 	for k := range in.blocks {
 		idxs = append(idxs, k)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
 	prev := uint64(0)
-	for i, idx := range idxs {
-		d := idx
-		if i > 0 {
-			d = idx - prev
-		}
-		n := binary.PutUvarint(tmp[:], d)
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(in.blocks[idx]))
-		buf = append(buf, tmp[:n]...)
+	for _, idx := range idxs {
+		buf = binary.AppendUvarint(buf, idx-prev)
+		buf = binary.AppendUvarint(buf, uint64(in.blocks[idx]))
 		prev = idx
 	}
 	return buf
 }
 
-func decodeMapPairs(data []byte, count int) (map[uint64]seglog.BlockAddr, error) {
-	m := make(map[uint64]seglog.BlockAddr, count)
+// decodeMapPairs reads count pairs off the front of data. A pair takes
+// at least two bytes, so a count data cannot hold is refused before the
+// map is sized by it.
+func decodeMapPairs(data []byte, count uint32) (map[uint64]seglog.BlockAddr, error) {
+	r := codec.NewReader("core: inode map", data)
+	n := r.Count(uint64(count), 2, 0)
+	m := make(map[uint64]seglog.BlockAddr, n)
 	idx := uint64(0)
-	for i := 0; i < count; i++ {
-		d, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("core: inode map pair %d: %w", i, types.ErrCorrupt)
-		}
-		data = data[n:]
-		a, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("core: inode map addr %d: %w", i, types.ErrCorrupt)
-		}
-		data = data[n:]
-		if i == 0 {
-			idx = d
-		} else {
-			idx += d
-		}
-		m[idx] = seglog.BlockAddr(a)
+	for ; n > 0; n-- {
+		idx += r.Uvarint()
+		m[idx] = seglog.BlockAddr(r.Uvarint())
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -322,36 +311,21 @@ func (in *Inode) buildCheckpoint() (*checkpointBlob, error) {
 		return nil, types.ErrTooLarge
 	}
 	cb := &checkpointBlob{pairs: len(in.blocks)}
-	hdr := make([]byte, 0, 256)
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		hdr = append(hdr, tmp[:4]...)
+	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, 256), inodeMagic)
+	for _, v := range [...]uint64{uint64(in.ID), in.Version, in.Size, uint64(in.CreateTime), uint64(in.ModTime), uint64(in.DeadTime)} {
+		hdr = binary.LittleEndian.AppendUint64(hdr, v)
 	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		hdr = append(hdr, tmp[:]...)
-	}
-	put32(inodeMagic)
-	put64(uint64(in.ID))
-	put64(in.Version)
-	put64(in.Size)
-	put64(uint64(in.CreateTime))
-	put64(uint64(in.ModTime))
-	put64(uint64(in.DeadTime))
 	flags := byte(0)
 	if in.Deleted {
 		flags |= 1
 	}
 	hdr = append(hdr, flags)
-	hdr = append(hdr, byte(len(in.Attr)), byte(len(in.Attr)>>8))
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(in.Attr)))
 	hdr = append(hdr, in.Attr...)
 	hdr = append(hdr, byte(len(in.ACL)))
 	for _, e := range in.ACL {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(e.User))
-		hdr = append(hdr, tmp[:4]...)
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(e.Perm))
-		hdr = append(hdr, tmp[:4]...)
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(e.User))
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(e.Perm))
 	}
 	cb.rootPfx = hdr
 
@@ -398,91 +372,60 @@ func (in *Inode) buildCheckpoint() (*checkpointBlob, error) {
 
 // finishRoot completes the root block given the overflow addresses.
 func (cb *checkpointBlob) finishRoot(overflowAddrs []seglog.BlockAddr) []byte {
-	root := append([]byte(nil), cb.rootPfx...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(overflowAddrs)))
-	root = append(root, tmp[:2]...)
+	root := binary.LittleEndian.AppendUint16(append([]byte(nil), cb.rootPfx...), uint16(len(overflowAddrs)))
 	for _, a := range overflowAddrs {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(a))
-		root = append(root, tmp[:]...)
+		root = binary.LittleEndian.AppendUint64(root, uint64(a))
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(cb.pairs))
-	root = append(root, tmp[:4]...)
-	root = append(root, cb.pairTail...)
-	return root
+	root = binary.LittleEndian.AppendUint32(root, uint32(cb.pairs))
+	return append(root, cb.pairTail...)
 }
 
 // decodeInodeRoot parses a checkpoint root block, returning the inode
 // (with block map populated from inline pairs plus the overflow stream
 // read via rd) and the overflow addresses (for usage accounting).
 func decodeInodeRoot(rd journal.SectorReader, root []byte) (*Inode, []seglog.BlockAddr, error) {
-	if len(root) < 57 || binary.LittleEndian.Uint32(root[0:]) != inodeMagic {
-		return nil, nil, fmt.Errorf("core: bad inode root: %w", types.ErrCorrupt)
+	r := codec.NewReader("core: inode root", root)
+	if r.U32() != inodeMagic {
+		return nil, nil, r.Fail("bad magic")
 	}
-	in := &Inode{}
-	in.ID = types.ObjectID(binary.LittleEndian.Uint64(root[4:]))
-	in.Version = binary.LittleEndian.Uint64(root[12:])
-	in.Size = binary.LittleEndian.Uint64(root[20:])
-	in.CreateTime = types.Timestamp(binary.LittleEndian.Uint64(root[28:]))
-	in.ModTime = types.Timestamp(binary.LittleEndian.Uint64(root[36:]))
-	in.DeadTime = types.Timestamp(binary.LittleEndian.Uint64(root[44:]))
-	in.Deleted = root[52]&1 != 0
-	attrLen := int(root[53]) | int(root[54])<<8
-	p := 55
-	if attrLen > types.MaxAttrLen || p+attrLen > len(root) {
-		return nil, nil, fmt.Errorf("core: inode attr overflow: %w", types.ErrCorrupt)
+	in := &Inode{
+		ID:         types.ObjectID(r.U64()),
+		Version:    r.U64(),
+		Size:       r.U64(),
+		CreateTime: types.Timestamp(r.U64()),
+		ModTime:    types.Timestamp(r.U64()),
+		DeadTime:   types.Timestamp(r.U64()),
+		Deleted:    r.U8()&1 != 0,
 	}
-	if attrLen > 0 {
-		in.Attr = append([]byte(nil), root[p:p+attrLen]...)
-	}
-	p += attrLen
-	if p >= len(root) {
-		return nil, nil, fmt.Errorf("core: inode truncated at acl: %w", types.ErrCorrupt)
-	}
-	aclCount := int(root[p])
-	p++
-	if aclCount > types.MaxACLEntries || p+8*aclCount > len(root) {
-		return nil, nil, fmt.Errorf("core: inode acl overflow: %w", types.ErrCorrupt)
-	}
-	for i := 0; i < aclCount; i++ {
-		in.ACL = append(in.ACL, types.ACLEntry{
-			User: types.UserID(binary.LittleEndian.Uint32(root[p:])),
-			Perm: types.Perm(binary.LittleEndian.Uint32(root[p+4:])),
-		})
-		p += 8
-	}
-	if p+2 > len(root) {
-		return nil, nil, fmt.Errorf("core: inode truncated at overflow list: %w", types.ErrCorrupt)
-	}
-	nOver := int(binary.LittleEndian.Uint16(root[p:]))
-	p += 2
-	if p+8*nOver+4 > len(root) {
-		return nil, nil, fmt.Errorf("core: inode overflow list truncated: %w", types.ErrCorrupt)
+	in.Attr = bytes.Clone(r.Bytes(r.Count(uint64(r.U16()), 1, types.MaxAttrLen)))
+	for n := r.Count(uint64(r.U8()), 8, types.MaxACLEntries); n > 0; n-- {
+		in.ACL = append(in.ACL, types.ACLEntry{User: types.UserID(r.U32()), Perm: types.Perm(r.U32())})
 	}
 	var overAddrs []seglog.BlockAddr
-	for i := 0; i < nOver; i++ {
-		overAddrs = append(overAddrs, seglog.BlockAddr(binary.LittleEndian.Uint64(root[p:])))
-		p += 8
+	for n := r.Count(uint64(r.U16()), 8, 0); n > 0; n-- {
+		overAddrs = append(overAddrs, seglog.BlockAddr(r.U64()))
 	}
-	pairCount := int(binary.LittleEndian.Uint32(root[p:]))
-	p += 4
+	pairCount := r.U32()
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
 	// Most roots, and every landmark's, hold the whole pair stream inline:
 	// no scratch block, no copy.
-	stream := root[p:]
-	if nOver > 0 {
+	stream := r.Rest()
+	if len(overAddrs) > 0 {
 		stream = nil
 		blk := make([]byte, seglog.BlockSize)
 		for _, a := range overAddrs {
 			if err := rd.Read(a, blk); err != nil {
 				return nil, nil, fmt.Errorf("core: inode overflow read: %w", err)
 			}
-			n := int(binary.LittleEndian.Uint32(blk[:4]))
-			if 4+n > len(blk) {
-				return nil, nil, fmt.Errorf("core: inode overflow block length: %w", types.ErrCorrupt)
+			c := codec.NewReader("core: inode overflow block", blk)
+			stream = append(stream, c.Bytes(int(c.U32()))...)
+			if err := c.Err(); err != nil {
+				return nil, nil, err
 			}
-			stream = append(stream, blk[4:4+n]...)
 		}
-		stream = append(stream, root[p:]...)
+		stream = append(stream, r.Rest()...)
 	}
 	m, err := decodeMapPairs(stream, pairCount)
 	if err != nil {

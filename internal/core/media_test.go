@@ -1,0 +1,312 @@
+package core
+
+import (
+	"bytes"
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"s4/internal/seglog"
+	"s4/internal/types"
+)
+
+// goldenDrive builds the fixed drive TestOnMediaEncodingsGolden pins: a
+// drive-wide delta policy, four objects written twelve times each with
+// a landmark every four entries, one partition, one checkpoint.
+func goldenDrive(t *testing.T) *testEnv {
+	e := newTestDrive(t, func(o *Options) { o.CheckpointEvery = 4 })
+	if err := e.d.SetPolicy(admin, 0, types.Policy{Window: 90 * time.Minute, Mode: types.ModeEveryVersion, DeltaEnabled: true}); err != nil {
+		t.Fatal(err)
+	}
+	var ids []types.ObjectID
+	for i := 0; i < 4; i++ {
+		ids = append(ids, e.create(alice))
+	}
+	for round := 0; round < 12; round++ {
+		for i, id := range ids {
+			blk := bytes.Repeat([]byte{byte('a' + i)}, types.BlockSize)
+			blk[round*7] = byte(round)
+			e.write(alice, id, uint64(round%3)*types.BlockSize, blk)
+			e.tick()
+		}
+	}
+	if err := e.d.PCreate(alice, "home", ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// sum is the hex sha256 of the concatenated parts.
+func sum(parts ...[]byte) string {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestOnMediaEncodingsGolden pins the bytes of every variable-length
+// structure the drive writes to its medium: the object map, the segment
+// index, each object's checkpoint root, a root with overflow chunks,
+// and the partition and policy tables. A hash that moves is a format
+// change: bump the structure's version on purpose, or put the encoder
+// back.
+func TestOnMediaEncodingsGolden(t *testing.T) {
+	e := goldenDrive(t)
+	d := e.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+
+	var roots [][]byte
+	for _, id := range d.objOrder {
+		o := d.objects[id]
+		if err := d.loadInode(o); err != nil {
+			t.Fatal(err)
+		}
+		cb, err := o.ino.buildCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cb.overflow) != 0 {
+			t.Fatalf("object %v overflows its root", id)
+		}
+		roots = append(roots, cb.finishRoot(nil))
+	}
+
+	big := newInode(77, 1234, []types.ACLEntry{{User: 7, Perm: types.PermAll}})
+	big.Attr = []byte("attr")
+	for i := uint64(0); i < 3000; i++ {
+		big.setBlock(i*3/2, seglog.BlockAddr(5000+i*i))
+	}
+	cb, err := big.buildCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cb.overflow) == 0 {
+		t.Fatal("3,000-block inode did not overflow its root")
+	}
+	var overAddrs []seglog.BlockAddr
+	for i := range cb.overflow {
+		overAddrs = append(overAddrs, seglog.BlockAddr(900+i))
+	}
+	bigParts := append([][]byte{cb.finishRoot(overAddrs)}, cb.overflow...)
+
+	parts, err := d.readPartTableLocked(types.TimeNowest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 || len(d.policies) != 1 {
+		t.Fatalf("%d partitions and %d policies, want 1 and 1", len(parts), len(d.policies))
+	}
+
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"object map", sum(d.encodeImapLocked()), "1addd814ee01418055a2466555f96b642ca419c4fe258554e091e84cda5c3992"},
+		{"segment index", sum(d.encodeSegIndexLocked()), "e7cd36e5fd368753ca0d3f8c9add2ba29dc783fb71c2d559bfad6244d270cdbd"},
+		{"object roots", sum(roots...), "ad462a48aaf42cdb5d9f77ddb82cb6ef782e0264202d1ca936015126b1d94f7c"},
+		{"overflowing root", sum(bigParts...), "2a3e3c5f8a9c53a8aeb9233d6920421a2cf7682e72433aab3785409c3c13345b"},
+		{"partition table", sum(encodePartTable(parts)), "14c7d1c94b8d10ddb4ca786931f3de92d4ab9f24f60a9076e0a013f7900e4619"},
+		{"policy table", sum(encodePolicyTable(d.policies)), "bc9262b8061b5ccf0f5e6f179f006e3c77cc8ef6cae3910c82c9d11df73e51f2"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: sha256 %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestDecodersRefuseLyingCounts: a count read back from the medium
+// never sizes an allocation. A rotten pair count in a genuine inode
+// root, and a table count the table's bytes cannot hold, are refused
+// with ErrCorrupt before the decoder allocates for them.
+func TestDecodersRefuseLyingCounts(t *testing.T) {
+	in := newInode(42, 1, []types.ACLEntry{{User: 7, Perm: types.PermAll}})
+	for i := uint64(0); i < 8; i++ {
+		in.setBlock(i, seglog.BlockAddr(100+i))
+	}
+	cb, err := in.buildCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairCountAt := len(cb.rootPfx) + 2 // after an empty overflow list
+	rootWithPairs := func(n uint32) []byte {
+		root := make([]byte, seglog.BlockSize)
+		copy(root, cb.finishRoot(nil))
+		binary.LittleEndian.PutUint32(root[pairCountAt:], n)
+		return root
+	}
+	// withCount replaces a genuine table's leading count.
+	withCount := func(table []byte, n uint64) []byte {
+		_, m := binary.Uvarint(table)
+		return append(binary.AppendUvarint(nil, n), table[m:]...)
+	}
+	part := withCount(encodePartTable([]PartEntry{{Name: "home", Obj: 1000}}), 1<<20)
+	pol := withCount(encodePolicyTable(map[types.ObjectID]types.Policy{0: {Mode: types.ModeLandmarkOnly, DeltaEnabled: true}}), 1<<20)
+	root22, rootMax := rootWithPairs(1<<22), rootWithPairs(0xFFFFFFFF)
+
+	// The first case allocated 144 MiB before this test existed; a lie
+	// that large fails it cleanly, one of 0xFFFFFFFF would kill it.
+	for _, c := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"root pair count 2^22", func() error { _, _, err := decodeInodeRoot(memReader{}, root22); return err }},
+		{"root pair count 0xFFFFFFFF", func() error { _, _, err := decodeInodeRoot(memReader{}, rootMax); return err }},
+		{"partition table count 2^20", func() error { _, err := decodePartTable(part); return err }},
+		{"policy table count 2^20", func() error { _, err := decodePolicyTable(pol); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode()
+		runtime.ReadMemStats(&after)
+		kib := (after.TotalAlloc - before.TotalAlloc) >> 10
+		t.Logf("%s: %d KiB allocated, err %v", c.name, kib, err)
+		if !errors.Is(err, types.ErrCorrupt) || kib >= 64 {
+			t.Fatalf("%s: err %v after %d KiB allocated, want ErrCorrupt under 64 KiB", c.name, err, kib)
+		}
+	}
+}
+
+// fuzzRoots builds the genuine roots FuzzInodeRootDecode starts from: an
+// inline root, a landmark-sized one, and one whose pairs overflow into
+// chunks rd serves. lying is the inline root with a pair count of
+// 0xFFFFFFFF.
+func fuzzRoots(tb testing.TB) (roots [][]byte, rd memReader, lying []byte) {
+	rd = memReader{}
+	for _, nBlocks := range []uint64{3, 300, 1500} {
+		in := newInode(types.ObjectID(1000+nBlocks), 5, []types.ACLEntry{{User: 7, Perm: types.PermAll}, {User: types.EveryoneID, Perm: types.PermRead}})
+		in.Attr = []byte("attr")
+		in.Size = nBlocks * types.BlockSize
+		for i := uint64(0); i < nBlocks; i++ {
+			in.setBlock(i*2, seglog.BlockAddr(4096+i*i))
+		}
+		cb, err := in.buildCheckpoint()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var addrs []seglog.BlockAddr
+		for _, chunk := range cb.overflow {
+			a := seglog.BlockAddr(2000 + len(rd))
+			rd[a] = append(chunk, make([]byte, seglog.BlockSize-len(chunk))...)
+			addrs = append(addrs, a)
+		}
+		if nBlocks == 1500 && len(addrs) == 0 {
+			tb.Fatal("a 1,500-block root did not overflow")
+		}
+		roots = append(roots, cb.finishRoot(addrs))
+		if lying == nil {
+			lying = cb.finishRoot(addrs)
+			binary.LittleEndian.PutUint32(lying[len(cb.rootPfx)+2:], 0xFFFFFFFF)
+		}
+	}
+	return roots, rd, lying
+}
+
+// FuzzInodeRootDecode throws hostile roots at decodeInodeRoot, whose
+// overflow chunks come from a fixed set of genuine ones. It never
+// panics, every refusal wraps ErrCorrupt, and an accepted root
+// re-encodes to one that decodes to the same inode.
+func FuzzInodeRootDecode(f *testing.F) {
+	roots, rd, lying := fuzzRoots(f)
+	for _, root := range roots {
+		f.Add(root)
+		for _, n := range []int{0, 3, 40, 57, len(root) / 2, len(root) - 1} {
+			f.Add(root[:n])
+		}
+	}
+	f.Add(lying)
+
+	f.Fuzz(func(t *testing.T, root []byte) {
+		in, _, err := decodeInodeRoot(rd, root)
+		if err != nil {
+			if !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+			return
+		}
+		cb, err := in.buildCheckpoint()
+		if err != nil {
+			return // an accepted stream may not fit one root when re-chunked
+		}
+		rd2 := memReader{}
+		var addrs []seglog.BlockAddr
+		for i, chunk := range cb.overflow {
+			a := seglog.BlockAddr(i + 1)
+			rd2[a] = chunk
+			addrs = append(addrs, a)
+		}
+		again, _, err := decodeInodeRoot(rd2, cb.finishRoot(addrs))
+		if err != nil {
+			t.Fatalf("re-decode of an accepted root failed: %v", err)
+		}
+		if !reflect.DeepEqual(in, again) {
+			t.Fatalf("round trip changed the inode:\n  %+v\n  %+v", in, again)
+		}
+	})
+}
+
+// FuzzReservedTables throws hostile bytes at the partition and policy
+// table decoders. Neither panics, every refusal wraps ErrCorrupt, and an
+// accepted table survives encode and decode unchanged (the partition
+// table up to the order its encoder sorts it in).
+func FuzzReservedTables(f *testing.F) {
+	part := encodePartTable([]PartEntry{{Name: "home", Obj: 1000}, {Name: "var", Obj: 1001}, {Name: "", Obj: 7}})
+	pol := encodePolicyTable(map[types.ObjectID]types.Policy{
+		0:    {Window: time.Hour, Mode: types.ModeEveryVersion, DeltaEnabled: true},
+		1000: {Mode: types.ModeLandmarkOnly},
+	})
+	for _, table := range [][]byte{part, pol} {
+		f.Add(table)
+		f.Add(table[:len(table)/2])
+		_, m := binary.Uvarint(table)
+		for _, n := range []uint64{1 << 20, 1<<20 + 1, 0xFFFFFFFF} {
+			f.Add(append(binary.AppendUvarint(nil, n), table[m:]...))
+		}
+	}
+	f.Add([]byte{})
+
+	byNameObj := func(a, b PartEntry) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), cmp.Compare(a.Obj, b.Obj))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		parts, err := decodePartTable(data)
+		if err != nil && !errors.Is(err, types.ErrCorrupt) {
+			t.Fatalf("partition table: error %v does not wrap ErrCorrupt", err)
+		}
+		if err == nil {
+			again, err := decodePartTable(encodePartTable(slices.Clone(parts)))
+			if err != nil {
+				t.Fatalf("re-decode of an accepted partition table failed: %v", err)
+			}
+			slices.SortFunc(parts, byNameObj)
+			slices.SortFunc(again, byNameObj)
+			if !reflect.DeepEqual(parts, again) {
+				t.Fatalf("round trip changed the partition table:\n  %v\n  %v", parts, again)
+			}
+		}
+		pols, err := decodePolicyTable(data)
+		if err != nil && !errors.Is(err, types.ErrCorrupt) {
+			t.Fatalf("policy table: error %v does not wrap ErrCorrupt", err)
+		}
+		if err == nil {
+			again, err := decodePolicyTable(encodePolicyTable(pols))
+			if err != nil {
+				t.Fatalf("re-decode of an accepted policy table failed: %v", err)
+			}
+			if !reflect.DeepEqual(pols, again) {
+				t.Fatalf("round trip changed the policy table:\n  %v\n  %v", pols, again)
+			}
+		}
+	})
+}

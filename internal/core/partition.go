@@ -2,9 +2,9 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
+	"s4/internal/codec"
 	"s4/internal/types"
 )
 
@@ -20,45 +20,31 @@ type PartEntry struct {
 	Obj  types.ObjectID
 }
 
+// maxTableEntries bounds the entries of a partition or policy table.
+const maxTableEntries = 1 << 20
+
 func encodePartTable(entries []PartEntry) []byte {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(entries)))
-	buf = append(buf, tmp[:n]...)
+	buf := binary.AppendUvarint(nil, uint64(len(entries)))
 	for _, e := range entries {
-		n = binary.PutUvarint(tmp[:], uint64(len(e.Name)))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
 		buf = append(buf, e.Name...)
-		n = binary.PutUvarint(tmp[:], uint64(e.Obj))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(e.Obj))
 	}
 	return buf
 }
 
+// decodePartTable reads a table whose entries take at least two bytes
+// each: a name length and an object ID.
 func decodePartTable(data []byte) ([]PartEntry, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("core: partition table header: %w", types.ErrCorrupt)
+	r := codec.NewReader("core: partition table", data)
+	out := make([]PartEntry, r.Count(r.Uvarint(), 2, maxTableEntries))
+	for i := range out {
+		out[i].Name = string(r.Bytes(r.Count(r.Uvarint(), 1, types.MaxNameLen)))
+		out[i].Obj = types.ObjectID(r.Uvarint())
 	}
-	data = data[n:]
-	if count > 1<<20 {
-		return nil, fmt.Errorf("core: partition table count %d: %w", count, types.ErrCorrupt)
-	}
-	out := make([]PartEntry, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, n := binary.Uvarint(data)
-		if n <= 0 || l > types.MaxNameLen || uint64(len(data)) < uint64(n)+l {
-			return nil, fmt.Errorf("core: partition name %d: %w", i, types.ErrCorrupt)
-		}
-		name := string(data[n : n+int(l)])
-		data = data[n+int(l):]
-		o, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("core: partition obj %d: %w", i, types.ErrCorrupt)
-		}
-		data = data[n:]
-		out = append(out, PartEntry{Name: name, Obj: types.ObjectID(o)})
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -114,7 +100,12 @@ func (d *Drive) writePartTableLocked(cred types.Cred, entries []PartEntry) error
 	if err != nil {
 		return err
 	}
-	data := encodePartTable(entries)
+	return d.replaceObjectLocked(cred, o, encodePartTable(entries))
+}
+
+// replaceObjectLocked makes data the whole of o's next version: it
+// truncates o first if data is shorter, then writes data over it.
+func (d *Drive) replaceObjectLocked(cred types.Cred, o *object, data []byte) error {
 	if uint64(len(data)) < o.ino.Size {
 		if err := d.truncateBlocksLocked(cred, o, uint64(len(data))); err != nil {
 			return err

@@ -2,9 +2,10 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
+	"slices"
 	"time"
 
+	"s4/internal/codec"
 	"s4/internal/types"
 )
 
@@ -21,61 +22,36 @@ func encodePolicyTable(pols map[types.ObjectID]types.Policy) []byte {
 	for id := range pols {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; tables are tiny
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(ids)))
-	buf = append(buf, tmp[:n]...)
+	slices.Sort(ids)
+	buf := binary.AppendUvarint(nil, uint64(len(ids)))
 	for _, id := range ids {
 		p := pols[id]
-		n = binary.PutUvarint(tmp[:], uint64(id))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(p.Window))
-		buf = append(buf, tmp[:n]...)
 		flags := byte(0)
 		if p.DeltaEnabled {
 			flags = 1
 		}
+		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = binary.AppendUvarint(buf, uint64(p.Window))
 		buf = append(buf, byte(p.Mode), flags)
 	}
 	return buf
 }
 
+// decodePolicyTable reads a table whose entries take at least four bytes
+// each: an object ID, a window, a mode and the flags.
 func decodePolicyTable(data []byte) (map[types.ObjectID]types.Policy, error) {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("core: policy table header: %w", types.ErrCorrupt)
-	}
-	data = data[n:]
-	if count > 1<<20 {
-		return nil, fmt.Errorf("core: policy table count %d: %w", count, types.ErrCorrupt)
-	}
-	out := make(map[types.ObjectID]types.Policy, count)
-	for i := uint64(0); i < count; i++ {
-		id, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("core: policy id %d: %w", i, types.ErrCorrupt)
-		}
-		data = data[n:]
-		w, n := binary.Uvarint(data)
-		if n <= 0 || len(data) < n+2 {
-			return nil, fmt.Errorf("core: policy entry %d: %w", i, types.ErrCorrupt)
-		}
-		mode := types.PolicyMode(data[n])
-		flags := data[n+1]
-		data = data[n+2:]
+	r := codec.NewReader("core: policy table", data)
+	n := r.Count(r.Uvarint(), 4, maxTableEntries)
+	out := make(map[types.ObjectID]types.Policy, n)
+	for ; n > 0; n-- {
+		id, w, mode, flags := types.ObjectID(r.Uvarint()), time.Duration(r.Uvarint()), types.PolicyMode(r.U8()), r.U8()
 		if !mode.Valid() {
-			return nil, fmt.Errorf("core: policy mode %d: %w", mode, types.ErrCorrupt)
+			r.Fail("policy mode %d", mode)
 		}
-		out[types.ObjectID(id)] = types.Policy{
-			Window:       time.Duration(w),
-			Mode:         mode,
-			DeltaEnabled: flags&1 != 0,
-		}
+		out[id] = types.Policy{Window: w, Mode: mode, DeltaEnabled: flags&1 != 0}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -119,13 +95,7 @@ func (d *Drive) writePolicyTableLocked(cred types.Cred) error {
 	if err != nil {
 		return err
 	}
-	data := encodePolicyTable(d.policies)
-	if uint64(len(data)) < o.ino.Size {
-		if err := d.truncateBlocksLocked(cred, o, uint64(len(data))); err != nil {
-			return err
-		}
-	}
-	return d.writeBlocksLocked(cred, o, 0, data)
+	return d.replaceObjectLocked(cred, o, encodePolicyTable(d.policies))
 }
 
 // SetPolicy installs (or, for the zero policy, removes) the retention

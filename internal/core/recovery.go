@@ -9,6 +9,7 @@ import (
 	"math"
 	"time"
 
+	"s4/internal/codec"
 	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
@@ -125,107 +126,83 @@ func (d *Drive) Checkpoint() error {
 }
 
 func (d *Drive) encodeImapLocked() []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], imapMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], imapVersion)
-	buf = append(buf, hdr[:]...)
-	putU(uint64(d.nextOID))
-	putU(uint64(d.window))
-	putU(d.auditSeq)
-	putU(uint64(len(d.auditBlocks)))
+	buf := binary.LittleEndian.AppendUint32(nil, imapMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, imapVersion)
+	buf = binary.AppendUvarint(buf, uint64(d.nextOID))
+	buf = binary.AppendUvarint(buf, uint64(d.window))
+	buf = binary.AppendUvarint(buf, d.auditSeq)
+	buf = binary.AppendUvarint(buf, uint64(len(d.auditBlocks)))
 	for _, r := range d.auditBlocks {
-		putU(uint64(r.addr))
-		putU(r.firstSeq)
-		putU(uint64(r.lastTime))
+		buf = binary.AppendUvarint(buf, uint64(r.addr))
+		buf = binary.AppendUvarint(buf, r.firstSeq)
+		buf = binary.AppendUvarint(buf, uint64(r.lastTime))
 	}
-	putU(uint64(len(d.objects)))
+	buf = binary.AppendUvarint(buf, uint64(len(d.objects)))
 	for _, id := range d.objOrder {
 		o := d.objects[id]
-		putU(uint64(o.id))
-		putU(o.nextVersion)
-		putU(uint64(o.inodeRoot))
-		putU(uint64(len(o.cpBlocks)))
+		buf = binary.AppendUvarint(buf, uint64(o.id))
+		buf = binary.AppendUvarint(buf, o.nextVersion)
+		buf = binary.AppendUvarint(buf, uint64(o.inodeRoot))
+		buf = binary.AppendUvarint(buf, uint64(len(o.cpBlocks)))
 		for _, a := range o.cpBlocks {
-			putU(uint64(a))
+			buf = binary.AppendUvarint(buf, uint64(a))
 		}
-		putU(o.cpVersion)
-		putU(uint64(o.jhead))
-		putU(uint64(o.jtail))
-		putU(o.floorVersion)
-		putU(uint64(o.floorTime))
-		putU(o.lmFloor)
+		buf = binary.AppendUvarint(buf, o.cpVersion)
+		buf = binary.AppendUvarint(buf, uint64(o.jhead))
+		buf = binary.AppendUvarint(buf, uint64(o.jtail))
+		buf = binary.AppendUvarint(buf, o.floorVersion)
+		buf = binary.AppendUvarint(buf, uint64(o.floorTime))
+		buf = binary.AppendUvarint(buf, o.lmFloor)
+		pruned := uint64(0)
 		if o.pruned {
-			putU(1)
-		} else {
-			putU(0)
+			pruned = 1
 		}
+		buf = binary.AppendUvarint(buf, pruned)
 	}
 	return buf
 }
+
+// imapObjectSize is the shortest encoding of one object in the map:
+// eleven one-byte varints.
+const imapObjectSize = 11
 
 // decodeImap installs an object-map checkpoint into a freshly opened
 // drive. Every failure wraps types.ErrCorrupt and leaves the drive
 // untouched: nothing is installed until the whole blob has decoded.
 func (d *Drive) decodeImap(data []byte) error {
-	if len(data) < 8 || binary.LittleEndian.Uint32(data[:4]) != imapMagic {
-		return fmt.Errorf("core: bad object-map checkpoint: %w", types.ErrCorrupt)
+	r := codec.NewReader("core: object map", data)
+	if r.U32() != imapMagic {
+		return r.Fail("bad magic")
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != imapVersion {
-		return fmt.Errorf("core: object-map checkpoint version %d, this build reads %d: %w", v, imapVersion, types.ErrCorrupt)
+	if v := r.U32(); v != imapVersion {
+		return r.Fail("checkpoint version %d, this build reads %d", v, imapVersion)
 	}
-	data = data[8:]
-	var err error
-	getU := func() uint64 {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			if err == nil {
-				err = fmt.Errorf("core: object-map varint: %w", types.ErrCorrupt)
-			}
-			data = nil
-			return 0
+	nextOID := types.ObjectID(r.Uvarint())
+	window := time.Duration(r.Uvarint())
+	auditSeq := r.Uvarint()
+	auditBlocks := make([]auditBlockRef, r.Count(r.Uvarint(), 3, 0))
+	for i := range auditBlocks {
+		auditBlocks[i] = auditBlockRef{addr: seglog.BlockAddr(r.Uvarint()), firstSeq: r.Uvarint(), lastTime: types.Timestamp(r.Uvarint())}
+	}
+	objs := make([]*object, r.Count(r.Uvarint(), imapObjectSize, 0))
+	for i := range objs {
+		o := &object{id: types.ObjectID(r.Uvarint()), nextVersion: r.Uvarint(), inodeRoot: seglog.BlockAddr(r.Uvarint())}
+		if i > 0 && o.id <= objs[i-1].id {
+			r.Fail("out of order at %v", o.id)
 		}
-		data = data[n:]
-		return v
-	}
-	nextOID := types.ObjectID(getU())
-	window := time.Duration(getU())
-	auditSeq := getU()
-	var auditBlocks []auditBlockRef
-	for n := getU(); n > 0 && err == nil; n-- {
-		auditBlocks = append(auditBlocks, auditBlockRef{
-			addr:     seglog.BlockAddr(getU()),
-			firstSeq: getU(),
-			lastTime: types.Timestamp(getU()),
-		})
-	}
-	var objs []*object
-	for n := getU(); n > 0 && err == nil; n-- {
-		o := &object{id: types.ObjectID(getU()), nextVersion: getU(), inodeRoot: seglog.BlockAddr(getU())}
-		if len(objs) > 0 && o.id <= objs[len(objs)-1].id && err == nil {
-			err = fmt.Errorf("core: object map out of order at %v: %w", o.id, types.ErrCorrupt)
+		for n := r.Count(r.Uvarint(), 1, 0); n > 0; n-- {
+			o.cpBlocks = append(o.cpBlocks, seglog.BlockAddr(r.Uvarint()))
 		}
-		for nCP := getU(); nCP > 0 && err == nil; nCP-- {
-			o.cpBlocks = append(o.cpBlocks, seglog.BlockAddr(getU()))
-		}
-		o.cpVersion = getU()
-		o.jhead = journal.SectorAddr(getU())
-		o.jtail = journal.SectorAddr(getU())
-		o.floorVersion = getU()
-		o.floorTime = types.Timestamp(getU())
-		o.lmFloor = getU()
-		o.pruned = getU() != 0
-		objs = append(objs, o)
+		o.cpVersion = r.Uvarint()
+		o.jhead = journal.SectorAddr(r.Uvarint())
+		o.jtail = journal.SectorAddr(r.Uvarint())
+		o.floorVersion = r.Uvarint()
+		o.floorTime = types.Timestamp(r.Uvarint())
+		o.lmFloor = r.Uvarint()
+		o.pruned = r.Uvarint() != 0
+		objs[i] = o
 	}
-	if err == nil && len(data) != 0 {
-		err = fmt.Errorf("core: %d trailing bytes after object map: %w", len(data), types.ErrCorrupt)
-	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return err
 	}
 	d.nextOID, d.window, d.auditSeq, d.auditBlocks = nextOID, window, auditSeq, auditBlocks

@@ -2,10 +2,10 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 
+	"s4/internal/codec"
 	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
@@ -72,58 +72,48 @@ type segIndex struct {
 // taken after the final log.Sync of a checkpoint so the counters match
 // the durable log contents.
 func (d *Drive) encodeSegIndexLocked() []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], segIndexMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], segIndexVersion)
-	buf = append(buf, hdr[:]...)
-
+	buf := binary.LittleEndian.AppendUint32(nil, segIndexMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, segIndexVersion)
 	nSeg := d.log.NumSegments()
-	putU(uint64(nSeg))
-	putU(uint64(d.log.CurrentSegment() + 1)) // openSeg, shifted so -1 encodes as 0
-	putU(uint64(d.log.PayloadBlocks() - d.log.Room()))
+	buf = binary.AppendUvarint(buf, uint64(nSeg))
+	buf = binary.AppendUvarint(buf, uint64(d.log.CurrentSegment()+1)) // openSeg, shifted so -1 encodes as 0
+	buf = binary.AppendUvarint(buf, uint64(d.log.PayloadBlocks()-d.log.Room()))
 	for seg := int64(0); seg < nSeg; seg++ {
 		// pendingFree segments are freed the instant this checkpoint
 		// commits; persisting them free makes the cleaner's reclamation
 		// durable atomically with the object map that stopped
 		// referencing them.
-		free := d.log.IsFree(seg) || d.pendingFree[seg]
-		if free {
-			putU(1)
-		} else {
-			putU(0)
+		free := uint64(0)
+		if d.log.IsFree(seg) || d.pendingFree[seg] {
+			free = 1
 		}
 		live, hist := d.usage.occupancy(seg)
-		putU(uint64(uint32(live)))
-		putU(uint64(uint32(hist)))
+		buf = binary.AppendUvarint(buf, free)
+		buf = binary.AppendUvarint(buf, uint64(uint32(live)))
+		buf = binary.AppendUvarint(buf, uint64(uint32(hist)))
 	}
 
 	refs := make([]seglog.BlockAddr, 0, len(d.jblockRef))
 	for a := range d.jblockRef {
 		refs = append(refs, a)
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	putU(uint64(len(refs)))
+	slices.Sort(refs)
+	buf = binary.AppendUvarint(buf, uint64(len(refs)))
 	for _, a := range refs {
-		putU(uint64(a))
-		putU(uint64(uint32(d.jblockRef[a])))
+		buf = binary.AppendUvarint(buf, uint64(a))
+		buf = binary.AppendUvarint(buf, uint64(uint32(d.jblockRef[a])))
 	}
 
-	putU(uint64(len(d.objOrder)))
+	buf = binary.AppendUvarint(buf, uint64(len(d.objOrder)))
 	for _, id := range d.objOrder {
 		o := d.objects[id]
-		putU(uint64(o.id))
-		putU(uint64(len(o.landmarks)))
+		buf = binary.AppendUvarint(buf, uint64(o.id))
+		buf = binary.AppendUvarint(buf, uint64(len(o.landmarks)))
 		for _, ln := range o.landmarks {
-			putU(uint64(ln.time))
-			putU(ln.version)
-			putU(uint64(ln.root))
-			putU(uint64(ln.sector))
+			buf = binary.AppendUvarint(buf, uint64(ln.time))
+			buf = binary.AppendUvarint(buf, ln.version)
+			buf = binary.AppendUvarint(buf, uint64(ln.root))
+			buf = binary.AppendUvarint(buf, uint64(ln.sector))
 		}
 	}
 	return buf
@@ -135,45 +125,19 @@ func (d *Drive) encodeSegIndexLocked() []byte {
 // to full-scan recovery); hostile bytes must never panic and never
 // decode to a structurally inconsistent index.
 func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("core: segment index too short: %w", types.ErrCorrupt)
+	r := codec.NewReader("core: segment index", data)
+	if r.U32() != segIndexMagic {
+		return nil, r.Fail("bad magic")
 	}
-	if binary.LittleEndian.Uint32(data[:4]) != segIndexMagic {
-		return nil, fmt.Errorf("core: bad segment index magic: %w", types.ErrCorrupt)
+	if v := r.U32(); v != segIndexVersion {
+		return nil, r.Fail("version %d, this build reads %d", v, segIndexVersion)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != segIndexVersion {
-		return nil, fmt.Errorf("core: segment index version %d, this build reads %d: %w", v, segIndexVersion, types.ErrCorrupt)
+	if n := r.Uvarint(); n != uint64(nSeg) {
+		return nil, r.Fail("covers %d segments, log has %d", n, nSeg)
 	}
-	data = data[8:]
-	getU := func() (uint64, error) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, fmt.Errorf("core: segment index varint: %w", types.ErrCorrupt)
-		}
-		data = data[n:]
-		return v, nil
-	}
-
-	n, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n) != nSeg {
-		return nil, fmt.Errorf("core: segment index covers %d segments, log has %d: %w", n, nSeg, types.ErrCorrupt)
-	}
-	os1, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if os1 > uint64(nSeg) {
-		return nil, fmt.Errorf("core: segment index open segment %d of %d: %w", int64(os1)-1, nSeg, types.ErrCorrupt)
-	}
-	used, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if used > math.MaxInt32 || (os1 == 0 && used != 0) {
-		return nil, fmt.Errorf("core: segment index open segment fill %d: %w", used, types.ErrCorrupt)
+	os1, used := r.Uvarint(), r.Uvarint()
+	if os1 > uint64(nSeg) || used > math.MaxInt32 || (os1 == 0 && used != 0) {
+		return nil, r.Fail("open segment %d of %d filled to %d", int64(os1)-1, nSeg, used)
 	}
 	idx := &segIndex{
 		openSeg:  int64(os1) - 1,
@@ -182,128 +146,56 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		jrefs:    make(map[seglog.BlockAddr]int),
 		objects:  make(map[types.ObjectID][]landmark),
 	}
-	for seg := int64(0); seg < nSeg; seg++ {
-		f, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if f > 1 {
-			return nil, fmt.Errorf("core: segment index free bit %d: %w", f, types.ErrCorrupt)
-		}
-		lv, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		hv, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if lv > math.MaxInt32 || hv > math.MaxInt32 {
-			// Anything past int32 would wrap negative below; real
-			// counters are bounded by blocks-per-segment anyway.
-			return nil, fmt.Errorf("core: segment index counter overflow: %w", types.ErrCorrupt)
+	for seg := range idx.segs {
+		f, lv, hv := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		// Counters past int32 would wrap negative; real ones are bounded
+		// by blocks-per-segment anyway.
+		if f > 1 || lv > math.MaxInt32 || hv > math.MaxInt32 || f == 1 && lv|hv != 0 {
+			return nil, r.Fail("segment %d: free bit %d, counters %d/%d", seg, f, lv, hv)
 		}
 		idx.segs[seg] = segIndexSeg{free: f == 1, live: int32(lv), hist: int32(hv)}
-		if idx.segs[seg].free && (idx.segs[seg].live != 0 || idx.segs[seg].hist != 0) {
-			return nil, fmt.Errorf("core: segment index frees occupied segment %d: %w", seg, types.ErrCorrupt)
-		}
 	}
 	if idx.openSeg >= 0 && idx.segs[idx.openSeg].free {
-		return nil, fmt.Errorf("core: segment index frees its open segment %d: %w", idx.openSeg, types.ErrCorrupt)
+		return nil, r.Fail("frees its open segment %d", idx.openSeg)
 	}
 
-	nRef, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if nRef > uint64(len(data)) {
-		// Each pair costs at least two bytes; an impossible count is an
-		// attack on the allocation below, not a real index.
-		return nil, fmt.Errorf("core: segment index refcount count %d: %w", nRef, types.ErrCorrupt)
-	}
-	var prevAddr uint64
-	for i := uint64(0); i < nRef; i++ {
-		a, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && a <= prevAddr {
-			return nil, fmt.Errorf("core: segment index refcounts out of order: %w", types.ErrCorrupt)
+	prevAddr := uint64(0)
+	for i := r.Count(r.Uvarint(), 2, 0); i > 0; i-- {
+		a, c := r.Uvarint(), r.Uvarint()
+		if len(idx.jrefs) > 0 && a <= prevAddr || c == 0 || c > journal.SectorsPerBlock {
+			return nil, r.Fail("refcount %d at %d out of order or range", c, a)
 		}
 		prevAddr = a
-		c, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if c == 0 || c > journal.SectorsPerBlock {
-			return nil, fmt.Errorf("core: segment index refcount %d: %w", c, types.ErrCorrupt)
-		}
 		idx.jrefs[seglog.BlockAddr(a)] = int(c)
 	}
 
-	nObj, err := getU()
-	if err != nil {
-		return nil, err
-	}
-	if nObj > uint64(len(data)) {
-		return nil, fmt.Errorf("core: segment index object count %d: %w", nObj, types.ErrCorrupt)
-	}
-	var prevID uint64
-	first := true
-	for i := uint64(0); i < nObj; i++ {
-		id, err := getU()
-		if err != nil {
-			return nil, err
+	prevID := uint64(0)
+	for i := r.Count(r.Uvarint(), 2, 0); i > 0; i-- {
+		id := r.Uvarint()
+		if len(idx.objects) > 0 && id <= prevID {
+			return nil, r.Fail("objects out of order at %d", id)
 		}
-		if !first && id <= prevID {
-			return nil, fmt.Errorf("core: segment index objects out of order: %w", types.ErrCorrupt)
-		}
-		first, prevID = false, id
-		nLM, err := getU()
-		if err != nil {
-			return nil, err
-		}
-		if nLM > uint64(len(data)) {
-			return nil, fmt.Errorf("core: segment index landmark count %d: %w", nLM, types.ErrCorrupt)
-		}
+		prevID = id
 		var lms []landmark
-		var prev landmark
-		for j := uint64(0); j < nLM; j++ {
-			t, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			v, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			r, err := getU()
-			if err != nil {
-				return nil, err
-			}
-			s, err := getU()
-			if err != nil {
-				return nil, err
-			}
+		for j := r.Count(r.Uvarint(), 4, 0); j > 0; j-- {
 			ln := landmark{
-				time:    types.Timestamp(t),
-				version: v,
-				root:    seglog.BlockAddr(r),
-				sector:  journal.SectorAddr(s),
+				time:    types.Timestamp(r.Uvarint()),
+				version: r.Uvarint(),
+				root:    seglog.BlockAddr(r.Uvarint()),
+				sector:  journal.SectorAddr(r.Uvarint()),
 			}
 			if ln.root == seglog.NilAddr {
-				return nil, fmt.Errorf("core: segment index landmark without root: %w", types.ErrCorrupt)
+				return nil, r.Fail("landmark without root")
 			}
-			if j > 0 && (ln.time < prev.time || ln.time == prev.time && ln.version <= prev.version) {
-				return nil, fmt.Errorf("core: segment index landmarks out of order: %w", types.ErrCorrupt)
+			if prev := len(lms) - 1; prev >= 0 && (ln.time < lms[prev].time || ln.time == lms[prev].time && ln.version <= lms[prev].version) {
+				return nil, r.Fail("landmarks out of order")
 			}
-			prev = ln
 			lms = append(lms, ln)
 		}
 		idx.objects[types.ObjectID(id)] = lms
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after segment index: %w", len(data), types.ErrCorrupt)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return idx, nil
 }

@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"math/bits"
 
+	"s4/internal/codec"
 	"s4/internal/seglog"
 	"s4/internal/types"
 )
@@ -182,72 +183,64 @@ func addrsLen(as []seglog.BlockAddr) int {
 	return n
 }
 
+// appendAddrs appends a list of block addresses as uvarints.
+func appendAddrs(dst []byte, as []seglog.BlockAddr) []byte {
+	for _, a := range as {
+		dst = binary.AppendUvarint(dst, uint64(a))
+	}
+	return dst
+}
+
+// appendBlob appends a length-prefixed byte field.
+func appendBlob(dst, b []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
 // Encode appends e's encoding to dst and returns the extended slice.
 func (e *Entry) Encode(dst []byte) []byte {
-	put := func(b ...byte) { dst = append(dst, b...) }
-	var tmp [binary.MaxVarintLen64]byte
-	putU := func(v uint64) {
-		m := binary.PutUvarint(tmp[:], v)
-		put(tmp[:m]...)
-	}
-	putBytes := func(b []byte) {
-		putU(uint64(len(b)))
-		put(b...)
-	}
-
 	wireType := e.Type
 	if e.Type == EntWrite && (e.DeltaMask != 0 || e.SkipMask != 0) {
 		// Masked entries use the v2 wire tag; plain writes keep the
 		// original layout so pre-upgrade images decode byte-identically.
 		wireType = entWrite2
 	}
-	put(byte(wireType))
-	putU(e.Version)
-	putU(uint64(e.Time))
-	putU(uint64(e.User))
-	putU(uint64(e.Client))
+	dst = append(dst, byte(wireType))
+	dst = binary.AppendUvarint(dst, e.Version)
+	dst = binary.AppendUvarint(dst, uint64(e.Time))
+	dst = binary.AppendUvarint(dst, uint64(e.User))
+	dst = binary.AppendUvarint(dst, uint64(e.Client))
 	switch e.Type {
 	case EntCreate:
 		// marker only
 	case EntWrite:
-		putU(e.FirstBlock)
-		putU(uint64(len(e.New)))
-		for _, a := range e.New {
-			putU(uint64(a))
-		}
-		for _, a := range e.Old {
-			putU(uint64(a))
-		}
-		putU(e.OldSize)
-		putU(e.NewSize)
+		dst = binary.AppendUvarint(dst, e.FirstBlock)
+		dst = binary.AppendUvarint(dst, uint64(len(e.New)))
+		dst = appendAddrs(appendAddrs(dst, e.New), e.Old)
+		dst = binary.AppendUvarint(dst, e.OldSize)
+		dst = binary.AppendUvarint(dst, e.NewSize)
 		if wireType == entWrite2 {
-			putU(uint64(e.DeltaMask))
-			putU(uint64(e.SkipMask))
-			for _, a := range e.Dropped {
-				putU(uint64(a))
-			}
+			dst = binary.AppendUvarint(dst, uint64(e.DeltaMask))
+			dst = binary.AppendUvarint(dst, uint64(e.SkipMask))
+			dst = appendAddrs(dst, e.Dropped)
 		}
 	case EntTruncate:
-		putU(e.FirstBlock)
-		putU(uint64(len(e.Old)))
-		for _, a := range e.Old {
-			putU(uint64(a))
-		}
-		putU(e.OldSize)
-		putU(e.NewSize)
+		dst = binary.AppendUvarint(dst, e.FirstBlock)
+		dst = binary.AppendUvarint(dst, uint64(len(e.Old)))
+		dst = appendAddrs(dst, e.Old)
+		dst = binary.AppendUvarint(dst, e.OldSize)
+		dst = binary.AppendUvarint(dst, e.NewSize)
 	case EntSetAttr:
-		putBytes(e.OldAttr)
-		putBytes(e.NewAttr)
+		dst = appendBlob(appendBlob(dst, e.OldAttr), e.NewAttr)
 	case EntSetACL:
-		put(e.ACLIndex)
-		putU(uint64(e.OldACL.User))
-		putU(uint64(e.OldACL.Perm))
-		putU(uint64(e.NewACL.User))
-		putU(uint64(e.NewACL.Perm))
+		dst = append(dst, e.ACLIndex)
+		dst = binary.AppendUvarint(dst, uint64(e.OldACL.User))
+		dst = binary.AppendUvarint(dst, uint64(e.OldACL.Perm))
+		dst = binary.AppendUvarint(dst, uint64(e.NewACL.User))
+		dst = binary.AppendUvarint(dst, uint64(e.NewACL.Perm))
 	case EntDelete, EntRevive:
-		putU(e.OldSize)
+		dst = binary.AppendUvarint(dst, e.OldSize)
 	case EntCheckpoint:
-		putU(uint64(e.InodeAddr))
+		dst = binary.AppendUvarint(dst, uint64(e.InodeAddr))
 	}
 	return dst
 }
@@ -257,66 +250,9 @@ func (e *Entry) Encode(dst []byte) []byte {
 func Decode(data []byte) (Entry, []byte, error) {
 	var e Entry
 	var slab []seglog.BlockAddr
-	rest, err := e.decode(data, &slab)
-	return e, rest, err
-}
-
-// cursor reads an entry's fields off the front of data. The first
-// malformed field latches err; every read after it returns zero, so a
-// decoder checks once, at the end.
-type cursor struct {
-	data []byte
-	err  error
-}
-
-func (c *cursor) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
-	c.data = nil
-}
-
-func (c *cursor) u8() byte {
-	if len(c.data) < 1 {
-		c.fail(fmt.Errorf("journal: short entry: %w", types.ErrCorrupt))
-		return 0
-	}
-	b := c.data[0]
-	c.data = c.data[1:]
-	return b
-}
-
-func (c *cursor) uvarint() uint64 {
-	v, m := binary.Uvarint(c.data)
-	if m <= 0 {
-		c.fail(fmt.Errorf("journal: bad varint: %w", types.ErrCorrupt))
-		return 0
-	}
-	c.data = c.data[m:]
-	return v
-}
-
-// blob returns a private copy of a length-prefixed byte field (nil when
-// empty).
-func (c *cursor) blob() []byte {
-	n := c.uvarint()
-	if n > uint64(len(c.data)) {
-		c.fail(fmt.Errorf("journal: truncated bytes field: %w", types.ErrCorrupt))
-		return nil
-	}
-	b := append([]byte(nil), c.data[:n]...)
-	c.data = c.data[n:]
-	return b
-}
-
-// count reads the number of blocks an entry spans.
-func (c *cursor) count() int {
-	n := c.uvarint()
-	if n > MaxBlocksPerEntry {
-		c.fail(fmt.Errorf("journal: entry spans %d blocks: %w", n, types.ErrCorrupt))
-		return 0
-	}
-	return int(n)
+	r := codec.NewReader("journal", data)
+	e.decode(&r, &slab)
+	return e, r.Rest(), r.Err()
 }
 
 // slabChunk is how many addresses one slab allocation holds: the New
@@ -328,7 +264,7 @@ const slabChunk = 2 * MaxBlocksPerEntry
 // a new chunk when the current one cannot hold it. The list's capacity
 // is its length, so an append to it reallocates instead of running into
 // the list carved next.
-func (c *cursor) addrs(n int, slab *[]seglog.BlockAddr) []seglog.BlockAddr {
+func addrs(r *codec.Reader, n int, slab *[]seglog.BlockAddr) []seglog.BlockAddr {
 	if n == 0 {
 		return []seglog.BlockAddr{}
 	}
@@ -340,72 +276,68 @@ func (c *cursor) addrs(n int, slab *[]seglog.BlockAddr) []seglog.BlockAddr {
 	*slab = s[:hi]
 	list := s[lo:hi:hi]
 	for i := range list {
-		list[i] = seglog.BlockAddr(c.uvarint())
+		list[i] = seglog.BlockAddr(r.Uvarint())
 	}
 	return list
 }
 
-// decode parses one entry from data into e, which must be zero, and
-// returns the remaining bytes. Address lists are carved from *slab (see
-// cursor.addrs) and attribute blobs are copied: nothing in e aliases data.
-func (e *Entry) decode(data []byte, slab *[]seglog.BlockAddr) ([]byte, error) {
-	c := cursor{data: data}
-	e.Type = EntryType(c.u8())
+// decode parses one entry off r into e, which must be zero. Address
+// lists are carved from *slab (see addrs) and attribute blobs are
+// copied: nothing in e aliases the reader's bytes.
+func (e *Entry) decode(r *codec.Reader, slab *[]seglog.BlockAddr) {
+	e.Type = EntryType(r.U8())
 	wire2 := e.Type == entWrite2
 	if wire2 {
 		// Normalize: in-memory entries are always EntWrite; the v2 tag
 		// only signals the three extra trailing fields.
 		e.Type = EntWrite
 	}
-	e.Version = c.uvarint()
-	e.Time = types.Timestamp(c.uvarint())
-	e.User = types.UserID(c.uvarint())
-	e.Client = types.ClientID(c.uvarint())
+	e.Version = r.Uvarint()
+	e.Time = types.Timestamp(r.Uvarint())
+	e.User = types.UserID(r.Uvarint())
+	e.Client = types.ClientID(r.Uvarint())
 
 	switch e.Type {
 	case EntCreate:
 	case EntWrite:
-		e.FirstBlock = c.uvarint()
-		n := c.count()
-		e.New = c.addrs(n, slab)
-		e.Old = c.addrs(n, slab)
-		e.OldSize = c.uvarint()
-		e.NewSize = c.uvarint()
+		e.FirstBlock = r.Uvarint()
+		n := r.Count(r.Uvarint(), 1, MaxBlocksPerEntry)
+		e.New = addrs(r, n, slab)
+		e.Old = addrs(r, n, slab)
+		e.OldSize = r.Uvarint()
+		e.NewSize = r.Uvarint()
 		if wire2 {
-			e.DeltaMask = uint32(c.uvarint())
-			e.SkipMask = uint32(c.uvarint())
+			e.DeltaMask = uint32(r.Uvarint())
+			e.SkipMask = uint32(r.Uvarint())
 			lim := uint32(1)<<uint(n) - 1
-			if c.err == nil && (e.DeltaMask&^lim != 0 || e.SkipMask&^lim != 0 ||
-				e.DeltaMask&e.SkipMask != 0 || e.DeltaMask|e.SkipMask == 0) {
-				c.fail(fmt.Errorf("journal: bad entry masks %#x/%#x over %d blocks: %w",
-					e.DeltaMask, e.SkipMask, n, types.ErrCorrupt))
+			if e.DeltaMask&^lim != 0 || e.SkipMask&^lim != 0 || e.DeltaMask&e.SkipMask != 0 || e.DeltaMask|e.SkipMask == 0 {
+				r.Fail("bad entry masks %#x/%#x over %d blocks", e.DeltaMask, e.SkipMask, n)
 			}
-			if c.err == nil && e.SkipMask != 0 {
-				e.Dropped = c.addrs(bits.OnesCount32(e.SkipMask), slab)
+			if r.Err() == nil && e.SkipMask != 0 {
+				e.Dropped = addrs(r, bits.OnesCount32(e.SkipMask), slab)
 			}
 		}
 	case EntTruncate:
-		e.FirstBlock = c.uvarint()
-		e.Old = c.addrs(c.count(), slab)
-		e.OldSize = c.uvarint()
-		e.NewSize = c.uvarint()
+		e.FirstBlock = r.Uvarint()
+		e.Old = addrs(r, r.Count(r.Uvarint(), 1, MaxBlocksPerEntry), slab)
+		e.OldSize = r.Uvarint()
+		e.NewSize = r.Uvarint()
 	case EntSetAttr:
-		e.OldAttr = c.blob()
-		e.NewAttr = c.blob()
+		e.OldAttr = r.Blob()
+		e.NewAttr = r.Blob()
 	case EntSetACL:
-		e.ACLIndex = c.u8()
-		e.OldACL.User = types.UserID(c.uvarint())
-		e.OldACL.Perm = types.Perm(c.uvarint())
-		e.NewACL.User = types.UserID(c.uvarint())
-		e.NewACL.Perm = types.Perm(c.uvarint())
+		e.ACLIndex = r.U8()
+		e.OldACL.User = types.UserID(r.Uvarint())
+		e.OldACL.Perm = types.Perm(r.Uvarint())
+		e.NewACL.User = types.UserID(r.Uvarint())
+		e.NewACL.Perm = types.Perm(r.Uvarint())
 	case EntDelete, EntRevive:
-		e.OldSize = c.uvarint()
+		e.OldSize = r.Uvarint()
 	case EntCheckpoint:
-		e.InodeAddr = seglog.BlockAddr(c.uvarint())
+		e.InodeAddr = seglog.BlockAddr(r.Uvarint())
 	default:
-		c.fail(fmt.Errorf("journal: unknown entry type %d: %w", e.Type, types.ErrCorrupt))
+		r.Fail("unknown entry type %d", e.Type)
 	}
-	return c.data, c.err
 }
 
 // Journal sectors are 512-byte units — the paper's "journal sectors"
@@ -494,35 +426,32 @@ func DecodeSector(data []byte) (obj types.ObjectID, prev SectorAddr, entries []E
 	if len(data) < SectorHeaderSize {
 		return 0, 0, nil, false, fmt.Errorf("journal: short sector: %w", types.ErrCorrupt)
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != sectorMagic2 {
+	r := codec.NewReader("journal", data)
+	if r.U32() != sectorMagic2 {
 		return 0, 0, nil, false, nil
 	}
-	obj = types.ObjectID(binary.LittleEndian.Uint64(data[4:]))
-	prev = SectorAddr(binary.LittleEndian.Uint64(data[12:]))
-	count := int(binary.LittleEndian.Uint16(data[20:]))
-	rest := data[SectorHeaderSize:]
-	if count*minEntrySize > len(rest) {
-		return 0, 0, nil, false, fmt.Errorf("journal: %d entries in %d bytes: %w", count, len(rest), types.ErrCorrupt)
-	}
+	obj, prev = types.ObjectID(r.U64()), SectorAddr(r.U64())
+	count, sum := r.U16(), r.U32()
 	// Each entry decodes in place and every address list of the sector
 	// comes out of one slab: a deep chain is thousands of ~250-byte
 	// entries, and returning each by value plus two makes per write entry
 	// cost more than parsing them.
-	entries = make([]Entry, count)
+	entries = make([]Entry, r.Count(uint64(count), minEntrySize, 0))
 	var slab []seglog.BlockAddr
 	for i := range entries {
-		if rest, err = entries[i].decode(rest, &slab); err != nil {
-			return 0, 0, nil, false, err
-		}
+		entries[i].decode(&r, &slab)
+	}
+	if err := r.Err(); err != nil {
+		return 0, 0, nil, false, err
 	}
 	// The checksum covers exactly the bytes the decode consumed;
 	// anything beyond is stale residue from a longer prior encoding
 	// of this in-place-rewritten sector and is deliberately excluded.
-	consumed := len(data) - len(rest)
+	consumed := len(data) - len(r.Rest())
 	c := crc32.Update(0, crc32.IEEETable, data[:22])
 	c = crc32.Update(c, crc32.IEEETable, zeroCRC[:])
 	c = crc32.Update(c, crc32.IEEETable, data[26:consumed])
-	if c != binary.LittleEndian.Uint32(data[22:]) {
+	if c != sum {
 		return 0, 0, nil, false, fmt.Errorf("journal: sector checksum mismatch: %w", types.ErrCorrupt)
 	}
 	return obj, prev, entries, true, nil

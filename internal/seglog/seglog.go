@@ -46,6 +46,7 @@ import (
 	"hash/crc32"
 	stdlog "log"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,6 +59,18 @@ import (
 const BlockSize = types.BlockSize
 
 const sectorsPerBlock = BlockSize / disk.SectorSize
+
+// allSectors is the dirty mask of a whole block: one bit per sector, so
+// a block of sectorsPerBlock (8) sectors fits a uint8.
+const allSectors = uint8(1<<sectorsPerBlock - 1)
+
+// sectorMask is the dirty mask covering bytes [from, to) of a block,
+// every sector they touch in part included.
+func sectorMask(from, to int) uint8 {
+	lo, hi := from/disk.SectorSize, (to+disk.SectorSize-1)/disk.SectorSize
+	m := 1<<hi - 1<<lo // an int: hi may be sectorsPerBlock
+	return uint8(m)
+}
 
 // BlockAddr is the absolute block number of a log block on the device.
 // NilAddr (0) never addresses a valid payload block because block 0
@@ -117,9 +130,9 @@ type SummaryEntry struct {
 	// contents, computed at flush time. Zero means "no checksum": pad
 	// slots (whose on-disk bytes are a retired summary snapshot, not the
 	// staged zeros), journal blocks in partial snapshots (rewritten in
-	// place until the seal; their own per-sector CRCs cover them — see
-	// encodeSummaryLocked) and the 1-in-2^32 block whose real CRC is
-	// zero all skip verification.
+	// place, a sector at a time, until the seal — DESIGN.md §11.3; their
+	// own per-sector CRCs cover them — see encodeSummaryLocked) and the
+	// 1-in-2^32 block whose real CRC is zero all skip verification.
 	Sum uint32
 }
 
@@ -180,16 +193,16 @@ type Log struct {
 	nSegments int64
 
 	mu       sync.Mutex
-	seq      uint64 // last issued segment write sequence
-	free     []bool // per-segment free flag
-	nFree    int64  // segments the allocator may hand out (allocatable)
-	curSeg   int64  // open segment (-1 if none)
-	buf      []byte // staged open segment (SegBlocks * BlockSize); block 0 is its open record
-	recDue   bool   // the open record has not reached the device yet
-	sumBuf   []byte // the summary the current flush writes (one block)
-	used     int    // payload blocks staged (excluding summary)
-	dirty    []bool // per payload block: staged but not yet on disk
-	nDirty   int
+	seq      uint64   // last issued segment write sequence
+	free     []bool   // per-segment free flag
+	nFree    int64    // segments the allocator may hand out (allocatable)
+	curSeg   int64    // open segment (-1 if none)
+	buf      []byte   // staged open segment (SegBlocks * BlockSize); block 0 is its open record
+	recDue   bool     // the open record has not reached the device yet
+	sumBuf   []byte   // the summary the current flush writes (one block)
+	used     int      // payload blocks staged (excluding summary)
+	dirty    []uint8  // per payload block: a bit per sector staged but not yet on disk
+	nDirty   int      // payload blocks with a non-zero dirty mask
 	crcs     []uint32 // per payload block: its checksum, valid while crcOK (encodeSummaryLocked)
 	crcOK    []bool   // cleared when the block is staged or rewritten, all cleared when a segment opens
 	entries  []SummaryEntry
@@ -555,7 +568,7 @@ func (l *Log) appendOneLocked(kind Kind, obj types.ObjectID, key uint64, t types
 	l.entries = append(l.entries, SummaryEntry{Kind: kind, Obj: obj, Key: key, Time: t, Len: uint32(len(data))})
 	addr := BlockAddr(l.segBase(l.curSeg) + int64(idx))
 	l.crcOK[idx-1] = false
-	l.dirty[idx-1] = true
+	l.dirty[idx-1] = allSectors
 	l.nDirty++
 	l.used++
 	l.appends++
@@ -582,7 +595,9 @@ func (l *Log) InOpenSegment(addr BlockAddr) bool {
 // shared journal block (§4.2.2): the openness test and the write happen
 // under one mutex hold, so a concurrent appender sealing the segment
 // between the two can never turn the merge into an overwrite of durable
-// history — the caller just places a fresh sector instead.
+// history — the caller just places a fresh sector instead. Only the
+// sectors the range touches are marked dirty, so the next flush writes
+// those and not the whole block (DESIGN.md §11.3).
 func (l *Log) RewriteRange(addr BlockAddr, off int, data []byte) (bool, error) {
 	if off < 0 || len(data) == 0 || off+len(data) > BlockSize {
 		return false, fmt.Errorf("seglog: rewrite-range of %d bytes at %d: %w", len(data), off, types.ErrInval)
@@ -606,10 +621,10 @@ func (l *Log) RewriteRange(addr BlockAddr, off int, data []byte) (bool, error) {
 		l.entries[idx-1].Len = end
 	}
 	l.crcOK[idx-1] = false
-	if !l.dirty[idx-1] {
-		l.dirty[idx-1] = true
+	if l.dirty[idx-1] == 0 {
 		l.nDirty++
 	}
+	l.dirty[idx-1] |= sectorMask(off, off+len(data))
 	return true, nil
 }
 
@@ -703,7 +718,7 @@ func (l *Log) openSegmentLocked() error {
 	delete(l.sums, seg)
 	l.sumGen++
 	if l.dirty == nil {
-		l.dirty = make([]bool, l.cfg.SegBlocks)
+		l.dirty = make([]uint8, l.cfg.SegBlocks)
 		l.crcs = make([]uint32, l.cfg.SegBlocks)
 		l.crcOK = make([]bool, l.cfg.SegBlocks)
 	}
@@ -823,7 +838,14 @@ func (l *Log) forceDev() error {
 // flushLocked makes the staged segment durable.
 //
 // Partial flush (closeSeg false): the dirty payload runs are written,
-// then a snapshot of the summary is appended in the slot right after
+// one device write per run of consecutive dirty blocks, trimmed to the
+// sectors that changed: a run starts at the lowest dirty sector of its
+// first block and ends after the highest dirty sector of its last
+// (DESIGN.md §11.3). A sector left out already holds its staged bytes —
+// an earlier flush of this life of the segment wrote it, and any later
+// rewrite of it would have marked it dirty — so the device image after
+// the flush is the one writing the whole blocks would leave. Then a
+// snapshot of the summary is appended in the slot right after
 // the last used block — the LFS partial-segment pattern, one
 // mostly-sequential write per sync, no seek back to the segment head.
 // The snapshot's slot is then retired with a pad entry, so no later
@@ -875,20 +897,20 @@ func (l *Log) flushLocked(closeSeg bool) error {
 	seg := l.curSeg
 	base := l.segBase(seg)
 	used := l.used
-	var runs [][2]int // dirty payload runs as [from, to) block indices
+	var runs [][2]int // dirty payload runs as [from, to) sectors of the segment
 	for i := 0; i < used; {
-		if !l.dirty[i] {
+		if l.dirty[i] == 0 {
 			i++
 			continue
 		}
 		j := i
-		for j < used && l.dirty[j] {
+		for j < used && l.dirty[j] != 0 {
 			j++
 		}
-		runs = append(runs, [2]int{1 + i, 1 + j})
-		for k := i; k < j; k++ {
-			l.dirty[k] = false
-		}
+		from := (1+i)*sectorsPerBlock + bits.TrailingZeros8(l.dirty[i])
+		to := (1+j)*sectorsPerBlock - bits.LeadingZeros8(l.dirty[j-1])
+		runs = append(runs, [2]int{from, to})
+		clear(l.dirty[i:j])
 		i = j
 	}
 	l.nDirty = 0
@@ -913,7 +935,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 		// the repair copy is gone.
 		l.flushBufSeg = -1
 		for _, r := range runs {
-			copy(l.flushBuf[r[0]*BlockSize:r[1]*BlockSize], l.buf[r[0]*BlockSize:r[1]*BlockSize])
+			copy(l.flushBuf[r[0]*disk.SectorSize:r[1]*disk.SectorSize], l.buf[r[0]*disk.SectorSize:r[1]*disk.SectorSize])
 		}
 		l.entries = append(l.entries, SummaryEntry{Kind: KindPad})
 		l.used++
@@ -927,7 +949,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 	src := l.flushBuf // stable, like sumBuf, while flushing: no other flush can start
 	var werr error
 	for _, r := range runs {
-		if err := writeBlocks(l.dev, base+int64(r[0]), src[r[0]*BlockSize:r[1]*BlockSize]); err != nil {
+		if err := l.dev.WriteSectors(base*sectorsPerBlock+int64(r[0]), src[r[0]*disk.SectorSize:r[1]*disk.SectorSize]); err != nil {
 			werr = err
 			break
 		}

@@ -20,9 +20,10 @@ import (
 // state, every version a Sync acknowledged before the crash must read
 // back at its time, the live version must be the newest acknowledged
 // one or the one whose Sync was in flight, and CheckInvariants must
-// hold. A torn write can carry all of an in-flight version: a snapshot
-// torn after its first sector is whole when the rest of it is zeros, as
-// the slot already was. No version written after the crash may appear.
+// hold. A torn write may carry all of an in-flight version: a
+// snapshot torn after its last header-and-entries sector is whole. A
+// snapshot writes only those sectors (DESIGN.md §15.1), so no tear of
+// one here is. No version written after the crash may appear.
 // The torture sweep tears a write at half its length only, and never a
 // one-sector write.
 func TestTornHeadMergeKeepsAckedEntries(t *testing.T) {

@@ -208,7 +208,7 @@ func TestV1SummaryRejected(t *testing.T) {
 // and recomputes the CRC, as anyone who can write the image file can.
 // Open must answer ErrCorrupt; before the geometry was validated a zero
 // SegBlocks divided by zero in SegOf and a huge segment count exhausted
-// memory in make. The one version it accepts is its own, 4.
+// memory in make. The one version it accepts is its own, 5.
 func TestOpenRejectsForgedSuperblock(t *testing.T) {
 	_, dev := newFaultLog(t, 8)
 	good := make([]byte, BlockSize)
@@ -230,8 +230,9 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 		{"formatVer 1", put32(4, 1), false},
 		{"formatVer 2", put32(4, 2), false}, // no open records: its open segment would scan as never written
 		{"formatVer 3", put32(4, 3), false}, // unthreaded summaries: no chain to walk, entries where v4 keeps next/prev
-		{"formatVer 4", put32(4, 4), true},
-		{"formatVer 5", put32(4, 5), false},
+		{"formatVer 4", put32(4, 4), false}, // summary CRCs over the whole block: a trimmed snapshot would fail them
+		{"formatVer 5", put32(4, 5), true},
+		{"formatVer 6", put32(4, 6), false},
 		{"SegBlocks 0", put32(8, 0), false},
 		{"SegBlocks 7", put32(8, 7), false},
 		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1)), false},
@@ -291,6 +292,14 @@ func v3Summary(sum Summary) []byte {
 	return sb
 }
 
+// v4Summary re-encodes a summary block in the version-4 layout: the same
+// bytes, with a CRC over the whole block but the four bytes that hold it.
+func v4Summary(sb []byte) []byte {
+	v4 := append([]byte(nil), sb...)
+	binary.LittleEndian.PutUint32(v4[16:], crc32.Update(crc32.ChecksumIEEE(v4[:16]), crc32.IEEETable, v4[20:]))
+	return v4
+}
+
 // fuzzSeg is the segment FuzzSegSummaryChecksums takes each block to be
 // block 0 of, for the chain walk's judgement of the neighbours it names.
 const fuzzSeg = 1
@@ -298,15 +307,17 @@ const fuzzSeg = 1
 // FuzzSegSummaryChecksums feeds hostile bytes to the summary codec:
 // it must never panic, anything it accepts must satisfy the format's
 // own bounds, and a valid encoding mutated anywhere but its CRC slack
-// must be rejected or decode to self-consistent entries. A CRC is not a
-// MAC, so the neighbours an accepted summary names are hostile too: the
-// chain walk may step only to a segment inside the log, and never from a
-// segment to itself.
+// (past summaryLen) must be rejected or decode to self-consistent
+// entries; TestSummaryCRCCoversHeaderAndEntries checks that at every
+// byte. A CRC is not a MAC, so the neighbours an accepted summary names
+// are hostile too: the chain walk may step only to a segment inside the
+// log, and never from a segment to itself.
 func FuzzSegSummaryChecksums(f *testing.F) {
 	// Seeds: a genuine sealed summary, a truncated one, junk, an open
 	// record (a summary with no entries), the same sealed summary in the
-	// version-3 layout, and open records naming a successor past the log,
-	// the segment itself as successor or as predecessor.
+	// version-3 and version-4 layouts, and open records naming a
+	// successor past the log, the segment itself as successor or as
+	// predecessor.
 	l, _ := newFaultLog(f, 8)
 	for i := 0; i < l.PayloadBlocks(); i++ {
 		if _, err := l.Append(KindData, 9, uint64(i), types.Timestamp(i+1),
@@ -335,6 +346,11 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 		f.Fatal("a version-3 summary decodes")
 	}
 	f.Add(v3)
+	v4 := v4Summary(sb)
+	if _, ok, _ := decodeSummary(v4); ok {
+		f.Fatal("a version-4 summary, its CRC over the whole block, decodes")
+	}
+	f.Add(v4)
 	record := func(next, prev int64) []byte {
 		l.entries = l.entries[:0]
 		l.nextSeg, l.curPrev = next, prev

@@ -233,78 +233,94 @@ func reusedSegment(t *testing.T, l *Log) (cpSeq uint64) {
 
 // TestTornRecordOverStaleSummary tears the first write of a reused
 // segment inside block 0: one sector of the new open record over the
-// sealed summary of the segment's previous life. The mix decodes as
-// nothing, so the segment is read whole, and all that is in it are the
-// previous life's snapshots — every one at or below the checkpoint that
-// authorised the reuse, so the roll-forward scan replays none of them.
-// The chain reaches the segment as the successor segment 1 promised, and
-// cannot end there — a rotted seal reads the same — so the scan probes
-// every segment, and finds segment 1 alone.
+// sealed summary of the segment's previous life. The record is 36 bytes
+// and its CRC covers only those, so the sector is a whole record: the
+// segment reads as opened, with nothing behind the record newer than it
+// — every snapshot of the previous life is at or below the checkpoint
+// that authorised the reuse — and the walk reads on past it, as over a
+// never-written segment. The same image with that sector rotted is what
+// a tear cannot make: a block 0 that decodes as nothing, so the segment
+// is read whole, and the chain, which reaches the segment as the
+// successor segment 1 promised, cannot end there — a rotted seal reads
+// the same — so the scan probes every segment. Either way the scan finds
+// segment 1 alone and replays nothing of the previous life.
 func TestTornRecordOverStaleSummary(t *testing.T) {
 	l, dev := newFaultLog(t, 16)
 	cpSeq := reusedSegment(t, l)
 	dev.StartRecording()
 	mustSync(t, l)
-	img, err := dev.TornImageAt(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := make([]byte, BlockSize)
-	if err := readBlocks(img, l.segBase(0), blk); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := checkSummary(blk); ok || bytes.Equal(blk, zeroBlock[:]) {
-		t.Fatal("torn block 0 still decodes, or is zero: the tear did not mix the two lives")
-	}
-	cnt := &readCounter{Device: img}
-	lr := reopen(t, cnt)
-	*cnt = readCounter{Device: img}
-	sum, ok, err := lr.ReadSummary(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt.single != 1 || cnt.vectored != 1 {
-		t.Fatalf("undecodable block 0: %d one-block and %d vectored reads, want the whole segment (1 and 1)", cnt.single, cnt.vectored)
-	}
-	if ok && sum.Seq > cpSeq {
-		t.Fatalf("found a summary at seq %d above the checkpoint's %d in a segment whose new life has none", sum.Seq, cpSeq)
-	}
-	if seq, hit := scanHits(t, lr, cpSeq)[0]; hit {
-		t.Fatalf("scan from the checkpoint replayed the reused segment at seq %d", seq)
-	}
-	if why := walkWhy(t, img); !strings.Contains(why, "segment 0 holds neither") {
-		t.Fatalf("walk over the torn record: %q, want a fallback at segment 0", why)
-	}
-	if hits := resumeHits(t, reopen(t, img)); len(hits) != 1 || hits[1] <= cpSeq {
-		t.Fatalf("resume hit %v, want segment 1 alone", hits)
+	for _, rotted := range []bool{false, true} {
+		img, err := dev.TornImageAt(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rotted {
+			img.RotSector(l.segBase(0)*sectorsPerBlock, 0x5A)
+		}
+		blk := make([]byte, BlockSize)
+		if err := readBlocks(img, l.segBase(0), blk); err != nil {
+			t.Fatal(err)
+		}
+		h, ok := checkSummary(blk)
+		if rotted && (ok || bytes.Equal(blk, zeroBlock[:])) {
+			t.Fatal("rotted block 0 still decodes, or is zero")
+		}
+		if !rotted && (!ok || h.count != 0 || h.seq <= cpSeq) {
+			t.Fatalf("block 0 torn after the record's sector: ok=%v %+v, want the new life's open record", ok, h)
+		}
+		cnt := &readCounter{Device: img}
+		lr := reopen(t, cnt)
+		*cnt = readCounter{Device: img}
+		sum, ok, err := lr.ReadSummary(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnt.single != 1 || cnt.vectored != 1 {
+			t.Fatalf("rotted=%v: %d one-block and %d vectored reads, want the whole segment (1 and 1)", rotted, cnt.single, cnt.vectored)
+		}
+		if ok && sum.Seq > cpSeq {
+			t.Fatalf("rotted=%v: found a summary at seq %d above the checkpoint's %d in a segment whose new life has none", rotted, sum.Seq, cpSeq)
+		}
+		if seq, hit := scanHits(t, lr, cpSeq)[0]; hit {
+			t.Fatalf("rotted=%v: scan from the checkpoint replayed the reused segment at seq %d", rotted, seq)
+		}
+		why := walkWhy(t, img)
+		if fellBack := strings.Contains(why, "segment 0 holds neither"); fellBack != rotted || !rotted && why != "" {
+			t.Fatalf("rotted=%v: walk over block 0: %q", rotted, why)
+		}
+		if hits := resumeHits(t, reopen(t, img)); len(hits) != 1 || hits[1] <= cpSeq {
+			t.Fatalf("rotted=%v: resume hit %v, want segment 1 alone", rotted, hits)
+		}
 	}
 }
 
-// TestTornRecordOverSealFallsBack tears the first write of a reused
-// segment whose previous life left no snapshot behind its seal: block 0
-// is then the record's first sector over the rest of the old seal. That
-// is no summary and not zero — what a rotted seal reads as, behind which
-// the chain could go on — so the walk cannot end the chain there, and
-// the scan probes every segment, which finds the one segment written
-// since the checkpoint and nothing of the torn one: no Sync acknowledged
-// it. Over a never-written segment the same tear leaves a whole record
-// (a record is zeros past its header), and the walk reads on.
+// TestTornRecordOverSealFallsBack tears the first write of a segment
+// after its record's first sector, once over a never-written segment
+// and once over a reused one whose previous life left no snapshot behind
+// its seal. The record's CRC covers its 36 bytes and no more, so either
+// way block 0 is a whole record — over zeros, or over the rest of the
+// old seal — and the walk reads on past it. With the record's sector
+// rotted, the reused block 0 is no summary and not zero — what a rotted
+// seal reads as, behind which the chain could go on — so the walk cannot
+// end the chain there, and the scan probes every segment. Every way, it
+// finds the one segment written since the checkpoint and nothing of the
+// torn one: no Sync acknowledged it.
 func TestTornRecordOverSealFallsBack(t *testing.T) {
-	for _, reused := range []bool{true, false} {
+	for _, tc := range []struct{ reused, rotted bool }{{false, false}, {true, false}, {true, true}} {
 		l, dev := newFaultLog(t, 16)
 		appendN(t, l, 1, 0, l.PayloadBlocks())
 		if err := l.WriteCheckpoint([]byte("state"), nil); err != nil {
 			t.Fatal(err)
 		}
-		if reused {
+		if tc.reused {
 			if err := l.FreeSegment(0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		appendN(t, l, 2, 100, l.PayloadBlocks()+2)
 		torn := l.CurrentSegment()
-		if want := map[bool]int64{true: 0, false: 2}[reused]; torn != want {
-			t.Fatalf("reused=%v: the successor of segment 1 is %d, want %d", reused, torn, want)
+		if want := map[bool]int64{true: 0, false: 2}[tc.reused]; torn != want {
+			t.Fatalf("%+v: the successor of segment 1 is %d, want %d", tc, torn, want)
 		}
 		dev.StartRecording()
 		mustSync(t, l)
@@ -312,13 +328,16 @@ func TestTornRecordOverSealFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tc.rotted {
+			img.RotSector(l.segBase(torn)*sectorsPerBlock, 0x5A)
+		}
 		why := walkWhy(t, img)
-		if fellBack := strings.Contains(why, fmt.Sprintf("segment %d holds neither", torn)); fellBack != reused {
-			t.Fatalf("reused=%v: walk over the torn record: %q", reused, why)
+		if fellBack := strings.Contains(why, fmt.Sprintf("segment %d holds neither", torn)); fellBack != tc.rotted || !tc.rotted && why != "" {
+			t.Fatalf("%+v: walk over the torn record: %q", tc, why)
 		}
 		hits := resumeHits(t, reopen(t, img))
 		if _, ok := hits[1]; len(hits) != 1 || !ok {
-			t.Fatalf("reused=%v: resume hit %v, want segment 1 alone", reused, hits)
+			t.Fatalf("%+v: resume hit %v, want segment 1 alone", tc, hits)
 		}
 	}
 }

@@ -23,7 +23,13 @@ type testEnv struct {
 func newTestDrive(t *testing.T, mod ...func(*Options)) *testEnv {
 	t.Helper()
 	clk := vclock.NewVirtual()
-	dev := disk.New(disk.SmallDisk(64<<20), clk)
+	return newTestDriveOn(t, disk.New(disk.SmallDisk(64<<20), clk), clk, mod...)
+}
+
+// newTestDriveOn formats dev with the test options and clk as the
+// drive's clock.
+func newTestDriveOn(t *testing.T, dev *disk.Disk, clk *vclock.Virtual, mod ...func(*Options)) *testEnv {
+	t.Helper()
 	opts := Options{
 		Clock:            clk,
 		SegBlocks:        16,

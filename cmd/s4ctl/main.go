@@ -16,8 +16,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -169,17 +171,7 @@ func main() {
 		}
 	case "read":
 		obj := parseObj()
-		ai, err := c.GetAttr(obj, at())
-		check(err)
-		for off := uint64(0); off < ai.Size; off += types.MaxIO {
-			n := uint64(types.MaxIO)
-			if off+n > ai.Size {
-				n = ai.Size - off
-			}
-			data, err := c.Read(obj, off, n, at())
-			check(err)
-			os.Stdout.Write(data)
-		}
+		check(copyObject(os.Stdout, c, obj, at()))
 	case "revert":
 		obj := parseObj()
 		if *atStr == "" {
@@ -228,20 +220,10 @@ func main() {
 		// The paper's "time-enhanced ls" (§3.6): list a directory
 		// object as it was at any instant inside the window.
 		obj := parseObj()
-		ai, err := c.GetAttr(obj, at())
-		check(err)
-		var raw []byte
-		for off := uint64(0); off < ai.Size; off += types.MaxIO {
-			n := uint64(types.MaxIO)
-			if off+n > ai.Size {
-				n = ai.Size - off
-			}
-			part, err := c.Read(obj, off, n, at())
-			check(err)
-			raw = append(raw, part...)
-		}
+		var raw bytes.Buffer
+		check(copyObject(&raw, c, obj, at()))
 		fmt.Printf("%-10s %-8s %-10s %s\n", "object", "type", "size", "name")
-		for _, e := range s4fs.ParseDirData(raw) {
+		for _, e := range s4fs.ParseDirData(raw.Bytes()) {
 			ea, err := c.GetAttr(types.ObjectID(e.Handle), at())
 			size := "?"
 			if err == nil {
@@ -315,6 +297,25 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// copyObject writes obj's whole contents at t to w: its size from
+// GetAttr, then Reads of at most MaxIO bytes each.
+func copyObject(w io.Writer, c *s4rpc.Client, obj types.ObjectID, t types.Timestamp) error {
+	ai, err := c.GetAttr(obj, t)
+	if err != nil {
+		return err
+	}
+	for off := uint64(0); off < ai.Size; off += types.MaxIO {
+		part, err := c.Read(obj, off, min(types.MaxIO, ai.Size-off), t)
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func usage() {

@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -33,7 +32,7 @@ import (
 	"s4/internal/core"
 	"s4/internal/disk"
 	"s4/internal/s4rpc"
-	"s4/internal/types"
+	"s4/internal/seglog"
 )
 
 // instance is one shard: a drive on its own image, served on its own
@@ -76,19 +75,8 @@ func main() {
 	}
 
 	keys := s4rpc.NewKeyring([]byte(*adminKey))
-	for _, pair := range strings.Split(*clientKeys, ",") {
-		if pair == "" {
-			continue
-		}
-		id, key, ok := strings.Cut(pair, "=")
-		if !ok {
-			log.Fatalf("s4d: bad -clientkey entry %q (want id=key)", pair)
-		}
-		n, err := strconv.ParseUint(id, 10, 32)
-		if err != nil {
-			log.Fatalf("s4d: bad client id %q: %v", id, err)
-		}
-		keys.AddClient(types.ClientID(n), []byte(key))
+	if err := keys.AddClients(*clientKeys); err != nil {
+		log.Fatalf("s4d: -clientkey: %v", err)
 	}
 
 	host, portStr, err := net.SplitHostPort(*listen)
@@ -125,7 +113,15 @@ func main() {
 			log.Fatalf("s4d: unknown -backend %q (want file or mem)", *backend)
 		}
 		in.dev = dev
-		if *format || isBlank(dev) {
+		fresh := *format
+		if !fresh {
+			// A read error is not a blank image: formatting would wipe
+			// every version the image holds.
+			if fresh, err = seglog.Blank(dev); err != nil {
+				log.Fatalf("s4d: attach drive %s: %v", in.image, err)
+			}
+		}
+		if fresh {
 			in.drv, err = core.Format(dev, opts)
 		} else {
 			in.drv, err = core.Open(dev, opts)
@@ -229,18 +225,4 @@ func main() {
 			}
 		}
 	}
-}
-
-// isBlank reports whether the image has never been formatted.
-func isBlank(dev disk.Device) bool {
-	buf := make([]byte, disk.SectorSize)
-	if err := dev.ReadSectors(0, buf); err != nil {
-		return true
-	}
-	for _, b := range buf[:8] {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -27,7 +27,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -90,19 +89,8 @@ func main() {
 	}
 
 	keys := s4rpc.NewKeyring([]byte(*adminKey))
-	for _, pair := range strings.Split(*clientKeys, ",") {
-		if pair == "" {
-			continue
-		}
-		id, key, ok := strings.Cut(pair, "=")
-		if !ok {
-			log.Fatalf("s4gate: bad -clientkey entry %q (want id=key)", pair)
-		}
-		n, err := strconv.ParseUint(id, 10, 32)
-		if err != nil {
-			log.Fatalf("s4gate: bad client id %q: %v", id, err)
-		}
-		keys.AddClient(types.ClientID(n), []byte(key))
+	if err := keys.AddClients(*clientKeys); err != nil {
+		log.Fatalf("s4gate: -clientkey: %v", err)
 	}
 
 	srv := s4rpc.NewHandlerServer(router.Do, keys)

@@ -21,6 +21,7 @@ import (
 	"s4/internal/disk"
 	"s4/internal/nfsv2"
 	"s4/internal/s4fs"
+	"s4/internal/seglog"
 	"s4/internal/types"
 )
 
@@ -39,8 +40,14 @@ func main() {
 		log.Fatalf("s4nfsd: open image: %v", err)
 	}
 	opts := core.Options{Window: *window}
+	// A read error is not a blank image: formatting would wipe every
+	// version the image holds.
+	blank, err := seglog.Blank(dev)
+	if err != nil {
+		log.Fatalf("s4nfsd: attach drive: %v", err)
+	}
 	var drv *core.Drive
-	if blank(dev) {
+	if blank {
 		drv, err = core.Format(dev, opts)
 	} else {
 		drv, err = core.Open(dev, opts)
@@ -95,17 +102,4 @@ func main() {
 	if err := dev.Close(); err != nil {
 		log.Fatalf("s4nfsd: close image: %v", err)
 	}
-}
-
-func blank(dev disk.Device) bool {
-	buf := make([]byte, disk.SectorSize)
-	if err := dev.ReadSectors(0, buf); err != nil {
-		return true
-	}
-	for _, b := range buf[:8] {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -263,7 +263,7 @@ func TestHistoryWalkRacesHeadMerge(t *testing.T) {
 // recover the very state the first one left.
 func TestTruncatedTailLeavesNoStaleCache(t *testing.T) {
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(32 << 20)
+	rec := disk.New(disk.SmallDisk(32<<20), nil)
 	opts := Options{
 		Clock: clk, SegBlocks: 16, CheckpointBlocks: 16,
 		Window: 20 * time.Millisecond, BlockCacheBytes: 1 << 20, ObjectCacheCount: 64,

@@ -265,7 +265,7 @@ func TestFlushAppendOverlapStress(t *testing.T) {
 // recover and pass CheckInvariants.
 func TestCrashMidGroupCommit(t *testing.T) {
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(64 << 20)
+	rec := disk.New(disk.SmallDisk(64<<20), nil)
 	opts := Options{
 		Clock:            clk,
 		SegBlocks:        16,

@@ -19,7 +19,7 @@ import (
 // silent garbage. These tests run the same oracle over both fault
 // wrappers, so the mem and file backends prove the identical contract.
 
-// rotDev is the rot surface shared by disk.FaultDisk and disk.Injector.
+// rotDev is the rot surface shared by disk.Disk and disk.Injector.
 type rotDev interface {
 	disk.Device
 	RotSector(sector int64, mask byte)
@@ -27,7 +27,7 @@ type rotDev interface {
 }
 
 // rotBackends returns the two rot-capable devices: the in-memory
-// FaultDisk and an Injector over a real file image.
+// Disk and an Injector over a real file image.
 func rotBackends(t *testing.T) map[string]rotDev {
 	t.Helper()
 	fd, err := disk.OpenFile(t.TempDir()+"/rot.img", 16<<20)
@@ -36,7 +36,7 @@ func rotBackends(t *testing.T) map[string]rotDev {
 	}
 	t.Cleanup(func() { fd.Close() })
 	return map[string]rotDev{
-		"mem":  disk.NewFault(16 << 20),
+		"mem":  disk.New(disk.SmallDisk(16<<20), nil),
 		"file": disk.NewInjector(fd),
 	}
 }
@@ -333,7 +333,7 @@ func TestScrubDetectsAllRot(t *testing.T) {
 // TestScrubberBackground exercises the paced goroutine end to end on a
 // clean drive: start, let it complete at least one pass, stop via Close.
 func TestScrubberBackground(t *testing.T) {
-	dev := disk.NewFault(16 << 20)
+	dev := disk.New(disk.SmallDisk(16<<20), nil)
 	d, _ := newRotDrive(t, dev)
 	id := d2create(t, d)
 	if err := d.Write(alice, id, 0, bytes.Repeat([]byte{0x42}, 4*types.BlockSize)); err != nil {

@@ -176,7 +176,7 @@ func TestOpenReadsEachTailBlockOnce(t *testing.T) {
 // invariant check and the recount (EXPERIMENTS.md).
 func TestTruncatedSectorHandedOverTruncated(t *testing.T) {
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(32 << 20)
+	rec := disk.New(disk.SmallDisk(32<<20), nil)
 	opts := Options{
 		Clock: clk, SegBlocks: 16, CheckpointBlocks: 16,
 		Window: time.Hour, BlockCacheBytes: 1 << 20, ObjectCacheCount: 64,
@@ -358,7 +358,7 @@ func TestAbandonedSegmentLeavesTheChain(t *testing.T) {
 // checkpoint instead, and the second open reads the chain.
 func TestSecondCrashReadsOnlyTheChain(t *testing.T) {
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(64 << 20)
+	rec := disk.New(disk.SmallDisk(64<<20), nil)
 	opts := Options{
 		Clock: clk, SegBlocks: 16, CheckpointBlocks: 16,
 		Window: time.Hour, BlockCacheBytes: 1 << 20, ObjectCacheCount: 64,

@@ -127,7 +127,7 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 // the image one write earlier.
 func TestCrashBeforeFirstSnapshotBothPathsAgree(t *testing.T) {
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(32 << 20)
+	rec := disk.New(disk.SmallDisk(32<<20), nil)
 	opts := Options{
 		Clock: clk, SegBlocks: 16, CheckpointBlocks: 16,
 		Window: time.Hour, BlockCacheBytes: 1 << 20, ObjectCacheCount: 64,

@@ -121,10 +121,10 @@ func TestSegIndexRoundTrip(t *testing.T) {
 // trip workload through a clean Close (whose checkpoint persists the
 // index), and returns the recorder plus the options and end time needed
 // to reopen crash images of it.
-func segIndexImage(t *testing.T) (*disk.FaultDisk, Options, types.Timestamp) {
+func segIndexImage(t *testing.T) (*disk.Disk, Options, types.Timestamp) {
 	t.Helper()
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(32 << 20)
+	rec := disk.New(disk.SmallDisk(32<<20), nil)
 	rec.StartRecording()
 	opts := Options{
 		Clock:            clk,
@@ -150,7 +150,7 @@ func segIndexImage(t *testing.T) (*disk.FaultDisk, Options, types.Timestamp) {
 // reopenImage materializes a pristine copy of the full recording and
 // opens it with the given index mode, returning the drive and its
 // restart stats.
-func reopenImage(t *testing.T, rec *disk.FaultDisk, opts Options, end types.Timestamp, disableIndex bool, mutate func(disk.Device)) (*Drive, Stats) {
+func reopenImage(t *testing.T, rec *disk.Disk, opts Options, end types.Timestamp, disableIndex bool, mutate func(disk.Device)) (*Drive, Stats) {
 	t.Helper()
 	img, err := rec.ImageAt(rec.Writes())
 	if err != nil {

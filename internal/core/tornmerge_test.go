@@ -28,7 +28,7 @@ import (
 // one-sector write.
 func TestTornHeadMergeKeepsAckedEntries(t *testing.T) {
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(16 << 20)
+	rec := disk.New(disk.SmallDisk(16<<20), nil)
 	opts := Options{
 		Clock: clk, SegBlocks: 16, CheckpointBlocks: 16,
 		Window: time.Hour, BlockCacheBytes: 1 << 20, ObjectCacheCount: 64,

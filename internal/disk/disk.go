@@ -3,14 +3,20 @@
 //
 // The paper's evaluation ran on a 9GB 10,000RPM Seagate Cheetah behind
 // an Ultra2 SCSI controller. We substitute a simulated disk: a sparse
-// in-memory (or file-backed) sector store plus a mechanical service-time
-// model (seek curve, rotational latency, sustained transfer rate). Each
-// request advances a vclock by its modeled service time, so benchmarks
-// measure deterministic virtual time while data access itself is just
-// memory copies. The model captures the effects the paper's figures
-// depend on: big sequential segment writes are cheap, scattered small
-// synchronous writes are expensive, and cleaner I/O steals device time
-// from foreground work.
+// in-memory sector store plus a mechanical service-time model (seek
+// curve, rotational latency, sustained transfer rate). Each request
+// advances a vclock by its modeled service time, so benchmarks measure
+// deterministic virtual time while data access itself is just memory
+// copies. The model captures the effects the paper's figures depend on:
+// big sequential segment writes are cheap, scattered small synchronous
+// writes are expensive, and cleaner I/O steals device time from
+// foreground work.
+//
+// The package holds one memory device (Disk, which can also record its
+// writes and hand out crash images; see fault.go), one file device
+// (FileDisk), one fault decorator for devices that are not memory
+// (Injector) and one fault state that Disk and Injector embed
+// (faults.go).
 package disk
 
 import (
@@ -93,8 +99,8 @@ type Device interface {
 // Syncer is implemented by devices whose writes may linger in an OS or
 // hardware cache (the file backend). Callers that need a durability
 // barrier — the seglog's Sync and checkpoint paths — type-assert for it
-// and call Sync; write-through devices (the simulated Disk, FaultDisk)
-// simply don't implement it.
+// and call Sync; write-through devices (the simulated Disk) simply
+// don't implement it.
 type Syncer interface {
 	Sync() error
 }
@@ -105,15 +111,13 @@ type Disk struct {
 	geo   Geometry
 	clock vclock.Clock
 
-	faults                   // its mu also guards the fields below
-	chunks  map[int64][]byte // sparse backing: chunk index -> chunk
-	headPos int64            // sector under the head after last request
+	faults            // its mu also guards the fields below
+	store   *cowStore // sparse backing, shared copy-on-write with images
+	rec     recorder  // the write journal crash images replay (fault.go)
+	headPos int64     // sector under the head after last request
 	stats   Stats
 	freeIO  bool // service time not charged (idle-time activity)
 }
-
-// chunkSectors is the sparse-allocation granularity (64KB chunks).
-const chunkSectors = 128
 
 // New creates a simulated disk with the given geometry, advancing clk by
 // each request's modeled service time. A nil clock disables the timing
@@ -122,7 +126,12 @@ func New(geo Geometry, clk vclock.Clock) *Disk {
 	if geo.NumSectors <= 0 {
 		panic("disk: geometry with no capacity")
 	}
-	d := &Disk{geo: geo, clock: clk, chunks: make(map[int64][]byte)}
+	return newDisk(geo, clk, newCowStore())
+}
+
+// newDisk returns a disarmed, non-recording Disk over store.
+func newDisk(geo Geometry, clk vclock.Clock, store *cowStore) *Disk {
+	d := &Disk{geo: geo, clock: clk, store: store}
 	d.disarm()
 	return d
 }
@@ -168,7 +177,7 @@ func (d *Disk) ReadSectors(sector int64, buf []byte) error {
 		return err
 	}
 	nsec := int64(len(buf) / SectorSize)
-	d.copyOut(sector, buf)
+	d.store.read(sector, buf)
 	d.rotMap.apply(sector, buf)
 	svc := d.serviceTime(sector, nsec)
 	d.stats.Reads++
@@ -179,7 +188,8 @@ func (d *Disk) ReadSectors(sector int64, buf []byte) error {
 }
 
 // WriteSectors implements Device. Dropped and torn writes still return
-// success, and take the device time of the whole request.
+// success — the drive believed them durable — and take the device time
+// of the whole request. A recording Disk journals what persisted.
 func (d *Disk) WriteSectors(sector int64, buf []byte) error {
 	if err := checkRange(sector, len(buf), d.geo.NumSectors); err != nil {
 		return err
@@ -190,7 +200,9 @@ func (d *Disk) WriteSectors(sector int64, buf []byte) error {
 		return err
 	}
 	nsec := int64(len(buf) / SectorSize)
-	d.copyIn(sector, d.persisted(sector, buf))
+	persist := d.persisted(sector, buf)
+	d.store.write(sector, persist)
+	d.rec.journal(sector, persist)
 	svc := d.serviceTime(sector, nsec)
 	d.stats.Writes++
 	d.stats.SectorsWrite += nsec
@@ -280,7 +292,38 @@ func (d *Disk) seekTime(cyls int64) time.Duration {
 	return time.Duration(t2t + (full-t2t)*math.Sqrt(frac))
 }
 
-func (d *Disk) copyOut(sector int64, buf []byte) {
+// chunkSectors is the sparse-allocation granularity (64KB chunks).
+const chunkSectors = 128
+
+// cowChunk is one sparse chunk of a copy-on-write sector store. A chunk
+// is mutable only by the store that owns it; snapshotting clears
+// ownership so both sides copy before writing.
+type cowChunk struct {
+	owner *cowStore // nil once shared between stores
+	data  []byte
+}
+
+// cowStore is a sparse sector store supporting O(chunks) snapshots.
+type cowStore struct {
+	chunks map[int64]*cowChunk
+}
+
+func newCowStore() *cowStore {
+	return &cowStore{chunks: make(map[int64]*cowChunk)}
+}
+
+// snapshot returns an independent store sharing all chunk payloads with
+// s. Writes on either side copy the affected chunk first.
+func (s *cowStore) snapshot() *cowStore {
+	n := &cowStore{chunks: make(map[int64]*cowChunk, len(s.chunks))}
+	for k, c := range s.chunks {
+		c.owner = nil
+		n.chunks[k] = c
+	}
+	return n
+}
+
+func (s *cowStore) read(sector int64, buf []byte) {
 	for len(buf) > 0 {
 		ci := sector / chunkSectors
 		off := (sector % chunkSectors) * SectorSize
@@ -288,8 +331,8 @@ func (d *Disk) copyOut(sector int64, buf []byte) {
 		if n > int64(len(buf)) {
 			n = int64(len(buf))
 		}
-		if c, ok := d.chunks[ci]; ok {
-			copy(buf[:n], c[off:off+n])
+		if c, ok := s.chunks[ci]; ok {
+			copy(buf[:n], c.data[off:off+n])
 		} else {
 			// clear, not an index loop: `for i := range buf[:n] { buf[i] = 0 }`
 			// ranges over one slice and stores through another, which the
@@ -302,7 +345,7 @@ func (d *Disk) copyOut(sector int64, buf []byte) {
 	}
 }
 
-func (d *Disk) copyIn(sector int64, buf []byte) {
+func (s *cowStore) write(sector int64, buf []byte) {
 	for len(buf) > 0 {
 		ci := sector / chunkSectors
 		off := (sector % chunkSectors) * SectorSize
@@ -310,12 +353,17 @@ func (d *Disk) copyIn(sector int64, buf []byte) {
 		if n > int64(len(buf)) {
 			n = int64(len(buf))
 		}
-		c, ok := d.chunks[ci]
-		if !ok {
-			c = make([]byte, chunkSectors*SectorSize)
-			d.chunks[ci] = c
+		c, ok := s.chunks[ci]
+		switch {
+		case !ok:
+			c = &cowChunk{owner: s, data: make([]byte, chunkSectors*SectorSize)}
+			s.chunks[ci] = c
+		case c.owner != s:
+			// Shared with a snapshot: copy before mutating.
+			c = &cowChunk{owner: s, data: append([]byte(nil), c.data...)}
+			s.chunks[ci] = c
 		}
-		copy(c[off:off+n], buf[:n])
+		copy(c.data[off:off+n], buf[:n])
 		buf = buf[n:]
 		sector += n / SectorSize
 	}
@@ -327,5 +375,5 @@ func (d *Disk) copyIn(sector int64, buf []byte) {
 func (d *Disk) AllocatedBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.chunks)) * chunkSectors * SectorSize
+	return int64(len(d.store.chunks)) * chunkSectors * SectorSize
 }

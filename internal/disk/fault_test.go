@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"s4/internal/types"
+	"s4/internal/vclock"
 )
 
 func sect(b byte) []byte { return bytes.Repeat([]byte{b}, SectorSize) }
@@ -20,7 +22,7 @@ func readSector(t *testing.T, d Device, sector int64) []byte {
 }
 
 func TestFaultDiskBasicReadWrite(t *testing.T) {
-	f := NewFault(1 << 20)
+	f := New(SmallDisk(1<<20), nil)
 	if f.Capacity() != 1<<20 {
 		t.Fatalf("capacity = %d", f.Capacity())
 	}
@@ -44,7 +46,7 @@ func TestFaultDiskBasicReadWrite(t *testing.T) {
 }
 
 func TestFaultDiskImageAt(t *testing.T) {
-	f := NewFault(1 << 20)
+	f := New(SmallDisk(1<<20), nil)
 	if err := f.WriteSectors(0, sect(0x01)); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestFaultDiskImageAt(t *testing.T) {
 }
 
 func TestFaultDiskTornImage(t *testing.T) {
-	f := NewFault(1 << 20)
+	f := New(SmallDisk(1<<20), nil)
 	f.StartRecording()
 	big := append(append([]byte(nil), sect(0xAA)...), sect(0xBB)...)
 	if err := f.WriteSectors(10, big); err != nil {
@@ -130,7 +132,7 @@ func TestFaultDiskTornImage(t *testing.T) {
 }
 
 func TestFaultDiskInjectedFaults(t *testing.T) {
-	f := NewFault(1 << 20)
+	f := New(SmallDisk(1<<20), nil)
 	f.StartRecording()
 
 	// Dropped write: acknowledged, not persisted, journaled as empty.
@@ -181,5 +183,108 @@ func TestFaultDiskInjectedFaults(t *testing.T) {
 	}
 	if err := f.ReadSectors(0, make([]byte, SectorSize)); err != nil {
 		t.Fatalf("fault not one-shot: %v", err)
+	}
+}
+
+// timedWrites runs the same scattered writes on a timed Disk and returns
+// the virtual time they took. recording journals them; tear tears the
+// first one to a single sector.
+func timedWrites(t *testing.T, recording, tear bool) (*Disk, time.Duration) {
+	t.Helper()
+	clk := vclock.NewVirtual()
+	d := New(testGeo(), clk)
+	if recording {
+		d.StartRecording()
+	}
+	if tear {
+		d.TearAfter(0, 1)
+	}
+	start := clk.Now()
+	for i, sector := range []int64{4000, 16, 24, 9000, 9008, 300} {
+		if err := d.WriteSectors(sector, bytes.Repeat(sect(byte(i+1)), 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.Stats().BusyTime; got != clk.Now().Sub(start) {
+		t.Fatalf("busy time %v, clock moved %v", got, clk.Now().Sub(start))
+	}
+	return d, clk.Now().Sub(start)
+}
+
+// TestRecordingChargesSameTime: journaling writes is free in virtual
+// time, so a Disk under test costs what the benchmark's Disk costs.
+func TestRecordingChargesSameTime(t *testing.T) {
+	rec, withRec := timedWrites(t, true, false)
+	_, without := timedWrites(t, false, false)
+	if withRec <= 0 || withRec != without {
+		t.Fatalf("recording Disk took %v, plain Disk %v", withRec, without)
+	}
+	if rec.Writes() != 6 {
+		t.Fatalf("recorded %d writes, want 6", rec.Writes())
+	}
+}
+
+// TestTornWriteChargesWholeRequest: a torn write persists a prefix but
+// occupies the device for the whole request, as WriteSectors says.
+func TestTornWriteChargesWholeRequest(t *testing.T) {
+	torn, tornT := timedWrites(t, true, true)
+	_, wholeT := timedWrites(t, true, false)
+	if tornT != wholeT {
+		t.Fatalf("torn run took %v, untorn run %v", tornT, wholeT)
+	}
+	if r := torn.Record(0); r.Sectors() != 1 {
+		t.Fatalf("torn write persisted %d sectors, want 1", r.Sectors())
+	}
+	if got := readSector(t, torn, 4001); !bytes.Equal(got, sect(0)) {
+		t.Fatal("torn write persisted past the tear")
+	}
+}
+
+// TestImageIsBare: a crash image of a timed, armed, recording Disk has
+// no clock, no armed faults and no recording of its own, and using it
+// disturbs neither the recorder's clock nor its faults.
+func TestImageIsBare(t *testing.T) {
+	clk := vclock.NewVirtual()
+	d := New(testGeo(), clk)
+	d.StartRecording()
+	if err := d.WriteSectors(7, sect(0x5A)); err != nil {
+		t.Fatal(err)
+	}
+	d.RotSector(7, 0xFF)
+	d.DropAfter(0)
+	d.FailAfter(0, types.ErrCorrupt)
+	img, err := d.ImageAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := clk.Now()
+
+	// No armed faults: the read succeeds unrotted, the write lands.
+	if got := readSector(t, img, 7); !bytes.Equal(got, sect(0x5A)) {
+		t.Fatal("image read failed over or saw the recorder's rot")
+	}
+	if err := img.WriteSectors(100, sect(0x66)); err != nil {
+		t.Fatal(err)
+	}
+	if got := readSector(t, img, 100); !bytes.Equal(got, sect(0x66)) {
+		t.Fatal("image write was dropped")
+	}
+	// No clock: its I/O charges nothing, here or on the recorder's clock.
+	if s := img.Stats(); s.Writes != 1 || s.Reads != 2 || s.BusyTime != 0 {
+		t.Fatalf("image stats %+v, want 1 write, 2 reads, no busy time", s)
+	}
+	if !clk.Now().Equal(before) {
+		t.Fatal("image I/O advanced the recorder's clock")
+	}
+	// No recording.
+	if img.Writes() != 0 {
+		t.Fatalf("image journaled %d writes", img.Writes())
+	}
+	if _, err := img.ImageAt(0); !errors.Is(err, types.ErrInval) {
+		t.Fatalf("ImageAt on an image: %v", err)
+	}
+	// The recorder's faults are still armed.
+	if err := d.ReadSectors(7, make([]byte, SectorSize)); !errors.Is(err, types.ErrCorrupt) {
+		t.Fatalf("recorder lost its armed fault: %v", err)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"sync"
 )
 
-// faults is the injectable fault state of Disk, FaultDisk and Injector,
-// one copy for all three, so the fault classes behave identically on
-// each — and a new decorator gets them by embedding it:
+// faults is the injectable fault state of Disk and Injector, one copy
+// for both, so the fault classes behave identically on each — and a new
+// decorator gets them by embedding it:
 //
 //   - a hard I/O error (FailAfter): the n-th subsequent I/O fails
 //     without transferring data;

@@ -1,11 +1,12 @@
-// Fault-injecting wrapper for arbitrary devices.
+// Fault-injecting wrapper for devices that are not memory.
 //
-// FaultDisk owns its own in-memory copy-on-write store, which is what
-// the torture harness's crash-image machinery needs — but that means it
-// cannot exercise a real backend. Injector wraps any Device (in
-// practice the file-backed FileDisk) with the same injectable fault
-// classes: hard I/O errors, dropped writes, torn writes, and read-side
-// bit-rot. It records nothing; crash-image sweeps stay on FaultDisk.
+// Disk arms every fault class over its own in-memory copy-on-write
+// store, which is what the torture harness's crash-image machinery
+// needs — but that means it cannot exercise a real backend. Injector
+// wraps any Device (in practice the file-backed FileDisk) with the same
+// injectable fault classes: hard I/O errors, dropped writes, torn
+// writes, and read-side bit-rot. It records nothing; crash-image sweeps
+// stay on Disk.
 package disk
 
 // Injector is a fault-injecting Device wrapper. It is safe for

@@ -6,8 +6,9 @@ import (
 )
 
 // rotDevice is the fault surface every device of this package embeds;
-// the parity tests below run the same scenarios over all three so the
-// rot contract cannot drift between them.
+// the parity tests below run the same scenarios over a fresh Disk, a
+// crash image of one and an Injector, so the rot contract cannot drift
+// between them.
 type rotDevice interface {
 	Device
 	RotSector(sector int64, mask byte)
@@ -22,9 +23,15 @@ func rotWrappers(t *testing.T) map[string]rotDevice {
 		t.Fatalf("OpenFile: %v", err)
 	}
 	t.Cleanup(func() { fd.Close() })
+	rec := New(SmallDisk(1<<20), nil)
+	rec.StartRecording()
+	img, err := rec.ImageAt(0)
+	if err != nil {
+		t.Fatalf("ImageAt: %v", err)
+	}
 	return map[string]rotDevice{
 		"Disk":      New(SmallDisk(1<<20), nil),
-		"FaultDisk": NewFault(1 << 20),
+		"DiskImage": img,
 		"Injector":  NewInjector(fd),
 	}
 }
@@ -47,8 +54,8 @@ func rotReadSector(t *testing.T, d Device, sector int64) []byte {
 	return buf
 }
 
-// TestRotParity runs identical rot scenarios over Disk, FaultDisk and
-// Injector: persistent rot corrupts every read until overwritten or
+// TestRotParity runs identical rot scenarios over a Disk, a crash image
+// and an Injector: persistent rot corrupts every read until overwritten or
 // disarmed; one-shot rot corrupts exactly one read; ClearFaults drops
 // both.
 func TestRotParity(t *testing.T) {

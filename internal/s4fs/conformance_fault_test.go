@@ -12,15 +12,15 @@ import (
 )
 
 // TestConformanceOverFaultDisk runs the shared fsys contract against
-// s4fs built on the torture harness's fault-injection device with all
-// faults disarmed. The fault layer must be a transparent pass-through:
+// s4fs built on the torture harness's device (a disk.Disk with no
+// clock) with all faults disarmed. The fault layer must be a transparent pass-through:
 // any conformance divergence here but not in TestConformance means the
 // fault device itself distorts I/O, which would invalidate every
 // crash-consistency result derived from it.
 func TestConformanceOverFaultDisk(t *testing.T) {
 	fsys.RunConformance(t, func(t *testing.T) fsys.FileSys {
 		clk := vclock.NewVirtual()
-		dev := disk.NewFault(128 << 20)
+		dev := disk.New(disk.SmallDisk(128<<20), nil)
 		drv, err := core.Format(dev, core.Options{
 			Clock: clk, SegBlocks: 32, CheckpointBlocks: 64,
 			Window: time.Hour, BlockCacheBytes: 8 << 20, ObjectCacheCount: 512,

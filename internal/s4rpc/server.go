@@ -6,10 +6,13 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +40,28 @@ func (k *Keyring) AddClient(c types.ClientID, key []byte) {
 	k.mu.Lock()
 	k.clients[c] = append([]byte(nil), key...)
 	k.mu.Unlock()
+}
+
+// AddClients registers every client of spec, a comma-separated list of
+// id=key pairs (the daemons' -clientkey flag); empty entries are
+// skipped. It stops at the first malformed entry: one without '=', or
+// whose id is not a 32-bit unsigned number.
+func (k *Keyring) AddClients(spec string) error {
+	for _, pair := range strings.Split(spec, ",") {
+		if pair == "" {
+			continue
+		}
+		id, key, ok := strings.Cut(pair, "=")
+		if !ok {
+			return fmt.Errorf("s4rpc: bad client entry %q (want id=key): %w", pair, types.ErrInval)
+		}
+		n, err := strconv.ParseUint(id, 10, 32)
+		if err != nil {
+			return fmt.Errorf("s4rpc: bad client id %q: %w", id, types.ErrInval)
+		}
+		k.AddClient(types.ClientID(n), []byte(key))
+	}
+	return nil
 }
 
 func (k *Keyring) verify(h *Hello, nonce []byte) bool {

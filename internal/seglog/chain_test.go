@@ -249,7 +249,7 @@ func TestRottedSealBehindStaleSnapshot(t *testing.T) {
 // the cleaner frees a segment behind a checkpoint, the open segment's
 // next summary and its seal name it, and the walk follows the log again.
 func TestChainWithNoFreeSuccessor(t *testing.T) {
-	dev := disk.NewFault(1 << 20)
+	dev := disk.New(disk.SmallDisk(1<<20), nil)
 	if err := Format(dev, Config{SegBlocks: 8, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestPropertyChainWalkMatchesProbe(t *testing.T) {
 	images, walked := 0, 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		dev := disk.NewFault(4 << 20)
+		dev := disk.New(disk.SmallDisk(4<<20), nil)
 		if err := Format(dev, Config{SegBlocks: 8, CheckpointBlocks: 4}); err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func sectorsOf(addr BlockAddr, s, n int) [2]int64 {
 // for the seal). Writing every block with any change in it — 4 KB for a
 // one-sector rewrite — fails every case.
 func TestSyncWritesOnlyDirtySectors(t *testing.T) {
-	wl := &writeLog{Device: disk.NewFault(8 << 20)}
+	wl := &writeLog{Device: disk.New(disk.SmallDisk(8<<20), nil)}
 	if err := Format(wl, Config{SegBlocks: 64, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
 	}

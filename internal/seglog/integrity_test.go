@@ -11,10 +11,10 @@ import (
 	"s4/internal/types"
 )
 
-// newFaultLog builds a log on a rot-capable FaultDisk.
-func newFaultLog(t testing.TB, segBlocks int) (*Log, *disk.FaultDisk) {
+// newFaultLog builds a log on a rot-capable memory Disk.
+func newFaultLog(t testing.TB, segBlocks int) (*Log, *disk.Disk) {
 	t.Helper()
-	dev := disk.NewFault(8 << 20)
+	dev := disk.New(disk.SmallDisk(8<<20), nil)
 	cfg := Config{SegBlocks: segBlocks, CheckpointBlocks: 4}
 	if err := Format(dev, cfg); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func newFaultLog(t testing.TB, segBlocks int) (*Log, *disk.FaultDisk) {
 const sectorsOfBlock = BlockSize / disk.SectorSize
 
 // rotBlock flips bits in every sector of the block at addr.
-func rotBlock(dev *disk.FaultDisk, addr BlockAddr) {
+func rotBlock(dev *disk.Disk, addr BlockAddr) {
 	for s := int64(0); s < sectorsOfBlock; s++ {
 		dev.RotSector(int64(addr)*sectorsOfBlock+s, 0x5A)
 	}
@@ -144,7 +144,7 @@ func TestVerifiedReadRepairsFromFlushBuffer(t *testing.T) {
 		t.Fatal("repaired segment must not be quarantined")
 	}
 
-	// The in-place rewrite replaced the rotting sectors (FaultDisk
+	// The in-place rewrite replaced the rotting sectors (a Disk
 	// clears rot on overwrite), so the media itself is healed: read the
 	// raw device and verify.
 	raw := make([]byte, BlockSize)

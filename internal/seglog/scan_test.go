@@ -406,7 +406,7 @@ func TestStaleSealedSummaryNeverShadowsSnapshot(t *testing.T) {
 // replayed every summary of the old log.
 func TestFormatWipesTheOldLog(t *testing.T) {
 	const sealed = 3
-	dev := disk.NewFault(8 << 20)
+	dev := disk.New(disk.SmallDisk(8<<20), nil)
 	cfg := Config{SegBlocks: 16, CheckpointBlocks: 4}
 	cnt := &readCounter{Device: dev}
 	dev.StartRecording()

@@ -333,6 +333,18 @@ func Format(dev disk.Device, cfg Config) error {
 	return nil
 }
 
+// Blank reports whether dev has never been formatted: the first eight
+// bytes of its superblock, the magic and the format version, are zero.
+// A failed read is an error, never "blank": Format over a used device
+// wipes its log, so a caller that cannot read sector 0 must not format.
+func Blank(dev disk.Device) (bool, error) {
+	buf := make([]byte, disk.SectorSize)
+	if err := dev.ReadSectors(0, buf); err != nil {
+		return false, fmt.Errorf("seglog: read superblock: %w", err)
+	}
+	return binary.LittleEndian.Uint64(buf) == 0, nil
+}
+
 func maxSegBlocks() int {
 	return (BlockSize - summaryHeaderSize) / summaryEntrySize
 }

@@ -61,6 +61,58 @@ func TestOpenRejectsUnformatted(t *testing.T) {
 	}
 }
 
+// TestBlank: a daemon formats an image only when Blank says it was never
+// formatted. A failed read of sector 0 must be an error, with nothing
+// written, or one EIO at start-up would wipe every version the image
+// holds.
+func TestBlank(t *testing.T) {
+	eio := errors.New("injected EIO")
+	for _, tc := range []struct {
+		name      string
+		formatted bool
+		fail      bool
+		want      bool
+	}{
+		{name: "formatted", formatted: true},
+		{name: "zero", want: true},
+		{name: "read error", formatted: true, fail: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fd, err := disk.OpenFile(t.TempDir()+"/blank.img", 8<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fd.Close()
+			if tc.formatted {
+				if err := Format(fd, Config{SegBlocks: 16, CheckpointBlocks: 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wl := &writeLog{Device: fd}
+			dev := disk.NewInjector(wl)
+			if tc.fail {
+				dev.FailAfter(0, eio)
+			}
+			blank, err := Blank(dev)
+			if tc.fail {
+				if !errors.Is(err, eio) || blank {
+					t.Fatalf("Blank over a failed read = %v, %v; want the read's error", blank, err)
+				}
+			} else if err != nil || blank != tc.want {
+				t.Fatalf("Blank = %v, %v; want %v", blank, err, tc.want)
+			}
+			if len(wl.writes) != 0 {
+				t.Fatalf("Blank wrote %v", wl.writes)
+			}
+			if tc.formatted {
+				if _, err := Open(fd); err != nil {
+					t.Fatalf("image no longer opens: %v", err)
+				}
+			}
+		})
+	}
+}
+
 func TestAppendReadRoundTrip(t *testing.T) {
 	l, _ := newLog(t, 8<<20)
 	data := bytes.Repeat([]byte{0xAB}, 1000)
@@ -294,7 +346,7 @@ func TestCheckpointIndexRoundTrip(t *testing.T) {
 // survives its CRC, so the slot must stay valid with index == nil — the
 // degrade-to-full-replay contract, never a rejected anchor.
 func TestCheckpointIndexTornDegradesToNil(t *testing.T) {
-	d := disk.NewFault(8 << 20)
+	d := disk.New(disk.SmallDisk(8<<20), nil)
 	if err := Format(d, Config{SegBlocks: 16, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +387,7 @@ func TestCheckpointIndexTornDegradesToNil(t *testing.T) {
 // and a crash before the next snapshot landed lost every acked entry
 // of the open segment.
 func TestPartialFlushCrashKeepsPriorSync(t *testing.T) {
-	fd := disk.NewFault(8 << 20)
+	fd := disk.New(disk.SmallDisk(8<<20), nil)
 	if err := Format(fd, Config{SegBlocks: 16, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +463,7 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 	// A crash can tear the checkpoint write mid-transfer. The torn slot
 	// fails its CRC and recovery must fall back to the older slot, not
 	// error out — that is what the alternating slots are for.
-	d := disk.NewFault(8 << 20)
+	d := disk.New(disk.SmallDisk(8<<20), nil)
 	if err := Format(d, Config{SegBlocks: 16, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
 	}

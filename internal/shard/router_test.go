@@ -28,7 +28,7 @@ type testCluster struct {
 	t      *testing.T
 	router routed
 	drives []*core.Drive
-	recs   []*disk.FaultDisk
+	recs   []*disk.Disk
 	clk    *vclock.Virtual
 	opts   core.Options
 	closed bool
@@ -59,7 +59,7 @@ func newTestCluster(t *testing.T, shards int, mod ...func(*Options)) *testCluste
 		ObjectCacheCount: 64,
 	}
 	for i := 0; i < shards; i++ {
-		rec := disk.NewFault(64 << 20)
+		rec := disk.New(disk.SmallDisk(64<<20), nil)
 		d, err := core.Format(rec, c.opts)
 		if err != nil {
 			t.Fatal(err)

@@ -464,7 +464,7 @@ func newSyncedTail(t *testing.T, cfg Config) *syncedTail {
 	return st
 }
 
-func (st *syncedTail) image(t *testing.T) *disk.FaultDisk {
+func (st *syncedTail) image(t *testing.T) *disk.Disk {
 	t.Helper()
 	img, err := st.w.rec.ImageAt(st.k)
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 // copyToFileDisk materializes a crash image onto a real preallocated
 // file, so the same oracle checks that run against the simulated device
 // run against the file backend byte-for-byte.
-func copyToFileDisk(t *testing.T, img *disk.FaultDisk, path string) *disk.FileDisk {
+func copyToFileDisk(t *testing.T, img *disk.Disk, path string) *disk.FileDisk {
 	t.Helper()
 	fd, err := disk.OpenFile(path, img.Capacity())
 	if err != nil {

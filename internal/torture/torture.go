@@ -3,8 +3,8 @@
 //
 // A seeded random workload (multiple clients issuing create / write /
 // append / truncate / setattr / setacl / delete / read, interleaved
-// with Sync, Checkpoint, and CleanOnce) runs over a recording fault
-// device (disk.FaultDisk) while an oracle mirrors every acknowledged
+// with Sync, Checkpoint, and CleanOnce) runs over a recording memory
+// device (disk.Disk) while an oracle mirrors every acknowledged
 // state change. The harness then materializes the crash image after
 // *every* acknowledged device write — plus, optionally, a torn prefix
 // of each multi-sector write — reopens the drive on it, and checks the

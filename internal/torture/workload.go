@@ -57,7 +57,7 @@ type syncMark struct {
 // judge any crash image of it.
 type run struct {
 	cfg     Config
-	rec     *disk.FaultDisk
+	rec     *disk.Disk
 	opts    core.Options
 	objects []*modelObject
 	audits  []auditExpect
@@ -91,7 +91,7 @@ func everyoneACL() []types.ACLEntry {
 // itself is an error (the harness, not the drive, is then broken).
 func runWorkload(cfg Config) (*run, error) {
 	clk := vclock.NewVirtual()
-	rec := disk.NewFault(cfg.DiskBytes)
+	rec := disk.New(disk.SmallDisk(cfg.DiskBytes), nil)
 	opts := core.Options{
 		Clock:                clk,
 		SegBlocks:            cfg.SegBlocks,

@@ -138,8 +138,8 @@ func TestDirCacheSurvivesChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interleave creates and removes; cache slots must stay coherent
-	// with the swap-last on-disk layout.
+	// Interleave creates and removes; the cache's slots and free slots
+	// must stay coherent with the zero records and shrinks on the drive.
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 40; i++ {
 			name := string(rune('a'+round)) + string(rune('0'+i%10)) + string(rune('0'+i/10))
@@ -189,6 +189,21 @@ func TestNameTooLong(t *testing.T) {
 	long := string(bytes.Repeat([]byte{'n'}, maxNameLen+1))
 	if _, _, err := fs.Create(fs.Root(), long, 0644); !errors.Is(err, types.ErrNameTooLong) {
 		t.Fatalf("long name: %v", err)
+	}
+	// A rename or a link to a long name fails too, and the file keeps
+	// its name: a record cannot hold the long one.
+	h, _, err := fs.Create(fs.Root(), "short", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Rename(fs.Root(), "short", fs.Root(), long); !errors.Is(err, types.ErrNameTooLong) {
+		t.Fatalf("rename to a long name: %v", err)
+	}
+	if err := fs.Link(h, fs.Root(), long); !errors.Is(err, types.ErrNameTooLong) {
+		t.Fatalf("link to a long name: %v", err)
+	}
+	if got, _, err := fs.Lookup(fs.Root(), "short"); err != nil || got != h {
+		t.Fatalf("short after failed renames: %v %v", got, err)
 	}
 }
 

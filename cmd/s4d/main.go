@@ -62,7 +62,6 @@ func main() {
 	connLimit := flag.Int("conn-limit", 0, "max concurrent connections per shard (0 = unlimited)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame I/O deadline, evicts stalled peers (0 disables)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain on shutdown: in-flight requests get their replies (0 = drop immediately)")
-	throttleHint := flag.Bool("throttle-hint", true, "surface abuse throttling as fast-fail retry-after hints instead of in-band delays")
 	flag.Parse()
 
 	if *adminKey == "" {
@@ -88,7 +87,9 @@ func main() {
 		log.Fatalf("s4d: -listen needs a numeric port with -shards: %v", err)
 	}
 
-	opts := core.Options{Window: *window, SurfaceThrottle: *throttleHint}
+	// History-pool penalties reach clients as ErrThrottled retry-after
+	// hints, so no worker sleeps them out.
+	opts := core.Options{Window: *window, SurfaceThrottle: true}
 	insts := make([]*instance, *shards)
 	for k := range insts {
 		in := &instance{image: *image}

@@ -56,7 +56,7 @@ func TestFaultSoakExactlyOnce(t *testing.T) {
 	if forced < 100 {
 		t.Fatalf("schedule forced only %d retries+reconnects, want >= 100 for a meaningful proof", forced)
 	}
-	if res.Fault.Cuts == 0 || res.Fault.Drops == 0 {
+	if res.Fault[0].Cuts == 0 || res.Fault[0].Drops == 0 {
 		t.Fatalf("fault mix degenerate: %+v", res.Fault)
 	}
 	t.Logf("soak result: %+v", res)

@@ -156,6 +156,48 @@ func TestVerifiedReadRepairsFromFlushBuffer(t *testing.T) {
 	}
 }
 
+// TestVerifiedReadRepairsAfterPartialFlush seals a segment, then
+// partially flushes the next one: the partial flush writes from the
+// staging buffer, so the sealed image the double-buffer retains is
+// still whole, and a rotted block of the sealed segment is repaired.
+func TestVerifiedReadRepairsAfterPartialFlush(t *testing.T) {
+	l, dev := newFaultLog(t, 8)
+	payload := l.PayloadBlocks()
+	addrs := make([]BlockAddr, 0, payload)
+	for i := 0; i < payload; i++ {
+		a, err := l.Append(KindData, 7, uint64(i), types.Timestamp(i+1),
+			bytes.Repeat([]byte{byte(i + 1)}, BlockSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+	}
+	next, err := l.Append(KindData, 8, 0, 100, bytes.Repeat([]byte{0xEE}, BlockSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	seg := l.SegOf(addrs[0])
+	if l.SegOf(next) == seg || l.CurrentSegment() != l.SegOf(next) {
+		t.Fatalf("block %d landed in segment %d, want the open one after sealed %d", next, l.SegOf(next), seg)
+	}
+
+	victim := addrs[4]
+	rotBlock(dev, victim)
+	buf := make([]byte, BlockSize)
+	if err := l.Read(victim, buf); err != nil {
+		t.Fatalf("read after a partial flush of the next segment: %v", err)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{5}, BlockSize)) {
+		t.Fatal("repaired read returned wrong bytes")
+	}
+	if det, rep, quar := l.IntegrityStats(); det != 0 || rep != 1 || quar != 0 {
+		t.Fatalf("want exactly one repair, got det=%d rep=%d quar=%d", det, rep, quar)
+	}
+}
+
 // TestV1SummaryRejected rewrites a sealed segment's summary in the
 // pre-checksum layout ("S4GS", no Sum column) with a valid CRC: it must
 // read as "not a summary", like any other junk, so no entry list that

@@ -663,7 +663,8 @@ func TestKindString(t *testing.T) {
 // TestReadRun covers the vectored read path in every staging state:
 // run wholly in the open segment's buffer, run settled on the device
 // (one I/O, counted), and the argument errors — empty run, short
-// buffer, summary address, and a run spanning segments.
+// buffer, summary address, a run spanning segments, and a run that
+// starts in the open segment's staged fill and ends past it.
 func TestReadRun(t *testing.T) {
 	l, d := newLog(t, 8<<20)
 	const n = 5
@@ -727,5 +728,8 @@ func TestReadRun(t *testing.T) {
 	span := l2.Config().SegBlocks
 	if err := l2.ReadRun(addrs[0], span, make([]byte, span*BlockSize)); err == nil {
 		t.Fatal("cross-segment run accepted")
+	}
+	if err := l.ReadRun(addrs[0], l.PayloadBlocks(), make([]byte, l.PayloadBlocks()*BlockSize)); !errors.Is(err, types.ErrInval) {
+		t.Fatalf("run past the staged fill: %v, want ErrInval", err)
 	}
 }

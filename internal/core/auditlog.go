@@ -20,48 +20,26 @@ import (
 // reserved audit object, which only the drive front end may write
 // (§4.2.3). Audit blocks are not versioned.
 
-// Errno maps drive errors to stable audit/RPC codes; 255 stands for any
-// error without a code of its own.
+// errnos is the stable audit/RPC code of each drive error: code i
+// stands for errnos[i], and 0 for success. The codes are on the medium
+// and on the wire, so a new error is only ever appended.
+var errnos = [...]error{
+	nil, types.ErrNoObject, types.ErrExist, types.ErrPerm, types.ErrAdminOnly, // 0-4
+	types.ErrNoVersion, types.ErrInval, types.ErrNoSpace, types.ErrHistoryFull, types.ErrThrottled, // 5-9
+	types.ErrNameTooLong, types.ErrNotEmpty, types.ErrCorrupt, types.ErrReadOnly, types.ErrBadHandle, // 10-14
+	types.ErrAuthFailed, types.ErrTooLarge, types.ErrDriveStopped, types.ErrBusy, // 15-18
+}
+
+// Errno maps drive errors to stable audit/RPC codes: the lowest code
+// whose error err wraps, or 255 for an error without a code of its own.
 func Errno(err error) uint8 {
-	switch {
-	case err == nil:
+	if err == nil {
 		return 0
-	case errors.Is(err, types.ErrNoObject):
-		return 1
-	case errors.Is(err, types.ErrExist):
-		return 2
-	case errors.Is(err, types.ErrPerm):
-		return 3
-	case errors.Is(err, types.ErrAdminOnly):
-		return 4
-	case errors.Is(err, types.ErrNoVersion):
-		return 5
-	case errors.Is(err, types.ErrInval):
-		return 6
-	case errors.Is(err, types.ErrNoSpace):
-		return 7
-	case errors.Is(err, types.ErrHistoryFull):
-		return 8
-	case errors.Is(err, types.ErrThrottled):
-		return 9
-	case errors.Is(err, types.ErrNameTooLong):
-		return 10
-	case errors.Is(err, types.ErrNotEmpty):
-		return 11
-	case errors.Is(err, types.ErrCorrupt):
-		return 12
-	case errors.Is(err, types.ErrReadOnly):
-		return 13
-	case errors.Is(err, types.ErrBadHandle):
-		return 14
-	case errors.Is(err, types.ErrAuthFailed):
-		return 15
-	case errors.Is(err, types.ErrTooLarge):
-		return 16
-	case errors.Is(err, types.ErrDriveStopped):
-		return 17
-	case errors.Is(err, types.ErrBusy):
-		return 18
+	}
+	for i, e := range errnos[1:] {
+		if errors.Is(err, e) {
+			return uint8(i + 1)
+		}
 	}
 	return 255
 }
@@ -72,45 +50,8 @@ var errRemote = errors.New("s4: remote error")
 
 // ErrnoToError is the inverse of the audit/RPC error mapping.
 func ErrnoToError(code uint8) error {
-	switch code {
-	case 0:
-		return nil
-	case 1:
-		return types.ErrNoObject
-	case 2:
-		return types.ErrExist
-	case 3:
-		return types.ErrPerm
-	case 4:
-		return types.ErrAdminOnly
-	case 5:
-		return types.ErrNoVersion
-	case 6:
-		return types.ErrInval
-	case 7:
-		return types.ErrNoSpace
-	case 8:
-		return types.ErrHistoryFull
-	case 9:
-		return types.ErrThrottled
-	case 10:
-		return types.ErrNameTooLong
-	case 11:
-		return types.ErrNotEmpty
-	case 12:
-		return types.ErrCorrupt
-	case 13:
-		return types.ErrReadOnly
-	case 14:
-		return types.ErrBadHandle
-	case 15:
-		return types.ErrAuthFailed
-	case 16:
-		return types.ErrTooLarge
-	case 17:
-		return types.ErrDriveStopped
-	case 18:
-		return types.ErrBusy
+	if int(code) < len(errnos) {
+		return errnos[code]
 	}
 	return errRemote
 }

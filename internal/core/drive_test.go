@@ -756,7 +756,7 @@ func TestErrnoTable(t *testing.T) {
 		}
 	}
 	if defined != 19 {
-		t.Fatalf("%d codes defined, want 19 (0 and ErrNoObject..ErrBusy): a new code needs both switches", defined)
+		t.Fatalf("%d codes defined, want 19 (0 and ErrNoObject..ErrBusy): a new code is one errnos entry", defined)
 	}
 	if !errors.Is(ErrnoToError(200), ErrnoToError(201)) {
 		t.Fatal("unknown codes decode to different errors")

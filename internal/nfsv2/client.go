@@ -1,7 +1,6 @@
 package nfsv2
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"s4/internal/fsys"
@@ -42,27 +41,24 @@ func Status(err error) (uint32, bool) {
 	return 0, false
 }
 
+// call issues one procedure and reads the status every reply this client
+// decodes opens with; the rest is the caller's to decode.
 func (c *Client) call(prog, vers, proc uint32, args *xdr.Encoder) (*xdr.Decoder, error) {
 	d, err := c.rpc.Call(prog, vers, proc, args.Bytes())
 	if err != nil {
 		return nil, err
 	}
+	switch st := d.Uint32(); {
+	case d.Err() != nil:
+		return nil, d.Err()
+	case st != OK:
+		return nil, nfsError(st)
+	}
 	return d, nil
 }
 
 func (c *Client) nfsCall(proc uint32, args *xdr.Encoder) (*xdr.Decoder, error) {
-	d, err := c.call(ProgNFS, VersNFS, proc, args)
-	if err != nil {
-		return nil, err
-	}
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if st != OK {
-		return nil, nfsError(st)
-	}
-	return d, nil
+	return c.call(ProgNFS, VersNFS, proc, args)
 }
 
 // Mount resolves the export path to its root handle.
@@ -73,33 +69,11 @@ func (c *Client) Mount(path string) (fsys.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	st, err := d.Uint32()
-	if err != nil {
-		return 0, err
-	}
-	if st != OK {
-		return 0, nfsError(st)
-	}
-	return readFH(d)
+	return decodeFH(d), d.Err()
 }
 
-func readFH(d *xdr.Decoder) (fsys.Handle, error) {
-	b, err := d.OpaqueFixed(FHSize)
-	if err != nil {
-		return 0, err
-	}
-	return fsys.Handle(binary.BigEndian.Uint64(b[:8])), nil
-}
-
-// skipFattr consumes a fattr structure (17 words).
-func skipFattr(d *xdr.Decoder) error {
-	for i := 0; i < 17; i++ {
-		if _, err := d.Uint32(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// fattrSize is a fattr's length on the wire: 17 words.
+const fattrSize = 17 * 4
 
 // Attr is the client-side view of a fattr.
 type Attr struct {
@@ -110,33 +84,13 @@ type Attr struct {
 	Size  uint32
 }
 
-func readFattr(d *xdr.Decoder) (Attr, error) {
-	var a Attr
-	var err error
-	if a.Type, err = d.Uint32(); err != nil {
-		return a, err
-	}
-	if a.Mode, err = d.Uint32(); err != nil {
-		return a, err
-	}
-	if a.Nlink, err = d.Uint32(); err != nil {
-		return a, err
-	}
-	if a.UID, err = d.Uint32(); err != nil {
-		return a, err
-	}
-	if _, err = d.Uint32(); err != nil { // gid
-		return a, err
-	}
-	if a.Size, err = d.Uint32(); err != nil {
-		return a, err
-	}
-	for i := 0; i < 11; i++ { // blocksize..ctime
-		if _, err = d.Uint32(); err != nil {
-			return a, err
-		}
-	}
-	return a, nil
+// decodeAttr reads a fattr into an Attr, skipping what Attr leaves out.
+func decodeAttr(d *xdr.Decoder) Attr {
+	a := Attr{Type: d.Uint32(), Mode: d.Uint32(), Nlink: d.Uint32(), UID: d.Uint32()}
+	d.Uint32() // gid
+	a.Size = d.Uint32()
+	d.OpaqueFixed(fattrSize - 6*4) // blocksize..ctime
+	return a
 }
 
 // GetAttr fetches a node's attributes.
@@ -147,7 +101,7 @@ func (c *Client) GetAttr(h fsys.Handle) (Attr, error) {
 	if err != nil {
 		return Attr{}, err
 	}
-	return readFattr(d)
+	return decodeAttr(d), d.Err()
 }
 
 // Lookup resolves name in dir.
@@ -159,12 +113,8 @@ func (c *Client) Lookup(dir fsys.Handle, name string) (fsys.Handle, Attr, error)
 	if err != nil {
 		return 0, Attr{}, err
 	}
-	h, err := readFH(d)
-	if err != nil {
-		return 0, Attr{}, err
-	}
-	a, err := readFattr(d)
-	return h, a, err
+	h, a := decodeFH(d), decodeAttr(d)
+	return h, a, d.Err()
 }
 
 // Create makes a regular file.
@@ -177,7 +127,7 @@ func (c *Client) Create(dir fsys.Handle, name string, mode uint32) (fsys.Handle,
 	if err != nil {
 		return 0, err
 	}
-	return readFH(d)
+	return decodeFH(d), d.Err()
 }
 
 // Mkdir makes a directory.
@@ -190,7 +140,7 @@ func (c *Client) Mkdir(dir fsys.Handle, name string, mode uint32) (fsys.Handle, 
 	if err != nil {
 		return 0, err
 	}
-	return readFH(d)
+	return decodeFH(d), d.Err()
 }
 
 func writeSattr(e *xdr.Encoder, mode uint32) {
@@ -239,12 +189,10 @@ func (c *Client) Read(h fsys.Handle, off, count uint32) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := skipFattr(d); err != nil {
-			return nil, err
-		}
-		data, err := d.Opaque(MaxData + 16)
-		if err != nil {
-			return nil, err
+		d.OpaqueFixed(fattrSize)
+		data := d.Opaque(MaxData + 16)
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		out = append(out, data...)
 		if uint32(len(data)) < n {
@@ -272,39 +220,20 @@ func (c *Client) ReadDir(dir fsys.Handle) ([]string, error) {
 	for {
 		e := xdr.NewEncoder()
 		encodeFH(e, dir)
-		var cb [CookieSize]byte
-		binary.BigEndian.PutUint32(cb[:], cookie)
-		e.OpaqueFixed(cb[:])
+		e.Uint32(cookie)
 		e.Uint32(2048)
 		d, err := c.nfsCall(ProcReaddir, e)
 		if err != nil {
 			return nil, err
 		}
-		for {
-			more, err := d.Bool()
-			if err != nil {
-				return nil, err
-			}
-			if !more {
-				break
-			}
-			if _, err := d.Uint32(); err != nil { // fileid
-				return nil, err
-			}
-			name, err := d.String(MaxName)
-			if err != nil {
-				return nil, err
-			}
-			ck, err := d.OpaqueFixed(CookieSize)
-			if err != nil {
-				return nil, err
-			}
-			cookie = binary.BigEndian.Uint32(ck)
-			names = append(names, name)
+		for d.Bool() { // an entry follows
+			d.Uint32() // fileid
+			names = append(names, d.String(MaxName))
+			cookie = d.Uint32()
 		}
-		eof, err := d.Bool()
-		if err != nil {
-			return nil, err
+		eof := d.Bool()
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		if eof {
 			return names, nil

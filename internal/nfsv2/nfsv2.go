@@ -112,12 +112,12 @@ func encodeFH(e *xdr.Encoder, h fsys.Handle) {
 	e.OpaqueFixed(fh[:])
 }
 
-func decodeFH(d *xdr.Decoder) (fsys.Handle, error) {
-	b, err := d.OpaqueFixed(FHSize)
-	if err != nil {
-		return 0, err
-	}
-	return fsys.Handle(binary.BigEndian.Uint64(b[:8])), nil
+// decodeFH reads a handle encodeFH wrote: its first 8 bytes, then the
+// rest of the 32, which are not checked.
+func decodeFH(d *xdr.Decoder) fsys.Handle {
+	h := fsys.Handle(d.Uint64())
+	d.OpaqueFixed(FHSize - 8)
+	return h
 }
 
 // ftype values of RFC 1094.
@@ -170,28 +170,10 @@ type sattr struct {
 	mode, uid, gid, size uint32
 }
 
-func decodeSattr(d *xdr.Decoder) (sattr, error) {
-	var s sattr
-	var err error
-	if s.mode, err = d.Uint32(); err != nil {
-		return s, err
-	}
-	if s.uid, err = d.Uint32(); err != nil {
-		return s, err
-	}
-	if s.gid, err = d.Uint32(); err != nil {
-		return s, err
-	}
-	if s.size, err = d.Uint32(); err != nil {
-		return s, err
-	}
-	// atime, mtime (2 words each), ignored.
-	for i := 0; i < 4; i++ {
-		if _, err = d.Uint32(); err != nil {
-			return s, err
-		}
-	}
-	return s, nil
+func decodeSattr(d *xdr.Decoder) sattr {
+	s := sattr{d.Uint32(), d.Uint32(), d.Uint32(), d.Uint32()}
+	d.OpaqueFixed(4 * 4) // atime, mtime (2 words each), ignored
+	return s
 }
 
 func (s sattr) apply() fsys.SetAttr {
@@ -250,231 +232,164 @@ func (s *Server) mountHandler(proc uint32, cred oncrpc.Cred, d *xdr.Decoder, e *
 	switch proc {
 	case MountProcNull:
 		return oncrpc.AcceptSuccess
-	case MountProcMnt:
-		path, err := d.String(MaxPath)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		if path != s.export {
-			e.Uint32(ErrNoEnt)
-			return oncrpc.AcceptSuccess
-		}
+	case MountProcMnt, MountProcUmnt:
+	default:
+		return oncrpc.AcceptProcUnavail
+	}
+	path := d.String(MaxPath)
+	switch {
+	case d.Err() != nil:
+		return oncrpc.AcceptGarbageArgs
+	case proc == MountProcUmnt:
+	case path != s.export:
+		e.Uint32(ErrNoEnt)
+	default:
 		e.Uint32(OK)
 		encodeFH(e, s.fs.Root())
-		return oncrpc.AcceptSuccess
-	case MountProcUmnt:
-		if _, err := d.String(MaxPath); err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		return oncrpc.AcceptSuccess
 	}
-	return oncrpc.AcceptProcUnavail
+	return oncrpc.AcceptSuccess
+}
+
+// args holds one NFS call's arguments: each procedure decodes the ones
+// it takes.
+type args struct {
+	fh, dir, toDir fsys.Handle
+	name, toName   string
+	path           string // SYMLINK's target
+	off, count     uint32 // READDIR's cookie and byte budget are off and count
+	data           []byte // a view of the datagram
+	sa             sattr
+}
+
+// decodeArgs reads proc's whole argument list, leaving the check of
+// d.Err() to its caller; it reports false for a procedure NFSv2 does not
+// have.
+func decodeArgs(proc uint32, d *xdr.Decoder) (a args, ok bool) {
+	switch proc {
+	case ProcNull:
+	case ProcGetattr, ProcReadlink, ProcStatfs:
+		a.fh = decodeFH(d)
+	case ProcSetattr:
+		a.fh, a.sa = decodeFH(d), decodeSattr(d)
+	case ProcLookup, ProcRemove, ProcRmdir:
+		a.dir, a.name = decodeFH(d), d.String(MaxName)
+	case ProcCreate, ProcMkdir:
+		a.dir, a.name, a.sa = decodeFH(d), d.String(MaxName), decodeSattr(d)
+	case ProcSymlink:
+		a.dir, a.name, a.path = decodeFH(d), d.String(MaxName), d.String(MaxPath)
+		decodeSattr(d) // ignored
+	case ProcRename:
+		a.dir, a.name, a.toDir, a.toName = decodeFH(d), d.String(MaxName), decodeFH(d), d.String(MaxName)
+	case ProcLink:
+		a.fh, a.dir, a.name = decodeFH(d), decodeFH(d), d.String(MaxName)
+	case ProcRead:
+		a.fh, a.off, a.count = decodeFH(d), d.Uint32(), d.Uint32()
+		d.Uint32() // totalcount (unused)
+	case ProcWrite:
+		a.fh = decodeFH(d)
+		d.Uint32() // beginoffset (unused)
+		a.off = d.Uint32()
+		d.Uint32() // totalcount (unused)
+		a.data = d.Opaque(MaxData + 16)
+	case ProcReaddir:
+		// The cookie is a 4-byte opaque: the big-endian index the
+		// previous reply wrote.
+		a.fh, a.off, a.count = decodeFH(d), d.Uint32(), d.Uint32()
+	default:
+		return a, false
+	}
+	return a, true
+}
+
+// reply encodes err's NFS status and reports whether it is OK, so the
+// procedure's results follow.
+func reply(e *xdr.Encoder, err error) bool {
+	st := statusOf(err)
+	e.Uint32(st)
+	return st == OK
 }
 
 func (s *Server) nfsHandler(proc uint32, cred oncrpc.Cred, d *xdr.Decoder, e *xdr.Encoder) uint32 {
+	a, ok := decodeArgs(proc, d)
+	switch {
+	case !ok:
+		return oncrpc.AcceptProcUnavail
+	case d.Err() != nil:
+		return oncrpc.AcceptGarbageArgs
+	}
 	switch proc {
-	case ProcNull:
-		return oncrpc.AcceptSuccess
 	case ProcGetattr:
-		h, err := decodeFH(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
+		attr, err := s.fs.GetAttr(a.fh)
+		if reply(e, err) {
+			encodeFattr(e, a.fh, attr)
 		}
-		a, err := s.fs.GetAttr(h)
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		e.Uint32(OK)
-		encodeFattr(e, h, a)
 	case ProcSetattr:
-		h, err := decodeFH(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
+		attr, err := s.fs.SetAttr(a.fh, a.sa.apply())
+		if reply(e, err) {
+			encodeFattr(e, a.fh, attr)
 		}
-		sa, err := decodeSattr(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		a, err := s.fs.SetAttr(h, sa.apply())
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		e.Uint32(OK)
-		encodeFattr(e, h, a)
 	case ProcLookup:
-		dir, name, ok := dirop(d)
-		if !ok {
-			return oncrpc.AcceptGarbageArgs
+		h, attr, err := s.fs.Lookup(a.dir, a.name)
+		if reply(e, err) {
+			encodeFH(e, h)
+			encodeFattr(e, h, attr)
 		}
-		h, a, err := s.fs.Lookup(dir, name)
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		e.Uint32(OK)
-		encodeFH(e, h)
-		encodeFattr(e, h, a)
 	case ProcReadlink:
-		h, err := decodeFH(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
+		target, err := s.fs.ReadLink(a.fh)
+		if reply(e, err) {
+			e.String(target)
 		}
-		target, err := s.fs.ReadLink(h)
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		e.Uint32(OK)
-		e.String(target)
 	case ProcRead:
-		h, err := decodeFH(d)
+		data, err := s.fs.Read(a.fh, uint64(a.off), int(min(a.count, MaxData)))
 		if err != nil {
-			return oncrpc.AcceptGarbageArgs
+			reply(e, err)
+			break
 		}
-		off, _ := d.Uint32()
-		count, _ := d.Uint32()
-		if _, err := d.Uint32(); err != nil { // totalcount (unused)
-			return oncrpc.AcceptGarbageArgs
+		attr, err := s.fs.GetAttr(a.fh)
+		if reply(e, err) {
+			encodeFattr(e, a.fh, attr)
+			e.Opaque(data)
 		}
-		if count > MaxData {
-			count = MaxData
-		}
-		data, err := s.fs.Read(h, uint64(off), int(count))
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		a, err := s.fs.GetAttr(h)
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		e.Uint32(OK)
-		encodeFattr(e, h, a)
-		e.Opaque(data)
 	case ProcWrite:
-		h, err := decodeFH(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
+		// Copied: a FileSys may keep what it is handed, and the data is
+		// a view of the datagram, which the next call overwrites.
+		if err := s.fs.Write(a.fh, uint64(a.off), append([]byte(nil), a.data...)); err != nil {
+			reply(e, err)
+			break
 		}
-		if _, err := d.Uint32(); err != nil { // beginoffset (unused)
-			return oncrpc.AcceptGarbageArgs
+		attr, err := s.fs.GetAttr(a.fh)
+		if reply(e, err) {
+			encodeFattr(e, a.fh, attr)
 		}
-		off, _ := d.Uint32()
-		if _, err := d.Uint32(); err != nil { // totalcount (unused)
-			return oncrpc.AcceptGarbageArgs
-		}
-		data, err := d.Opaque(MaxData + 16)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		werr := s.fs.Write(h, uint64(off), data)
-		if st := statusOf(werr); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		a, err := s.fs.GetAttr(h)
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		e.Uint32(OK)
-		encodeFattr(e, h, a)
 	case ProcCreate, ProcMkdir:
-		dir, name, ok := dirop(d)
-		if !ok {
-			return oncrpc.AcceptGarbageArgs
+		mk := s.fs.Create
+		if proc == ProcMkdir {
+			mk = s.fs.Mkdir
 		}
-		sa, err := decodeSattr(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
+		h, attr, err := mk(a.dir, a.name, a.sa.mode&07777)
+		if reply(e, err) {
+			encodeFH(e, h)
+			encodeFattr(e, h, attr)
 		}
-		mode := sa.mode & 07777
-		var h fsys.Handle
-		var a fsys.Attr
-		if proc == ProcCreate {
-			h, a, err = s.fs.Create(dir, name, mode)
-		} else {
-			h, a, err = s.fs.Mkdir(dir, name, mode)
-		}
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
-		}
-		e.Uint32(OK)
-		encodeFH(e, h)
-		encodeFattr(e, h, a)
-	case ProcRemove, ProcRmdir:
-		dir, name, ok := dirop(d)
-		if !ok {
-			return oncrpc.AcceptGarbageArgs
-		}
-		var err error
-		if proc == ProcRemove {
-			err = s.fs.Remove(dir, name)
-		} else {
-			err = s.fs.Rmdir(dir, name)
-		}
-		e.Uint32(statusOf(err))
+	case ProcRemove:
+		reply(e, s.fs.Remove(a.dir, a.name))
+	case ProcRmdir:
+		reply(e, s.fs.Rmdir(a.dir, a.name))
 	case ProcRename:
-		fromDir, fromName, ok := dirop(d)
-		if !ok {
-			return oncrpc.AcceptGarbageArgs
-		}
-		toDir, toName, ok := dirop(d)
-		if !ok {
-			return oncrpc.AcceptGarbageArgs
-		}
-		e.Uint32(statusOf(s.fs.Rename(fromDir, fromName, toDir, toName)))
+		reply(e, s.fs.Rename(a.dir, a.name, a.toDir, a.toName))
 	case ProcLink:
-		h, err := decodeFH(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		dir, name, ok := dirop(d)
-		if !ok {
-			return oncrpc.AcceptGarbageArgs
-		}
-		e.Uint32(statusOf(s.fs.Link(h, dir, name)))
+		reply(e, s.fs.Link(a.fh, a.dir, a.name))
 	case ProcSymlink:
-		dir, name, ok := dirop(d)
-		if !ok {
-			return oncrpc.AcceptGarbageArgs
-		}
-		target, err := d.String(MaxPath)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		if _, err := decodeSattr(d); err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		_, serr := s.fs.Symlink(dir, name, target)
-		e.Uint32(statusOf(serr))
+		_, err := s.fs.Symlink(a.dir, a.name, a.path)
+		reply(e, err)
 	case ProcReaddir:
-		dir, err := decodeFH(d)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		cookieB, err := d.OpaqueFixed(CookieSize)
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
-		cookie := binary.BigEndian.Uint32(cookieB)
-		ents, err := s.fs.ReadDir(dir)
-		if st := statusOf(err); st != OK {
-			e.Uint32(st)
-			return oncrpc.AcceptSuccess
+		ents, err := s.fs.ReadDir(a.fh)
+		if !reply(e, err) {
+			break
 		}
 		sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })
-		e.Uint32(OK)
-		budget := int(count)
-		i := int(cookie)
+		budget := int(a.count)
+		i := int(a.off)
 		for ; i < len(ents); i++ {
 			need := 4 + 4 + len(ents[i].Name) + 8 + CookieSize
 			if budget < need+8 {
@@ -484,42 +399,19 @@ func (s *Server) nfsHandler(proc uint32, cred oncrpc.Cred, d *xdr.Decoder, e *xd
 			e.Bool(true) // value follows
 			e.Uint32(uint32(ents[i].Handle))
 			e.String(ents[i].Name)
-			var cb [CookieSize]byte
-			binary.BigEndian.PutUint32(cb[:], uint32(i+1))
-			e.OpaqueFixed(cb[:])
+			e.Uint32(uint32(i + 1)) // cookie
 		}
 		e.Bool(false)          // no more entries in this reply
 		e.Bool(i >= len(ents)) // eof
 	case ProcStatfs:
-		if _, err := decodeFH(d); err != nil {
-			return oncrpc.AcceptGarbageArgs
-		}
 		st, err := s.fs.StatFS()
-		if code := statusOf(err); code != OK {
-			e.Uint32(code)
-			return oncrpc.AcceptSuccess
+		if reply(e, err) {
+			e.Uint32(MaxData)                                 // tsize
+			e.Uint32(types.BlockSize)                         // bsize
+			e.Uint32(uint32(st.TotalBytes / types.BlockSize)) // blocks
+			e.Uint32(uint32(st.FreeBytes / types.BlockSize))  // bfree
+			e.Uint32(uint32(st.FreeBytes / types.BlockSize))  // bavail
 		}
-		e.Uint32(OK)
-		e.Uint32(MaxData)                                 // tsize
-		e.Uint32(types.BlockSize)                         // bsize
-		e.Uint32(uint32(st.TotalBytes / types.BlockSize)) // blocks
-		e.Uint32(uint32(st.FreeBytes / types.BlockSize))  // bfree
-		e.Uint32(uint32(st.FreeBytes / types.BlockSize))  // bavail
-	default:
-		return oncrpc.AcceptProcUnavail
 	}
 	return oncrpc.AcceptSuccess
-}
-
-// dirop decodes the (fhandle, name) pair common to directory operations.
-func dirop(d *xdr.Decoder) (fsys.Handle, string, bool) {
-	h, err := decodeFH(d)
-	if err != nil {
-		return 0, "", false
-	}
-	name, err := d.String(MaxName)
-	if err != nil {
-		return 0, "", false
-	}
-	return h, name, true
 }

@@ -31,6 +31,13 @@ const (
 	replyDenied   = 1
 )
 
+// Reject status, and the auth status an AUTH_ERROR carries.
+const (
+	rejectRPCMismatch = 0
+	rejectAuthError   = 1
+	authBadCred       = 1
+)
+
 // Accept status.
 const (
 	AcceptSuccess      = 0
@@ -154,31 +161,17 @@ func (s *Server) isClosed() bool {
 // in e's buffer, which it reuses: the reply is valid until the next call.
 func (s *Server) handle(pkt []byte, e *xdr.Encoder) []byte {
 	d := xdr.NewDecoder(pkt)
-	xid, err := d.Uint32()
-	if err != nil {
+	xid, mtype := d.Uint32(), d.Uint32()
+	if d.Err() != nil || mtype != msgCall {
 		return nil
 	}
-	mtype, err := d.Uint32()
-	if err != nil || mtype != msgCall {
-		return nil
+	rpcvers, prog, vers, proc := d.Uint32(), d.Uint32(), d.Uint32(), d.Uint32()
+	if d.Err() != nil || rpcvers != 2 {
+		return deny(e, xid, rejectRPCMismatch, 2, 2)
 	}
-	rpcvers, _ := d.Uint32()
-	prog, _ := d.Uint32()
-	vers, _ := d.Uint32()
-	proc, err := d.Uint32()
-	if err != nil || rpcvers != 2 {
-		return denied(xid)
-	}
-	cred, err := decodeAuth(d)
-	if err != nil {
-		return denied(xid)
-	}
-	// Verifier: flavor + opaque, ignored.
-	if _, err := d.Uint32(); err != nil {
-		return denied(xid)
-	}
-	if _, err := d.OpaqueRef(400); err != nil {
-		return denied(xid)
+	cred := decodeAuth(d)
+	if d.Err() != nil {
+		return deny(e, xid, rejectAuthError, authBadCred)
 	}
 
 	s.mu.Lock()
@@ -210,44 +203,33 @@ func (s *Server) handle(pkt []byte, e *xdr.Encoder) []byte {
 	return reply
 }
 
-func decodeAuth(d *xdr.Decoder) (Cred, error) {
-	var c Cred
-	flavor, err := d.Uint32()
-	if err != nil {
-		return c, err
-	}
-	c.Flavor = flavor
-	body, err := d.OpaqueRef(400) // parsed here, never kept
-	if err != nil {
-		return c, err
-	}
-	if flavor == AuthUnix {
+// decodeAuth reads a call's credential and its verifier, which is read
+// and ignored. An AUTH_UNIX body that does not decode latches d.
+func decodeAuth(d *xdr.Decoder) Cred {
+	c := Cred{Flavor: d.Uint32()}
+	body := d.Opaque(400) // parsed here, never kept
+	d.Uint32()            // verifier flavor
+	d.Opaque(400)         // verifier body
+	if c.Flavor == AuthUnix {
 		ad := xdr.NewDecoder(body)
-		if _, err := ad.Uint32(); err != nil { // stamp
-			return c, err
-		}
-		if c.Machine, err = ad.String(255); err != nil {
-			return c, err
-		}
-		if c.UID, err = ad.Uint32(); err != nil {
-			return c, err
-		}
-		if c.GID, err = ad.Uint32(); err != nil {
-			return c, err
-		}
+		ad.Uint32() // stamp
+		c.Machine, c.UID, c.GID = ad.String(255), ad.Uint32(), ad.Uint32()
 		// Auxiliary gids ignored.
+		d.Fail(ad.Err())
 	}
-	return c, nil
+	return c
 }
 
-func denied(xid uint32) []byte {
-	e := xdr.NewEncoder()
+// deny encodes a MSG_DENIED reply in e: the reject status and the words
+// of its body.
+func deny(e *xdr.Encoder, xid uint32, body ...uint32) []byte {
+	e.Reset(e.Bytes()[:0])
 	e.Uint32(xid)
 	e.Uint32(msgReply)
 	e.Uint32(replyDenied)
-	e.Uint32(0) // RPC_MISMATCH
-	e.Uint32(2)
-	e.Uint32(2)
+	for _, w := range body {
+		e.Uint32(w)
+	}
 	return e.Bytes()
 }
 
@@ -313,29 +295,21 @@ func (c *Client) Call(prog, vers, proc uint32, args []byte) (*xdr.Decoder, error
 	if err != nil {
 		return nil, err
 	}
-	// The decoder outlives the lock, and its opaques may alias its input.
+	// The decoder outlives the lock, and its opaques alias its input.
 	d := xdr.NewDecoder(bytes.Clone(c.rbuf[:n]))
-	xid, err := d.Uint32()
-	if err != nil || xid != c.xid {
+	xid, mtype, rstat := d.Uint32(), d.Uint32(), d.Uint32()
+	d.Uint32()    // verifier flavor
+	d.Opaque(400) // verifier body
+	switch stat := d.Uint32(); {
+	case xid != c.xid:
 		return nil, fmt.Errorf("oncrpc: xid mismatch")
-	}
-	if mt, _ := d.Uint32(); mt != msgReply {
+	case mtype != msgReply:
 		return nil, fmt.Errorf("oncrpc: not a reply")
-	}
-	if st, _ := d.Uint32(); st != replyAccepted {
+	case rstat != replyAccepted:
 		return nil, fmt.Errorf("oncrpc: call denied")
-	}
-	if _, err := d.Uint32(); err != nil { // verifier flavor
-		return nil, err
-	}
-	if _, err := d.Opaque(400); err != nil { // verifier body
-		return nil, err
-	}
-	stat, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if stat != AcceptSuccess {
+	case d.Err() != nil:
+		return nil, d.Err()
+	case stat != AcceptSuccess:
 		return nil, fmt.Errorf("oncrpc: accept status %d", stat)
 	}
 	return d, nil

@@ -1,6 +1,7 @@
 package oncrpc
 
 import (
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -20,8 +21,8 @@ func startEcho(t *testing.T) (*Server, string) {
 		case 0:
 			return AcceptSuccess
 		case 1: // echo string + report uid
-			msg, err := d.String(1024)
-			if err != nil {
+			msg := d.String(1024)
+			if d.Err() != nil {
 				return AcceptGarbageArgs
 			}
 			e.String(msg)
@@ -55,13 +56,13 @@ func TestCallEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.String(1024)
-	if err != nil || got != "ping over ONC RPC" {
-		t.Fatal(got, err)
+	got := d.String(1024)
+	if d.Err() != nil || got != "ping over ONC RPC" {
+		t.Fatal(got, d.Err())
 	}
-	uid, err := d.Uint32()
-	if err != nil || uid != 777 {
-		t.Fatalf("AUTH_UNIX uid did not arrive: %d %v", uid, err)
+	uid := d.Uint32()
+	if d.Err() != nil || uid != 777 {
+		t.Fatalf("AUTH_UNIX uid did not arrive: %d %v", uid, d.Err())
 	}
 }
 
@@ -89,5 +90,47 @@ func TestUnknownProgramAndProc(t *testing.T) {
 	}
 	if _, err := c.Call(testProg, testVers, 42, nil); err == nil {
 		t.Fatal("unknown procedure accepted")
+	}
+}
+
+// TestBadCredentialIsAuthError: a call whose AUTH_UNIX body holds only
+// the stamp is refused as MSG_DENIED / AUTH_ERROR / AUTH_BADCRED (RFC
+// 1057 §9), not as a version mismatch; a call of another RPC version
+// still gets RPC_MISMATCH (2..2).
+func TestBadCredentialIsAuthError(t *testing.T) {
+	s, _ := startEcho(t)
+	call := func(rpcvers uint32, credBody []byte) []byte {
+		e := xdr.NewEncoder()
+		e.Uint32(5) // xid
+		e.Uint32(msgCall)
+		e.Uint32(rpcvers)
+		e.Uint32(testProg)
+		e.Uint32(testVers)
+		e.Uint32(0)
+		e.Uint32(AuthUnix)
+		e.Opaque(credBody)
+		e.Uint32(AuthNull) // verifier
+		e.Uint32(0)
+		return e.Bytes()
+	}
+	whole := xdr.NewEncoder()
+	whole.Uint32(0) // stamp
+	whole.String("client.example")
+	whole.Uint32(1000)
+	whole.Uint32(100)
+	whole.Uint32(0) // no aux gids
+	for _, c := range []struct {
+		name string
+		pkt  []byte
+		want string
+	}{
+		{"stamp only", call(2, []byte{0, 0, 0, 0}), "00000005" + "00000001" + "00000001" + "00000001" + "00000001"},
+		{"rpc version 3", call(3, whole.Bytes()), "00000005" + "00000001" + "00000001" + "00000000" + "00000002" + "00000002"},
+		{"well formed", call(2, whole.Bytes()), "00000005" + "00000001" + "00000000" + "00000000" + "00000000" + "00000000"},
+	} {
+		var e xdr.Encoder
+		if got := hex.EncodeToString(s.handle(c.pkt, &e)); got != c.want {
+			t.Errorf("%s: reply %s, want %s", c.name, got, c.want)
+		}
 	}
 }

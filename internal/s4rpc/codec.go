@@ -112,7 +112,9 @@ var (
 var (
 	aclElem = elem[types.ACLEntry]{8,
 		func(e *xdr.Encoder, a *types.ACLEntry) { e.Uint32(uint32(a.User)); e.Uint32(uint32(a.Perm)) },
-		func(rd *reader, a *types.ACLEntry) { a.User, a.Perm = types.UserID(rd.u32()), types.Perm(rd.u32()) }}
+		func(rd *reader, a *types.ACLEntry) {
+			a.User, a.Perm = types.UserID(rd.Uint32()), types.Perm(rd.Uint32())
+		}}
 	policyElem = elem[types.Policy]{16,
 		func(e *xdr.Encoder, p *types.Policy) {
 			e.Uint64(uint64(p.Window))
@@ -120,7 +122,7 @@ var (
 			e.Bool(p.DeltaEnabled)
 		},
 		func(rd *reader, p *types.Policy) {
-			p.Window, p.Mode, p.DeltaEnabled = time.Duration(rd.u64()), narrow[types.PolicyMode](rd), rd.u32() != 0
+			p.Window, p.Mode, p.DeltaEnabled = time.Duration(rd.Uint64()), narrow[types.PolicyMode](rd), rd.Bool()
 		}}
 	attrElem = elem[core.AttrInfo]{48,
 		func(e *xdr.Encoder, a *core.AttrInfo) {
@@ -131,13 +133,13 @@ var (
 			e.Opaque(a.Attr)
 		},
 		func(rd *reader, a *core.AttrInfo) {
-			a.ID, a.Version, a.Size = types.ObjectID(rd.u64()), rd.u64(), rd.u64()
-			a.CreateTime, a.ModTime = types.Timestamp(rd.u64()), types.Timestamp(rd.u64())
-			a.Deleted, a.Attr = rd.u32() != 0, rd.bytes(false)
+			a.ID, a.Version, a.Size = types.ObjectID(rd.Uint64()), rd.Uint64(), rd.Uint64()
+			a.CreateTime, a.ModTime = types.Timestamp(rd.Uint64()), types.Timestamp(rd.Uint64())
+			a.Deleted, a.Attr = rd.Bool(), rd.bytes(false)
 		}}
 	partElem = elem[core.PartEntry]{12,
 		func(e *xdr.Encoder, p *core.PartEntry) { e.String(p.Name); e.Uint64(uint64(p.Obj)) },
-		func(rd *reader, p *core.PartEntry) { p.Name, p.Obj = string(rd.ref(0)), types.ObjectID(rd.u64()) }}
+		func(rd *reader, p *core.PartEntry) { p.Name, p.Obj = rd.String(0), types.ObjectID(rd.Uint64()) }}
 	versionElem = elem[core.VersionInfo]{36,
 		func(e *xdr.Encoder, v *core.VersionInfo) {
 			e.Uint64(v.Version)
@@ -148,8 +150,8 @@ var (
 			e.Uint64(v.Size)
 		},
 		func(rd *reader, v *core.VersionInfo) {
-			v.Version, v.Time, v.Op = rd.u64(), types.Timestamp(rd.u64()), string(rd.ref(0))
-			v.User, v.Client, v.Size = types.UserID(rd.u32()), types.ClientID(rd.u32()), rd.u64()
+			v.Version, v.Time, v.Op = rd.Uint64(), types.Timestamp(rd.Uint64()), rd.String(0)
+			v.User, v.Client, v.Size = types.UserID(rd.Uint32()), types.ClientID(rd.Uint32()), rd.Uint64()
 		}}
 	// Record.Encode is the audit log's on-disk form, which has no shard.
 	recordElem = elem[audit.Record]{20,
@@ -165,15 +167,15 @@ var (
 			patch(e, at, uint32(n))
 		},
 		func(rd *reader, r *audit.Record) {
-			shard, raw := rd.u32(), rd.ref(0)
-			if rd.err != nil {
+			shard, raw := rd.Uint32(), rd.Opaque(0)
+			if rd.Err() != nil {
 				return
 			}
 			rec, rest, err := audit.Decode(raw) // copies what it keeps
 			if err == nil && len(rest) != 0 {
 				err = fmt.Errorf("%w: %d bytes after an audit record", errBadFrame, len(rest))
 			}
-			rd.fail(err)
+			rd.Fail(err)
 			*r, r.Shard = rec, int(shard)
 		}}
 	clientElem = wordElem[types.ClientID]()
@@ -207,8 +209,8 @@ var (
 		},
 		func(rd *reader, st *core.Stats) {
 			getCounters(rd, statsSchema, st)
-			for n := rd.count(12, 0); n > 0 && rd.err == nil; n-- {
-				if op, x := narrow[types.Op](rd), int64(rd.u64()); x != 0 {
+			for n := rd.count(12, 0); n > 0 && rd.Err() == nil; n-- {
+				if op, x := narrow[types.Op](rd), int64(rd.Uint64()); x != 0 {
 					if st.Ops == nil {
 						st.Ops = make(map[types.Op]int64)
 					}
@@ -260,15 +262,15 @@ func (l *layout[M]) put(e *xdr.Encoder, m *M, top bool) error {
 func (l *layout[M]) get(rd *reader, m *M, top bool) {
 	op, id, batch := l.head(m)
 	var mask uint32
-	*op, mask, *id = narrow[types.Op](rd), rd.u32(), rd.u64()
+	*op, mask, *id = narrow[types.Op](rd), rd.Uint32(), rd.Uint64()
 	batchBit := uint32(1) << len(l.fields)
 	switch {
 	case mask >= batchBit<<1:
-		rd.fail(fmt.Errorf("%w: unknown field bits in mask %#x", errBadFrame, mask))
+		rd.Fail(fmt.Errorf("%w: unknown field bits in mask %#x", errBadFrame, mask))
 	case !top && (*op == types.OpBatch || mask&batchBit != 0):
-		rd.fail(errNestedBatch)
+		rd.Fail(errNestedBatch)
 	}
-	for i := 0; i < len(l.fields) && rd.err == nil; i++ {
+	for i := 0; i < len(l.fields) && rd.Err() == nil; i++ {
 		if mask&(1<<i) != 0 {
 			l.fields[i].get(rd, m)
 		}
@@ -276,7 +278,7 @@ func (l *layout[M]) get(rd *reader, m *M, top bool) {
 	if mask&batchBit != 0 {
 		if n := rd.count(msgHdrLen, maxEntries); n > 0 {
 			*batch = make([]M, n)
-			for i := 0; i < n && rd.err == nil; i++ {
+			for i := 0; i < n && rd.Err() == nil; i++ {
 				l.get(rd, &(*batch)[i], false)
 			}
 		}
@@ -309,11 +311,11 @@ func putHello(h *Hello) func(*xdr.Encoder) error {
 // decodeHello vets the magic before it reads anything else.
 func decodeHello(frame []byte) (Hello, error) {
 	rd := newReader(frame, false)
-	if rd.u32() != protoMagic {
+	if rd.Uint32() != protoMagic {
 		return Hello{}, ErrProtocol
 	}
-	h := Hello{Client: types.ClientID(rd.u32()), User: types.UserID(rd.u32()), Admin: rd.u32() != 0, Session: rd.u64()}
-	h.MAC = append(h.MAC, rd.ref(macLen)...)
+	h := Hello{Client: types.ClientID(rd.Uint32()), User: types.UserID(rd.Uint32()), Admin: rd.Bool(), Session: rd.Uint64()}
+	h.MAC = append(h.MAC, rd.Opaque(macLen)...)
 	return h, rd.finish()
 }
 
@@ -327,7 +329,7 @@ func putHelloReply(errno uint8) func(*xdr.Encoder) error {
 
 func decodeHelloReply(frame []byte) (errno uint8, err error) {
 	rd := newReader(frame, false)
-	if len(frame) != helloReplyLen || rd.u32() != protoMagic {
+	if len(frame) != helloReplyLen || rd.Uint32() != protoMagic {
 		return 0, ErrProtocol
 	}
 	return narrow[uint8](&rd), rd.finish()

@@ -52,7 +52,7 @@ func row[M, E any](at func(*M) *E, el elem[E]) field[M] {
 func num[M any, N ~int | ~int64 | ~uint64](at func(*M) *N) field[M] {
 	return row(at, elem[N]{8,
 		func(e *xdr.Encoder, v *N) { e.Uint64(uint64(*v)) },
-		func(rd *reader, v *N) { *v = N(rd.u64()) }})
+		func(rd *reader, v *N) { *v = N(rd.Uint64()) }})
 }
 
 func word[M any, N ~uint8 | ~uint32](at func(*M) *N) field[M] { return row(at, wordElem[N]()) }
@@ -80,10 +80,10 @@ var (
 		func(rd *reader, b *[]byte) { *b = rd.bytes(false) }}
 	textElem = elem[string]{4,
 		func(e *xdr.Encoder, s *string) { e.String(*s) },
-		func(rd *reader, s *string) { *s = string(rd.ref(0)) }}
+		func(rd *reader, s *string) { *s = rd.String(0) }}
 	boolElem = elem[bool]{4,
 		func(e *xdr.Encoder, b *bool) { e.Bool(*b) },
-		func(rd *reader, b *bool) { *b = rd.u32() != 0 }}
+		func(rd *reader, b *bool) { *b = rd.Bool() }}
 )
 
 func putList[E any](e *xdr.Encoder, s []E, el elem[E]) {
@@ -99,7 +99,7 @@ func getList[E any](rd *reader, el elem[E], max int) []E {
 		return nil
 	}
 	s := make([]E, n)
-	for i := 0; i < n && rd.err == nil; i++ {
+	for i := 0; i < n && rd.Err() == nil; i++ {
 		el.get(rd, &s[i])
 	}
 	return s
@@ -169,8 +169,8 @@ func putCounters(e *xdr.Encoder, sc *schema, ptr any) {
 
 func getCounters(rd *reader, sc *schema, ptr any) {
 	v := reflect.ValueOf(ptr).Elem()
-	for n := rd.count(12, 0); n > 0 && rd.err == nil; n-- {
-		name, x := rd.ref(0), rd.u64()
+	for n := rd.count(12, 0); n > 0 && rd.Err() == nil; n-- {
+		name, x := rd.Opaque(0), rd.Uint64()
 		if c, ok := sc.byName[string(name)]; !ok {
 			continue
 		} else if c.signed {
@@ -183,11 +183,11 @@ func getCounters(rd *reader, sc *schema, ptr any) {
 
 // ---- reader ----
 
-// reader decodes one frame. The first error sticks: every later read
-// returns zero without consuming, and finish reports it.
+// reader decodes one frame. Its decoder latches the first error, so
+// every later read returns zero without consuming, and finish reports
+// it.
 type reader struct {
 	xdr.Decoder
-	err error
 	// alias lets an aliasable blob point into the frame; the caller
 	// then keeps the frame alive and unchanged while the value is used.
 	alias bool
@@ -197,57 +197,31 @@ func newReader(frame []byte, alias bool) reader {
 	return reader{Decoder: *xdr.NewDecoder(frame), alias: alias}
 }
 
-func (rd *reader) fail(err error) {
-	if rd.err == nil {
-		rd.err = err
-	}
-}
-
 func (rd *reader) finish() error {
-	if rd.err == nil && rd.Remaining() != 0 {
-		rd.err = fmt.Errorf("%w: %d trailing bytes", errBadFrame, rd.Remaining())
+	if rd.Remaining() != 0 {
+		rd.Fail(fmt.Errorf("%w: %d trailing bytes", errBadFrame, rd.Remaining()))
 	}
-	return rd.err
-}
-
-func (rd *reader) u32() (v uint32) {
-	if rd.err == nil {
-		v, rd.err = rd.Uint32()
-	}
-	return v
-}
-
-func (rd *reader) u64() (v uint64) {
-	if rd.err == nil {
-		v, rd.err = rd.Uint64()
-	}
-	return v
+	return rd.Err()
 }
 
 // narrow reads a u32 that must fit the narrower type it lands in.
 func narrow[N ~uint8 | ~uint32](rd *reader) N {
-	v := rd.u32()
+	v := rd.Uint32()
 	if uint32(N(v)) != v {
-		rd.fail(fmt.Errorf("%w: %d overflows its field", errBadFrame, v))
+		rd.Fail(fmt.Errorf("%w: %d overflows its field", errBadFrame, v))
 	}
 	return N(v)
 }
 
-// ref reads an opaque in place; max 0 bounds it by the bytes present.
-func (rd *reader) ref(max int) (b []byte) {
-	if rd.err == nil {
-		b, rd.err = rd.OpaqueRef(max)
-	}
-	return b
-}
-
+// bytes reads an opaque: the decoder's clipped view when alias is set,
+// a copy otherwise, and nil when it is empty.
 func (rd *reader) bytes(alias bool) []byte {
-	b := rd.ref(0)
+	b := rd.Opaque(0)
 	switch {
 	case len(b) == 0:
 		return nil
 	case alias:
-		return b[:len(b):len(b)] // clipped: an append cannot reach the rest of the frame
+		return b
 	}
 	return append([]byte(nil), b...)
 }
@@ -255,9 +229,9 @@ func (rd *reader) bytes(alias bool) []byte {
 // count reads an element count and refuses one the bytes present cannot
 // hold (or above max, when set), so a lying count sizes no allocation.
 func (rd *reader) count(minElem, max int) int {
-	n := rd.u32()
+	n := rd.Uint32()
 	if uint64(n)*uint64(minElem) > uint64(rd.Remaining()) || (max > 0 && n > uint32(max)) {
-		rd.fail(fmt.Errorf("%w: count %d with %d bytes left", errBadFrame, n, rd.Remaining()))
+		rd.Fail(fmt.Errorf("%w: count %d with %d bytes left", errBadFrame, n, rd.Remaining()))
 		return 0
 	}
 	return int(n)

@@ -21,26 +21,26 @@ func FuzzRoundTrip(f *testing.F) {
 		e.OpaqueFixed(blob)
 
 		d := NewDecoder(e.Bytes())
-		if v, err := d.Uint32(); err != nil || v != a {
-			t.Fatalf("uint32: %v %v", v, err)
+		if v := d.Uint32(); d.Err() != nil || v != a {
+			t.Fatalf("uint32: %v %v", v, d.Err())
 		}
-		if v, err := d.Int32(); err != nil || v != b {
-			t.Fatalf("int32: %v %v", v, err)
+		if v := d.Int32(); d.Err() != nil || v != b {
+			t.Fatalf("int32: %v %v", v, d.Err())
 		}
-		if v, err := d.Uint64(); err != nil || v != c {
-			t.Fatalf("uint64: %v %v", v, err)
+		if v := d.Uint64(); d.Err() != nil || v != c {
+			t.Fatalf("uint64: %v %v", v, d.Err())
 		}
-		if v, err := d.Bool(); err != nil || v != ok {
-			t.Fatalf("bool: %v %v", v, err)
+		if v := d.Bool(); d.Err() != nil || v != ok {
+			t.Fatalf("bool: %v %v", v, d.Err())
 		}
-		if v, err := d.Opaque(len(blob)); err != nil || !bytes.Equal(v, blob) {
-			t.Fatalf("opaque: %q %v", v, err)
+		if v := d.Opaque(len(blob)); d.Err() != nil || !bytes.Equal(v, blob) {
+			t.Fatalf("opaque: %q %v", v, d.Err())
 		}
-		if v, err := d.String(0); err != nil || v != s {
-			t.Fatalf("string: %q %v", v, err)
+		if v := d.String(0); d.Err() != nil || v != s {
+			t.Fatalf("string: %q %v", v, d.Err())
 		}
-		if v, err := d.OpaqueFixed(len(blob)); err != nil || !bytes.Equal(v, blob) {
-			t.Fatalf("opaque fixed: %q %v", v, err)
+		if v := d.OpaqueFixed(len(blob)); d.Err() != nil || !bytes.Equal(v, blob) {
+			t.Fatalf("opaque fixed: %q %v", v, d.Err())
 		}
 		if d.Remaining() != 0 {
 			t.Fatalf("%d bytes left over", d.Remaining())
@@ -49,9 +49,9 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzDecoder runs the decoder over arbitrary bytes the way an RPC
-// unmarshaller would: it must error on truncation, never panic, and
-// never allocate beyond the input (Opaque copies out of the buffer,
-// so a lying length prefix cannot OOM).
+// unmarshaller would: it must latch a failure on truncation, never
+// panic, and never allocate beyond the input (an opaque is a view of
+// the buffer, so a lying length prefix cannot OOM).
 func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o', 0, 0, 0})
@@ -62,22 +62,22 @@ func FuzzDecoder(f *testing.F) {
 			before := d.Remaining()
 			// A fixed op rotation touching every decode path; each pass
 			// either consumes bytes or errors, so this terminates.
-			if _, err := d.Uint32(); err != nil {
+			if d.Uint32(); d.Err() != nil {
 				return
 			}
-			if _, err := d.Opaque(1 << 20); err != nil {
+			if d.Opaque(1 << 20); d.Err() != nil {
 				return
 			}
-			if _, err := d.Uint64(); err != nil {
+			if d.Uint64(); d.Err() != nil {
 				return
 			}
-			if _, err := d.String(256); err != nil {
+			if d.String(256); d.Err() != nil {
 				return
 			}
-			if _, err := d.Bool(); err != nil {
+			if d.Bool(); d.Err() != nil {
 				return
 			}
-			if _, err := d.OpaqueFixed(3); err != nil {
+			if d.OpaqueFixed(3); d.Err() != nil {
 				return
 			}
 			if d.Remaining() >= before {

@@ -72,105 +72,88 @@ func (e *Encoder) Opaque(b []byte) {
 // String appends an XDR string.
 func (e *Encoder) String(s string) { e.Opaque([]byte(s)) }
 
-// Decoder consumes XDR-encoded values from a byte slice.
+// Decoder consumes XDR-encoded values from a byte slice. Like
+// codec.Reader it latches its first failure: every read after it
+// returns zero and consumes nothing, so a caller reads a whole message
+// and checks Err once.
 type Decoder struct {
-	b []byte
-	i int
+	b   []byte
+	err error
 }
 
 // NewDecoder wraps b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
-// Remaining returns the unconsumed byte count.
-func (d *Decoder) Remaining() int { return len(d.b) - d.i }
+// Remaining returns the unconsumed byte count (0 after a failure).
+func (d *Decoder) Remaining() int { return len(d.b) }
 
-func (d *Decoder) take(n int) ([]byte, error) {
-	if d.Remaining() < n {
-		return nil, fmt.Errorf("%w (need %d, have %d)", ErrShort, n, d.Remaining())
+// Err returns the latched failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail latches err, unless a failure is latched already or err is nil.
+// Nothing more is read after it.
+func (d *Decoder) Fail(err error) {
+	if d.err == nil && err != nil {
+		d.err, d.b = err, nil
 	}
-	out := d.b[d.i : d.i+n]
-	d.i += n
-	return out, nil
+}
+
+// take consumes n bytes, or fails if fewer remain. The result is
+// clipped, so an append to it cannot reach the rest of the buffer.
+func (d *Decoder) take(n int) []byte {
+	switch {
+	case d.err != nil:
+		return nil
+	case n < 0 || n > len(d.b):
+		d.Fail(fmt.Errorf("%w (need %d, have %d)", ErrShort, n, len(d.b)))
+		return nil
+	}
+	out := d.b[:n:n]
+	d.b = d.b[n:]
+	return out
 }
 
 // Uint32 reads a 32-bit unsigned integer.
-func (d *Decoder) Uint32() (uint32, error) {
-	b, err := d.take(4)
-	if err != nil {
-		return 0, err
+func (d *Decoder) Uint32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	return binary.BigEndian.Uint32(b), nil
+	return 0
 }
 
 // Int32 reads a 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
-}
+func (d *Decoder) Int32() int32 { return int32(d.Uint32()) }
 
 // Uint64 reads an XDR hyper.
-func (d *Decoder) Uint64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
+func (d *Decoder) Uint64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	return binary.BigEndian.Uint64(b), nil
+	return 0
 }
 
 // Bool reads an XDR boolean.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.Uint32()
-	return v != 0, err
-}
+func (d *Decoder) Bool() bool { return d.Uint32() != 0 }
 
-// OpaqueFixed reads n bytes plus padding.
-func (d *Decoder) OpaqueFixed(n int) ([]byte, error) {
-	b, err := d.take(n)
-	if err != nil {
-		return nil, err
-	}
-	pad := (4 - n%4) % 4
-	if _, err := d.take(pad); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-// Opaque reads a variable-length opaque bounded by max (0 = unbounded).
-func (d *Decoder) Opaque(max int) ([]byte, error) {
-	b, err := d.OpaqueRef(max)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
-// OpaqueRef is Opaque without the copy: the result is a sub-slice of the
+// OpaqueFixed reads n bytes plus padding. The result is a view of the
 // decoder's buffer, valid for as long as the caller keeps that buffer
 // unchanged.
-func (d *Decoder) OpaqueRef(max int) ([]byte, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
+func (d *Decoder) OpaqueFixed(n int) []byte {
+	if b := d.take(n + (4-n%4)%4); b != nil {
+		return b[:n:n]
 	}
-	if max > 0 && int(n) > max {
-		return nil, fmt.Errorf("xdr: opaque of %d exceeds bound %d", n, max)
+	return nil
+}
+
+// Opaque reads a variable-length opaque bounded by max (0 = bounded
+// only by the bytes present), as a view like OpaqueFixed's.
+func (d *Decoder) Opaque(max int) []byte {
+	n := d.Uint32()
+	if max > 0 && n > uint32(max) {
+		d.Fail(fmt.Errorf("xdr: opaque of %d exceeds bound %d", n, max))
 	}
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, ErrShort
-	}
-	b, err := d.take(int(n))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.take((4 - int(n)%4) % 4); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return d.OpaqueFixed(int(n))
 }
 
 // String reads an XDR string bounded by max bytes.
-func (d *Decoder) String(max int) (string, error) {
-	b, err := d.Opaque(max)
-	return string(b), err
-}
+func (d *Decoder) String(max int) string { return string(d.Opaque(max)) }

@@ -15,23 +15,23 @@ func TestScalarRoundTrip(t *testing.T) {
 	e.Bool(true)
 	e.Bool(false)
 	d := NewDecoder(e.Bytes())
-	if v, _ := d.Uint32(); v != 0xDEADBEEF {
+	if v := d.Uint32(); v != 0xDEADBEEF {
 		t.Fatal(v)
 	}
-	if v, _ := d.Int32(); v != -42 {
+	if v := d.Int32(); v != -42 {
 		t.Fatal(v)
 	}
-	if v, _ := d.Uint64(); v != 1<<40 {
+	if v := d.Uint64(); v != 1<<40 {
 		t.Fatal(v)
 	}
-	if v, _ := d.Bool(); !v {
+	if v := d.Bool(); !v {
 		t.Fatal("bool true")
 	}
-	if v, _ := d.Bool(); v {
+	if v := d.Bool(); v {
 		t.Fatal("bool false")
 	}
-	if d.Remaining() != 0 {
-		t.Fatal("leftover bytes")
+	if d.Remaining() != 0 || d.Err() != nil {
+		t.Fatal("leftover bytes", d.Err())
 	}
 }
 
@@ -44,11 +44,11 @@ func TestOpaqueAlignment(t *testing.T) {
 			t.Fatalf("n=%d: stream not 4-aligned", n)
 		}
 		d := NewDecoder(e.Bytes())
-		got, err := d.Opaque(0)
-		if err != nil || len(got) != n {
-			t.Fatal(n, err)
+		got := d.Opaque(0)
+		if d.Err() != nil || len(got) != n {
+			t.Fatal(n, d.Err())
 		}
-		if v, _ := d.Uint32(); v != 0x1234 {
+		if v := d.Uint32(); v != 0x1234 {
 			t.Fatalf("n=%d: following word corrupted", n)
 		}
 	}
@@ -58,22 +58,22 @@ func TestStringBound(t *testing.T) {
 	e := NewEncoder()
 	e.String("hello world")
 	d := NewDecoder(e.Bytes())
-	if _, err := d.String(5); err == nil {
+	if d.String(5); d.Err() == nil {
 		t.Fatal("bound not enforced")
 	}
 }
 
 func TestShortBuffer(t *testing.T) {
 	d := NewDecoder([]byte{1, 2})
-	if _, err := d.Uint32(); !errors.Is(err, ErrShort) {
-		t.Fatal(err)
+	if d.Uint32(); !errors.Is(d.Err(), ErrShort) {
+		t.Fatal(d.Err())
 	}
 	// Opaque with a length larger than the remaining buffer.
 	e := NewEncoder()
 	e.Uint32(1000)
 	d = NewDecoder(e.Bytes())
-	if _, err := d.Opaque(0); !errors.Is(err, ErrShort) {
-		t.Fatal(err)
+	if d.Opaque(0); !errors.Is(d.Err(), ErrShort) {
+		t.Fatal(d.Err())
 	}
 }
 
@@ -83,12 +83,11 @@ func TestPropertyOpaqueRoundTrip(t *testing.T) {
 		e.Opaque(data)
 		e.String(s)
 		d := NewDecoder(e.Bytes())
-		got, err := d.Opaque(0)
-		if err != nil || !bytes.Equal(got, data) {
+		if got := d.Opaque(0); d.Err() != nil || !bytes.Equal(got, data) {
 			return false
 		}
-		gs, err := d.String(0)
-		return err == nil && gs == s && d.Remaining() == 0
+		gs := d.String(0)
+		return d.Err() == nil && gs == s && d.Remaining() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -97,8 +96,9 @@ func TestPropertyOpaqueRoundTrip(t *testing.T) {
 
 // TestResetAndOpaqueRef covers the two entry points s4rpc's pooled
 // frames lean on: an encoder pointed at a caller's buffer appends in
-// place and allocates nothing while the capacity lasts, and OpaqueRef
-// hands back the decoder's own bytes, padding skipped, bounds as Opaque.
+// place and allocates nothing while the capacity lasts, and Opaque
+// hands back a view of the decoder's own bytes, padding skipped, within
+// its bound.
 func TestResetAndOpaqueRef(t *testing.T) {
 	buf := make([]byte, 4, 64)
 	copy(buf, "HDR:")
@@ -121,20 +121,42 @@ func TestResetAndOpaqueRef(t *testing.T) {
 	}
 
 	d := NewDecoder(out[4:])
-	ref, err := d.OpaqueRef(5)
-	if err != nil || string(ref) != "hello" {
-		t.Fatal(string(ref), err)
+	ref := d.Opaque(5)
+	if d.Err() != nil || string(ref) != "hello" {
+		t.Fatal(string(ref), d.Err())
 	}
 	if &ref[0] != &out[8] {
-		t.Fatal("OpaqueRef copied")
+		t.Fatal("Opaque copied")
 	}
-	if v, err := d.Uint32(); err != nil || v != 7 {
-		t.Fatalf("word after the padded opaque: %d %v", v, err)
+	if v := d.Uint32(); d.Err() != nil || v != 7 {
+		t.Fatalf("word after the padded opaque: %d %v", v, d.Err())
 	}
-	if _, err := NewDecoder(out[4:]).OpaqueRef(4); err == nil {
-		t.Fatal("OpaqueRef ignored its bound")
+	if d := NewDecoder(out[4:]); d.Opaque(4) != nil || d.Err() == nil {
+		t.Fatal("Opaque ignored its bound")
 	}
-	if _, err := NewDecoder([]byte{0, 0, 0, 9, 1, 2}).OpaqueRef(0); !errors.Is(err, ErrShort) {
-		t.Fatalf("OpaqueRef past the buffer: %v", err)
+	if d := NewDecoder([]byte{0, 0, 0, 9, 1, 2}); d.Opaque(0) != nil || !errors.Is(d.Err(), ErrShort) {
+		t.Fatalf("Opaque past the buffer: %v", d.Err())
+	}
+}
+
+// TestDecoderLatchesFirstFailure: the first failure is the one Err
+// reports, every read after it returns zero and consumes nothing, and
+// Fail neither replaces a latched failure nor latches a nil one.
+func TestDecoderLatchesFirstFailure(t *testing.T) {
+	d := NewDecoder([]byte{0, 0, 0, 1, 2})
+	d.Fail(nil)
+	if d.Uint32() != 1 || d.Err() != nil {
+		t.Fatal("first word misread or Fail(nil) latched")
+	}
+	if d.Uint64() != 0 || !errors.Is(d.Err(), ErrShort) {
+		t.Fatalf("truncated hyper: err %v", d.Err())
+	}
+	first := d.Err()
+	d.Fail(errors.New("later"))
+	if d.Uint32() != 0 || d.Bool() || d.Opaque(0) != nil || d.OpaqueFixed(0) != nil || d.String(0) != "" {
+		t.Fatal("a read after the failure returned something")
+	}
+	if d.Err() != first || d.Remaining() != 0 {
+		t.Fatalf("err %v, %d bytes left: want the first failure kept and nothing left", d.Err(), d.Remaining())
 	}
 }

@@ -57,7 +57,7 @@ func main() {
 	format := flag.Bool("format", false, "format the image even if it has data")
 	cleanEvery := flag.Duration("clean", 30*time.Second, "cleaner interval (0 disables)")
 	scrubRate := flag.Float64("scrub", core.DefaultScrubRate, "background integrity-scrub pace in blocks/sec (0 = default, negative disables)")
-	workers := flag.Int("workers", 0, "request-dispatch pool size per shard (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "requests run at once per shard (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "request queue depth before shedding ErrBusy (0 = 4x workers)")
 	connLimit := flag.Int("conn-limit", 0, "max concurrent connections per shard (0 = unlimited)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame I/O deadline, evicts stalled peers (0 disables)")

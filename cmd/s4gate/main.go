@@ -48,7 +48,7 @@ func main() {
 	fanTimeout := flag.Duration("fan-timeout", 30*time.Second, "per-shard deadline inside scatter-gather operations")
 	maxFan := flag.Int("max-fan", 0, "max concurrent shards per scatter-gather (0 = default)")
 	retries := flag.Int("retries", 8, "attempts per shard call across reconnects")
-	workers := flag.Int("workers", 0, "request-dispatch pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "requests run at once (0 = GOMAXPROCS)")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame I/O deadline toward clients (0 disables)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain on shutdown (0 = drop immediately)")
 	flag.Parse()
@@ -66,12 +66,14 @@ func main() {
 			continue
 		}
 		rm, err := shard.NewRemote(shard.RemoteConfig{
-			Addr:        addr,
-			Client:      types.ClientID(*gateID),
-			Key:         []byte(*gateKey),
-			AdminKey:    []byte(*backendAdmin),
-			CallTimeout: *callTimeout,
-			MaxAttempts: *retries,
+			Config: s4rpc.Config{
+				Addr:        addr,
+				Client:      types.ClientID(*gateID),
+				Key:         []byte(*gateKey),
+				CallTimeout: *callTimeout,
+				MaxAttempts: *retries,
+			},
+			AdminKey: []byte(*backendAdmin),
 		})
 		if err != nil {
 			log.Fatalf("s4gate: shard %d (%s): %v", i, addr, err)

@@ -2298,9 +2298,6 @@ type StatusInfo struct {
 	FreeSegments  int64
 	TotalSegments int64
 	AuditRecords  int64
-	AuditBlocks   int
-	JournalBlocks int
-	CPBlocks      int
 	// NextOID is the next object ID this drive would self-allocate. A
 	// shard router seeds its cross-shard ID allocator from the maximum
 	// across its shards so router-assigned IDs never collide with
@@ -2313,18 +2310,6 @@ type StatusInfo struct {
 func (d *Drive) Status() StatusInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	cp := 0
-	for _, o := range d.objects {
-		o.mu.RLock()
-		cp += len(o.cpBlocks)
-		o.mu.RUnlock()
-	}
-	d.auditMu.Lock()
-	auditBlocks := len(d.auditBlocks)
-	d.auditMu.Unlock()
-	d.logMu.Lock()
-	journalBlocks := len(d.jblockRef)
-	d.logMu.Unlock()
 	d.statsMu.Lock()
 	auditRecords := d.stats.AuditRecords
 	d.statsMu.Unlock()
@@ -2336,9 +2321,6 @@ func (d *Drive) Status() StatusInfo {
 		FreeSegments:  d.log.FreeSegments(),
 		TotalSegments: d.log.NumSegments(),
 		AuditRecords:  auditRecords,
-		AuditBlocks:   auditBlocks,
-		JournalBlocks: journalBlocks,
-		CPBlocks:      cp,
 		NextOID:       d.nextOID,
 		Suspects:      d.thr.Suspects(),
 	}

@@ -173,18 +173,34 @@ func (c *reconCache) removeLocked(el *list.Element) {
 	}
 }
 
-// dropObject invalidates every cached reconstruction of id — the chain
-// was rewritten (Flush), the object reaped, or its blocks relocated.
-func (c *reconCache) dropObject(id types.ObjectID) {
+// drop bumps id's epoch, so no reconstruction begun before it is
+// cached, and removes id's cached reconstructions that gone reports.
+func (c *reconCache) drop(id types.ObjectID, gone func(*reconEnt) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.epochs[id]++
-	for _, el := range c.byObj[id] {
+	ents := c.byObj[id]
+	kept := ents[:0]
+	for _, el := range ents {
 		ent := el.Value.(*reconEnt)
-		c.lru.Remove(el)
-		c.curBytes -= ent.bytes
+		if gone(ent) {
+			c.lru.Remove(el)
+			c.curBytes -= ent.bytes
+			continue
+		}
+		kept = append(kept, el)
 	}
-	delete(c.byObj, id)
+	if len(kept) == 0 {
+		delete(c.byObj, id)
+	} else {
+		c.byObj[id] = kept
+	}
+}
+
+// dropObject invalidates every cached reconstruction of id — the chain
+// was rewritten (Flush), the object reaped, or its blocks relocated.
+func (c *reconCache) dropObject(id types.ObjectID) {
+	c.drop(id, func(*reconEnt) bool { return true })
 }
 
 // dropBelow invalidates reconstructions of id wholly below the new
@@ -192,25 +208,7 @@ func (c *reconCache) dropObject(id types.ObjectID) {
 // precheck rejects them) and their inodes may reference blocks the
 // aging pass just freed.
 func (c *reconCache) dropBelow(id types.ObjectID, cut types.Timestamp) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epochs[id]++
-	ents := c.byObj[id]
-	kept := ents[:0]
-	for _, el := range ents {
-		ent := el.Value.(*reconEnt)
-		if ent.to <= cut {
-			c.lru.Remove(el)
-			c.curBytes -= ent.bytes
-			continue
-		}
-		kept = append(kept, el)
-	}
-	if len(kept) == 0 {
-		delete(c.byObj, id)
-	} else {
-		c.byObj[id] = kept
-	}
+	c.drop(id, func(e *reconEnt) bool { return e.to <= cut })
 }
 
 // dropSince invalidates reconstructions of id whose interval starts at
@@ -218,25 +216,7 @@ func (c *reconCache) dropBelow(id types.ObjectID, cut types.Timestamp) {
 // those inodes reference (every version modified at or after the freed
 // block's birth may hold its address).
 func (c *reconCache) dropSince(id types.ObjectID, cut types.Timestamp) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.epochs[id]++
-	ents := c.byObj[id]
-	kept := ents[:0]
-	for _, el := range ents {
-		ent := el.Value.(*reconEnt)
-		if ent.from >= cut {
-			c.lru.Remove(el)
-			c.curBytes -= ent.bytes
-			continue
-		}
-		kept = append(kept, el)
-	}
-	if len(kept) == 0 {
-		delete(c.byObj, id)
-	} else {
-		c.byObj[id] = kept
-	}
+	c.drop(id, func(e *reconEnt) bool { return e.from >= cut })
 }
 
 // counters returns the hit/miss totals.

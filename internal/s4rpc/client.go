@@ -433,153 +433,125 @@ func (c *Client) call1(req *Request) (*Response, error) {
 	return resp, nil
 }
 
+// call issues req and picks the result out of a reply that succeeded.
+func call[T any](c *Client, req *Request, pick func(*Response) T) (T, error) {
+	resp, err := c.call1(req)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return pick(resp), nil
+}
+
+// do issues a request whose reply carries nothing but its status.
+func (c *Client) do(req *Request) error {
+	_, err := c.call1(req)
+	return err
+}
+
 // Create makes an object (Table 1).
 func (c *Client) Create(acl []types.ACLEntry, attr []byte) (types.ObjectID, error) {
-	resp, err := c.call1(&Request{Op: types.OpCreate, ACL: acl, Attr: attr})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Obj, nil
+	return call(c, &Request{Op: types.OpCreate, ACL: acl, Attr: attr}, func(r *Response) types.ObjectID { return r.Obj })
 }
 
 // CreateWithID makes an object under a caller-chosen ID (the shard
 // router's create path: the ring owns allocation). The drive refuses
 // reserved IDs and IDs it has ever seen.
 func (c *Client) CreateWithID(id types.ObjectID, acl []types.ACLEntry, attr []byte) error {
-	_, err := c.call1(&Request{Op: types.OpCreate, Obj: id, ACL: acl, Attr: attr})
-	return err
+	return c.do(&Request{Op: types.OpCreate, Obj: id, ACL: acl, Attr: attr})
 }
 
 // Delete removes an object; its versions stay in the history pool.
 func (c *Client) Delete(obj types.ObjectID) error {
-	_, err := c.call1(&Request{Op: types.OpDelete, Obj: obj})
-	return err
+	return c.do(&Request{Op: types.OpDelete, Obj: obj})
 }
 
 // Read returns up to n bytes at off of the version current at `at`.
 func (c *Client) Read(obj types.ObjectID, off, n uint64, at types.Timestamp) ([]byte, error) {
-	resp, err := c.call1(&Request{Op: types.OpRead, Obj: obj, Offset: off, Length: n, At: at})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
+	return call(c, &Request{Op: types.OpRead, Obj: obj, Offset: off, Length: n, At: at}, func(r *Response) []byte { return r.Data })
 }
 
 // Write stores data at off.
 func (c *Client) Write(obj types.ObjectID, off uint64, data []byte) error {
-	_, err := c.call1(&Request{Op: types.OpWrite, Obj: obj, Offset: off, Data: data})
-	return err
+	return c.do(&Request{Op: types.OpWrite, Obj: obj, Offset: off, Data: data})
 }
 
 // Append writes at the object's end, returning the landing offset.
 func (c *Client) Append(obj types.ObjectID, data []byte) (uint64, error) {
-	resp, err := c.call1(&Request{Op: types.OpAppend, Obj: obj, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Offset, nil
+	return call(c, &Request{Op: types.OpAppend, Obj: obj, Data: data}, func(r *Response) uint64 { return r.Offset })
 }
 
 // Truncate sets the object's length.
 func (c *Client) Truncate(obj types.ObjectID, size uint64) error {
-	_, err := c.call1(&Request{Op: types.OpTruncate, Obj: obj, Length: size})
-	return err
+	return c.do(&Request{Op: types.OpTruncate, Obj: obj, Length: size})
 }
 
 // GetAttr fetches attributes as of `at`.
 func (c *Client) GetAttr(obj types.ObjectID, at types.Timestamp) (core.AttrInfo, error) {
-	resp, err := c.call1(&Request{Op: types.OpGetAttr, Obj: obj, At: at})
-	if err != nil {
-		return core.AttrInfo{}, err
-	}
-	return resp.Attr, nil
+	return call(c, &Request{Op: types.OpGetAttr, Obj: obj, At: at}, func(r *Response) core.AttrInfo { return r.Attr })
 }
 
 // SetAttr replaces the opaque attribute blob.
 func (c *Client) SetAttr(obj types.ObjectID, attr []byte) error {
-	_, err := c.call1(&Request{Op: types.OpSetAttr, Obj: obj, Attr: attr})
-	return err
+	return c.do(&Request{Op: types.OpSetAttr, Obj: obj, Attr: attr})
 }
 
 // GetACLByUser returns the effective entry for user as of `at`.
 func (c *Client) GetACLByUser(obj types.ObjectID, user types.UserID, at types.Timestamp) (types.ACLEntry, error) {
-	resp, err := c.call1(&Request{Op: types.OpGetACLByUser, Obj: obj, Offset: uint64(user), At: at})
-	if err != nil {
-		return types.ACLEntry{}, err
-	}
-	return resp.ACL, nil
+	return call(c, &Request{Op: types.OpGetACLByUser, Obj: obj, Offset: uint64(user), At: at}, func(r *Response) types.ACLEntry { return r.ACL })
 }
 
 // GetACLByIndex returns ACL slot idx as of `at`.
 func (c *Client) GetACLByIndex(obj types.ObjectID, idx int, at types.Timestamp) (types.ACLEntry, error) {
-	resp, err := c.call1(&Request{Op: types.OpGetACLByIndex, Obj: obj, ACLIdx: idx, At: at})
-	if err != nil {
-		return types.ACLEntry{}, err
-	}
-	return resp.ACL, nil
+	return call(c, &Request{Op: types.OpGetACLByIndex, Obj: obj, ACLIdx: idx, At: at}, func(r *Response) types.ACLEntry { return r.ACL })
 }
 
 // SetACL replaces ACL slot idx.
 func (c *Client) SetACL(obj types.ObjectID, idx int, e types.ACLEntry) error {
-	_, err := c.call1(&Request{Op: types.OpSetACL, Obj: obj, ACLIdx: idx, ACL: []types.ACLEntry{e}})
-	return err
+	return c.do(&Request{Op: types.OpSetACL, Obj: obj, ACLIdx: idx, ACL: []types.ACLEntry{e}})
 }
 
 // PCreate binds name to obj.
 func (c *Client) PCreate(name string, obj types.ObjectID) error {
-	_, err := c.call1(&Request{Op: types.OpPCreate, Name: name, Obj: obj})
-	return err
+	return c.do(&Request{Op: types.OpPCreate, Name: name, Obj: obj})
 }
 
 // PDelete removes a name binding.
 func (c *Client) PDelete(name string) error {
-	_, err := c.call1(&Request{Op: types.OpPDelete, Name: name})
-	return err
+	return c.do(&Request{Op: types.OpPDelete, Name: name})
 }
 
 // PList lists partitions as of `at`.
 func (c *Client) PList(at types.Timestamp) ([]core.PartEntry, error) {
-	resp, err := c.call1(&Request{Op: types.OpPList, At: at})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Parts, nil
+	return call(c, &Request{Op: types.OpPList, At: at}, func(r *Response) []core.PartEntry { return r.Parts })
 }
 
 // PMount resolves a partition name as of `at`.
 func (c *Client) PMount(name string, at types.Timestamp) (types.ObjectID, error) {
-	resp, err := c.call1(&Request{Op: types.OpPMount, Name: name, At: at})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Obj, nil
+	return call(c, &Request{Op: types.OpPMount, Name: name, At: at}, func(r *Response) types.ObjectID { return r.Obj })
 }
 
 // Sync forces all acknowledged modifications durable.
 func (c *Client) Sync() error {
-	_, err := c.call1(&Request{Op: types.OpSync})
-	return err
+	return c.do(&Request{Op: types.OpSync})
 }
 
 // SyncObj forces the caller's acknowledged writes to one object
 // durable. Through a shard router this touches only the shard holding
 // obj, unlike Sync which broadcasts to every shard.
 func (c *Client) SyncObj(obj types.ObjectID) error {
-	_, err := c.call1(&Request{Op: types.OpSync, Obj: obj})
-	return err
+	return c.do(&Request{Op: types.OpSync, Obj: obj})
 }
 
 // SetWindow adjusts the detection window (admin session).
 func (c *Client) SetWindow(w time.Duration) error {
-	_, err := c.call1(&Request{Op: types.OpSetWindow, Window: w})
-	return err
+	return c.do(&Request{Op: types.OpSetWindow, Window: w})
 }
 
 // SetPolicy installs the retention policy for obj (admin session);
 // obj 0 sets the drive-wide default, the zero policy clears an entry.
 func (c *Client) SetPolicy(obj types.ObjectID, p types.Policy) error {
-	_, err := c.call1(&Request{Op: types.OpSetPolicy, Obj: obj, Policy: p})
-	return err
+	return c.do(&Request{Op: types.OpSetPolicy, Obj: obj, Policy: p})
 }
 
 // GetPolicy returns the retention policy in force for obj and whether
@@ -595,47 +567,32 @@ func (c *Client) GetPolicy(obj types.ObjectID) (types.Policy, bool, error) {
 
 // Flush erases all objects' versions in (from, to] (admin session).
 func (c *Client) Flush(from, to types.Timestamp) error {
-	_, err := c.call1(&Request{Op: types.OpFlush, From: from, To: to})
-	return err
+	return c.do(&Request{Op: types.OpFlush, From: from, To: to})
 }
 
 // FlushO erases one object's versions in (from, to] (admin session).
 func (c *Client) FlushO(obj types.ObjectID, from, to types.Timestamp) error {
-	_, err := c.call1(&Request{Op: types.OpFlushO, Obj: obj, From: from, To: to})
-	return err
+	return c.do(&Request{Op: types.OpFlushO, Obj: obj, From: from, To: to})
 }
 
 // ListVersions returns an object's retained history, newest first.
 func (c *Client) ListVersions(obj types.ObjectID, max int) ([]core.VersionInfo, error) {
-	resp, err := c.call1(&Request{Op: types.OpListVersions, Obj: obj, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Versions, nil
+	return call(c, &Request{Op: types.OpListVersions, Obj: obj, Max: max}, func(r *Response) []core.VersionInfo { return r.Versions })
 }
 
 // Revert copies the version at `at` forward as the new current version.
 func (c *Client) Revert(obj types.ObjectID, at types.Timestamp) error {
-	_, err := c.call1(&Request{Op: types.OpRevert, Obj: obj, At: at})
-	return err
+	return c.do(&Request{Op: types.OpRevert, Obj: obj, At: at})
 }
 
 // AuditRead returns audit records from seq on (admin session).
 func (c *Client) AuditRead(fromSeq uint64, max int) ([]audit.Record, error) {
-	resp, err := c.call1(&Request{Op: types.OpAuditRead, Seq: fromSeq, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Records, nil
+	return call(c, &Request{Op: types.OpAuditRead, Seq: fromSeq, Max: max}, func(r *Response) []audit.Record { return r.Records })
 }
 
 // Status reports drive occupancy and health.
 func (c *Client) Status() (core.StatusInfo, error) {
-	resp, err := c.call1(&Request{Op: types.OpStatus})
-	if err != nil {
-		return core.StatusInfo{}, err
-	}
-	return resp.Status, nil
+	return call(c, &Request{Op: types.OpStatus}, func(r *Response) core.StatusInfo { return r.Status })
 }
 
 // ShardStats reads the drive's activity counters plus, when the peer
@@ -651,18 +608,12 @@ func (c *Client) ShardStats() (core.Stats, []core.Stats, error) {
 // Scrub triggers an on-demand integrity sweep (admin): every sealed
 // segment is read back and verified against its summary checksums.
 func (c *Client) Scrub() (core.ScrubResult, error) {
-	resp, err := c.call1(&Request{Op: types.OpScrub})
-	if err != nil {
-		return core.ScrubResult{}, err
-	}
-	return resp.Scrub, nil
+	return call(c, &Request{Op: types.OpScrub}, func(r *Response) core.ScrubResult { return r.Scrub })
 }
 
-// Batch executes several requests in one round trip (§4.1.2).
+// Batch executes several requests in one round trip (§4.1.2). Each
+// reply carries its own request's status; the error reports a batch
+// that did not run as a whole (shed, refused, or a reply too large).
 func (c *Client) Batch(reqs []Request) ([]Response, error) {
-	resp, err := c.Call(&Request{Op: types.OpBatch, Batch: reqs})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Batch, nil
+	return call(c, &Request{Op: types.OpBatch, Batch: reqs}, func(r *Response) []Response { return r.Batch })
 }

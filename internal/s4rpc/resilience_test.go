@@ -435,6 +435,69 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestCloseRefusesWaitingRequest proves Close refuses a request still
+// waiting for a run slot: with the one slot held, a second request
+// waits behind it, and releasing the slot once Close has begun must not
+// let the waiting request reach the handler — its reply could never be
+// sent.
+func TestCloseRefusesWaitingRequest(t *testing.T) {
+	defer leakcheck.Check(t)()
+	var calls atomic.Int32
+	keys := NewKeyring(adminKey)
+	keys.AddClient(1, clientKey)
+	srv := NewHandlerServer(func(types.Cred, *Request) (*Response, error) {
+		calls.Add(1)
+		return &Response{}, nil
+	}, keys)
+	srv.SetWorkers(1)
+	srv.SetQueueDepth(1)
+	held, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	srv.testDispatchDelay = func(types.Op) {
+		if first.CompareAndSwap(false, true) {
+			close(held)
+			<-release
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	addr := ln.Addr().String()
+
+	running, waiting := rawHandshake(t, addr, 0), rawHandshake(t, addr, 0)
+	defer running.Close()
+	defer waiting.Close()
+	if _, err := running.Write(requestFrame(t, &Request{Op: types.OpStatus, ID: 1})); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	if _, err := waiting.Write(requestFrame(t, &Request{Op: types.OpStatus, ID: 1})); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(srv.admit) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never started waiting for a run slot")
+		}
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	<-srv.done
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1: a request waiting at Close ran after it", n)
+	}
+}
+
 // ---- raw-protocol helpers ----
 
 // rawConn speaks the protocol a frame at a time, with none of the

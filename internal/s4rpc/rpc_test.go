@@ -228,6 +228,27 @@ func TestBatching(t *testing.T) {
 	}
 }
 
+// TestBatchReportsRefusal proves a batch refused as a whole returns
+// the refusal, not an empty list of replies with no error.
+func TestBatchReportsRefusal(t *testing.T) {
+	addr, done := fakeServer(t, func(conn *rawConn) {
+		req, err := conn.readRequest()
+		if err != nil {
+			return
+		}
+		_, _ = conn.Write(responseFrame(t, &Response{Op: req.Op, ID: req.ID, Errno: core.Errno(types.ErrTooLarge)}))
+	})
+	defer done()
+	c, err := DialConfig(Config{Addr: addr, Client: 1, User: 100, Key: clientKey, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if resps, err := c.Batch([]Request{{Op: types.OpSync}}); !errors.Is(err, types.ErrTooLarge) {
+		t.Fatalf("refused batch returned %d replies and %v, want ErrTooLarge", len(resps), err)
+	}
+}
+
 func TestPerRequestUserCannotEscalate(t *testing.T) {
 	addr, _ := startServer(t)
 	alice := dialUser(t, addr, 100)

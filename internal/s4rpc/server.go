@@ -94,11 +94,12 @@ var (
 const defaultMaxSessions = 4096
 
 // Server exposes a Handler — a core.Drive through Dispatch, or a shard
-// router — over TCP. Requests from all connections are dispatched on a
-// bounded worker pool (SetWorkers) with a bounded queue
-// (SetQueueDepth): a flood of connections cannot spawn an unbounded
-// number of drive operations, and once the queue is full
-// further requests are shed with a retryable ErrBusy instead of parked.
+// router — over TCP. Each request runs on the goroutine of the
+// connection that read it, under two slot bounds: at most SetWorkers
+// handler calls run at once, and at most SetQueueDepth more wait for a
+// slot. A flood of connections cannot spawn an unbounded number of
+// drive operations, and once the queue is full further requests are
+// shed with a retryable ErrBusy instead of parked.
 // Per-frame I/O deadlines (SetIOTimeout) evict stalled and slowloris
 // connections, and a per-session duplicate-reply cache gives retrying
 // clients exactly-once execution (see proto.go).
@@ -115,8 +116,9 @@ type Server struct {
 	queue     int
 	connLimit int
 	ioTimeout time.Duration
-	tasks     chan task
 	serving   bool
+	admit     chan struct{} // a slot per request running or waiting: workers + queue
+	run       chan struct{} // a slot per request running: workers
 
 	draining atomic.Bool
 
@@ -124,19 +126,12 @@ type Server struct {
 	sessions    map[sessionKey]*session
 	maxSessions int
 
-	done     chan struct{} // closed by Close: unblocks queued submitters
-	stopped  chan struct{} // closed when Serve has fully torn down
-	workerWG sync.WaitGroup
+	done    chan struct{} // closed by Close: refuses waiting requests
+	stopped chan struct{} // closed when Serve has fully torn down
 
 	// testDispatchDelay, when set (tests only), runs before each
-	// dispatched request so tests can hold worker slots deterministically.
+	// dispatched request so tests can hold run slots deterministically.
 	testDispatchDelay func(op types.Op)
-}
-
-type task struct {
-	cred types.Cred
-	req  *Request
-	resp chan *Response
 }
 
 // sessionKey identifies one client session across reconnects. The
@@ -175,7 +170,7 @@ func NewHandlerServer(h Handler, keys *Keyring) *Server {
 	}
 }
 
-// SetWorkers bounds the request-dispatch pool. Call before Serve;
+// SetWorkers bounds how many requests run at once. Call before Serve;
 // n <= 0 (the default) selects GOMAXPROCS.
 func (s *Server) SetWorkers(n int) {
 	s.mu.Lock()
@@ -183,8 +178,8 @@ func (s *Server) SetWorkers(n int) {
 	s.mu.Unlock()
 }
 
-// SetQueueDepth bounds how many accepted requests may wait for a free
-// worker before further requests are shed with ErrBusy. Call before
+// SetQueueDepth bounds how many accepted requests may wait for a run
+// slot before further requests are shed with ErrBusy. Call before
 // Serve; n <= 0 (the default) selects 4x the worker count.
 func (s *Server) SetQueueDepth(n int) {
 	s.mu.Lock()
@@ -213,8 +208,8 @@ func (s *Server) SetIOTimeout(d time.Duration) {
 }
 
 // Serve accepts connections on ln until Close. It blocks, and does not
-// return until every connection handler and pool worker has exited —
-// shutdown leaves no goroutines behind.
+// return until every connection handler has exited — shutdown leaves
+// no goroutines behind.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
@@ -227,11 +222,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	if q <= 0 {
 		q = 4 * n
 	}
-	s.tasks = make(chan task, q)
-	for i := 0; i < n; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
-	}
+	s.admit, s.run = make(chan struct{}, n+q), make(chan struct{}, n)
 	s.mu.Unlock()
 
 	var connWG sync.WaitGroup
@@ -267,38 +258,40 @@ func (s *Server) Serve(ln net.Listener) error {
 		}()
 	}
 	connWG.Wait()
-	close(s.tasks)
-	s.workerWG.Wait()
 	close(s.stopped)
 	return retErr
 }
 
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for t := range s.tasks {
-		if s.testDispatchDelay != nil {
-			s.testDispatchDelay(t.req.Op)
-		}
-		t.resp <- s.dispatch(t.cred, t.req)
-	}
-}
-
-// submit runs one request on the pool and waits for its reply on the
-// connection's reply channel (one request is in flight per connection,
-// so one channel serves them all). When the worker queue is full the
-// request is shed with a retryable ErrBusy and a retry-after hint — it
-// did not execute, so the client may safely reissue it. The second
-// return value reports whether the request executed (only executed
-// requests enter the duplicate-reply cache).
-func (s *Server) submit(cred types.Cred, req *Request, reply chan *Response) (*Response, bool) {
+// submit runs one request on the calling connection goroutine once it
+// holds a run slot. When every admit slot is taken the request is shed
+// with a retryable ErrBusy and a retry-after hint — it did not execute,
+// so the client may safely reissue it. Once Close has run, a request
+// waiting for a run slot is refused with ErrDriveStopped, even when a
+// slot frees at the same moment. The second return value reports
+// whether the request executed (only executed requests enter the
+// duplicate-reply cache).
+func (s *Server) submit(cred types.Cred, req *Request) (*Response, bool) {
 	select {
-	case s.tasks <- task{cred: cred, req: req, resp: reply}:
-		return <-reply, true
-	case <-s.done:
-		return &Response{Op: req.Op, ID: req.ID, Errno: core.Errno(types.ErrDriveStopped)}, false
+	case s.admit <- struct{}{}:
 	default:
 		return &Response{Op: req.Op, ID: req.ID, Errno: errnoBusy, RetryAfter: busyRetryAfter}, false
 	}
+	defer func() { <-s.admit }()
+	select {
+	case s.run <- struct{}{}:
+		defer func() { <-s.run }()
+	case <-s.done:
+	}
+	// Both cases above may be ready after Close: done decides.
+	select {
+	case <-s.done:
+		return &Response{Op: req.Op, ID: req.ID, Errno: core.Errno(types.ErrDriveStopped)}, false
+	default:
+	}
+	if s.testDispatchDelay != nil {
+		s.testDispatchDelay(req.Op)
+	}
+	return s.dispatch(cred, req), true
 }
 
 // lookupSession finds or creates the duplicate-suppression state for
@@ -334,9 +327,10 @@ func (s *Server) lookupSession(c types.ClientID, id uint64) *session {
 }
 
 // Close stops the listener, drops every connection immediately, and —
-// if Serve is running — waits for its handlers and workers to finish.
-// In-flight requests complete against the drive but their replies are
-// lost with the connections; Shutdown drains them gracefully first.
+// if Serve is running — waits for its connection handlers to finish.
+// Running requests complete against the drive but their replies are
+// lost with the connections; requests still waiting for a run slot are
+// refused and never run. Shutdown drains them gracefully first.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	already := s.shutdown
@@ -424,9 +418,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	cred := types.Cred{User: hello.User, Client: hello.Client, Admin: hello.Admin}
 	sess := s.lookupSession(cred.Client, hello.Session)
-	// One request is in flight per connection, so one request struct and
-	// one reply channel serve the connection's whole life.
-	req, reply := new(Request), make(chan *Response, 1)
+	// One request is in flight per connection, so one request struct
+	// serves the connection's whole life.
+	req := new(Request)
 	for {
 		// The wait for a frame's first byte may last forever — idle
 		// sessions are legal — but once a frame has begun, the rest must
@@ -459,7 +453,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			putFrame(in)
 			return
 		}
-		resp := s.process(sess, cred, req, reply)
+		resp := s.process(sess, cred, req)
 		putFrame(in)
 		if iot > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(iot))
@@ -515,9 +509,9 @@ func writeResponse(w io.Writer, resp *Response) error {
 // connection of the same session) is still executing this request, the
 // retransmission blocks here and then finds the cached reply instead
 // of executing — and auditing — the command twice.
-func (s *Server) process(sess *session, cred types.Cred, req *Request, reply chan *Response) *Response {
+func (s *Server) process(sess *session, cred types.Cred, req *Request) *Response {
 	if sess == nil || req.ID == 0 {
-		resp, _ := s.submit(cred, req, reply)
+		resp, _ := s.submit(cred, req)
 		return resp
 	}
 	sess.mu.Lock()
@@ -534,7 +528,7 @@ func (s *Server) process(sess *session, cred types.Cred, req *Request, reply cha
 		// protocol, or someone is replaying captured traffic. Refuse.
 		return &Response{Op: req.Op, ID: req.ID, Errno: core.Errno(types.ErrInval)}
 	}
-	resp, executed := s.submit(cred, req, reply)
+	resp, executed := s.submit(cred, req)
 	if executed {
 		// The arrival of ID n proves the reply to n-1 was received;
 		// that is the cache's eviction rule. Shed (ErrBusy) replies are

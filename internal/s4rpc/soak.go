@@ -28,7 +28,8 @@ type SoakConfig struct {
 	// Ops is the number of marker appends each object's worker attempts
 	// (0 = 200).
 	Ops int
-	// Workers bounds each server's dispatch pool (0 = default).
+	// Workers bounds how many requests each server runs at once (0 =
+	// default).
 	Workers int
 	// IOTimeout is each server's per-frame deadline (0 = none).
 	IOTimeout time.Duration

@@ -75,9 +75,12 @@ func newGateStack(t *testing.T, shards int, backendAdmin bool) *gateStack {
 		srv := s4rpc.NewServer(d, keys)
 		addr := serveOn(t, srv)
 		rm, err := NewRemote(RemoteConfig{
-			Addr: addr, Client: gateShardID, Key: shardGateKey, AdminKey: adminKey,
-			DialTimeout: time.Second, CallTimeout: 5 * time.Second,
-			MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
+			Config: s4rpc.Config{
+				Addr: addr, Client: gateShardID, Key: shardGateKey,
+				DialTimeout: time.Second, CallTimeout: 5 * time.Second,
+				MaxAttempts: 2, BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond,
+			},
+			AdminKey: adminKey,
 		})
 		if err != nil {
 			t.Fatal(err)

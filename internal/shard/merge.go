@@ -133,9 +133,6 @@ func gatherStatus(rs []reply) (core.StatusInfo, error) {
 		out.FreeSegments += st.FreeSegments
 		out.TotalSegments += st.TotalSegments
 		out.AuditRecords += st.AuditRecords
-		out.AuditBlocks += st.AuditBlocks
-		out.JournalBlocks += st.JournalBlocks
-		out.CPBlocks += st.CPBlocks
 		if st.NextOID > out.NextOID {
 			out.NextOID = st.NextOID
 		}

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"time"
-
 	"s4/internal/s4rpc"
 	"s4/internal/types"
 )
@@ -10,26 +8,17 @@ import (
 // RemoteConfig identifies one shard's s4d endpoint and the credentials
 // a gate presents to it.
 type RemoteConfig struct {
-	Addr string
-	// Client/Key authenticate the gate's client session on the shard.
-	// Behind a gate, shard audit logs attribute requests to this
-	// client identity; per-request user identity is forwarded
-	// unchanged (DESIGN.md §13).
-	Client types.ClientID
-	Key    []byte
+	// Config's Addr, Client and Key authenticate the gate's client
+	// session on the shard, and its resilience tuning applies to both
+	// sessions. User and Admin are ignored. Behind a gate, shard audit
+	// logs attribute requests to this client identity; per-request user
+	// identity is forwarded unchanged (DESIGN.md §13).
+	s4rpc.Config
 	// AdminKey, when set, opens a second, administrative session used
 	// only for requests arriving under an admin credential. Leaving it
 	// empty makes every admin operation fail with ErrAuthFailed rather
 	// than silently escalate.
 	AdminKey []byte
-
-	// Resilience tuning, passed through to both sessions
-	// (s4rpc.Config semantics; zero values take s4rpc defaults).
-	DialTimeout time.Duration
-	CallTimeout time.Duration
-	MaxAttempts int
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 }
 
 // Remote is one shard reached over the wire. Each Remote owns its own
@@ -47,12 +36,8 @@ type Remote struct {
 // eagerly (a shard that cannot handshake is a configuration error
 // worth failing fast on); the admin session too when AdminKey is set.
 func NewRemote(cfg RemoteConfig) (*Remote, error) {
-	base := s4rpc.Config{
-		Addr: cfg.Addr, Client: cfg.Client, Key: cfg.Key,
-		DialTimeout: cfg.DialTimeout, CallTimeout: cfg.CallTimeout,
-		MaxAttempts: cfg.MaxAttempts,
-		BackoffBase: cfg.BackoffBase, BackoffMax: cfg.BackoffMax,
-	}
+	base := cfg.Config
+	base.User, base.Admin = 0, false
 	cli, err := s4rpc.DialConfig(base)
 	if err != nil {
 		return nil, err

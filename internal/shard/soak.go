@@ -49,11 +49,9 @@ func connectRouter(addrs []string, base s4rpc.Config) (s4rpc.SoakConn, error) {
 	handlers := make([]s4rpc.Handler, len(addrs))
 	for i, addr := range addrs {
 		rm, err := s4rpc.SoakDial(func() (*Remote, error) {
-			return NewRemote(RemoteConfig{
-				Addr: addr, Client: base.Client, Key: base.Key,
-				DialTimeout: base.DialTimeout, CallTimeout: base.CallTimeout,
-				MaxAttempts: 80, BackoffBase: base.BackoffBase, BackoffMax: base.BackoffMax,
-			})
+			cfg := base
+			cfg.Addr, cfg.MaxAttempts = addr, 80
+			return NewRemote(RemoteConfig{Config: cfg})
 		})
 		if err != nil {
 			closeAll()

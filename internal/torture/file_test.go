@@ -48,6 +48,7 @@ func copyToFileDisk(t *testing.T, img *disk.Disk, path string) *disk.FileDisk {
 // with every image copied onto a disk.FileDisk in a tempdir. The file
 // backend must hold exactly the invariants the simulated device holds.
 func TestTortureFileBackend(t *testing.T) {
+	t.Parallel()
 	cfg := Config{
 		Seed:              7,
 		Ops:               120,

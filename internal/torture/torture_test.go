@@ -8,6 +8,9 @@ import (
 	"s4/internal/types"
 )
 
+// Each top-level crash sweep builds its own drives and recorders and
+// shares no package state, so the sweeps run in parallel (t.Parallel).
+
 // sweepSeeds picks the seeds for the main sweep: one seed in -short
 // runs, a few in the default tier-1 run, and a wide nightly sweep when
 // S4_TORTURE_LONG is set (see .github/workflows/ci.yml).
@@ -38,6 +41,7 @@ func sweepSeeds(t *testing.T) ([]int64, Config) {
 // of a seeded workload (plus a torn variant of each multi-sector
 // write) and hold all five recovery invariants at each one.
 func TestTortureSweep(t *testing.T) {
+	t.Parallel()
 	seeds, cfg := sweepSeeds(t)
 	for _, seed := range seeds {
 		seed := seed
@@ -83,6 +87,7 @@ func TestTortureSweep(t *testing.T) {
 // segment, and the sweep must flag it. The identical configuration
 // with the barrier intact must stay clean.
 func TestBrokenReuseBarrierCaught(t *testing.T) {
+	t.Parallel()
 	base := Config{
 		Ops:              400,
 		Window:           250 * time.Millisecond,
@@ -125,6 +130,7 @@ func TestBrokenReuseBarrierCaught(t *testing.T) {
 // group-commit pipeline's seal hand-off: a crash between the payload
 // flush and the summary write of either segment must still recover.
 func TestTortureVectoredSeals(t *testing.T) {
+	t.Parallel()
 	cfg := Config{
 		Ops:               250,
 		SegBlocks:         8,
@@ -167,6 +173,7 @@ func TestTortureVectoredSeals(t *testing.T) {
 // walk (verifyImage's CheckInvariants, invariant 6) while all the
 // usual durability and history invariants hold.
 func TestTortureCheckpointHeavy(t *testing.T) {
+	t.Parallel()
 	cfg := Config{
 		Ops:               250,
 		CheckpointEvery:   3,
@@ -220,6 +227,7 @@ func TestTortureCheckpointHeavy(t *testing.T) {
 // region behind it must degrade to full replay (IndexFallbacks), never
 // wedge or silently diverge.
 func TestTortureIndexBoundaries(t *testing.T) {
+	t.Parallel()
 	cfg := Config{
 		Ops:                 200,
 		IndexFlushEvery:     5,
@@ -275,6 +283,7 @@ func TestTortureIndexBoundaries(t *testing.T) {
 // byte-exact — retention never fabricates history. Each run asserts
 // conversion actually fired, so the sweep cannot pass vacuously.
 func TestTorturePolicyModes(t *testing.T) {
+	t.Parallel()
 	modes := []types.PolicyMode{
 		types.ModeEveryVersion, types.ModeLandmarkOnly, types.ModeOnClose,
 	}
@@ -343,6 +352,7 @@ func TestTorturePolicyModes(t *testing.T) {
 // 300 ops seed 1 copies nothing at 80 ms once audit blocks are written
 // full, and at 1,000 ops seed 8 copies nothing there either.
 func TestTortureShortWindow(t *testing.T) {
+	t.Parallel()
 	seeds := []int64{7, 9, 12}
 	cfg := Config{Ops: 300, MaxCrashPoints: 400, PostRecoverySmoke: true}
 	if os.Getenv("S4_TORTURE_LONG") != "" {
@@ -409,6 +419,7 @@ func TestTortureShortWindow(t *testing.T) {
 // checkpointed tail, and audit blocks released in a segment that went
 // on being written.
 func TestTortureRelocation(t *testing.T) {
+	t.Parallel()
 	sweeps := []struct {
 		name  string
 		seeds []int64

@@ -57,11 +57,7 @@ func main() {
 	format := flag.Bool("format", false, "format the image even if it has data")
 	cleanEvery := flag.Duration("clean", 30*time.Second, "cleaner interval (0 disables)")
 	scrubRate := flag.Float64("scrub", core.DefaultScrubRate, "background integrity-scrub pace in blocks/sec (0 = default, negative disables)")
-	workers := flag.Int("workers", 0, "requests run at once per shard (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "request queue depth before shedding ErrBusy (0 = 4x workers)")
-	connLimit := flag.Int("conn-limit", 0, "max concurrent connections per shard (0 = unlimited)")
-	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame I/O deadline, evicts stalled peers (0 disables)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful drain on shutdown: in-flight requests get their replies (0 = drop immediately)")
+	serve := s4rpc.RegisterServeFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *adminKey == "" {
@@ -131,10 +127,7 @@ func main() {
 			log.Fatalf("s4d: attach drive %s: %v", in.image, err)
 		}
 		in.srv = s4rpc.NewServer(in.drv, keys)
-		in.srv.SetWorkers(*workers)
-		in.srv.SetQueueDepth(*queue)
-		in.srv.SetConnLimit(*connLimit)
-		in.srv.SetIOTimeout(*ioTimeout)
+		serve.Apply(in.srv)
 		addr := net.JoinHostPort(host, strconv.Itoa(basePort+k))
 		in.ln, err = net.Listen("tcp", addr)
 		if err != nil {
@@ -185,19 +178,14 @@ func main() {
 		close(stopClean)
 		var wg sync.WaitGroup
 		for _, in := range insts {
-			in := in
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if *drain > 0 {
-					_ = in.srv.Shutdown(*drain)
-				} else {
-					_ = in.srv.Close()
-				}
+				_ = serve.Stop(in.srv)
 			}()
 		}
-		if *drain > 0 {
-			log.Printf("s4d: draining (up to %v)", *drain)
+		if serve.Drain > 0 {
+			log.Printf("s4d: draining (up to %v)", serve.Drain)
 		} else {
 			log.Printf("s4d: shutting down")
 		}
@@ -206,7 +194,6 @@ func main() {
 
 	var serveWG sync.WaitGroup
 	for _, in := range insts {
-		in := in
 		serveWG.Add(1)
 		go func() {
 			defer serveWG.Done()

@@ -48,9 +48,7 @@ func main() {
 	fanTimeout := flag.Duration("fan-timeout", 30*time.Second, "per-shard deadline inside scatter-gather operations")
 	maxFan := flag.Int("max-fan", 0, "max concurrent shards per scatter-gather (0 = default)")
 	retries := flag.Int("retries", 8, "attempts per shard call across reconnects")
-	workers := flag.Int("workers", 0, "requests run at once (0 = GOMAXPROCS)")
-	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-frame I/O deadline toward clients (0 disables)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful drain on shutdown (0 = drop immediately)")
+	serve := s4rpc.RegisterServeFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *backends == "" || *gateKey == "" || *adminKey == "" {
@@ -96,8 +94,7 @@ func main() {
 	}
 
 	srv := s4rpc.NewHandlerServer(router.Do, keys)
-	srv.SetWorkers(*workers)
-	srv.SetIOTimeout(*ioTimeout)
+	serve.Apply(srv)
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("s4gate: listen: %v", err)
@@ -108,12 +105,10 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		<-sig
-		if *drain > 0 {
-			log.Printf("s4gate: draining (up to %v)", *drain)
-			_ = srv.Shutdown(*drain)
-		} else {
-			_ = srv.Close()
+		if serve.Drain > 0 {
+			log.Printf("s4gate: draining (up to %v)", serve.Drain)
 		}
+		_ = serve.Stop(srv)
 	}()
 	if err := srv.Serve(ln); err != nil {
 		log.Printf("s4gate: serve: %v", err)

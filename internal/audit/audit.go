@@ -14,7 +14,6 @@ package audit
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"s4/internal/codec"
 	"s4/internal/seglog"
@@ -76,17 +75,6 @@ func (r *Record) Encode(dst []byte) []byte {
 	return append(dst, flags, r.Errno)
 }
 
-// EncodedSize returns the exact encoded length of r, without encoding it.
-func (r *Record) EncodedSize() int {
-	return uvarintLen(r.Seq) + uvarintLen(uint64(r.Time)) + uvarintLen(uint64(r.Client)) +
-		uvarintLen(uint64(r.User)) + 1 + uvarintLen(uint64(r.Obj)) + uvarintLen(r.Offset) +
-		uvarintLen(r.Length) + uvarintLen(uint64(len(r.Arg))) + len(r.Arg) +
-		uvarintLen(uint64(len(r.Raw))) + len(r.Raw) + 2
-}
-
-// uvarintLen is the length of binary.AppendUvarint's encoding of v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
 // Decode parses one record from data, returning the remainder.
 func Decode(data []byte) (Record, []byte, error) {
 	r := codec.NewReader("audit", data)
@@ -129,8 +117,9 @@ const (
 // FinishBlock fills in the header of blk, which holds BlockHeaderSize
 // bytes of room for it followed by count encoded records, at most
 // seglog.BlockSize bytes in all. A writer that packs records as they
-// arrive encodes each one straight into the block and finishes it when
-// the next would not fit; EncodeBlock is the same in one call.
+// arrive encodes each one straight into the block and, once one
+// overflows it, finishes the records before it; EncodeBlock is the same
+// in one call.
 func FinishBlock(blk []byte, count int) {
 	binary.LittleEndian.PutUint32(blk[0:], blockMagic)
 	binary.LittleEndian.PutUint16(blk[4:], uint16(count))

@@ -93,8 +93,9 @@ type auditPending struct {
 //
 // A record is encoded once, straight into the audit block being filled
 // (auditBlk, behind the room left for the block's header), from a
-// capture built in a buffer the drive reuses. The block is written when
-// the next record would not fit, so every audit block but one a
+// capture built in a buffer the drive reuses. Once a record overflows
+// the block, the records before it are written as one block and the
+// record moves up to start the next, so every audit block but one a
 // checkpoint flushes is full.
 func (d *Drive) auditOp(cred types.Cred, op types.Op, obj types.ObjectID, off, length uint64, arg string, err error) {
 	d.statsMu.Lock()
@@ -107,7 +108,7 @@ func (d *Drive) auditOp(cred types.Cred, op types.Op, obj types.ObjectID, off, l
 	d.auditSeq++
 	if d.auditRaw == nil {
 		d.auditRaw = make([]byte, captureBytes)
-		d.auditBlk = make([]byte, audit.BlockHeaderSize, seglog.BlockSize)
+		d.auditBlk = make([]byte, audit.BlockHeaderSize, 2*seglog.BlockSize) // a block and the record overflowing it
 	}
 	rec := audit.Record{
 		Seq: d.auditSeq, Time: vclock.TS(d.clk),
@@ -116,14 +117,13 @@ func (d *Drive) auditOp(cred types.Cred, op types.Op, obj types.ObjectID, off, l
 		Raw: requestCapture(d.auditRaw, cred, op, obj, off, length, arg),
 		OK:  err == nil, Errno: Errno(err),
 	}
-	size := rec.EncodedSize()
-	for len(d.auditPend) > 0 && len(d.auditBlk)+size > seglog.BlockSize {
+	d.auditBlk = rec.Encode(d.auditBlk)
+	d.auditPend = append(d.auditPend, auditPending{end: len(d.auditBlk), seq: rec.Seq, time: rec.Time})
+	for len(d.auditBlk) > seglog.BlockSize {
 		if d.writeAuditBlockLocked() != nil {
 			break // the records stay buffered; the next record retries
 		}
 	}
-	d.auditBlk = rec.Encode(d.auditBlk)
-	d.auditPend = append(d.auditPend, auditPending{end: len(d.auditBlk), seq: rec.Seq, time: rec.Time})
 	d.auditMu.Unlock()
 	d.statsMu.Lock()
 	d.stats.AuditRecords++

@@ -131,7 +131,7 @@ func TestAuditBlocksAreFull(t *testing.T) {
 		if i+1 == len(decoded) || byCheckpoint[i] {
 			continue
 		}
-		if next := decoded[i+1][0].EncodedSize(); used[i]+next <= seglog.BlockSize {
+		if next := len(decoded[i+1][0].Encode(nil)); used[i]+next <= seglog.BlockSize {
 			t.Errorf("audit block %d holds %d records in %d bytes; the next record (%d bytes) would have fit",
 				i, len(rs), used[i], next)
 		}

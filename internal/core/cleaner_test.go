@@ -304,7 +304,7 @@ func TestThrottleEngagesUnderHistoryPressure(t *testing.T) {
 	e := newTestDrive(t, func(o *Options) {
 		o.Window = 24 * time.Hour
 		// Tiny pool so the test reaches pressure quickly.
-		o.Throttle = &throttle.Config{
+		o.throttleCfg = &throttle.Config{
 			PoolBytes:  2 << 20,
 			PressureAt: 0.5,
 			FairShare:  64 << 10,

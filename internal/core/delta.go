@@ -54,7 +54,7 @@ const maxDeltaEntryBlocks = 20
 const maxDeltaSlotBytes = types.BlockSize / 2
 
 // maxDeltaDepth caps reference-chain resolution. Chains are bounded by
-// the writer's MaxDeltaChain (default 8); the fixed cap stays safe if
+// the writer's maxDeltaChain (default 8); the fixed cap stays safe if
 // an image written with a longer bound is reopened with a shorter one,
 // while still turning a corrupt self-referencing map into ErrCorrupt.
 const maxDeltaDepth = 64
@@ -86,7 +86,7 @@ func (d *Drive) effectivePolicy(id types.ObjectID) types.Policy {
 // pool by. Caller holds o.mu exclusively (plus the shared drive lock)
 // or the exclusive drive lock.
 func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, pol types.Policy) int64 {
-	deltaOn := pol.DeltaEnabled && d.opts.MaxDeltaChain > 0
+	deltaOn := pol.DeltaEnabled && d.opts.maxDeltaChain > 0
 	skipOn := pol.Mode != types.ModeEveryVersion
 	if !deltaOn && !skipOn {
 		var hist int64
@@ -154,9 +154,9 @@ func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, po
 			hist += types.BlockSize
 			continue
 		}
-		if o.deltaRun[e.FirstBlock+uint64(i)] >= d.opts.MaxDeltaChain {
+		if o.deltaRun[e.FirstBlock+uint64(i)] >= d.opts.maxDeltaChain {
 			// Chain bound: force a full-block keyframe so a deep read
-			// decodes at most MaxDeltaChain slots per block.
+			// decodes at most maxDeltaChain slots per block.
 			keyframe(i)
 			chainHit++
 			hist += types.BlockSize

@@ -149,7 +149,7 @@ func TestDeltaChurnPoolAndDeepReads(t *testing.T) {
 }
 
 func TestDeltaChainKeyframe(t *testing.T) {
-	e := newTestDrive(t, func(o *Options) { o.MaxDeltaChain = 4 })
+	e := newTestDrive(t, func(o *Options) { o.maxDeltaChain = 4 })
 	deltaOn(e)
 	id := e.create(alice)
 	const versions, span = 11, 4 // several keyframes at chain bound 4
@@ -161,7 +161,7 @@ func TestDeltaChainKeyframe(t *testing.T) {
 	}
 	st := e.d.GetStats()
 	if st.ChainKeyframes == 0 {
-		t.Fatal("no keyframes forced at the MaxDeltaChain bound")
+		t.Fatal("no keyframes forced at the maxDeltaChain bound")
 	}
 	for v := 0; v < versions; v++ {
 		got := e.read(alice, id, 0, span*types.BlockSize, times[v])

@@ -70,7 +70,7 @@ func allocBytesPer(n int, fn func(i int)) uint64 {
 }
 
 // TestDeepChainReadAllocs: a history read of one block through a chain
-// of MaxDeltaChain links allocates what a read through one link does,
+// of maxDeltaChain links allocates what a read through one link does,
 // two block-sized buffers — the block the last link decodes into and
 // the reply. When every link decoded into a buffer of its own it was one
 // more block per link.

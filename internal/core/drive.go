@@ -99,8 +99,6 @@ type Options struct {
 	// way a versioning file system without journal-based metadata would
 	// (Fig. 2). Journal entries are still kept for correctness.
 	Conventional bool
-	// Throttle overrides the history-pool abuse detector configuration.
-	Throttle *throttle.Config
 	// SurfaceThrottle changes how abuse penalties are served: instead of
 	// sleeping in-band (holding the target object's lock for the whole
 	// penalty), a penalized mutation fails fast with a
@@ -116,16 +114,6 @@ type Options struct {
 	// out — the paper's history-pool-space vs. read-cost tradeoff made
 	// tunable. Zero takes the default (32); negative disables landmarks.
 	CheckpointEvery int
-	// ReconCacheBytes bounds the reconstructed-inode cache (DESIGN.md
-	// §12.2). Zero takes the default (4MB); negative disables it.
-	ReconCacheBytes int64
-	// MaxDeltaChain bounds how many consecutive overwrites of one block
-	// may be stored as reverse deltas before a full-block keyframe is
-	// forced (DESIGN.md §16). Longer chains save more history-pool
-	// space but make deep back-in-time reads decode more slots. Zero
-	// takes the default (8); negative disables delta encoding entirely
-	// even for delta-enabled policies.
-	MaxDeltaChain int
 	// UnsafeImmediateReuse disables the deferred-reuse barrier: the
 	// cleaner returns emptied segments to the allocator immediately
 	// instead of holding them until the next checkpoint commits. This
@@ -140,6 +128,20 @@ type Options struct {
 	// battery can open the same crash image on both bases and diff the
 	// results.
 	DisableSegIndex bool
+
+	// Knobs only the package's own tests set. throttleCfg overrides the
+	// history-pool abuse detector configuration.
+	throttleCfg *throttle.Config
+	// reconCacheBytes bounds the reconstructed-inode cache (DESIGN.md
+	// §12.2). Zero takes the default (4MB); negative disables it.
+	reconCacheBytes int64
+	// maxDeltaChain bounds how many consecutive overwrites of one block
+	// may be stored as reverse deltas before a full-block keyframe is
+	// forced (DESIGN.md §16). Longer chains save more history-pool
+	// space but make deep back-in-time reads decode more slots. Zero
+	// takes the default (8); negative disables delta encoding entirely
+	// even for delta-enabled policies.
+	maxDeltaChain int
 }
 
 // pendingFlushEntries bounds unflushed journal entries per object before
@@ -168,15 +170,15 @@ func (o *Options) fill(dev disk.Device) {
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 32
 	}
-	if o.ReconCacheBytes == 0 {
-		o.ReconCacheBytes = 4 << 20
+	if o.reconCacheBytes == 0 {
+		o.reconCacheBytes = 4 << 20
 	}
-	if o.MaxDeltaChain == 0 {
-		o.MaxDeltaChain = 8
+	if o.maxDeltaChain == 0 {
+		o.maxDeltaChain = 8
 	}
-	if o.Throttle == nil {
+	if o.throttleCfg == nil {
 		cfg := throttle.DefaultConfig(dev.Capacity() / 2)
-		o.Throttle = &cfg
+		o.throttleCfg = &cfg
 	}
 }
 
@@ -275,7 +277,7 @@ type object struct {
 	// address it is about to free.
 	birth map[seglog.BlockAddr]blockBirth
 	// deltaRun counts, per file block index, how many consecutive
-	// overwrites were stored as deltas; at MaxDeltaChain the next
+	// overwrites were stored as deltas; at maxDeltaChain the next
 	// overwrite keyframes and the run resets.
 	deltaRun map[uint64]int
 	// retainedVer is the newest version whose data the retention policy
@@ -363,7 +365,7 @@ type Stats struct {
 	// History-pool delta counters (DESIGN.md §16).
 	DeltaBlocksWritten    int64 // packed delta blocks appended to the log
 	DeltaBytesSaved       int64 // history bytes avoided by delta conversion
-	ChainKeyframes        int64 // conversions refused by the MaxDeltaChain bound
+	ChainKeyframes        int64 // conversions refused by the delta-chain bound
 	PolicySkippedVersions int64 // outgoing versions whose data retention dropped
 }
 
@@ -554,11 +556,11 @@ func Open(dev disk.Device, opts Options) (*Drive, error) {
 		window:      opts.Window,
 		usage:       newSegUsage(log.NumSegments()),
 		cache:       newBlockCache(opts.BlockCacheBytes),
-		recon:       newReconCache(opts.ReconCacheBytes),
+		recon:       newReconCache(opts.reconCacheBytes),
 		jblockRef:   make(map[seglog.BlockAddr]int),
 		pendingFree: make(map[int64]bool),
 		dirtyObjs:   make(map[types.ObjectID]*object),
-		thr:         throttle.New(*opts.Throttle),
+		thr:         throttle.New(*opts.throttleCfg),
 	}
 	d.commitCond = sync.NewCond(&d.commitMu)
 	// ~1.5% of the log, clamped so toy-sized test logs keep one spare
@@ -1336,29 +1338,12 @@ func (d *Drive) flushJournalLocked(o *object) error {
 				return err
 			}
 		}
-		room := journal.SectorCapacity
-		for i := range existing {
-			room -= existing[i].EncodedSize()
-		}
 		merged := make([]*journal.Entry, 0, len(existing)+len(o.pending))
 		for i := range existing {
 			merged = append(merged, &existing[i])
 		}
-		n := 0
-		for n < len(o.pending) {
-			sz := o.pending[n].EncodedSize()
-			if sz > room {
-				break
-			}
-			room -= sz
-			merged = append(merged, o.pending[n])
-			n++
-		}
-		if n > 0 {
-			sec, err := journal.EncodeSector(o.id, prev, merged)
-			if err != nil {
-				return err
-			}
+		sec, fit := journal.FitSector(o.id, prev, append(merged, o.pending...))
+		if n := fit - len(existing); n > 0 {
 			// RewriteRange re-checks openness atomically: data-block
 			// appends run outside logMu and may seal the head's segment
 			// between the check above and here. On ok=false the merge is
@@ -1380,23 +1365,9 @@ func (d *Drive) flushJournalLocked(o *object) error {
 		}
 	}
 	for len(o.pending) > 0 {
-		// Greedily fill one sector.
-		room := journal.SectorCapacity
-		n := 0
-		for n < len(o.pending) {
-			sz := o.pending[n].EncodedSize()
-			if sz > room {
-				break
-			}
-			room -= sz
-			n++
-		}
+		sec, n := journal.FitSector(o.id, o.jhead, o.pending)
 		if n == 0 {
 			return fmt.Errorf("core: journal entry larger than a sector: %w", types.ErrTooLarge)
-		}
-		sec, err := journal.EncodeSector(o.id, o.jhead, o.pending[:n])
-		if err != nil {
-			return err
 		}
 		sa, err := d.placeSectorLocked(sec, o.pending[n-1].Time)
 		if err != nil {
@@ -1857,7 +1828,7 @@ func (d *Drive) writeBlocksLocked(cred types.Cred, o *object, off uint64, data [
 	// budget so the richer wire encoding still fits a journal sector.
 	pol := d.effectivePolicy(o.id)
 	maxPer := journal.MaxBlocksPerEntry
-	if (pol.DeltaEnabled && d.opts.MaxDeltaChain > 0) || pol.Mode != types.ModeEveryVersion {
+	if (pol.DeltaEnabled && d.opts.maxDeltaChain > 0) || pol.Mode != types.ModeEveryVersion {
 		maxPer = maxDeltaEntryBlocks
 	}
 	blk := b0

@@ -52,7 +52,7 @@ func newRotDrive(t *testing.T, dev rotDev) (*Drive, *vclock.Virtual) {
 		// A one-block cache and no recon cache force every read back to
 		// the media, where the rot lives.
 		BlockCacheBytes:  types.BlockSize,
-		ReconCacheBytes:  -1,
+		reconCacheBytes:  -1,
 		ObjectCacheCount: 64,
 	})
 	if err != nil {

@@ -73,7 +73,7 @@ func verifySnaps(e *testEnv, id types.ObjectID, snaps []versionSnap) {
 func TestLandmarkWalkMatchesFullWalk(t *testing.T) {
 	e := newTestDrive(t, func(o *Options) {
 		o.CheckpointEvery = 4
-		o.ReconCacheBytes = -1
+		o.reconCacheBytes = -1
 	})
 	id := e.create(alice)
 	const versions = 160
@@ -211,7 +211,7 @@ func TestDeepHistoryReadCost(t *testing.T) {
 func TestLandmarkDisabledStillCorrect(t *testing.T) {
 	e := newTestDrive(t, func(o *Options) {
 		o.CheckpointEvery = -1
-		o.ReconCacheBytes = -1
+		o.reconCacheBytes = -1
 	})
 	id := e.create(alice)
 	snaps := writeVersions(e, id, 60, 2*int(types.BlockSize), 12)

@@ -18,7 +18,7 @@ func TestSurfaceThrottleReturnsRetryableError(t *testing.T) {
 	e := newTestDrive(t, func(o *Options) {
 		o.Window = 24 * time.Hour
 		o.SurfaceThrottle = true
-		o.Throttle = &throttle.Config{
+		o.throttleCfg = &throttle.Config{
 			PoolBytes:  2 << 20,
 			PressureAt: 0.5,
 			FairShare:  64 << 10,

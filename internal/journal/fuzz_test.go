@@ -47,8 +47,7 @@ func maskedEntries() []*Entry {
 // FuzzDecode feeds arbitrary bytes to the entry decoder: it must never
 // panic, it must accept exactly what the reference decoder accepts and
 // decode it to the same entry over the same bytes, and anything it
-// accepts must re-encode, in EncodedSize bytes, to a form it decodes to
-// the same entry.
+// accepts must re-encode to a form it decodes to the same entry.
 func FuzzDecode(f *testing.F) {
 	for _, e := range append(seedEntries(), maskedEntries()...) {
 		f.Add(e.Encode(nil))
@@ -70,11 +69,7 @@ func FuzzDecode(f *testing.F) {
 		if !reflect.DeepEqual(e, want) || !bytes.Equal(rest, wantRest) {
 			t.Fatalf("Decode differs from the reference:\n  %+v (%d left)\n  %+v (%d left)", e, len(rest), want, len(wantRest))
 		}
-		enc := e.Encode(nil)
-		if e.EncodedSize() != len(enc) {
-			t.Fatalf("EncodedSize %d, Encode wrote %d bytes: %+v", e.EncodedSize(), len(enc), e)
-		}
-		again, rest, err := Decode(enc)
+		again, rest, err := Decode(e.Encode(nil))
 		if err != nil {
 			t.Fatalf("re-decode of accepted entry failed: %v", err)
 		}
@@ -139,8 +134,9 @@ func checkSectorAgainstReference(t *testing.T, data []byte) {
 
 // FuzzDecodeSector does the same at sector granularity — this is what
 // recovery feeds raw disk sectors to — and there holds the in-place
-// decoder to the reference applied entry by entry, and EncodedSize to
-// the length of every accepted entry's encoding.
+// decoder to the reference applied entry by entry, and FitSector over
+// an accepted sector's entries to EncodeSector: it packs all of them
+// exactly when EncodeSector accepts them, into the same bytes.
 func FuzzDecodeSector(f *testing.F) {
 	if sec, err := EncodeSector(42, 7, seedEntries()); err == nil {
 		f.Add(sec)
@@ -160,16 +156,20 @@ func FuzzDecodeSector(f *testing.F) {
 		ptrs := make([]*Entry, len(entries))
 		for i := range entries {
 			ptrs[i] = &entries[i]
-			if n := len(entries[i].Encode(nil)); entries[i].EncodedSize() != n {
-				t.Fatalf("entry %d: EncodedSize %d, Encode wrote %d bytes: %+v", i, entries[i].EncodedSize(), n, entries[i])
-			}
 		}
-		if len(ptrs) == 0 || len(ptrs) > 0xFFFF {
+		if len(ptrs) == 0 {
 			return // re-encode rejects these by design
 		}
 		sec, err := EncodeSector(obj, prev, ptrs)
+		fit, n := FitSector(obj, prev, ptrs)
+		if (err == nil) != (n == len(ptrs)) {
+			t.Fatalf("EncodeSector: %v, but FitSector packed %d of %d entries", err, n, len(ptrs))
+		}
 		if err != nil {
 			return // accepted input may exceed SectorSize when re-packed
+		}
+		if !bytes.Equal(fit, sec) {
+			t.Fatal("FitSector of every entry differs from EncodeSector")
 		}
 		obj2, prev2, entries2, ok2, err := DecodeSector(sec)
 		if err != nil || !ok2 {

@@ -145,44 +145,6 @@ type Entry struct {
 // slot). It must be at least delta.MaxSlots; 32 leaves headroom.
 const DeltaSlotsPerBlock = 32
 
-// EncodedSize returns the exact encoded length of e, without encoding it.
-func (e *Entry) EncodedSize() int {
-	n := 1 + uvarintLen(e.Version) + uvarintLen(uint64(e.Time)) + uvarintLen(uint64(e.User)) + uvarintLen(uint64(e.Client))
-	switch e.Type {
-	case EntWrite:
-		n += uvarintLen(e.FirstBlock) + uvarintLen(uint64(len(e.New))) +
-			addrsLen(e.New) + addrsLen(e.Old) + uvarintLen(e.OldSize) + uvarintLen(e.NewSize)
-		if e.DeltaMask != 0 || e.SkipMask != 0 {
-			n += uvarintLen(uint64(e.DeltaMask)) + uvarintLen(uint64(e.SkipMask)) + addrsLen(e.Dropped)
-		}
-	case EntTruncate:
-		n += uvarintLen(e.FirstBlock) + uvarintLen(uint64(len(e.Old))) +
-			addrsLen(e.Old) + uvarintLen(e.OldSize) + uvarintLen(e.NewSize)
-	case EntSetAttr:
-		n += uvarintLen(uint64(len(e.OldAttr))) + len(e.OldAttr) + uvarintLen(uint64(len(e.NewAttr))) + len(e.NewAttr)
-	case EntSetACL:
-		n += 1 + uvarintLen(uint64(e.OldACL.User)) + uvarintLen(uint64(e.OldACL.Perm)) +
-			uvarintLen(uint64(e.NewACL.User)) + uvarintLen(uint64(e.NewACL.Perm))
-	case EntDelete, EntRevive:
-		n += uvarintLen(e.OldSize)
-	case EntCheckpoint:
-		n += uvarintLen(uint64(e.InodeAddr))
-	}
-	return n
-}
-
-// uvarintLen is the length of the uvarint encoding of v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// addrsLen is the encoded length of a list of block addresses.
-func addrsLen(as []seglog.BlockAddr) int {
-	n := 0
-	for _, a := range as {
-		n += uvarintLen(uint64(a))
-	}
-	return n
-}
-
 // appendAddrs appends a list of block addresses as uvarints.
 func appendAddrs(dst []byte, as []seglog.BlockAddr) []byte {
 	for _, a := range as {
@@ -387,28 +349,47 @@ func MakeSectorAddr(b seglog.BlockAddr, slot int) SectorAddr {
 	return SectorAddr(uint64(b)*SectorsPerBlock + uint64(slot))
 }
 
-// EncodeSector packs entries (oldest first) for obj into one journal
-// sector whose backward chain pointer is prev. It fails if the entries
-// do not fit; callers size batches with EncodedSize.
-func EncodeSector(obj types.ObjectID, prev SectorAddr, entries []*Entry) ([]byte, error) {
-	if len(entries) == 0 || len(entries) > 0xFFFF {
-		return nil, fmt.Errorf("journal: sector with %d entries: %w", len(entries), types.ErrInval)
-	}
+// FitSector packs the longest prefix of entries (oldest first) that
+// fits one journal sector for obj, whose backward chain pointer is prev,
+// and returns the sector and how many entries it holds. Each entry is
+// encoded once, straight into the sector; the first one that overflows
+// it ends the sector. n is 0, and the sector nil, when entries is empty
+// or its first entry alone is larger than a sector.
+func FitSector(obj types.ObjectID, prev SectorAddr, entries []*Entry) (sector []byte, n int) {
 	buf := make([]byte, SectorHeaderSize, SectorSize)
+	for n < len(entries) { // n stays far below the count field's 0xFFFF
+		end := len(buf)
+		if buf = entries[n].Encode(buf); len(buf) > SectorSize {
+			buf = buf[:end]
+			break
+		}
+		n++
+	}
+	if n == 0 {
+		return nil, 0
+	}
 	binary.LittleEndian.PutUint32(buf[0:], sectorMagic2)
 	binary.LittleEndian.PutUint64(buf[4:], uint64(obj))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(prev))
-	binary.LittleEndian.PutUint16(buf[20:], uint16(len(entries)))
-	for _, e := range entries {
-		buf = e.Encode(buf)
-		if len(buf) > SectorSize {
-			return nil, fmt.Errorf("journal: entries overflow sector (%d bytes): %w", len(buf), types.ErrTooLarge)
-		}
-	}
+	binary.LittleEndian.PutUint16(buf[20:], uint16(n))
 	// The crc field is still zero here, so checksumming the whole buffer
 	// matches the verification in DecodeSector.
 	binary.LittleEndian.PutUint32(buf[22:], crc32.ChecksumIEEE(buf))
-	return buf, nil
+	return buf, n
+}
+
+// EncodeSector packs entries (oldest first) for obj into one journal
+// sector whose backward chain pointer is prev: FitSector, failing unless
+// every entry fits.
+func EncodeSector(obj types.ObjectID, prev SectorAddr, entries []*Entry) ([]byte, error) {
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("journal: sector with no entries: %w", types.ErrInval)
+	}
+	sec, n := FitSector(obj, prev, entries)
+	if n < len(entries) {
+		return nil, fmt.Errorf("journal: %d of %d entries fit a sector: %w", n, len(entries), types.ErrTooLarge)
+	}
+	return sec, nil
 }
 
 // zeroCRC stands in for the crc field when a sector's checksum is
@@ -464,21 +445,11 @@ type SectorReader interface {
 
 // ReadSector fetches and decodes the journal sector at sa.
 func ReadSector(r SectorReader, sa SectorAddr) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
-	return ReadSectorInto(r, sa, make([]byte, seglog.BlockSize))
-}
-
-// ReadSectorInto is ReadSector through the caller's block buffer, which
-// is free again on return: decoded entries never alias the bytes they
-// came from (the decoder copies attribute blobs and fills its own address
-// lists).
-// A walk over many sectors reads them all through one buffer.
-func ReadSectorInto(r SectorReader, sa SectorAddr, buf []byte) (obj types.ObjectID, prev SectorAddr, entries []Entry, err error) {
+	buf := make([]byte, seglog.BlockSize)
 	if err := r.Read(sa.Block(), buf); err != nil {
 		return 0, 0, nil, err
 	}
-	slot := sa.Slot()
-	data := buf[slot*SectorSize : (slot+1)*SectorSize]
-	obj, prev, entries, ok, err := DecodeSector(data)
+	obj, prev, entries, ok, err := DecodeSector(buf[sa.Slot()*SectorSize:][:SectorSize])
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -509,28 +480,4 @@ func WalkSectors(read func(sa SectorAddr) (prev SectorAddr, entries []Entry, err
 		addr = prev
 	}
 	return nil
-}
-
-// WalkBackward visits an object's journal entries newest-first, starting
-// from the sector at head and following previous pointers, until fn
-// returns stop or the chain ends. Unflushed in-memory entries must be
-// visited by the caller before calling WalkBackward. The walk reads
-// every sector through one block buffer; an entry handed to fn stays
-// valid, and unshared, after fn returns.
-func WalkBackward(r SectorReader, obj types.ObjectID, head SectorAddr, fn func(e *Entry) (stop bool, err error)) error {
-	buf := make([]byte, seglog.BlockSize)
-	return WalkSectors(func(sa SectorAddr) (SectorAddr, []Entry, error) {
-		gotObj, prev, entries, err := ReadSectorInto(r, sa, buf)
-		if err == nil && gotObj != obj {
-			err = fmt.Errorf("journal: sector at %d belongs to %v, expected %v: %w", sa, gotObj, obj, types.ErrCorrupt)
-		}
-		return prev, entries, err
-	}, head, NilSector, func(_, _ SectorAddr, entries []Entry) (bool, error) {
-		for i := len(entries) - 1; i >= 0; i-- {
-			if stop, err := fn(&entries[i]); stop || err != nil {
-				return true, err
-			}
-		}
-		return false, nil
-	})
 }

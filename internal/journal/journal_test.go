@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -42,11 +43,7 @@ func sampleEntries() []*Entry {
 
 func TestEntryCodecRoundTrip(t *testing.T) {
 	for _, e := range sampleEntries() {
-		enc := e.Encode(nil)
-		if len(enc) != e.EncodedSize() {
-			t.Fatalf("%v: EncodedSize=%d but len=%d", e.Type, e.EncodedSize(), len(enc))
-		}
-		got, rest, err := Decode(enc)
+		got, rest, err := Decode(e.Encode(nil))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", e.Type, err)
 		}
@@ -156,6 +153,56 @@ func TestSectorLimits(t *testing.T) {
 	}
 }
 
+// TestFitSector pins the greedy packer at its edges: entries that fill
+// a sector's payload to the byte all fit, one byte more leaves the last
+// one out, what is packed is EncodeSector of that prefix byte for byte,
+// and nothing is packed when nothing fits.
+func TestFitSector(t *testing.T) {
+	entries := sampleEntries()
+	used := 0
+	for _, e := range entries {
+		used += len(e.Encode(nil))
+	}
+	// filler is a setattr entry whose encoding is size bytes long.
+	filler := func(size int) *Entry {
+		for n := size; n >= 0; n-- {
+			e := &Entry{Type: EntSetAttr, Version: 8, Time: 800, NewAttr: bytes.Repeat([]byte{7}, n)}
+			if len(e.Encode(nil)) == size {
+				return e
+			}
+		}
+		t.Fatalf("no setattr entry encodes in %d bytes", size)
+		return nil
+	}
+	exact := append(entries, filler(SectorCapacity-used))
+	sec, n := FitSector(77, 1234, exact)
+	if n != len(exact) || len(sec) != SectorSize {
+		t.Fatalf("entries filling the payload exactly: %d of %d packed into %d bytes", n, len(exact), len(sec))
+	}
+	if want, err := EncodeSector(77, 1234, exact); err != nil || !bytes.Equal(sec, want) {
+		t.Fatalf("a full sector differs from EncodeSector (%v)", err)
+	}
+
+	over := append(entries, filler(SectorCapacity-used+1), exact[0])
+	sec, n = FitSector(77, 1234, over)
+	if n != len(entries) {
+		t.Fatalf("one byte over: %d of %d packed, want %d", n, len(over), len(entries))
+	}
+	if want, err := EncodeSector(77, 1234, over[:n]); err != nil || !bytes.Equal(sec, want) {
+		t.Fatalf("the packed prefix differs from EncodeSector of it (%v)", err)
+	}
+	if _, err := EncodeSector(77, 1234, over); !errors.Is(err, types.ErrTooLarge) {
+		t.Fatalf("EncodeSector of entries that overflow a sector: %v, want ErrTooLarge", err)
+	}
+
+	big := &Entry{Type: EntSetAttr, NewAttr: make([]byte, SectorSize)}
+	for _, es := range [][]*Entry{nil, {big}, {big, entries[0]}} {
+		if sec, n := FitSector(1, 0, es); n != 0 || sec != nil {
+			t.Fatalf("%d entries led by %d bytes: %d packed into %d bytes, want none", len(es), len(big.Encode(nil)), n, len(sec))
+		}
+	}
+}
+
 func TestDecodeSectorRejectsCorrupt(t *testing.T) {
 	if _, _, _, _, err := DecodeSector(make([]byte, 4)); err == nil {
 		t.Fatal("short sector accepted")
@@ -238,6 +285,31 @@ func blockWith(sec []byte) []byte {
 	return b
 }
 
+// walkBackward visits obj's journal entries newest-first from the sector
+// at head, over WalkSectors with the read the drive's chain walker gives
+// it: every sector through one block buffer, and a sector that is not
+// obj's refused.
+func walkBackward(r SectorReader, obj types.ObjectID, head SectorAddr, fn func(e *Entry) (stop bool, err error)) error {
+	buf := make([]byte, seglog.BlockSize)
+	return WalkSectors(func(sa SectorAddr) (SectorAddr, []Entry, error) {
+		if err := r.Read(sa.Block(), buf); err != nil {
+			return NilSector, nil, err
+		}
+		got, prev, entries, ok, err := DecodeSector(buf[sa.Slot()*SectorSize:][:SectorSize])
+		if err == nil && (!ok || got != obj) {
+			err = fmt.Errorf("sector at %d belongs to %v (ok=%v), expected %v: %w", sa, got, ok, obj, types.ErrCorrupt)
+		}
+		return prev, entries, err
+	}, head, NilSector, func(_, _ SectorAddr, entries []Entry) (bool, error) {
+		for i := len(entries) - 1; i >= 0; i-- {
+			if stop, err := fn(&entries[i]); stop || err != nil {
+				return true, err
+			}
+		}
+		return false, nil
+	})
+}
+
 func TestWalkBackward(t *testing.T) {
 	// Build a 3-sector chain: versions 1..3 in sector A, 4..5 in B, 6 in C.
 	mk := func(obj types.ObjectID, prev SectorAddr, vs ...uint64) []byte {
@@ -260,7 +332,7 @@ func TestWalkBackward(t *testing.T) {
 		300: blockWith(mk(5, b, 6)),
 	}
 	var versions []uint64
-	err := WalkBackward(r, 5, c, func(e *Entry) (bool, error) {
+	err := walkBackward(r, 5, c, func(e *Entry) (bool, error) {
 		versions = append(versions, e.Version)
 		return false, nil
 	})
@@ -274,7 +346,7 @@ func TestWalkBackward(t *testing.T) {
 
 	// Early stop.
 	versions = versions[:0]
-	err = WalkBackward(r, 5, c, func(e *Entry) (bool, error) {
+	err = walkBackward(r, 5, c, func(e *Entry) (bool, error) {
 		versions = append(versions, e.Version)
 		return e.Version == 4, nil
 	})
@@ -283,9 +355,9 @@ func TestWalkBackward(t *testing.T) {
 	}
 
 	// Wrong object detected.
-	err = WalkBackward(r, 6, c, func(e *Entry) (bool, error) { return false, nil })
-	if err == nil {
-		t.Fatal("object mismatch undetected")
+	err = walkBackward(r, 6, c, func(e *Entry) (bool, error) { return false, nil })
+	if !errors.Is(err, types.ErrCorrupt) {
+		t.Fatalf("object mismatch: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -307,8 +379,9 @@ func chainOf(t *testing.T, r memReader, obj types.ObjectID, n int) SectorAddr {
 }
 
 // TestWalkBackwardAllocatesPerWalk pins the walk's buffer discipline as a
-// count: a walk owns one block buffer however long the chain, so a
-// further sector costs what decoding it costs and nothing more. When
+// count: over a read that owns one block buffer however long the chain,
+// WalkSectors adds nothing of its own, so a further sector costs what
+// decoding it costs and nothing more. When
 // every sector read allocated its own 4 KB block, a deep-chain restart
 // allocated 6 MB of them per open.
 func TestWalkBackwardAllocatesPerWalk(t *testing.T) {
@@ -317,7 +390,7 @@ func TestWalkBackwardAllocatesPerWalk(t *testing.T) {
 	long := chainOf(t, r, 5, 64) // rebuilds the same blocks, and 56 more
 	walk := func(head SectorAddr) float64 {
 		return testing.AllocsPerRun(20, func() {
-			if err := WalkBackward(r, 5, head, func(*Entry) (bool, error) { return false, nil }); err != nil {
+			if err := walkBackward(r, 5, head, func(*Entry) (bool, error) { return false, nil }); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -342,18 +415,14 @@ func TestWalkBackwardAllocatesPerWalk(t *testing.T) {
 // holds: the sector a hot object's chain is made of.
 func fullSectorOfWrites(t testing.TB) []byte {
 	var entries []*Entry
-	for v, room := uint64(1), SectorCapacity; ; v++ {
-		e := &Entry{Type: EntWrite, Version: v, Time: types.Timestamp(1e15 + v), User: 3, Client: 9,
+	for v := uint64(1); v <= SectorCapacity/minEntrySize; v++ {
+		entries = append(entries, &Entry{Type: EntWrite, Version: v, Time: types.Timestamp(1e15 + v), User: 3, Client: 9,
 			FirstBlock: v % 8, Old: []seglog.BlockAddr{seglog.BlockAddr(9000 + v)}, New: []seglog.BlockAddr{seglog.BlockAddr(9100 + v)},
-			OldSize: 32768, NewSize: 32768}
-		if room -= e.EncodedSize(); room < 0 {
-			break
-		}
-		entries = append(entries, e)
+			OldSize: 32768, NewSize: 32768})
 	}
-	sec, err := EncodeSector(5, MakeSectorAddr(77, 3), entries)
-	if err != nil {
-		t.Fatal(err)
+	sec, n := FitSector(5, MakeSectorAddr(77, 3), entries)
+	if n == 0 || n == len(entries) {
+		t.Fatalf("%d of %d writes fit a sector", n, len(entries))
 	}
 	return sec
 }
@@ -484,7 +553,7 @@ func TestDecodedEntriesOutliveTheBuffer(t *testing.T) {
 	}
 	r := &scribbleReader{blocks: memReader{100: blockWith(older), 200: blockWith(newer)}}
 	var got []*Entry
-	if err := WalkBackward(r, 5, MakeSectorAddr(200, 0), func(e *Entry) (bool, error) {
+	if err := walkBackward(r, 5, MakeSectorAddr(200, 0), func(e *Entry) (bool, error) {
 		got = append(got, e)
 		return false, nil
 	}); err != nil {

@@ -2,6 +2,7 @@ package s4rpc
 
 import (
 	"errors"
+	"flag"
 	"net"
 	"testing"
 	"time"
@@ -365,5 +366,33 @@ func TestRestartStatsOverWire(t *testing.T) {
 	}
 	if st.RecoveryReplayEntries < 0 {
 		t.Fatalf("RecoveryReplayEntries=%d negative over the wire", st.RecoveryReplayEntries)
+	}
+}
+
+// TestServeFlagsApply: the serving flags s4d and s4gate share reach the
+// server's bounds, and their defaults leave the server's own defaults.
+func TestServeFlagsApply(t *testing.T) {
+	for _, tc := range []struct {
+		args                      []string
+		workers, queue, connLimit int
+		ioTimeout, drain          time.Duration
+	}{
+		{nil, 0, 0, 0, 30 * time.Second, 10 * time.Second},
+		{[]string{"-workers", "3", "-queue", "5", "-conn-limit", "2", "-io-timeout", "1s", "-drain", "0"}, 3, 5, 2, time.Second, 0},
+	} {
+		fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+		f := RegisterServeFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewHandlerServer(nil, NewKeyring(adminKey))
+		f.Apply(srv)
+		if srv.workers != tc.workers || srv.queue != tc.queue || srv.connLimit != tc.connLimit || srv.ioTimeout != tc.ioTimeout || f.Drain != tc.drain {
+			t.Errorf("%q: workers %d queue %d conn-limit %d io-timeout %v drain %v; want %d %d %d %v %v", tc.args,
+				srv.workers, srv.queue, srv.connLimit, srv.ioTimeout, f.Drain, tc.workers, tc.queue, tc.connLimit, tc.ioTimeout, tc.drain)
+		}
+		if err := f.Stop(srv); err != nil {
+			t.Errorf("%q: stopping a server that never served: %v", tc.args, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -205,6 +206,41 @@ func (s *Server) SetIOTimeout(d time.Duration) {
 	s.mu.Lock()
 	s.ioTimeout = d
 	s.mu.Unlock()
+}
+
+// ServeFlags are the serving bounds a daemon takes from its command
+// line, defined once for every daemon that runs a Server.
+type ServeFlags struct {
+	Workers, Queue, ConnLimit int
+	IOTimeout, Drain          time.Duration
+}
+
+// RegisterServeFlags defines -workers, -queue, -conn-limit, -io-timeout
+// and -drain on fs.
+func RegisterServeFlags(fs *flag.FlagSet) *ServeFlags {
+	f := &ServeFlags{}
+	fs.IntVar(&f.Workers, "workers", 0, "requests run at once per server (0 = GOMAXPROCS)")
+	fs.IntVar(&f.Queue, "queue", 0, "request queue depth before shedding ErrBusy (0 = 4x workers)")
+	fs.IntVar(&f.ConnLimit, "conn-limit", 0, "max concurrent connections per server (0 = unlimited)")
+	fs.DurationVar(&f.IOTimeout, "io-timeout", 30*time.Second, "per-frame I/O deadline, evicts stalled peers (0 disables)")
+	fs.DurationVar(&f.Drain, "drain", 10*time.Second, "graceful drain on shutdown: in-flight requests get their replies (0 = drop immediately)")
+	return f
+}
+
+// Apply sets the bounds on s. Call before Serve.
+func (f *ServeFlags) Apply(s *Server) {
+	s.SetWorkers(f.Workers)
+	s.SetQueueDepth(f.Queue)
+	s.SetConnLimit(f.ConnLimit)
+	s.SetIOTimeout(f.IOTimeout)
+}
+
+// Stop drains s for up to Drain, or closes it at once when Drain is 0.
+func (f *ServeFlags) Stop(s *Server) error {
+	if f.Drain > 0 {
+		return s.Shutdown(f.Drain)
+	}
+	return s.Close()
 }
 
 // Serve accepts connections on ln until Close. It blocks, and does not

@@ -491,28 +491,15 @@ func (l *Log) SegOf(addr BlockAddr) int64 {
 
 func (l *Log) segBase(seg int64) int64 { return l.segStart + seg*int64(l.cfg.SegBlocks) }
 
-// Append stages one payload block and returns its final disk address.
-// len(data) must be in (0, BlockSize]. The block becomes durable at the
-// next Sync or when the segment fills.
+// Append stages one payload block and returns its final disk address:
+// a one-entry AppendVec. len(data) must be in (0, BlockSize]. The block
+// becomes durable at the next Sync or when the segment fills.
 func (l *Log) Append(kind Kind, obj types.ObjectID, key uint64, t types.Timestamp, data []byte) (BlockAddr, error) {
-	if len(data) == 0 || len(data) > BlockSize {
-		return NilAddr, fmt.Errorf("seglog: append of %d bytes: %w", len(data), types.ErrInval)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.ioErr != nil {
-		return NilAddr, l.ioErr
-	}
-	addr, err := l.appendOneLocked(kind, obj, key, t, data)
-	if err != nil {
+	var addr [1]BlockAddr
+	if _, err := l.appendVec(kind, obj, []VecEntry{{Key: key, Time: t, Data: data}}, addr[:0]); err != nil {
 		return NilAddr, err
 	}
-	if l.used >= l.PayloadBlocks() {
-		if err := l.flushLocked(true); err != nil {
-			return NilAddr, err
-		}
-	}
-	return addr, nil
+	return addr[0], nil
 }
 
 // VecEntry is one block of a vectored append: the kind-specific key,
@@ -533,15 +520,19 @@ type VecEntry struct {
 // relocation pass) use it to pay the lock and the flush machinery once
 // per batch instead of once per block.
 func (l *Log) AppendVec(kind Kind, obj types.ObjectID, entries ...VecEntry) ([]BlockAddr, error) {
-	for i := range entries {
-		if len(entries[i].Data) == 0 || len(entries[i].Data) > BlockSize {
-			return nil, fmt.Errorf("seglog: vectored append of %d bytes: %w", len(entries[i].Data), types.ErrInval)
-		}
-	}
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	addrs := make([]BlockAddr, 0, len(entries))
+	return l.appendVec(kind, obj, entries, make([]BlockAddr, 0, len(entries)))
+}
+
+// appendVec is AppendVec into addrs, which has room for every entry.
+func (l *Log) appendVec(kind Kind, obj types.ObjectID, entries []VecEntry, addrs []BlockAddr) ([]BlockAddr, error) {
+	for i := range entries {
+		if len(entries[i].Data) == 0 || len(entries[i].Data) > BlockSize {
+			return nil, fmt.Errorf("seglog: append of %d bytes: %w", len(entries[i].Data), types.ErrInval)
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.ioErr != nil {

@@ -70,7 +70,7 @@ func newBlockCache(capBytes int64) *blockCache {
 // get returns the cached block, or nil. The returned slice aliases the
 // cache's copy and MUST NOT be modified: every reader of the same
 // address shares it. Callers that hand data across a trust boundary
-// (e.g. readShared assembling an RPC reply) must copy out of it; the
+// (e.g. readExtent assembling an RPC reply) must copy out of it; the
 // drive-internal decoders (journal.DecodeSector, decodeInodeRoot,
 // audit.DecodeBlock) only ever parse the bytes. put takes ownership of
 // its argument for the same reason — the cache never copies.

@@ -421,15 +421,3 @@ func (d *Drive) materializeRef(in *Inode, ref uint64) ([]byte, error) {
 	}
 	return content, nil
 }
-
-// materializeBlock returns the content of file block idx of a
-// reconstructed inode, decoding delta chains as needed. Holes return
-// nil. The returned slice must not be modified (it may alias the block
-// cache for plain addresses).
-func (d *Drive) materializeBlock(in *Inode, idx uint64) ([]byte, error) {
-	a := in.Block(idx)
-	if a == seglog.NilAddr {
-		return nil, nil
-	}
-	return d.materializeRef(in, uint64(a))
-}

@@ -547,8 +547,7 @@ func deepChain(e *testEnv, id types.ObjectID, span, depth int) []types.Timestamp
 
 // TestMaterializedBlockIsPrivate holds what lets a chain decode in
 // pooled buffers: the block materializeRef returns belongs to its caller.
-// readShared keeps one per block until the reply is assembled, and
-// Flush's demotion puts one in the block cache.
+// readExtent keeps one per block until the reply is assembled.
 func TestMaterializedBlockIsPrivate(t *testing.T) {
 	e := newTestDrive(t)
 	deltaOn(e)
@@ -575,7 +574,7 @@ func TestMaterializedBlockIsPrivate(t *testing.T) {
 			if !isDeltaRef(in.Block(b.idx)) {
 				t.Fatalf("block %d of version 0 is not behind a delta chain", b.idx)
 			}
-			got, err := e.d.materializeBlock(in, b.idx)
+			got, err := e.d.materializeRef(in, uint64(in.Block(b.idx)))
 			if err != nil {
 				t.Fatal(err)
 			}

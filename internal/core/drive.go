@@ -53,7 +53,11 @@
 // version numbers: object.mint stamps an entry with the next version,
 // the time and the caller. The whole-drive administrative ops
 // (types.Op.Admin) pass one gate, adminGate: a closed drive first, then
-// administrative credentials; whatever they end with is audited.
+// administrative credentials; whatever they end with is audited. One
+// reader turns an inode into bytes, live or past: readExtent serves
+// Read, Revert's copy-forward, Flush's demotion and the drive's tables.
+// One writer puts new data blocks in the log: writeBlocksLocked, for
+// writes, Revert and a shrink's retained tail.
 package core
 
 import (
@@ -753,17 +757,11 @@ func checkReserved(cred types.Cred, id types.ObjectID) error {
 // holds the exclusive drive lock (per-object paths use getObjectShared
 // plus lockObjectRead/lockObjectWrite instead).
 func (d *Drive) getObject(id types.ObjectID) (*object, error) {
-	o, ok := d.objects[id]
-	if !ok {
-		return nil, types.ErrNoObject
-	}
-	if err := d.loadInode(o); err != nil {
+	o, err := d.getObjectShared(id)
+	if err != nil {
 		return nil, err
 	}
-	d.lruMu.Lock()
-	d.objLRU.MoveToFront(o.lruEl)
-	d.lruMu.Unlock()
-	return o, nil
+	return o, d.loadInode(o)
 }
 
 // getObjectShared looks up an object under the shared drive lock. The
@@ -1589,12 +1587,27 @@ func (d *Drive) readShared(cred types.Cred, id types.ObjectID, off, n uint64, at
 	if off+n > in.Size {
 		n = in.Size - off
 	}
-	// Gather the extent's block addresses, fetch them in coalesced runs,
-	// then assemble the reply from the (cache-owned) block images. A
-	// reconstructed historical inode may map an index to a packed-slot
-	// reference instead of a block address; those slots are materialized
-	// through their delta chains here (the reference doubles as the map
-	// key — the tag bit keeps it disjoint from real addresses).
+	out, err := d.readExtent(in, off, n)
+	if err != nil {
+		return nil, err
+	}
+	d.statsMu.Lock()
+	d.stats.BytesRead += int64(n)
+	d.stats.ReadOps++
+	d.statsMu.Unlock()
+	return out, nil
+}
+
+// readExtent returns bytes [off, off+n) of in, n > 0, zeros for holes:
+// the one path from an inode to its bytes, live or historical. It
+// gathers the extent's block addresses, fetches them in coalesced runs,
+// then assembles the result from the (cache-owned) block images. A
+// reconstructed historical inode may map an index to a packed-slot
+// reference instead of a block address; those slots are materialized
+// through their delta chains here (the reference doubles as the map
+// key — the tag bit keeps it disjoint from real addresses). The result
+// is the caller's.
+func (d *Drive) readExtent(in *Inode, off, n uint64) ([]byte, error) {
 	var addrs []seglog.BlockAddr
 	var materialized map[seglog.BlockAddr][]byte
 	for blk := off / types.BlockSize; blk <= (off+n-1)/types.BlockSize; blk++ {
@@ -1638,10 +1651,6 @@ func (d *Drive) readShared(cred types.Cred, id types.ObjectID, off, n uint64, at
 		}
 		filled += want
 	}
-	d.statsMu.Lock()
-	d.stats.BytesRead += int64(n)
-	d.stats.ReadOps++
-	d.statsMu.Unlock()
 	return out, nil
 }
 
@@ -1916,35 +1925,20 @@ func (d *Drive) truncateBlocksLocked(cred types.Cred, o *object, size uint64) er
 		d.appendEntry(o, e)
 		i = j
 	}
+	d.charge(cred, histBytes)
 	// An unaligned shrink leaves stale bytes in the retained tail
-	// block; rewrite it zero-truncated so a later size extension never
-	// resurrects them. The old tail joins the history pool, keeping
-	// pre-truncate versions exact.
+	// block; rewrite it zero-truncated, as a write of its own, so a
+	// later size extension never resurrects them. The old tail leaves
+	// the live set as any overwritten block does, under the policy.
 	if rem := size % types.BlockSize; rem != 0 && size < oldSize {
-		tailBlk := size / types.BlockSize
-		if oldAddr := in.Block(tailBlk); oldAddr != seglog.NilAddr {
+		if oldAddr := in.Block(size / types.BlockSize); oldAddr != seglog.NilAddr {
 			prev, err := d.readBlock(oldAddr)
 			if err != nil {
 				return err
 			}
-			newAddr, err := d.log.Append(seglog.KindData, o.id, tailBlk, now, prev[:rem])
-			if err != nil {
-				return err
-			}
-			d.usage.liveBorn(segOf(d.log, newAddr))
-			full := make([]byte, types.BlockSize)
-			copy(full, prev[:rem])
-			d.cache.put(newAddr, full)
-			d.appendEntry(o, o.mint(cred, now, &journal.Entry{
-				Type: journal.EntWrite, FirstBlock: tailBlk,
-				Old:     []seglog.BlockAddr{oldAddr},
-				New:     []seglog.BlockAddr{newAddr},
-				OldSize: size, NewSize: size,
-			}))
-			histBytes += types.BlockSize
+			return d.writeBlocksLocked(cred, o, size-rem, prev[:rem])
 		}
 	}
-	d.charge(cred, histBytes)
 	return nil
 }
 

@@ -258,6 +258,10 @@ func TestTruncateShrinkAndHistory(t *testing.T) {
 	e.write(alice, id, 0, data)
 	tFull := e.d.Now()
 	e.tick()
+	before, err := e.d.ListVersions(alice, id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := e.d.Truncate(alice, id, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +269,15 @@ func TestTruncateShrinkAndHistory(t *testing.T) {
 	ai, _ := e.d.GetAttr(alice, id, types.TimeNowest)
 	if ai.Size != 10 {
 		t.Fatalf("size after truncate = %d", ai.Size)
+	}
+	// An unaligned shrink is two versions: the truncate, then the write
+	// that rewrites the retained tail block zero-truncated.
+	after, err := e.d.ListVersions(alice, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if made := after[:len(after)-len(before)]; len(made) != 2 || made[1].Op != "truncate" || made[0].Op != "write" {
+		t.Fatalf("an unaligned shrink made versions %+v, want a truncate then a write", made)
 	}
 	// The full version remains readable.
 	old := e.read(alice, id, 0, uint64(len(data)), tFull)

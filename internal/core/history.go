@@ -370,83 +370,33 @@ func (d *Drive) revertLocked(cred types.Cred, o *object, old *Inode) error {
 			return err
 		}
 	}
-	// Copy forward every block whose content differs from current.
-	if old.Size > 0 {
-		last := (old.Size - 1) / types.BlockSize
-		var chunk []byte
-		var chunkStart uint64
-		flush := func() error {
-			if len(chunk) == 0 {
-				return nil
-			}
-			err := d.writeBlocksLocked(cred, o, chunkStart*types.BlockSize, chunk)
-			chunk = nil
+	// Copy forward every run of blocks whose old address differs from
+	// the current one, one write per run of at most maxRun blocks. A
+	// delta reference never equals a live address (bit 63 is set), so a
+	// block behind a chain is always copied.
+	const maxRun = types.MaxIO/types.BlockSize - 1
+	nblk := (old.Size + types.BlockSize - 1) / types.BlockSize
+	for blk := uint64(0); blk < nblk; {
+		if old.Block(blk) == o.ino.Block(blk) {
+			blk++
+			continue
+		}
+		end := blk + 1
+		for end < nblk && end-blk < maxRun && old.Block(end) != o.ino.Block(end) {
+			end++
+		}
+		lo, hi := blk*types.BlockSize, end*types.BlockSize
+		if hi > old.Size {
+			hi = old.Size
+		}
+		data, err := d.readExtent(old, lo, hi-lo)
+		if err != nil {
 			return err
 		}
-		// Old-version blocks are fetched a window at a time through the
-		// vectored read path, so adjacent log blocks coalesce into single
-		// device reads; the window bounds resident copy-forward memory.
-		const fetchWindow = 256
-		var blocks map[seglog.BlockAddr][]byte
-		var winEnd uint64
-		for blk := uint64(0); blk <= last; blk++ {
-			if blk >= winEnd {
-				winEnd = blk + fetchWindow
-				if winEnd > last+1 {
-					winEnd = last + 1
-				}
-				var fetch []seglog.BlockAddr
-				for b := blk; b < winEnd; b++ {
-					// Delta references are excluded from the vectored fetch:
-					// they are not addresses, and each resolves through its
-					// own chain below.
-					if a := old.Block(b); a != seglog.NilAddr && !isDeltaRef(a) && a != o.ino.Block(b) {
-						fetch = append(fetch, a)
-					}
-				}
-				var err error
-				if blocks, err = d.readBlocksVec(fetch); err != nil {
-					return err
-				}
-			}
-			oldAddr := old.Block(blk)
-			if oldAddr == o.ino.Block(blk) {
-				// Same physical block: content already current. (A delta
-				// reference never equals a live address: bit 63 is set.)
-				if err := flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			var content []byte
-			switch {
-			case oldAddr == seglog.NilAddr:
-				content = make([]byte, types.BlockSize)
-			case isDeltaRef(oldAddr):
-				var err error
-				if content, err = d.materializeRef(old, uint64(oldAddr)); err != nil {
-					return err
-				}
-			default:
-				content = blocks[oldAddr]
-			}
-			n := uint64(types.BlockSize)
-			if blk == last {
-				n = old.Size - blk*types.BlockSize
-			}
-			if len(chunk) == 0 {
-				chunkStart = blk
-			}
-			chunk = append(chunk, content[:n]...)
-			if len(chunk) >= types.MaxIO-types.BlockSize {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-		if err := flush(); err != nil {
+		if err := d.writeBlocksLocked(cred, o, lo, data); err != nil {
 			return err
 		}
+		blk = end
 	}
 	// Attributes and ACL, each change a version of its own. Neither side
 	// is deleted by now, so the diff holds no deletion entry.
@@ -610,7 +560,7 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 				drops[k] = seglog.NilAddr
 				continue
 			}
-			content, err := d.materializeBlock(probe, idx)
+			content, err := d.readExtent(probe, idx*types.BlockSize, types.BlockSize)
 			if err != nil {
 				return err
 			}

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"s4/internal/journal"
+	"s4/internal/seglog"
 	"s4/internal/types"
 )
 
@@ -265,6 +267,164 @@ func TestRevertToCurrentIsNoop(t *testing.T) {
 	after, _ := e.d.ListVersions(alice, id)
 	if len(after) != len(before) {
 		t.Fatal("no-op revert created versions")
+	}
+}
+
+// TestRevertCopiesOnlyDifferingRuns reverts an object of more than
+// 255 blocks whose old version sits behind delta chains, has a hole and
+// shares some blocks with the current one. Revert copies forward each
+// run of blocks whose address differs, one write per run of at most
+// MaxIO/BlockSize-1 blocks, and leaves the shared blocks where they are.
+func TestRevertCopiesOnlyDifferingRuns(t *testing.T) {
+	e := newTestDrive(t)
+	deltaOn(e)
+	id := e.create(alice)
+	const bs = types.BlockSize
+	const nblk, tail = 320, 100 // 320 full blocks, then a 100-byte one
+	type span struct{ lo, hi uint64 }
+	// Blocks 20-29 are a hole in every version; 290-299 and 310-320 are
+	// never overwritten; the rest are overwritten twice.
+	hole := span{20, 30}
+	changed := []span{{0, 20}, {30, 290}, {300, 310}}
+	isChanged := func(blk uint64) bool {
+		for _, c := range changed {
+			if blk >= c.lo && blk < c.hi {
+				return true
+			}
+		}
+		return false
+	}
+	// model(v) is the object's bytes after the v-th overwrite.
+	model := func(v int) []byte {
+		m := make([]byte, nblk*bs+tail)
+		for blk := uint64(0); blk <= nblk; blk++ {
+			if blk >= hole.lo && blk < hole.hi {
+				continue
+			}
+			w := 0
+			if isChanged(blk) {
+				w = v
+			}
+			copy(m[blk*bs:], blockPattern(w*1000+int(blk)))
+		}
+		return m
+	}
+	writeSpan := func(v int, s span) {
+		m := model(v)
+		for lo := s.lo; lo < s.hi; lo += 128 {
+			hi := min(lo+128, s.hi)
+			e.write(alice, id, lo*bs, m[lo*bs:min(hi*bs, uint64(len(m)))])
+		}
+	}
+	writeSpan(0, span{0, hole.lo})
+	writeSpan(0, span{hole.hi, nblk + 1})
+	t0 := e.d.Now()
+	e.tick()
+	for v := 1; v <= 2; v++ {
+		for _, c := range changed {
+			writeSpan(v, c)
+		}
+	}
+	tPre := e.d.Now()
+	e.tick()
+
+	liveAddrs := func() []seglog.BlockAddr {
+		e.d.mu.RLock()
+		defer e.d.mu.RUnlock()
+		o := e.d.objects[id]
+		o.mu.RLock()
+		defer o.mu.RUnlock()
+		out := make([]seglog.BlockAddr, nblk+1)
+		for blk := range out {
+			out[blk] = o.ino.Block(uint64(blk))
+		}
+		return out
+	}
+	func() {
+		e.d.mu.RLock()
+		defer e.d.mu.RUnlock()
+		old, err := e.d.inodeAtCached(e.d.snapshotObject(e.d.objects[id]), t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := 0
+		for _, c := range changed {
+			for blk := c.lo; blk < c.hi; blk++ {
+				if isDeltaRef(old.Block(blk)) {
+					refs++
+				}
+			}
+		}
+		t.Logf("%d blocks of the old version are behind delta chains", refs)
+		if refs == 0 {
+			t.Fatal("no block of the old version is behind a delta chain")
+		}
+	}()
+	before := liveAddrs()
+
+	tRev := e.d.Now()
+	if err := e.d.Revert(admin, id, t0); err != nil {
+		t.Fatal(err)
+	}
+	e.tick()
+
+	want := model(0)
+	for off := uint64(0); off < uint64(len(want)); off += types.MaxIO {
+		n := min(uint64(types.MaxIO), uint64(len(want))-off)
+		if got := e.read(admin, id, off, n, types.TimeNowest); !bytes.Equal(got, want[off:off+n]) {
+			t.Fatalf("bytes %d-%d do not read back as the old version", off, off+n-1)
+		}
+	}
+	after := liveAddrs()
+	for blk := range after {
+		if !isChanged(uint64(blk)) && after[blk] != before[blk] {
+			t.Fatalf("unchanged block %d moved from %v to %v", blk, before[blk], after[blk])
+		}
+	}
+
+	// Each differing run is one write: its entries cover it in pointer-
+	// budget pieces, and a run longer than 255 blocks is split there.
+	const maxRun = types.MaxIO/types.BlockSize - 1
+	type piece struct{ first, n uint64 }
+	var wantPieces []piece
+	for _, c := range changed {
+		for lo := c.lo; lo < c.hi; lo += maxRun {
+			hi := min(lo+maxRun, c.hi)
+			for p := lo; p < hi; p += maxDeltaEntryBlocks {
+				wantPieces = append(wantPieces, piece{p, min(maxDeltaEntryBlocks, hi-p)})
+			}
+		}
+	}
+	var gotPieces []piece
+	func() {
+		e.d.mu.RLock()
+		defer e.d.mu.RUnlock()
+		err := e.d.walkEntriesSnap(e.d.snapshotObject(e.d.objects[id]), nil, func(je *journal.Entry) (bool, error) {
+			if je.Time < tRev {
+				return true, nil
+			}
+			if je.Type != journal.EntCheckpoint {
+				gotPieces = append([]piece{{je.FirstBlock, uint64(len(je.New))}}, gotPieces...)
+			}
+			return false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if fmt.Sprint(gotPieces) != fmt.Sprint(wantPieces) {
+		t.Fatalf("revert wrote (first block, blocks) %v, want %v", gotPieces, wantPieces)
+	}
+
+	// What the revert overwrote stays readable at its own time.
+	pre := model(2)
+	for _, c := range changed {
+		for lo := c.lo; lo < c.hi; lo += maxRun {
+			hi := min(lo+maxRun, c.hi)
+			if got := e.read(admin, id, lo*bs, (hi-lo)*bs, tPre); !bytes.Equal(got, pre[lo*bs:hi*bs]) {
+				t.Fatalf("run %d-%d does not read back at its pre-revert time", lo, hi-1)
+			}
+		}
 	}
 }
 

@@ -62,34 +62,11 @@ func (d *Drive) readPartTableLocked(at types.Timestamp) ([]PartEntry, error) {
 	if in.Size == 0 {
 		return nil, nil
 	}
-	data, err := d.readObjectDataLocked(in)
+	data, err := d.readExtent(in, 0, in.Size)
 	if err != nil {
 		return nil, err
 	}
 	return decodePartTable(data)
-}
-
-// readObjectDataLocked reads an inode's full contents (internal use;
-// bounded callers only).
-func (d *Drive) readObjectDataLocked(in *Inode) ([]byte, error) {
-	out := make([]byte, in.Size)
-	for blk := uint64(0); blk*types.BlockSize < in.Size; blk++ {
-		addr := in.Block(blk)
-		if addr == 0 {
-			continue
-		}
-		data, err := d.readBlock(addr)
-		if err != nil {
-			return nil, err
-		}
-		lo := blk * types.BlockSize
-		hi := lo + types.BlockSize
-		if hi > in.Size {
-			hi = in.Size
-		}
-		copy(out[lo:hi], data[:hi-lo])
-	}
-	return out, nil
 }
 
 // writePartTableLocked persists the table as the partition object's new

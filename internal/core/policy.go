@@ -70,7 +70,7 @@ func (d *Drive) loadPoliciesLocked() error {
 	if o.ino.Size == 0 {
 		return nil
 	}
-	data, err := d.readObjectDataLocked(o.ino)
+	data, err := d.readExtent(o.ino, 0, o.ino.Size)
 	if err != nil {
 		return err
 	}

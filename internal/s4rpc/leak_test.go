@@ -14,11 +14,12 @@ import (
 )
 
 // TestShutdownLeavesNoGoroutines stands up a full server, runs traffic
-// from several concurrent connections through the worker pool, then
-// tears everything down and asserts the goroutine count returns to its
-// pre-test baseline. Server shutdown has four moving parts that must
-// all terminate — the accept loop, per-connection handlers, the
-// dispatch workers, and Drive.Close — and a leak in any of them is a
+// from several concurrent connections, each request on its connection
+// goroutine under the server's run slots, then tears everything down
+// and asserts the goroutine count returns to its pre-test baseline.
+// Server shutdown has three moving parts that must all terminate — the
+// accept loop, the per-connection goroutines (and any request still
+// running on one), and Drive.Close — and a leak in any of them is a
 // slow memory/fd exhaustion in the daemon.
 //
 // Unlike the other RPC tests, this one tears down in the test body

@@ -13,8 +13,16 @@ import (
 // only: data, checkpoint-root, packed-delta and audit blocks, which are
 // never rewritten once appended, and journal blocks of sealed segments
 // (readJSector never fills from the open segment, the one place a
-// journal block is rewritten in place). Every fill comes from
-// seglog.Read, which verifies it against the segment's checksum table.
+// journal block is rewritten in place). A fill comes from one of two
+// places. seglog.Read verifies what it returns against the segment's
+// checksum table. A seal hands over a copy of each journal block of the
+// segment it sealed (seglog.Log.SetSealSink), once its device writes
+// landed: the very bytes its checksums were computed over and the device
+// holds. The seal pins those checksums, so neither RewriteRange nor
+// PatchSettled can change such a block again, and its address leaves
+// the cache when the segment is released (dropRange). The sink runs
+// under the log's mutex, inside an Append or Sync whose caller may hold
+// logMu or Drive.mu, so it takes the cache's leaf mutex and nothing else.
 //
 // A cached address changes meaning in exactly these places, and each
 // one invalidates:

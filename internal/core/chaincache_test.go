@@ -118,6 +118,57 @@ func TestCleanerWarmPassReadsNothing(t *testing.T) {
 	}
 }
 
+// TestCleanerFirstTouchReadsNothing is TestCleanerWarmPassReadsNothing's
+// cold pass without the reopen: in the life that wrote them, sealed
+// journal blocks are in the block cache from their seal on, so the first
+// ageing pass over chains that span several sealed segments, which no
+// walk has touched yet, issues no device read at all.
+func TestCleanerFirstTouchReadsNothing(t *testing.T) {
+	const objects, rounds = 64, 24
+	e := newTestDrive(t, func(o *Options) {
+		o.Window = 800 * time.Millisecond
+		o.BlockCacheBytes = 16 << 20
+		o.ObjectCacheCount = 4 * objects
+	})
+	e.dev.SetFreeIO(true) // time is ticks alone: 1 ms a write, 64 ms a round
+	d := e.d
+	ids := make([]types.ObjectID, objects)
+	for i := range ids {
+		ids[i] = e.create(alice)
+	}
+	first := d.log.CurrentSegment()
+	for r := 0; r < rounds; r++ {
+		for _, id := range ids {
+			e.write(alice, id, 0, blockPattern(r))
+		}
+		if err := d.Sync(alice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The oldest sectors of every chain sit in segments sealed since.
+	if cur := d.log.CurrentSegment(); cur == first {
+		t.Fatalf("the workload sealed no segment (still in %d)", cur)
+	}
+	e.clk.Advance(time.Second)
+	reads := e.dev.Stats().Reads
+	cs, err := d.CleanOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads = e.dev.Stats().Reads - reads
+	t.Logf("first pass: %d device reads, %d ripe visits, %d sectors decoded, %d entries aged, %d segments freed",
+		reads, cs.RipeVisits, cs.SectorsDecoded, cs.EntriesAged, cs.SegmentsFreed)
+	if cs.EntriesAged == 0 || cs.RipeVisits < objects {
+		t.Fatalf("first pass aged %d entries over %d ripe visits; the gate measured nothing", cs.EntriesAged, cs.RipeVisits)
+	}
+	if reads != 0 {
+		t.Errorf("first pass: %d device reads, want 0: every sealed journal block entered the cache at its seal", reads)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCleanerCursorResumes pins phase 1's order: a pass visits a bounded
 // batch of objects by ascending ID and the next pass resumes where it
 // stopped, so a population larger than the batch is covered in two

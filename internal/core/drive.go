@@ -567,6 +567,9 @@ func Open(dev disk.Device, opts Options) (*Drive, error) {
 		thr:         throttle.New(*opts.throttleCfg),
 	}
 	d.commitCond = sync.NewCond(&d.commitMu)
+	// A sealed segment's journal blocks enter the cache from the seal's
+	// own image, so ageing's first walk through them reads nothing.
+	log.SetSealSink(d.cache.put)
 	// ~1.5% of the log, clamped so toy-sized test logs keep one spare
 	// segment and huge devices don't strand space.
 	d.spaceReserve = log.NumSegments() / 64

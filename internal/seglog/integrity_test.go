@@ -198,6 +198,166 @@ func TestVerifiedReadRepairsAfterPartialFlush(t *testing.T) {
 	}
 }
 
+// TestSealInstallsChecksumTable holds a seal to what it leaves in
+// memory (DESIGN.md §15). The checksum table of the summary it wrote is
+// installed, so the first verified read of a block it sealed reads that
+// block and no summary, and rot written behind the seal is still caught:
+// repaired while flushBuf holds the segment, a CorruptError and a
+// quarantine once the next seal took flushBuf. A seal whose device write
+// fails installs no table and hands the sink nothing. The sink receives
+// exactly the sealed segment's journal blocks, as the device holds them,
+// in copies no later staging touches.
+func TestSealInstallsChecksumTable(t *testing.T) {
+	type sunk struct {
+		addr BlockAddr
+		blk  []byte
+	}
+	// setup formats a log with 7 payload blocks a segment on a read-
+	// counting rot-capable device, with a sink that records what it gets.
+	setup := func(t *testing.T) (*Log, *disk.Disk, *readCounter, *[]sunk) {
+		dev := disk.New(disk.SmallDisk(8<<20), nil)
+		if err := Format(dev, Config{SegBlocks: 8, CheckpointBlocks: 4}); err != nil {
+			t.Fatal(err)
+		}
+		cnt := &readCounter{Device: dev}
+		l, err := Open(cnt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := new([]sunk)
+		l.SetSealSink(func(addr BlockAddr, blk []byte) { *got = append(*got, sunk{addr, blk}) })
+		return l, dev, cnt, got
+	}
+	blk := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, BlockSize) }
+	// fill appends n full blocks from i on, journal blocks at even i.
+	fill := func(t *testing.T, l *Log, i, n int) (addrs []BlockAddr, journal map[BlockAddr]bool) {
+		journal = make(map[BlockAddr]bool)
+		for ; n > 0; i, n = i+1, n-1 {
+			kind := KindData
+			if i%2 == 0 {
+				kind = KindJournal
+			}
+			a, err := l.Append(kind, 7, uint64(i), types.Timestamp(i+1), blk(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, a)
+			if kind == KindJournal {
+				journal[a] = true
+			}
+		}
+		return addrs, journal
+	}
+
+	t.Run("table", func(t *testing.T) {
+		l, dev, cnt, _ := setup(t)
+		payload := l.PayloadBlocks()
+		addrs, _ := fill(t, l, 0, payload)
+		seg := l.SegOf(addrs[0])
+		if l.CurrentSegment() == seg {
+			t.Fatalf("segment %d still open after %d appends", seg, payload)
+		}
+		*cnt = readCounter{Device: dev}
+		buf := make([]byte, BlockSize)
+		if err := l.Read(addrs[2], buf); err != nil || !bytes.Equal(buf, blk(2)) {
+			t.Fatalf("first read of a sealed block: %v", err)
+		}
+		if cnt.single != 1 || cnt.vectored != 0 || cnt.bytes != BlockSize {
+			t.Fatalf("first read of a sealed block: %d one-block and %d multi-block device reads, %d bytes; want the block alone",
+				cnt.single, cnt.vectored, cnt.bytes)
+		}
+
+		rotBlock(dev, addrs[3])
+		if err := l.Read(addrs[3], buf); err != nil || !bytes.Equal(buf, blk(3)) {
+			t.Fatalf("read of a block rotted behind the seal, flushBuf holding it: %v", err)
+		}
+		if det, rep, quar := l.IntegrityStats(); det != 0 || rep != 1 || quar != 0 {
+			t.Fatalf("want exactly one repair, got det=%d rep=%d quar=%d", det, rep, quar)
+		}
+
+		fill(t, l, payload, payload) // the next seal takes flushBuf
+		rotBlock(dev, addrs[4])
+		var ce *types.CorruptError
+		if err := l.Read(addrs[4], buf); !errors.As(err, &ce) || ce.Segment != seg || ce.Block != uint64(addrs[4]) {
+			t.Fatalf("read of a block rotted behind the seal, flushBuf gone: %v, want a CorruptError for block %d of segment %d", err, addrs[4], seg)
+		}
+		if !l.IsQuarantined(seg) {
+			t.Fatal("detection did not quarantine the segment")
+		}
+	})
+
+	t.Run("failed seal", func(t *testing.T) {
+		l, dev, _, got := setup(t)
+		addrs, _ := fill(t, l, 0, l.PayloadBlocks()-1)
+		seg := l.SegOf(addrs[0])
+		errBoom := errors.New("boom")
+		dev.FailAfter(0, errBoom)
+		if _, err := l.Append(KindJournal, 7, 99, 99, blk(99)); !errors.Is(err, errBoom) {
+			t.Fatalf("sealing append over a failing device: %v, want the device's error", err)
+		}
+		l.mu.Lock()
+		_, installed := l.sums[seg]
+		l.mu.Unlock()
+		if installed {
+			t.Fatalf("a seal whose write failed installed segment %d's checksum table", seg)
+		}
+		if len(*got) != 0 {
+			t.Fatalf("a seal whose write failed handed the sink %d blocks", len(*got))
+		}
+	})
+
+	t.Run("sink", func(t *testing.T) {
+		l, dev, _, got := setup(t)
+		payload := l.PayloadBlocks()
+		// A partial flush and a rewrite in place first: the sink must get
+		// the sealed bytes, not the first ones staged.
+		addrs, journal := fill(t, l, 0, 3)
+		mustSync(t, l)
+		if len(*got) != 0 {
+			t.Fatalf("a partial flush handed the sink %d blocks", len(*got))
+		}
+		if ok, err := l.RewriteRange(addrs[0], 512, bytes.Repeat([]byte{0xAB}, 512)); !ok || err != nil {
+			t.Fatalf("rewrite of a staged journal block: ok=%v err=%v", ok, err)
+		}
+		// The partial flush's pad took a slot, so the last one spills
+		// into the next segment.
+		_, mj := fill(t, l, 3, payload-3)
+		seg := l.SegOf(addrs[0])
+		for a := range mj {
+			if l.SegOf(a) == seg {
+				journal[a] = true
+			}
+		}
+		check := func(when string) {
+			t.Helper()
+			if len(*got) != len(journal) {
+				t.Fatalf("%s: the sink got %d blocks, want the %d journal blocks of segment %d", when, len(*got), len(journal), seg)
+			}
+			seen := make(map[BlockAddr]bool)
+			raw := make([]byte, BlockSize)
+			for _, s := range *got {
+				if !journal[s.addr] || seen[s.addr] {
+					t.Fatalf("%s: the sink got block %d, not a journal block of segment %d or twice", when, s.addr, seg)
+				}
+				seen[s.addr] = true
+				if err := dev.ReadSectors(int64(s.addr)*sectorsOfBlock, raw); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(s.blk, raw) {
+					t.Fatalf("%s: the sink's copy of block %d differs from the device", when, s.addr)
+				}
+			}
+		}
+		check("after the seal")
+		// The next seal swaps the sealed image's buffer back into staging,
+		// and the appends after it overwrite it.
+		n := len(*got)
+		fill(t, l, payload+1, payload+2)
+		*got = (*got)[:n]
+		check("after the buffer was reused")
+	})
+}
+
 // TestV1SummaryRejected rewrites a sealed segment's summary in the
 // pre-checksum layout ("S4GS", no Sum column) with a valid CRC: it must
 // read as "not a summary", like any other junk, so no entry list that

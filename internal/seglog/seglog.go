@@ -251,9 +251,15 @@ type Log struct {
 	flushBuf    []byte
 	flushBufSeg int64
 
-	// Integrity state (DESIGN.md §15). sums lazily caches each settled
-	// segment's checksum table (payload index -> expected CRC); a present
-	// nil entry means "known: no readable summary", so it is not rescanned.
+	// sealSink, if set, receives a private copy of every journal block
+	// of a segment whose seal just landed (SetSealSink).
+	sealSink func(addr BlockAddr, blk []byte)
+
+	// Integrity state (DESIGN.md §15). sums caches each settled segment's
+	// checksum table (payload index -> expected CRC): a seal installs its
+	// own, and a segment sealed before Open has its table loaded lazily; a
+	// present nil entry means "known: no readable summary", so it is not
+	// rescanned.
 	// sumGen invalidates in-flight loads that raced a segment reuse.
 	// quar marks segments with an unrepairable block: the allocator never
 	// hands them out again, even after the cleaner frees them.
@@ -948,7 +954,17 @@ func (l *Log) flushLocked(closeSeg bool) error {
 	}
 	src := l.buf
 	at := base // the summary's block: block 0 for a seal, else the trailing slot
+	// A seal's journal blocks, for the sink, taken now: a concurrent
+	// append reuses l.entries once the mutex is released.
+	var jblocks []int
 	if closeSeg {
+		if l.sealSink != nil {
+			for i, e := range l.entries {
+				if e.Kind == KindJournal {
+					jblocks = append(jblocks, 1+i)
+				}
+			}
+		}
 		// Seal: retire the segment and swap the staging buffers, so
 		// flushBuf keeps its complete image as the repair copy and the
 		// next append opens a fresh segment in the other buffer.
@@ -980,12 +996,48 @@ func (l *Log) flushLocked(closeSeg bool) error {
 	}
 	l.mu.Lock()
 
+	if werr == nil && closeSeg {
+		l.sealedLocked(seg, jblocks)
+	}
 	l.flushing, l.sealSeg = false, -1
 	if werr != nil && l.ioErr == nil {
 		l.ioErr = werr
 	}
 	l.flushCond.Broadcast()
 	return werr
+}
+
+// sealedLocked hands on what a seal of seg, whose device writes all
+// landed, leaves in memory, so that nothing reads it back: the checksum
+// table of the summary in sumBuf, which verified reads would otherwise
+// load from block 0, and a copy of each journal block of the sealed
+// image in flushBuf (payload indexes jblocks) for the sink. The copies
+// are the bytes the table's checksums were computed over and the device
+// now holds, and the seal pins every journal block's checksum, so no
+// rewrite can make either stale before the segment is freed. A load of
+// the table racing the seal is discarded (sumGen). It runs before
+// flushing clears, so no later seal can have swapped flushBuf or reused
+// sumBuf. Caller holds l.mu.
+func (l *Log) sealedLocked(seg int64, jblocks []int) {
+	l.sums[seg] = sumColumn(l.sumBuf, sumHeader{count: int(binary.LittleEndian.Uint32(l.sumBuf[12:]))})
+	l.sumGen++
+	base := l.segBase(seg)
+	for _, i := range jblocks {
+		l.sealSink(BlockAddr(base+int64(i)), bytes.Clone(l.flushBuf[i*BlockSize:(i+1)*BlockSize]))
+	}
+}
+
+// SetSealSink registers fn to receive, once a segment's seal has landed
+// on the device, a private copy of each of its journal blocks at its
+// address: the drive fills its block cache with them. fn is called with
+// the log's mutex held, from inside whichever Append, AppendVec or Sync
+// sealed the segment, so it must not call back into the log and must
+// take no lock that a caller of those may hold. Set it before the log
+// is shared.
+func (l *Log) SetSealSink(fn func(addr BlockAddr, blk []byte)) {
+	l.mu.Lock()
+	l.sealSink = fn
+	l.mu.Unlock()
 }
 
 // encodeSummaryLocked serializes the staged entries into sb, one block.
@@ -1177,9 +1229,10 @@ func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) err
 	return nil
 }
 
-// sumsFor returns seg's checksum table (payload index -> expected CRC),
-// lazily loading it from the segment's durable summary, or from the
-// summary the roll-forward scan already read (cacheSums). nil means no
+// sumsFor returns seg's checksum table (payload index -> expected CRC):
+// the one its seal installed (sealedLocked), or, for a segment sealed
+// before Open, lazily loaded from the segment's durable summary or from
+// the summary the roll-forward scan already read (cacheSums). nil means no
 // verification is possible: the open segment, or no summary at all.
 // Negative results are cached too, so such a segment does not pay a
 // summary scan per read; a device error is returned and not cached.
@@ -1789,8 +1842,7 @@ func (l *Log) WriteCheckpoint(data, index []byte) error {
 	if r := len(blob) % BlockSize; r != 0 {
 		blob = append(blob, make([]byte, BlockSize-r)...)
 	}
-	base := int64(1 + slot*l.cfg.CheckpointBlocks)
-	if err := writeBlocks(l.dev, base, blob); err != nil {
+	if err := writeBlocks(l.dev, l.cpBase(slot), blob); err != nil {
 		return err
 	}
 	// Barrier: the checkpoint authorizes segment reuse (the drive drains
@@ -1825,82 +1877,99 @@ const cpHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 8 + 4
 
 // ReadCheckpoint returns the newest valid checkpoint blob, its optional
 // recovery index, and the log sequence at which it was taken. ok is
-// false when no valid checkpoint exists (freshly formatted device). A
-// slot whose state blob fails its CRC — a checkpoint write torn by a
-// crash — is skipped, so the alternate slot still anchors recovery;
-// that is the whole point of alternating slots. The index blob is best
-// effort: out-of-bounds length or CRC mismatch (a tear inside the index
-// region of an otherwise intact slot) returns index nil without
-// invalidating the slot. It also sets the anchor ScanFrom(seq) walks
-// from. Without a checkpoint that is where Format left the log — the
-// first segment opened, at seq 0 — unless a slot holds a checkpoint that
-// no longer decodes: then the log has moved on from there, and nothing
-// says to where.
+// false when no valid checkpoint exists (freshly formatted device). It
+// reads both slots' headers, then the blob of the newest slot whose
+// header is valid, and the other slot's only if that payload fails its
+// CRC — a checkpoint write torn by a crash — so the alternate slot still
+// anchors recovery; that is the whole point of alternating slots. The
+// blob read covers the header block too, so an open costs the same reads
+// whatever the blob's size. The index blob is best effort: out-of-bounds
+// length or CRC mismatch (a tear inside the index region of an otherwise
+// intact slot) returns index nil without invalidating the slot. It also
+// sets the anchor ScanFrom(seq) walks from. Without a checkpoint that is
+// where Format left the log — the first segment opened, at seq 0 —
+// unless a slot holds a checkpoint that no longer decodes: then the log
+// has moved on from there, and nothing says to where.
 func (l *Log) ReadCheckpoint() (data, index []byte, seq uint64, ok bool, err error) {
-	hdr := make([]byte, BlockSize)
-	var bestSlot = -1
-	var bestSeq uint64
-	var bestData, bestIndex []byte
-	var best anchor
+	var hdrs [2][]byte // a slot's header block, nil unless its header is valid
 	written := false
-	for slot := 0; slot < 2; slot++ {
-		base := int64(1 + slot*l.cfg.CheckpointBlocks)
-		if err := readBlocks(l.dev, base, hdr); err != nil {
+	for slot := range hdrs {
+		hdr := make([]byte, BlockSize)
+		if err := readBlocks(l.dev, l.cpBase(slot), hdr); err != nil {
 			return nil, nil, 0, false, err
 		}
 		if binary.LittleEndian.Uint32(hdr[0:]) != cpMagic {
 			continue
 		}
 		written = true
-		if binary.LittleEndian.Uint32(hdr[44:]) != crc32.ChecksumIEEE(hdr[:44]) {
+		if binary.LittleEndian.Uint32(hdr[44:]) != crc32.ChecksumIEEE(hdr[:44]) ||
+			int(binary.LittleEndian.Uint32(hdr[12:])) > l.CheckpointCapacity() {
 			continue
 		}
-		s := binary.LittleEndian.Uint64(hdr[4:])
-		nA := int(binary.LittleEndian.Uint32(hdr[12:]))
-		nB := int(binary.LittleEndian.Uint32(hdr[20:]))
-		if nA > l.CheckpointCapacity() {
+		hdrs[slot] = hdr
+	}
+	first := 0 // the slot with the newer valid header
+	if hdrs[0] == nil || hdrs[1] != nil && binary.LittleEndian.Uint64(hdrs[1][4:]) > binary.LittleEndian.Uint64(hdrs[0][4:]) {
+		first = 1
+	}
+	for _, slot := range [2]int{first, 1 - first} {
+		if hdrs[slot] == nil {
 			continue
 		}
-		if nB < 0 || nA+nB > l.CheckpointCapacity() {
-			nB = 0 // hostile index length: drop the index, keep the slot
-		}
-		total := cpHeaderSize + nA + nB
-		nBlocks := (total + BlockSize - 1) / BlockSize
-		blob := make([]byte, nBlocks*BlockSize)
-		if err := readBlocks(l.dev, base, blob); err != nil {
+		if data, index, err = l.readCheckpointBlob(slot, hdrs[slot]); err != nil {
 			return nil, nil, 0, false, err
 		}
-		payload := blob[cpHeaderSize : cpHeaderSize+nA]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[16:]) {
-			continue
-		}
-		var idx []byte
-		if nB > 0 {
-			cand := blob[cpHeaderSize+nA : cpHeaderSize+nA+nB]
-			if crc32.ChecksumIEEE(cand) == binary.LittleEndian.Uint32(hdr[24:]) {
-				idx = cand
-			}
-		}
-		if bestSlot < 0 || s > bestSeq {
-			bestSlot, bestSeq, bestData, bestIndex = slot, s, payload, idx
-			best = anchor{ok: true, seq: s,
-				seg:    segOfWord(binary.LittleEndian.Uint32(hdr[28:])),
-				prev:   segOfWord(binary.LittleEndian.Uint32(hdr[32:])),
-				opened: binary.LittleEndian.Uint64(hdr[36:])}
+		if data != nil {
+			return data, index, l.adoptCheckpoint(slot, hdrs[slot]), true, nil
 		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if bestSlot < 0 {
-		l.anchor = anchor{ok: !written, seg: 0, prev: -1}
-		return nil, nil, 0, false, nil
+	l.anchor = anchor{ok: !written, seg: 0, prev: -1}
+	return nil, nil, 0, false, nil
+}
+
+// adoptCheckpoint takes the checkpoint in slot, whose header is hdr, for
+// the log's: the anchor the walk starts from, the slot the next
+// checkpoint overwrites (the other one) and the seq. It returns the seq.
+func (l *Log) adoptCheckpoint(slot int, hdr []byte) uint64 {
+	seq := binary.LittleEndian.Uint64(hdr[4:])
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.anchor = anchor{ok: true, seq: seq,
+		seg:    segOfWord(binary.LittleEndian.Uint32(hdr[28:])),
+		prev:   segOfWord(binary.LittleEndian.Uint32(hdr[32:])),
+		opened: binary.LittleEndian.Uint64(hdr[36:])}
+	l.cpSlot = 1 - slot
+	l.seq = max(l.seq, seq)
+	return seq
+}
+
+// cpBase is the first block of checkpoint slot slot.
+func (l *Log) cpBase(slot int) int64 { return int64(1 + slot*l.cfg.CheckpointBlocks) }
+
+// readCheckpointBlob reads the blob of the slot whose valid header is
+// hdr, header block included, and returns its state payload, nil if the
+// payload fails its CRC, and its index, nil if that is absent or fails.
+func (l *Log) readCheckpointBlob(slot int, hdr []byte) (data, index []byte, err error) {
+	nA := int(binary.LittleEndian.Uint32(hdr[12:]))
+	nB := int(binary.LittleEndian.Uint32(hdr[20:]))
+	if nB < 0 || nA+nB > l.CheckpointCapacity() {
+		nB = 0 // hostile index length: drop the index, keep the slot
 	}
-	l.anchor = best
-	l.cpSlot = 1 - bestSlot
-	if bestSeq > l.seq {
-		l.seq = bestSeq
+	total := cpHeaderSize + nA + nB
+	blob := make([]byte, (total+BlockSize-1)/BlockSize*BlockSize)
+	if err := readBlocks(l.dev, l.cpBase(slot), blob); err != nil {
+		return nil, nil, err
 	}
-	return bestData, bestIndex, bestSeq, true, nil
+	data = blob[cpHeaderSize : cpHeaderSize+nA]
+	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(hdr[16:]) {
+		return nil, nil, nil
+	}
+	if cand := blob[cpHeaderSize+nA : total]; nB > 0 && crc32.ChecksumIEEE(cand) == binary.LittleEndian.Uint32(hdr[24:]) {
+		index = cand
+	}
+	return data, index, nil
 }
 
 // CurrentSegment returns the open segment index, or -1.

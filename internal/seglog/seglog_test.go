@@ -462,7 +462,10 @@ func TestPartialFlushCrashKeepsPriorSync(t *testing.T) {
 func TestCheckpointTornSlotFallsBack(t *testing.T) {
 	// A crash can tear the checkpoint write mid-transfer. The torn slot
 	// fails its CRC and recovery must fall back to the older slot, not
-	// error out — that is what the alternating slots are for.
+	// error out — that is what the alternating slots are for. The blob of
+	// the older slot is read only then: with both slots valid, the newer
+	// one's blob is the only one read. The blobs are two blocks each, so
+	// the two one-block header reads stand apart from them.
 	d := disk.New(disk.SmallDisk(8<<20), nil)
 	if err := Format(d, Config{SegBlocks: 16, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
@@ -471,25 +474,45 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Repeat([]byte("old"), 500)
+	old := bytes.Repeat([]byte("old"), 2000)
 	if err := l.WriteCheckpoint(old, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the very next write (the second checkpoint) after one sector.
 	d.TearAfter(0, 1)
-	if err := l.WriteCheckpoint(bytes.Repeat([]byte("new"), 500), nil); err != nil {
+	if err := l.WriteCheckpoint(bytes.Repeat([]byte("new"), 2000), nil); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(d)
-	if err != nil {
-		t.Fatal(err)
+	// read opens the log on a read counter and checks what its
+	// checkpoint read cost: two header reads and blobs blob reads.
+	read := func(blobs int) (*Log, []byte) {
+		t.Helper()
+		cnt := &readCounter{Device: d}
+		l, err := Open(cnt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*cnt = readCounter{Device: d}
+		got, _, _, ok, err := l.ReadCheckpoint()
+		if err != nil || !ok {
+			t.Fatalf("ReadCheckpoint: ok=%v err=%v", ok, err)
+		}
+		if cnt.single != 2 || cnt.vectored != blobs {
+			t.Fatalf("ReadCheckpoint read %d headers and %d blobs, want 2 and %d", cnt.single, cnt.vectored, blobs)
+		}
+		return l, got
 	}
-	got, _, _, ok, err := l2.ReadCheckpoint()
-	if err != nil || !ok {
-		t.Fatalf("recovery after torn checkpoint: ok=%v err=%v", ok, err)
-	}
+	l2, got := read(2)
 	if !bytes.Equal(got, old) {
 		t.Fatal("torn checkpoint must fall back to the surviving slot")
+	}
+	// Both slots valid: the newer wins on its blob alone.
+	newer := bytes.Repeat([]byte("newer"), 1200)
+	if err := l2.WriteCheckpoint(newer, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := read(1); !bytes.Equal(got, newer) {
+		t.Fatal("with both slots valid the newer checkpoint must win")
 	}
 	// Both slots torn: no checkpoint, but still no error.
 	d.TearAfter(0, 1)

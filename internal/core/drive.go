@@ -513,7 +513,10 @@ type Drive struct {
 	// and everything at or above its version are an unacknowledged
 	// tail, truncated out of the chain so the recovered state is an
 	// exact prefix of the op sequence. Zero (absent) means unpoisoned.
-	recDrop   map[types.ObjectID]uint64
+	recDrop map[types.ObjectID]uint64
+	// recImages holds the inode images of the segment index the open
+	// took (segIndex.images); loadInode takes each once.
+	recImages map[types.ObjectID][]byte
 	recReplay int64 // journal entries examined during this recovery
 	// recErr latches the first device error recCovered met. Its callers
 	// want yes or no, and "the device would not say" must never pass for
@@ -812,8 +815,11 @@ func (d *Drive) lockObjectWrite(o *object) error {
 	return nil
 }
 
-// loadInode materializes o.ino: from its checkpoint if one exists, or
-// from the journal chain — journal-based metadata means the journal
+// loadInode materializes o.ino. During recovery that is first the
+// image the segment index carried for o: the inode as it stood at the
+// checkpoint, which the roll-forward scan redoes the tail on top of
+// (DESIGN.md §14.2). Otherwise it is from o's checkpoint if one exists,
+// or from the journal chain — journal-based metadata means the journal
 // alone can rebuild any object whose chain still reaches its creation
 // (§4.2.2). The chain is walked backward only as far as the newest live
 // landmark whose root still holds this object at the entry's version:
@@ -826,6 +832,11 @@ func (d *Drive) lockObjectWrite(o *object) error {
 // drive lock.
 func (d *Drive) loadInode(o *object) error {
 	if o.ino != nil {
+		return nil
+	}
+	if in := d.takeRecImage(o); in != nil {
+		o.ino = in
+		d.loaded.Add(1)
 		return nil
 	}
 	if o.inodeRoot == seglog.NilAddr {

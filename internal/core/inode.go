@@ -382,7 +382,9 @@ func (cb *checkpointBlob) finishRoot(overflowAddrs []seglog.BlockAddr) []byte {
 
 // decodeInodeRoot parses a checkpoint root block, returning the inode
 // (with block map populated from inline pairs plus the overflow stream
-// read via rd) and the overflow addresses (for usage accounting).
+// read via rd) and the overflow addresses (for usage accounting). A nil
+// rd refuses a root that names overflow blocks: an inode image in the
+// segment index has none.
 func decodeInodeRoot(rd journal.SectorReader, root []byte) (*Inode, []seglog.BlockAddr, error) {
 	r := codec.NewReader("core: inode root", root)
 	if r.U32() != inodeMagic {
@@ -413,6 +415,9 @@ func decodeInodeRoot(rd journal.SectorReader, root []byte) (*Inode, []seglog.Blo
 	// no scratch block, no copy.
 	stream := r.Rest()
 	if len(overAddrs) > 0 {
+		if rd == nil {
+			return nil, nil, r.Fail("image names %d overflow blocks", len(overAddrs))
+		}
 		stream = nil
 		blk := make([]byte, seglog.BlockSize)
 		for _, a := range overAddrs {

@@ -151,7 +151,7 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 		name, got, want string
 	}{
 		{"object map", sum(d.encodeImapLocked()), "9066593b9c93fcf162ef0ae8ec1a600c5ff7f4fccd80bff3ada0f408e998741c"},
-		{"segment index", sum(d.encodeSegIndexLocked()), "c8e21e3b1e957f2a9a16957088acdf75d32c4520f64540433664b16a7ce79d20"},
+		{"segment index", sum(d.encodeSegIndexLocked(true)), "40f410537eccaeceb0b7701a41dd6646b8103e73d47bedbdcfeb83c6495b21c6"},
 		{"object roots", sum(roots...), "739ba7fce70e0c9db52efb32fc52a87f0b437cf77e429b69f15cc48df5a26a73"},
 		{"overflowing root", sum(bigParts...), "2a3e3c5f8a9c53a8aeb9233d6920421a2cf7682e72433aab3785409c3c13345b"},
 		{"partition table", sum(encodePartTable(parts)), "14c7d1c94b8d10ddb4ca786931f3de92d4ab9f24f60a9076e0a013f7900e4619"},

@@ -90,8 +90,14 @@ func (d *Drive) checkpointLocked() error {
 	d.commitDone = d.commitSeq
 	d.commitMu.Unlock()
 	imap := d.encodeImapLocked()
-	idx := d.encodeSegIndexLocked()
-	if len(imap)+len(idx) > d.log.CheckpointCapacity() {
+	room := d.log.CheckpointCapacity() - len(imap)
+	idx := d.encodeSegIndexLocked(true)
+	if len(idx) > room {
+		// The images go first: the next open loads from the log what
+		// it would have loaded from them.
+		idx = d.encodeSegIndexLocked(false)
+	}
+	if len(idx) > room {
 		// The index is advisory: rather than fail the checkpoint, drop
 		// it and let the next open pay for a full scan.
 		stdlog.Printf("core: segment index (%d bytes) does not fit the checkpoint slot; next open will full-scan", len(idx))
@@ -237,7 +243,13 @@ func (d *Drive) recover() error {
 	for id, o := range d.objects {
 		d.recSnapVer[id] = o.nextVersion - 1
 	}
-	base := d.installBase(d.loadSegIndex(idxBlob, ok))
+	// The images go in once, here: a stale index's fallback reinstalls
+	// the base after the scan has redone the tail on top of them.
+	idx := d.loadSegIndex(idxBlob, ok)
+	if idx != nil {
+		d.recImages = idx.images
+	}
+	base := d.installBase(idx)
 	// Roll forward: visit segments written after the checkpoint in
 	// sequence order, relinking journal chains and redoing entries.
 	visited := make(map[int64]bool)
@@ -292,7 +304,7 @@ func (d *Drive) recover() error {
 	for _, o := range d.objects {
 		o.nextAge = 0
 	}
-	d.recSnapVer, d.recTouched, d.recSectors, d.recSumCover, d.recDrop = nil, nil, nil, nil, nil
+	d.recSnapVer, d.recTouched, d.recSectors, d.recSumCover, d.recDrop, d.recImages = nil, nil, nil, nil, nil, nil
 	// Evict down to the configured object-cache budget.
 	return d.evictColdLocked()
 }
@@ -833,9 +845,13 @@ func (d *Drive) accountObject(o *object, b *recBase) error {
 			if stale {
 				// The cleaner's relocated copy, moved in memory only: the
 				// counters hold the original, which the crash orphaned, and
-				// no base says where it was. Rare (a crash between a
-				// relocating cleaner pass and its barrier checkpoint, on an
-				// object overwritten in between), so start from nothing.
+				// no base says where it was, so start from nothing. Not
+				// rare: a crash between a relocating cleaner pass and its
+				// barrier checkpoint, on an object overwritten in between,
+				// is the usual crash of a drive whose cleaner copies hot
+				// blocks forward (the rpc_hot_mix benchmark's reopen takes
+				// this path every run). Objects loaded from the index's
+				// images keep the tail the scan redid on them.
 				return fmt.Errorf("%w: %v v%d retires a block relocated after the checkpoint", errIndexStale, o.id, e.Version)
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -27,7 +28,10 @@ import (
 // never written, and the roll-forward scan follows the log from the
 // checkpoint through the segments written since, so the two indexed
 // opens issue the same reads; only the segment index in the checkpoint
-// is longer, by a few bytes per segment. When the scan read block 0 of
+// is longer, by a few bytes per segment. (The checkpoint's blob costs a
+// read of its own only once it outgrows its slot's header block, which
+// those bytes can make it do on the larger device alone; that read is
+// counted apart.) When the scan read block 0 of
 // every segment, the larger open issued 1,792 more reads; when it probed
 // every block of every segment without a sealed summary, the two opens
 // differed by about the difference in capacity. The full-scan opens
@@ -38,6 +42,7 @@ import (
 func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 	type result struct {
 		nSeg, reads, bytes int64
+		blobReads          int64 // 1 if the checkpoint outgrew its header block
 		st                 Stats
 	}
 	open := func(capacity int64) (indexed, fullScan result) {
@@ -81,14 +86,18 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 			if err := r.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			return result{r.log.NumSegments(), ds.Reads, ds.SectorsRead * disk.SectorSize, r.GetStats()}
+			blobReads := int64(0)
+			if _, hdr := newestSlot(t, dev, r.opts.CheckpointBlocks); 48+binary.LittleEndian.Uint32(hdr[12:])+binary.LittleEndian.Uint32(hdr[20:]) > seglog.BlockSize {
+				blobReads = 1
+			}
+			return result{r.log.NumSegments(), ds.Reads, ds.SectorsRead * disk.SectorSize, blobReads, r.GetStats()}
 		}
 		return reopen(false), reopen(true)
 	}
 	small, smallFull := open(64 << 20)
 	large, largeFull := open(512 << 20)
-	t.Logf("64 MB: %d segments, %d reads, %d bytes; 512 MB: %d segments, %d reads, %d bytes",
-		small.nSeg, small.reads, small.bytes, large.nSeg, large.reads, large.bytes)
+	t.Logf("64 MB: %d segments, %d reads (%d of the checkpoint blob), %d bytes; 512 MB: %d segments, %d reads (%d), %d bytes",
+		small.nSeg, small.reads, small.blobReads, small.bytes, large.nSeg, large.reads, large.blobReads, large.bytes)
 	t.Logf("full scan: 64 MB %d reads, %d bytes; 512 MB %d reads, %d bytes",
 		smallFull.reads, smallFull.bytes, largeFull.reads, largeFull.bytes)
 	if small.st.IndexLoads != 1 || large.st.IndexLoads != 1 ||
@@ -110,9 +119,9 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 		if diff := p[1].bytes - p[0].bytes; diff > bound {
 			t.Fatalf("open read %d bytes more on the larger device; %d more segments in the index allow %d", diff, extra, bound)
 		}
-		if p[1].reads != p[0].reads {
-			t.Fatalf("open issued %d reads on the larger device, %d on the smaller (full scan %v)",
-				p[1].reads, p[0].reads, p[0].st.IndexLoads == 0)
+		if p[1].reads-p[1].blobReads != p[0].reads-p[0].blobReads {
+			t.Fatalf("open issued %d reads on the larger device, %d on the smaller, %d and %d of them of the checkpoint blob (full scan %v)",
+				p[1].reads, p[0].reads, p[1].blobReads, p[0].blobReads, p[0].st.IndexLoads == 0)
 		}
 	}
 }
@@ -251,8 +260,11 @@ func TestWalkChainAllocatesPerWalk(t *testing.T) {
 // a synced tail of eight more writes that touches every object, and
 // abandons the drive: dev holds what a crash leaves, and opts opens it.
 // The chains are journal-complete (nothing aged, nothing pruned) and,
-// past 32 entries each, carry a landmark every CheckpointEvery.
-func deepChainImage(t *testing.T, versions int, mod ...func(*Options)) (dev *disk.Disk, opts Options, ids []types.ObjectID) {
+// past 32 entries each, carry a landmark every CheckpointEvery. With
+// cold, every inode is evicted just before the checkpoint, so its
+// segment index carries no inode image and the open loads each object
+// from its chain; otherwise it loads each from its image.
+func deepChainImage(t *testing.T, versions int, cold bool, mod ...func(*Options)) (dev *disk.Disk, opts Options, ids []types.ObjectID) {
 	t.Helper()
 	dev = disk.New(disk.SmallDisk(256<<20), nil)
 	clk := vclock.NewVirtual()
@@ -278,6 +290,9 @@ func deepChainImage(t *testing.T, versions int, mod ...func(*Options)) (dev *dis
 				t.Fatal(err)
 			}
 		case v == versions-1:
+			if cold {
+				evictAll(t, d)
+			}
 			if err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -287,11 +302,27 @@ func deepChainImage(t *testing.T, versions int, mod ...func(*Options)) (dev *dis
 	return dev, opts, ids
 }
 
+// evictAll drops every inode d holds, flushing their journals as an
+// eviction does.
+func evictAll(t *testing.T, d *Drive) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := d.opts.ObjectCacheCount
+	d.opts.ObjectCacheCount = 0
+	err := d.evictColdLocked()
+	d.opts.ObjectCacheCount = n
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpenWorkDoesNotScaleWithChainDepth opens two crash images that
 // differ only in how much history lies under the checkpoint: 1,000 and
 // 8,000 versions over the same four objects, the same device, the same
-// synced tail. The tail touches every object and each is journal-
-// complete, so the open loads each from its chain — from the newest
+// synced tail. The tail touches every object, each is journal-complete
+// and none was loaded at the checkpoint (so the index holds no image of
+// it), so the open loads each from its chain — from the newest
 // landmark up, which is a root block and the few sectors above it
 // however deep the chain (DESIGN.md §12.1). When loadInode replayed
 // every chain from its EntCreate, both counts grew with the depth:
@@ -304,7 +335,7 @@ func TestOpenWorkDoesNotScaleWithChainDepth(t *testing.T) {
 		st    Stats
 	}
 	open := func(versions int) result {
-		dev, opts, ids := deepChainImage(t, versions)
+		dev, opts, ids := deepChainImage(t, versions, true)
 		dev.ResetStats()
 		// Two collections empty every sync.Pool, so neither open reuses
 		// what earlier work in this process happened to leave pooled.
@@ -424,8 +455,9 @@ func (f *failReads) ReadSectors(sector int64, buf []byte) error {
 // open fails with it rather than take it for "no landmark here".
 func TestRottedNewestLandmarkFallsBack(t *testing.T) {
 	// 1,000 versions over four objects: chains of ~250 entries, the
-	// newest landmark of each below the checkpoint.
-	dev, opts, ids := deepChainImage(t, 1000)
+	// newest landmark of each below the checkpoint, and no inode image
+	// in the index to load instead.
+	dev, opts, ids := deepChainImage(t, 1000, true)
 	clean, err := Open(dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -530,4 +562,90 @@ func TestCheckInvariantsHoldsLandmarkToReplay(t *testing.T) {
 	check("running drive")
 	e.reopen()
 	check("recovered image")
+}
+
+// TestOpenLoadsFromImages: the segment index carries the inode of every
+// object loaded at the checkpoint (DESIGN.md §14.1), so an open whose
+// tail touches four deep chains loads each from its image and redoes the
+// tail on top. It reads no landmark root and walks no chain below the
+// checkpoint: of a segment sealed before it the open reads only the
+// summary, which the usage rebuild's coverage lookups take, and the
+// journal block of a chain's head at the checkpoint, which the open vets
+// (vetSkippedHeads) or where the usage rebuild's walk down the tail
+// ends. Loading from the log instead reads
+// each object's newest landmark root and the journal blocks above it, a
+// hundred-odd blocks back.
+func TestOpenLoadsFromImages(t *testing.T) {
+	e := newTestDrive(t)
+	ids := make([]types.ObjectID, 4)
+	for i := range ids {
+		ids[i] = e.create(alice)
+		e.write(alice, ids[i], 0, make([]byte, 2*types.BlockSize))
+	}
+	patch := func(v int) {
+		e.write(alice, ids[v%len(ids)], uint64(v*37%(2*types.BlockSize-512)), bytes.Repeat([]byte{byte(v)}, 512))
+	}
+	for v := 0; v < 1000; v++ {
+		patch(v)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	opts, cpSeg := e.d.opts, e.d.log.CurrentSegment()
+	roots, heads := make(map[int64]bool), make(map[int64]bool)
+	for _, id := range ids {
+		o := e.d.objects[id]
+		if o.ino == nil || !o.journalComplete() || len(o.landmarks) == 0 {
+			t.Fatalf("%v: loaded %v, journal-complete %v, %d landmarks; want a loaded deep chain", id, o.ino != nil, o.journalComplete(), len(o.landmarks))
+		}
+		for _, ln := range o.landmarks {
+			roots[int64(ln.root)] = true
+		}
+	}
+	for _, o := range e.d.objects {
+		heads[int64(o.jhead.Block())] = true
+	}
+	want := make([][]byte, len(ids))
+	for v := 1000; v < 1008; v++ {
+		patch(v)
+		if err := e.d.Sync(alice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range ids {
+		want[i] = e.read(alice, id, 0, 2*types.BlockSize, types.TimeNowest)
+	}
+
+	d, rl := openLogged(t, e, false)
+	if st := d.GetStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+		t.Fatalf("IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
+	}
+	digest := d.StateDigest()
+	old := 0
+	for _, r := range rl.reads {
+		for b := r[0]; b < r[1]; b++ {
+			seg := (b - segBase(opts, 0)) / int64(opts.SegBlocks)
+			switch {
+			case roots[b]:
+				t.Errorf("the open read landmark root %d", b)
+			case b >= segBase(opts, 0) && seg < cpSeg && b != segBase(opts, seg) && !heads[b]:
+				t.Errorf("the open read block %d of segment %d, sealed before the checkpoint", b, seg)
+			case b >= segBase(opts, 0) && seg < cpSeg:
+				old++
+			}
+		}
+	}
+	t.Logf("%d reads, %d of them of segments sealed before the checkpoint (segment %d open then)", len(rl.reads), old, cpSeg)
+	for i, id := range ids {
+		if got, err := d.Read(alice, id, 0, 2*types.BlockSize, types.TimeNowest); err != nil || !bytes.Equal(got, want[i]) {
+			t.Errorf("%v reads back differently after the open (err %v)", id, err)
+		}
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	full, _ := openLogged(t, e, true)
+	if got, want := digest, full.StateDigest(); got != want {
+		t.Errorf("the open from images and from the empty base diverged:\n%s\n--\n%s", got, want)
+	}
 }

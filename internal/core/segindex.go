@@ -30,15 +30,21 @@ import (
 // deferred-reuse barrier frees those segments the moment the checkpoint
 // commits, so encoding them free is what makes cleaner frees durable);
 // landmark roots are re-validated against the log before use.
+//
+// It also carries the inode of every object loaded at the checkpoint,
+// encoded as a landmark root without overflow blocks: the state the
+// chain walk (or the root read) behind loadInode would rebuild for that
+// object at the start of recovery. An Open loads each object the tail
+// touches from its image and redoes the tail on top, reading nothing.
 
 const (
 	segIndexMagic = 0x53344958 // "S4IX"
 	// Version 2 dropped the per-object aging hint (recovery does not
 	// age) and added the open segment's fill; version 3 dropped the
 	// per-object flags (the landmark floor in the object map replaced
-	// the only one). An older index fails the version check and the open
-	// degrades to the full scan.
-	segIndexVersion = 3
+	// the only one); version 4 appended the inode images. An older index
+	// fails the version check and the open degrades to the full scan.
+	segIndexVersion = 4
 )
 
 // segIndexSeg is one segment's persisted occupancy.
@@ -65,13 +71,18 @@ type segIndex struct {
 	// objects holds every object's landmark index; an object without
 	// landmarks is present with a nil list.
 	objects map[types.ObjectID][]landmark
+	// images holds the checkpoint-time inode of every object loaded at
+	// the checkpoint whose root needs no overflow block, undecoded: an
+	// open decodes only those it loads (takeRecImage).
+	images map[types.ObjectID][]byte
 }
 
 // encodeSegIndexLocked serializes the drive's usage tables and landmark
-// indexes. Caller holds the exclusive drive lock; the snapshot must be
-// taken after the final log.Sync of a checkpoint so the counters match
-// the durable log contents.
-func (d *Drive) encodeSegIndexLocked() []byte {
+// indexes, and with images the inode of every loaded object. Caller
+// holds the exclusive drive lock; the snapshot must be taken after the
+// final log.Sync of a checkpoint so the counters match the durable log
+// contents, and every loaded inode its flushed chain.
+func (d *Drive) encodeSegIndexLocked(images bool) []byte {
 	buf := binary.LittleEndian.AppendUint32(nil, segIndexMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, segIndexVersion)
 	nSeg := d.log.NumSegments()
@@ -116,7 +127,28 @@ func (d *Drive) encodeSegIndexLocked() []byte {
 			buf = binary.AppendUvarint(buf, uint64(ln.sector))
 		}
 	}
-	return buf
+
+	// The images last, so an index without them is the same bytes up to
+	// a zero count.
+	var imgs []byte
+	n := 0
+	for _, id := range d.objOrder {
+		o := d.objects[id]
+		if !images || o.ino == nil {
+			continue
+		}
+		cb, err := o.ino.buildCheckpoint()
+		if err != nil || len(cb.overflow) > 0 {
+			continue // a root that needs overflow blocks stays on the log
+		}
+		img := cb.finishRoot(nil)
+		imgs = binary.AppendUvarint(imgs, uint64(id))
+		imgs = binary.AppendUvarint(imgs, uint64(len(img)))
+		imgs = append(imgs, img...)
+		n++
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	return append(buf, imgs...)
 }
 
 // decodeSegIndex parses an index blob. nSeg is the log's segment count;
@@ -145,6 +177,7 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		segs:     make([]segIndexSeg, nSeg),
 		jrefs:    make(map[seglog.BlockAddr]int),
 		objects:  make(map[types.ObjectID][]landmark),
+		images:   make(map[types.ObjectID][]byte),
 	}
 	for seg := range idx.segs {
 		f, lv, hv := r.Uvarint(), r.Uvarint(), r.Uvarint()
@@ -194,8 +227,37 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		}
 		idx.objects[types.ObjectID(id)] = lms
 	}
+
+	// An image is an object id, a length and at least one byte.
+	prevID = 0
+	for i := r.Count(r.Uvarint(), 3, 0); i > 0; i-- {
+		id := types.ObjectID(r.Uvarint())
+		img := r.Bytes(r.Count(r.Uvarint(), 1, seglog.BlockSize))
+		if _, ok := idx.objects[id]; !ok || len(img) == 0 || len(idx.images) > 0 && uint64(id) <= prevID {
+			return nil, r.Fail("image of %v out of order, empty or of no object", id)
+		}
+		prevID = uint64(id)
+		idx.images[id] = img
+	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return idx, nil
+}
+
+// takeRecImage returns the checkpoint-time inode the segment index
+// carried for o, and nil if it carried none or the image does not decode
+// to o. The image leaves the map either way: a load consumes it once.
+// Only recovery holds images, so a load outside it finds none.
+func (d *Drive) takeRecImage(o *object) *Inode {
+	img, ok := d.recImages[o.id]
+	if !ok {
+		return nil
+	}
+	delete(d.recImages, o.id)
+	in, _, err := decodeInodeRoot(nil, img)
+	if err != nil || in.ID != o.id {
+		return nil
+	}
+	return in
 }

@@ -55,14 +55,15 @@ func segIndexWorkload(e *testEnv) {
 // TestSegIndexRoundTrip encodes the live drive's recovery tables and
 // checks the decoded form reproduces them exactly: segment occupancy
 // and free bits (with pendingFree folded in), journal-block refcounts,
-// and every object's landmark index.
+// every object's landmark index, and the image of every loaded inode.
+// An index without images is the same bytes up to a zero count.
 func TestSegIndexRoundTrip(t *testing.T) {
 	e := newTestDrive(t)
 	segIndexWorkload(e)
 
 	d := e.d
 	d.mu.Lock()
-	blob := d.encodeSegIndexLocked()
+	blob := d.encodeSegIndexLocked(true)
 	nSeg := d.log.NumSegments()
 	idx, err := decodeSegIndex(blob, nSeg)
 	if err != nil {
@@ -114,7 +115,173 @@ func TestSegIndexRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Evict one object: a checkpoint after that carries no image of it.
+	evicted := d.objOrder[len(d.objOrder)-1]
+	d.objects[evicted].ino = nil
+	d.loaded.Add(-1)
+	blob = d.encodeSegIndexLocked(true)
+	idx, err = decodeSegIndex(blob, nSeg)
+	if err != nil {
+		d.mu.Unlock()
+		t.Fatalf("decode of an encode with images: %v", err)
+	}
+	imaged := 0
+	for id, o := range d.objects {
+		img, ok := idx.images[id]
+		switch {
+		case o.ino == nil && ok:
+			t.Errorf("object %v: image of an inode not loaded", id)
+		case o.ino == nil:
+		case !ok:
+			t.Errorf("object %v: loaded, but no image", id)
+		default:
+			imaged++
+			in, _, err := decodeInodeRoot(nil, img)
+			if err != nil {
+				t.Errorf("object %v: image does not decode: %v", id, err)
+			} else if diff := inodeDiff(in, o.ino); diff != "" {
+				t.Errorf("object %v: image differs from the inode (%s)", id, diff)
+			}
+		}
+	}
+	if imaged < 5 || len(idx.images) != imaged {
+		t.Errorf("%d images decoded for %d loaded objects; want one each, at least five", len(idx.images), imaged)
+	}
+	bare := d.encodeSegIndexLocked(false)
 	d.mu.Unlock()
+	if n := len(bare) - 1; n >= len(blob) || !bytes.Equal(bare[:n], blob[:n]) || bare[n] != 0 {
+		t.Errorf("the index without images is not the index with them cut to a zero count")
+	}
+	if idx, err := decodeSegIndex(bare, nSeg); err != nil {
+		t.Errorf("the index without images: %v", err)
+	} else if len(idx.images) != 0 {
+		t.Errorf("the index without images decodes %d images", len(idx.images))
+	}
+}
+
+// newestSlot returns the checkpoint slot on dev with the higher seq,
+// and its header block.
+func newestSlot(t *testing.T, dev disk.Device, cpBlocks int) (int, []byte) {
+	t.Helper()
+	best, hdrs := 0, [2][]byte{}
+	for slot := range hdrs {
+		hdrs[slot] = make([]byte, types.BlockSize)
+		if err := dev.ReadSectors(int64((1+slot*cpBlocks)*(types.BlockSize/disk.SectorSize)), hdrs[slot]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if binary.LittleEndian.Uint64(hdrs[1][4:]) > binary.LittleEndian.Uint64(hdrs[0][4:]) {
+		best = 1
+	}
+	return best, hdrs[best]
+}
+
+// newestSlotIndex returns the index blob of the newest checkpoint slot
+// on dev, nil if that slot carries none.
+func newestSlotIndex(t *testing.T, dev disk.Device, cpBlocks int) []byte {
+	t.Helper()
+	slot, hdr := newestSlot(t, dev, cpBlocks)
+	lenA, lenB := int(binary.LittleEndian.Uint32(hdr[12:])), int(binary.LittleEndian.Uint32(hdr[20:]))
+	blob := make([]byte, (48+lenA+lenB+types.BlockSize-1)/types.BlockSize*types.BlockSize)
+	if err := dev.ReadSectors(int64((1+slot*cpBlocks)*(types.BlockSize/disk.SectorSize)), blob); err != nil {
+		t.Fatal(err)
+	}
+	if lenB == 0 {
+		return nil
+	}
+	// Past the 48-byte header and the object map.
+	return blob[48+lenA : 48+lenA+lenB]
+}
+
+// TestSegIndexImagesDropFirst fills a one-block checkpoint slot: the
+// index with the images of twelve hundred-block objects does not fit
+// beside the object map, the index without them does. The checkpoint
+// keeps the index and drops the images, so the next open still anchors
+// at the index, loads the objects from the log, and recovers the state
+// the empty base does.
+func TestSegIndexImagesDropFirst(t *testing.T) {
+	e := newTestDriveOn(t, disk.New(disk.SmallDisk(16<<20), nil), vclock.NewVirtual(), func(o *Options) { o.CheckpointBlocks = 1 })
+	ids := make([]types.ObjectID, 12)
+	for i := range ids {
+		ids[i] = e.create(alice)
+		e.write(alice, ids[i], 0, bytes.Repeat([]byte{byte(i)}, 100*types.BlockSize))
+	}
+	d := e.d
+	d.mu.Lock()
+	room := d.log.CheckpointCapacity() - len(d.encodeImapLocked())
+	with, without := len(d.encodeSegIndexLocked(true)), len(d.encodeSegIndexLocked(false))
+	d.mu.Unlock()
+	if with <= room || without > room {
+		t.Fatalf("index %d B with images, %d B without, %d B of room: want only the smaller to fit", with, without, room)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	blob := newestSlotIndex(t, e.dev, 1)
+	idx, err := decodeSegIndex(blob, d.log.NumSegments())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.images) != 0 {
+		t.Fatalf("the slot's index carries %d images; want none", len(idx.images))
+	}
+	for i := range ids {
+		e.write(alice, ids[i], 0, []byte("tail"))
+	}
+	if err := d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+
+	e.reopen()
+	if st := e.d.GetStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+		t.Errorf("IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Errorf("invariants: %v", err)
+	}
+	got := e.d.StateDigest()
+	e.d.opts.DisableSegIndex = true
+	e.reopen()
+	if want := e.d.StateDigest(); got != want {
+		t.Errorf("the open without images diverged from the full scan:\n%s\n--\n%s", got, want)
+	}
+}
+
+// TestSegIndexV3FallsBack writes a genuine version-3 index beside the
+// object map, as a drive before inode images did, and crashes: the open
+// refuses it on its version, counts one fallback, and recovers the
+// state of the empty base. A version-3 index is a version-4 one without
+// its image count.
+func TestSegIndexV3FallsBack(t *testing.T) {
+	e := newTestDrive(t)
+	segIndexWorkload(e)
+	d := e.d
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	bare := d.encodeSegIndexLocked(false)
+	v3 := bytes.Clone(bare[:len(bare)-1])
+	binary.LittleEndian.PutUint32(v3[4:], 3)
+	err := d.log.WriteCheckpoint(d.encodeImapLocked(), v3)
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e.reopen()
+	if st := e.d.GetStats(); st.IndexLoads != 0 || st.IndexFallbacks != 1 {
+		t.Errorf("IndexLoads=%d IndexFallbacks=%d, want 0/1", st.IndexLoads, st.IndexFallbacks)
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Errorf("invariants: %v", err)
+	}
+	got := e.d.StateDigest()
+	e.d.opts.DisableSegIndex = true
+	e.reopen()
+	if want := e.d.StateDigest(); got != want {
+		t.Errorf("the open over a version-3 index diverged from the full scan:\n%s\n--\n%s", got, want)
+	}
 }
 
 // segIndexImage formats a drive on a recording device, runs the round-
@@ -363,7 +530,7 @@ func TestSegIndexDecodeRejectsCorruption(t *testing.T) {
 	e := newTestDrive(t)
 	segIndexWorkload(e)
 	e.d.mu.Lock()
-	blob := e.d.encodeSegIndexLocked()
+	blob := e.d.encodeSegIndexLocked(true)
 	nSeg := e.d.log.NumSegments()
 	e.d.mu.Unlock()
 
@@ -410,6 +577,9 @@ func TestSegIndexDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeSegIndex(segIndexV2Blob(t), segIndexV2Segs); !errors.Is(err, types.ErrCorrupt) {
 		t.Errorf("version-2 index: err %v, want a rejection wrapping ErrCorrupt", err)
 	}
+	if _, err := decodeSegIndex(segIndexV3Blob(t), segIndexV3Segs); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("version-3 index: err %v, want a rejection wrapping ErrCorrupt", err)
+	}
 }
 
 // segIndexV1Blob is a genuine version-1 index (per-object aging hint,
@@ -444,6 +614,23 @@ func segIndexV2Blob(t testing.TB) []byte {
 	return b
 }
 
+// segIndexV3Blob is a genuine version-3 index (no inode images),
+// encoded by the last commit that wrote that format for a 31-segment
+// log holding the partition table and one thrice-written object, each
+// with a landmark on every entry.
+const segIndexV3Segs = 31
+
+func segIndexV3Blob(t testing.TB) []byte {
+	b, err := hex.DecodeString("58493453030000001f010b00010a0100000100000100000100000100000100000100000100000100000100000100000100" +
+		"000100000100000100000100000100000100000100000100000100000100000100000100000100000100000100000100000100" +
+		"000002020380c0e2e0f0c191bf0d010a0080c0e2e0f0c191bf0d020b0080c0e2e0f0c191bf0d030c00100580c0e2e0f0c191bf" +
+		"0d010d0080c0e2e0f0c191bf0d020e00c0c49fe1f0c191bf0d031000c0cd99e2f0c191bf0d041200c0d693e3f0c191bf0d051400")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // checkSegIndexShape verifies the structural guarantees decodeSegIndex
 // promises for any blob it accepts.
 func checkSegIndexShape(idx *segIndex, nSeg int64) error {
@@ -470,6 +657,11 @@ func checkSegIndexShape(idx *segIndex, nSeg int64) error {
 	for a, c := range idx.jrefs {
 		if c < 1 || c > journal.SectorsPerBlock {
 			return fmt.Errorf("jref %v: count %d out of range", a, c)
+		}
+	}
+	for id, img := range idx.images {
+		if _, ok := idx.objects[id]; !ok || len(img) == 0 || len(img) > seglog.BlockSize {
+			return fmt.Errorf("image of %v: %d bytes, object indexed %v", id, len(img), ok)
 		}
 	}
 	for id, lms := range idx.objects {
@@ -535,14 +727,20 @@ func fuzzSeedDrive(f testing.TB) *Drive {
 	return d
 }
 
-// FuzzSegIndexDecode throws hostile bytes at the index decoder. The
-// contract under fuzzing: never panic, never allocate absurdly, and
-// anything accepted must satisfy the structural guarantees indexed
-// recovery relies on (checkSegIndexShape).
+// FuzzSegIndexDecode throws hostile bytes at the index decoder and at
+// the inode images it accepts. The contract under fuzzing: never panic,
+// never allocate absurdly, and anything accepted must satisfy the
+// structural guarantees indexed recovery relies on (checkSegIndexShape).
+// The seed is a genuine index carrying the image of every object.
 func FuzzSegIndexDecode(f *testing.F) {
 	d := fuzzSeedDrive(f)
-	seed := d.encodeSegIndexLocked()
+	seed := d.encodeSegIndexLocked(true)
 	nSeg := d.log.NumSegments()
+	if idx, err := decodeSegIndex(seed, nSeg); err != nil {
+		f.Fatal(err)
+	} else if len(idx.images) != len(d.objects) {
+		f.Fatalf("seed carries %d images of %d objects", len(idx.images), len(d.objects))
+	}
 
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
@@ -556,6 +754,7 @@ func FuzzSegIndexDecode(f *testing.F) {
 	f.Add(append(append([]byte(nil), seed...), 0x01))
 	f.Add(segIndexV1Blob(f))
 	f.Add(segIndexV2Blob(f))
+	f.Add(segIndexV3Blob(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := decodeSegIndex(data, nSeg)
@@ -568,6 +767,11 @@ func FuzzSegIndexDecode(f *testing.F) {
 		if verr := checkSegIndexShape(idx, nSeg); verr != nil {
 			t.Fatalf("accepted structurally inconsistent index: %v", verr)
 		}
+		for id, img := range idx.images {
+			if _, _, err := decodeInodeRoot(nil, img); err != nil && !errors.Is(err, types.ErrCorrupt) {
+				t.Fatalf("image of %v: error %v does not wrap ErrCorrupt", id, err)
+			}
+		}
 	})
 }
 
@@ -577,7 +781,12 @@ func FuzzSegIndexDecode(f *testing.F) {
 // address in Old, and the drive crashes before any barrier: the
 // persisted counters hold the original, which no entry ever retires.
 // Indexed recovery must notice the unborn block and take the full
-// recount rather than leave one segment a live block short.
+// recount rather than leave one segment a live block short. The
+// checkpoint carries the inode image of every object, and the tail
+// also patches three more: the roll-forward scan loads each object from
+// its image and redoes the tail on top before the usage rebuild
+// reinstalls the empty base, and the images went in once, before the
+// scan, so the redone inodes stay and every acked write reads back.
 func TestRelocatedOverwriteFallsBack(t *testing.T) {
 	e := newTestDrive(t)
 	id := e.create(alice)
@@ -591,8 +800,22 @@ func TestRelocatedOverwriteFallsBack(t *testing.T) {
 	if err := e.d.Sync(alice); err != nil {
 		t.Fatal(err)
 	}
+	others := make([]types.ObjectID, 3)
+	for i := range others {
+		others[i] = e.create(alice)
+		e.write(alice, others[i], 0, bytes.Repeat([]byte{'a' + byte(i)}, 2*types.BlockSize))
+	}
 	if err := e.d.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	idx, err := decodeSegIndex(newestSlotIndex(t, e.dev, e.d.opts.CheckpointBlocks), e.d.log.NumSegments())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range append([]types.ObjectID{id}, others...) {
+		if idx.images[o] == nil {
+			t.Fatalf("the checkpoint carries no image of %v", o)
+		}
 	}
 	// Past the window one cleaner pass releases the thirteen and, the
 	// segment now holding two live blocks and nothing else, copies those
@@ -606,6 +829,9 @@ func TestRelocatedOverwriteFallsBack(t *testing.T) {
 		t.Fatalf("cleaner relocated nothing (%+v); the scenario needs a post-checkpoint copy", cs)
 	}
 	e.write(alice, id, 0, bytes.Repeat([]byte{'3'}, types.BlockSize))
+	for i, o := range others {
+		e.write(alice, o, types.BlockSize, bytes.Repeat([]byte{'A' + byte(i)}, 512))
+	}
 	if err := e.d.Sync(alice); err != nil {
 		t.Fatal(err)
 	}
@@ -619,12 +845,17 @@ func TestRelocatedOverwriteFallsBack(t *testing.T) {
 		t.Errorf("invariants: %v", err)
 	}
 	got := e.d.StateDigest()
+	if b := e.read(alice, id, 0, 2*types.BlockSize, types.TimeNowest); b[0] != '3' || b[types.BlockSize] != '1' {
+		t.Errorf("blocks 0,1 read %q,%q, want '3','1'", b[0], b[types.BlockSize])
+	}
+	for i, o := range others {
+		if b := e.read(alice, o, 0, 2*types.BlockSize, types.TimeNowest); b[0] != 'a'+byte(i) || b[types.BlockSize] != 'A'+byte(i) {
+			t.Errorf("blocks 0,1 of %v read %q,%q, want %q,%q", o, b[0], b[types.BlockSize], 'a'+byte(i), 'A'+byte(i))
+		}
+	}
 	e.d.opts.DisableSegIndex = true
 	e.reopen()
 	if want := e.d.StateDigest(); got != want {
 		t.Errorf("fallback diverged from the full scan:\nfallback:\n%s\nfull:\n%s", got, want)
-	}
-	if b := e.read(alice, id, 0, 2*types.BlockSize, types.TimeNowest); b[0] != '3' || b[types.BlockSize] != '1' {
-		t.Errorf("blocks 0,1 read %q,%q, want '3','1'", b[0], b[types.BlockSize])
 	}
 }

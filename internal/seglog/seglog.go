@@ -1882,14 +1882,16 @@ const cpHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 8 + 4
 // header is valid, and the other slot's only if that payload fails its
 // CRC — a checkpoint write torn by a crash — so the alternate slot still
 // anchors recovery; that is the whole point of alternating slots. The
-// blob read covers the header block too, so an open costs the same reads
-// whatever the blob's size. The index blob is best effort: out-of-bounds
-// length or CRC mismatch (a tear inside the index region of an otherwise
-// intact slot) returns index nil without invalidating the slot. It also
-// sets the anchor ScanFrom(seq) walks from. Without a checkpoint that is
-// where Format left the log — the first segment opened, at seq 0 —
-// unless a slot holds a checkpoint that no longer decodes: then the log
-// has moved on from there, and nothing says to where.
+// blob read starts after the header block, whose bytes the header pass
+// already holds, so no block of a slot is read twice and a blob that
+// fits the header block costs no read of its own. The index blob is
+// best effort: out-of-bounds length or CRC mismatch (a tear inside the
+// index region of an otherwise intact slot) returns index nil without
+// invalidating the slot. It also sets the anchor ScanFrom(seq) walks
+// from. Without a checkpoint that is where Format left the log — the
+// first segment opened, at seq 0 — unless a slot holds a checkpoint
+// that no longer decodes: then the log has moved on from there, and
+// nothing says to where.
 func (l *Log) ReadCheckpoint() (data, index []byte, seq uint64, ok bool, err error) {
 	var hdrs [2][]byte // a slot's header block, nil unless its header is valid
 	written := false
@@ -1948,8 +1950,8 @@ func (l *Log) adoptCheckpoint(slot int, hdr []byte) uint64 {
 // cpBase is the first block of checkpoint slot slot.
 func (l *Log) cpBase(slot int) int64 { return int64(1 + slot*l.cfg.CheckpointBlocks) }
 
-// readCheckpointBlob reads the blob of the slot whose valid header is
-// hdr, header block included, and returns its state payload, nil if the
+// readCheckpointBlob reads the blob of the slot whose valid header block
+// is hdr, past that block, and returns its state payload, nil if the
 // payload fails its CRC, and its index, nil if that is absent or fails.
 func (l *Log) readCheckpointBlob(slot int, hdr []byte) (data, index []byte, err error) {
 	nA := int(binary.LittleEndian.Uint32(hdr[12:]))
@@ -1959,8 +1961,11 @@ func (l *Log) readCheckpointBlob(slot int, hdr []byte) (data, index []byte, err 
 	}
 	total := cpHeaderSize + nA + nB
 	blob := make([]byte, (total+BlockSize-1)/BlockSize*BlockSize)
-	if err := readBlocks(l.dev, l.cpBase(slot), blob); err != nil {
-		return nil, nil, err
+	copy(blob, hdr)
+	if rest := blob[BlockSize:]; len(rest) > 0 {
+		if err := readBlocks(l.dev, l.cpBase(slot)+1, rest); err != nil {
+			return nil, nil, err
+		}
 	}
 	data = blob[cpHeaderSize : cpHeaderSize+nA]
 	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(hdr[16:]) {

@@ -464,8 +464,9 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 	// fails its CRC and recovery must fall back to the older slot, not
 	// error out — that is what the alternating slots are for. The blob of
 	// the older slot is read only then: with both slots valid, the newer
-	// one's blob is the only one read. The blobs are two blocks each, so
-	// the two one-block header reads stand apart from them.
+	// one's blob is the only one read, and never its header block again.
+	// The blobs are three blocks each, so the two one-block header reads
+	// stand apart from the two-block reads of the rest.
 	d := disk.New(disk.SmallDisk(8<<20), nil)
 	if err := Format(d, Config{SegBlocks: 16, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
@@ -474,13 +475,13 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Repeat([]byte("old"), 2000)
+	old := bytes.Repeat([]byte("old"), 3000)
 	if err := l.WriteCheckpoint(old, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Tear the very next write (the second checkpoint) after one sector.
 	d.TearAfter(0, 1)
-	if err := l.WriteCheckpoint(bytes.Repeat([]byte("new"), 2000), nil); err != nil {
+	if err := l.WriteCheckpoint(bytes.Repeat([]byte("new"), 3000), nil); err != nil {
 		t.Fatal(err)
 	}
 	// read opens the log on a read counter and checks what its
@@ -497,8 +498,8 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("ReadCheckpoint: ok=%v err=%v", ok, err)
 		}
-		if cnt.single != 2 || cnt.vectored != blobs {
-			t.Fatalf("ReadCheckpoint read %d headers and %d blobs, want 2 and %d", cnt.single, cnt.vectored, blobs)
+		if cnt.single != 2 || cnt.vectored != blobs || cnt.bytes != int64(2+2*blobs)*BlockSize {
+			t.Fatalf("ReadCheckpoint read %d headers and %d blobs, %d B, want 2 and %d, %d B", cnt.single, cnt.vectored, cnt.bytes, blobs, (2+2*blobs)*BlockSize)
 		}
 		return l, got
 	}
@@ -507,7 +508,7 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 		t.Fatal("torn checkpoint must fall back to the surviving slot")
 	}
 	// Both slots valid: the newer wins on its blob alone.
-	newer := bytes.Repeat([]byte("newer"), 1200)
+	newer := bytes.Repeat([]byte("newer"), 1800)
 	if err := l2.WriteCheckpoint(newer, nil); err != nil {
 		t.Fatal(err)
 	}

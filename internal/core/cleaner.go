@@ -260,12 +260,11 @@ scan:
 	// The head sector is never counted as passed: while it sits in the
 	// open segment, flushes merge newer entries into it.
 	passed = min(passed, len(chain)-1)
-	// Landmark checkpoints age with the entries around them: their roots
-	// are freed index-first (idempotent — a root leaves the index the
-	// moment it is freed), and reconstructions now below the floor leave
-	// the inode-at-time cache. Any sector pruned below holds only
-	// sub-ageCut entries, so its landmarks are already gone.
-	d.dropLandmarksBelowFloor(o)
+	// Landmark checkpoints age with the entries around them: they leave
+	// the index, and reconstructions now below the floor leave the
+	// inode-at-time cache. Any sector pruned below holds only sub-ageCut
+	// entries, so its landmarks are already gone.
+	o.dropLandmarksBelowFloor()
 	d.recon.dropBelow(o.id, o.floorTime)
 	// The passed sectors can be unlinked from the chain, but pruning
 	// requires an inode checkpoint (the journal alone no longer rebuilds
@@ -522,8 +521,8 @@ func (d *Drive) relocateChainLocked(o *object, avoid seglog.BlockAddr, cs *Clean
 		d.unrefJSector(chain[i].addr)
 	}
 	// Landmark index entries name chain positions; every sector just
-	// moved, so re-register each flushed landmark at its new address.
-	// The roots themselves are history blocks and did not move.
+	// moved, so re-register each flushed landmark at its new address;
+	// its image moved with its entry.
 	for i := range chain {
 		for j := range chain[i].entries {
 			if ln := o.landmarkOf(&chain[i].entries[j]); ln != nil {
@@ -722,7 +721,7 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 		r.o.pruned = true
 		r.o.cpVersion = 0
 		r.o.relocPending = true
-		// Landmark roots and cached reconstructions snapshot block
+		// Landmark images and cached reconstructions snapshot block
 		// addresses too — the relocated blocks may be live in historical
 		// views — so every landmark up to the current version dies here,
 		// durably: the landmark floor rides the object map of the barrier

@@ -202,9 +202,9 @@ func (d *Drive) convertOldLocked(o *object, e *journal.Entry, fulls [][]byte, po
 			addrs, err := d.log.AppendVec(seglog.KindDelta, o.id, vec...)
 			if err == nil {
 				for bi, a := range addrs {
-					// History-born, like landmark roots: the packed block
-					// belongs to the pool from birth and pins its segment
-					// until the entry around it ages out.
+					// History-born: the packed block belongs to the pool
+					// from birth and pins its segment until the entry
+					// around it ages out.
 					seg := segOf(d.log, a)
 					d.usage.liveBorn(seg)
 					d.usage.deprecate(seg)
@@ -281,8 +281,8 @@ func splitDeltaRef(raw uint64) (packed seglog.BlockAddr, slot int) {
 // poolBlocks calls fn for every history-pool block e's Old list pins: a
 // plain pointer names the deprecated block itself; a DeltaMask'd slot
 // names its shared packed delta block, yielded once per entry however
-// many slots point in. Together with landmark roots and the final
-// blocks of unreaped deleted objects, the blocks this yields for the
+// many slots point in. Together with the final blocks of unreaped
+// deleted objects, the blocks this yields for the
 // retained entries above an object's floor are the history pool —
 // the cleaner, recovery's usage rebuild and CheckInvariants all enumerate
 // it here.

@@ -49,7 +49,7 @@ func TestDeltaOverwriteAllocBytes(t *testing.T) {
 
 	st := e.d.GetStats()
 	got := [4]int64{st.DeltaBlocksWritten, st.DeltaBytesSaved, st.ChainKeyframes, st.HistoryBlocks}
-	want := [4]int64{182, 5218304, 152, 388}
+	want := [4]int64{182, 5218304, 152, 382}
 	if got != want {
 		t.Errorf("DeltaBlocksWritten, DeltaBytesSaved, ChainKeyframes, HistoryBlocks = %v, want %v: the stored history changed", got, want)
 	}

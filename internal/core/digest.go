@@ -37,7 +37,7 @@ func (d *Drive) StateDigest() string {
 			o.id, o.nextVersion, o.cpVersion, o.inodeRoot, o.jhead, o.jtail, o.floorVersion, o.floorTime, o.lmFloor, o.pruned)
 		fmt.Fprintf(&b, "    cpBlocks=%v\n", o.cpBlocks)
 		for _, ln := range o.landmarks {
-			fmt.Fprintf(&b, "    landmark t=%d v=%d root=%d sector=%d\n", ln.time, ln.version, ln.root, ln.sector)
+			fmt.Fprintf(&b, "    landmark t=%d v=%d sector=%d\n", ln.time, ln.version, ln.sector)
 		}
 	}
 

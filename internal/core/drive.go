@@ -114,9 +114,9 @@ type Options struct {
 	// CheckpointEvery writes a landmark checkpoint entry into a hot
 	// object's journal chain after every N real entries, bounding the
 	// back-in-time reconstruction walk to ~N undos (DESIGN.md §12.1).
-	// Each landmark costs one history-pool block until its entries age
-	// out — the paper's history-pool-space vs. read-cost tradeoff made
-	// tunable. Zero takes the default (32); negative disables landmarks.
+	// Each landmark costs its inode image's bytes in the journal — the
+	// paper's history-pool-space vs. read-cost tradeoff made tunable.
+	// Zero takes the default (32); negative disables landmarks.
 	CheckpointEvery int
 	// UnsafeImmediateReuse disables the deferred-reuse barrier: the
 	// cleaner returns emptied segments to the allocator immediately
@@ -244,18 +244,18 @@ type object struct {
 	// landmarks is the in-memory index of the checkpoint entries in the
 	// journal chain, ascending by time (DESIGN.md §12.1). Invariant: it
 	// holds exactly the chain's and the pending tail's checkpoint entries
-	// above both floorVersion and lmFloor, and exactly their roots are
-	// accounted as history blocks — registration (appendEntry), sector
-	// fill-in (flushJournalLocked), aging/reap/Flush removal (cleaner,
-	// flushObjectLocked), and relocation re-registration
-	// (relocateChainLocked) all preserve that. Persisted in the segment
-	// index at checkpoint; recovery's accountObject adds the tail's (on
-	// the empty base, every chain's) while it walks the chain.
+	// above both floorVersion and lmFloor whose images decode —
+	// registration (appendEntry), sector fill-in (flushJournalLocked),
+	// aging/reap/Flush removal (cleaner, flushObjectLocked), and
+	// relocation re-registration (relocateChainLocked) all preserve that.
+	// Persisted in the segment index at checkpoint; recovery's
+	// accountObject adds the tail's (on the empty base, every chain's)
+	// while it walks the chain.
 	landmarks     []landmark
 	sinceLandmark int // real entries appended since the last landmark
 	// lmFloor is the landmark floor: checkpoint entries at or below this
-	// version are dead whatever their roots still decode to. A landmark
-	// root is a full inode image, so it names the live blocks of its day;
+	// version are dead whatever their images still decode to. A landmark
+	// image is a full inode, so it names the live blocks of its day;
 	// when the cleaner moves one of them it raises the floor to the
 	// current version (compactSegmentLocked). Persisted in the object
 	// map by the checkpoint that makes the move itself durable.
@@ -298,14 +298,13 @@ type blockBirth struct {
 	t   types.Timestamp
 }
 
-// landmark is one entry of an object's checkpoint index: a flushed
-// EntCheckpoint journal entry plus the checkpoint root block it points
-// at. sector is NilSector until the entry reaches a flushed sector; the
+// landmark is one entry of an object's checkpoint index: where its
+// EntCheckpoint journal entry, which carries the inode image, sits.
+// sector is NilSector until the entry reaches a flushed sector; the
 // reconstruction walk only anchors at flushed landmarks.
 type landmark struct {
 	time    types.Timestamp
 	version uint64
-	root    seglog.BlockAddr
 	sector  journal.SectorAddr
 }
 
@@ -822,10 +821,11 @@ func (d *Drive) lockObjectWrite(o *object) error {
 // or from the journal chain — journal-based metadata means the journal
 // alone can rebuild any object whose chain still reaches its creation
 // (§4.2.2). The chain is walked backward only as far as the newest live
-// landmark whose root still holds this object at the entry's version:
-// that image is the replay of everything below it (DESIGN.md §12.1), so
-// only the entries above it are redone. A chain with no such landmark —
-// short, CheckpointEvery < 0, every root rotted — is walked to its
+// landmark whose image holds this object at the entry's version: that
+// image is the replay of everything below it (DESIGN.md §12.1), so only
+// the entries above it are redone, and it rides the entry the walk has
+// just decoded. A chain with no such landmark — short,
+// CheckpointEvery < 0, every image spoiled — is walked to its
 // EntCreate, which is the same walk not stopping. The landmark is found
 // in the chain, not in o.landmarks: recovery loads inodes before it has
 // an index to trust. Caller holds o.mu exclusively or the exclusive
@@ -854,9 +854,8 @@ func (d *Drive) loadInode(o *object) error {
 				if e.Type != journal.EntCheckpoint {
 					redo = append(redo, e)
 				} else if o.landmarkLive(e.Version) {
-					var err error
-					if in, err = d.landmarkImage(o.id, e.Version, e.InodeAddr); in != nil || err != nil {
-						return true, err
+					if in = landmarkImage(o.id, e); in != nil {
+						return true, nil
 					}
 				}
 			}
@@ -1020,16 +1019,15 @@ func (d *Drive) appendEntry(o *object, e *journal.Entry) {
 
 // maybeEmitLandmarkLocked writes a landmark checkpoint entry after
 // every CheckpointEvery real entries on a hot chain (DESIGN.md §12.1):
-// a full inode image appended to the log plus an EntCheckpoint journal
-// entry pointing at it, so back-in-time reconstruction can anchor
-// mid-chain instead of undoing from the live head. The root block is
-// accounted as history from birth — it ages out of the pool together
-// with the entries around it. A root is also what loadInode anchors at,
-// so its image must equal the replay of the chain below it on every
-// image a crash can leave: none is emitted while a relocation of the
-// object's data awaits its barrier checkpoint. Landmarks are an
-// optimization: any failure to emit one (no space, oversized inode) is
-// silently skipped.
+// an EntCheckpoint journal entry carrying the full inode image, so
+// back-in-time reconstruction can anchor mid-chain instead of undoing
+// from the live head. It lives as long as its journal sector and ages
+// out of the window with the entries around it. An image is also what
+// loadInode anchors at, so it must equal the replay of the chain below
+// it on every image a crash can leave: none is emitted while a
+// relocation of the object's data awaits its barrier checkpoint.
+// Landmarks are an optimization: an inode whose entry would not fit one
+// journal sector alone gets none.
 // Caller holds o.mu exclusively (plus the shared drive lock) or the
 // exclusive drive lock; e is the just-appended triggering entry.
 func (d *Drive) maybeEmitLandmarkLocked(o *object, e *journal.Entry) {
@@ -1043,34 +1041,19 @@ func (d *Drive) maybeEmitLandmarkLocked(o *object, e *journal.Entry) {
 		return
 	}
 	o.sinceLandmark = 0
-	cb, err := o.ino.buildCheckpoint()
-	if err != nil || len(cb.overflow) > 0 {
-		// The index tracks exactly one root block per landmark; inodes
-		// whose block map needs overflow blocks are skipped (their data
-		// reads dominate the walk anyway).
-		return
-	}
-	root := cb.finishRoot(nil)
-	rootAddr, err := d.log.Append(seglog.KindInode, o.id, o.ino.Version, o.ino.ModTime, root)
-	if err != nil {
-		return
-	}
-	// Born live, deprecated immediately: the root belongs to the
-	// history pool from the start, keeping its segment off-limits to
-	// compaction and reclamation until the landmark ages out.
-	seg := segOf(d.log, rootAddr)
-	d.usage.liveBorn(seg)
-	d.usage.deprecate(seg)
 	// The entry shares the trigger's version and time, so it ages out of
-	// the window at the same instant. Appended directly to pending (not
-	// through appendEntry): a landmark is not a version transition.
-	o.pending = append(o.pending, &journal.Entry{
+	// the window at the same instant.
+	lm := &journal.Entry{
 		Type: journal.EntCheckpoint, Version: o.ino.Version, Time: e.Time,
-		User: e.User, Client: e.Client, InodeAddr: rootAddr,
-	})
-	o.landmarks = append(o.landmarks, landmark{
-		time: e.Time, version: o.ino.Version, root: rootAddr,
-	})
+		User: e.User, Client: e.Client, Image: o.ino.image(),
+	}
+	if lm.Image == nil || len(lm.Encode(nil)) > journal.SectorCapacity {
+		return // too large for a sector alone: the full walk serves it
+	}
+	// Appended directly to pending (not through appendEntry): a landmark
+	// is not a version transition.
+	o.pending = append(o.pending, lm)
+	o.landmarks = append(o.landmarks, landmark{time: e.Time, version: o.ino.Version})
 	// A landmark version is retained in every policy mode: it is the
 	// anchor deep reads reconstruct from, so retention may never thin it.
 	if o.ino.Version > o.retainedVer {
@@ -1087,7 +1070,7 @@ func (o *object) landmarkOf(e *journal.Entry) *landmark {
 		return nil
 	}
 	for i := range o.landmarks {
-		if ln := &o.landmarks[i]; ln.version == e.Version && ln.root == e.InodeAddr {
+		if ln := &o.landmarks[i]; ln.version == e.Version && ln.time == e.Time {
 			return ln
 		}
 	}
@@ -1109,37 +1092,25 @@ func (o *object) placeLandmarks(entries []*journal.Entry, sa journal.SectorAddr)
 
 // landmarkLive reports whether a checkpoint entry of this version is
 // above both of o's floors — the one rule for what the landmark index
-// holds and which roots are in the history pool. Aging raises
-// floorVersion, relocation of a data block raises lmFloor; both are
-// persisted in the object map, so a restart never re-decides.
+// holds. Aging raises floorVersion, relocation of a data block raises
+// lmFloor; both are persisted in the object map, so a restart never
+// re-decides.
 func (o *object) landmarkLive(version uint64) bool {
 	return version > o.floorVersion && version > o.lmFloor
 }
 
-// landmarkImage returns the inode image in checkpoint root block root if
-// it still holds object id at exactly version, and nil if it does not: a
-// root that rotted on media, or whose address was reused, is simply not
-// a landmark any more — a history read falls back to the undo walk, a
-// load to a longer replay. Any other read failure is the device's and is
-// returned, so an Open never mistakes an I/O error for "no". The one
-// read-decode-and-check behind the load anchor, history reads,
-// recovery's adoption and the checkers; the caller owns the image.
-func (d *Drive) landmarkImage(id types.ObjectID, version uint64, root seglog.BlockAddr) (*Inode, error) {
-	if root == seglog.NilAddr {
-		return nil, nil
+// landmarkImage returns the inode image checkpoint entry e carries if it
+// decodes to object id at exactly e's version, and nil if it does not:
+// such an entry is simply not a landmark — a history read falls back to
+// the undo walk, a load to a longer replay. The one decode-and-check
+// behind the load anchor, history reads, recovery's adoption and the
+// checkers; it reads nothing, and the caller owns the image.
+func landmarkImage(id types.ObjectID, e *journal.Entry) *Inode {
+	in, _, err := decodeInodeRoot(nil, e.Image)
+	if err != nil || in.ID != id || in.Version != e.Version {
+		return nil
 	}
-	buf, err := d.readBlock(root)
-	if err != nil {
-		if errors.Is(err, types.ErrCorrupt) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	in, _, err := decodeInodeRoot(d.log, buf)
-	if err != nil || in.ID != id || in.Version != version {
-		return nil, nil
-	}
-	return in, nil
+	return in
 }
 
 // sortLandmarks restores the index's ascending-by-time order after a
@@ -1153,23 +1124,14 @@ func sortLandmarks(ls []landmark) {
 	})
 }
 
-// dropLandmarksBelowFloor frees the checkpoint roots of landmarks that a
-// raised floor has killed and removes them from the index — a landmark
-// entry carries its trigger's version, so it leaves the pool with the
-// entries around it. Index-driven freeing is idempotent by
-// construction: a root leaves the index the moment it is freed. Caller
-// holds the exclusive drive lock.
-func (d *Drive) dropLandmarksBelowFloor(o *object) {
-	kept := o.landmarks[:0]
-	for _, ln := range o.landmarks {
-		if !o.landmarkLive(ln.version) {
-			d.usage.ageOut(segOf(d.log, ln.root))
-			d.cache.drop(ln.root)
-			continue
-		}
-		kept = append(kept, ln)
-	}
-	o.landmarks = kept
+// dropLandmarksBelowFloor removes the landmarks that a raised floor has
+// killed from the index — a landmark entry carries its trigger's
+// version, so it dies with the entries around it, and its image with
+// its sector. Caller holds the exclusive drive lock.
+func (o *object) dropLandmarksBelowFloor() {
+	o.landmarks = slices.DeleteFunc(o.landmarks, func(ln landmark) bool {
+		return !o.landmarkLive(ln.version)
+	})
 }
 
 // retireLandmarks kills every landmark o has by raising the landmark
@@ -1178,7 +1140,7 @@ func (d *Drive) dropLandmarksBelowFloor(o *object) {
 // object is reaped. Caller holds the exclusive drive lock, o.ino loaded.
 func (d *Drive) retireLandmarks(o *object) {
 	o.lmFloor = o.ino.Version
-	d.dropLandmarksBelowFloor(o)
+	o.dropLandmarksBelowFloor()
 }
 
 // markDirty records that o has pending journal entries. Callers hold

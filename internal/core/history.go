@@ -87,8 +87,9 @@ func (d *Drive) snapshotObject(o *object) *objSnapshot {
 // freed by the cleaner). With no landmark the walk starts at the top:
 // the pending copy, then the flushed chain from jhead. With one it
 // starts in the landmark's sector, past the (newer) entries stacked
-// above its checkpoint entry, and a sector that does not hold that entry
-// ends the walk with errLandmarkMiss before fn sees anything. fn
+// above its checkpoint entry, and fn's first entry is that checkpoint
+// entry itself, whose image is the anchor; a sector that does not hold
+// it ends the walk with errLandmarkMiss before fn sees anything. fn
 // returning true stops the walk. Caller holds the shared or exclusive
 // drive lock — that is what keeps the cleaner from relocating chain
 // sectors mid-walk; no object lock is needed.
@@ -109,8 +110,12 @@ func (d *Drive) walkEntriesSnap(s *objSnapshot, ln *landmark, fn func(e *journal
 			e := &entries[i]
 			switch {
 			case !seen:
-				seen = e.Type == journal.EntCheckpoint && e.Version == ln.version &&
-					e.Time == ln.time && e.InodeAddr == ln.root
+				if seen = e.Type == journal.EntCheckpoint && e.Version == ln.version && e.Time == ln.time; !seen {
+					break
+				}
+				if stop, err := fn(e); stop || err != nil {
+					return true, err
+				}
 			case e.Version > s.chainLim && e.Type != journal.EntCheckpoint:
 				// Merged into the head sector after this snapshot was
 				// taken; the pending copy already covered (or post-dates)
@@ -146,7 +151,7 @@ func (d *Drive) inodeAtCached(s *objSnapshot, at types.Timestamp) (*Inode, error
 	// Landmark fast path (DESIGN.md §12.1): anchor at the earliest
 	// flushed checkpoint entry strictly after at. Every entry newer than
 	// the landmark has Time ≥ the landmark's > at, so the full walk
-	// would undo all of them — and the checkpoint root already encodes
+	// would undo all of them — and the checkpoint image already encodes
 	// exactly the state they leave behind. The bound must be strict: an
 	// entry sharing the landmark's timestamp but preceding it in the
 	// chain could be the true stop entry for at == that timestamp.
@@ -173,29 +178,31 @@ func (d *Drive) inodeAtCached(s *objSnapshot, at types.Timestamp) (*Inode, error
 // inodeAtSnapInterval is the one undo walk behind history reads. It
 // reconstructs the snapshot's inode as of time at by undoing entries
 // younger than at, newest-first, from an anchor: with no landmark the
-// snapshot's live clone, with one the landmark's checkpoint image, the
-// entries being those walkEntriesSnap visits from that anchor. It reports
+// snapshot's live clone, with one the image its checkpoint entry
+// carries, which the walk decodes in the landmark's sector — a landmark
+// hit reads that sector and nothing more. The entries undone are those
+// walkEntriesSnap visits from that anchor. It reports
 // the reconstruction's validity interval: the result is the object's
 // state for every instant in [from, to), which is what makes it
 // memoizable (DESIGN.md §12.2). from is the stop entry's time; to is
 // the oldest undone entry's time, or the anchor's (snapNow, the
 // landmark's time) when nothing was undone. The returned inode is
-// private to the caller. A landmark whose root rotted on media or was
-// reused, or whose sector no longer holds its entry, is
-// errLandmarkMiss: the landmark is only an accelerator.
+// private to the caller. A landmark whose image does not decode to it,
+// or whose sector no longer holds its entry, is errLandmarkMiss: the
+// landmark is only an accelerator.
 func (d *Drive) inodeAtSnapInterval(s *objSnapshot, ln *landmark, at types.Timestamp) (in *Inode, from, to types.Timestamp, err error) {
 	in, to = s.ino, s.snapNow
 	if ln != nil {
-		if in, err = d.landmarkImage(s.id, ln.version, ln.root); in == nil {
-			if err == nil {
-				err = errLandmarkMiss
-			}
-			return nil, 0, 0, err
-		}
-		to = ln.time
+		in, to = nil, ln.time
 	}
 	from = s.floorTime // walk may run off the retained tail
 	err = d.walkEntriesSnap(s, ln, func(e *journal.Entry) (bool, error) {
+		if in == nil { // the landmark's own entry
+			if in = landmarkImage(s.id, e); in == nil {
+				return true, errLandmarkMiss
+			}
+			return false, nil
+		}
 		d.walkEntries.Add(1)
 		if e.Time <= at {
 			from = e.Time // stop entry established this state
@@ -725,7 +732,7 @@ func (d *Drive) flushObjectLocked(o *object, from, to types.Timestamp) error {
 		}
 	}
 	// The chain is rewritten without its checkpoint markers, so every
-	// landmark dies with it (roots freed), and every cached
+	// landmark dies with it, and every cached
 	// reconstruction of this object is now a lie.
 	d.retireLandmarks(o)
 	d.recon.dropObject(o.id)

@@ -370,6 +370,17 @@ func (in *Inode) buildCheckpoint() (*checkpointBlob, error) {
 	return cb, nil
 }
 
+// image returns the inode in the root encoding with no overflow blocks,
+// as a landmark entry and the segment index carry it, or nil when its
+// block map needs overflow blocks.
+func (in *Inode) image() []byte {
+	cb, err := in.buildCheckpoint()
+	if err != nil || len(cb.overflow) > 0 {
+		return nil
+	}
+	return cb.finishRoot(nil)
+}
+
 // finishRoot completes the root block given the overflow addresses.
 func (cb *checkpointBlob) finishRoot(overflowAddrs []seglog.BlockAddr) []byte {
 	root := binary.LittleEndian.AppendUint16(append([]byte(nil), cb.rootPfx...), uint16(len(overflowAddrs)))
@@ -411,7 +422,7 @@ func decodeInodeRoot(rd journal.SectorReader, root []byte) (*Inode, []seglog.Blo
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	// Most roots, and every landmark's, hold the whole pair stream inline:
+	// Most roots, and every image, hold the whole pair stream inline:
 	// no scratch block, no copy.
 	stream := r.Rest()
 	if len(overAddrs) > 0 {

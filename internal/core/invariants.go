@@ -147,7 +147,7 @@ func (d *Drive) CheckInvariants() error {
 // loadInode's anchor relies on (DESIGN.md §12.1): replaying the chain
 // (secs, newest sector first) and the pending tail from EntCreate yields
 // o.ino field for field and block for block, and every live landmark
-// root met on the way holds exactly the replay at its version — so a
+// image met on the way holds exactly the replay at its version — so a
 // load may stop at any of them. Caller holds the exclusive drive lock,
 // o.ino loaded.
 func (d *Drive) checkReplayLocked(o *object, secs [][]journal.Entry) error {
@@ -162,15 +162,12 @@ func (d *Drive) checkReplayLocked(o *object, secs [][]journal.Entry) error {
 		case e.Type != journal.EntCheckpoint:
 			in.redo(e)
 		case o.landmarkLive(e.Version):
-			img, err := d.landmarkImage(o.id, e.Version, e.InodeAddr)
-			if err != nil {
-				return err
-			}
+			img := landmarkImage(o.id, e)
 			if img == nil {
-				break // rotted: not a landmark, nothing anchors here
+				break // spoiled: not a landmark, nothing anchors here
 			}
 			if diff := inodeDiff(img, in); diff != "" {
-				return fmt.Errorf("core: %v landmark v%d root block %d is not the replay below it (%s): %w", o.id, e.Version, e.InodeAddr, diff, types.ErrCorrupt)
+				return fmt.Errorf("core: %v landmark v%d image is not the replay below it (%s): %w", o.id, e.Version, diff, types.ErrCorrupt)
 			}
 		}
 		return nil
@@ -256,11 +253,11 @@ func (d *Drive) checkUsageLocked() error {
 // the journal chains, in both directions. Every indexed landmark must
 // be above both of its object's floors and correspond to an
 // EntCheckpoint entry in the chain or pending tail, at the recorded
-// sector, with a root block that still decodes to the indexed object
-// and version inside an allocated segment, and the index must be sorted
-// ascending by time. Conversely every chain checkpoint entry above both
-// floors whose root still validates must be indexed: the floors are the
-// whole rule, on a live drive and on a recovered one alike.
+// sector, whose image decodes to the indexed object and version, and the
+// index must be sorted ascending by time. Conversely every chain
+// checkpoint entry above both floors whose image decodes must be
+// indexed: the floors are the whole rule, on a live drive and on a
+// recovered one alike.
 func (d *Drive) CheckLandmarks() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -271,24 +268,22 @@ func (d *Drive) CheckLandmarks() error {
 }
 
 func (d *Drive) checkLandmarksLocked() error {
-	validRoot := func(id types.ObjectID, version uint64, root seglog.BlockAddr) (bool, error) {
-		if seg := segOf(d.log, root); seg < 0 || d.log.IsFree(seg) {
-			return false, nil
-		}
-		img, err := d.landmarkImage(id, version, root)
-		return img != nil, err
+	// Where a checkpoint entry sits (NilSector: the pending tail), and
+	// whether its image decodes.
+	type found struct {
+		sector journal.SectorAddr
+		valid  bool
 	}
-
 	type lmKey struct {
 		version uint64
-		root    seglog.BlockAddr
+		time    types.Timestamp
 	}
 	for _, id := range d.objOrder {
 		o := d.objects[id]
-		found := make(map[lmKey]journal.SectorAddr)
+		seen := make(map[lmKey]found)
 		for _, e := range o.pending {
 			if e.Type == journal.EntCheckpoint {
-				found[lmKey{e.Version, e.InodeAddr}] = journal.NilSector
+				seen[lmKey{e.Version, e.Time}] = found{journal.NilSector, landmarkImage(id, e) != nil}
 			}
 		}
 		err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
@@ -297,13 +292,9 @@ func (d *Drive) checkLandmarksLocked() error {
 				if e.Type != journal.EntCheckpoint {
 					continue
 				}
-				found[lmKey{e.Version, e.InodeAddr}] = addr
-				if !o.landmarkLive(e.Version) || o.landmarkOf(e) != nil {
-					continue
-				}
-				if ok, err := validRoot(id, e.Version, e.InodeAddr); err != nil {
-					return true, err
-				} else if ok {
+				valid := landmarkImage(id, e) != nil
+				seen[lmKey{e.Version, e.Time}] = found{addr, valid}
+				if valid && o.landmarkLive(e.Version) && o.landmarkOf(e) == nil {
 					return true, fmt.Errorf("core: %v checkpoint v%d at sector %d missing from landmark index: %w", id, e.Version, addr, types.ErrCorrupt)
 				}
 			}
@@ -321,17 +312,15 @@ func (d *Drive) checkLandmarksLocked() error {
 			if !o.landmarkLive(ln.version) {
 				return fmt.Errorf("core: %v landmark v%d indexed at or below a floor (history %d, landmark %d): %w", id, ln.version, o.floorVersion, o.lmFloor, types.ErrCorrupt)
 			}
-			sa, ok := found[lmKey{ln.version, ln.root}]
+			f, ok := seen[lmKey{ln.version, ln.time}]
 			if !ok {
 				return fmt.Errorf("core: %v landmark v%d has no chain or pending checkpoint entry: %w", id, ln.version, types.ErrCorrupt)
 			}
-			if ln.sector != sa {
-				return fmt.Errorf("core: %v landmark v%d records sector %d, chain has it at %d: %w", id, ln.version, ln.sector, sa, types.ErrCorrupt)
+			if ln.sector != f.sector {
+				return fmt.Errorf("core: %v landmark v%d records sector %d, chain has it at %d: %w", id, ln.version, ln.sector, f.sector, types.ErrCorrupt)
 			}
-			if ok, err := validRoot(id, ln.version, ln.root); err != nil {
-				return err
-			} else if !ok {
-				return fmt.Errorf("core: %v landmark v%d root block %d does not validate: %w", id, ln.version, ln.root, types.ErrCorrupt)
+			if !f.valid {
+				return fmt.Errorf("core: %v landmark v%d image does not decode to it: %w", id, ln.version, types.ErrCorrupt)
 			}
 		}
 	}

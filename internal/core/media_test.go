@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"s4/internal/disk"
+	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
 	"s4/internal/vclock"
@@ -65,7 +66,8 @@ func sum(parts ...[]byte) string {
 
 // TestOnMediaEncodingsGolden pins the bytes of every variable-length
 // structure the drive writes to its medium: the object map, the segment
-// index, each object's checkpoint root, a root with overflow chunks,
+// index, each object's checkpoint root and the landmark entry that
+// carries its image, a root with overflow chunks,
 // the partition and policy tables, and the three kinds of segment
 // summary — a seal, an open record, and a partial flush's snapshot as
 // the sectors it wrote of it. A hash that moves is a format change:
@@ -76,7 +78,7 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	var roots [][]byte
+	var roots, landmarks [][]byte
 	for _, id := range d.objOrder {
 		o := d.objects[id]
 		if err := d.loadInode(o); err != nil {
@@ -90,6 +92,8 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 			t.Fatalf("object %v overflows its root", id)
 		}
 		roots = append(roots, cb.finishRoot(nil))
+		lm := journal.Entry{Type: journal.EntCheckpoint, Version: o.ino.Version, Time: o.ino.ModTime, User: alice.User, Client: alice.Client, Image: o.ino.image()}
+		landmarks = append(landmarks, lm.Encode(nil))
 	}
 
 	big := newInode(77, 1234, []types.ACLEntry{{User: 7, Perm: types.PermAll}})
@@ -150,15 +154,16 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 	for _, c := range []struct {
 		name, got, want string
 	}{
-		{"object map", sum(d.encodeImapLocked()), "9066593b9c93fcf162ef0ae8ec1a600c5ff7f4fccd80bff3ada0f408e998741c"},
-		{"segment index", sum(d.encodeSegIndexLocked(true)), "40f410537eccaeceb0b7701a41dd6646b8103e73d47bedbdcfeb83c6495b21c6"},
-		{"object roots", sum(roots...), "739ba7fce70e0c9db52efb32fc52a87f0b437cf77e429b69f15cc48df5a26a73"},
+		{"object map", sum(d.encodeImapLocked()), "95517f17e928239766c209b9c586620485dcf579c123809c4cb28722edfaffcd"},
+		{"segment index", sum(d.encodeSegIndexLocked(true)), "75d432641f7147f551290d75566f77b713e3598f2262a4584a2eefa8bf6f603b"},
+		{"object roots", sum(roots...), "392b074f18cc98c7bb9a3e52e7135b1f993d8c5bf2f15a16db011b4cf44cd128"},
+		{"landmark entries", sum(landmarks...), "cdc7020577d7ee98c136131776ba6d48e93f456d5e7fab5ecdad03ea27474e95"},
 		{"overflowing root", sum(bigParts...), "2a3e3c5f8a9c53a8aeb9233d6920421a2cf7682e72433aab3785409c3c13345b"},
 		{"partition table", sum(encodePartTable(parts)), "14c7d1c94b8d10ddb4ca786931f3de92d4ab9f24f60a9076e0a013f7900e4619"},
 		{"policy table", sum(encodePolicyTable(d.policies)), "bc9262b8061b5ccf0f5e6f179f006e3c77cc8ef6cae3910c82c9d11df73e51f2"},
-		{"sealed summary", sum(seal), "e6dce017c2c9d7dfdf68e15cce916b9c06e1c5dc6e12e8b957bd3aef2020a295"},
-		{"open record", sum(record), "f45da17715b1b4b72a7665b0a161a26d3786bcd420a5bfe64febac42be47c7aa"},
-		{fmt.Sprintf("%d-entry snapshot, %d bytes", snap, len(snapshot)), sum(snapshot), "549759affa90447ec0c073d55f2598395112fb02c0a18c3070de9716a064942f"},
+		{"sealed summary", sum(seal), "95d43374fbdd1fd14ed6659fd9d51e6d344b77daa0904e54043e829eeac8720a"},
+		{"open record", sum(record), "da7d20994fc4fd20f665d316b8592e63d234c2dbaf17cf386f3c1aa0a287bcb9"},
+		{fmt.Sprintf("%d-entry snapshot, %d bytes", snap, len(snapshot)), sum(snapshot), "ac505c15418507190332a2aab5b0330f413a7ff76974bdcfcc53e287b690c350"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: sha256 %s, want %s", c.name, c.got, c.want)
@@ -253,12 +258,53 @@ func fuzzRoots(tb testing.TB) (roots [][]byte, rd memReader, lying []byte) {
 	return roots, rd, lying
 }
 
+// landmarkEntryImage is the image a genuine landmark entry carries, as
+// its journal sector gives it back: a drive that emits a landmark every
+// second entry writes an object three times, and its chain is walked.
+func landmarkEntryImage(tb testing.TB) []byte {
+	clk := vclock.NewVirtual()
+	d, err := Format(disk.New(disk.SmallDisk(8<<20), clk), Options{Clock: clk, SegBlocks: 16, CheckpointBlocks: 4, Window: time.Hour, CheckpointEvery: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer d.Close()
+	id, err := d.Create(alice, nil, []byte("attr"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		clk.Advance(time.Millisecond)
+		if err := d.Write(alice, id, uint64(i)*types.BlockSize, []byte("landmark")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		tb.Fatal(err)
+	}
+	var img []byte
+	o := d.objects[id]
+	err = d.walkChain(o, o.jhead, func(_, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
+		for i := range entries {
+			if entries[i].Type == journal.EntCheckpoint && landmarkImage(id, &entries[i]) != nil {
+				img = entries[i].Image
+			}
+		}
+		return img != nil, nil
+	})
+	if err != nil || img == nil {
+		tb.Fatalf("no landmark image in the chain (%v)", err)
+	}
+	return img
+}
+
 // FuzzInodeRootDecode throws hostile roots at decodeInodeRoot, whose
-// overflow chunks come from a fixed set of genuine ones. It never
-// panics, every refusal wraps ErrCorrupt, and an accepted root
-// re-encodes to one that decodes to the same inode.
+// overflow chunks come from a fixed set of genuine ones, and the image
+// of a genuine landmark entry. It never panics, every refusal wraps
+// ErrCorrupt, and an accepted root re-encodes to one that decodes to
+// the same inode.
 func FuzzInodeRootDecode(f *testing.F) {
 	roots, rd, lying := fuzzRoots(f)
+	roots = append(roots, landmarkEntryImage(f))
 	for _, root := range roots {
 		f.Add(root)
 		for _, n := range []int{0, 3, 40, 57, len(root) / 2, len(root) - 1} {

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"s4/internal/journal"
+	"s4/internal/seglog"
 	"s4/internal/types"
 )
 
@@ -27,7 +29,7 @@ type versionSnap struct {
 	data []byte
 }
 
-func writeVersions(e *testEnv, id types.ObjectID, n, size int, seed int64) []versionSnap {
+func writeVersions(e *testEnv, id types.ObjectID, n, size int, seed int64, after ...func()) []versionSnap {
 	e.t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	content := make([]byte, size)
@@ -45,6 +47,9 @@ func writeVersions(e *testEnv, id types.ObjectID, n, size int, seed int64) []ver
 		rng.Read(patch)
 		if err := e.d.Write(alice, id, uint64(off), patch); err != nil {
 			e.t.Fatal(err)
+		}
+		for _, f := range after {
+			f()
 		}
 		copy(content[off:], patch)
 		snaps = append(snaps, versionSnap{at: e.d.Now(), data: append([]byte(nil), content...)})
@@ -71,13 +76,36 @@ func verifySnaps(e *testEnv, id types.ObjectID, snaps []versionSnap) {
 // the index one way; the walk must then fall back to the full walk for
 // every read, reproduce the same bytes, and count no landmark hit.
 func TestLandmarkWalkMatchesFullWalk(t *testing.T) {
-	e := newTestDrive(t, func(o *Options) {
-		o.CheckpointEvery = 4
-		o.reconCacheBytes = -1
-	})
-	id := e.create(alice)
 	const versions = 160
-	snaps := writeVersions(e, id, versions, 4*int(types.BlockSize), 11)
+	build := func(t *testing.T, spoil bool) (*testEnv, types.ObjectID, []versionSnap) {
+		e := newTestDrive(t, func(o *Options) {
+			o.CheckpointEvery = 4
+			o.reconCacheBytes = -1
+		})
+		id := e.create(alice)
+		var prev []byte
+		spoilImage := func() {
+			// Each landmark entry carries the image of the version before
+			// it, set before the entry reaches a sector: it decodes as
+			// this object, at another version, under a valid sector CRC.
+			// The Sync keeps the pending tail too short for a write to
+			// flush its landmark before this sees it.
+			o := e.d.objects[id]
+			if n := len(o.pending); n > 0 && o.pending[n-1].Type == journal.EntCheckpoint && o.pending[n-1].Version == o.ino.Version {
+				o.pending[n-1].Image = prev
+			}
+			prev = o.ino.image()
+			if err := e.d.Sync(alice); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var after []func()
+		if spoil {
+			after = append(after, spoilImage)
+		}
+		return e, id, writeVersions(e, id, versions, 4*int(types.BlockSize), 11, after...)
+	}
+	e, id, snaps := build(t, false)
 	// Flush all pending journal entries so every landmark has a chain
 	// position to anchor at.
 	if err := e.d.Checkpoint(); err != nil {
@@ -111,16 +139,23 @@ func TestLandmarkWalkMatchesFullWalk(t *testing.T) {
 				ls[i].sector = chain[(k+1)%len(chain)]
 			}
 		}},
-		// The root decodes as this object, but at another landmark's
-		// version: no anchor.
-		{"root-of-another-version", func(ls []landmark) {
-			for i := range ls {
-				ls[i].root = intact[(i+1)%len(intact)].root
-			}
-		}},
+		// The image each landmark entry carries decodes as this object, but
+		// at another version: no anchor. This row runs on a drive of its
+		// own, which wrote those images (build).
+		{"root-of-another-version", nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
+			e, id, snaps := e, id, snaps
+			if row.name == "root-of-another-version" {
+				e, id, snaps = build(t, true)
+				if err := e.d.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.d.CheckLandmarks(); err == nil || !strings.Contains(err.Error(), "image does not decode") {
+					t.Fatalf("CheckLandmarks = %v over images of other versions", err)
+				}
+			}
 			if row.spoil != nil {
 				e.d.mu.Lock()
 				row.spoil(o.landmarks)
@@ -138,7 +173,7 @@ func TestLandmarkWalkMatchesFullWalk(t *testing.T) {
 			st := e.d.GetStats()
 			hits, walked := st.LandmarkHits-s0.LandmarkHits, st.HistoryWalkEntries-s0.HistoryWalkEntries
 			t.Logf("%d reads: %d landmark hits, %d entries walked", versions, hits, walked)
-			if row.spoil != nil {
+			if row.name != "indexed" {
 				if hits != 0 {
 					t.Fatalf("%d reads anchored at a spoiled landmark", hits)
 				}
@@ -558,5 +593,121 @@ func TestHistoryReadsRaceCleaner(t *testing.T) {
 	}
 	if st := e.d.GetStats(); st.LandmarkHits == 0 {
 		t.Fatal("no landmark hits during the race")
+	}
+}
+
+// TestLandmarkHitReadsOneSector: a history read that anchors at a
+// landmark decodes the image from the landmark's own entry, which the
+// walk reads anyway, so from a cold cache a read whose state is in that
+// sector reads the landmark's journal block and nothing else. When the
+// image was a root block of its own, the same read read that block too.
+func TestLandmarkHitReadsOneSector(t *testing.T) {
+	e := newTestDrive(t, func(o *Options) {
+		o.CheckpointEvery = 4
+		o.reconCacheBytes = -1
+	})
+	id := e.create(alice)
+	writeVersions(e, id, 200, 2*int(types.BlockSize), 5)
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d, o := e.d, e.d.objects[id]
+	// A landmark in a sealed segment whose sector also holds its trigger
+	// and the entry below it: a read just before the landmark stops at
+	// that entry.
+	var ln landmark
+	d.mu.Lock()
+	for _, l := range o.landmarks {
+		if d.log.InOpenSegment(l.sector.Block()) {
+			continue
+		}
+		var scratch []byte
+		_, entries, err := d.readJSector(id, l.sector, &scratch)
+		if err != nil {
+			d.mu.Unlock()
+			t.Fatal(err)
+		}
+		if i := slices.IndexFunc(entries, func(e journal.Entry) bool {
+			return e.Type == journal.EntCheckpoint && e.Version == l.version
+		}); i >= 2 {
+			ln = l
+			break
+		}
+	}
+	d.cache.dropRange(0, seglog.BlockAddr(d.log.NumSegments()*int64(d.opts.SegBlocks)+1024))
+	d.mu.Unlock()
+	if ln.sector == journal.NilSector {
+		t.Fatal("no landmark in a sealed segment has two entries below it in its sector")
+	}
+	s0, r0 := d.GetStats(), e.dev.Stats().Reads
+	if _, err := d.GetAttr(alice, id, ln.time-1); err != nil {
+		t.Fatal(err)
+	}
+	st, reads := d.GetStats(), e.dev.Stats().Reads-r0
+	t.Logf("history read anchored at v%d in sector %d: %d device reads, %d entries walked", ln.version, ln.sector, reads, st.HistoryWalkEntries-s0.HistoryWalkEntries)
+	if st.LandmarkHits-s0.LandmarkHits != 1 {
+		t.Fatalf("the read did not anchor at the landmark (%d hits)", st.LandmarkHits-s0.LandmarkHits)
+	}
+	if reads != 1 {
+		t.Errorf("the read issued %d device reads, want 1: the landmark's journal block", reads)
+	}
+}
+
+// TestOversizedImageGetsNoLandmark: a landmark entry must fit one
+// journal sector, so an object whose image is larger than a sector
+// holds gets none once it grows that large (the writes that fill its
+// 200 blocks emit a few while it is smaller), and every history read of
+// it since takes the full walk and reproduces what was written
+// (TestLandmarkWalkMatchesFullWalk's oracle). A small object on the same
+// drive gets its landmarks.
+func TestOversizedImageGetsNoLandmark(t *testing.T) {
+	e := newTestDrive(t, func(o *Options) {
+		o.CheckpointEvery = 4
+		o.reconCacheBytes = -1
+	})
+	big, small := e.create(alice), e.create(alice)
+	const versions = 40
+	var full uint64 // the version that wrote the last of its 200 blocks
+	snaps := writeVersions(e, big, versions, 200*int(types.BlockSize), 3, func() {
+		if full == 0 {
+			full = e.d.objects[big].ino.Version - 1
+		}
+	})
+	writeVersions(e, small, versions, 2*int(types.BlockSize), 4)
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	o := e.d.objects[big]
+	if n := len(o.ino.image()); n <= journal.SectorCapacity {
+		t.Fatalf("a %d-block image is %d bytes, which fits a sector's %d", o.ino.NumBlocks(), n, journal.SectorCapacity)
+	}
+	if n := len(e.d.objects[small].landmarks); n < versions/4-1 {
+		t.Fatalf("the small object has %d landmarks over %d versions", n, versions)
+	}
+	entries := 0
+	err := e.d.walkChain(o, o.jhead, func(_, _ journal.SectorAddr, sec []journal.Entry) (bool, error) {
+		for i := range sec {
+			if sec[i].Type == journal.EntCheckpoint && sec[i].Version > full {
+				return true, fmt.Errorf("v%d: a landmark entry for a %d-byte image", sec[i].Version, len(sec[i].Image))
+			}
+		}
+		entries += len(sec)
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(o.landmarks); n > 0 && o.landmarks[n-1].version > full {
+		t.Fatalf("landmark v%d indexed past v%d", o.landmarks[n-1].version, full)
+	}
+	s0 := e.d.GetStats()
+	verifySnaps(e, big, snaps)
+	st := e.d.GetStats()
+	t.Logf("%d entries in the chain; %d reads walked %d entries, %d anchored at a landmark", entries, versions, st.HistoryWalkEntries-s0.HistoryWalkEntries, st.LandmarkHits-s0.LandmarkHits)
+	if st.LandmarkHits != s0.LandmarkHits {
+		t.Errorf("%d reads anchored at a landmark", st.LandmarkHits-s0.LandmarkHits)
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -38,9 +38,8 @@ import (
 //
 // Either way recovery is a function of the image alone. A deprecated
 // block is in the history pool iff a retained journal entry above its
-// object's floor pins it (poolBlocks), or it is the validated landmark
-// root of such an entry above the object's landmark floor too, or it is
-// a final block of a deleted object not yet reaped — which is the state
+// object's floor pins it (poolBlocks), or it is a final block of a
+// deleted object not yet reaped — which is the state
 // the drive was in when it stopped. What has left the detection window
 // since is for the first cleaner pass to decide: only the cleaner moves
 // a floor, both floors ride the object map, so only the cleaner
@@ -254,8 +253,8 @@ func (d *Drive) recover() error {
 	// sequence order, relinking journal chains and redoing entries.
 	visited := make(map[int64]bool)
 	cpAuditSeq := d.auditSeq
-	jbuf := make([]byte, seglog.BlockSize) // every journal block of the scan
-	err = d.log.ScanFrom(cpSeq, func(seg int64, sum seglog.Summary) error {
+	jbuf := make([]byte, seglog.BlockSize) // every journal block the scan did not hand over
+	err = d.log.ScanFrom(cpSeq, func(seg int64, sum seglog.Summary, payload []byte) error {
 		visited[seg] = true
 		d.recSumCover[seg] = len(sum.Entries)
 		d.log.MarkAllocated(seg)
@@ -264,7 +263,13 @@ func (d *Drive) recover() error {
 			addr := d.log.EntryAt(seg, i)
 			switch e.Kind {
 			case seglog.KindJournal:
-				if err := d.recoverJournalBlock(addr, jbuf); err != nil {
+				blk := jbuf
+				if payload != nil {
+					blk = payload[i*seglog.BlockSize : (i+1)*seglog.BlockSize]
+				} else if err := d.log.Read(addr, blk); err != nil {
+					return err
+				}
+				if err := d.recoverJournalBlock(addr, blk); err != nil {
 					return err
 				}
 			case seglog.KindAudit:
@@ -394,14 +399,11 @@ type recSector struct {
 	entries []journal.Entry
 }
 
-// recoverJournalBlock relinks every sector of one flushed journal block
-// and redoes entries newer than the owning objects' checkpointed
-// versions. Slots are processed in order, which preserves chronology.
-// buf is the scan's block buffer; decoded entries do not alias it.
+// recoverJournalBlock relinks every sector of one flushed journal block,
+// whose bytes are buf, and redoes entries newer than the owning objects'
+// checkpointed versions. Slots are processed in order, which preserves
+// chronology. Decoded entries do not alias buf.
 func (d *Drive) recoverJournalBlock(addr seglog.BlockAddr, buf []byte) error {
-	if err := d.log.Read(addr, buf); err != nil {
-		return err
-	}
 	for slot := 0; slot < journal.SectorsPerBlock; slot++ {
 		data := buf[slot*journal.SectorSize : (slot+1)*journal.SectorSize]
 		id, prev, entries, ok, err := journal.DecodeSector(data)
@@ -454,6 +456,16 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 	// The media now holds exactly this, and nothing rewrites a sector of
 	// a replayed segment again before recover() returns.
 	d.recSectors[addr] = recSector{id: id, prev: prev, entries: entries}
+	newest := entries[len(entries)-1].Version
+	if newest <= d.recSnapVer[id] {
+		// A pre-checkpoint sector re-synced inside a newer segment: the
+		// checkpoint covers it, so there is nothing to redo. Loading the
+		// inode here would walk the chain from its checkpoint-time head,
+		// which a head merge since may have rewritten, in a block the scan
+		// has not reached: the load would redo an entry that the vetting
+		// of that sector is about to cut.
+		return nil
+	}
 	// Materialize the inode: from its checkpoint, from the chain the
 	// object map already links (journal-complete objects skip
 	// checkpoints), or fresh for objects born after the checkpoint.
@@ -470,7 +482,6 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 			d.loaded.Add(1)
 		}
 	}
-	newest := entries[len(entries)-1].Version
 	if newest <= o.cpVersion || newest <= o.ino.Version {
 		// A pre-checkpoint (or already-linked) sector re-synced inside
 		// a newer segment: its effects are already present — in the inode.
@@ -514,8 +525,8 @@ func (d *Drive) recoverJournalSector(addr journal.SectorAddr, prev journal.Secto
 // the media; the entries that stay are returned. An entry at or below
 // the object's checkpointed version is never cut: the checkpoint's Sync
 // made it durable, and the blocks it names may have been released and
-// their segments reused since — aged history, a retired landmark's
-// root — which is not the crash cutting a flush. Chain relocation
+// their segments reused since — aged history — which is not the crash
+// cutting a flush. Chain relocation
 // re-places such entries in post-checkpoint segments, so the scan does
 // meet them.
 func (d *Drive) vetSector(addr, prev journal.SectorAddr, id types.ObjectID, entries []journal.Entry, maxVersion uint64) ([]journal.Entry, error) {
@@ -548,9 +559,6 @@ func (d *Drive) entryDurable(e *journal.Entry) bool {
 		if nw != seglog.NilAddr && !d.recCovered(nw) {
 			return false
 		}
-	}
-	if e.Type == journal.EntCheckpoint && e.InodeAddr != seglog.NilAddr && !d.recCovered(e.InodeAddr) {
-		return false
 	}
 	// A packed delta block is written by the same flush as the entry
 	// whose masked Old slots point into it; replaying the entry without
@@ -703,12 +711,13 @@ func (d *Drive) rebuildUsage(b *recBase) error {
 // its class now (blockClass), for the blocks recCovered accepts. It
 // walks o's chain from the head down to the base's head — all of it on
 // the empty base — counting the sectors the base did not and indexing
-// the landmarks above the base whose roots validate. What names a block:
+// the landmarks above the base whose images decode, which reads nothing:
+// the image rides the entry in hand. What names a block:
 //
 //   - now: the final inode (live; history until the reap once deleted),
 //     the object's checkpoint (live), and each walked entry above both
-//     the base and the floor, whose pool blocks (poolBlocks) and
-//     landmark root are history;
+//     the base and the floor, whose pool blocks (poolBlocks) are
+//     history;
 //   - the index base: the checkpoint (live) and the checkpoint-time
 //     inode, which undoing the walked tail from the final one gives:
 //     the final inode's blocks and every block the tail retired, less
@@ -756,15 +765,8 @@ func (d *Drive) accountObject(o *object, b *recBase) error {
 			case e.Type != journal.EntCheckpoint:
 				poolBlocks(e, func(a seglog.BlockAddr, _ bool) { name(inNow, a, classHist) })
 				tail = append(tail, e)
-			case o.landmarkLive(e.Version):
-				img, err := d.landmarkImage(o.id, e.Version, e.InodeAddr)
-				if err != nil {
-					return true, err // unread is not rotted
-				}
-				if img != nil {
-					o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, root: e.InodeAddr, sector: addr})
-					name(inNow, e.InodeAddr, classHist)
-				}
+			case o.landmarkLive(e.Version) && landmarkImage(o.id, e) != nil:
+				o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, sector: addr})
 			}
 		}
 		return met, nil

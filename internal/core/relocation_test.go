@@ -80,11 +80,11 @@ func (r *relocEnv) relocate() {
 	}
 }
 
-// TestRelocatedBlockHistorySurvivesRestart: a landmark root is a full
-// inode image, so it names the live blocks of its day. When the cleaner
+// TestRelocatedBlockHistorySurvivesRestart: a landmark image is a full
+// inode, so it names the live blocks of its day. When the cleaner
 // moves one of those blocks it retires the object's landmarks, and that
 // decision must survive a restart: a recovery that re-indexes the
-// chain's checkpoint entries because their roots still decode hands a
+// chain's checkpoint entries because their images still decode hands a
 // history read an image whose block 0 points into a segment that has
 // since been freed and refilled — another object's bytes, err == nil.
 func TestRelocatedBlockHistorySurvivesRestart(t *testing.T) {
@@ -156,7 +156,7 @@ func TestRelocatedBlockHistorySurvivesRestart(t *testing.T) {
 // landmark floor is persisted by the same checkpoint that makes the
 // relocation durable, not before. A crash between the cleaner pass and
 // its barrier recovers the old block address, so it must recover the
-// old floor and the landmarks with it — their roots name that address,
+// old floor and the landmarks with it — their images name that address,
 // and the deferred-reuse barrier has kept its segment intact.
 func TestRelocationCrashBeforeBarrier(t *testing.T) {
 	for _, disableIndex := range []bool{false, true} {

@@ -263,15 +263,13 @@ func TestWalkChainAllocatesPerWalk(t *testing.T) {
 // past 32 entries each, carry a landmark every CheckpointEvery. With
 // cold, every inode is evicted just before the checkpoint, so its
 // segment index carries no inode image and the open loads each object
-// from its chain; otherwise it loads each from its image.
-func deepChainImage(t *testing.T, versions int, cold bool, mod ...func(*Options)) (dev *disk.Disk, opts Options, ids []types.ObjectID) {
+// from its chain; otherwise it loads each from its image. Each after
+// runs once every write has returned, before anything else does.
+func deepChainImage(t *testing.T, versions int, cold bool, after ...func(*Drive)) (dev *disk.Disk, opts Options, ids []types.ObjectID) {
 	t.Helper()
 	dev = disk.New(disk.SmallDisk(256<<20), nil)
 	clk := vclock.NewVirtual()
 	opts = Options{Clock: clk, Window: time.Hour}
-	for _, m := range mod {
-		m(&opts)
-	}
 	d, err := Format(dev, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -284,6 +282,9 @@ func deepChainImage(t *testing.T, versions int, cold bool, mod ...func(*Options)
 	}
 	for v := 0; v < versions+8; v++ {
 		e.write(alice, ids[v%len(ids)], uint64(v*37%(2*types.BlockSize-512)), bytes.Repeat([]byte{byte(v)}, 512))
+		for _, f := range after {
+			f(d)
+		}
 		switch {
 		case v >= versions:
 			if err := d.Sync(alice); err != nil {
@@ -323,32 +324,57 @@ func evictAll(t *testing.T, d *Drive) {
 // synced tail. The tail touches every object, each is journal-complete
 // and none was loaded at the checkpoint (so the index holds no image of
 // it), so the open loads each from its chain — from the newest
-// landmark up, which is a root block and the few sectors above it
-// however deep the chain (DESIGN.md §12.1). When loadInode replayed
-// every chain from its EntCreate, both counts grew with the depth:
-// ~8x in the chain-walk term, which on the deeper image was most of
-// the open.
+// landmark up, which is the few sectors above and at it however deep
+// the chain (DESIGN.md §12.1). When loadInode replayed every chain from
+// its EntCreate, both counts grew with the depth: ~8x in the chain-walk
+// term, which on the deeper image was most of the open. The reads are
+// split three ways: the checkpoint's, the roll-forward scan's (a
+// summary, and a payload read, of each segment from the one open at
+// the checkpoint on) and the loads' walks (the rest). Both images
+// carry the same eight-write tail, but where the checkpoint fell in its
+// segment differs, so the tail may cross one more segment boundary in
+// one image than in the other: at 1,000 versions the tail stays in the
+// checkpoint's segment (2 summaries, 1 payload, 0 walk reads), at
+// 8,000 it spills into the next (3, 1, 4). The total bound allows what
+// each such extra segment costs the scan, its summary and its payload,
+// and nothing more.
 func TestOpenWorkDoesNotScaleWithChainDepth(t *testing.T) {
 	type result struct {
-		reads int64
-		alloc uint64
-		st    Stats
+		reads, walks, tailSegs int64
+		alloc                  uint64
+		st                     Stats
 	}
 	open := func(versions int) result {
 		dev, opts, ids := deepChainImage(t, versions, true)
-		dev.ResetStats()
+		rl := &readLog{Device: dev}
 		// Two collections empty every sync.Pool, so neither open reuses
 		// what earlier work in this process happened to leave pooled.
 		runtime.GC()
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r, err := Open(dev, opts)
+		r, err := Open(rl, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := dev.Stats() // before CheckInvariants reads anything
+		res := result{reads: int64(len(rl.reads)), alloc: after.TotalAlloc - before.TotalAlloc}
+		_, hdr := newestSlot(t, dev, r.opts.CheckpointBlocks)
+		cpSeg := int64(binary.LittleEndian.Uint32(hdr[28:]))
+		scanned := make(map[int64]bool)
+		for _, rd := range rl.reads { // before CheckInvariants reads anything
+			b := rd[0]
+			seg := (b - segBase(r.opts, 0)) / int64(r.opts.SegBlocks)
+			switch {
+			case b < segBase(r.opts, 0): // the superblock and the checkpoint slots
+			case seg >= cpSeg && b == segBase(r.opts, seg) && !scanned[seg]:
+				scanned[seg] = true // the scan's summary read
+			case seg >= cpSeg && rd[1]-b > 1: // the scan's payload read
+			default:
+				res.walks++
+			}
+		}
+		res.tailSegs = int64(len(scanned))
 		for _, id := range ids {
 			if r.objects[id].ino == nil || !r.objects[id].journalComplete() {
 				t.Fatalf("%d versions: %v was not loaded from its chain by the open", versions, id)
@@ -357,19 +383,27 @@ func TestOpenWorkDoesNotScaleWithChainDepth(t *testing.T) {
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return result{ds.Reads, after.TotalAlloc - before.TotalAlloc, r.GetStats()}
+		res.st = r.GetStats()
+		return res
 	}
 	shallow, deep := open(1000), open(8000)
-	t.Logf("1,000 versions: %d reads, %d B allocated; 8,000 versions: %d reads, %d B allocated",
-		shallow.reads, shallow.alloc, deep.reads, deep.alloc)
+	t.Logf("1,000 versions: %d reads (%d tail segments, %d walk reads), %d B allocated; 8,000 versions: %d reads (%d, %d), %d B allocated",
+		shallow.reads, shallow.tailSegs, shallow.walks, shallow.alloc, deep.reads, deep.tailSegs, deep.walks, deep.alloc)
 	if shallow.st.IndexLoads != 1 || deep.st.IndexLoads != 1 ||
 		shallow.st.RecoveryReplayEntries == 0 || deep.st.RecoveryReplayEntries == 0 {
 		t.Fatalf("the two opens did not both replay a tail from the segment index: %+v vs %+v", shallow.st, deep.st)
 	}
 	// One read of slack per object: where a chain's landmark falls
 	// relative to its sector boundaries differs between the images.
-	if diff := deep.reads - shallow.reads; diff > 4 {
-		t.Errorf("open issued %d more reads over chains eight times as deep; want at most one per object (4)", diff)
+	if diff := deep.walks - shallow.walks; diff > 4 {
+		t.Errorf("open's loads issued %d more reads over chains eight times as deep; want at most one per object (4)", diff)
+	}
+	extra := deep.tailSegs - shallow.tailSegs
+	if extra < 0 {
+		extra = 0
+	}
+	if diff := deep.reads - shallow.reads; diff > 4+2*extra {
+		t.Errorf("open issued %d more reads over chains eight times as deep, its tail %d segments longer; want at most one per object (4) and a summary and a payload read per extra segment", diff, extra)
 	}
 	if deep.alloc > shallow.alloc+shallow.alloc/10 {
 		t.Errorf("open allocated %d B over chains eight times as deep, %d B over the shallow ones; want within 10%%", deep.alloc, shallow.alloc)
@@ -447,10 +481,13 @@ func (f *failReads) ReadSectors(sector int64, buf []byte) error {
 }
 
 // TestRottedNewestLandmarkFallsBack: the anchor is an optimization, so
-// rot in it costs replay, never the open. With the newest landmark root
-// of a deep chain rotted on media the open succeeds on the state the
-// clean open recovers, having anchored one landmark further down — it
-// reads about one landmark interval more, not the chain. A root the
+// a spoiled one costs replay, never the open. The image rides its journal
+// entry, whose sector and block checksums catch rot on media, so what is
+// left to spoil is an image that does not decode under valid checksums:
+// one the writer got wrong. With the newest landmark of a deep chain
+// carrying such an image the open succeeds on the state the clean open
+// recovers, having anchored one landmark further down — it reads about
+// one landmark interval more, not the chain. A landmark sector the
 // device cannot read at all is different: that is an I/O error, and the
 // open fails with it rather than take it for "no landmark here".
 func TestRottedNewestLandmarkFallsBack(t *testing.T) {
@@ -467,7 +504,7 @@ func TestRottedNewestLandmarkFallsBack(t *testing.T) {
 	if len(o.landmarks) < 5 {
 		t.Fatalf("only %d landmarks on the deep chain", len(o.landmarks))
 	}
-	root := o.landmarks[len(o.landmarks)-1].root
+	newest := o.landmarks[len(o.landmarks)-1]
 	want, err := clean.Read(alice, ids[0], 0, 2*types.BlockSize, types.TimeNowest)
 	if err != nil {
 		t.Fatal(err)
@@ -492,37 +529,45 @@ func TestRottedNewestLandmarkFallsBack(t *testing.T) {
 
 	const spb = types.BlockSize / disk.SectorSize
 	boom := errors.New("boom")
-	if _, err := Open(&failReads{Device: dev, lo: int64(root) * spb, hi: int64(root+1) * spb, err: boom}, opts); !errors.Is(err, boom) {
-		t.Fatalf("open with the newest landmark root unreadable: %v, want the device's error", err)
+	lo := int64(newest.sector.Block()) * spb
+	if _, err := Open(&failReads{Device: dev, lo: lo, hi: lo + spb, err: boom}, opts); !errors.Is(err, boom) {
+		t.Fatalf("open with the newest landmark's sector unreadable: %v, want the device's error", err)
 	}
 
-	sec := make([]byte, disk.SectorSize)
-	if err := dev.ReadSectors(int64(root)*spb, sec); err != nil {
-		t.Fatal(err)
+	// The same image once more, but the newest landmark's entry carries
+	// an image with its magic flipped, set before the entry reached a
+	// sector: the same bytes, sizes and addresses, under valid checksums.
+	spoiled := false
+	rot, _, _ := deepChainImage(t, 1000, true, func(d *Drive) {
+		for _, e := range d.objects[ids[0]].pending {
+			if !spoiled && e.Type == journal.EntCheckpoint && e.Version == newest.version {
+				e.Image[0] ^= 0x40
+				spoiled = true
+			}
+		}
+	})
+	if !spoiled {
+		t.Fatalf("the second build emitted no landmark at v%d", newest.version)
 	}
-	sec[100] ^= 0x40
-	if err := dev.WriteSectors(int64(root)*spb, sec); err != nil {
-		t.Fatal(err)
-	}
-	rotReads, r := reads(dev, dev.Stats)
+	rotReads, r := reads(rot, rot.Stats)
 	if got := r.StateDigest(); got != digest {
-		t.Errorf("open over the rotted root recovered different state:\n%s\n--\n%s", got, digest)
+		t.Errorf("open over the spoiled image recovered different state:\n%s\n--\n%s", got, digest)
 	}
 	if got, err := r.Read(alice, ids[0], 0, 2*types.BlockSize, types.TimeNowest); err != nil || !bytes.Equal(got, want) {
-		t.Errorf("object reads back differently over the rotted root (err %v)", err)
+		t.Errorf("object reads back differently over the spoiled image (err %v)", err)
 	}
-	t.Logf("chain of %d sectors: clean open %d reads, newest landmark rotted %d reads", sectors, cleanReads, rotReads)
-	// The rotted root, the next one down, and the sectors of one more
-	// landmark interval (32 entries, at least ~10 to a sector).
+	t.Logf("chain of %d sectors: clean open %d reads, newest landmark spoiled %d reads", sectors, cleanReads, rotReads)
+	// The sectors of one more landmark interval (32 entries, at least
+	// ~10 to a sector), some of them in blocks the clean open read.
 	if extra := rotReads - cleanReads; extra < 1 || extra > 8 || extra >= int64(sectors)/2 {
-		t.Errorf("rotted newest landmark cost %d more reads on a chain of %d sectors; want about one landmark interval (1..8)", extra, sectors)
+		t.Errorf("spoiled newest landmark cost %d more reads on a chain of %d sectors; want about one landmark interval (1..8)", extra, sectors)
 	}
 }
 
 // TestCheckInvariantsHoldsLandmarkToReplay plants the one defect the
 // load anchor cannot tolerate and nothing else used to look for: a
-// landmark root that decodes, carries the right object and version,
-// passes its checksum — and names a block the replay of the chain below
+// landmark image that decodes, carries the right object and version,
+// passes its sector's checksum — and names a block the replay of the chain below
 // it does not. A load that stops there would take that address into
 // live state. CheckInvariants must refuse it, on the running drive and
 // on the recovered image, naming the object and the version.
@@ -535,7 +580,7 @@ func TestCheckInvariantsHoldsLandmarkToReplay(t *testing.T) {
 	}
 	// The next entry emits a landmark. Let its image name block 1's
 	// address at index 0 as well, then put the live inode right again:
-	// the root is appended, and checksummed, by the log itself.
+	// the image rides the entry, which its sector's checksum covers.
 	o := e.d.objects[id]
 	good := o.ino.blocks[0]
 	o.ino.blocks[0] = o.ino.blocks[1]
@@ -551,7 +596,7 @@ func TestCheckInvariantsHoldsLandmarkToReplay(t *testing.T) {
 	check := func(when string) {
 		err := e.d.CheckInvariants()
 		if err == nil {
-			t.Fatalf("%s: CheckInvariants passed a landmark root that is not the replay below it", when)
+			t.Fatalf("%s: CheckInvariants passed a landmark image that is not the replay below it", when)
 		}
 		for _, s := range []string{id.String(), fmt.Sprintf("v%d", version)} {
 			if !strings.Contains(err.Error(), s) {
@@ -567,14 +612,13 @@ func TestCheckInvariantsHoldsLandmarkToReplay(t *testing.T) {
 // TestOpenLoadsFromImages: the segment index carries the inode of every
 // object loaded at the checkpoint (DESIGN.md §14.1), so an open whose
 // tail touches four deep chains loads each from its image and redoes the
-// tail on top. It reads no landmark root and walks no chain below the
-// checkpoint: of a segment sealed before it the open reads only the
+// tail on top. It walks no chain below the checkpoint: of a segment
+// sealed before it the open reads only the
 // summary, which the usage rebuild's coverage lookups take, and the
 // journal block of a chain's head at the checkpoint, which the open vets
 // (vetSkippedHeads) or where the usage rebuild's walk down the tail
-// ends. Loading from the log instead reads
-// each object's newest landmark root and the journal blocks above it, a
-// hundred-odd blocks back.
+// ends. Loading from the log instead reads the journal blocks from each
+// object's newest landmark up, a hundred-odd blocks back.
 func TestOpenLoadsFromImages(t *testing.T) {
 	e := newTestDrive(t)
 	ids := make([]types.ObjectID, 4)
@@ -592,14 +636,11 @@ func TestOpenLoadsFromImages(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts, cpSeg := e.d.opts, e.d.log.CurrentSegment()
-	roots, heads := make(map[int64]bool), make(map[int64]bool)
+	heads := make(map[int64]bool)
 	for _, id := range ids {
 		o := e.d.objects[id]
 		if o.ino == nil || !o.journalComplete() || len(o.landmarks) == 0 {
 			t.Fatalf("%v: loaded %v, journal-complete %v, %d landmarks; want a loaded deep chain", id, o.ino != nil, o.journalComplete(), len(o.landmarks))
-		}
-		for _, ln := range o.landmarks {
-			roots[int64(ln.root)] = true
 		}
 	}
 	for _, o := range e.d.objects {
@@ -626,8 +667,6 @@ func TestOpenLoadsFromImages(t *testing.T) {
 		for b := r[0]; b < r[1]; b++ {
 			seg := (b - segBase(opts, 0)) / int64(opts.SegBlocks)
 			switch {
-			case roots[b]:
-				t.Errorf("the open read landmark root %d", b)
 			case b >= segBase(opts, 0) && seg < cpSeg && b != segBase(opts, seg) && !heads[b]:
 				t.Errorf("the open read block %d of segment %d, sealed before the checkpoint", b, seg)
 			case b >= segBase(opts, 0) && seg < cpSeg:
@@ -647,5 +686,77 @@ func TestOpenLoadsFromImages(t *testing.T) {
 	full, _ := openLogged(t, e, true)
 	if got, want := digest, full.StateDigest(); got != want {
 		t.Errorf("the open from images and from the empty base diverged:\n%s\n--\n%s", got, want)
+	}
+}
+
+// TestOpenReadsNoLandmarkRoot: a landmark is one journal entry that
+// carries its inode image (DESIGN.md §12.1), so an open whose tail
+// emitted landmarks adopts them from the entries its walks decode and
+// reads no block of kind inode. When each landmark named a root block,
+// the usage rebuild read every root the tail had emitted to check that
+// it still decoded: one read per tail landmark.
+func TestOpenReadsNoLandmarkRoot(t *testing.T) {
+	e := newTestDrive(t)
+	ids := make([]types.ObjectID, 4)
+	for i := range ids {
+		ids[i] = e.create(alice)
+		e.write(alice, ids[i], 0, make([]byte, 2*types.BlockSize))
+	}
+	patch := func(v int) {
+		e.write(alice, ids[v%len(ids)], uint64(v*37%(2*types.BlockSize-512)), bytes.Repeat([]byte{byte(v)}, 512))
+	}
+	for v := 0; v < 400; v++ {
+		patch(v)
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	landmarks := func(d *Drive) (n int) {
+		for _, id := range ids {
+			n += len(d.objects[id].landmarks)
+		}
+		return n
+	}
+	atCP := landmarks(e.d)
+	for v := 400; v < 560; v++ { // 40 more entries an object: a landmark each at least
+		patch(v)
+		if err := e.d.Sync(alice); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := landmarks(e.d) - atCP
+	if tail < len(ids) {
+		t.Fatalf("the tail emitted %d landmarks, want one an object at least", tail)
+	}
+
+	d, rl := openLogged(t, e, false)
+	if st := d.GetStats(); st.IndexLoads != 1 || st.IndexFallbacks != 0 {
+		t.Fatalf("IndexLoads=%d IndexFallbacks=%d, want 1/0", st.IndexLoads, st.IndexFallbacks)
+	}
+	opts := d.opts
+	inode := 0
+	for _, r := range rl.reads {
+		b := r[0]
+		seg := (b - segBase(opts, 0)) / int64(opts.SegBlocks)
+		if r[1]-b != 1 || b < segBase(opts, 0) || b == segBase(opts, seg) {
+			continue // a vectored read, a checkpoint slot or a summary
+		}
+		sum, ok, err := d.log.ReadSummary(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := int(b - segBase(opts, seg) - 1); ok && i < len(sum.Entries) && sum.Entries[i].Kind == seglog.KindInode {
+			inode++
+		}
+	}
+	t.Logf("%d landmarks in the tail; the open issued %d reads, %d of them of an inode block", tail, len(rl.reads), inode)
+	if inode != 0 {
+		t.Errorf("the open read %d inode blocks; a landmark's image rides its entry", inode)
+	}
+	if n := landmarks(d); n != atCP+tail {
+		t.Errorf("the open indexed %d landmarks, the drive held %d", n, atCP+tail)
+	}
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

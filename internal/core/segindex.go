@@ -29,12 +29,12 @@ import (
 // trusts it over the log. Segment free bits fold in pendingFree (the
 // deferred-reuse barrier frees those segments the moment the checkpoint
 // commits, so encoding them free is what makes cleaner frees durable);
-// landmark roots are re-validated against the log before use.
+// a landmark is used only where its sector still holds its entry.
 //
 // It also carries the inode of every object loaded at the checkpoint,
-// encoded as a landmark root without overflow blocks: the state the
-// chain walk (or the root read) behind loadInode would rebuild for that
-// object at the start of recovery. An Open loads each object the tail
+// in a landmark's image encoding: the state the chain walk (or the root
+// read) behind loadInode would rebuild for that object at the start of
+// recovery. An Open loads each object the tail
 // touches from its image and redoes the tail on top, reading nothing.
 
 const (
@@ -42,9 +42,11 @@ const (
 	// Version 2 dropped the per-object aging hint (recovery does not
 	// age) and added the open segment's fill; version 3 dropped the
 	// per-object flags (the landmark floor in the object map replaced
-	// the only one); version 4 appended the inode images. An older index
-	// fails the version check and the open degrades to the full scan.
-	segIndexVersion = 4
+	// the only one); version 4 appended the inode images; version 5
+	// dropped each landmark's root block address (the image rides the
+	// entry). An older index fails the version check and the open
+	// degrades to the full scan.
+	segIndexVersion = 5
 )
 
 // segIndexSeg is one segment's persisted occupancy.
@@ -123,7 +125,6 @@ func (d *Drive) encodeSegIndexLocked(images bool) []byte {
 		for _, ln := range o.landmarks {
 			buf = binary.AppendUvarint(buf, uint64(ln.time))
 			buf = binary.AppendUvarint(buf, ln.version)
-			buf = binary.AppendUvarint(buf, uint64(ln.root))
 			buf = binary.AppendUvarint(buf, uint64(ln.sector))
 		}
 	}
@@ -137,11 +138,10 @@ func (d *Drive) encodeSegIndexLocked(images bool) []byte {
 		if !images || o.ino == nil {
 			continue
 		}
-		cb, err := o.ino.buildCheckpoint()
-		if err != nil || len(cb.overflow) > 0 {
+		img := o.ino.image()
+		if img == nil {
 			continue // a root that needs overflow blocks stays on the log
 		}
-		img := cb.finishRoot(nil)
 		imgs = binary.AppendUvarint(imgs, uint64(id))
 		imgs = binary.AppendUvarint(imgs, uint64(len(img)))
 		imgs = append(imgs, img...)
@@ -210,15 +210,14 @@ func decodeSegIndex(data []byte, nSeg int64) (*segIndex, error) {
 		}
 		prevID = id
 		var lms []landmark
-		for j := r.Count(r.Uvarint(), 4, 0); j > 0; j-- {
+		for j := r.Count(r.Uvarint(), 3, 0); j > 0; j-- {
 			ln := landmark{
 				time:    types.Timestamp(r.Uvarint()),
 				version: r.Uvarint(),
-				root:    seglog.BlockAddr(r.Uvarint()),
 				sector:  journal.SectorAddr(r.Uvarint()),
 			}
-			if ln.root == seglog.NilAddr {
-				return nil, r.Fail("landmark without root")
+			if ln.sector == journal.NilSector {
+				return nil, r.Fail("landmark without sector")
 			}
 			if prev := len(lms) - 1; prev >= 0 && (ln.time < lms[prev].time || ln.time == lms[prev].time && ln.version <= lms[prev].version) {
 				return nil, r.Fail("landmarks out of order")

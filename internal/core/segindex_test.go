@@ -580,6 +580,9 @@ func TestSegIndexDecodeRejectsCorruption(t *testing.T) {
 	if _, err := decodeSegIndex(segIndexV3Blob(t), segIndexV3Segs); !errors.Is(err, types.ErrCorrupt) {
 		t.Errorf("version-3 index: err %v, want a rejection wrapping ErrCorrupt", err)
 	}
+	if _, err := decodeSegIndex(segIndexV4Blob(t), segIndexV4Segs); !errors.Is(err, types.ErrCorrupt) {
+		t.Errorf("version-4 index: err %v, want a rejection wrapping ErrCorrupt", err)
+	}
 }
 
 // segIndexV1Blob is a genuine version-1 index (per-object aging hint,
@@ -631,6 +634,27 @@ func segIndexV3Blob(t testing.TB) []byte {
 	return b
 }
 
+// segIndexV4Blob is a genuine version-4 index (a root block address in
+// every landmark), encoded by the last commit that wrote that format for
+// a 31-segment log holding the partition table and one thrice-written
+// object, each with a landmark on every entry and an inode image.
+const segIndexV4Segs = 31
+
+func segIndexV4Blob(t testing.TB) []byte {
+	b, err := hex.DecodeString("58493453040000001f010e00030a0100000100000100000100000100000100000100000100000100000100000100000100000100" +
+		"00010000010000010000010000010000010000010000010000010000010000010000010000010000010000010000010000010000" +
+		"01150202020390c7e59af1c191bf0d010aa80190c7e59af1c191bf0d020ba80190c7e59af1c191bf0d030ca801100590c7e59af1" +
+		"c191bf0d010da90190c7e59af1c191bf0d020ea901d0cba29bf1c191bf0d0310a90190d0df9bf1c191bf0d0412a901d0d49c9cf1" +
+		"c191bf0d0514a90102024e444e3453020000000000000003000000000000000000000000000000906359130f467e0d906359130f" +
+		"467e0d000000000000000000000002000000001f000000feffffff010000000000000000001048444e3453100000000000000005" +
+		"000000000000000200000000000000906359130f467e0d502a87130f467e0d000000000000000000000001640000001f00000000" +
+		"00010000000013")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // checkSegIndexShape verifies the structural guarantees decodeSegIndex
 // promises for any blob it accepts.
 func checkSegIndexShape(idx *segIndex, nSeg int64) error {
@@ -666,8 +690,8 @@ func checkSegIndexShape(idx *segIndex, nSeg int64) error {
 	}
 	for id, lms := range idx.objects {
 		for i, ln := range lms {
-			if ln.root == seglog.NilAddr {
-				return fmt.Errorf("object %v landmark %d: nil root", id, i)
+			if ln.sector == journal.NilSector {
+				return fmt.Errorf("object %v landmark %d: nil sector", id, i)
 			}
 			if i > 0 {
 				prev := lms[i-1]
@@ -755,6 +779,7 @@ func FuzzSegIndexDecode(f *testing.F) {
 	f.Add(segIndexV1Blob(f))
 	f.Add(segIndexV2Blob(f))
 	f.Add(segIndexV3Blob(f))
+	f.Add(segIndexV4Blob(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx, err := decodeSegIndex(data, nSeg)

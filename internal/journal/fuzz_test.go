@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"reflect"
@@ -24,9 +25,15 @@ func seedEntries() []*Entry {
 		{Type: EntSetACL, Version: 5, Time: 14, User: 7, Client: 2, ACLIndex: 1,
 			OldACL: types.ACLEntry{User: 1, Perm: 1}, NewACL: types.ACLEntry{User: 2, Perm: 7}},
 		{Type: EntDelete, Version: 6, Time: 15, User: 7, Client: 2, OldSize: 4096},
-		{Type: EntCheckpoint, Version: 7, Time: 16, User: 7, Client: 2, InodeAddr: 99},
+		{Type: EntCheckpoint, Version: 3, Time: 16, User: 7, Client: 2, Image: seedImage},
 	}
 }
+
+// seedImage is a genuine inode image as the drive writes it inline in a
+// landmark's EntCheckpoint since format version 6: object 16 at version
+// 3, 8 KB in two blocks, one ACL entry.
+var seedImage, _ = hex.DecodeString("444e345310000000000000000300000000000000002000000000000080ad1acd0f467e0d" +
+	"c0ef29cd0f467e0d000000000000000000000001640000001f000000000002000000008201018301")
 
 // maskedEntries are writes that encode with the v2 wire tag: a delta
 // mask, a skip mask with its dropped addresses, and both.

@@ -52,9 +52,9 @@ const (
 	// EntDelete marks object death. The object's blocks live on in the
 	// history pool until they age out of the detection window.
 	EntDelete
-	// EntCheckpoint records that a complete copy of the object's
-	// metadata was written to the log at InodeAddr; it is the anchor
-	// for crash recovery and the boundary for journal-space pruning.
+	// EntCheckpoint is a landmark: it carries a complete copy of the
+	// object's metadata at its version inline (Image), so a walk that
+	// meets it can stop there instead of undoing further.
 	EntCheckpoint
 	// EntRevive resurrects a deleted object (the copy-forward restore
 	// of §3.3 applied to a deleted object). OldSize carries the prior
@@ -123,8 +123,9 @@ type Entry struct {
 	OldACL   types.ACLEntry
 	NewACL   types.ACLEntry
 
-	// EntCheckpoint.
-	InodeAddr seglog.BlockAddr
+	// EntCheckpoint: the inode image at Version, in the drive's
+	// checkpoint root encoding. The journal treats it as opaque bytes.
+	Image []byte
 
 	// Delta-compressed history (DESIGN.md §16); EntWrite only. DeltaMask
 	// bit k means Old[k] is not a plain block address but a packed
@@ -202,7 +203,7 @@ func (e *Entry) Encode(dst []byte) []byte {
 	case EntDelete, EntRevive:
 		dst = binary.AppendUvarint(dst, e.OldSize)
 	case EntCheckpoint:
-		dst = binary.AppendUvarint(dst, uint64(e.InodeAddr))
+		dst = appendBlob(dst, e.Image)
 	}
 	return dst
 }
@@ -244,8 +245,8 @@ func addrs(r *codec.Reader, n int, slab *[]seglog.BlockAddr) []seglog.BlockAddr 
 }
 
 // decode parses one entry off r into e, which must be zero. Address
-// lists are carved from *slab (see addrs) and attribute blobs are
-// copied: nothing in e aliases the reader's bytes.
+// lists are carved from *slab (see addrs) and attribute blobs and
+// images are copied: nothing in e aliases the reader's bytes.
 func (e *Entry) decode(r *codec.Reader, slab *[]seglog.BlockAddr) {
 	e.Type = EntryType(r.U8())
 	wire2 := e.Type == entWrite2
@@ -296,7 +297,7 @@ func (e *Entry) decode(r *codec.Reader, slab *[]seglog.BlockAddr) {
 	case EntDelete, EntRevive:
 		e.OldSize = r.Uvarint()
 	case EntCheckpoint:
-		e.InodeAddr = seglog.BlockAddr(r.Uvarint())
+		e.Image = r.Blob()
 	default:
 		r.Fail("unknown entry type %d", e.Type)
 	}

@@ -37,7 +37,7 @@ func sampleEntries() []*Entry {
 			OldACL:   types.ACLEntry{User: 7, Perm: types.PermRead},
 			NewACL:   types.ACLEntry{User: 7, Perm: types.PermAll}},
 		{Type: EntDelete, Version: 6, Time: 600, User: 3, Client: 9, OldSize: 4096},
-		{Type: EntCheckpoint, Version: 6, Time: 700, InodeAddr: 5555},
+		{Type: EntCheckpoint, Version: 6, Time: 700, Image: seedImage},
 	}
 }
 
@@ -70,6 +70,9 @@ func entriesEqual(a, b *Entry) bool {
 		}
 		if len(e.NewAttr) == 0 {
 			e.NewAttr = nil
+		}
+		if len(e.Image) == 0 {
+			e.Image = nil
 		}
 		return e
 	}

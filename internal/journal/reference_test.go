@@ -181,10 +181,9 @@ func refDecode(data []byte) (Entry, []byte, error) {
 			return e, nil, err
 		}
 	case EntCheckpoint:
-		if v, err = getU(); err != nil {
+		if e.Image, err = getBytes(); err != nil {
 			return e, nil, err
 		}
-		e.InodeAddr = seglog.BlockAddr(v)
 	default:
 		return e, nil, fmt.Errorf("journal: unknown entry type %d: %w", e.Type, types.ErrCorrupt)
 	}

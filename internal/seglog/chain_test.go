@@ -67,7 +67,7 @@ func recovered(t *testing.T, dev disk.Device, alloc map[int64]bool) (*Log, map[i
 		l.MarkAllocated(seg)
 	}
 	hits := make(map[int64]uint64)
-	if err := l.ScanFrom(seq, func(seg int64, sum Summary) error {
+	if err := l.ScanFrom(seq, func(seg int64, sum Summary, _ []byte) error {
 		hits[seg] = sum.Seq
 		l.MarkAllocated(seg)
 		l.SetSeq(sum.Seq)

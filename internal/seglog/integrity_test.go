@@ -410,7 +410,10 @@ func TestV1SummaryRejected(t *testing.T) {
 // and recomputes the CRC, as anyone who can write the image file can.
 // Open must answer ErrCorrupt; before the geometry was validated a zero
 // SegBlocks divided by zero in SegOf and a huge segment count exhausted
-// memory in make. The one version it accepts is its own, 5.
+// memory in make. The one version it accepts is its own, 6, and any
+// other is a *FormatError naming it. A superblock holds no field a
+// format bump changed, so the version-5 row is what a genuine version-5
+// image (landmark entries naming root blocks) presents.
 func TestOpenRejectsForgedSuperblock(t *testing.T) {
 	_, dev := newFaultLog(t, 8)
 	good := make([]byte, BlockSize)
@@ -433,8 +436,9 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 		{"formatVer 2", put32(4, 2), false}, // no open records: its open segment would scan as never written
 		{"formatVer 3", put32(4, 3), false}, // unthreaded summaries: no chain to walk, entries where v4 keeps next/prev
 		{"formatVer 4", put32(4, 4), false}, // summary CRCs over the whole block: a trimmed snapshot would fail them
-		{"formatVer 5", put32(4, 5), true},
-		{"formatVer 6", put32(4, 6), false},
+		{"formatVer 5", put32(4, 5), false}, // landmark entries name a root block: a v6 decoder reads an address as an image length
+		{"formatVer 6", put32(4, 6), true},
+		{"formatVer 7", put32(4, 7), false},
 		{"SegBlocks 0", put32(8, 0), false},
 		{"SegBlocks 7", put32(8, 7), false},
 		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1)), false},
@@ -460,6 +464,10 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 			}
 			if !tc.accept && !errors.Is(err, types.ErrCorrupt) {
 				t.Fatalf("Open = %v, %v; want ErrCorrupt", l, err)
+			}
+			var fe *FormatError
+			if v := binary.LittleEndian.Uint32(sb[4:]); !tc.accept && v != formatVer && (!errors.As(err, &fe) || fe.Version != v) {
+				t.Fatalf("Open = %v; want a *FormatError naming version %d", err, v)
 			}
 		})
 	}

@@ -62,7 +62,7 @@ func reopen(t *testing.T, dev disk.Device) *Log {
 func scanHits(t *testing.T, l *Log, afterSeq uint64) map[int64]uint64 {
 	t.Helper()
 	hits := make(map[int64]uint64)
-	if err := l.ScanFrom(afterSeq, func(seg int64, sum Summary) error {
+	if err := l.ScanFrom(afterSeq, func(seg int64, sum Summary, _ []byte) error {
 		hits[seg] = sum.Seq
 		return nil
 	}); err != nil {

@@ -166,10 +166,22 @@ const (
 	// rejects anything else, so no read path admits unchecksummed media
 	// (2), no scan meets an open segment without its record (3), no
 	// chain walk meets a summary that does not name its neighbours (4),
-	// and no summary's CRC covers more than its header and entries, the
-	// sectors a flush writes of it (5).
-	formatVer = 5
+	// no summary's CRC covers more than its header and entries, the
+	// sectors a flush writes of it (5), and no landmark journal entry
+	// names a root block: its inode image rides the entry (6).
+	formatVer = 6
 )
+
+// FormatError refuses an image stamped with another on-disk format
+// version. It wraps types.ErrCorrupt: this build would misread what the
+// image holds.
+type FormatError struct{ Version uint32 }
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("seglog: format version %d unsupported, this build reads %d", e.Version, formatVer)
+}
+
+func (e *FormatError) Unwrap() error { return types.ErrCorrupt }
 
 // noSeg stands for "no segment" in a summary's next and prev fields and
 // in a checkpoint's anchor; a log therefore has fewer segments than it.
@@ -391,7 +403,7 @@ func Open(dev disk.Device) (*Log, error) {
 		return nil, fmt.Errorf("seglog: superblock checksum mismatch: %w", types.ErrCorrupt)
 	}
 	if v := binary.LittleEndian.Uint32(sb[4:]); v != formatVer {
-		return nil, fmt.Errorf("seglog: format version %d unsupported: %w", v, types.ErrCorrupt)
+		return nil, &FormatError{Version: v}
 	}
 	// A CRC is not a MAC: hold the geometry to the ranges Format enforces
 	// before anything divides by it or allocates from it.
@@ -1434,9 +1446,13 @@ func (l *Log) Covered(seg int64) (int, error) {
 }
 
 // scanBuf is newestSummary's scratch: block 0 of a segment, and
-// (allocated on first need) the rest of one. ScanFrom borrows one from
-// scanBufs for its whole scan, a one-segment lookup for its one.
-type scanBuf struct{ blk, rest []byte }
+// (allocated on first need) the rest of one, segment restOf's. ScanFrom
+// borrows one from scanBufs for its whole scan, a one-segment lookup for
+// its one.
+type scanBuf struct {
+	blk, rest []byte
+	restOf    int64
+}
 
 // scanBufs is shared by every Log, not owned by one: a pool registers
 // itself globally, and a pool inside a Log would keep a closed Log and
@@ -1499,6 +1515,7 @@ func (l *Log) newestSummary(seg int64, b *scanBuf) (sb []byte, h sumHeader, b0 b
 	if err := readBlocks(l.dev, base+1, b.rest); err != nil {
 		return nil, sumHeader{}, b0, fmt.Errorf("seglog: segment %d payload: %w", seg, err)
 	}
+	b.restOf = seg
 	for slot := 1; slot < l.PayloadBlocks(); slot++ {
 		// A genuine snapshot in payload slot k describes the k before it.
 		blk := b.rest[slot*BlockSize : (slot+1)*BlockSize]
@@ -1646,10 +1663,16 @@ func (l *Log) SetSeq(seq uint64) {
 // open takes the lowest free segment and names no predecessor, since the
 // promise at the chain's end is unknown. The summaries either reads
 // become the segments' checksum tables. Only a log that has appended
-// nothing since Open takes up the chain's promise.
-func (l *Log) ScanFrom(afterSeq uint64, fn func(seg int64, sum Summary) error) error {
+// nothing since Open takes up the chain's promise. fn gets the payload
+// blocks of a segment whose payload the scan read to find its newest
+// snapshot (one with no seal in block 0), entry i at i*BlockSize, so
+// the caller reads none of them again; it is nil for any other segment
+// and valid only during fn. Such a segment has no checksum table for a
+// journal block, so the bytes are what Read would return.
+func (l *Log) ScanFrom(afterSeq uint64, fn func(seg int64, sum Summary, payload []byte) error) error {
 	b := scanBufs.Get().(*scanBuf)
 	defer scanBufs.Put(b)
+	b.restOf = -1 // nothing read yet, whatever the buffer's last scan left
 	l.mu.Lock()
 	a := l.anchor
 	l.mu.Unlock()
@@ -1679,7 +1702,11 @@ func (l *Log) ScanFrom(afterSeq uint64, fn func(seg int64, sum Summary) error) e
 		}
 	}
 	for _, h := range hits {
-		if err := fn(h.seg, h.sum); err != nil {
+		var payload []byte
+		if h.seg == b.restOf {
+			payload = b.rest[:len(h.sum.Entries)*BlockSize]
+		}
+		if err := fn(h.seg, h.sum, payload); err != nil {
 			return err
 		}
 	}
@@ -1838,11 +1865,13 @@ func (l *Log) WriteCheckpoint(data, index []byte) error {
 	binary.LittleEndian.PutUint32(blob[44:], crc32.ChecksumIEEE(blob[:44]))
 	copy(blob[cpHeaderSize:], data)
 	copy(blob[cpHeaderSize+len(data):], index)
-	// Pad to block multiple.
-	if r := len(blob) % BlockSize; r != 0 {
-		blob = append(blob, make([]byte, BlockSize-r)...)
+	// Padded to whole sectors, as a summary is written: the header's
+	// lengths and CRCs bound the blob, so ReadCheckpoint never looks at
+	// what the rest of its last block still holds.
+	if r := len(blob) % disk.SectorSize; r != 0 {
+		blob = append(blob, make([]byte, disk.SectorSize-r)...)
 	}
-	if err := writeBlocks(l.dev, l.cpBase(slot), blob); err != nil {
+	if err := l.dev.WriteSectors(l.cpBase(slot)*sectorsPerBlock, blob); err != nil {
 		return err
 	}
 	// Barrier: the checkpoint authorizes segment reuse (the drive drains

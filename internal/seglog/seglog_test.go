@@ -564,7 +564,7 @@ func TestRecoveryScanFrom(t *testing.T) {
 		t.Fatalf("checkpoint after reopen: %q seq=%d ok=%v err=%v", blob, seq, ok, err)
 	}
 	var post []types.ObjectID
-	err = l2.ScanFrom(seq, func(seg int64, sum Summary) error {
+	err = l2.ScanFrom(seq, func(seg int64, sum Summary, _ []byte) error {
 		for _, e := range sum.Entries {
 			post = append(post, e.Obj)
 		}
@@ -596,7 +596,7 @@ func TestScanOrderIsSeqOrder(t *testing.T) {
 		}
 	}
 	var seqs []uint64
-	if err := l.ScanFrom(0, func(seg int64, sum Summary) error {
+	if err := l.ScanFrom(0, func(seg int64, sum Summary, _ []byte) error {
 		seqs = append(seqs, sum.Seq)
 		return nil
 	}); err != nil {

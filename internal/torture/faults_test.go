@@ -365,13 +365,12 @@ func (c *ioCounter) WriteSectors(sector int64, buf []byte) error {
 // operator retrying) must recover it too, so a refused open may not have
 // cut anything out of the media on its way out.
 func TestReadFaultSweep(t *testing.T) {
-	// The landmark modes are for the yes-or-no question an open asks of a
-	// landmark root — does this block still hold the image — on an image
-	// dense with landmarks: the full scan asks it of every root in every
-	// chain it indexes, and either path asks it of the newest root of
-	// every chain it loads an inode from (loadInode's anchor), where
-	// taking a failed read for "no" would quietly replay from further
-	// down on a device that is failing.
+	// The landmark modes run on an image dense with landmarks: the full
+	// scan indexes every landmark in every chain, and either path anchors
+	// the inode of every chain it loads at the newest one (loadInode),
+	// where taking a failed read of its sector for "no landmark here"
+	// would quietly replay from further down on a device that is
+	// failing.
 	for _, m := range []struct {
 		name     string
 		cfg      Config
@@ -395,7 +394,7 @@ func TestReadFaultSweep(t *testing.T) {
 			total := cnt.n
 			clean := drv.StateDigest()
 			if m.cfg.CheckpointEvery > 0 && strings.Count(clean, "landmark t=") < 5 {
-				t.Fatal("clean open indexed next to no landmarks; the sweep would not fail a root read")
+				t.Fatal("clean open indexed next to no landmarks; the sweep would not fail a landmark's read")
 			}
 			st.check(t, "clean open", drv)
 
@@ -409,7 +408,7 @@ func TestReadFaultSweep(t *testing.T) {
 				if err == nil {
 					// An open that did not need the failed I/O recovers
 					// what the clean one did — a swallowed read may not
-					// quietly drop a landmark root from the pool either.
+					// quietly drop a landmark from the index either.
 					if got := drv.StateDigest(); got != clean {
 						t.Errorf("I/O %d failed, open succeeded on different state: %s", n, digestDiff(clean, got))
 					}

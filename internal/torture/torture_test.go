@@ -401,7 +401,7 @@ func TestTortureShortWindow(t *testing.T) {
 }
 
 // TestTortureRelocation sweeps the one thing the cleaner does to a live
-// block: move it. An object's landmark roots are full inode images, so
+// block: move it. An object's landmark images are full inodes, so
 // when one of its data blocks is copied forward the cleaner retires its
 // landmarks — and every recovery afterwards must agree, or a history
 // read anchors at an image whose block points into a segment that has

@@ -78,12 +78,15 @@ func (d *Drive) CleanOnce() (CleanStats, error) {
 	// nextAge schedule makes an unripe visit a comparison (no inode load,
 	// no read), so the batch can be generous.
 	const maxObjects = 4096
+	// Room above the space reserve for the inode blocks of the pass's
+	// prunes (ageObjectLocked).
+	pruneRoom := int(d.log.FreeSegments()-d.spaceReserve) * d.log.PayloadBlocks()
 	i, _ := slices.BinarySearch(d.objOrder, d.cleanCursor)
 	for n := min(len(d.objOrder), maxObjects); n > 0; n-- {
 		if i >= len(d.objOrder) {
 			i = 0
 		}
-		reaped, err := d.ageObjectLocked(d.objects[d.objOrder[i]], ageCut, &cs)
+		reaped, err := d.ageObjectLocked(d.objects[d.objOrder[i]], ageCut, &pruneRoom, &cs)
 		if err != nil {
 			return cs, err
 		}
@@ -180,8 +183,10 @@ func (d *Drive) releaseSegmentLocked(seg int64) error {
 }
 
 // ageObjectLocked releases o's history older than ageCut. It returns
-// true if the object itself was reaped (its deletion aged out).
-func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, cs *CleanStats) (bool, error) {
+// true if the object itself was reaped (its deletion aged out). A prune
+// spends *pruneRoom, the log blocks left for the barrier to write the
+// inode blocks of the objects this pass pruned.
+func (d *Drive) ageObjectLocked(o *object, ageCut types.Timestamp, pruneRoom *int, cs *CleanStats) (bool, error) {
 	// A retention policy with its own window overrides the drive-wide
 	// cut for this object. Only this function applies either: recovery
 	// rebuilds the pool by the floor it leaves behind.
@@ -266,33 +271,26 @@ scan:
 	// entries, so its landmarks are already gone.
 	o.dropLandmarksBelowFloor()
 	d.recon.dropBelow(o.id, o.floorTime)
-	// The passed sectors can be unlinked from the chain, but pruning
-	// requires an inode checkpoint (the journal alone no longer rebuilds
-	// the object), so it only pays off for long chains — short fully-aged
-	// chains stay as cheap packed sectors and move via relocation.
+	// The passed sectors can be unlinked from the chain, but then the
+	// journal alone no longer rebuilds the object, so pruning only pays
+	// off for long chains — short fully-aged chains stay as cheap packed
+	// sectors and move via relocation. The inode block a prune calls for
+	// is the next barrier's to write, and that barrier comes before the
+	// sectors' segments are reused. A barrier that cannot write every
+	// such block frees no segment, so a pass prunes only what fits above
+	// the space reserve (§11.5); an inode block holds ~256 map pairs.
 	const pruneThreshold = 8 // sectors; ~one checkpoint block's worth
-	if passed >= pruneThreshold {
-		// Crash recovery must be anchored by a checkpoint covering the
-		// retired entries before any sector leaves the chain.
-		switch err := d.checkpointObjectLocked(o); {
-		case err == nil:
-			for _, sa := range chain[:passed] {
-				d.unrefJSector(sa)
-			}
-			cs.SectorsFreed += passed
-			o.chain = chain[passed:]
-			o.jtail = o.chain[0]
-			o.pruned = true
-			touched = true
-			passed = 0
-		case errors.Is(err, types.ErrNoSpace):
-			// No room for the anchoring checkpoint. Pruning is an
-			// optimization; aborting the whole cleaning pass here would
-			// wedge a full drive (the aging and reclamation that free
-			// space need no log writes). Skip it this pass.
-		default:
-			return false, err
+	if need := 1 + len(o.ino.blocks)/256; passed >= pruneThreshold && need <= *pruneRoom {
+		*pruneRoom -= need
+		for _, sa := range chain[:passed] {
+			d.unrefJSector(sa)
 		}
+		cs.SectorsFreed += passed
+		o.chain = chain[passed:]
+		o.jtail = o.chain[0]
+		o.pruned = true
+		touched = true
+		passed = 0
 	}
 	o.chainAged = passed
 	if touched {

@@ -356,3 +356,101 @@ func TestFmtHelper(t *testing.T) {
 		t.Fatal(s)
 	}
 }
+
+// TestFullDriveAgesBackToWritable holds DESIGN.md §11.5's no-wedge
+// argument now that a prune leaves its inode block to the barrier: a
+// log filled to its reserve, or to one segment above it, whose objects
+// all have chains long enough to prune and all of them out of the
+// window, must age its way back to writable, and prune them once it has
+// room, invariants intact. There are more of them than the log has
+// blocks left, so a pass that pruned them all would leave the barrier
+// without room for their blocks, and the segments the pass emptied
+// would never return to the allocator.
+func TestFullDriveAgesBackToWritable(t *testing.T) {
+	for _, above := range []int64{0, 1} {
+		t.Run(fmt.Sprintf("above=%d", above), func(t *testing.T) {
+			clk := vclock.NewVirtual()
+			e := newTestDriveOn(t, disk.New(disk.SmallDisk(8<<20), clk), clk, func(o *Options) {
+				o.Window = time.Minute
+				o.CheckpointEvery = -1
+			})
+			ids := make([]types.ObjectID, 3*int(e.d.spaceReserve+above)*e.d.log.PayloadBlocks())
+			for i := range ids {
+				ids[i] = e.create(alice)
+			}
+			attr := bytes.Repeat([]byte{'a'}, 200) // one setattr fills a journal sector
+			setAttrs := func(rounds int) {
+				for range rounds {
+					attr[0]++
+					for _, id := range ids {
+						if err := e.d.SetAttr(alice, id, attr); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := e.d.Sync(alice); err != nil {
+						t.Fatal(err)
+					}
+					e.tick()
+				}
+			}
+			setAttrs(12)
+			filler := e.create(alice)
+			block := make([]byte, types.BlockSize)
+			for i := 0; e.d.log.FreeSegments() > e.d.spaceReserve+above; i++ {
+				block[0] = byte(i)
+				err := e.d.Write(alice, filler, 0, block)
+				if errors.Is(err, types.ErrNoSpace) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.tick()
+			}
+			clean := func(passes int) (freed int) {
+				for pass := range passes {
+					cs, err := e.d.CleanOnce()
+					if err != nil {
+						t.Fatalf("pass %d: %v", pass, err)
+					}
+					freed += cs.SectorsFreed
+				}
+				return freed
+			}
+			e.clk.Advance(2 * time.Minute)
+			writable := -1
+			for pass := 0; pass < 16 && writable < 0; pass++ {
+				clean(1)
+				if e.d.Write(alice, filler, 0, block) == nil {
+					writable = pass
+				}
+			}
+			if writable < 0 {
+				t.Fatalf("a full drive did not age back to writable in 16 passes (free segments %d, reserve %d, %d segments waiting on the barrier)",
+					e.d.log.FreeSegments(), e.d.spaceReserve, len(e.d.pendingFree))
+			}
+			// The prunes a pass skipped wait for the next entry to age,
+			// as any chain the cleaner has passed whole does.
+			setAttrs(1)
+			e.clk.Advance(2 * time.Minute)
+			freed := clean(2)
+			pruned := 0
+			for _, id := range ids {
+				if e.d.objects[id].pruned {
+					pruned++
+				}
+			}
+			t.Logf("writable after %d passes; then %d sectors pruned, %d of %d objects", writable+1, freed, pruned, len(ids))
+			if pruned != len(ids) {
+				t.Fatalf("%d of %d aged objects pruned", pruned, len(ids))
+			}
+			if err := e.d.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			e.reopen()
+			if err := e.d.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

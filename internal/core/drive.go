@@ -237,9 +237,10 @@ type object struct {
 	// free anything (oldest retained entry time + window); the cleaner
 	// skips the object before then, keeping idle passes cheap.
 	nextAge types.Timestamp
-	// pruned is set once any journal sector has been removed from the
-	// chain: the object can then no longer be rebuilt from the journal
-	// alone and must keep an inode checkpoint.
+	// pruned is set once the chain alone cannot rebuild the object: it
+	// was pruned, relocated or Flushed. The next barrier or eviction
+	// writes its inode block (checkpointObjectLocked), and the object
+	// keeps one from then on.
 	pruned bool
 	// landmarks is the in-memory index of the checkpoint entries in the
 	// journal chain, ascending by time (DESIGN.md §12.1). Invariant: it
@@ -912,13 +913,8 @@ func (d *Drive) evictColdLocked() error {
 			if err := d.flushJournalLocked(o); err != nil {
 				return err
 			}
-			// Journal-complete objects reload from their chain; only
-			// chain-pruned or already-checkpointed ones need a fresh
-			// metadata copy on disk.
-			if !o.journalComplete() {
-				if err := d.checkpointObjectLocked(o); err != nil {
-					return err
-				}
+			if err := d.checkpointObjectLocked(o); err != nil {
+				return err
 			}
 			o.ino = nil
 			o.chain, o.chainAged = nil, 0
@@ -1370,10 +1366,13 @@ func (d *Drive) flushJournalLocked(o *object) error {
 // checkpointObjectLocked writes a full metadata copy of o to the log and
 // releases the superseded checkpoint blocks (journal-based metadata
 // makes stale checkpoints disposable; only journal aging prunes
-// history, §4.2.2). Caller holds o.mu exclusively (plus the shared
-// drive lock) or the exclusive drive lock.
+// history, §4.2.2). It holds the one rule for when an inode block is
+// written: o's chain cannot rebuild it and its block is stale. The
+// barrier and eviction pass it every object; compaction zeroes
+// cpVersion to force one. Caller holds o.mu exclusively (plus the
+// shared drive lock) or the exclusive drive lock.
 func (d *Drive) checkpointObjectLocked(o *object) error {
-	if o.ino == nil || o.cpVersion == o.ino.Version && o.inodeRoot != seglog.NilAddr {
+	if o.ino == nil || o.journalComplete() || o.cpVersion == o.ino.Version && o.inodeRoot != seglog.NilAddr {
 		return nil
 	}
 	cb, err := o.ino.buildCheckpoint()

@@ -416,7 +416,8 @@ func (d *Drive) revertLocked(cred types.Cred, o *object, old *Inode) error {
 // Flush removes all versions of all objects between two times
 // (administrative; Table 1). The current state of every object is
 // preserved; only intermediate history in (from, to] is erased. It
-// rewrites journal chains, so it is a whole-drive operation.
+// rewrites journal chains, so it is a whole-drive operation, and ends
+// with a checkpoint barrier: the erasure is durable when it returns.
 func (d *Drive) Flush(cred types.Cred, from, to types.Timestamp) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -426,12 +427,15 @@ func (d *Drive) Flush(cred types.Cred, from, to types.Timestamp) error {
 			err = d.flushObjectLocked(d.objects[id], from, to)
 		}
 	}
+	if err == nil {
+		err = d.checkpointLocked()
+	}
 	d.auditOp(cred, types.OpFlush, 0, uint64(from), uint64(to), "", err)
 	return err
 }
 
 // FlushO removes versions of one object between two times
-// (administrative; Table 1).
+// (administrative; Table 1), durably, as Flush does.
 func (d *Drive) FlushO(cred types.Cred, id types.ObjectID, from, to types.Timestamp) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -442,6 +446,9 @@ func (d *Drive) FlushO(cred types.Cred, id types.ObjectID, from, to types.Timest
 	}
 	if err == nil {
 		err = d.flushObjectLocked(o, from, to)
+	}
+	if err == nil {
+		err = d.checkpointLocked()
 	}
 	d.auditOp(cred, types.OpFlushO, id, uint64(from), uint64(to), "", err)
 	return err
@@ -818,9 +825,10 @@ func metaDiff(synth []*journal.Entry, from, to *Inode) []*journal.Entry {
 }
 
 // rewriteChainLocked replaces o's journal chain with entries (oldest
-// first), freeing the old sectors, and checkpoints the object so crash
-// recovery never replays the retired chain. Caller holds the exclusive
-// drive lock.
+// first), freeing the old sectors. Merge entries carry the erase-time
+// stamp, so the new chain does not replay to the inode: o is left
+// pruned with a stale block, as relocation leaves it, for the caller's
+// barrier. Caller holds the exclusive drive lock.
 func (d *Drive) rewriteChainLocked(o *object, entries []*journal.Entry) error {
 	// Free old sectors.
 	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, _ []journal.Entry) (bool, error) {
@@ -833,18 +841,9 @@ func (d *Drive) rewriteChainLocked(o *object, entries []*journal.Entry) error {
 	o.jhead, o.jtail = journal.NilSector, journal.NilSector
 	o.jheadEntries = nil
 	o.chain, o.chainAged = nil, 0 // the flush below starts a new index
-	// The rebuilt chain is complete only if it reaches creation.
-	o.pruned = len(entries) == 0 || entries[0].Type != journal.EntCreate
+	o.pruned, o.cpVersion = true, 0
 	o.pending = entries
-	if err := d.flushJournalLocked(o); err != nil {
-		return err
-	}
-	// Force a fresh checkpoint so recovery anchors past the rewrite.
-	o.cpVersion = 0
-	if err := d.checkpointObjectLocked(o); err != nil {
-		return err
-	}
-	return d.log.Sync()
+	return d.flushJournalLocked(o)
 }
 
 func mapsEqual(a, b *Inode) bool {

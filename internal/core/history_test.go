@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"s4/internal/audit"
 	"s4/internal/journal"
 	"s4/internal/seglog"
 	"s4/internal/types"
@@ -475,6 +476,65 @@ func TestFlushORemovesMidHistory(t *testing.T) {
 			// distinct version must be gone. Check via read above.
 			_ = v
 		}
+	}
+}
+
+// TestFlushSurvivesCrash: an erasure is durable when FlushO returns. A
+// crash after it (a client Sync, no further checkpoint) must not bring
+// the erased version back: the rewritten chain and the inode block
+// that anchors it are worth nothing until an object map names them, so
+// FlushO ends with the checkpoint barrier. Its audit record carries
+// that barrier's outcome.
+func TestFlushSurvivesCrash(t *testing.T) {
+	e := newTestDrive(t)
+	id := e.create(alice)
+	var at [3]types.Timestamp
+	for i := range at {
+		e.clk.Advance(time.Minute)
+		e.write(alice, id, 0, fmt.Appendf(nil, "version-%d", i+1))
+		at[i] = e.d.Now()
+	}
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e.tick()
+	if err := e.d.FlushO(admin, id, at[0], at[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	e.reopen()
+	if got := e.read(admin, id, 0, 16, at[1]); string(got) != "version-1" {
+		t.Fatalf("erased version after a crash reads %q, want version-1's bytes", got)
+	}
+	if got := e.read(admin, id, 0, 16, types.TimeNowest); string(got) != "version-3" {
+		t.Fatalf("current after the crash = %q", got)
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A FlushO with nothing to erase does no I/O but its barrier's.
+	boom := errors.New("medium error")
+	e.dev.FailAfter(0, boom)
+	err := e.d.FlushO(admin, id, at[0], at[1])
+	e.dev.FailAfter(-1, nil)
+	if !errors.Is(err, boom) {
+		t.Fatalf("FlushO over a failing barrier: %v, want %v", err, boom)
+	}
+	recs, err := e.d.AuditRead(admin, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *audit.Record
+	for i := range recs {
+		if recs[i].Op == types.OpFlushO {
+			last = &recs[i]
+		}
+	}
+	if last == nil || last.OK {
+		t.Fatalf("FlushO's audit record %+v, want one that is not OK", last)
 	}
 }
 

@@ -429,3 +429,82 @@ func TestSecondCrashReadsOnlyTheChain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIndexedOpenSkipsSealedCheckpointHead opens a crash image whose
+// objects each took one write after a checkpoint that found their chain
+// heads in sealed segments. The usage rebuild walks each touched chain
+// down to the checkpoint-time head only to stop there, and a sealed head
+// is as the index base counted it, so the walk ends at the sector that
+// links to it: the open reads no block that held such a head. Before,
+// it read each of them (the cause of 13 of restart_deep's 76 reads).
+func TestIndexedOpenSkipsSealedCheckpointHead(t *testing.T) {
+	e := newTestDrive(t)
+	// A run of one object's blocks seals the segment open before it, so
+	// the heads' journal block holds no other object's head (one the
+	// open vets, like the partition table's, which format leaves
+	// pending).
+	filler := e.create(alice)
+	seal := func() {
+		if err := e.d.Sync(alice); err != nil {
+			t.Fatal(err)
+		}
+		e.write(alice, filler, 0, make([]byte, 2*e.d.log.PayloadBlocks()*types.BlockSize))
+	}
+	seal()
+	ids := make([]types.ObjectID, 4)
+	for i := range ids {
+		ids[i] = e.create(alice)
+		e.write(alice, ids[i], 0, blockPattern(i))
+	}
+	seal()
+	if err := e.d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	heads := make(map[int64]bool)
+	for _, id := range ids {
+		blk := e.d.objects[id].jhead.Block()
+		if segOf(e.d.log, blk) == e.d.log.CurrentSegment() {
+			t.Fatalf("%v's head is in the open segment at the checkpoint", id)
+		}
+		heads[int64(blk)] = true
+	}
+	for i, id := range ids {
+		e.write(alice, id, 0, blockPattern(10+i))
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+
+	var digests []string
+	for _, emptyBase := range []bool{false, true} {
+		d, rl := openLogged(t, e, emptyBase)
+		if st := d.GetStats(); (st.IndexLoads == 1) == emptyBase || st.IndexFallbacks != 0 {
+			t.Fatalf("empty base %v: IndexLoads=%d IndexFallbacks=%d", emptyBase, st.IndexLoads, st.IndexFallbacks)
+		}
+		read := 0
+		for _, r := range rl.reads {
+			for b := r[0]; b < r[1]; b++ {
+				if heads[b] {
+					read++
+				}
+			}
+		}
+		t.Logf("empty base %v: %d reads, %d of them of a checkpoint-time head's block (%d blocks)", emptyBase, len(rl.reads), read, len(heads))
+		if !emptyBase && read != 0 {
+			t.Errorf("the indexed open read checkpoint-time heads %d times", read)
+		}
+		for i, id := range ids {
+			got, err := d.Read(alice, id, 0, types.BlockSize, types.TimeNowest)
+			if err != nil || !bytes.Equal(got, blockPattern(10+i)) {
+				t.Fatalf("empty base %v: %v reads back wrong (%v)", emptyBase, id, err)
+			}
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, d.StateDigest())
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("the two bases recovered different states:\n%s\n--\n%s", digests[0], digests[1])
+	}
+}

@@ -62,13 +62,8 @@ func (d *Drive) checkpointLocked() error {
 				return err
 			}
 		}
-		// Journal-complete objects need no metadata copy: their chain
-		// reconstructs them entirely (§4.2.2). Only chain-pruned or
-		// previously checkpointed objects are refreshed.
-		if o.ino != nil && !o.journalComplete() && (o.cpVersion != o.ino.Version || o.inodeRoot == seglog.NilAddr) {
-			if err := d.checkpointObjectLocked(o); err != nil {
-				return err
-			}
+		if err := d.checkpointObjectLocked(o); err != nil {
+			return err
 		}
 	}
 	d.auditMu.Lock()
@@ -709,7 +704,8 @@ func (d *Drive) rebuildUsage(b *recBase) error {
 
 // accountObject moves each block o names from its class in the base to
 // its class now (blockClass), for the blocks recCovered accepts. It
-// walks o's chain from the head down to the base's head — all of it on
+// walks o's chain from the head down to the base's head, or to the
+// sector that links to it when a sealed segment held it — all of it on
 // the empty base — counting the sectors the base did not and indexing
 // the landmarks above the base whose images decode, which reads nothing:
 // the image rides the entry in hand. What names a block:
@@ -740,9 +736,12 @@ func (d *Drive) accountObject(o *object, b *recBase) error {
 		}
 	}
 	head, baseVer := b.heads[o.id], b.vers[o.id]
+	// A head sealed at the checkpoint is as the base saw it; one in the
+	// then-open segment may have taken head merges since.
+	sealedHead := head != journal.NilSector && segOf(d.log, head.Block()) != b.idx.openSeg
 	var tail []*journal.Entry // the walked entries above the base, newest first
 	last, met := journal.NilSector, false
-	err := d.walkChain(o, o.jhead, func(addr, _ journal.SectorAddr, entries []journal.Entry) (bool, error) {
+	err := d.walkChain(o, o.jhead, func(addr, prev journal.SectorAddr, entries []journal.Entry) (bool, error) {
 		last, met = addr, addr == head
 		if blk := addr.Block(); !met {
 			if d.jblockRef[blk]++; d.jblockRef[blk] == 1 && d.recCovered(blk) {
@@ -769,6 +768,7 @@ func (d *Drive) accountObject(o *object, b *recBase) error {
 				o.landmarks = append(o.landmarks, landmark{time: e.Time, version: e.Version, sector: addr})
 			}
 		}
+		met = met || sealedHead && prev == head
 		return met, nil
 	})
 	if err != nil {

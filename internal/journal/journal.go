@@ -24,7 +24,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
+	"slices"
 
 	"s4/internal/codec"
 	"s4/internal/seglog"
@@ -466,12 +468,33 @@ func ReadSector(r SectorReader, sa SectorAddr) (obj types.ObjectID, prev SectorA
 // it or errs, a read fails, the sector at tail has been visited, or the
 // link is NilSector (pass NilSector as tail to walk to the chain's end).
 // read decides where a sector comes from and whose it must be.
+//
+// Every walk ends. Versions never rise going back along a chain, and a
+// run of sectors at one version (a Flush's merge entries) never holds
+// a sector twice; a sector that breaks either rule — a link into a
+// reused segment that leads back up the chain — fails the walk with
+// ErrCorrupt before fn sees it.
 func WalkSectors(read func(sa SectorAddr) (prev SectorAddr, entries []Entry, err error), from, tail SectorAddr, fn func(addr, prev SectorAddr, entries []Entry) (stop bool, err error)) error {
+	floor := uint64(math.MaxUint64) // the lowest version walked so far
+	var runBuf [8]SectorAddr
+	run := runBuf[:0] // the sectors walked since the version last fell
 	for addr := from; addr != NilSector; {
 		prev, entries, err := read(addr)
 		if err != nil {
 			return err
 		}
+		for i := len(entries) - 1; i >= 0; i-- {
+			switch v := entries[i].Version; {
+			case v > floor:
+				return fmt.Errorf("journal: chain revisits versions: sector %d holds v%d, newer than v%d above it: %w", addr, v, floor, types.ErrCorrupt)
+			case v < floor:
+				floor, run = v, run[:0]
+			}
+		}
+		if slices.Contains(run, addr) {
+			return fmt.Errorf("journal: chain revisits sector %d: %w", addr, types.ErrCorrupt)
+		}
+		run = append(run, addr)
 		if stop, err := fn(addr, prev, entries); stop || err != nil {
 			return err
 		}

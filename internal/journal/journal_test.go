@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -361,6 +362,67 @@ func TestWalkBackward(t *testing.T) {
 	err = walkBackward(r, 6, c, func(e *Entry) (bool, error) { return false, nil })
 	if !errors.Is(err, types.ErrCorrupt) {
 		t.Fatalf("object mismatch: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWalkSectorsEndsOnLoopingChain walks chains whose links lead back
+// up the chain, the shape a sector link into a reused segment takes. A
+// loop through falling versions must fail on the first version that
+// rises, and a loop inside one version's run (a Flush's merge entries)
+// on the first sector met twice, each with ErrCorrupt. The reader
+// refuses a 64th read, so a walk with no guard fails instead of
+// spinning.
+func TestWalkSectorsEndsOnLoopingChain(t *testing.T) {
+	errUnbounded := errors.New("walk did not end")
+	// chain: sector i holds versions vers[i], links to next[i].
+	walk := func(vers [][]uint64, next []int, from int) (int, error) {
+		reads := 0
+		read := func(sa SectorAddr) (SectorAddr, []Entry, error) {
+			if reads++; reads >= 64 {
+				return NilSector, nil, errUnbounded
+			}
+			i := int(sa.Block())
+			var es []Entry
+			for _, v := range vers[i] {
+				es = append(es, Entry{Type: EntWrite, Version: v})
+			}
+			prev := NilSector
+			if next[i] >= 0 {
+				prev = MakeSectorAddr(seglog.BlockAddr(next[i]), 0)
+			}
+			return prev, es, nil
+		}
+		visited := 0
+		err := WalkSectors(read, MakeSectorAddr(seglog.BlockAddr(from), 0), NilSector, func(_, _ SectorAddr, _ []Entry) (bool, error) {
+			visited++
+			return false, nil
+		})
+		return visited, err
+	}
+	for _, c := range []struct {
+		name    string
+		vers    [][]uint64
+		next    []int
+		from    int
+		visited int // sectors fn sees before the walk fails
+		err     string
+	}{
+		// 3 → 2 → 1 → 3: v9 comes back below v2.
+		{"falling versions", [][]uint64{nil, {2, 3}, {4, 5}, {6, 9}}, []int{-1, 3, 1, 2}, 3, 3, "revisits versions"},
+		// 3 → 2 → 1 → 2, every sector at v7: the run meets sector 2 again.
+		{"one version", [][]uint64{nil, {7, 7}, {7}, {7, 7, 7}}, []int{-1, 2, 1, 2}, 3, 3, "revisits sector"},
+		// A sector that links to itself.
+		{"self link", [][]uint64{nil, {4}}, []int{-1, 1}, 1, 1, "revisits sector"},
+	} {
+		visited, err := walk(c.vers, c.next, c.from)
+		if !errors.Is(err, types.ErrCorrupt) || !strings.Contains(err.Error(), c.err) || visited != c.visited {
+			t.Errorf("%s: walk visited %d sectors, err %v; want %d and ErrCorrupt %q", c.name, visited, err, c.visited, c.err)
+		}
+	}
+	// A chain that keeps the rules — falling, then a one-version run —
+	// walks to its end.
+	if visited, err := walk([][]uint64{nil, {1, 2}, {3, 3}, {3, 4}}, []int{-1, -1, 1, 2}, 3); err != nil || visited != 3 {
+		t.Fatalf("well-formed chain: visited %d, err %v", visited, err)
 	}
 }
 

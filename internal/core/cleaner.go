@@ -280,7 +280,9 @@ scan:
 	// such block frees no segment, so a pass prunes only what fits above
 	// the space reserve (§11.5); an inode block holds ~256 map pairs.
 	const pruneThreshold = 8 // sectors; ~one checkpoint block's worth
-	if need := 1 + len(o.ino.blocks)/256; passed >= pruneThreshold && need <= *pruneRoom {
+	need := 1 + len(o.ino.blocks)/256
+	skipped := passed >= pruneThreshold && need > *pruneRoom
+	if passed >= pruneThreshold && !skipped {
 		*pruneRoom -= need
 		for _, sa := range chain[:passed] {
 			d.unrefJSector(sa)
@@ -299,10 +301,14 @@ scan:
 	// Schedule the next useful pass: nothing frees before the oldest
 	// retained entry leaves the window. A fully-aged chain has nothing
 	// left to free until a new entry arrives (appendEntry lowers the
-	// schedule when one does).
-	if minRetained == 1<<62 {
+	// schedule when one does). A prune skipped for room is due at the
+	// next pass, whose budget the barriers since may have raised.
+	switch {
+	case skipped:
+		o.nextAge = ageCut + types.Timestamp(win)
+	case minRetained == 1<<62:
 		o.nextAge = 1 << 62
-	} else {
+	default:
 		o.nextAge = minRetained + types.Timestamp(win)
 	}
 	return false, nil
@@ -538,6 +544,35 @@ func (d *Drive) relocateChainLocked(o *object, avoid seglog.BlockAddr, cs *Clean
 	return nil
 }
 
+// readLiveData reads the live data blocks of seg, whose summary is sum,
+// a run of adjacent ones at a time (readBlocksVec). A block read alone
+// ends at its Len (seglog.SummaryEntry.ReadSize), so the next one would
+// start past where the device head stopped and pay a repositioning; in a
+// run only the last block is cut short. A run that fails its checksum
+// is left to the caller's reads of one block each, which skip the
+// corrupt block alone: it returns no blocks then, and no error.
+func (d *Drive) readLiveData(seg int64, sum seglog.Summary) (map[seglog.BlockAddr][]byte, error) {
+	var live []seglog.BlockAddr
+	for i := range sum.Entries {
+		se := &sum.Entries[i]
+		o := d.objects[se.Obj]
+		if se.Kind != seglog.KindData || o == nil {
+			continue
+		}
+		if err := d.loadInode(o); err != nil {
+			return nil, err
+		}
+		if addr := d.log.EntryAt(seg, i); o.ino.Block(se.Key) == addr {
+			live = append(live, addr)
+		}
+	}
+	blocks, err := d.readBlocksVec(live)
+	if errors.Is(err, types.ErrCorrupt) {
+		return nil, nil
+	}
+	return blocks, err
+}
+
 // holdsChainSectors reports whether any journal block of seg still has
 // a sector in some object's chain.
 func (d *Drive) holdsChainSectors(seg int64) bool {
@@ -601,6 +636,10 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 	}
 	var relocs []*reloc
 	byObj := make(map[types.ObjectID]*reloc)
+	pre, err := d.readLiveData(seg, sum)
+	if err != nil {
+		return err
+	}
 	for i := range sum.Entries {
 		se := &sum.Entries[i]
 		addr := d.log.EntryAt(seg, i)
@@ -616,7 +655,11 @@ func (d *Drive) compactSegmentLocked(seg int64, pressed bool, cs *CleanStats) er
 			if o.ino.Block(se.Key) != addr {
 				continue // dead or historical; aging handles it
 			}
-			data, err := d.readBlock(addr)
+			data := pre[addr]
+			var err error
+			if data == nil {
+				data, err = d.readBlock(addr)
+			}
 			if errors.Is(err, types.ErrCorrupt) {
 				// The read verified and failed; the log has quarantined
 				// the segment. Skip the block rather than relocate

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"s4/internal/disk"
+	"s4/internal/seglog"
 	"s4/internal/throttle"
 	"s4/internal/types"
 	"s4/internal/vclock"
@@ -354,6 +355,147 @@ func TestFmtHelper(t *testing.T) {
 	// Guards the fmt import in this file's error paths.
 	if s := fmt.Sprintf("%v", types.ObjectID(3)); s != "obj#3" {
 		t.Fatal(s)
+	}
+}
+
+// TestCompactionReadsAdjacentLiveBlocksTogether compacts a sealed
+// segment holding eight objects' short data blocks, most of them side by
+// side, on a drive reopened with a cold cache. A verified read of a
+// block alone ends at its Len, so the next block would start past where
+// the device head stopped; compaction reads the segment's live data
+// blocks a run of adjacent ones at a time, so the eight cost one device
+// read a run, and all eight are copied with their bytes intact.
+func TestCompactionReadsAdjacentLiveBlocksTogether(t *testing.T) {
+	e := newTestDrive(t)
+	ids := make([]types.ObjectID, 8)
+	for i := range ids {
+		ids[i] = e.create(alice)
+	}
+	for i, id := range ids {
+		e.write(alice, id, 0, bytes.Repeat([]byte{byte('a' + i)}, 1000))
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]seglog.BlockAddr, len(ids))
+	runs := 0
+	for i, id := range ids {
+		addrs[i] = e.d.objects[id].ino.Block(0)
+		if i == 0 || addrs[i] != addrs[i-1]+1 {
+			runs++
+		}
+	}
+	seg := e.d.log.SegOf(addrs[0])
+	if e.d.log.SegOf(addrs[len(ids)-1]) != seg || runs > len(ids)/2 {
+		t.Fatalf("the eight blocks %v are not in one segment, mostly adjacent", addrs)
+	}
+	filler := e.create(alice)
+	for e.d.log.CurrentSegment() == seg {
+		e.write(alice, filler, 0, make([]byte, types.BlockSize))
+	}
+	if err := e.d.Sync(alice); err != nil {
+		t.Fatal(err)
+	}
+	d, rl := openLogged(t, e, false)
+	n := len(rl.sectors)
+	var cs CleanStats
+	d.mu.Lock()
+	err := d.compactSegmentLocked(seg, true, &cs)
+	d.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spb = types.BlockSize / disk.SectorSize
+	reads := 0
+	for _, r := range rl.sectors[n:] {
+		for _, a := range addrs {
+			if r[0] <= int64(a)*spb && int64(a)*spb < r[1] {
+				reads++
+				break
+			}
+		}
+	}
+	t.Logf("%d device reads of the eight live blocks %v, %d blocks copied", reads, addrs, cs.BlocksCopied)
+	if reads != runs {
+		t.Errorf("compaction read the live blocks in %d device reads, want one for each of their %d runs", reads, runs)
+	}
+	for i, id := range ids {
+		got, err := d.Read(alice, id, 0, 1000, types.TimeNowest)
+		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte('a' + i)}, 1000)) {
+			t.Fatalf("object %d after compaction: %v", i, err)
+		}
+		if d.objects[id].ino.Block(0) == addrs[i] {
+			t.Errorf("object %d's block was not copied out of segment %d", i, seg)
+		}
+	}
+}
+
+// TestSkippedPruneIsDueAtNextPass fills an 8 MB log to its space reserve
+// with three times as many aged prunable objects as the reserve holds
+// blocks, as TestFullDriveAgesBackToWritable does. The first pass has
+// room to prune only some of them; the barriers that follow free room,
+// and the passes after that prune the rest although none of the objects
+// took another entry. A prune skipped for room leaves its object due at
+// the next pass, not parked until a new entry ages.
+func TestSkippedPruneIsDueAtNextPass(t *testing.T) {
+	clk := vclock.NewVirtual()
+	e := newTestDriveOn(t, disk.New(disk.SmallDisk(8<<20), clk), clk, func(o *Options) {
+		o.Window = time.Minute
+		o.CheckpointEvery = -1
+	})
+	ids := make([]types.ObjectID, 3*int(e.d.spaceReserve)*e.d.log.PayloadBlocks())
+	for i := range ids {
+		ids[i] = e.create(alice)
+	}
+	attr := bytes.Repeat([]byte{'a'}, 200) // one setattr fills a journal sector
+	for range 12 {
+		attr[0]++
+		for _, id := range ids {
+			if err := e.d.SetAttr(alice, id, attr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.d.Sync(alice); err != nil {
+			t.Fatal(err)
+		}
+		e.tick()
+	}
+	filler := e.create(alice)
+	block := make([]byte, types.BlockSize)
+	for i := 0; e.d.log.FreeSegments() > e.d.spaceReserve; i++ {
+		block[0] = byte(i)
+		if err := e.d.Write(alice, filler, 0, block); errors.Is(err, types.ErrNoSpace) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		e.tick()
+	}
+	e.clk.Advance(2 * time.Minute)
+	pruned := func() (n int) {
+		for _, id := range ids {
+			if e.d.objects[id].pruned {
+				n++
+			}
+		}
+		return n
+	}
+	var counts []int
+	for pass := 0; pass < 8 && pruned() < len(ids); pass++ {
+		if _, err := e.d.CleanOnce(); err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		counts = append(counts, pruned())
+	}
+	t.Logf("objects pruned after each pass: %v of %d", counts, len(ids))
+	if counts[0] == len(ids) {
+		t.Fatal("the first pass pruned every object: no prune was skipped for room")
+	}
+	if n := pruned(); n != len(ids) {
+		t.Fatalf("%d of %d aged objects pruned after %d passes with no new entry", n, len(ids), len(counts))
+	}
+	if err := e.d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

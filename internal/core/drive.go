@@ -517,6 +517,9 @@ type Drive struct {
 	// recImages holds the inode images of the segment index the open
 	// took (segIndex.images); loadInode takes each once.
 	recImages map[types.ObjectID][]byte
+	// recIndex is the segment index the checkpoint carried, if it
+	// decoded: it says which segments were sealed then (sealedAtCheckpoint).
+	recIndex  *segIndex
 	recReplay int64 // journal entries examined during this recovery
 	// recErr latches the first device error recCovered met. Its callers
 	// want yes or no, and "the device would not say" must never pass for
@@ -1252,14 +1255,17 @@ func (d *Drive) unrefJSector(sa journal.SectorAddr) {
 // journal block, starting a fresh block when the current one is full or
 // sealed. Up to journal.SectorsPerBlock sectors — usually belonging to
 // different objects — share each block, which is what keeps
-// journal-based metadata compact (§4.2.2). Caller holds logMu.
+// journal-based metadata compact (§4.2.2). A fresh block is appended as
+// its one sector, so its summary Len covers the sectors filled, which
+// RewriteRange raises as more land, and a verified read of the sealed
+// block fetches no more (DESIGN.md §15.2). Caller holds logMu.
 func (d *Drive) placeSectorLocked(sec []byte, newest types.Timestamp) (journal.SectorAddr, error) {
+	pad := make([]byte, journal.SectorSize)
+	copy(pad, sec)
 	if d.jstageAddr != seglog.NilAddr && d.jstageUsed < journal.SectorsPerBlock {
 		// RewriteRange re-checks openness under the log mutex: a
 		// concurrent appender may seal the staging block's segment at any
 		// time, in which case we fall through and start a fresh block.
-		pad := make([]byte, journal.SectorSize)
-		copy(pad, sec)
 		slot := d.jstageUsed
 		ok, err := d.log.RewriteRange(d.jstageAddr, slot*journal.SectorSize, pad)
 		if err != nil {
@@ -1271,9 +1277,7 @@ func (d *Drive) placeSectorLocked(sec []byte, newest types.Timestamp) (journal.S
 			return journal.MakeSectorAddr(d.jstageAddr, slot), nil
 		}
 	}
-	blk := make([]byte, seglog.BlockSize)
-	copy(blk, sec)
-	addr, err := d.log.Append(seglog.KindJournal, types.NoObject, 0, newest, blk)
+	addr, err := d.log.Append(seglog.KindJournal, types.NoObject, 0, newest, pad)
 	if err != nil {
 		return 0, err
 	}

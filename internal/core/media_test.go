@@ -163,7 +163,7 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 		{"policy table", sum(encodePolicyTable(d.policies)), "bc9262b8061b5ccf0f5e6f179f006e3c77cc8ef6cae3910c82c9d11df73e51f2"},
 		{"sealed summary", sum(seal), "95d43374fbdd1fd14ed6659fd9d51e6d344b77daa0904e54043e829eeac8720a"},
 		{"open record", sum(record), "da7d20994fc4fd20f665d316b8592e63d234c2dbaf17cf386f3c1aa0a287bcb9"},
-		{fmt.Sprintf("%d-entry snapshot, %d bytes", snap, len(snapshot)), sum(snapshot), "ac505c15418507190332a2aab5b0330f413a7ff76974bdcfcc53e287b690c350"},
+		{fmt.Sprintf("%d-entry snapshot, %d bytes", snap, len(snapshot)), sum(snapshot), "e9168fcca4e06c17ee74c913ca8f868dea984e6edd0183a521b822d060a67be9"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: sha256 %s, want %s", c.name, c.got, c.want)

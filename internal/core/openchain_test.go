@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"s4/internal/disk"
+	"s4/internal/seglog"
 	"s4/internal/types"
 	"s4/internal/vclock"
 )
@@ -14,15 +15,18 @@ import (
 // segments written since the checkpoint, each summary once, and nothing
 // of a segment the chain no longer runs through.
 
-// readLog records the block range of every device read under it.
+// readLog records the block range and the sector range of every device
+// read under it.
 type readLog struct {
 	disk.Device
-	reads [][2]int64 // [first, end) blocks
+	reads   [][2]int64 // [first, end) blocks
+	sectors [][2]int64 // [first, end) sectors
 }
 
 func (r *readLog) ReadSectors(sector int64, buf []byte) error {
 	const spb = types.BlockSize / disk.SectorSize
 	r.reads = append(r.reads, [2]int64{sector / spb, (sector*disk.SectorSize + int64(len(buf)) + types.BlockSize - 1) / types.BlockSize})
+	r.sectors = append(r.sectors, [2]int64{sector, sector + int64(len(buf)/disk.SectorSize)})
 	return r.Device.ReadSectors(sector, buf)
 }
 
@@ -115,16 +119,18 @@ func TestIndexedOpenReadsEachSummaryOnce(t *testing.T) {
 }
 
 // TestOpenReadsEachTailBlockOnce opens the image above on both bases and
-// counts the reads of every block. The roll-forward scan hands the usage
+// counts the reads of every sector. The roll-forward scan hands the usage
 // rebuild the sectors it decoded (recSectors), so the rebuild's chain
 // walks read no tail journal block again; before, 16 of the 53 blocks
 // an indexed open read (of 55 from the empty base) were read twice.
-// ReadCheckpoint reads a slot's blob from the block after its header,
+// ReadCheckpoint reads a slot's blob from the sector after its header,
 // whose bytes the header pass holds; before, it read block 1, the first
 // slot's header, twice. And the scan, which finds the newest summary
 // snapshot of the segment open at the crash by reading its payload in
 // one vectored read, replays that segment's journal block from those
-// bytes; before, it read the block again. No block is read twice.
+// bytes; before, it read the block again. Reads shorter than a block (a
+// header sector, a summary, a block up to its Len) count by the sector:
+// no sector is read twice.
 //
 // The hand-off changes no count: the entries recovery examines
 // (RecoveryReplayEntries) are those of the walks that used to decode.
@@ -136,20 +142,22 @@ func TestOpenReadsEachTailBlockOnce(t *testing.T) {
 		if n := d.GetStats().RecoveryReplayEntries; n != 358 {
 			t.Errorf("empty base %v: %d journal entries examined, want 358", emptyBase, n)
 		}
-		reads := make(map[int64]int)
-		for _, r := range rl.reads {
-			for b := r[0]; b < r[1]; b++ {
-				reads[b]++
+		const spb = types.BlockSize / disk.SectorSize
+		reads, blocks := make(map[int64]int), make(map[int64]bool)
+		for _, r := range rl.sectors {
+			for s := r[0]; s < r[1]; s++ {
+				reads[s]++
+				blocks[s/spb] = true
 			}
 		}
 		var again []int64
-		for b, n := range reads {
+		for s, n := range reads {
 			if n > 1 {
-				again = append(again, b)
-				t.Errorf("empty base %v: block %d read %d times", emptyBase, b, n)
+				again = append(again, s)
+				t.Errorf("empty base %v: sector %d (block %d) read %d times", emptyBase, s, s/spb, n)
 			}
 		}
-		t.Logf("empty base %v: %d reads of %d blocks; read more than once: %v", emptyBase, len(rl.reads), len(reads), again)
+		t.Logf("empty base %v: %d reads of %d sectors in %d blocks; read more than once: %v", emptyBase, len(rl.sectors), len(reads), len(blocks), again)
 		if err := d.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -506,5 +514,132 @@ func TestIndexedOpenSkipsSealedCheckpointHead(t *testing.T) {
 	}
 	if digests[0] != digests[1] {
 		t.Fatalf("the two bases recovered different states:\n%s\n--\n%s", digests[0], digests[1])
+	}
+}
+
+// TestOpenReadsOnlyWhatItUses checks the read log of an indexed open of a
+// crash image with a dozen-segment synced tail, read by read, against
+// what each read needs (DESIGN.md §14.6): the superblock is one sector
+// and so is the losing checkpoint slot's header; no block 0 is read past
+// the sectors a summary can fill; no summary is read for a segment the
+// checkpoint's index lists as sealed then, which the seal lists whole;
+// and no read ends past the Len its summary gives a checksummed journal
+// block. Before, all four read whole blocks.
+func TestOpenReadsOnlyWhatItUses(t *testing.T) {
+	e := tailImage(t)
+	d, rl := openLogged(t, e, false)
+	if st := d.GetStats(); st.IndexLoads != 1 || st.RecoveryReplayEntries == 0 {
+		t.Fatalf("open: IndexLoads=%d replayed %d entries, want an indexed open of a tail", st.IndexLoads, st.RecoveryReplayEntries)
+	}
+	reads := rl.sectors // what the open read; the lookups below read more
+	const spb = types.BlockSize / disk.SectorSize
+	opts := d.opts
+	winner, _ := newestSlot(t, e.dev, opts.CheckpointBlocks)
+	loser := int64(1 + (1-winner)*opts.CheckpointBlocks)
+	idx, err := decodeSegIndex(newestSlotIndex(t, e.dev, opts.CheckpointBlocks), d.log.NumSegments())
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := int64(36+33*d.log.PayloadBlocks()+disk.SectorSize-1) / disk.SectorSize
+	var summaries, journal, trimmed int
+	for _, r := range reads {
+		first, n := r[0], r[1]-r[0]
+		block := first / spb
+		switch seg := d.log.SegOf(seglog.BlockAddr(block)); {
+		case block == 0:
+			if first != 0 || n != 1 {
+				t.Errorf("superblock read as sectors [%d, %d), want one sector", r[0], r[1])
+			}
+		case block == loser:
+			if first != loser*spb || n != 1 {
+				t.Errorf("losing checkpoint slot read as sectors [%d, %d), want its header sector", r[0], r[1])
+			}
+		case seg >= 0 && block == segBase(opts, seg):
+			summaries++
+			if n > span {
+				t.Errorf("segment %d: block 0 read as %d sectors, a summary fills at most %d", seg, n, span)
+			}
+			if !idx.segs[seg].free && seg != idx.openSeg {
+				t.Errorf("segment %d: summary read, but the checkpoint's index lists it sealed", seg)
+			}
+		}
+		// The block the read ends in: a checksummed journal block there
+		// is fetched up to its Len.
+		last := (r[1] - 1) / spb
+		seg := d.log.SegOf(seglog.BlockAddr(last))
+		if seg < 0 || last == segBase(opts, seg) {
+			continue
+		}
+		sum, ok, err := d.log.ReadSummary(seg)
+		i := int(last - int64(d.log.EntryAt(seg, 0)))
+		if err != nil || !ok || i >= len(sum.Entries) {
+			continue
+		}
+		if en := sum.Entries[i]; en.Kind == seglog.KindJournal && en.Sum != 0 {
+			journal++
+			if end := last*spb + int64(en.Len+disk.SectorSize-1)/disk.SectorSize; r[1] > end {
+				t.Errorf("journal block %d (Len %d) read to sector %d of it, past its Len", last, en.Len, r[1]-last*spb)
+			} else if en.Len <= types.BlockSize-disk.SectorSize {
+				trimmed++
+			}
+		}
+	}
+	t.Logf("%d reads: %d of a block 0, %d ending in a sealed journal block, %d of those short of the block", len(reads), summaries, journal, trimmed)
+	if journal == 0 || trimmed == 0 {
+		t.Fatalf("the open read %d sealed journal blocks, %d short ones: the image does not show what the check is for", journal, trimmed)
+	}
+}
+
+// TestRecCoveredTrustsOnlySealedSegments holds recCovered to what the
+// checkpoint's index can answer. A segment the index lists as allocated,
+// other than the one open at the checkpoint, was sealed then and is
+// covered whole, with no read; one the index lists as free, or the one
+// open then, is answered by its durable summary. Taking a free segment
+// for a sealed one would count blocks that no summary lists.
+func TestRecCoveredTrustsOnlySealedSegments(t *testing.T) {
+	e := tailImage(t)
+	d, rl := openLogged(t, e, false)
+	idx, err := decodeSegIndex(newestSlotIndex(t, e.dev, d.opts.CheckpointBlocks), d.log.NumSegments())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, free := int64(-1), int64(-1)
+	for seg := int64(0); seg < d.log.NumSegments() && (sealed < 0 || free < 0); seg++ {
+		switch {
+		case seg == idx.openSeg:
+		case !idx.segs[seg].free && sealed < 0:
+			sealed = seg
+		case idx.segs[seg].free && d.log.IsFree(seg) && free < 0:
+			free = seg // free then and now: nothing has written it since
+		}
+	}
+	if sealed < 0 || free < 0 || idx.openSeg < 0 {
+		t.Fatalf("no sealed (%d), free (%d) or open (%d) segment at the checkpoint", sealed, free, idx.openSeg)
+	}
+	d.recSumCover, d.recIndex = make(map[int64]int), idx
+	defer func() { d.recSumCover, d.recIndex = nil, nil }()
+	slot := d.log.PayloadBlocks() - 1 // the last slot, which only a seal covers
+	for _, c := range []struct {
+		what string
+		seg  int64
+	}{
+		{"sealed at the checkpoint", sealed},
+		{"free at the checkpoint", free},
+		{"open at the checkpoint", idx.openSeg},
+	} {
+		n := len(rl.sectors)
+		got := d.recCovered(d.log.EntryAt(c.seg, slot))
+		reads := len(rl.sectors) - n
+		want, err := d.log.Covered(c.seg)
+		if err != nil || d.recErr != nil {
+			t.Fatal(err, d.recErr)
+		}
+		t.Logf("segment %d, %s: its summary covers %d slots; recCovered read %d times", c.seg, c.what, want, reads)
+		switch {
+		case c.seg == sealed && (reads != 0 || !got):
+			t.Errorf("segment %d, %s: recCovered read %d times and says %v of its last slot, want no read and covered", c.seg, c.what, reads, got)
+		case c.seg != sealed && got != (slot < want):
+			t.Errorf("segment %d, %s: recCovered says %v of slot %d, its summary covers %d", c.seg, c.what, got, slot, want)
+		}
 	}
 }

@@ -241,30 +241,42 @@ func (d *Drive) recover() error {
 	// the base after the scan has redone the tail on top of them.
 	idx := d.loadSegIndex(idxBlob, ok)
 	if idx != nil {
-		d.recImages = idx.images
+		d.recImages, d.recIndex = idx.images, idx
 	}
 	base := d.installBase(idx)
 	// Roll forward: visit segments written after the checkpoint in
 	// sequence order, relinking journal chains and redoing entries.
 	visited := make(map[int64]bool)
 	cpAuditSeq := d.auditSeq
-	jbuf := make([]byte, seglog.BlockSize) // every journal block the scan did not hand over
+	var jbuf []byte // the journal blocks the scan did not hand over, a run at a time
 	err = d.log.ScanFrom(cpSeq, func(seg int64, sum seglog.Summary, payload []byte) error {
 		visited[seg] = true
 		d.recSumCover[seg] = len(sum.Entries)
 		d.log.MarkAllocated(seg)
 		d.log.SetSeq(sum.Seq)
+		run := payload // the blocks from entry at on, entry i at (i-at)*BlockSize
+		at := 0
 		for i, e := range sum.Entries {
 			addr := d.log.EntryAt(seg, i)
 			switch e.Kind {
 			case seglog.KindJournal:
-				blk := jbuf
-				if payload != nil {
-					blk = payload[i*seglog.BlockSize : (i+1)*seglog.BlockSize]
-				} else if err := d.log.Read(addr, blk); err != nil {
-					return err
+				if payload == nil && i >= at+len(run)/seglog.BlockSize {
+					// Adjacent journal blocks are one read, as long as each
+					// but the last is fetched whole anyway: the run costs
+					// the bytes of its blocks read one by one.
+					n := 1
+					for j := i; j+1 < len(sum.Entries) && sum.Entries[j+1].Kind == seglog.KindJournal && sum.Entries[j].ReadSize() == seglog.BlockSize; j++ {
+						n++
+					}
+					if len(jbuf) < n*seglog.BlockSize {
+						jbuf = make([]byte, n*seglog.BlockSize)
+					}
+					run, at = jbuf[:n*seglog.BlockSize], i
+					if err := d.log.ReadRun(addr, n, run); err != nil {
+						return err
+					}
 				}
-				if err := d.recoverJournalBlock(addr, blk); err != nil {
+				if err := d.recoverJournalBlock(addr, run[(i-at)*seglog.BlockSize:(i-at+1)*seglog.BlockSize]); err != nil {
 					return err
 				}
 			case seglog.KindAudit:
@@ -304,7 +316,7 @@ func (d *Drive) recover() error {
 	for _, o := range d.objects {
 		o.nextAge = 0
 	}
-	d.recSnapVer, d.recTouched, d.recSectors, d.recSumCover, d.recDrop, d.recImages = nil, nil, nil, nil, nil, nil
+	d.recSnapVer, d.recTouched, d.recSectors, d.recSumCover, d.recDrop, d.recImages, d.recIndex = nil, nil, nil, nil, nil, nil, nil
 	// Evict down to the configured object-cache budget.
 	return d.evictColdLocked()
 }
@@ -608,7 +620,8 @@ func (d *Drive) truncateJournalSector(addr journal.SectorAddr, prev journal.Sect
 // truncated here, before the usage passes walk any chain. Entries at
 // or below the checkpointed version stay; a completed Sync would have
 // advanced the snapshot seq past cpSeq, so everything above it is
-// unacknowledged tail.
+// unacknowledged tail. A head in a segment sealed at the checkpoint
+// (sealedAtCheckpoint) has not been rewritten since, so it is not read.
 func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
 	var scratch []byte
 	for id, o := range d.objects {
@@ -616,8 +629,8 @@ func (d *Drive) vetSkippedHeads(visited map[int64]bool) error {
 			continue
 		}
 		seg := segOf(d.log, o.jhead.Block())
-		if seg < 0 || visited[seg] {
-			continue // the roll-forward scan vetted every sector there
+		if seg < 0 || visited[seg] || d.sealedAtCheckpoint(seg) {
+			continue // the roll-forward scan vetted every sector there, or none was rewritten
 		}
 		prev, entries, err := d.readJSector(id, o.jhead, &scratch)
 		if err != nil {
@@ -887,11 +900,15 @@ func (b *recBase) postCP(log *seglog.Log, a seglog.BlockAddr) bool {
 // blocks. Everything durable at the checkpoint is covered
 // (WriteCheckpoint follows a full Sync), so only post-checkpoint tail
 // blocks can miss.
-// The roll-forward scan recorded the count of every segment it replayed;
-// any other segment costs one count-only lookup.
+// The roll-forward scan recorded the count of every segment it replayed.
+// A segment sealed at the checkpoint is listed whole (sealedAtCheckpoint).
+// Any other segment costs one count-only lookup.
 func (d *Drive) recCovered(addr seglog.BlockAddr) bool {
 	seg := segOf(d.log, addr)
 	n, ok := d.recSumCover[seg]
+	if !ok && d.sealedAtCheckpoint(seg) {
+		n, ok = d.log.PayloadBlocks(), true
+	}
 	if !ok {
 		var err error
 		if n, err = d.log.Covered(seg); err != nil && seg >= 0 {
@@ -904,4 +921,15 @@ func (d *Drive) recCovered(addr seglog.BlockAddr) bool {
 	}
 	i := int64(addr) - int64(d.log.EntryAt(seg, 0))
 	return i >= 0 && i < int64(n)
+}
+
+// sealedAtCheckpoint reports whether the checkpoint's segment index lists
+// seg as allocated and not open: sealed then, its seal listing every
+// slot, and not reused since, because the deferred-reuse barrier frees a
+// segment only at a later checkpoint, whose slot would have won instead.
+// Nothing has been written to such a segment since the checkpoint, so
+// the scan never replays it, and its summary answers nothing the index
+// did not (DESIGN.md §14.6).
+func (d *Drive) sealedAtCheckpoint(seg int64) bool {
+	return seg >= 0 && d.recIndex != nil && !d.recIndex.segs[seg].free && seg != d.recIndex.openSeg
 }

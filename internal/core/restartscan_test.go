@@ -87,7 +87,7 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 				t.Fatal(err)
 			}
 			blobReads := int64(0)
-			if _, hdr := newestSlot(t, dev, r.opts.CheckpointBlocks); 48+binary.LittleEndian.Uint32(hdr[12:])+binary.LittleEndian.Uint32(hdr[20:]) > seglog.BlockSize {
+			if _, hdr := newestSlot(t, dev, r.opts.CheckpointBlocks); 48+binary.LittleEndian.Uint32(hdr[12:])+binary.LittleEndian.Uint32(hdr[20:]) > disk.SectorSize {
 				blobReads = 1
 			}
 			return result{r.log.NumSegments(), ds.Reads, ds.SectorsRead * disk.SectorSize, blobReads, r.GetStats()}
@@ -113,7 +113,7 @@ func TestOpenReadsDoNotScaleWithFreeSpace(t *testing.T) {
 		t.Fatalf("only %d more segments on the larger device; the comparison would show nothing", extra)
 	}
 	// The index spends three varints on each free segment, and the
-	// checkpoint blob is read by the block.
+	// checkpoint blob is read past its header sector.
 	bound := (3*extra/seglog.BlockSize + 2) * seglog.BlockSize
 	for _, p := range [][2]result{{small, large}, {smallFull, largeFull}} {
 		if diff := p[1].bytes - p[0].bytes; diff > bound {

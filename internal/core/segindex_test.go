@@ -454,72 +454,83 @@ func TestIndexedReplayTenfold(t *testing.T) {
 	}
 }
 
-// corruptNewestSlotIndex flips one byte inside the index region of the
-// newest checkpoint slot, leaving the object-map blob and its CRC
-// intact — the durable image a tear through the tail of the slot write
-// leaves behind.
-func corruptNewestSlotIndex(t *testing.T, dev disk.Device, cpBlocks int) {
+// corruptSlotIndexes flips one byte inside the index region of the
+// newest n checkpoint slots that carry an index, leaving each object-map
+// blob and its CRC intact — the durable image a tear through the tail of
+// the slot write leaves behind.
+func corruptSlotIndexes(t *testing.T, dev disk.Device, cpBlocks, n int) {
 	t.Helper()
 	const spb = types.BlockSize / disk.SectorSize
-	hdr := make([]byte, types.BlockSize)
-	bestSlot, bestSeq := -1, uint64(0)
-	var bestOff int
+	type slotIndex struct {
+		base int64
+		seq  uint64
+		off  int // the first index byte: past the 48-byte header and the state blob
+	}
+	var slots []slotIndex
+	hdr := make([]byte, disk.SectorSize)
 	for slot := 0; slot < 2; slot++ {
 		base := int64((1 + slot*cpBlocks) * spb)
 		if err := dev.ReadSectors(base, hdr); err != nil {
 			t.Fatal(err)
 		}
-		seq := binary.LittleEndian.Uint64(hdr[4:])
-		lenA := int(binary.LittleEndian.Uint32(hdr[12:]))
-		lenB := int(binary.LittleEndian.Uint32(hdr[20:]))
-		if lenB == 0 {
+		if binary.LittleEndian.Uint32(hdr[20:]) == 0 {
 			continue
 		}
-		if bestSlot < 0 || seq > bestSeq {
-			bestSlot, bestSeq = slot, seq
-			bestOff = 48 + lenA // cpHeaderSize + state blob = first index byte
+		slots = append(slots, slotIndex{base, binary.LittleEndian.Uint64(hdr[4:]), 48 + int(binary.LittleEndian.Uint32(hdr[12:]))})
+	}
+	if len(slots) == 2 && slots[1].seq > slots[0].seq {
+		slots[0], slots[1] = slots[1], slots[0]
+	}
+	if len(slots) < n {
+		t.Fatalf("%d checkpoint slots carry an index, want %d", len(slots), n)
+	}
+	for _, si := range slots[:n] {
+		sector := si.base + int64(si.off/disk.SectorSize)
+		buf := make([]byte, disk.SectorSize)
+		if err := dev.ReadSectors(sector, buf); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if bestSlot < 0 {
-		t.Fatal("no checkpoint slot carries an index")
-	}
-	base := int64((1 + bestSlot*cpBlocks) * spb)
-	sector := base + int64(bestOff/disk.SectorSize)
-	buf := make([]byte, disk.SectorSize)
-	if err := dev.ReadSectors(sector, buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[bestOff%disk.SectorSize] ^= 0xFF
-	if err := dev.WriteSectors(sector, buf); err != nil {
-		t.Fatal(err)
+		buf[si.off%disk.SectorSize] ^= 0xFF
+		if err := dev.WriteSectors(sector, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestCorruptSegIndexFallsBack flips a byte in the persisted index
-// (object map untouched) and proves the degraded path: Open succeeds,
-// counts exactly one IndexFallbacks, replays the full journal, and
-// recovers state byte-identical to an Open that never looked at the
-// index.
+// (object map untouched). In the newest slot alone, the other slot wins
+// whole (ReadCheckpoint): the open takes its index and lands where the
+// full scan of the same image does. In both slots, no slot is whole and
+// the newest one's object map wins without its index: the degraded path.
+// Open succeeds, counts exactly one IndexFallbacks, replays the full
+// journal, and recovers state byte-identical to an Open that never
+// looked at the index.
 func TestCorruptSegIndexFallsBack(t *testing.T) {
 	rec, opts, end := segIndexImage(t)
-	corrupt := func(dev disk.Device) { corruptNewestSlotIndex(t, dev, opts.CheckpointBlocks) }
+	for _, torn := range []int{1, 2} {
+		corrupt := func(dev disk.Device) { corruptSlotIndexes(t, dev, opts.CheckpointBlocks, torn) }
+		di, si := reopenImage(t, rec, opts, end, false, corrupt)
+		wantLoads, wantFallbacks := int64(1), int64(0)
+		if torn == 2 {
+			wantLoads, wantFallbacks = 0, 1
+		}
+		if si.IndexFallbacks != wantFallbacks || si.IndexLoads != wantLoads {
+			t.Errorf("%d slots' index corrupt: IndexLoads=%d IndexFallbacks=%d, want %d/%d", torn, si.IndexLoads, si.IndexFallbacks, wantLoads, wantFallbacks)
+		}
+		digestIdx := di.StateDigest()
+		if err := di.CheckInvariants(); err != nil {
+			t.Errorf("%d slots' index corrupt: open invariants: %v", torn, err)
+		}
 
-	di, si := reopenImage(t, rec, opts, end, false, corrupt)
-	if si.IndexFallbacks != 1 || si.IndexLoads != 0 {
-		t.Errorf("corrupt index open: IndexLoads=%d IndexFallbacks=%d, want 0/1", si.IndexLoads, si.IndexFallbacks)
-	}
-	digestIdx := di.StateDigest()
-	if err := di.CheckInvariants(); err != nil {
-		t.Errorf("fallback open invariants: %v", err)
-	}
-
-	df, sf := reopenImage(t, rec, opts, end, true, corrupt)
-	if digestIdx != df.StateDigest() {
-		t.Errorf("fallback recovery diverged from full scan:\nfallback:\n%s\nfull:\n%s", digestIdx, df.StateDigest())
-	}
-	if si.RecoveryReplayEntries != sf.RecoveryReplayEntries {
-		t.Errorf("fallback replayed %d entries, full scan %d: fallback is not a full replay",
-			si.RecoveryReplayEntries, sf.RecoveryReplayEntries)
+		df, sf := reopenImage(t, rec, opts, end, true, corrupt)
+		if digestIdx != df.StateDigest() {
+			t.Errorf("%d slots' index corrupt: recovery diverged from full scan:\nopen:\n%s\nfull:\n%s", torn, digestIdx, df.StateDigest())
+		}
+		if torn == 2 && si.RecoveryReplayEntries != sf.RecoveryReplayEntries {
+			t.Errorf("fallback replayed %d entries, full scan %d: fallback is not a full replay",
+				si.RecoveryReplayEntries, sf.RecoveryReplayEntries)
+		}
+		t.Logf("%d slots' index corrupt: replayed %d entries, full scan %d", torn, si.RecoveryReplayEntries, sf.RecoveryReplayEntries)
 	}
 }
 

@@ -358,6 +358,65 @@ func TestSealInstallsChecksumTable(t *testing.T) {
 	})
 }
 
+// TestLenBoundedReadIgnoresTail seals a segment whose blocks hold less
+// than a block each, reopens the log so that no flush buffer holds the
+// image, and puts junk on the device past each block's Len. A verified
+// read fetches a block up to its Len, rounded up to a sector, and fills
+// the rest with the zeros the flush wrote there, which its checksum
+// covers: the blocks read back as appended, with no CorruptError, no
+// repair and no quarantine.
+func TestLenBoundedReadIgnoresTail(t *testing.T) {
+	l, dev := newFaultLog(t, 8)
+	lens := []int{1, 511, 512, 513, 1500, 3584, 3585} // one block each, filling the segment
+	if len(lens) != l.PayloadBlocks() {
+		t.Fatalf("%d lengths for %d payload blocks", len(lens), l.PayloadBlocks())
+	}
+	sectors := func(i int) int64 { return int64(lens[i]+disk.SectorSize-1) / disk.SectorSize }
+	var addrs []BlockAddr
+	var want [][]byte
+	for i, n := range lens {
+		data := bytes.Repeat([]byte{byte(0x10 + i)}, n)
+		a, err := l.Append(KindData, 7, uint64(i), types.Timestamp(i+1), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, a)
+		want = append(want, append(data, make([]byte, BlockSize-n)...))
+	}
+	seg := l.SegOf(addrs[0])
+	if l.CurrentSegment() == seg {
+		t.Fatal("segment still open")
+	}
+	cnt := &readCounter{Device: dev}
+	l = reopen(t, cnt)
+	for i, a := range addrs {
+		for s := sectors(i); s < sectorsOfBlock; s++ { // junk in every sector past the block's Len
+			dev.RotSector(int64(a)*sectorsOfBlock+s, 0x5A)
+		}
+	}
+	if _, err := l.Covered(seg); err != nil { // the checksum table, read before the counts below
+		t.Fatal(err)
+	}
+	*cnt = readCounter{Device: dev}
+	buf := make([]byte, BlockSize)
+	wantBytes := int64(0)
+	for i, a := range addrs {
+		if err := l.Read(a, buf); err != nil {
+			t.Fatalf("block %d (Len %d): %v", i, lens[i], err)
+		}
+		if !bytes.Equal(buf, want[i]) {
+			t.Fatalf("block %d (Len %d) read back other bytes than appended", i, lens[i])
+		}
+		wantBytes += sectors(i) * disk.SectorSize
+	}
+	if cnt.bytes != wantBytes {
+		t.Fatalf("%d blocks read as %d bytes, want their Lens in whole sectors, %d", len(addrs), cnt.bytes, wantBytes)
+	}
+	if det, rep, quar := l.IntegrityStats(); det != 0 || rep != 0 || quar != 0 {
+		t.Fatalf("junk past Len: det=%d rep=%d quar=%d, want none", det, rep, quar)
+	}
+}
+
 // TestV1SummaryRejected rewrites a sealed segment's summary in the
 // pre-checksum layout ("S4GS", no Sum column) with a valid CRC: it must
 // read as "not a summary", like any other junk, so no entry list that
@@ -525,9 +584,9 @@ const fuzzSeg = 1
 func FuzzSegSummaryChecksums(f *testing.F) {
 	// Seeds: a genuine sealed summary, a truncated one, junk, an open
 	// record (a summary with no entries), the same sealed summary in the
-	// version-3 and version-4 layouts, and open records naming a
-	// successor past the log, the segment itself as successor or as
-	// predecessor.
+	// version-3 and version-4 layouts, open records naming a successor
+	// past the log, the segment itself as successor or as predecessor,
+	// and a genuine seal of journal blocks whose Lens end at sectors.
 	l, _ := newFaultLog(f, 8)
 	for i := 0; i < l.PayloadBlocks(); i++ {
 		if _, err := l.Append(KindData, 9, uint64(i), types.Timestamp(i+1),
@@ -578,6 +637,29 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 	f.Add(record(fuzzSeg, 0))
 	f.Add(record(2, fuzzSeg))
 	nSeg := l.nSegments
+	// A seal whose journal blocks carry sector lengths: each appended as
+	// its one sector, then filled a sector at a time in place.
+	lj, _ := newFaultLog(f, 8)
+	for i := 0; i < lj.PayloadBlocks(); i++ {
+		sector := bytes.Repeat([]byte{byte(i)}, disk.SectorSize)
+		a, err := lj.Append(KindJournal, types.NoObject, 0, types.Timestamp(i+1), sector)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for s := 1; s < i%sectorsOfBlock && lj.CurrentSegment() == 0; s++ {
+			if _, err := lj.RewriteRange(a, s*disk.SectorSize, sector); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	js := make([]byte, BlockSize)
+	if err := readBlocks(lj.dev, lj.segBase(0), js); err != nil {
+		f.Fatal(err)
+	}
+	if s, ok, _ := decodeSummary(js); !ok || len(s.Entries) != lj.PayloadBlocks() || s.Entries[3].Len != 3*disk.SectorSize {
+		f.Fatalf("sealed journal summary: ok=%v %+v", ok, s.Entries)
+	}
+	f.Add(js)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, ok, err := decodeSummary(data)
@@ -593,6 +675,13 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 		}
 		if len(s.Entries) > maxSegBlocks() {
 			t.Fatalf("accepted summary with impossible entry count %d", len(s.Entries))
+		}
+		// Whatever Len an entry claims, a verified read of its block stays
+		// inside the block, in whole sectors.
+		for _, e := range s.Entries {
+			if n := e.ReadSize(); n <= 0 || n > BlockSize || n%disk.SectorSize != 0 {
+				t.Fatalf("entry of Len %d, Sum %#x reads %d bytes of its block", e.Len, e.Sum, n)
+			}
 		}
 		// Its neighbours, as the walk judges a hop to it from the
 		// predecessor it names: only the successor is left to refuse.

@@ -13,8 +13,9 @@ import (
 // The roll-forward scan and the open record (DESIGN.md §14.5): what one
 // read of block 0 decides, and the crash windows of the record itself.
 
-// readCounter counts the reads that reach the device under it: one-block
-// probes apart from multi-block fetches.
+// readCounter counts the reads that reach the device under it: probes
+// of one block or less (a summary's sectors, a block up to its Len) apart
+// from multi-block fetches.
 type readCounter struct {
 	disk.Device
 	single, vectored int
@@ -22,7 +23,7 @@ type readCounter struct {
 }
 
 func (c *readCounter) ReadSectors(sector int64, buf []byte) error {
-	if len(buf) == BlockSize {
+	if len(buf) <= BlockSize {
 		c.single++
 	} else {
 		c.vectored++
@@ -103,7 +104,8 @@ func walkWhy(t *testing.T, dev disk.Device) string {
 // (no checkpoint: where Format left the log) and reads block 0 of the k+1
 // segments on it, block 0 of the successor the open one promised (zero:
 // the chain ends), and the rest of the open segment with one vectored
-// read. Until the log was threaded it read block 0 of all N segments;
+// read. A block 0 is read as far as a summary reaches, not whole. Until
+// the log was threaded it read block 0 of all N segments;
 // before the open record, every segment without a sealed summary was
 // probed block by block, N-k segments times SegBlocks-1 more reads.
 func TestScanReadsOnePerClosedSegment(t *testing.T) {
@@ -129,7 +131,7 @@ func TestScanReadsOnePerClosedSegment(t *testing.T) {
 		t.Fatalf("scan of %d segments, %d written, issued %d one-block and %d vectored reads, want %d and 1",
 			n, sealed+1, cnt.single, cnt.vectored, sealed+2)
 	}
-	if want := int64(sealed+2+l2.PayloadBlocks()) * BlockSize; cnt.bytes != want {
+	if want := int64(sealed+2)*int64(l2.summarySpan()) + int64(l2.PayloadBlocks())*BlockSize; cnt.bytes != want {
 		t.Fatalf("scan read %d bytes, want %d", cnt.bytes, want)
 	}
 	// The scan read every summary the open's verified reads need.

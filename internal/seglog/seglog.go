@@ -268,14 +268,14 @@ type Log struct {
 	sealSink func(addr BlockAddr, blk []byte)
 
 	// Integrity state (DESIGN.md §15). sums caches each settled segment's
-	// checksum table (payload index -> expected CRC): a seal installs its
-	// own, and a segment sealed before Open has its table loaded lazily; a
-	// present nil entry means "known: no readable summary", so it is not
-	// rescanned.
+	// checksum table (payload index -> expected CRC and Len): a seal
+	// installs its own, and a segment sealed before Open has its table
+	// loaded lazily; a present nil entry means "known: no readable
+	// summary", so it is not rescanned.
 	// sumGen invalidates in-flight loads that raced a segment reuse.
 	// quar marks segments with an unrepairable block: the allocator never
 	// hands them out again, even after the cleaner frees them.
-	sums   map[int64][]uint32
+	sums   map[int64][]blockSum
 	sumGen uint64
 	quar   map[int64]bool
 
@@ -388,12 +388,21 @@ const summaryHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 8
 // header and entries, which its CRC covers.
 func summaryLen(count int) int { return summaryHeaderSize + count*summaryEntrySize }
 
+// summarySpan is the bytes of a segment's block 0 a summary can occupy:
+// the sectors of a seal's summaryLen, five of eight at 64 blocks a
+// segment. Every writer of block 0 leaves the sectors past it zero (the
+// open record rides a write of the whole block, and a seal writes only
+// its summary's sectors over it), so newestSummary reads no further.
+func (l *Log) summarySpan() int {
+	return (summaryLen(l.PayloadBlocks()) + disk.SectorSize - 1) / disk.SectorSize * disk.SectorSize
+}
+
 // Open attaches to a formatted device. It performs no replay; the owner
 // (the drive) restores free-map/sequence state from its checkpoint and
 // calls ScanFrom to roll forward.
 func Open(dev disk.Device) (*Log, error) {
-	sb := make([]byte, BlockSize)
-	if err := readBlocks(dev, 0, sb); err != nil {
+	sb := make([]byte, disk.SectorSize) // the superblock's fields and CRC fill its first 32 bytes
+	if err := dev.ReadSectors(0, sb); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(sb[0:]) != superMagic {
@@ -435,7 +444,7 @@ func Open(dev disk.Device) (*Log, error) {
 		lastSeg:     -1,
 		nextSeg:     -1,
 		anchor:      anchor{seg: -1},
-		sums:        make(map[int64][]uint32),
+		sums:        make(map[int64][]blockSum),
 		quar:        make(map[int64]bool),
 	}
 	l.flushCond = sync.NewCond(&l.mu)
@@ -705,7 +714,7 @@ func (l *Log) PatchSettled(addr BlockAddr, off int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if idx-1 < len(sums) && sums[idx-1] != 0 {
+	if idx-1 < len(sums) && sums[idx-1].sum != 0 {
 		return fmt.Errorf("seglog: patch of checksummed block %v: %w", addr, types.ErrInval)
 	}
 	return l.dev.WriteSectors(int64(addr)*sectorsPerBlock+int64(off/disk.SectorSize), data)
@@ -1031,7 +1040,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 // flushing clears, so no later seal can have swapped flushBuf or reused
 // sumBuf. Caller holds l.mu.
 func (l *Log) sealedLocked(seg int64, jblocks []int) {
-	l.sums[seg] = sumColumn(l.sumBuf, sumHeader{count: int(binary.LittleEndian.Uint32(l.sumBuf[12:]))})
+	l.sums[seg] = sumTable(l.sumBuf, sumHeader{count: int(binary.LittleEndian.Uint32(l.sumBuf[12:]))})
 	l.sumGen++
 	base := l.segBase(seg)
 	for _, i := range jblocks {
@@ -1152,7 +1161,10 @@ func (l *Log) Read(addr BlockAddr, buf []byte) error {
 // payload area and len(buf) must be at least n*BlockSize. A run staged
 // in the open segment, or in one whose seal is still being written, is
 // served from memory; any other is fetched with a single device I/O and
-// verified. A run that starts inside the open segment's staged fill and
+// verified. That I/O ends at the last block's Len, rounded up to a
+// sector, when its checksum vouches for the zeros past it (ReadSize);
+// the rest of the block is filled with zeros, the bytes the flush wrote
+// there. A run that starts inside the open segment's staged fill and
 // ends past it names blocks never appended, and is refused.
 func (l *Log) ReadRun(addr BlockAddr, n int, buf []byte) error {
 	if n <= 0 {
@@ -1187,29 +1199,49 @@ func (l *Log) ReadRun(addr BlockAddr, n int, buf []byte) error {
 		return nil
 	}
 	l.mu.Unlock()
+	sums, err := l.sumsFor(seg)
+	if err != nil {
+		return err // "the device would not say" is not "no checksum"
+	}
 	atomic.AddInt64(&l.devReads, 1)
 	if n > 1 {
 		atomic.AddInt64(&l.vecReads, 1)
 	}
-	if err := readBlocks(l.dev, int64(addr), buf[:n*BlockSize]); err != nil {
+	end := n * BlockSize
+	if e := last - 1; e < len(sums) {
+		end += sums[e].bound() - BlockSize
+	}
+	if err := readBlocks(l.dev, int64(addr), buf[:end]); err != nil {
 		return err
 	}
-	return l.verifyRead(seg, idx, n, addr, buf[:n*BlockSize])
+	clear(buf[end : n*BlockSize])
+	return l.verifyRead(sums, seg, idx, n, addr, buf[:n*BlockSize])
+}
+
+// ReadSize is how many bytes of its block a verified read fetches when
+// the block ends a run: its Len rounded up to a sector when a Sum pins
+// the block, since the flush staged zeros past Len and the Sum covers
+// them; the whole block for a pad or a journal block of a partial
+// snapshot (rewritten in place past the Len its snapshot recorded,
+// DESIGN.md §11.3), whose Sum is zero. A slot no summary covers, or a
+// segment without one, is read whole too.
+func (e SummaryEntry) ReadSize() int { return blockSum{e.Sum, e.Len}.bound() }
+
+func (b blockSum) bound() int {
+	if b.sum == 0 || b.len == 0 || b.len > BlockSize {
+		return BlockSize
+	}
+	return (int(b.len) + disk.SectorSize - 1) / disk.SectorSize * disk.SectorSize
 }
 
 // verifyRead checks n freshly device-read blocks (starting at payload
-// index idx of seg, data holding full blocks) against the segment's
-// checksum table. A mismatched block is first retried against the
-// retained flush buffer (repairBlock); an unrepairable one quarantines
-// the segment and fails the read with a typed CorruptError. Segments
-// without a table — the open segment, or no summary on the device —
-// pass unverified. A device error reading the summary fails the read:
-// "the device would not say" is not "no checksum".
-func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) error {
-	sums, err := l.sumsFor(seg)
-	if err != nil || sums == nil {
-		return err
-	}
+// index idx of seg, data holding full blocks) against sums, the
+// segment's checksum table. A mismatched block is first retried against
+// the retained flush buffer (repairBlock); an unrepairable one
+// quarantines the segment and fails the read with a typed CorruptError.
+// Segments without a table — the open segment, or no summary on the
+// device — pass unverified.
+func (l *Log) verifyRead(sums []blockSum, seg int64, idx, n int, addr BlockAddr, data []byte) error {
 	for i := 0; i < n; i++ {
 		e := idx - 1 + i
 		if e >= len(sums) {
@@ -1219,7 +1251,7 @@ func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) err
 			// these out — the skip is for raw scans only.
 			continue
 		}
-		want := sums[e]
+		want := sums[e].sum
 		if want == 0 {
 			continue
 		}
@@ -1241,14 +1273,14 @@ func (l *Log) verifyRead(seg int64, idx, n int, addr BlockAddr, data []byte) err
 	return nil
 }
 
-// sumsFor returns seg's checksum table (payload index -> expected CRC):
+// sumsFor returns seg's checksum table (payload index -> expected CRC and Len):
 // the one its seal installed (sealedLocked), or, for a segment sealed
 // before Open, lazily loaded from the segment's durable summary or from
 // the summary the roll-forward scan already read (cacheSums). nil means no
 // verification is possible: the open segment, or no summary at all.
 // Negative results are cached too, so such a segment does not pay a
 // summary scan per read; a device error is returned and not cached.
-func (l *Log) sumsFor(seg int64) ([]uint32, error) {
+func (l *Log) sumsFor(seg int64) ([]blockSum, error) {
 	l.mu.Lock()
 	if seg == l.curSeg {
 		l.mu.Unlock()
@@ -1266,7 +1298,7 @@ func (l *Log) sumsFor(seg int64) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := sumColumn(sb, h)
+	table := sumTable(sb, h)
 	l.mu.Lock()
 	if l.sumGen == gen && seg != l.curSeg {
 		l.sums[seg] = table
@@ -1279,7 +1311,7 @@ func (l *Log) sumsFor(seg int64) ([]uint32, error) {
 // summary the caller holds (sb, h; sb nil: none), so that the first
 // verified read there does not read the summary a second time.
 func (l *Log) cacheSums(seg int64, sb []byte, h sumHeader) {
-	table := sumColumn(sb, h)
+	table := sumTable(sb, h)
 	l.mu.Lock()
 	if seg != l.curSeg {
 		l.sums[seg] = table
@@ -1287,15 +1319,20 @@ func (l *Log) cacheSums(seg int64, sb []byte, h sumHeader) {
 	l.mu.Unlock()
 }
 
-// sumColumn returns the Sum column of a summary block, decoding nothing
-// else; nil for no summary or an open record.
-func sumColumn(sb []byte, h sumHeader) []uint32 {
+// blockSum is one row of a checksum table: the Sum and the Len a summary
+// entry records for its payload block.
+type blockSum struct{ sum, len uint32 }
+
+// sumTable returns the Sum and Len columns of a summary block, decoding
+// nothing else; nil for no summary or an open record.
+func sumTable(sb []byte, h sumHeader) []blockSum {
 	if sb == nil || h.count == 0 {
 		return nil
 	}
-	table := make([]uint32, h.count)
+	table := make([]blockSum, h.count)
 	for i := range table {
-		table[i] = binary.LittleEndian.Uint32(sb[summaryHeaderSize+i*summaryEntrySize+29:])
+		e := sb[summaryHeaderSize+i*summaryEntrySize:]
+		table[i] = blockSum{sum: binary.LittleEndian.Uint32(e[29:]), len: binary.LittleEndian.Uint32(e[25:])}
 	}
 	return table
 }
@@ -1483,8 +1520,9 @@ const (
 
 // newestSummary locates the newest valid summary block of a segment on
 // disk by what block 0 holds (DESIGN.md §14.5), and returns it (aliasing
-// b) with its header and what block 0 held. A sealed summary: that is
-// it. Zeros: never written (sb is nil). An open record: the newest
+// b) with its header and what block 0 held. Block 0 is read as far as a
+// summary reaches (summarySpan). A sealed summary: that is it. Zeros:
+// never written (sb is nil). An open record: the newest
 // trailing snapshot of this life (the slot right after the blocks it
 // describes, newer than the record) among blocks 1.., fetched with one
 // vectored read, or the record itself when there is none. Anything else
@@ -1494,18 +1532,19 @@ const (
 // valid snapshot of any life, or nil.
 func (l *Log) newestSummary(seg int64, b *scanBuf) (sb []byte, h sumHeader, b0 block0, err error) {
 	base := l.segBase(seg)
-	if err := readBlocks(l.dev, base, b.blk); err != nil {
+	blk := b.blk[:l.summarySpan()]
+	if err := readBlocks(l.dev, base, blk); err != nil {
 		return nil, sumHeader{}, b0Junk, fmt.Errorf("seglog: segment %d summary: %w", seg, err)
 	}
-	h, ok := checkSummary(b.blk)
+	h, ok := checkSummary(blk)
 	if ok && h.count == l.PayloadBlocks() {
-		return b.blk, h, b0Summary, nil
+		return blk, h, b0Summary, nil
 	}
-	if !ok && bytes.Equal(b.blk, zeroBlock[:]) {
+	if !ok && bytes.Equal(blk, zeroBlock[:len(blk)]) {
 		return nil, sumHeader{}, b0Zero, nil
 	}
 	if ok && h.count == 0 {
-		sb, b0 = b.blk, b0Summary // the record; snapshots older than it are an earlier life's
+		sb, b0 = blk, b0Summary // the record; snapshots older than it are an earlier life's
 	} else {
 		h = sumHeader{}
 	}
@@ -1907,26 +1946,30 @@ const cpHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 4 + 4 + 8 + 4
 // ReadCheckpoint returns the newest valid checkpoint blob, its optional
 // recovery index, and the log sequence at which it was taken. ok is
 // false when no valid checkpoint exists (freshly formatted device). It
-// reads both slots' headers, then the blob of the newest slot whose
-// header is valid, and the other slot's only if that payload fails its
-// CRC — a checkpoint write torn by a crash — so the alternate slot still
-// anchors recovery; that is the whole point of alternating slots. The
-// blob read starts after the header block, whose bytes the header pass
-// already holds, so no block of a slot is read twice and a blob that
-// fits the header block costs no read of its own. The index blob is
-// best effort: out-of-bounds length or CRC mismatch (a tear inside the
-// index region of an otherwise intact slot) returns index nil without
-// invalidating the slot. It also sets the anchor ScanFrom(seq) walks
-// from. Without a checkpoint that is where Format left the log — the
-// first segment opened, at seq 0 — unless a slot holds a checkpoint
-// that no longer decodes: then the log has moved on from there, and
-// nothing says to where.
+// reads both slots' header sectors, then the blob of the newest slot
+// whose header is valid, from the sector after the header, whose bytes
+// the header pass holds, so no sector of a slot is read twice and a
+// blob that fits the header sector costs no read of its own. A slot
+// wins whole: its object map checks, and so does its index, or it was
+// written without one. A slot that fails either — a checkpoint write
+// torn by a crash — yields to the other slot, whose blob is read only
+// then; that is the whole point of alternating slots. A slot torn inside
+// its index authorized nothing: WriteCheckpoint forces the slot before
+// it returns, and the drive releases segments only after that, so every
+// segment the other slot's map and index name still holds what they
+// say (DESIGN.md §14). Only when no slot is whole does the newest slot
+// whose object map checks win without its index (index nil), which its
+// caller answers with a full scan. It also sets the anchor
+// ScanFrom(seq) walks from. Without a checkpoint that is where Format
+// left the log — the first segment opened, at seq 0 — unless a slot
+// holds a checkpoint that no longer decodes: then the log has moved on
+// from there, and nothing says to where.
 func (l *Log) ReadCheckpoint() (data, index []byte, seq uint64, ok bool, err error) {
-	var hdrs [2][]byte // a slot's header block, nil unless its header is valid
+	var hdrs [2][]byte // a slot's header sector, nil unless its header is valid
 	written := false
 	for slot := range hdrs {
-		hdr := make([]byte, BlockSize)
-		if err := readBlocks(l.dev, l.cpBase(slot), hdr); err != nil {
+		hdr := make([]byte, disk.SectorSize)
+		if err := l.dev.ReadSectors(l.cpBase(slot)*sectorsPerBlock, hdr); err != nil {
 			return nil, nil, 0, false, err
 		}
 		if binary.LittleEndian.Uint32(hdr[0:]) != cpMagic {
@@ -1943,16 +1986,24 @@ func (l *Log) ReadCheckpoint() (data, index []byte, seq uint64, ok bool, err err
 	if hdrs[0] == nil || hdrs[1] != nil && binary.LittleEndian.Uint64(hdrs[1][4:]) > binary.LittleEndian.Uint64(hdrs[0][4:]) {
 		first = 1
 	}
+	mapOnly, mapData := -1, []byte(nil) // the newest slot whose object map checks, if none is whole
 	for _, slot := range [2]int{first, 1 - first} {
 		if hdrs[slot] == nil {
 			continue
 		}
-		if data, index, err = l.readCheckpointBlob(slot, hdrs[slot]); err != nil {
+		data, index, whole, err := l.readCheckpointBlob(slot, hdrs[slot])
+		if err != nil {
 			return nil, nil, 0, false, err
 		}
-		if data != nil {
+		if whole {
 			return data, index, l.adoptCheckpoint(slot, hdrs[slot]), true, nil
 		}
+		if data != nil && mapOnly < 0 {
+			mapOnly, mapData = slot, data
+		}
+	}
+	if mapOnly >= 0 {
+		return mapData, nil, l.adoptCheckpoint(mapOnly, hdrs[mapOnly]), true, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1979,31 +2030,34 @@ func (l *Log) adoptCheckpoint(slot int, hdr []byte) uint64 {
 // cpBase is the first block of checkpoint slot slot.
 func (l *Log) cpBase(slot int) int64 { return int64(1 + slot*l.cfg.CheckpointBlocks) }
 
-// readCheckpointBlob reads the blob of the slot whose valid header block
-// is hdr, past that block, and returns its state payload, nil if the
-// payload fails its CRC, and its index, nil if that is absent or fails.
-func (l *Log) readCheckpointBlob(slot int, hdr []byte) (data, index []byte, err error) {
+// readCheckpointBlob reads the blob of the slot whose valid header
+// sector is hdr, past that sector, and returns its state payload, nil if
+// the payload fails its CRC, and its index, nil if that is absent or
+// fails. whole says the payload checks and the index either checks or
+// was written absent.
+func (l *Log) readCheckpointBlob(slot int, hdr []byte) (data, index []byte, whole bool, err error) {
 	nA := int(binary.LittleEndian.Uint32(hdr[12:]))
 	nB := int(binary.LittleEndian.Uint32(hdr[20:]))
-	if nB < 0 || nA+nB > l.CheckpointCapacity() {
-		nB = 0 // hostile index length: drop the index, keep the slot
+	hostile := nB < 0 || nA+nB > l.CheckpointCapacity()
+	if hostile {
+		nB = 0 // drop the index, keep the slot
 	}
 	total := cpHeaderSize + nA + nB
-	blob := make([]byte, (total+BlockSize-1)/BlockSize*BlockSize)
+	blob := make([]byte, (total+disk.SectorSize-1)/disk.SectorSize*disk.SectorSize)
 	copy(blob, hdr)
-	if rest := blob[BlockSize:]; len(rest) > 0 {
-		if err := readBlocks(l.dev, l.cpBase(slot)+1, rest); err != nil {
-			return nil, nil, err
+	if rest := blob[len(hdr):]; len(rest) > 0 {
+		if err := l.dev.ReadSectors(l.cpBase(slot)*sectorsPerBlock+1, rest); err != nil {
+			return nil, nil, false, err
 		}
 	}
 	data = blob[cpHeaderSize : cpHeaderSize+nA]
 	if crc32.ChecksumIEEE(data) != binary.LittleEndian.Uint32(hdr[16:]) {
-		return nil, nil, nil
+		return nil, nil, false, nil
 	}
 	if cand := blob[cpHeaderSize+nA : total]; nB > 0 && crc32.ChecksumIEEE(cand) == binary.LittleEndian.Uint32(hdr[24:]) {
 		index = cand
 	}
-	return data, index, nil
+	return data, index, !hostile && (nB == 0 || index != nil), nil
 }
 
 // CurrentSegment returns the open segment index, or -1.

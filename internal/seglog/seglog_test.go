@@ -464,9 +464,9 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 	// fails its CRC and recovery must fall back to the older slot, not
 	// error out — that is what the alternating slots are for. The blob of
 	// the older slot is read only then: with both slots valid, the newer
-	// one's blob is the only one read, and never its header block again.
-	// The blobs are three blocks each, so the two one-block header reads
-	// stand apart from the two-block reads of the rest.
+	// one's blob is the only one read, and never its header sector again.
+	// The blobs are over two blocks each, so the two header-sector reads
+	// stand apart from the multi-block reads of the rest.
 	d := disk.New(disk.SmallDisk(8<<20), nil)
 	if err := Format(d, Config{SegBlocks: 16, CheckpointBlocks: 4}); err != nil {
 		t.Fatal(err)
@@ -498,8 +498,11 @@ func TestCheckpointTornSlotFallsBack(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("ReadCheckpoint: ok=%v err=%v", ok, err)
 		}
-		if cnt.single != 2 || cnt.vectored != blobs || cnt.bytes != int64(2+2*blobs)*BlockSize {
-			t.Fatalf("ReadCheckpoint read %d headers and %d blobs, %d B, want 2 and %d, %d B", cnt.single, cnt.vectored, cnt.bytes, blobs, (2+2*blobs)*BlockSize)
+		// Every blob below is 9,000 B: the rest of its slot past the
+		// header sector, in whole sectors.
+		rest := (cpHeaderSize+9000+disk.SectorSize-1)/disk.SectorSize*disk.SectorSize - disk.SectorSize
+		if want := int64(2*disk.SectorSize + blobs*rest); cnt.single != 2 || cnt.vectored != blobs || cnt.bytes != want {
+			t.Fatalf("ReadCheckpoint read %d headers and %d blobs, %d B, want 2 and %d, %d B", cnt.single, cnt.vectored, cnt.bytes, blobs, want)
 		}
 		return l, got
 	}

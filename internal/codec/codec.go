@@ -1,7 +1,7 @@
 // Package codec reads back the variable-length structures S4 keeps on
-// its medium: journal entries, audit records, the object map, the
-// segment index, inode roots with their block-map pairs, and the
-// partition and policy tables.
+// its medium: segment summaries, journal entries, audit records, the
+// object map, the segment index, inode roots with their block-map pairs,
+// and the partition and policy tables.
 //
 // Everything on the medium is treated as hostile until decoded: bit rot,
 // a torn write or an image from somewhere else reaches the decoders as
@@ -13,7 +13,8 @@
 // A Reader latches its first failure. After it every read returns zero
 // and consumes nothing, so a decoder reads all of its fields and checks
 // once, at the end. Encoders need no counterpart: they append with
-// binary.AppendUvarint and binary.LittleEndian.AppendUint*.
+// binary.AppendUvarint, binary.AppendVarint and
+// binary.LittleEndian.AppendUint*.
 package codec
 
 import (
@@ -110,6 +111,17 @@ func (r *Reader) U64() uint64 {
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.data)
+	if n <= 0 {
+		r.Fail("bad varint")
+		return 0
+	}
+	r.data = r.data[n:]
+	return v
+}
+
+// Varint reads a signed (zigzag) varint.
+func (r *Reader) Varint() int64 {
+	v, n := binary.Varint(r.data)
 	if n <= 0 {
 		r.Fail("bad varint")
 		return 0

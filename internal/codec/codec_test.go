@@ -22,7 +22,7 @@ func TestReaderLatchesFirstFailure(t *testing.T) {
 		t.Fatalf("err %v, want ErrCorrupt prefixed with the reader's name", first)
 	}
 	r.Fail("later")
-	if r.U8() != 0 || r.U16() != 0 || r.U32() != 0 || r.U64() != 0 || r.Bytes(1) != nil || r.Blob() != nil || r.Count(0, 1, 0) != 0 {
+	if r.U8() != 0 || r.U16() != 0 || r.U32() != 0 || r.U64() != 0 || r.Varint() != 0 || r.Bytes(1) != nil || r.Blob() != nil || r.Count(0, 1, 0) != 0 {
 		t.Fatal("a read after the failure returned something")
 	}
 	if r.Err() != first || r.Done() != first || r.Rest() != nil {
@@ -39,9 +39,10 @@ func TestReaderReadsLittleEndian(t *testing.T) {
 	b = binary.LittleEndian.AppendUint32(b, 0xDEADBEEF)
 	b = binary.LittleEndian.AppendUint64(b, 1<<60|5)
 	b = binary.AppendUvarint(b, 300)
+	b = binary.AppendVarint(b, -300)
 	b = append(b, "xyz"...)
 	r := NewReader("test", b)
-	if r.U8() != 0xAB || r.U16() != 0x1234 || r.U32() != 0xDEADBEEF || r.U64() != 1<<60|5 || r.Uvarint() != 300 {
+	if r.U8() != 0xAB || r.U16() != 0x1234 || r.U32() != 0xDEADBEEF || r.U64() != 1<<60|5 || r.Uvarint() != 300 || r.Varint() != -300 {
 		t.Fatal("fixed-width or varint read wrong")
 	}
 	if got := r.Bytes(3); string(got) != "xyz" || &got[0] != &b[len(b)-3] {

@@ -125,7 +125,7 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 	// The summaries as the device holds them: segment 0's seal, the open
 	// segment's record, and the open segment's newest snapshot, in the
 	// slot its staged pad retires. A partial flush writes a snapshot's
-	// header (36 bytes) and entries (33 each), rounded up to a sector.
+	// header and entries, the size at [36:40), rounded up to a sector.
 	cur := d.log.CurrentSegment()
 	staged, _, err := d.log.ReadSummary(cur)
 	if err != nil {
@@ -149,7 +149,8 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 	}
 	seal := onDisk(d.log.EntryAt(0, 0)-1, types.BlockSize)
 	record := onDisk(d.log.EntryAt(cur, 0)-1, types.BlockSize)
-	snapshot := onDisk(d.log.EntryAt(cur, snap), (36+33*snap+disk.SectorSize-1)/disk.SectorSize*disk.SectorSize)
+	size := int(binary.LittleEndian.Uint32(onDisk(d.log.EntryAt(cur, snap), disk.SectorSize)[36:]))
+	snapshot := onDisk(d.log.EntryAt(cur, snap), (size+disk.SectorSize-1)/disk.SectorSize*disk.SectorSize)
 
 	for _, c := range []struct {
 		name, got, want string
@@ -161,9 +162,9 @@ func TestOnMediaEncodingsGolden(t *testing.T) {
 		{"overflowing root", sum(bigParts...), "2a3e3c5f8a9c53a8aeb9233d6920421a2cf7682e72433aab3785409c3c13345b"},
 		{"partition table", sum(encodePartTable(parts)), "14c7d1c94b8d10ddb4ca786931f3de92d4ab9f24f60a9076e0a013f7900e4619"},
 		{"policy table", sum(encodePolicyTable(d.policies)), "bc9262b8061b5ccf0f5e6f179f006e3c77cc8ef6cae3910c82c9d11df73e51f2"},
-		{"sealed summary", sum(seal), "95d43374fbdd1fd14ed6659fd9d51e6d344b77daa0904e54043e829eeac8720a"},
-		{"open record", sum(record), "da7d20994fc4fd20f665d316b8592e63d234c2dbaf17cf386f3c1aa0a287bcb9"},
-		{fmt.Sprintf("%d-entry snapshot, %d bytes", snap, len(snapshot)), sum(snapshot), "e9168fcca4e06c17ee74c913ca8f868dea984e6edd0183a521b822d060a67be9"},
+		{"sealed summary", sum(seal), "11e3df44041baa79c4235868e14d9ce47eaac40a07b98612157d9997a2df2a98"},
+		{"open record", sum(record), "52aaedfee2c50bb32f3510bc2b4718d50bbfdcbc03d3c2f64e2894c697c6ba02"},
+		{fmt.Sprintf("%d-entry snapshot, %d bytes", snap, len(snapshot)), sum(snapshot), "202afa44570efa0b9c4b0b4aee2f5bf7d1ff23096504fd95c5f3d86b4b6d42b6"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: sha256 %s, want %s", c.name, c.got, c.want)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"s4/internal/disk"
+	"s4/internal/types"
 )
 
 // A flush writes only the sectors that changed since they last reached
@@ -68,7 +69,7 @@ func TestSyncWritesOnlyDirtySectors(t *testing.T) {
 		t.Helper()
 		seg := l.CurrentSegment()
 		summary := BlockAddr(l.segBase(seg) + 1 + int64(l.used))
-		n := (summaryLen(len(l.entries)) + disk.SectorSize - 1) / disk.SectorSize
+		n := roundSector(summarySize(l.entries)) / disk.SectorSize
 		if l.used >= l.PayloadBlocks() {
 			summary = BlockAddr(l.segBase(seg)) // no slot left for a snapshot: the Sync seals
 		}
@@ -123,8 +124,8 @@ func TestSyncWritesOnlyDirtySectors(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w := wl.writes[len(wl.writes)-1]; w[1]-w[0] != 5 {
-		t.Fatalf("snapshot of %d entries took sectors %v, want five (%d bytes)", len(l.entries)-1, w, summaryLen(len(l.entries)-1))
+	if w := wl.writes[len(wl.writes)-1]; w[1]-w[0] != 1 {
+		t.Fatalf("snapshot of %d entries took sectors %v, want one (%d bytes)", len(l.entries)-1, w, summarySize(l.entries[:len(l.entries)-1]))
 	}
 	if l.Room() != 0 || l.CurrentSegment() < 0 {
 		t.Fatalf("room %d, open segment %d: want a full open segment", l.Room(), l.CurrentSegment())
@@ -143,9 +144,24 @@ func TestSyncWritesOnlyDirtySectors(t *testing.T) {
 	if err := readBlocks(wl, l.segBase(seg), blk); err != nil {
 		t.Fatal(err)
 	}
-	if n := summaryLen(l.PayloadBlocks()); !bytes.Equal(blk[n:], make([]byte, BlockSize-n)) {
+	h, ok := checkSummary(blk)
+	if !ok || h.count != l.PayloadBlocks() {
+		t.Fatalf("block 0 after the seal: ok=%v, %d entries", ok, h.count)
+	}
+	if n := h.size; !bytes.Equal(blk[n:], make([]byte, BlockSize-n)) {
 		t.Fatalf("sealed block 0 holds non-zero bytes past its %d-byte summary", n)
 	}
+}
+
+// summarySize is the size of a summary of entries: its header and each
+// entry at its encoded size.
+func summarySize(entries []SummaryEntry) int {
+	b := make([]byte, summaryHeaderSize)
+	var prev types.Timestamp
+	for _, e := range entries {
+		b = appendEntry(b, e, &prev)
+	}
+	return len(b)
 }
 
 // TestPropertyDeviceMatchesStaged runs random sequences of Append,

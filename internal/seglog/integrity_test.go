@@ -496,8 +496,9 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 		{"formatVer 3", put32(4, 3), false}, // unthreaded summaries: no chain to walk, entries where v4 keeps next/prev
 		{"formatVer 4", put32(4, 4), false}, // summary CRCs over the whole block: a trimmed snapshot would fail them
 		{"formatVer 5", put32(4, 5), false}, // landmark entries name a root block: a v6 decoder reads an address as an image length
-		{"formatVer 6", put32(4, 6), true},
-		{"formatVer 7", put32(4, 7), false},
+		{"formatVer 6", put32(4, 6), false}, // fixed 33-byte summary entries: a v7 decoder reads a kind byte as varints
+		{"formatVer 7", put32(4, 7), true},
+		{"formatVer 8", put32(4, 8), false},
 		{"SegBlocks 0", put32(8, 0), false},
 		{"SegBlocks 7", put32(8, 7), false},
 		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1)), false},
@@ -538,6 +539,42 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 	}
 }
 
+// v6EntrySize is the fixed width of a summary entry before version 7:
+// kind, obj, key, time, len and block CRC32.
+const v6EntrySize = 1 + 8 + 8 + 8 + 4 + 4
+
+// putV6Entries writes entries in the fixed layout of versions 3 to 6
+// from sb[off:] on.
+func putV6Entries(sb []byte, off int, entries []SummaryEntry) {
+	for _, e := range entries {
+		sb[off] = byte(e.Kind)
+		binary.LittleEndian.PutUint64(sb[off+1:], uint64(e.Obj))
+		binary.LittleEndian.PutUint64(sb[off+9:], e.Key)
+		binary.LittleEndian.PutUint64(sb[off+17:], uint64(e.Time))
+		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
+		binary.LittleEndian.PutUint32(sb[off+29:], e.Sum)
+		off += v6EntrySize
+	}
+}
+
+// v6Summary re-encodes a summary block in the version-6 layout: magic
+// "S4G4", a 36-byte header with the neighbours of h and no size,
+// 33-byte entries, and a CRC over the header and entries.
+func v6Summary(sum Summary, h sumHeader) []byte {
+	const v6HeaderSize = 36
+	sb := make([]byte, BlockSize)
+	binary.LittleEndian.PutUint32(sb[0:], 0x53344734)
+	binary.LittleEndian.PutUint64(sb[4:], sum.Seq)
+	binary.LittleEndian.PutUint32(sb[12:], uint32(len(sum.Entries)))
+	binary.LittleEndian.PutUint32(sb[20:], segWord(h.next))
+	binary.LittleEndian.PutUint32(sb[24:], segWord(h.prev))
+	binary.LittleEndian.PutUint64(sb[28:], h.opened)
+	putV6Entries(sb, v6HeaderSize, sum.Entries)
+	n := v6HeaderSize + len(sum.Entries)*v6EntrySize
+	binary.LittleEndian.PutUint32(sb[16:], crc32.Update(crc32.ChecksumIEEE(sb[:16]), crc32.IEEETable, sb[20:n]))
+	return sb
+}
+
 // v3Summary re-encodes a summary block in the version-3 layout: magic
 // "S4G2", entries right after a 20-byte header, no neighbours, and a CRC
 // over everything after the header.
@@ -547,16 +584,7 @@ func v3Summary(sum Summary) []byte {
 	binary.LittleEndian.PutUint32(sb[0:], 0x53344732)
 	binary.LittleEndian.PutUint64(sb[4:], sum.Seq)
 	binary.LittleEndian.PutUint32(sb[12:], uint32(len(sum.Entries)))
-	off := v3HeaderSize
-	for _, e := range sum.Entries {
-		sb[off] = byte(e.Kind)
-		binary.LittleEndian.PutUint64(sb[off+1:], uint64(e.Obj))
-		binary.LittleEndian.PutUint64(sb[off+9:], e.Key)
-		binary.LittleEndian.PutUint64(sb[off+17:], uint64(e.Time))
-		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
-		binary.LittleEndian.PutUint32(sb[off+29:], e.Sum)
-		off += summaryEntrySize
-	}
+	putV6Entries(sb, v3HeaderSize, sum.Entries)
 	binary.LittleEndian.PutUint32(sb[16:], crc32.ChecksumIEEE(sb[v3HeaderSize:]))
 	return sb
 }
@@ -576,22 +604,36 @@ const fuzzSeg = 1
 // FuzzSegSummaryChecksums feeds hostile bytes to the summary codec:
 // it must never panic, anything it accepts must satisfy the format's
 // own bounds, and a valid encoding mutated anywhere but its CRC slack
-// (past summaryLen) must be rejected or decode to self-consistent
+// (past its size) must be rejected or decode to self-consistent
 // entries; TestSummaryCRCCoversHeaderAndEntries checks that at every
 // byte. A CRC is not a MAC, so the neighbours an accepted summary names
 // are hostile too: the chain walk may step only to a segment inside the
 // log, and never from a segment to itself.
 func FuzzSegSummaryChecksums(f *testing.F) {
-	// Seeds: a genuine sealed summary, a truncated one, junk, an open
-	// record (a summary with no entries), the same sealed summary in the
-	// version-3 and version-4 layouts, open records naming a successor
-	// past the log, the segment itself as successor or as predecessor,
-	// and a genuine seal of journal blocks whose Lens end at sectors.
-	l, _ := newFaultLog(f, 8)
+	// Seeds: a genuine partial-flush snapshot and the seal after it, a
+	// truncated seal, junk, an open record (a summary with no entries),
+	// the same seal in the version-3, -4 and -6 layouts, open records
+	// naming a successor past the log, the segment itself as successor
+	// or as predecessor, and a genuine seal of journal blocks whose Lens
+	// end at sectors.
+	l, dev := newFaultLog(f, 8)
 	for i := 0; i < l.PayloadBlocks(); i++ {
-		if _, err := l.Append(KindData, 9, uint64(i), types.Timestamp(i+1),
+		if _, err := l.Append(KindData, 9, uint64(i), types.Timestamp(i+1)*1e6,
 			bytes.Repeat([]byte{byte(i)}, BlockSize)); err != nil {
 			f.Fatal(err)
+		}
+		if i == 2 {
+			if err := l.Sync(); err != nil {
+				f.Fatal(err)
+			}
+			snap := make([]byte, BlockSize) // in the slot after the three blocks
+			if err := readBlocks(dev, l.segBase(0)+4, snap); err != nil {
+				f.Fatal(err)
+			}
+			if s, ok, _ := decodeSummary(snap); !ok || len(s.Entries) != 3 {
+				f.Fatalf("genuine snapshot: ok=%v, %d entries", ok, len(s.Entries))
+			}
+			f.Add(snap)
 		}
 	}
 	if err := l.Sync(); err != nil {
@@ -607,9 +649,14 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 	short := append([]byte(nil), sb[:40]...)
 	f.Add(short)
 	sealed, ok, err := decodeSummary(sb)
-	if err != nil || !ok {
+	if err != nil || !ok || len(sealed.Entries) != l.PayloadBlocks() {
 		f.Fatalf("genuine sealed summary: ok=%v err=%v", ok, err)
 	}
+	v6 := v6Summary(sealed, headerOf(sb))
+	if _, ok, _ := decodeSummary(v6); ok {
+		f.Fatal("a version-6 summary, its entries 33 bytes each, decodes")
+	}
+	f.Add(v6)
 	v3 := v3Summary(sealed)
 	if _, ok, _ := decodeSummary(v3); ok {
 		f.Fatal("a version-3 summary decodes")
@@ -669,9 +716,11 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 		if !ok {
 			return
 		}
-		// Accepted: the self-described shape must fit the input.
-		if summaryHeaderSize+len(s.Entries)*summaryEntrySize > len(data) {
-			t.Fatalf("accepted summary of %d entries overruns %d input bytes", len(s.Entries), len(data))
+		// Accepted: the self-described shape must fit the input, every
+		// entry taking one byte at least.
+		h, _ := checkSummary(data)
+		if h.size > len(data) || h.size > BlockSize || summaryHeaderSize+len(s.Entries) > h.size {
+			t.Fatalf("accepted summary of %d entries in %d bytes overruns %d input bytes", len(s.Entries), h.size, len(data))
 		}
 		if len(s.Entries) > maxSegBlocks() {
 			t.Fatalf("accepted summary with impossible entry count %d", len(s.Entries))
@@ -685,7 +734,6 @@ func FuzzSegSummaryChecksums(f *testing.F) {
 		}
 		// Its neighbours, as the walk judges a hop to it from the
 		// predecessor it names: only the successor is left to refuse.
-		h, _ := checkSummary(data)
 		if hopFault(h, fuzzSeg, h.prev, h.opened, false, nSeg) == "" &&
 			(h.next < 0 || h.next >= nSeg || h.next == fuzzSeg || h.prev == fuzzSeg) {
 			t.Fatalf("the walk would step from segment %d (prev %d) to segment %d of %d", fuzzSeg, h.prev, h.next, nSeg)

@@ -51,6 +51,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"s4/internal/codec"
 	"s4/internal/disk"
 	"s4/internal/types"
 )
@@ -136,8 +137,6 @@ type SummaryEntry struct {
 	Sum uint32
 }
 
-const summaryEntrySize = 1 + 8 + 8 + 8 + 4 + 4 // kind, obj, key, time, len, block CRC32
-
 // Summary is a decoded segment summary.
 type Summary struct {
 	Seq     uint64
@@ -160,7 +159,7 @@ func DefaultConfig() Config {
 
 const (
 	superMagic   = 0x53344C47 // "S4LG"
-	summaryMagic = 0x53344734 // "S4G4" — summary with per-block CRCs, threaded into the log
+	summaryMagic = 0x53344735 // "S4G5" — threaded summary, each entry at its encoded size
 	cpMagic      = 0x53344350 // "S4CP"
 	// formatVer is the only on-disk format: Format stamps it and Open
 	// rejects anything else, so no read path admits unchecksummed media
@@ -168,8 +167,9 @@ const (
 	// chain walk meets a summary that does not name its neighbours (4),
 	// no summary's CRC covers more than its header and entries, the
 	// sectors a flush writes of it (5), and no landmark journal entry
-	// names a root block: its inode image rides the entry (6).
-	formatVer = 6
+	// names a root block: its inode image rides the entry (6), and no
+	// summary spends more on an entry than its fields need (7).
+	formatVer = 7
 )
 
 // FormatError refuses an image stamped with another on-disk format
@@ -363,38 +363,85 @@ func Blank(dev disk.Device) (bool, error) {
 	return binary.LittleEndian.Uint64(buf) == 0, nil
 }
 
+// maxSegBlocks bounds a segment by its summary: a seal of entries that
+// all take their widest encoding fits block 0.
 func maxSegBlocks() int {
-	return (BlockSize - summaryHeaderSize) / summaryEntrySize
+	return (BlockSize - summaryHeaderSize) / maxEntrySize
 }
 
-// A summary block, every field little-endian:
+// A summary block, every field of its header little-endian:
 //
 //	[0:4)   magic
 //	[4:12)  seq of the flush that wrote it
 //	[12:16) entry count
-//	[16:20) CRC32 (IEEE) of the header and entries: [0:16) and [20:summaryLen)
+//	[16:20) CRC32 (IEEE) of the header and entries: [0:16) and [20:size)
 //	[20:24) next: the segment promised to open after this one (noSeg: none was free)
 //	[24:28) prev: the segment opened before this one (noSeg: none known)
 //	[28:36) opened: the seq this life of the segment opened at
-//	[36:)   entries, summaryEntrySize bytes each
+//	[36:40) size: the bytes of header and entries, which the CRC covers
+//	[40:size) entries, each at its encoded size (appendEntry)
 //
 // The rest of the block is slack: no reader looks at it and the CRC does
-// not cover it, so a flush writes a summary's sectors up to summaryLen
-// only, and the rest of its slot keeps whatever the slot held before
+// not cover it, so a flush writes a summary's sectors up to size only,
+// and the rest of its slot keeps whatever the slot held before
 // (DESIGN.md §15.1).
-const summaryHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 8
+const summaryHeaderSize = 4 + 8 + 4 + 4 + 4 + 4 + 8 + 4
 
-// summaryLen is the bytes a summary of count entries occupies: its
-// header and entries, which its CRC covers.
-func summaryLen(count int) int { return summaryHeaderSize + count*summaryEntrySize }
+// appendEntry appends e as a summary encodes it: the kind byte, then,
+// for any kind but a pad, uvarint(Obj), uvarint(Key), the zigzag varint
+// of Time less *prev, uvarint(BlockSize-Len) and the 4-byte Sum. *prev
+// is the Time of the last entry before e that is not a pad (0 for the
+// first), and becomes e's. A pad is its kind byte alone: it has no
+// block to describe.
+func appendEntry(b []byte, e SummaryEntry, prev *types.Timestamp) []byte {
+	b = append(b, byte(e.Kind))
+	if e.Kind == KindPad {
+		return b
+	}
+	b = binary.AppendUvarint(b, uint64(e.Obj))
+	b = binary.AppendUvarint(b, e.Key)
+	b = binary.AppendVarint(b, int64(e.Time-*prev))
+	*prev = e.Time
+	b = binary.AppendUvarint(b, uint64(BlockSize-e.Len))
+	return binary.LittleEndian.AppendUint32(b, e.Sum)
+}
+
+// readEntry decodes an entry appendEntry wrote, with *prev as it was.
+func readEntry(r *codec.Reader, prev *types.Timestamp) SummaryEntry {
+	e := SummaryEntry{Kind: Kind(r.U8())}
+	if e.Kind == KindPad {
+		return e
+	}
+	e.Obj = types.ObjectID(r.Uvarint())
+	e.Key = r.Uvarint()
+	e.Time = *prev + types.Timestamp(r.Varint())
+	*prev = e.Time
+	if slack := r.Uvarint(); slack > BlockSize {
+		r.Fail("entry of %d bytes short of a block", slack)
+	} else {
+		e.Len = uint32(BlockSize - slack)
+	}
+	e.Sum = r.U32()
+	return e
+}
+
+// maxEntrySize is the widest entry appendEntry writes: every varint at
+// its ten bytes, and a Len of zero.
+var maxEntrySize = len(appendEntry(nil, SummaryEntry{Kind: KindData, Obj: math.MaxUint64, Key: math.MaxUint64, Time: math.MinInt64}, new(types.Timestamp)))
 
 // summarySpan is the bytes of a segment's block 0 a summary can occupy:
-// the sectors of a seal's summaryLen, five of eight at 64 blocks a
-// segment. Every writer of block 0 leaves the sectors past it zero (the
-// open record rides a write of the whole block, and a seal writes only
-// its summary's sectors over it), so newestSummary reads no further.
+// the sectors of a seal of entries at their widest, five of eight at 64
+// blocks a segment. Every writer of block 0 leaves the sectors past it
+// zero (the open record rides a write of the whole block, and a seal
+// writes only its summary's sectors over it), so newestSummary reads no
+// further.
 func (l *Log) summarySpan() int {
-	return (summaryLen(l.PayloadBlocks()) + disk.SectorSize - 1) / disk.SectorSize * disk.SectorSize
+	return roundSector(summaryHeaderSize + l.PayloadBlocks()*maxEntrySize)
+}
+
+// roundSector rounds n bytes up to whole sectors.
+func roundSector(n int) int {
+	return (n + disk.SectorSize - 1) / disk.SectorSize * disk.SectorSize
 }
 
 // Open attaches to a formatted device. It performs no replay; the owner
@@ -555,6 +602,9 @@ func (l *Log) AppendVec(kind Kind, obj types.ObjectID, entries ...VecEntry) ([]B
 
 // appendVec is AppendVec into addrs, which has room for every entry.
 func (l *Log) appendVec(kind Kind, obj types.ObjectID, entries []VecEntry, addrs []BlockAddr) ([]BlockAddr, error) {
+	if kind == KindPad {
+		return nil, fmt.Errorf("seglog: append of a pad: %w", types.ErrInval) // a summary keeps no field of a pad but its kind
+	}
 	for i := range entries {
 		if len(entries[i].Data) == 0 || len(entries[i].Data) > BlockSize {
 			return nil, fmt.Errorf("seglog: append of %d bytes: %w", len(entries[i].Data), types.ErrInval)
@@ -900,8 +950,9 @@ func (l *Log) forceDev() error {
 // append can overwrite the only durable summary before its replacement
 // lands; recovery finds the newest valid snapshot by scanning
 // (newestSummary). The snapshot write covers only the sectors its header
-// and entries occupy (summaryLen), one to five of the slot's eight at 64
-// blocks a segment: a tear inside it leaves a new header over stale
+// and entries occupy (its size), one sector for a typical sync's
+// snapshot and at most five of the slot's eight at 64 blocks a segment:
+// a tear inside it leaves a new header over stale
 // entries, which fails the CRC. A crash anywhere inside the flush leaves
 // the previous snapshot intact and loses only unacknowledged work.
 //
@@ -909,7 +960,7 @@ func (l *Log) forceDev() error {
 // summary lands in block 0, over the open record, where steady-state
 // reads expect it. It too is written as its header and entries only:
 // the segment's first run wrote block 0 whole, the record and zeros, so
-// the sectors past summaryLen already hold what a whole-block seal would
+// the sectors past its size already hold what a whole-block seal would
 // write. A summary never declares blocks that are not already
 // durable, so a crash mid-seal falls back to the newest partial
 // snapshot. A segment's first flush, of either kind, starts its run at
@@ -948,8 +999,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 		return nil
 	}
 	l.seq++
-	l.encodeSummaryLocked(l.sumBuf, l.seq, closeSeg)
-	sumEnd := (summaryLen(len(l.entries)) + disk.SectorSize - 1) / disk.SectorSize * disk.SectorSize
+	sumEnd := roundSector(l.encodeSummaryLocked(l.sumBuf, l.seq, closeSeg))
 	seg := l.curSeg
 	base := l.segBase(seg)
 	used := l.used
@@ -1040,7 +1090,7 @@ func (l *Log) flushLocked(closeSeg bool) error {
 // flushing clears, so no later seal can have swapped flushBuf or reused
 // sumBuf. Caller holds l.mu.
 func (l *Log) sealedLocked(seg int64, jblocks []int) {
-	l.sums[seg] = sumTable(l.sumBuf, sumHeader{count: int(binary.LittleEndian.Uint32(l.sumBuf[12:]))})
+	l.sums[seg] = sumTable(l.sumBuf, headerOf(l.sumBuf))
 	l.sumGen++
 	base := l.segBase(seg)
 	for _, i := range jblocks {
@@ -1061,7 +1111,8 @@ func (l *Log) SetSealSink(fn func(addr BlockAddr, blk []byte)) {
 	l.mu.Unlock()
 }
 
-// encodeSummaryLocked serializes the staged entries into sb, one block.
+// encodeSummaryLocked serializes the staged entries into sb, one block,
+// and returns the summary's size: the bytes of its header and entries.
 // Block checksums are computed here — at flush time, over each block's
 // full staged contents — rather than at append time, so RewriteRange
 // mutations of open-segment blocks are covered by whatever summary next
@@ -1085,7 +1136,7 @@ func (l *Log) SetSealSink(fn func(addr BlockAddr, blk []byte)) {
 // predecessor and opening seq, and the successor promised when it is
 // encoded: the promise may move until the seal (recountLocked). Caller
 // holds l.mu.
-func (l *Log) encodeSummaryLocked(sb []byte, seq uint64, sealed bool) {
+func (l *Log) encodeSummaryLocked(sb []byte, seq uint64, sealed bool) int {
 	clear(sb)
 	binary.LittleEndian.PutUint32(sb[0:], summaryMagic)
 	binary.LittleEndian.PutUint64(sb[4:], seq)
@@ -1093,33 +1144,29 @@ func (l *Log) encodeSummaryLocked(sb []byte, seq uint64, sealed bool) {
 	binary.LittleEndian.PutUint32(sb[20:], segWord(l.nextSeg))
 	binary.LittleEndian.PutUint32(sb[24:], segWord(l.curPrev))
 	binary.LittleEndian.PutUint64(sb[28:], l.curOpened)
-	off := summaryHeaderSize
+	b := sb[:summaryHeaderSize] // no reallocation: maxSegBlocks keeps the widest seal inside sb
+	var prev types.Timestamp
 	for i, e := range l.entries {
-		sb[off] = byte(e.Kind)
-		binary.LittleEndian.PutUint64(sb[off+1:], uint64(e.Obj))
-		binary.LittleEndian.PutUint64(sb[off+9:], e.Key)
-		binary.LittleEndian.PutUint64(sb[off+17:], uint64(e.Time))
-		binary.LittleEndian.PutUint32(sb[off+25:], e.Len)
-		var sum uint32
 		if e.Kind != KindPad && (sealed || e.Kind != KindJournal) {
 			if !l.crcOK[i] {
 				bo := (1 + i) * BlockSize
 				l.crcs[i], l.crcOK[i] = crc32.ChecksumIEEE(l.buf[bo:bo+BlockSize]), true
 				l.hashed++
 			}
-			sum = l.crcs[i]
+			e.Sum = l.crcs[i]
 		}
-		binary.LittleEndian.PutUint32(sb[off+29:], sum)
-		off += summaryEntrySize
+		b = appendEntry(b, e, &prev)
 	}
+	binary.LittleEndian.PutUint32(sb[36:], uint32(len(b)))
 	binary.LittleEndian.PutUint32(sb[16:], summaryCRC(sb))
+	return len(b)
 }
 
 // summaryCRC is the checksum of a summary block: its header but the four
 // bytes that hold the CRC, and its entries. The caller has bounded the
-// entry count at [12:16) by the block.
+// size at [36:40) by the block.
 func summaryCRC(sb []byte) uint32 {
-	n := summaryLen(int(binary.LittleEndian.Uint32(sb[12:])))
+	n := binary.LittleEndian.Uint32(sb[36:])
 	return crc32.Update(crc32.ChecksumIEEE(sb[:16]), crc32.IEEETable, sb[20:n])
 }
 
@@ -1231,7 +1278,7 @@ func (b blockSum) bound() int {
 	if b.sum == 0 || b.len == 0 || b.len > BlockSize {
 		return BlockSize
 	}
-	return (int(b.len) + disk.SectorSize - 1) / disk.SectorSize * disk.SectorSize
+	return roundSector(int(b.len))
 }
 
 // verifyRead checks n freshly device-read blocks (starting at payload
@@ -1308,10 +1355,9 @@ func (l *Log) sumsFor(seg int64) ([]blockSum, error) {
 }
 
 // cacheSums installs the checksum table of a settled segment whose newest
-// summary the caller holds (sb, h; sb nil: none), so that the first
-// verified read there does not read the summary a second time.
-func (l *Log) cacheSums(seg int64, sb []byte, h sumHeader) {
-	table := sumTable(sb, h)
+// summary the caller holds, so that the first verified read there does
+// not read the summary a second time.
+func (l *Log) cacheSums(seg int64, table []blockSum) {
 	l.mu.Lock()
 	if seg != l.curSeg {
 		l.sums[seg] = table
@@ -1323,16 +1369,26 @@ func (l *Log) cacheSums(seg int64, sb []byte, h sumHeader) {
 // entry records for its payload block.
 type blockSum struct{ sum, len uint32 }
 
-// sumTable returns the Sum and Len columns of a summary block, decoding
-// nothing else; nil for no summary or an open record.
+// sumTable returns the Sum and Len columns of a summary block
+// checkSummary accepted (or sealedLocked encoded); nil for no summary, an
+// open record, or entries that do not decode: none of them can vouch
+// for a block.
 func sumTable(sb []byte, h sumHeader) []blockSum {
 	if sb == nil || h.count == 0 {
 		return nil
 	}
 	table := make([]blockSum, h.count)
-	for i := range table {
-		e := sb[summaryHeaderSize+i*summaryEntrySize:]
-		table[i] = blockSum{sum: binary.LittleEndian.Uint32(e[29:]), len: binary.LittleEndian.Uint32(e[25:])}
+	if eachEntry(sb, h, func(i int, e SummaryEntry) { table[i] = blockSum{sum: e.Sum, len: e.Len} }) != nil {
+		return nil
+	}
+	return table
+}
+
+// tableOf returns the Sum and Len columns of decoded entries.
+func tableOf(entries []SummaryEntry) []blockSum {
+	table := make([]blockSum, len(entries))
+	for i, e := range entries {
+		table[i] = blockSum{sum: e.Sum, len: e.Len}
 	}
 	return table
 }
@@ -1500,13 +1556,14 @@ var zeroBlock [BlockSize]byte
 
 // findSummary decodes the newest valid summary of a segment on disk.
 // An open record with no snapshot behind it is no summary: it lists
-// nothing.
+// nothing; nor is one whose entries do not decode.
 func (l *Log) findSummary(seg int64, b *scanBuf) (Summary, bool, error) {
 	sb, h, _, err := l.newestSummary(seg, b)
 	if err != nil || sb == nil || h.count == 0 {
 		return Summary{}, false, err
 	}
-	return decodeEntries(sb, h), true, nil
+	s, err := decodeEntries(sb, h)
+	return s, err == nil, nil
 }
 
 // block0 is what newestSummary found in a segment's block 0.
@@ -1569,59 +1626,78 @@ func (l *Log) newestSummary(seg int64, b *scanBuf) (sb []byte, h sumHeader, b0 b
 type sumHeader struct {
 	seq        uint64
 	count      int
+	size       int   // bytes of header and entries
 	next, prev int64 // -1: noSeg; not yet bounded by the log's size
 	opened     uint64
 }
 
-// checkSummary validates a candidate summary block (magic, hostile
-// count, CRC) and returns its header without materializing the entries.
-// Invalid candidates report ok=false, never an error: recovery probes
-// arbitrary blocks looking for summaries.
+// headerOf reads the header of a summary block, checking nothing.
+func headerOf(sb []byte) sumHeader {
+	return sumHeader{
+		seq:    binary.LittleEndian.Uint64(sb[4:]),
+		count:  int(binary.LittleEndian.Uint32(sb[12:])),
+		size:   int(binary.LittleEndian.Uint32(sb[36:])),
+		next:   segOfWord(binary.LittleEndian.Uint32(sb[20:])),
+		prev:   segOfWord(binary.LittleEndian.Uint32(sb[24:])),
+		opened: binary.LittleEndian.Uint64(sb[28:]),
+	}
+}
+
+// checkSummary validates a candidate summary block's header — its
+// magic, a size inside the block and the input, the CRC over that size,
+// and a count those bytes can hold, at most maxSegBlocks — and returns
+// it. It decodes no entry: the size lets it check the CRC first, and the
+// entries are checked as they are decoded (eachEntry), once, by whoever
+// needs them. Invalid candidates report ok=false, never an error:
+// recovery probes arbitrary blocks looking for summaries.
 func checkSummary(sb []byte) (sumHeader, bool) {
 	if len(sb) < summaryHeaderSize || binary.LittleEndian.Uint32(sb[0:]) != summaryMagic {
 		return sumHeader{}, false
 	}
-	count := int(binary.LittleEndian.Uint32(sb[12:]))
-	if count < 0 || summaryLen(count) > BlockSize || summaryLen(count) > len(sb) {
+	h := headerOf(sb)
+	if h.size < summaryHeaderSize || h.size > BlockSize || h.size > len(sb) ||
+		h.count < 0 || h.count > min(maxSegBlocks(), h.size-summaryHeaderSize) || // an entry is a byte at least
+		binary.LittleEndian.Uint32(sb[16:]) != summaryCRC(sb) {
 		return sumHeader{}, false
 	}
-	if binary.LittleEndian.Uint32(sb[16:]) != summaryCRC(sb) {
-		return sumHeader{}, false
-	}
-	return sumHeader{
-		seq:    binary.LittleEndian.Uint64(sb[4:]),
-		count:  count,
-		next:   segOfWord(binary.LittleEndian.Uint32(sb[20:])),
-		prev:   segOfWord(binary.LittleEndian.Uint32(sb[24:])),
-		opened: binary.LittleEndian.Uint64(sb[28:]),
-	}, true
+	return h, true
 }
 
-// decodeSummary parses a candidate summary block checkSummary accepts.
+// eachEntry decodes the entries of a summary block checkSummary accepted,
+// passing each to fn, and fails with a types.ErrCorrupt unless h.count of
+// them fill its size exactly. fn sees no entry past the first failure.
+func eachEntry(sb []byte, h sumHeader, fn func(i int, e SummaryEntry)) error {
+	r := codec.NewReader("summary", sb[summaryHeaderSize:h.size]) // its callers name the segment
+	var prev types.Timestamp
+	for i := 0; i < h.count; i++ {
+		e := readEntry(&r, &prev)
+		if r.Err() != nil {
+			break
+		}
+		fn(i, e)
+	}
+	return r.Done()
+}
+
+// decodeSummary parses a candidate summary block: one checkSummary
+// accepts and whose entries decode.
 func decodeSummary(sb []byte) (Summary, bool, error) {
 	h, ok := checkSummary(sb)
 	if !ok {
 		return Summary{}, false, nil
 	}
-	return decodeEntries(sb, h), true, nil
+	s, err := decodeEntries(sb, h)
+	return s, err == nil, nil
 }
 
-// decodeEntries materializes the entries of a validated summary block.
-func decodeEntries(sb []byte, h sumHeader) Summary {
+// decodeEntries materializes the entries of a summary block checkSummary
+// accepted.
+func decodeEntries(sb []byte, h sumHeader) (Summary, error) {
 	s := Summary{Seq: h.seq, Entries: make([]SummaryEntry, h.count)}
-	off := summaryHeaderSize
-	for i := range s.Entries {
-		s.Entries[i] = SummaryEntry{
-			Kind: Kind(sb[off]),
-			Obj:  types.ObjectID(binary.LittleEndian.Uint64(sb[off+1:])),
-			Key:  binary.LittleEndian.Uint64(sb[off+9:]),
-			Time: types.Timestamp(binary.LittleEndian.Uint64(sb[off+17:])),
-			Len:  binary.LittleEndian.Uint32(sb[off+25:]),
-			Sum:  binary.LittleEndian.Uint32(sb[off+29:]),
-		}
-		off += summaryEntrySize
+	if err := eachEntry(sb, h, func(i int, e SummaryEntry) { s.Entries[i] = e }); err != nil {
+		return Summary{}, err
 	}
-	return s
+	return s, nil
 }
 
 // EntryAt returns the block address of entry i in segment seg.
@@ -1806,9 +1882,15 @@ func (l *Log) walkChain(a anchor, b *scanBuf) (hits []hit, t chainTail, why stri
 		}
 		chain = append(chain, seg)
 		newest = max(newest, h.seq)
-		l.cacheSums(seg, sb, h)
 		if h.count > 0 && h.seq > a.seq {
-			hits = append(hits, hit{seg, decodeEntries(sb, h)})
+			s, err := decodeEntries(sb, h)
+			if err != nil {
+				return nil, t, fmt.Sprintf("segment %d: %v", seg, err), nil
+			}
+			l.cacheSums(seg, tableOf(s.Entries))
+			hits = append(hits, hit{seg, s})
+		} else {
+			l.cacheSums(seg, sumTable(sb, h))
 		}
 		prev, prevSeq, seg, named = seg, h.seq, h.next, b0 == b0Summary
 	}
@@ -1853,8 +1935,12 @@ func (l *Log) probeAll(afterSeq uint64, b *scanBuf) ([]hit, error) {
 			return nil, err // skipping it would open on an older prefix, acked writes gone
 		}
 		if sb != nil && h.count > 0 && h.seq > afterSeq {
-			l.cacheSums(seg, sb, h)
-			hits = append(hits, hit{seg, decodeEntries(sb, h)})
+			s, err := decodeEntries(sb, h)
+			if err != nil {
+				return nil, fmt.Errorf("seglog: segment %d: %w", seg, err) // its summary passed its CRC: a forgery or a bug, not a tear
+			}
+			l.cacheSums(seg, tableOf(s.Entries))
+			hits = append(hits, hit{seg, s})
 		}
 	}
 	sort.Slice(hits, func(i, j int) bool { return hits[i].sum.Seq < hits[j].sum.Seq })

@@ -149,6 +149,9 @@ func TestAppendValidation(t *testing.T) {
 	if _, err := l.Append(KindData, 1, 0, 0, make([]byte, BlockSize+1)); err == nil {
 		t.Fatal("oversized append accepted")
 	}
+	if _, err := l.Append(KindPad, 1, 0, 0, []byte{1}); err == nil {
+		t.Fatal("append of a pad accepted: its summary entry would drop every field but the kind")
+	}
 }
 
 func TestSegmentRollover(t *testing.T) {

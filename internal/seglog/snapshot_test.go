@@ -11,12 +11,14 @@ import (
 )
 
 // A partial flush writes its summary snapshot's header and entries only,
-// the sectors up to summaryLen, and leaves the rest of the slot as it was
+// the sectors up to its size, and leaves the rest of the slot as it was
 // (DESIGN.md §15.1). These tests hold the format to what makes that safe.
 
 // TestTornSnapshotFallsBack tears a partial flush's snapshot write at
 // every sector prefix. The segment has two synced snapshots and the torn
-// one describes 52 blocks, four sectors of header and entries. Every
+// one describes 52 blocks, four sectors of header and entries: the
+// blocks' object ids, keys and times are wide enough that each entry
+// takes 33 bytes. Every
 // image must open to the previous snapshot: the blocks the torn flush
 // carried were never acknowledged and are gone, every acknowledged block
 // reads back (verified against the summary's checksum), and the chain
@@ -46,7 +48,8 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 					for j := 0; j < n; j++ {
 						data := make([]byte, BlockSize)
 						rnd.Read(data)
-						a, err := l.Append(KindData, obj, uint64(len(out)+j), types.Timestamp(1+len(out)+j), data)
+						k := len(out) + j
+						a, err := l.Append(KindData, obj<<56, uint64(k)|1<<56, types.Timestamp(1+k)<<56, data)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -146,20 +149,19 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 // TestSummaryCRCCoversHeaderAndEntries is the property FuzzSegSummaryChecksums
 // promises, checked at every byte: in a genuine snapshot of 52 entries a
 // flipped byte of the header or the entries — anything in [0,16) or
-// [20,summaryLen) — is rejected, and junk anywhere in the slack after
-// summaryLen decodes to the identical summary.
+// [20,size) — is rejected, and junk anywhere in the slack after its size
+// decodes to the identical summary.
 func TestSummaryCRCCoversHeaderAndEntries(t *testing.T) {
 	l, _ := newFaultLog(t, 64)
 	appendN(t, l, 1, 0, 52)
 	sb := make([]byte, BlockSize)
 	l.mu.Lock()
-	l.encodeSummaryLocked(sb, 9, false)
+	n := l.encodeSummaryLocked(sb, 9, false)
 	l.mu.Unlock()
 	want, ok, _ := decodeSummary(sb)
 	if !ok || len(want.Entries) != 52 {
 		t.Fatalf("genuine snapshot: ok=%v, %d entries", ok, len(want.Entries))
 	}
-	n := summaryLen(52)
 	for i := 0; i < n; i++ {
 		if i >= 16 && i < 20 {
 			continue // the CRC itself
@@ -177,8 +179,8 @@ func TestSummaryCRCCoversHeaderAndEntries(t *testing.T) {
 	if !ok || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("junk past byte %d: ok=%v, decodes differently", n, ok)
 	}
-	binary.LittleEndian.PutUint32(junk[12:], 53) // one more entry: the junk is now covered
+	binary.LittleEndian.PutUint32(junk[36:], uint32(n+8)) // a longer size: the junk is now covered
 	if _, ok, _ := decodeSummary(junk); ok {
-		t.Fatal("a count reaching into the junk still decodes")
+		t.Fatal("a size reaching into the junk still decodes")
 	}
 }

@@ -500,7 +500,7 @@ func TestRottedOpenRecordKeepsAckedTail(t *testing.T) {
 	st := newSyncedTail(t, Config{Seed: 44, Ops: 60})
 	const spb = types.BlockSize / disk.SectorSize
 	segStart := int64(1 + 2*st.w.cfg.CheckpointBlocks)
-	// Open records: block 0 of a segment holding a summary ("S4G4") of
+	// Open records: block 0 of a segment holding a summary ("S4G5") of
 	// zero entries.
 	var records []int64
 	blk := make([]byte, types.BlockSize)
@@ -509,7 +509,7 @@ func TestRottedOpenRecordKeepsAckedTail(t *testing.T) {
 		if err := probe.ReadSectors(b*spb, blk); err != nil {
 			t.Fatal(err)
 		}
-		if binary.LittleEndian.Uint32(blk[0:]) == 0x53344734 && binary.LittleEndian.Uint32(blk[12:]) == 0 {
+		if binary.LittleEndian.Uint32(blk[0:]) == 0x53344735 && binary.LittleEndian.Uint32(blk[12:]) == 0 {
 			records = append(records, b)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // never rewritten once appended, and journal blocks of sealed segments
 // (readJSector never fills from the open segment, the one place a
 // journal block is rewritten in place). A fill comes from one of two
-// places. seglog.Read verifies what it returns against the segment's
-// checksum table. A seal hands over a copy of each journal block of the
+// places. seglog.Read verifies what it returns against the checksums in
+// the segment's summary. A seal hands over a copy of each journal block of the
 // segment it sealed (seglog.Log.SetSealSink), once its device writes
 // landed: the very bytes its checksums were computed over and the device
 // holds. The seal pins those checksums, so neither RewriteRange nor

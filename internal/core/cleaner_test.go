@@ -111,16 +111,23 @@ func TestCleanerReapsAgedDeletedObjects(t *testing.T) {
 	}
 }
 
+// TestCleanerCompactionPreservesData also counts the summary sectors
+// the cleaning passes read. A compaction finds a segment's live blocks
+// through its summary, and every segment here was sealed in this life,
+// which left its summary in memory (seglog's sealedLocked): a pass's
+// every read is of payload.
 func TestCleanerCompactionPreservesData(t *testing.T) {
 	// Compaction engages under allocator pressure (free < 1/5 of the
 	// device), so run on a small drive and churn until segments are a
 	// fragmented mix of live data and aged history.
 	clk := vclock.NewVirtual()
 	dev := disk.New(disk.SmallDisk(12<<20), clk)
-	d, err := Format(dev, Options{
+	rl := &readLog{Device: dev}
+	opts := Options{
 		Clock: clk, SegBlocks: 16, CheckpointBlocks: 16,
 		Window: time.Minute, BlockCacheBytes: 1 << 20, ObjectCacheCount: 64,
-	})
+	}
+	d, err := Format(rl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +144,7 @@ func TestCleanerCompactionPreservesData(t *testing.T) {
 		churn = append(churn, e.create(alice))
 		stable = append(stable, e.create(alice))
 	}
-	var copied int
+	copied, summaries := 0, 0
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 8; i++ {
 			big := bytes.Repeat([]byte{byte(i), byte(round)}, 5*types.BlockSize/2)
@@ -156,11 +163,17 @@ func TestCleanerCompactionPreservesData(t *testing.T) {
 		}
 		e.clk.Advance(90 * time.Second)
 		for k := 0; k < 8; k++ {
+			n := len(rl.reads)
 			cs, err := e.d.CleanOnce()
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 			copied += cs.BlocksCopied
+			for _, r := range rl.reads[n:] {
+				if b := r[0] - segBase(opts, 0); b >= 0 && b%int64(opts.SegBlocks) == 0 {
+					summaries++
+				}
+			}
 		}
 	}
 	for id, w := range want {
@@ -171,6 +184,10 @@ func TestCleanerCompactionPreservesData(t *testing.T) {
 	}
 	if copied == 0 {
 		t.Fatal("compaction never ran; test exercised nothing")
+	}
+	t.Logf("cleaning passes copied %d blocks and read %d summaries", copied, summaries)
+	if summaries != 0 {
+		t.Errorf("cleaning passes read %d summaries of segments sealed in this life, want 0", summaries)
 	}
 }
 

@@ -503,11 +503,6 @@ type Drive struct {
 	// decoded, as vetting left it; readJSector serves them, so the usage
 	// rebuild's chain walks neither read nor decode the tail again.
 	recSectors map[journal.SectorAddr]recSector
-	// recSumCover caches each probed segment's durable-summary entry
-	// count. The usage rebuild counts only summary-listed blocks, so a
-	// tail block whose payload survived a crash but whose summary write
-	// did not is referenced by chains yet never counted.
-	recSumCover map[int64]int
 	// recDrop is the per-object poison floor: the lowest version whose
 	// journal entry named un-durable blocks during replay. That entry
 	// and everything at or above its version are an unacknowledged

@@ -616,8 +616,8 @@ func TestRecCoveredTrustsOnlySealedSegments(t *testing.T) {
 	if sealed < 0 || free < 0 || idx.openSeg < 0 {
 		t.Fatalf("no sealed (%d), free (%d) or open (%d) segment at the checkpoint", sealed, free, idx.openSeg)
 	}
-	d.recSumCover, d.recIndex = make(map[int64]int), idx
-	defer func() { d.recSumCover, d.recIndex = nil, nil }()
+	d.recIndex = idx
+	defer func() { d.recIndex = nil }()
 	slot := d.log.PayloadBlocks() - 1 // the last slot, which only a seal covers
 	for _, c := range []struct {
 		what string

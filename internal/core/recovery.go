@@ -228,8 +228,7 @@ func (d *Drive) recover() error {
 	}
 	// The replayed tail is vetted on either base: what the checkpoint
 	// covered (recSnapVer) is exempt, the rest is checked against its
-	// segment's durable summary (recSumCover).
-	d.recSumCover = make(map[int64]int)
+	// segment's durable summary (recCovered).
 	d.recDrop = make(map[types.ObjectID]uint64)
 	d.recTouched = make(map[types.ObjectID]bool)
 	d.recSectors = make(map[journal.SectorAddr]recSector)
@@ -251,7 +250,6 @@ func (d *Drive) recover() error {
 	var jbuf []byte // the journal blocks the scan did not hand over, a run at a time
 	err = d.log.ScanFrom(cpSeq, func(seg int64, sum seglog.Summary, payload []byte) error {
 		visited[seg] = true
-		d.recSumCover[seg] = len(sum.Entries)
 		d.log.MarkAllocated(seg)
 		d.log.SetSeq(sum.Seq)
 		run := payload // the blocks from entry at on, entry i at (i-at)*BlockSize
@@ -316,7 +314,7 @@ func (d *Drive) recover() error {
 	for _, o := range d.objects {
 		o.nextAge = 0
 	}
-	d.recSnapVer, d.recTouched, d.recSectors, d.recSumCover, d.recDrop, d.recImages, d.recIndex = nil, nil, nil, nil, nil, nil, nil
+	d.recSnapVer, d.recTouched, d.recSectors, d.recDrop, d.recImages, d.recIndex = nil, nil, nil, nil, nil, nil
 	// Evict down to the configured object-cache budget.
 	return d.evictColdLocked()
 }
@@ -900,24 +898,23 @@ func (b *recBase) postCP(log *seglog.Log, a seglog.BlockAddr) bool {
 // blocks. Everything durable at the checkpoint is covered
 // (WriteCheckpoint follows a full Sync), so only post-checkpoint tail
 // blocks can miss.
-// The roll-forward scan recorded the count of every segment it replayed.
 // A segment sealed at the checkpoint is listed whole (sealedAtCheckpoint).
-// Any other segment costs one count-only lookup.
+// Any other asks the log, which holds the summary of every segment the
+// roll-forward scan decoded and loads any other once.
 func (d *Drive) recCovered(addr seglog.BlockAddr) bool {
 	seg := segOf(d.log, addr)
-	n, ok := d.recSumCover[seg]
-	if !ok && d.sealedAtCheckpoint(seg) {
-		n, ok = d.log.PayloadBlocks(), true
+	if seg < 0 {
+		return false
 	}
-	if !ok {
+	n := d.log.PayloadBlocks()
+	if !d.sealedAtCheckpoint(seg) {
 		var err error
-		if n, err = d.log.Covered(seg); err != nil && seg >= 0 {
+		if n, err = d.log.Covered(seg); err != nil {
 			if d.recErr == nil {
 				d.recErr = err
 			}
 			return false
 		}
-		d.recSumCover[seg] = n
 	}
 	i := int64(addr) - int64(d.log.EntryAt(seg, 0))
 	return i >= 0 && i < int64(n)

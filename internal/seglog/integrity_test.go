@@ -198,16 +198,16 @@ func TestVerifiedReadRepairsAfterPartialFlush(t *testing.T) {
 	}
 }
 
-// TestSealInstallsChecksumTable holds a seal to what it leaves in
-// memory (DESIGN.md §15). The checksum table of the summary it wrote is
-// installed, so the first verified read of a block it sealed reads that
+// TestSealInstallsItsSummary holds a seal to what it leaves in
+// memory (DESIGN.md §15). The summary it wrote is installed, decoded,
+// so the first verified read of a block it sealed reads that
 // block and no summary, and rot written behind the seal is still caught:
 // repaired while flushBuf holds the segment, a CorruptError and a
 // quarantine once the next seal took flushBuf. A seal whose device write
 // fails installs no table and hands the sink nothing. The sink receives
 // exactly the sealed segment's journal blocks, as the device holds them,
 // in copies no later staging touches.
-func TestSealInstallsChecksumTable(t *testing.T) {
+func TestSealInstallsItsSummary(t *testing.T) {
 	type sunk struct {
 		addr BlockAddr
 		blk  []byte
@@ -299,7 +299,7 @@ func TestSealInstallsChecksumTable(t *testing.T) {
 		_, installed := l.sums[seg]
 		l.mu.Unlock()
 		if installed {
-			t.Fatalf("a seal whose write failed installed segment %d's checksum table", seg)
+			t.Fatalf("a seal whose write failed installed segment %d's summary", seg)
 		}
 		if len(*got) != 0 {
 			t.Fatalf("a seal whose write failed handed the sink %d blocks", len(*got))
@@ -394,7 +394,7 @@ func TestLenBoundedReadIgnoresTail(t *testing.T) {
 			dev.RotSector(int64(a)*sectorsOfBlock+s, 0x5A)
 		}
 	}
-	if _, err := l.Covered(seg); err != nil { // the checksum table, read before the counts below
+	if _, err := l.Covered(seg); err != nil { // the summary, read before the counts below
 		t.Fatal(err)
 	}
 	*cnt = readCounter{Device: dev}

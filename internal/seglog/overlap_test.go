@@ -2,6 +2,8 @@ package seglog
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,5 +157,88 @@ func TestFlushWritesRunWithoutTheLock(t *testing.T) {
 	}
 	if now, _ := l.ReadStats(); now != reads+1 {
 		t.Fatalf("device reads %d, want %d", now, reads+1)
+	}
+}
+
+// TestSealInstallsWhatItWrote holds a seal's device write while appends
+// open the next segment and stage blocks in it, which reuses the staged
+// entries the seal encoded its summary from. What the seal leaves in
+// memory must be the summary it wrote, decoded from that block, so once
+// it lands, on the same Log: a verified read of every sealed block
+// returns its bytes, ReadSummary of the sealed segment equals a reopened
+// Log's, and rot written behind the seal is still caught (repaired from
+// the flush buffer, which holds the sealed image). The next segment's
+// blocks differ from the sealed ones in kind, object, key, time and Len,
+// so a summary taken from the staged entries fails each check.
+func TestSealInstallsWhatItWrote(t *testing.T) {
+	d := disk.New(disk.SmallDisk(8<<20), nil)
+	if err := Format(d, Config{SegBlocks: 8, CheckpointBlocks: 4}); err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedDevice{Device: d}
+	l := reopen(t, g)
+	payload := l.PayloadBlocks()
+	var sealed []BlockAddr
+	var want [][]byte
+	appendSealed := func(i int) error {
+		data := bytes.Repeat([]byte{byte(0x10 + i)}, 100+500*i)
+		a, err := l.Append(KindData, 7, uint64(i), types.Timestamp(i+1), data)
+		sealed, want = append(sealed, a), append(want, append(data, make([]byte, BlockSize-len(data))...))
+		return err
+	}
+	for i := 0; i < payload-1; i++ {
+		if err := appendSealed(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := l.SegOf(sealed[0])
+	g.arm()
+	sealing := make(chan error, 1)
+	go func() { sealing <- appendSealed(payload - 1) }()
+	<-g.held
+	within(t, "appends into the next segment during the seal", func() error {
+		for i := 0; i < 3; i++ {
+			a, err := l.Append(KindJournal, 9, uint64(100+i), types.Timestamp(1000+i), bytes.Repeat([]byte{0xEE}, BlockSize))
+			if err != nil {
+				return err
+			}
+			if l.SegOf(a) == seg {
+				return fmt.Errorf("append landed in the sealing segment %d", seg)
+			}
+		}
+		return nil
+	})
+	close(g.release)
+	if err := <-sealing; err != nil {
+		t.Fatal(err)
+	}
+	if l.SegOf(sealed[payload-1]) != seg || l.CurrentSegment() == seg {
+		t.Fatalf("the last append did not seal segment %d", seg)
+	}
+
+	buf := make([]byte, BlockSize)
+	for i, a := range sealed {
+		if err := l.Read(a, buf); err != nil || !bytes.Equal(buf, want[i]) {
+			t.Fatalf("verified read of sealed block %d: %v, or other bytes than appended", i, err)
+		}
+	}
+	held, ok, err := l.ReadSummary(seg)
+	if err != nil || !ok {
+		t.Fatalf("summary of the sealed segment: ok=%v %v", ok, err)
+	}
+	onDisk, ok, err := reopen(t, d).ReadSummary(seg)
+	if err != nil || !ok {
+		t.Fatalf("summary of the sealed segment, reopened: ok=%v %v", ok, err)
+	}
+	if !reflect.DeepEqual(held, onDisk) {
+		t.Fatalf("the seal left summary %+v in memory, but wrote %+v", held, onDisk)
+	}
+
+	rotBlock(d, sealed[2])
+	if err := l.Read(sealed[2], buf); err != nil || !bytes.Equal(buf, want[2]) {
+		t.Fatalf("read of a block rotted behind the seal: %v, or the rotted bytes", err)
+	}
+	if det, rep, quar := l.IntegrityStats(); det != 0 || rep != 1 || quar != 0 {
+		t.Fatalf("rot behind the seal: det=%d rep=%d quar=%d, want one repair", det, rep, quar)
 	}
 }

@@ -47,6 +47,7 @@ import (
 	stdlog "log"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -267,15 +268,18 @@ type Log struct {
 	// of a segment whose seal just landed (SetSealSink).
 	sealSink func(addr BlockAddr, blk []byte)
 
-	// Integrity state (DESIGN.md §15). sums caches each settled segment's
-	// checksum table (payload index -> expected CRC and Len): a seal
-	// installs its own, and a segment sealed before Open has its table
-	// loaded lazily; a present nil entry means "known: no readable
-	// summary", so it is not rescanned.
+	// Integrity state (DESIGN.md §15). sums holds each settled segment's
+	// newest durable summary, decoded once: its entries' Sum and Len
+	// check verified reads, and the cleaner and recovery read the rest.
+	// A seal installs the summary it wrote, the roll-forward scan those
+	// it decoded, and a segment sealed before Open has its summary
+	// loaded lazily; a present entry with no entries means "known: no
+	// readable summary", so it is not rescanned. Entries are never
+	// modified once installed.
 	// sumGen invalidates in-flight loads that raced a segment reuse.
 	// quar marks segments with an unrepairable block: the allocator never
 	// hands them out again, even after the cleaner frees them.
-	sums   map[int64][]blockSum
+	sums   map[int64]Summary
 	sumGen uint64
 	quar   map[int64]bool
 
@@ -491,7 +495,7 @@ func Open(dev disk.Device) (*Log, error) {
 		lastSeg:     -1,
 		nextSeg:     -1,
 		anchor:      anchor{seg: -1},
-		sums:        make(map[int64][]blockSum),
+		sums:        make(map[int64]Summary),
 		quar:        make(map[int64]bool),
 	}
 	l.flushCond = sync.NewCond(&l.mu)
@@ -760,11 +764,11 @@ func (l *Log) PatchSettled(addr BlockAddr, off int, data []byte) error {
 	if seg == cur {
 		return fmt.Errorf("seglog: patch of open segment %d: %w", seg, types.ErrInval)
 	}
-	sums, err := l.sumsFor(seg)
+	sum, err := l.summaryOf(seg)
 	if err != nil {
 		return err
 	}
-	if idx-1 < len(sums) && sums[idx-1].sum != 0 {
+	if idx-1 < len(sum.Entries) && sum.Entries[idx-1].Sum != 0 {
 		return fmt.Errorf("seglog: patch of checksummed block %v: %w", addr, types.ErrInval)
 	}
 	return l.dev.WriteSectors(int64(addr)*sectorsPerBlock+int64(off/disk.SectorSize), data)
@@ -811,8 +815,8 @@ func (l *Log) openSegmentLocked() error {
 	l.nextSeg = l.lowestAllocatableLocked() // -1: none free, the chain cannot name what follows
 	l.curSeg = seg
 	l.used = 0
-	// The segment's previous life is over; its cached checksum
-	// table (and any load racing this reuse) must not survive.
+	// The segment's previous life is over; its cached summary (and
+	// any load racing this reuse) must not survive.
 	delete(l.sums, seg)
 	l.sumGen++
 	if l.dirty == nil {
@@ -1079,18 +1083,20 @@ func (l *Log) flushLocked(closeSeg bool) error {
 }
 
 // sealedLocked hands on what a seal of seg, whose device writes all
-// landed, leaves in memory, so that nothing reads it back: the checksum
-// table of the summary in sumBuf, which verified reads would otherwise
-// load from block 0, and a copy of each journal block of the sealed
-// image in flushBuf (payload indexes jblocks) for the sink. The copies
-// are the bytes the table's checksums were computed over and the device
-// now holds, and the seal pins every journal block's checksum, so no
-// rewrite can make either stale before the segment is freed. A load of
-// the table racing the seal is discarded (sumGen). It runs before
-// flushing clears, so no later seal can have swapped flushBuf or reused
-// sumBuf. Caller holds l.mu.
+// landed, leaves in memory, so that nothing reads it back: the summary
+// in sumBuf, decoded, which verified reads, the cleaner and recovery
+// would otherwise load from block 0, and a copy of each journal block of
+// the sealed image in flushBuf (payload indexes jblocks) for the sink.
+// It decodes sumBuf rather than taking l.entries: the flush released
+// l.mu for its writes, and an append since may have opened the next
+// segment in them. The copies are the bytes the summary's checksums were
+// computed over and the device now holds, and the seal pins every
+// journal block's checksum, so no rewrite can make either stale before
+// the segment is freed. A load of the summary racing the seal is
+// discarded (sumGen). It runs before flushing clears, so no later seal
+// can have swapped flushBuf or reused sumBuf. Caller holds l.mu.
 func (l *Log) sealedLocked(seg int64, jblocks []int) {
-	l.sums[seg] = sumTable(l.sumBuf, headerOf(l.sumBuf))
+	l.sums[seg] = summaryIn(l.sumBuf, headerOf(l.sumBuf))
 	l.sumGen++
 	base := l.segBase(seg)
 	for _, i := range jblocks {
@@ -1246,7 +1252,7 @@ func (l *Log) ReadRun(addr BlockAddr, n int, buf []byte) error {
 		return nil
 	}
 	l.mu.Unlock()
-	sums, err := l.sumsFor(seg)
+	sum, err := l.summaryOf(seg)
 	if err != nil {
 		return err // "the device would not say" is not "no checksum"
 	}
@@ -1255,14 +1261,14 @@ func (l *Log) ReadRun(addr BlockAddr, n int, buf []byte) error {
 		atomic.AddInt64(&l.vecReads, 1)
 	}
 	end := n * BlockSize
-	if e := last - 1; e < len(sums) {
-		end += sums[e].bound() - BlockSize
+	if e := last - 1; e < len(sum.Entries) {
+		end += sum.Entries[e].ReadSize() - BlockSize
 	}
 	if err := readBlocks(l.dev, int64(addr), buf[:end]); err != nil {
 		return err
 	}
 	clear(buf[end : n*BlockSize])
-	return l.verifyRead(sums, seg, idx, n, addr, buf[:n*BlockSize])
+	return l.verifyRead(sum.Entries, seg, idx, n, addr, buf[:n*BlockSize])
 }
 
 // ReadSize is how many bytes of its block a verified read fetches when
@@ -1272,33 +1278,31 @@ func (l *Log) ReadRun(addr BlockAddr, n int, buf []byte) error {
 // snapshot (rewritten in place past the Len its snapshot recorded,
 // DESIGN.md §11.3), whose Sum is zero. A slot no summary covers, or a
 // segment without one, is read whole too.
-func (e SummaryEntry) ReadSize() int { return blockSum{e.Sum, e.Len}.bound() }
-
-func (b blockSum) bound() int {
-	if b.sum == 0 || b.len == 0 || b.len > BlockSize {
+func (e SummaryEntry) ReadSize() int {
+	if e.Sum == 0 || e.Len == 0 || e.Len > BlockSize {
 		return BlockSize
 	}
-	return roundSector(int(b.len))
+	return roundSector(int(e.Len))
 }
 
 // verifyRead checks n freshly device-read blocks (starting at payload
-// index idx of seg, data holding full blocks) against sums, the
-// segment's checksum table. A mismatched block is first retried against
+// index idx of seg, data holding full blocks) against entries, the
+// segment's durable summary. A mismatched block is first retried against
 // the retained flush buffer (repairBlock); an unrepairable one
 // quarantines the segment and fails the read with a typed CorruptError.
-// Segments without a table — the open segment, or no summary on the
+// Segments without a summary — the open segment, or none on the
 // device — pass unverified.
-func (l *Log) verifyRead(sums []blockSum, seg int64, idx, n int, addr BlockAddr, data []byte) error {
+func (l *Log) verifyRead(entries []SummaryEntry, seg int64, idx, n int, addr BlockAddr, data []byte) error {
 	for i := 0; i < n; i++ {
 		e := idx - 1 + i
-		if e >= len(sums) {
+		if e >= len(entries) {
 			// Beyond the durable summary's coverage (a tail whose summary
 			// write a crash lost). Recovery truncates journal entries
 			// that reference uncovered blocks, so chains never hand
 			// these out — the skip is for raw scans only.
 			continue
 		}
-		want := sums[e].sum
+		want := entries[e].Sum
 		if want == 0 {
 			continue
 		}
@@ -1320,18 +1324,19 @@ func (l *Log) verifyRead(sums []blockSum, seg int64, idx, n int, addr BlockAddr,
 	return nil
 }
 
-// sumsFor returns seg's checksum table (payload index -> expected CRC and Len):
-// the one its seal installed (sealedLocked), or, for a segment sealed
-// before Open, lazily loaded from the segment's durable summary or from
-// the summary the roll-forward scan already read (cacheSums). nil means no
-// verification is possible: the open segment, or no summary at all.
-// Negative results are cached too, so such a segment does not pay a
-// summary scan per read; a device error is returned and not cached.
-func (l *Log) sumsFor(seg int64) ([]blockSum, error) {
+// summaryOf returns seg's newest durable summary, shared with the cache:
+// the one its seal installed (sealedLocked), the one the roll-forward
+// scan decoded (cacheSummary), or, for a segment sealed before Open, one
+// loaded from the device on first need. No entries means no verification
+// is possible: the open segment, or no summary at all. Negative results
+// are cached too, so such a segment does not pay a summary scan per
+// read; a device error is returned and not cached. The caller must not
+// modify the entries.
+func (l *Log) summaryOf(seg int64) (Summary, error) {
 	l.mu.Lock()
 	if seg == l.curSeg {
 		l.mu.Unlock()
-		return nil, nil
+		return Summary{}, nil
 	}
 	if s, ok := l.sums[seg]; ok {
 		l.mu.Unlock()
@@ -1343,54 +1348,39 @@ func (l *Log) sumsFor(seg int64) ([]blockSum, error) {
 	defer scanBufs.Put(b)
 	sb, h, _, err := l.newestSummary(seg, b)
 	if err != nil {
-		return nil, err
+		return Summary{}, err
 	}
-	table := sumTable(sb, h)
+	s := summaryIn(sb, h)
 	l.mu.Lock()
 	if l.sumGen == gen && seg != l.curSeg {
-		l.sums[seg] = table
+		l.sums[seg] = s
 	}
 	l.mu.Unlock()
-	return table, nil
+	return s, nil
 }
 
-// cacheSums installs the checksum table of a settled segment whose newest
-// summary the caller holds, so that the first verified read there does
-// not read the summary a second time.
-func (l *Log) cacheSums(seg int64, table []blockSum) {
+// cacheSummary installs the newest summary of a settled segment, which
+// the caller decoded, so that no later reader reads it a second time.
+func (l *Log) cacheSummary(seg int64, s Summary) {
 	l.mu.Lock()
 	if seg != l.curSeg {
-		l.sums[seg] = table
+		l.sums[seg] = s
 	}
 	l.mu.Unlock()
 }
 
-// blockSum is one row of a checksum table: the Sum and the Len a summary
-// entry records for its payload block.
-type blockSum struct{ sum, len uint32 }
-
-// sumTable returns the Sum and Len columns of a summary block
-// checkSummary accepted (or sealedLocked encoded); nil for no summary, an
-// open record, or entries that do not decode: none of them can vouch
-// for a block.
-func sumTable(sb []byte, h sumHeader) []blockSum {
+// summaryIn decodes a summary block checkSummary accepted (or
+// sealedLocked encoded); no entries for no summary, an open record, or
+// entries that do not decode: none of them can vouch for a block.
+func summaryIn(sb []byte, h sumHeader) Summary {
 	if sb == nil || h.count == 0 {
-		return nil
+		return Summary{}
 	}
-	table := make([]blockSum, h.count)
-	if eachEntry(sb, h, func(i int, e SummaryEntry) { table[i] = blockSum{sum: e.Sum, len: e.Len} }) != nil {
-		return nil
+	s, err := decodeEntries(sb, h)
+	if err != nil {
+		return Summary{}
 	}
-	return table
-}
-
-// tableOf returns the Sum and Len columns of decoded entries.
-func tableOf(entries []SummaryEntry) []blockSum {
-	table := make([]blockSum, len(entries))
-	for i, e := range entries {
-		table[i] = blockSum{sum: e.Sum, len: e.Len}
-	}
-	return table
+	return s
 }
 
 // repairBlock retries a checksum-failed device block against the
@@ -1483,9 +1473,10 @@ func (l *Log) VerifySegment(seg int64) (checked, corrupt int, err error) {
 	return checked, corrupt, nil
 }
 
-// ReadSummary decodes the summary of a sealed (or partially synced)
-// segment. ok is false if the segment has never been written or its
-// summary is invalid.
+// ReadSummary returns a copy of the newest summary of a sealed (or
+// partially synced) segment, read from the device only if no seal, scan
+// or earlier reader left it in memory (summaryOf). ok is false if the
+// segment has never been written or its summary is invalid.
 func (l *Log) ReadSummary(seg int64) (Summary, bool, error) {
 	if seg < 0 || seg >= l.nSegments {
 		return Summary{}, false, fmt.Errorf("seglog: segment %d out of range: %w", seg, types.ErrInval)
@@ -1493,7 +1484,7 @@ func (l *Log) ReadSummary(seg int64) (Summary, bool, error) {
 	l.mu.Lock()
 	if seg == l.curSeg {
 		// Serve the staged summary.
-		s := Summary{Seq: l.seq, Entries: append([]SummaryEntry(nil), l.entries...)}
+		s := Summary{Seq: l.seq, Entries: slices.Clone(l.entries)}
 		l.mu.Unlock()
 		return s, true, nil
 	}
@@ -1504,9 +1495,11 @@ func (l *Log) ReadSummary(seg int64) (Summary, bool, error) {
 	// this guards direct users of the package.)
 	l.waitSealLocked(seg)
 	l.mu.Unlock()
-	b := scanBufs.Get().(*scanBuf)
-	defer scanBufs.Put(b)
-	return l.findSummary(seg, b)
+	s, err := l.summaryOf(seg)
+	if err != nil || len(s.Entries) == 0 {
+		return Summary{}, false, err
+	}
+	return Summary{Seq: s.Seq, Entries: slices.Clone(s.Entries)}, true, nil
 }
 
 // waitSealLocked waits out an in-flight seal of seg. Caller holds l.mu.
@@ -1519,9 +1512,9 @@ func (l *Log) waitSealLocked(seg int64) {
 
 // Covered returns how many payload blocks of seg its newest durable
 // summary describes (the staged entries, for the open segment): zero
-// for a segment without one. It is the length of the segment's checksum
-// table, so it decodes nothing but the Sum column, and the verified
-// reads that follow find the table cached.
+// for a segment without one. A summary a seal or the roll-forward scan
+// left in memory answers it without a read, and one it loads stays
+// there for the verified reads that follow.
 func (l *Log) Covered(seg int64) (int, error) {
 	if seg < 0 || seg >= l.nSegments {
 		return 0, fmt.Errorf("seglog: segment %d out of range: %w", seg, types.ErrInval)
@@ -1534,8 +1527,8 @@ func (l *Log) Covered(seg int64) (int, error) {
 	}
 	l.waitSealLocked(seg)
 	l.mu.Unlock()
-	sums, err := l.sumsFor(seg)
-	return len(sums), err
+	s, err := l.summaryOf(seg)
+	return len(s.Entries), err
 }
 
 // scanBuf is newestSummary's scratch: block 0 of a segment, and
@@ -1553,18 +1546,6 @@ type scanBuf struct {
 var scanBufs = sync.Pool{New: func() any { return &scanBuf{blk: make([]byte, BlockSize)} }}
 
 var zeroBlock [BlockSize]byte
-
-// findSummary decodes the newest valid summary of a segment on disk.
-// An open record with no snapshot behind it is no summary: it lists
-// nothing; nor is one whose entries do not decode.
-func (l *Log) findSummary(seg int64, b *scanBuf) (Summary, bool, error) {
-	sb, h, _, err := l.newestSummary(seg, b)
-	if err != nil || sb == nil || h.count == 0 {
-		return Summary{}, false, err
-	}
-	s, err := decodeEntries(sb, h)
-	return s, err == nil, nil
-}
 
 // block0 is what newestSummary found in a segment's block 0.
 type block0 uint8
@@ -1647,7 +1628,7 @@ func headerOf(sb []byte) sumHeader {
 // magic, a size inside the block and the input, the CRC over that size,
 // and a count those bytes can hold, at most maxSegBlocks — and returns
 // it. It decodes no entry: the size lets it check the CRC first, and the
-// entries are checked as they are decoded (eachEntry), once, by whoever
+// entries are checked as they are decoded (decodeEntries), once, by whoever
 // needs them. Invalid candidates report ok=false, never an error:
 // recovery probes arbitrary blocks looking for summaries.
 func checkSummary(sb []byte) (sumHeader, bool) {
@@ -1663,38 +1644,17 @@ func checkSummary(sb []byte) (sumHeader, bool) {
 	return h, true
 }
 
-// eachEntry decodes the entries of a summary block checkSummary accepted,
-// passing each to fn, and fails with a types.ErrCorrupt unless h.count of
-// them fill its size exactly. fn sees no entry past the first failure.
-func eachEntry(sb []byte, h sumHeader, fn func(i int, e SummaryEntry)) error {
-	r := codec.NewReader("summary", sb[summaryHeaderSize:h.size]) // its callers name the segment
-	var prev types.Timestamp
-	for i := 0; i < h.count; i++ {
-		e := readEntry(&r, &prev)
-		if r.Err() != nil {
-			break
-		}
-		fn(i, e)
-	}
-	return r.Done()
-}
-
-// decodeSummary parses a candidate summary block: one checkSummary
-// accepts and whose entries decode.
-func decodeSummary(sb []byte) (Summary, bool, error) {
-	h, ok := checkSummary(sb)
-	if !ok {
-		return Summary{}, false, nil
-	}
-	s, err := decodeEntries(sb, h)
-	return s, err == nil, nil
-}
-
 // decodeEntries materializes the entries of a summary block checkSummary
-// accepted.
+// accepted, and fails with a types.ErrCorrupt unless h.count of them fill
+// its size exactly.
 func decodeEntries(sb []byte, h sumHeader) (Summary, error) {
+	r := codec.NewReader("summary", sb[summaryHeaderSize:h.size]) // its callers name the segment
 	s := Summary{Seq: h.seq, Entries: make([]SummaryEntry, h.count)}
-	if err := eachEntry(sb, h, func(i int, e SummaryEntry) { s.Entries[i] = e }); err != nil {
+	var prev types.Timestamp
+	for i := range s.Entries {
+		s.Entries[i] = readEntry(&r, &prev)
+	}
+	if err := r.Done(); err != nil {
 		return Summary{}, err
 	}
 	return s, nil
@@ -1776,14 +1736,15 @@ func (l *Log) SetSeq(seq uint64) {
 // cannot vouch for the chain, it reads block 0 of every segment, and the
 // rest of each unsealed one (probeAll); after a failed walk, the next
 // open takes the lowest free segment and names no predecessor, since the
-// promise at the chain's end is unknown. The summaries either reads
-// become the segments' checksum tables. Only a log that has appended
-// nothing since Open takes up the chain's promise. fn gets the payload
+// promise at the chain's end is unknown. The summaries either decodes
+// stay in memory as the segments' (summaryOf), so fn must not modify
+// sum's entries. Only a log that has appended nothing since Open takes
+// up the chain's promise. fn gets the payload
 // blocks of a segment whose payload the scan read to find its newest
 // snapshot (one with no seal in block 0), entry i at i*BlockSize, so
 // the caller reads none of them again; it is nil for any other segment
-// and valid only during fn. Such a segment has no checksum table for a
-// journal block, so the bytes are what Read would return.
+// and valid only during fn. Such a segment's summary pins no checksum
+// of a journal block, so the bytes are what Read would return.
 func (l *Log) ScanFrom(afterSeq uint64, fn func(seg int64, sum Summary, payload []byte) error) error {
 	b := scanBufs.Get().(*scanBuf)
 	defer scanBufs.Put(b)
@@ -1887,10 +1848,10 @@ func (l *Log) walkChain(a anchor, b *scanBuf) (hits []hit, t chainTail, why stri
 			if err != nil {
 				return nil, t, fmt.Sprintf("segment %d: %v", seg, err), nil
 			}
-			l.cacheSums(seg, tableOf(s.Entries))
+			l.cacheSummary(seg, s)
 			hits = append(hits, hit{seg, s})
 		} else {
-			l.cacheSums(seg, sumTable(sb, h))
+			l.cacheSummary(seg, summaryIn(sb, h))
 		}
 		prev, prevSeq, seg, named = seg, h.seq, h.next, b0 == b0Summary
 	}
@@ -1939,7 +1900,7 @@ func (l *Log) probeAll(afterSeq uint64, b *scanBuf) ([]hit, error) {
 			if err != nil {
 				return nil, fmt.Errorf("seglog: segment %d: %w", seg, err) // its summary passed its CRC: a forgery or a bug, not a tear
 			}
-			l.cacheSums(seg, tableOf(s.Entries))
+			l.cacheSummary(seg, s)
 			hits = append(hits, hit{seg, s})
 		}
 	}

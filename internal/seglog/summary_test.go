@@ -18,6 +18,17 @@ import (
 // the two ends: the widest entries still fit block 0, and the entries of
 // a typical sync fit one sector.
 
+// decodeSummary parses a candidate summary block: one checkSummary
+// accepts and whose entries decode.
+func decodeSummary(sb []byte) (Summary, bool, error) {
+	h, ok := checkSummary(sb)
+	if !ok {
+		return Summary{}, false, nil
+	}
+	s, err := decodeEntries(sb, h)
+	return s, err == nil, nil
+}
+
 // appendWidest stages n blocks whose summary entries all take their
 // widest encoding: the largest object id and key, a time ever
 // math.MinInt64 away from the one before, and a one-byte block.

@@ -3,6 +3,7 @@ package seglog
 import (
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -103,16 +104,26 @@ func TestPropertySummarySumsMatchDevice(t *testing.T) {
 	}
 }
 
-// checkDurableSums compares every durable summary sum of segs with the
-// device.
+// checkDurableSums compares every durable summary sum of segs, decoded
+// from the device, with the device, and the summary of each sealed one
+// with what the log holds for it.
 func checkDurableSums(t *testing.T, l *Log, segs map[int64]bool) {
 	t.Helper()
 	cur := l.CurrentSegment()
 	blk := make([]byte, BlockSize)
 	for seg := range segs {
-		sum, ok, err := l.findSummary(seg, &scanBuf{blk: make([]byte, BlockSize)})
-		if err != nil || !ok {
-			t.Fatalf("segment %d: synced but no durable summary (ok=%v, %v)", seg, ok, err)
+		sb, h, _, err := l.newestSummary(seg, &scanBuf{blk: make([]byte, BlockSize)})
+		if err != nil || sb == nil || h.count == 0 {
+			t.Fatalf("segment %d: synced but no durable summary (%v)", seg, err)
+		}
+		sum, err := decodeEntries(sb, h)
+		if err != nil {
+			t.Fatalf("segment %d: %v", seg, err)
+		}
+		if seg != cur {
+			if held, ok, err := l.ReadSummary(seg); err != nil || !ok || !reflect.DeepEqual(held, sum) {
+				t.Fatalf("segment %d: the log holds summary %+v (ok=%v, %v), the device %+v", seg, held, ok, err, sum)
+			}
 		}
 		// A seal summary describes every payload slot; a partial snapshot
 		// occupies one of them.

@@ -536,7 +536,6 @@ func (d *Drive) relocateChainLocked(o *object, avoid seglog.BlockAddr, cs *Clean
 	}
 	o.jhead = newAddrs[len(newAddrs)-1]
 	o.jtail = newAddrs[0]
-	o.jheadEntries = nil // decoded head image is stale; reread on demand
 	if o.chain != nil {
 		// Sector for sector the same entries, so chainAged still holds.
 		o.chain = newAddrs

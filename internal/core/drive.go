@@ -204,9 +204,12 @@ type object struct {
 	cpBlocks  []seglog.BlockAddr // overflow blocks + root
 	cpVersion uint64
 	// Journal chain: jhead is the newest flushed sector, jtail the
-	// oldest retained one (the cleaner advances it as entries age).
+	// oldest retained one (the cleaner advances it as entries age). The
+	// sector is the one copy of its entries: a merge reads it back.
 	jhead, jtail journal.SectorAddr
-	pending      []*journal.Entry // entries not yet in a flushed sector
+	// pending holds the entries not yet in a flushed sector; a flush
+	// zeroes what it drains (slices.Delete), so none stays reachable.
+	pending []*journal.Entry
 	// chain is the chain index: the retained chain's sector addresses
 	// oldest first (chain[0] == jtail, the last one == jhead), 8 bytes a
 	// sector. Chains link newest to oldest and entries age at the old
@@ -223,12 +226,6 @@ type object struct {
 	// and no newer than floorTime, so the next visit starts past them
 	// (they stay in the chain until enough collect to pay for a prune).
 	chainAged int
-	// Decoded image of the head sector, mirroring what is on disk at
-	// jhead, so the per-sync merge path need not re-read and re-decode
-	// it. nil jheadEntries means unknown (e.g. after recovery or chain
-	// relocation): the merge falls back to reading the sector.
-	jheadPrev    journal.SectorAddr
-	jheadEntries []journal.Entry
 	// floorVersion/floorTime: entries at or below have been aged out;
 	// reads older than floorTime are unreconstructible.
 	floorVersion uint64
@@ -444,6 +441,7 @@ type Drive struct {
 	jblockRef  map[seglog.BlockAddr]int
 	jstageAddr seglog.BlockAddr
 	jstageUsed int
+	jscratch   []byte // the head merge's readJSector buffer
 
 	// auditMu guards the audit pipeline. It is taken while holding
 	// Drive.mu (either mode) and object locks, never the reverse.
@@ -1185,15 +1183,16 @@ func (d *Drive) walkSectors(id types.ObjectID, from, tail journal.SectorAddr, fn
 // the bytes they came from — and a miss fills the cache with the buffer
 // seglog.Read verified into. A block of the open segment is still being
 // rewritten in place by head merges and sector placement (several
-// objects share it), so it is read into *scratch, the caller's per-walk
-// buffer, and never cached. The openness test comes before the read: a
-// block found sealed can never be rewritten again, so no RewriteRange
-// can race the fill, while testing afterwards could cache an image read
-// just before the last rewrite. While recovery runs, a sector the
-// roll-forward scan decoded is served from recSectors instead, entries
-// shared with every walk that meets it: callers only read them. A sector
-// that does not decode, or is not id's, is an error. Needs no lock
-// beyond whatever keeps sa in a chain.
+// objects share it), so it is read into *scratch, a walk's own buffer
+// or the head merge's d.jscratch (the drive keeps no decoded copy of a
+// head sector), and never cached. The openness test comes before the
+// read: a block found sealed can never be rewritten again, so no
+// RewriteRange can race the fill, while testing afterwards could cache
+// an image read just before the last rewrite. While recovery runs, a
+// sector the roll-forward scan decoded is served from recSectors
+// instead, entries shared with every walk that meets it: callers only
+// read them. A sector that does not decode, or is not id's, is an
+// error. Needs no lock beyond whatever keeps sa in a chain.
 func (d *Drive) readJSector(id types.ObjectID, sa journal.SectorAddr, scratch *[]byte) (prev journal.SectorAddr, entries []journal.Entry, err error) {
 	if r, ok := d.recSectors[sa]; ok && r.id == id {
 		return r.prev, r.entries, nil
@@ -1294,18 +1293,10 @@ func (d *Drive) flushJournalLocked(o *object) error {
 	d.logMu.Lock()
 	defer d.logMu.Unlock()
 	if len(o.pending) > 0 && o.jhead != journal.NilSector && d.log.InOpenSegment(o.jhead.Block()) {
-		prev, existing := o.jheadPrev, o.jheadEntries
-		if existing == nil {
-			// Cold head (recovery, relocation): read it once — walkChain
-			// refuses a sector that is not o's — and successful merges
-			// below keep the decoded image current from then on.
-			err := d.walkChain(o, o.jhead, func(_, p journal.SectorAddr, entries []journal.Entry) (bool, error) {
-				prev, existing = p, entries
-				return true, nil
-			})
-			if err != nil {
-				return err
-			}
+		// A copy out of seglog's staged buffer: no device I/O.
+		prev, existing, err := d.readJSector(o.id, o.jhead, &d.jscratch)
+		if err != nil {
+			return err
 		}
 		merged := make([]*journal.Entry, 0, len(existing)+len(o.pending))
 		for i := range existing {
@@ -1325,11 +1316,7 @@ func (d *Drive) flushJournalLocked(o *object) error {
 			}
 			if ok {
 				o.placeLandmarks(o.pending[:n], o.jhead)
-				for i := 0; i < n; i++ {
-					existing = append(existing, *o.pending[i])
-				}
-				o.jheadPrev, o.jheadEntries = prev, existing
-				o.pending = append(o.pending[:0], o.pending[n:]...)
+				o.pending = slices.Delete(o.pending, 0, n)
 			}
 		}
 	}
@@ -1343,11 +1330,6 @@ func (d *Drive) flushJournalLocked(o *object) error {
 			return err
 		}
 		o.placeLandmarks(o.pending[:n], sa)
-		ents := make([]journal.Entry, n)
-		for i := 0; i < n; i++ {
-			ents[i] = *o.pending[i]
-		}
-		o.jheadPrev, o.jheadEntries = o.jhead, ents
 		if o.jhead == journal.NilSector || o.chain != nil {
 			// A chain's first sector starts its index; a built one grows.
 			o.chain = append(o.chain, sa)
@@ -1356,7 +1338,7 @@ func (d *Drive) flushJournalLocked(o *object) error {
 		if o.jtail == journal.NilSector {
 			o.jtail = sa
 		}
-		o.pending = append(o.pending[:0], o.pending[n:]...)
+		o.pending = slices.Delete(o.pending, 0, n)
 	}
 	d.markClean(o)
 	return nil

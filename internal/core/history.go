@@ -839,7 +839,6 @@ func (d *Drive) rewriteChainLocked(o *object, entries []*journal.Entry) error {
 		return err
 	}
 	o.jhead, o.jtail = journal.NilSector, journal.NilSector
-	o.jheadEntries = nil
 	o.chain, o.chainAged = nil, 0 // the flush below starts a new index
 	o.pruned, o.cpVersion = true, 0
 	o.pending = entries

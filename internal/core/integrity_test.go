@@ -400,11 +400,10 @@ func d2create(t *testing.T, d *Drive) types.ObjectID {
 var _ = seglog.BlockAddr(0) // keep the import honest if helpers move
 
 // TestColdHeadMergeRefusesForeignSector: the head-merge flush rewrites
-// the sector o.jhead names in place. When it has to read that sector
-// first (a cold head: no decoded image, as after recovery or a chain
-// relocation) it must hold it to the same rule walkChain does — a
-// sector owned by another object is corruption, not something to merge
-// into and rewrite under this object's id.
+// the sector o.jhead names in place, and reads that sector first on
+// every merge, through readJSector. It must hold it to the same rule
+// walkChain does — a sector owned by another object is corruption, not
+// something to merge into and rewrite under this object's id.
 func TestColdHeadMergeRefusesForeignSector(t *testing.T) {
 	e := newTestDrive(t)
 	a, b := e.create(alice), e.create(alice)
@@ -421,7 +420,7 @@ func TestColdHeadMergeRefusesForeignSector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oa.jhead, oa.jheadEntries = ob.jhead, nil
+	oa.jhead = ob.jhead
 	e.write(alice, a, 0, []byte("a's second"))
 	if err := e.d.Sync(alice); !errors.Is(err, types.ErrCorrupt) {
 		t.Errorf("flush through a foreign head sector: err %v, want ErrCorrupt", err)

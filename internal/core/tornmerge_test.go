@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"s4/internal/disk"
+	"s4/internal/journal"
 	"s4/internal/types"
 	"s4/internal/vclock"
 )
@@ -154,4 +155,83 @@ func TestTornHeadMergeKeepsAckedEntries(t *testing.T) {
 	}
 	t.Logf("%d device writes, %d torn images, each opened on both bases; %d opens recovered an in-flight version",
 		writes, torn, landed)
+}
+
+// TestFlushedEntriesLeavePending drives one object's journal through a
+// fresh-sector flush, a head merge while its block is still in the open
+// segment, and the flush of an eviction. After each, the head sector
+// read back from the log must hold every entry flushed into it, in
+// order, and no slot of o.pending's backing array past its length may
+// still hold an entry: the sector is the one record of a flushed entry,
+// so nothing in memory, evicted objects included, keeps it reachable.
+func TestFlushedEntriesLeavePending(t *testing.T) {
+	e := newTestDrive(t, func(o *Options) { o.ObjectCacheCount = 1 })
+	a := e.create(alice)
+	o := e.d.objects[a]
+	type ent struct {
+		typ journal.EntryType
+		ver uint64
+	}
+	var inHead []ent // what the head sector should hold, oldest first
+	// flush runs op, which must flush every pending entry of o, and
+	// checks the head sector and o.pending afterwards.
+	flush := func(step string, wantMerge bool, op func()) {
+		t.Helper()
+		var flushed []ent
+		for _, p := range o.pending {
+			flushed = append(flushed, ent{p.Type, p.Version})
+		}
+		if len(flushed) == 0 {
+			t.Fatalf("%s: nothing pending", step)
+		}
+		head := o.jhead
+		if wantMerge && !e.d.log.InOpenSegment(head.Block()) {
+			t.Fatalf("%s: the head sector left the open segment; the merge path would not run", step)
+		}
+		op()
+		if merged := o.jhead == head; merged != wantMerge {
+			t.Fatalf("%s: merged into the head %v, want %v", step, merged, wantMerge)
+		}
+		if !wantMerge {
+			inHead = nil
+		}
+		inHead = append(inHead, flushed...)
+		if len(o.pending) != 0 {
+			t.Fatalf("%s: %d entries still pending", step, len(o.pending))
+		}
+		for i, p := range o.pending[:cap(o.pending)] {
+			if p != nil {
+				t.Errorf("%s: o.pending's backing array still holds flushed entry v%d at slot %d", step, p.Version, i)
+			}
+		}
+		owner, _, got, err := journal.ReadSector(e.d.log, o.jhead)
+		if err != nil || owner != a {
+			t.Fatalf("%s: head sector: owner %v, err %v", step, owner, err)
+		}
+		var have []ent
+		for _, g := range got {
+			have = append(have, ent{g.Type, g.Version})
+		}
+		if fmt.Sprint(have) != fmt.Sprint(inHead) {
+			t.Errorf("%s: head sector holds %v, want %v", step, have, inHead)
+		}
+	}
+	sync := func() {
+		if err := e.d.Sync(alice); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := e.d.SetAttr(alice, a, []byte("attr")); err != nil {
+		t.Fatal(err)
+	}
+	e.write(alice, a, 0, []byte("first"))
+	flush("fresh sector", false, sync)
+	e.write(alice, a, 0, []byte("second"))
+	flush("head merge", true, sync)
+	e.write(alice, a, 0, []byte("third"))
+	flush("eviction", true, func() { e.create(alice) })
+	if o.ino != nil {
+		t.Fatal("creating a second object did not evict the first")
+	}
 }

@@ -497,8 +497,9 @@ func TestOpenRejectsForgedSuperblock(t *testing.T) {
 		{"formatVer 4", put32(4, 4), false}, // summary CRCs over the whole block: a trimmed snapshot would fail them
 		{"formatVer 5", put32(4, 5), false}, // landmark entries name a root block: a v6 decoder reads an address as an image length
 		{"formatVer 6", put32(4, 6), false}, // fixed 33-byte summary entries: a v7 decoder reads a kind byte as varints
-		{"formatVer 7", put32(4, 7), true},
-		{"formatVer 8", put32(4, 8), false},
+		{"formatVer 7", put32(4, 7), false}, // writes blocks whole: a v8 flush leaves an earlier life's bytes past Len that a v7 reader would take
+		{"formatVer 8", put32(4, 8), true},
+		{"formatVer 9", put32(4, 9), false},
 		{"SegBlocks 0", put32(8, 0), false},
 		{"SegBlocks 7", put32(8, 7), false},
 		{"SegBlocks over one summary block", put32(8, uint32(maxSegBlocks()+1)), false},

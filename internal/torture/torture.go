@@ -159,6 +159,10 @@ type Config struct {
 	NoDifferential bool
 	// Logf, when set, receives progress lines (pass t.Logf).
 	Logf func(format string, args ...any)
+	// Inspect, when set, is called with each plain crash image before
+	// it is opened, so a test can count what the images hold. It must
+	// only read.
+	Inspect func(img disk.Device)
 }
 
 func (c *Config) fill() {
@@ -295,6 +299,9 @@ func Run(cfg Config) (Result, error) {
 			if img2, err = w.rec.ImageAt(k); err != nil {
 				return res, err
 			}
+		}
+		if cfg.Inspect != nil {
+			cfg.Inspect(img)
 		}
 		res.CrashPoints++
 		res.Violations = append(res.Violations, w.verifyImage(&res, img, img2, k, false)...)

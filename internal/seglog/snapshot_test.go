@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"s4/internal/disk"
 	"s4/internal/types"
 )
 
@@ -27,10 +28,17 @@ import (
 // one, where the slot holds the previous life's snapshot of the same
 // count: a tear keeps that header intact until its first sector lands,
 // and the old snapshot, older than the new life's open record, must not
-// answer.
+// answer. With hosted, the torn sync's last block is short, so its
+// snapshot starts right after that block's Len, in the block's own tail
+// (flushLocked), where the reused segment's previous life left its own.
 func TestTornSnapshotFallsBack(t *testing.T) {
-	for _, reused := range []bool{false, true} {
-		t.Run(fmt.Sprintf("reused=%v", reused), func(t *testing.T) {
+	for _, c := range []struct{ reused, hosted bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		reused, hosted := c.reused, c.hosted
+		name := fmt.Sprintf("reused=%v", reused)
+		if hosted {
+			name = "hosted," + name
+		}
+		t.Run(name, func(t *testing.T) {
 			l, dev := newFaultLog(t, 64)
 			rnd := rand.New(rand.NewSource(1))
 			type acked struct {
@@ -47,6 +55,9 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 					}
 					for j := 0; j < n; j++ {
 						data := make([]byte, BlockSize)
+						if hosted && i == 2 && j == n-1 {
+							data = data[:700] // two sectors: the snapshot follows at the third
+						}
 						rnd.Read(data)
 						k := len(out) + j
 						a, err := l.Append(KindData, obj<<56, uint64(k)|1<<56, types.Timestamp(1+k)<<56, data)
@@ -79,9 +90,12 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 			}
 			k := dev.Writes() - 1
 			w := dev.Record(k)
-			slot := l.segBase(seg) + 1 + 52 // 10 + pad + 10 + pad + 30 blocks before it
-			if w.Sector != slot*sectorsPerBlock || w.Sectors() != 4 {
-				t.Fatalf("last write of the sync: sectors %d+%d, want the 52-entry snapshot at %d+4", w.Sector, w.Sectors(), slot*sectorsPerBlock)
+			at := (l.segBase(seg) + 1 + 52) * sectorsPerBlock // 10 + pad + 10 + pad + 30 blocks before it
+			if hosted {
+				at -= sectorsPerBlock - 2
+			}
+			if w.Sector != at || w.Sectors() != 4 {
+				t.Fatalf("last write of the sync: sectors %d+%d, want the 52-entry snapshot at %d+4", w.Sector, w.Sectors(), at)
 			}
 			if reused {
 				// The hard case is there: the slot holds a valid snapshot of
@@ -91,7 +105,7 @@ func TestTornSnapshotFallsBack(t *testing.T) {
 					t.Fatal(err)
 				}
 				blk := make([]byte, BlockSize)
-				if err := readBlocks(img, slot, blk); err != nil {
+				if err := img.ReadSectors(at, blk); err != nil {
 					t.Fatal(err)
 				}
 				if h, ok := checkSummary(blk); !ok || h.count != 52 {
@@ -183,4 +197,104 @@ func TestSummaryCRCCoversHeaderAndEntries(t *testing.T) {
 	if _, ok, _ := decodeSummary(junk); ok {
 		t.Fatal("a size reaching into the junk still decodes")
 	}
+}
+
+// TestSnapshotFollowsTrimmedRun holds a partial flush's snapshot to where
+// it lands (flushLocked). After a run ending at a short data block, the
+// snapshot starts at the sector right after that block's Len, so the
+// run and the snapshot are one sequential stretch of the device. After a
+// short journal block, which later syncs grow, and after a flush whose
+// only run is a rewrite earlier in the segment (the last used block is
+// the previous snapshot's pad), it starts the slot after the last used
+// block. While a block's tail holds the newest durable snapshot,
+// RewriteRange refuses to grow the block into it, and grows it again
+// once a newer snapshot lies elsewhere. After every sync, a fresh open
+// of the device finds the newest snapshot and reads every block back.
+func TestSnapshotFollowsTrimmedRun(t *testing.T) {
+	l, dev := newFaultLog(t, 16)
+	dev.StartRecording()
+	base := l.segBase(0) * sectorsPerBlock
+	staged := map[BlockAddr][]byte{}
+	add := func(kind Kind, data []byte) BlockAddr {
+		t.Helper()
+		a, err := l.Append(kind, 1, uint64(len(staged)), types.Timestamp(len(staged)+1), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged[a] = data
+		return a
+	}
+	rewrite := func(a BlockAddr, off int, data []byte) bool {
+		t.Helper()
+		ok, err := l.RewriteRange(a, off, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			b := staged[a]
+			if end := off + len(data); end > len(b) {
+				b = append(b, make([]byte, end-len(b))...)
+			}
+			copy(b[off:], data)
+			staged[a] = b
+		}
+		return ok
+	}
+	// syncAt syncs and checks the snapshot's write began at sector at of
+	// the segment, and that a fresh open finds it and reads back every
+	// staged block.
+	syncAt := func(what string, at int64) {
+		t.Helper()
+		n := dev.Writes()
+		mustSync(t, l)
+		w := dev.Record(dev.Writes() - 1)
+		if dev.Writes() <= n || w.Sector != base+at {
+			t.Fatalf("%s: snapshot written at sector %d of the segment, want %d", what, w.Sector-base, at)
+		}
+		img, err := dev.ImageAt(dev.Writes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lr := reopen(t, img)
+		sum, ok, err := lr.ReadSummary(0)
+		if err != nil || !ok || len(sum.Entries) != len(l.entries)-1 {
+			t.Fatalf("%s: a fresh open finds %d entries (ok=%v, %v), want the %d the snapshot describes", what, len(sum.Entries), ok, err, len(l.entries)-1)
+		}
+		buf := make([]byte, BlockSize)
+		for a, data := range staged {
+			if err := lr.Read(a, buf); err != nil {
+				t.Fatalf("%s: block %d: %v", what, a, err)
+			}
+			if want := append(bytes.Clone(data), make([]byte, BlockSize-len(data))...); !bytes.Equal(buf, want) {
+				t.Fatalf("%s: block %d does not read back", what, a)
+			}
+		}
+	}
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+
+	add(KindData, fill(BlockSize, 1))
+	host := add(KindData, fill(700, 2))
+	syncAt("short data block", 2*sectorsPerBlock+2) // the record, block 1, two sectors of block 2
+	if w := dev.Record(dev.Writes() - 2); w.Sector+int64(w.Sectors()) != base+2*sectorsPerBlock+2 {
+		t.Fatalf("the run ends at sector %d of the segment, not where the snapshot starts", w.Sector+int64(w.Sectors())-base)
+	}
+	if rewrite(host, 1000, fill(100, 3)) {
+		t.Fatal("a rewrite grew the block whose tail holds the newest snapshot")
+	}
+	if !rewrite(host, 100, fill(600, 4)) {
+		t.Fatal("a rewrite below the snapshot, within the block's last sector, was refused")
+	}
+	j := add(KindJournal, fill(disk.SectorSize, 5)) // slot 3, after the pad
+	syncAt("short journal block", 5*sectorsPerBlock)
+	if !rewrite(host, 1000, fill(100, 3)) {
+		t.Fatal("a rewrite was refused after a newer snapshot moved elsewhere")
+	}
+	if !rewrite(j, 7*disk.SectorSize, fill(disk.SectorSize, 6)) {
+		t.Fatal("the journal block did not grow")
+	}
+	// The run ends at the journal block's last sector, where the pad's
+	// slot starts: no block's tail, so the snapshot goes after the pad.
+	syncAt("rewrites only, after a pad", 6*sectorsPerBlock)
+	add(KindInode, fill(300, 7)) // slot 5, after the second pad
+	syncAt("short inode block", 6*sectorsPerBlock+sectorsPerBlock+1)
 }
